@@ -6,7 +6,6 @@ from .errors import (
     BudgetExceeded,
     CharacteristicMismatch,
     DenominatorPoleBeforeTermination,
-    DualityViolated,
     IdentityViolated,
     LengthMismatch,
     LeonardError,
@@ -92,6 +91,7 @@ from .families import (
     sample_params,
     verify_closed_form,
 )
+from .analysis import Analysis
 from .classify import ClassifierWitness, classify, embed_array, fit_closed_form_theta
 from .report import CheckReport
 

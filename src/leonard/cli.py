@@ -12,6 +12,7 @@ import json
 import sys
 from typing import Optional
 
+from .analysis import Analysis
 from .classify import _first_case1_base, classify
 from .errors import (
     BaseNotApplicable,
@@ -37,7 +38,7 @@ from .parray import (
     enumerate_arrays,
     validate,
 )
-from .polys import corresponding_polys, duality_check, endpoint_values, verify_proportionality
+from .polys import duality_check, endpoint_values, verify_proportionality
 from .recur import recurrence_coeffs, verify_alt_formulas, verify_difference, verify_three_term
 from .splitmat import build, s_matrix, verify_conjugation, verify_leonard_conditions
 from .report import CheckReport
@@ -76,93 +77,91 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _scoreboard(p: ParameterArray) -> tuple[list[str], bool]:
-    """Run every verification in a fixed order; never stop at a failure."""
-    lines: list[str] = []
-    all_ok = True
+def _line(name: str, status: str, detail: str = "") -> str:
+    return f"{name}: {status} ({detail})" if detail else f"{name}: {status}"
 
-    def emit(name: str, status: str, detail: str = "") -> None:
-        nonlocal all_ok
-        if status == "fail":
-            all_ok = False
-        text = f"{name}: {status}"
-        if detail:
-            text += f" ({detail})"
-        lines.append(text)
 
-    rep = validate(p)
-    if rep.ok():
-        emit("validate", "pass")
-    else:
-        bad = [line for line in rep.lines() if not line.endswith("pass")]
-        emit("validate", "fail", "; ".join(bad))
-        for name in ("conjugation", "leonard-conditions", "proportionality",
-                     "endpoint-values", "duality", "orthogonality",
-                     "weight-sums", "three-term", "difference",
-                     "alt-recurrence", "transition-matrix"):
-            emit(name, "skipped", "array invalid")
-        return lines, False
+def _report_line(name: str, report: CheckReport) -> str:
+    if report.skipped:
+        return _line(name, "skipped", report.skipped)
+    if report.ok():
+        return _line(name, "pass")
+    return _line(name, "fail", "; ".join(report.failures[:4]))
 
-    def from_report(report: CheckReport) -> None:
-        if report.ok():
-            emit(report.name, "pass")
-        else:
-            emit(report.name, "fail", "; ".join(report.failures[:4]))
 
-    from_report(verify_conjugation(p))
-    from_report(verify_leonard_conditions(p))
-    try:
-        verify_proportionality(p)
-        emit("proportionality", "pass")
-    except ProportionalityViolated as e:
-        emit("proportionality", "fail", str(e))
-    try:
-        endpoint_values(p)
-        emit("endpoint-values", "pass")
-    except IdentityViolated as e:
-        emit("endpoint-values", "fail", str(e))
-    from_report(duality_check(p))
-    from_report(verify_orthogonality(p))
-    from_report(verify_nu_sums(p))
-    from_report(verify_three_term(p))
-    from_report(verify_difference(p))
-    if p.d >= 1:
-        from_report(verify_alt_formulas(p))
-    else:
-        emit("alt-recurrence", "skipped", "no interior coefficients at d = 0")
+def _raising(check, error: type[LeonardError]):
+    """Adapt a check that returns values and raises `error` on a failure."""
+    def run(a: Analysis) -> CheckReport:
+        report = CheckReport("")
+        try:
+            check(a)
+        except error as e:
+            report.add(str(e))
+        return report
+    return run
 
-    # Transition matrix against the q-binomial closed form, when a usable
-    # base exists in the field.
+
+def _transition_matrix(a: Analysis) -> CheckReport:
+    """G against the q-binomial closed form, when a usable base exists in
+    the field."""
+    p = a.p
+    report = CheckReport("transition-matrix")
     q = None
-    skip_reason = None
     if p.d >= 3:
         bc = base_candidates(p)
         if bc.kind == "quadratic_only":
-            skip_reason = "no in-field base"
+            report.skipped = "no in-field base"
         else:
             root = bc.roots[0]
             if root == p.field.one() or root == -p.field.one():
-                skip_reason = "base ±1"
+                report.skipped = "base ±1"
             else:
                 q = root
     else:
         q = _first_case1_base(p.field)
         if q is None:
-            skip_reason = "no in-field base"
+            report.skipped = "no in-field base"
     if q is None:
-        emit("transition-matrix", "skipped", skip_reason)
-    else:
-        try:
-            S = s_matrix(p, q)
-            alpha = S.rows[0][0].inverse()
-            if build(p).G == S.scale(alpha):
-                emit("transition-matrix", "pass")
-            else:
-                emit("transition-matrix", "fail",
-                     "G differs from the scaled closed form")
-        except BaseNotApplicable as e:
-            emit("transition-matrix", "skipped", str(e))
-    return lines, all_ok
+        return report
+    try:
+        S = s_matrix(p, q)
+    except BaseNotApplicable as e:
+        report.skipped = str(e)
+        return report
+    if a.matrices.G != S.scale(S.rows[0][0].inverse()):
+        report.add("G differs from the scaled closed form")
+    return report
+
+
+def _scoreboard(p: ParameterArray) -> tuple[list[str], bool]:
+    """Run every verification in a fixed order; never stop at a failure."""
+    # Built per call so that the names are looked up when the checks run.
+    checks = (
+        ("conjugation", verify_conjugation),
+        ("leonard-conditions", verify_leonard_conditions),
+        ("proportionality", _raising(verify_proportionality,
+                                     ProportionalityViolated)),
+        ("endpoint-values", _raising(endpoint_values, IdentityViolated)),
+        ("duality", duality_check),
+        ("orthogonality", verify_orthogonality),
+        ("weight-sums", verify_nu_sums),
+        ("three-term", verify_three_term),
+        ("difference", verify_difference),
+        ("alt-recurrence", verify_alt_formulas),
+        ("transition-matrix", _transition_matrix),
+    )
+    rep = validate(p)
+    if not rep.ok():
+        bad = [line for line in rep.lines() if not line.endswith("pass")]
+        lines = [_line("validate", "fail", "; ".join(bad))]
+        lines += [_line(name, "skipped", "array invalid") for name, _ in checks]
+        return lines, False
+
+    a = Analysis(p)
+    reports = [(name, check(a)) for name, check in checks]
+    lines = [_line("validate", "pass")]
+    lines += [_report_line(name, r) for name, r in reports]
+    return lines, all(r.ok() for _, r in reports)
 
 
 def _require_valid(p: ParameterArray) -> None:
@@ -239,7 +238,7 @@ def cmd_classify(args) -> int:
 def cmd_poly_table(args) -> int:
     p = load_array(args.file)
     _require_valid(p)
-    table = corresponding_polys(p)
+    table = Analysis(p).polys
     if args.format == "json":
         sys.stdout.write(dump_json(table.P.to_json()))
     else:

@@ -49,10 +49,6 @@ class ProportionalityViolated(LeonardError):
     arrays; indicates a construction bug)."""
 
 
-class DualityViolated(LeonardError):
-    """Polynomial duality f_i(theta_j) = f*_j(theta*_i) failed."""
-
-
 class IdentityViolated(LeonardError):
     """An exact identity that holds for every validated array failed.
 

@@ -399,9 +399,6 @@ class RationalField(Field):
     def from_int(self, n: int) -> FieldElement:
         return FieldElement(self, Fraction(n))
 
-    def from_fraction(self, q: Fraction) -> FieldElement:
-        return FieldElement(self, Fraction(q))
-
     def characteristic(self) -> int:
         return 0
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .fields import FieldElement
 from .parray import ParameterArray
 from .report import CheckReport
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
 
 
 @dataclass(frozen=True)
@@ -51,14 +55,11 @@ def ortho_data(p: ParameterArray) -> OrthoData:
     return OrthoData(k=k, kstar=kstar, nu=nu)
 
 
-def verify_orthogonality(p: ParameterArray) -> CheckReport:
+def verify_orthogonality(a: Analysis) -> CheckReport:
     """Row and column orthogonality of the evaluation table under the two
     weight families."""
-    from .polys import corresponding_polys
-
-    table = corresponding_polys(p)
-    data = ortho_data(p)
-    F, d = p.field, p.d
+    table, data = a.polys, a.ortho
+    F, d = a.p.field, a.p.d
     zero = F.zero()
     report = CheckReport("orthogonality")
 
@@ -82,10 +83,10 @@ def verify_orthogonality(p: ParameterArray) -> CheckReport:
     return report
 
 
-def verify_nu_sums(p: ParameterArray) -> CheckReport:
+def verify_nu_sums(a: Analysis) -> CheckReport:
     """nu equals the sum of either weight family."""
-    data = ortho_data(p)
-    zero = p.field.zero()
+    data = a.ortho
+    zero = a.p.field.zero()
     report = CheckReport("weight-sums")
     total = zero
     for x in data.k:

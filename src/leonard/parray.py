@@ -68,13 +68,34 @@ def make_array(
     return ParameterArray(field, d, tuple(theta), tuple(theta_star), tuple(varphi), tuple(phi))
 
 
+ARRAY_KEYS = ("field", "d", "theta", "theta_star", "varphi", "phi")
+
+
 def array_from_json(obj: dict) -> ParameterArray:
+    """Inverse of ParameterArray.to_json.  Raises ValueError on a key outside
+    ARRAY_KEYS and on entries that are not strings."""
+    if not isinstance(obj, dict):
+        raise ValueError("an array must be a JSON object")
+    unknown = [key for key in obj if key not in ARRAY_KEYS]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; an array has the keys "
+                         + ", ".join(ARRAY_KEYS))
     field = make_field(FieldSpec.from_json(obj["field"]))
     d = int(obj["d"])
-    theta = tuple(field.parse(s) for s in obj["theta"])
-    theta_star = tuple(field.parse(s) for s in obj["theta_star"])
-    varphi = tuple(field.parse(s) for s in obj["varphi"])
-    phi = tuple(field.parse(s) for s in obj["phi"])
+
+    def entries(key: str) -> tuple[FieldElement, ...]:
+        raw = obj[key]
+        if not isinstance(raw, list):
+            raise ValueError(f"{key} must be a list of strings")
+        for s in raw:
+            if not isinstance(s, str):
+                raise ValueError(f"{key} entries must be strings, got {s!r}")
+        return tuple(field.parse(s) for s in raw)
+
+    theta = entries("theta")
+    theta_star = entries("theta_star")
+    varphi = entries("varphi")
+    phi = entries("phi")
     if len(theta) != d + 1:
         raise LengthMismatch(f"theta needs {d + 1} entries, got {len(theta)}")
     return make_array(field, theta, theta_star, varphi, phi)

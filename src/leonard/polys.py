@@ -10,13 +10,16 @@ proportionality and duality identities checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import IdentityViolated, ProportionalityViolated
 from .fields import Field, FieldElement
 from .parray import ParameterArray, d4_apply
 from .report import CheckReport
-from .splitmat import SquareMatrix, build
+from .splitmat import SquareMatrix
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
 
 
 @dataclass(frozen=True)
@@ -81,22 +84,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c == self.field.zero():
-                continue
-            text = self.field.format(c)
-            if n == 0:
-                parts.append(text)
-            elif n == 1:
-                parts.append(f"({text})*x")
-            else:
-                parts.append(f"({text})*x^{n}")
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class PolyTable:
@@ -138,23 +125,14 @@ def corresponding_polys(p: ParameterArray) -> PolyTable:
 
     P = SquareMatrix.build(F, d + 1, lambda i, j: f[j](p.theta[i]))
     Pdown = SquareMatrix.build(F, d + 1, lambda i, j: fdown[j](p.theta[i]))
-
-    # The same matrices have triangular factorizations; a disagreement would
-    # mean a bug in this module, not bad input.
-    m = build(p)
-    if P != m.T * m.D.inverse() * m.Tstar.transpose():
-        raise IdentityViolated("evaluation matrix disagrees with T D^-1 T*^t")
-    if Pdown != m.Z * m.Tdown * m.Ddown.inverse() * m.Tstar.transpose():
-        raise IdentityViolated(
-            "reversed evaluation matrix disagrees with Z Tdown Ddown^-1 T*^t")
     return PolyTable(f=tuple(f), fdown=tuple(fdown), fstar=tuple(fstar),
                      P=P, Pdown=Pdown)
 
 
-def verify_proportionality(p: ParameterArray) -> list[FieldElement]:
+def verify_proportionality(a: Analysis) -> list[FieldElement]:
     """Each f_i is a scalar multiple of its reversed companion; returns the
     scalars, cumulative ratios of phi over varphi."""
-    table = corresponding_polys(p)
+    p, table = a.p, a.polys
     alpha = [p.field.one()]
     for i in range(1, p.d + 1):
         alpha.append(alpha[-1] * p.phi[i - 1] * p.varphi[i - 1].inverse())
@@ -165,12 +143,10 @@ def verify_proportionality(p: ParameterArray) -> list[FieldElement]:
     return alpha
 
 
-def endpoint_values(p: ParameterArray) -> list[FieldElement]:
+def endpoint_values(a: Analysis) -> list[FieldElement]:
     """Values f_i(theta_d), checked against the phi/varphi ratio form and the
     weighted form involving the dual eigenvalues."""
-    from .ortho import ortho_data
-
-    table = corresponding_polys(p)
+    p, table = a.p, a.polys
     d = p.d
     vals = [table.f[i](p.theta[d]) for i in range(d + 1)]
 
@@ -182,7 +158,7 @@ def endpoint_values(p: ParameterArray) -> list[FieldElement]:
             raise IdentityViolated(
                 f"f_{i}(theta_d) differs from the phi/varphi cumulative ratio")
 
-    data = ortho_data(p)
+    data = a.ortho
     num = p.field.one()
     for j in range(1, d + 1):
         num = num * (p.theta_star[0] - p.theta_star[j])
@@ -197,9 +173,9 @@ def endpoint_values(p: ParameterArray) -> list[FieldElement]:
     return vals
 
 
-def duality_check(p: ParameterArray) -> CheckReport:
+def duality_check(a: Analysis) -> CheckReport:
     """f_i(theta_j) must equal the starred value f*_j(theta*_i)."""
-    table = corresponding_polys(p)
+    p, table = a.p, a.polys
     report = CheckReport("duality")
     for i in range(p.d + 1):
         for j in range(p.d + 1):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .fields import FieldElement
 from .parray import ParameterArray, d4_apply
-from .polys import corresponding_polys
 from .report import CheckReport
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,10 @@ def recurrence_coeffs(p: ParameterArray) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(a=a, b=b, c=c, astar=astar, bstar=bstar, cstar=cstar)
 
 
-def verify_three_term(p: ParameterArray) -> CheckReport:
+def verify_three_term(a: Analysis) -> CheckReport:
     """theta_j f_i = c_i f_{i-1} + a_i f_i + b_i f_{i+1} evaluated on the
     eigenvalues, boundary terms omitted."""
-    table = corresponding_polys(p)
-    co = recurrence_coeffs(p)
+    p, table, co = a.p, a.polys, a.recurrence
     d = p.d
     report = CheckReport("three-term")
     vals = table.P.rows  # vals[j][i] = f_i(theta_j)
@@ -84,11 +85,10 @@ def verify_three_term(p: ParameterArray) -> CheckReport:
     return report
 
 
-def verify_difference(p: ParameterArray) -> CheckReport:
+def verify_difference(a: Analysis) -> CheckReport:
     """theta*_i f_i(theta_j) = c*_j f_i(theta_{j-1}) + a*_j f_i(theta_j)
     + b*_j f_i(theta_{j+1}), boundary terms omitted."""
-    table = corresponding_polys(p)
-    co = recurrence_coeffs(p)
+    p, table, co = a.p, a.polys, a.recurrence
     d = p.d
     report = CheckReport("difference")
     vals = table.P.rows
@@ -145,13 +145,16 @@ def _alt_checks(p: ParameterArray, co: tuple, report: CheckReport, tag: str) -> 
             report.add(f"{tag}weighted b/c difference identity fails at {i}")
 
 
-def verify_alt_formulas(p: ParameterArray) -> CheckReport:
+def verify_alt_formulas(a: Analysis) -> CheckReport:
     """Alternative closed forms for a_i, b_i, c_i, and the weighted difference
-    identity they satisfy; checked on the array and on its dual."""
+    identity they satisfy; checked on the array and on its dual.  Skipped at
+    d = 0, where there are no interior coefficients."""
+    p = a.p
     if p.d < 1:
-        raise ValueError("alternative forms need d >= 1")
+        return CheckReport("alt-recurrence",
+                           skipped="no interior coefficients at d = 0")
     report = CheckReport("alt-recurrence")
-    co = recurrence_coeffs(p)
+    co = a.recurrence
     _alt_checks(p, (co.a, co.b, co.c), report, "")
     star = d4_apply(p, ["star"])
     _alt_checks(star, (co.astar, co.bstar, co.cstar), report, "dual ")

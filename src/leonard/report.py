@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 class CheckReport:
     name: str
     failures: list[str] = field(default_factory=list)
+    # Why the check did not run, when it could not apply to the array.
+    skipped: str = ""
 
     def ok(self) -> bool:
         return not self.failures
@@ -17,6 +19,8 @@ class CheckReport:
         self.failures.append(message)
 
     def __str__(self) -> str:
+        if self.skipped:
+            return f"{self.name}: skipped ({self.skipped})"
         if self.ok():
             return f"{self.name}: pass"
         head = f"{self.name}: fail ({len(self.failures)} problem(s))"

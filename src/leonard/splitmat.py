@@ -10,7 +10,7 @@ has a usable base in the field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     BaseNotApplicable,
@@ -21,6 +21,9 @@ from .errors import (
 from .fields import Field, FieldElement
 from .parray import ParameterArray, beta_plus_one
 from .report import CheckReport
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
 
 
 @dataclass(frozen=True)
@@ -83,11 +86,6 @@ class SquareMatrix:
 
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix(self.field, self.n, tuple(zip(*self.rows)))
-
-    def is_diagonal(self) -> bool:
-        zero = self.field.zero()
-        return all(self.rows[i][j] == zero
-                   for i in range(self.n) for j in range(self.n) if i != j)
 
     def inverse(self) -> "SquareMatrix":
         """Gauss-Jordan with exact pivoting; raises SingularMatrix."""
@@ -214,14 +212,14 @@ def build(p: ParameterArray) -> SplitMatrixSet:
                           Tdown=Tdown, D=D, Ddown=Ddown, Z=Z, H=H, Hstar=Hstar, G=G)
 
 
-def verify_conjugation(p: ParameterArray) -> CheckReport:
+def verify_conjugation(a: Analysis) -> CheckReport:
     """Check that G carries (A, A*) to (B, B*), plus the triangular identities
     that drive the construction of G."""
-    m = build(p)
+    m = a.matrices
     report = CheckReport("conjugation")
     Ginv = _lower_inverse(m.Tdown) * m.Z * m.T
     n = m.A.n
-    ident = SquareMatrix.identity(p.field, n)
+    ident = SquareMatrix.identity(a.p.field, n)
 
     checks = [
         ("G * Ginv = I", m.G * Ginv, ident),
@@ -239,17 +237,22 @@ def verify_conjugation(p: ParameterArray) -> CheckReport:
     return report
 
 
+def _require_distinct(eigenvalues: Sequence[FieldElement]) -> None:
+    n = len(eigenvalues)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if eigenvalues[i] == eigenvalues[j]:
+                raise RepeatedEigenvalue(
+                    f"eigenvalue at positions {i} and {j} repeats")
+
+
 def primitive_idempotents(m: SquareMatrix,
                           eigenvalues: Sequence[FieldElement]) -> list[SquareMatrix]:
     """Lagrange projectors of a multiplicity-free matrix onto its eigenspaces."""
     n = m.n
     if len(eigenvalues) != n:
         raise ValueError("need exactly n eigenvalues")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if eigenvalues[i] == eigenvalues[j]:
-                raise RepeatedEigenvalue(
-                    f"eigenvalue at positions {i} and {j} repeats")
+    _require_distinct(eigenvalues)
     ident = SquareMatrix.identity(m.field, n)
     out = []
     for i, ev in enumerate(eigenvalues):
@@ -262,39 +265,51 @@ def primitive_idempotents(m: SquareMatrix,
     return out
 
 
-def verify_leonard_conditions(p: ParameterArray) -> CheckReport:
-    """Idempotent decompositions of A and A*, and the tridiagonal shape of each
-    operator with respect to the other's eigenspaces."""
-    m = build(p)
-    F, d = p.field, p.d
-    n = d + 1
+def verify_leonard_conditions(a: Analysis) -> CheckReport:
+    """Tridiagonal shape of A on the eigenspaces of A*, and of A* on those of A.
+
+    A is lower bidiagonal with distinct diagonal theta, so its eigenvectors
+    are the columns of a unit lower-triangular U with
+    U[k][j] = U[k-1][j] / (theta_j - theta_k).  Each primitive idempotent is
+    rank one, E_i = U e_i e_i^t U^-1, so the block E_i A* E_j vanishes exactly
+    when the scalar (U^-1 A* U)_ij does.  A* is upper bidiagonal, and its
+    eigenvectors form a unit upper-triangular V with
+    V[k][j] = varphi_{k+1} V[k+1][j] / (theta*_j - theta*_k); V stays
+    invertible when some varphi_i is zero.  O(n^3) field operations.
+    """
+    m = a.matrices
+    p = a.p
+    _require_distinct(p.theta)
+    _require_distinct(p.theta_star)
+    F, n = p.field, p.d + 1
+    zero, one = F.zero(), F.one()
+    th, ths, vp = p.theta, p.theta_star, p.varphi
+
+    U = [[zero] * n for _ in range(n)]
+    V = [[zero] * n for _ in range(n)]
+    for j in range(n):
+        U[j][j] = V[j][j] = one
+        for k in range(j + 1, n):
+            U[k][j] = U[k - 1][j] * (th[j] - th[k]).inverse()
+        for k in range(j - 1, -1, -1):
+            V[k][j] = vp[k] * V[k + 1][j] * (ths[j] - ths[k]).inverse()
+    U = SquareMatrix.from_rows(F, U)
+    V = SquareMatrix.from_rows(F, V)
+
     report = CheckReport("leonard-conditions")
-    zero_mat = SquareMatrix.build(F, n, lambda i, j: F.zero())
-    ident = SquareMatrix.identity(F, n)
+    if m.A * U != U * m.H:
+        report.add("A U = U H violated")
+    if m.Astar * V != V * m.Hstar:
+        report.add("A* V = V H* violated")
 
-    E = primitive_idempotents(m.A, p.theta)
-    Estar = primitive_idempotents(m.Astar, p.theta_star)
-
-    for label, fam in (("E", E), ("E*", Estar)):
-        total = zero_mat
-        for e in fam:
-            total = total + e
-        if total != ident:
-            report.add(f"{label} idempotents do not sum to the identity")
+    Vinv = _lower_inverse(V.transpose()).transpose()
+    for label, block in (("E* A E*", Vinv * m.A * V),
+                         ("E A* E", _lower_inverse(U) * m.Astar * U)):
         for i in range(n):
             for j in range(n):
-                got = fam[i] * fam[j]
-                want = fam[i] if i == j else zero_mat
-                if got != want:
-                    report.add(f"{label}_{i} {label}_{j} product is wrong")
-
-    for label, fam, op in (("E* A E*", Estar, m.A), ("E A* E", E, m.Astar)):
-        for i in range(n):
-            for j in range(n):
-                block = fam[i] * op * fam[j]
-                if abs(i - j) > 1 and block != zero_mat:
+                if abs(i - j) > 1 and block.rows[i][j] != zero:
                     report.add(f"{label} block ({i}, {j}) should vanish")
-                if abs(i - j) == 1 and block == zero_mat:
+                if abs(i - j) == 1 and block.rows[i][j] == zero:
                     report.add(f"{label} block ({i}, {j}) should be nonzero")
     return report
 

@@ -248,3 +248,82 @@ def test_usage_error_is_exit_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "gen", "krawtchouk", "--field", "rational")
     assert code == 2  # --d is required
+
+
+SKIPPED_INVALID = "".join(f"{name}: skipped (array invalid)\n"
+                          for name in SCOREBOARD[1:])
+
+
+def edited(path, key=None, index=None, value=None):
+    obj = json.load(open(path))
+    if key is not None:
+        obj[key][index] = value
+    return obj
+
+
+@pytest.mark.parametrize("obj, code, expected", [
+    (edited(KRAW2, "varphi", 0, "-3"), 1,
+     "validate: fail (PA3 fail at [1]: varphi_1 = -3, expected -4; "
+     "PA4 fail at [1]: phi_1 = -2, expected -1; "
+     "PA4 fail at [2]: phi_2 = -2, expected -1)\n" + SKIPPED_INVALID),
+    (edited(QRAC3, "theta_star", 3, "2"), 1,
+     "validate: fail (PA3 fail at [3]: varphi_3 = -20125/192, expected -413/24; "
+     "PA4 fail at [3]: phi_3 = -35/24, expected -871/48; "
+     "PA5 fail at [2]: theta ratio 7/2 != theta* ratio 8/15)\n" + SKIPPED_INVALID),
+    (edited(QRAC3), 0, "".join(f"{name}: pass\n" for name in SCOREBOARD)),
+    (edited(ORPHAN3), 0,
+     "".join(f"{name}: pass\n" for name in SCOREBOARD[:-1])
+     + "transition-matrix: skipped (base ±1)\n"),
+    ({"field": {"kind": "rational"}, "d": 0, "theta": ["1"],
+      "theta_star": ["2"], "varphi": [], "phi": []}, 0,
+     "".join(f"{name}: pass\n" for name in SCOREBOARD[:-2])
+     + "alt-recurrence: skipped (no interior coefficients at d = 0)\n"
+     + "transition-matrix: pass\n"),
+])
+def test_verify_scoreboard_text_is_pinned(capsys, tmp_path, obj, code, expected):
+    target = tmp_path / "array.json"
+    target.write_text(json.dumps(obj))
+    assert run(capsys, "verify", str(target)) == (code, expected, "")
+
+
+def test_verify_derives_each_object_once(capsys, monkeypatch):
+    import sys
+
+    import leonard.ortho
+    import leonard.polys
+    import leonard.recur
+    import leonard.splitmat
+
+    calls = {}
+    originals = [leonard.splitmat.build, leonard.polys.corresponding_polys,
+                 leonard.ortho.ortho_data, leonard.recur.recurrence_coeffs]
+    for fn in originals:
+        def counted(*args, fn=fn):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        calls[fn.__name__] = 0
+        # rebind every module-level reference, wherever it was imported
+        for name, module in list(sys.modules.items()):
+            if (name == "leonard" or name.startswith("leonard.")) \
+                    and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    code, out, _ = run(capsys, "verify", QRAC3)
+    assert code == 0 and out.endswith("transition-matrix: pass\n")
+    assert calls == {"build": 1, "corresponding_polys": 1, "ortho_data": 1,
+                     "recurrence_coeffs": 1}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("theta", [0, 1, 2], "theta entries must be strings, got 0"),
+    ("varphi", "-4,-4", "varphi must be a list of strings"),
+    ("comment", "kraw2", "unknown key 'comment'"),
+])
+def test_array_file_schema_is_exit_2(capsys, tmp_path, key, value, message):
+    obj = json.load(open(KRAW2))
+    obj[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    for command in ("validate", "verify"):
+        code, out, err = run(capsys, command, str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("bad input: ") and message in err

@@ -1,6 +1,7 @@
 """Weights, the normalization scalar, and both orthogonality sums."""
 
 from leonard import (
+    Analysis,
     corresponding_polys,
     make_array,
     ortho_data,
@@ -42,12 +43,12 @@ def test_weight_sums_equal_nu(fix_d1, kraw3, qrac3, orphan3):
         for x in data.kstar:
             total = total + x
         assert total == data.nu
-        assert verify_nu_sums(p).ok()
+        assert verify_nu_sums(Analysis(p)).ok()
 
 
 def test_orthogonality_rows_and_columns(fix_d1, kraw2, qrac3, orphan3):
     for p in (fix_d1, kraw2, qrac3, orphan3):
-        rep = verify_orthogonality(p)
+        rep = verify_orthogonality(Analysis(p))
         assert rep.ok(), rep.failures
 
 
@@ -69,5 +70,5 @@ def test_orthogonality_sums_explicitly(kraw2):
 def test_orthogonality_detects_broken_phi(kraw3):
     broken = make_array(kraw3.field, kraw3.theta, kraw3.theta_star,
                         kraw3.varphi, (Q.from_int(-4),) + kraw3.phi[1:])
-    assert not verify_orthogonality(broken).ok()
-    assert not verify_nu_sums(broken).ok()
+    assert not verify_orthogonality(Analysis(broken)).ok()
+    assert not verify_nu_sums(Analysis(broken)).ok()

@@ -3,6 +3,7 @@
 import pytest
 
 from leonard import (
+    Analysis,
     Poly,
     ProportionalityViolated,
     build,
@@ -75,13 +76,13 @@ def test_evaluation_matrix_is_first_transition_product(qrac3, orphan3):
 
 
 def test_proportionality_alpha_values(fix_d1, kraw2):
-    assert [Q.format(a) for a in verify_proportionality(fix_d1)] == ["1", "2"]
-    assert [Q.format(a) for a in verify_proportionality(kraw2)] == \
-        ["1", "1/2", "1/4"]
+    alphas = lambda p: [Q.format(a) for a in verify_proportionality(Analysis(p))]
+    assert alphas(fix_d1) == ["1", "2"]
+    assert alphas(kraw2) == ["1", "1/2", "1/4"]
 
 
 def test_proportionality_alpha_is_phi_ratio(qrac3):
-    alphas = verify_proportionality(qrac3)
+    alphas = verify_proportionality(Analysis(qrac3))
     num = den = Q.one()
     assert alphas[0] == Q.one()
     for i in range(1, qrac3.d + 1):
@@ -94,13 +95,13 @@ def test_proportionality_rejects_mangled_arrays(kraw3):
     broken = make_array(kraw3.field, kraw3.theta, kraw3.theta_star,
                         kraw3.varphi, (Q.from_int(-4),) + kraw3.phi[1:])
     with pytest.raises(ProportionalityViolated):
-        verify_proportionality(broken)
+        verify_proportionality(Analysis(broken))
 
 
 def test_endpoint_values_match_alpha(fix_d1, qrac3):
     for p in (fix_d1, qrac3):
-        vals = endpoint_values(p)
-        alphas = verify_proportionality(p)
+        vals = endpoint_values(Analysis(p))
+        alphas = verify_proportionality(Analysis(p))
         t = corresponding_polys(p)
         for i, v in enumerate(vals):
             assert v == alphas[i]
@@ -108,7 +109,7 @@ def test_endpoint_values_match_alpha(fix_d1, qrac3):
 
 
 def test_endpoint_weighted_by_k(qrac3):
-    vals = endpoint_values(qrac3)
+    vals = endpoint_values(Analysis(qrac3))
     k = ortho_data(qrac3).k
     d = qrac3.d
     ts = qrac3.theta_star
@@ -124,7 +125,7 @@ def test_endpoint_weighted_by_k(qrac3):
 
 def test_duality_on_fixtures(fix_d1, kraw2, kraw3, qrac3, orphan3):
     for p in (fix_d1, kraw2, kraw3, qrac3, orphan3):
-        rep = duality_check(p)
+        rep = duality_check(Analysis(p))
         assert rep.ok(), rep.failures
 
 

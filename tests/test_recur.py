@@ -3,6 +3,7 @@
 import pytest
 
 from leonard import (
+    Analysis,
     corresponding_polys,
     d4_apply,
     make_array,
@@ -68,8 +69,8 @@ def test_three_term_recurrence_explicit(kraw2):
 
 def test_three_term_and_difference_reports(fix_d1, kraw3, qrac3, orphan3):
     for p in (fix_d1, kraw3, qrac3, orphan3):
-        assert verify_three_term(p).ok()
-        assert verify_difference(p).ok()
+        assert verify_three_term(Analysis(p)).ok()
+        assert verify_difference(Analysis(p)).ok()
 
 
 def test_difference_equation_explicit(qrac3):
@@ -96,17 +97,17 @@ def test_starred_side_is_star_of_plain(qrac3):
 
 def test_alt_formulas(fix_d1, kraw3, qrac3, orphan3):
     for p in (fix_d1, kraw3, qrac3, orphan3):
-        rep = verify_alt_formulas(p)
+        rep = verify_alt_formulas(Analysis(p))
         assert rep.ok(), rep.failures
 
 
 def test_alt_formulas_detect_broken_arrays(kraw3):
     broken = make_array(kraw3.field, kraw3.theta, kraw3.theta_star,
                         (Q.from_int(3),) + kraw3.varphi[1:], kraw3.phi)
-    assert not verify_alt_formulas(broken).ok()
+    assert not verify_alt_formulas(Analysis(broken)).ok()
 
 
 def test_three_term_detects_broken_arrays(kraw3):
     broken = make_array(kraw3.field, kraw3.theta, kraw3.theta_star,
                         kraw3.varphi, (Q.from_int(-4),) + kraw3.phi[1:])
-    assert not verify_three_term(broken).ok()
+    assert not verify_three_term(Analysis(broken)).ok()

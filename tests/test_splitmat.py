@@ -3,6 +3,7 @@
 import pytest
 
 from leonard import (
+    Analysis,
     BaseNotApplicable,
     IdentityViolated,
     RepeatedEigenvalue,
@@ -79,7 +80,7 @@ def test_conjugation_moves_one_matrix_pair_to_other(qrac3):
 
 def test_conjugation_report_passes_on_fixtures(fix_d1, kraw3, qrac3, orphan3):
     for p in (fix_d1, kraw3, qrac3, orphan3):
-        rep = verify_conjugation(p)
+        rep = verify_conjugation(Analysis(p))
         assert rep.ok(), rep.failures
 
 
@@ -87,13 +88,13 @@ def test_conjugation_detects_broken_varphi(kraw3):
     broken = make_array(
         kraw3.field, kraw3.theta, kraw3.theta_star,
         (Q.from_int(3),) + kraw3.varphi[1:], kraw3.phi)
-    rep = verify_conjugation(broken)
+    rep = verify_conjugation(Analysis(broken))
     assert not rep.ok()
 
 
 def test_leonard_conditions_on_fixtures(fix_d1, kraw3, qrac3, orphan3):
     for p in (fix_d1, kraw3, qrac3, orphan3):
-        rep = verify_leonard_conditions(p)
+        rep = verify_leonard_conditions(Analysis(p))
         assert rep.ok(), rep.failures
 
 
@@ -102,7 +103,7 @@ def test_leonard_conditions_fail_off_tridiagonal(kraw3):
     # required nonzero blocks next to the diagonal
     broken = make_array(kraw3.field, kraw3.theta, kraw3.theta_star,
                         (Q.zero(),) + kraw3.varphi[1:], kraw3.phi)
-    rep = verify_leonard_conditions(broken)
+    rep = verify_leonard_conditions(Analysis(broken))
     assert not rep.ok()
     assert any("nonzero" in f for f in rep.failures)
 
