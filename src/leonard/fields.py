@@ -9,7 +9,16 @@ Elements are immutable wrappers around a canonical payload:
 An extension modulus is monic of degree k (stored low degree first, so the
 last entry is 1) and is rejected unless irreducible over GF(p).  The check is
 trial division by every monic polynomial of degree <= k/2, which for the
-degrees supported here is the usual root and small-factor search.
+degrees supported here is the usual root and small-factor search.  The
+characteristic p must be below 2^64, where deterministic Miller-Rabin decides
+primality exactly.
+
+Roots in finite fields are found in time polynomial in log |F| and returned in
+element order (by index_of), each checked before it is returned:
+quadratic_roots takes square roots by Tonelli-Shanks in odd characteristic and
+solves y^2 + y = u by the trace-one formula in characteristic 2; embed_map
+finds a root of the source modulus by equal-degree splitting
+(Cantor-Zassenhaus) and maps w to the smallest of its Frobenius conjugates.
 
 Text formats round-trip exactly: ``"a/b"`` or ``"a"`` for rationals, a bare
 residue for prime fields, and ``"c0+c1*w"`` (``"c0+c1*w+c2*w^2"`` and so on,
@@ -79,14 +88,36 @@ class FieldSpec:
         raise ValueError(f"unknown field kind {kind!r}")
 
 
+# Miller-Rabin to these bases (the first twelve primes) decides every n below
+# CHARACTERISTIC_LIMIT exactly; larger characteristics are refused.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+CHARACTERISTIC_LIMIT = 2**64
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < 2^64."""
+    if n >= CHARACTERISTIC_LIMIT:
+        raise ValueError(
+            f"{n} is too large: the characteristic must be below 2^64"
+        )
     if n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    t, s = n - 1, 0
+    while t % 2 == 0:
+        t, s = t // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 
@@ -99,14 +130,6 @@ def _ptrim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _padd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        out[i] = ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-    return _ptrim(out)
 
 
 def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -675,17 +698,25 @@ def quadratic_roots(
 ) -> Optional[tuple[FieldElement, FieldElement]]:
     """Roots of x^2 + b*x + c inside the field, or None.
 
-    A double root is returned twice.  Finite fields are scanned in element
-    order; over Q the discriminant is tested for being a perfect square and
-    the root with '+' sign comes first.
+    A double root is returned twice.  Finite fields return their roots in
+    element order (sorted by index_of), each checked against the quadratic:
+    in odd characteristic the discriminant passes Euler's criterion and
+    Tonelli-Shanks takes its square root; in characteristic 2 the
+    substitution x = b*y leaves y^2 + y = c/b^2, solved by the trace-one
+    formula.  Over Q the discriminant is tested for being a perfect square
+    and the root with '+' sign comes first.
     """
     if field.is_finite():
-        found = [e for e in field.elements() if not (e * e + b * e + c)]
-        if not found:
+        if field.characteristic() == 2:
+            roots = _roots_char2(field, b, c)
+        else:
+            roots = _roots_odd(field, b, c)
+        if roots is None:
             return None
-        if len(found) == 1:
-            return (found[0], found[0])
-        return (found[0], found[1])
+        for r in roots:
+            if r * r + b * r + c:
+                raise RuntimeError(f"{r} is not a root of x^2 + ({b})*x + ({c})")
+        return tuple(sorted(roots, key=field.index_of))
     disc = b * b - 4 * c
     num, den = disc.value.numerator, disc.value.denominator
     if num < 0:
@@ -696,6 +727,97 @@ def quadratic_roots(
     root = FieldElement(field, Fraction(rn, rd))
     half = field.from_int(2).inverse()
     return ((-b + root) * half, (-b - root) * half)
+
+
+def _roots_odd(field: Field, b: FieldElement, c: FieldElement):
+    half = field.from_int(2).inverse()
+    disc = b * b - 4 * c
+    if not disc:
+        return (-b * half,) * 2
+    root = _sqrt(field, disc)
+    if root is None:
+        return None
+    return ((-b + root) * half, (-b - root) * half)
+
+
+def _sqrt(field: Field, a: FieldElement) -> Optional[FieldElement]:
+    """A square root of the nonzero a in a finite field of odd order, by
+    Tonelli-Shanks; None when Euler's criterion finds a non-square."""
+    q = field.order()
+    t, s = q - 1, 0
+    while t % 2 == 0:
+        t, s = t // 2, s + 1
+    one = field.one()
+    x = a ** ((t + 1) // 2)
+    e = a**t  # x^2 = a*e, and e has order 2^i with i <= s
+    g = None
+    m = s
+    while e != one:
+        i, e2 = 0, e
+        while e2 != one:
+            e2 = e2 * e2
+            i += 1
+        if i == m:
+            # only on the first pass: a^((q-1)/2) = e^(2^(s-1)) != 1
+            return None
+        if g is None:
+            g = _first_nonsquare(field) ** t
+        for _ in range(m - i - 1):
+            g = g * g
+        x = x * g
+        g = g * g
+        e = e * g
+        m = i
+    return x
+
+
+def _first_nonsquare(field: Field) -> FieldElement:
+    """First non-square in element order, for a field of odd order.
+
+    An extension of even degree holds all of GF(p) among its squares, so the
+    search starts past the prime subfield there."""
+    q = field.order()
+    even_extension = field.spec.kind == "extension" and field.spec.k % 2 == 0
+    for index in range(field.spec.p if even_extension else 2, q):
+        z = field.element(index)
+        if z ** ((q - 1) // 2) != field.one():
+            return z
+    raise RuntimeError(f"{field} has no non-square")  # unreachable
+
+
+def _roots_char2(field: Field, b: FieldElement, c: FieldElement):
+    n = field.spec.k or 1  # field is GF(2^n)
+    if not b:
+        # the square root of c is c^(2^(n-1)), since c^(2^n) = c
+        r = c
+        for _ in range(n - 1):
+            r = r * r
+        return (r, r)
+    # x = b*y turns the quadratic into y^2 + y = u, solvable iff Tr(u) = 0
+    u = c / (b * b)
+    conj = _conjugates(u, 2, n)
+    if sum(conj, field.zero()):
+        return None
+    # With Tr(delta) = 1, y = sum_{i=1}^{n-1} (delta + ... + delta^(2^(i-1)))
+    # u^(2^i) has y^2 + y = u + delta*Tr(u) = u.  For odd n, delta = 1 and y
+    # is the half-trace.  The trace is linear, so the first delta of trace 1 in
+    # element order is a power w^j, at index 2^j.
+    delta = next(x for x in (field.element(2**j) for j in range(n))
+                 if sum(_conjugates(x, 2, n), field.zero()))
+    y = a = field.zero()
+    for ui in conj[1:]:
+        a = a + delta
+        delta = delta * delta
+        y = y + a * ui
+    return (b * y, b * y + b)
+
+
+def _conjugates(x: FieldElement, p: int, n: int) -> list[FieldElement]:
+    """x, x^p, ..., x^(p^(n-1)): the Frobenius orbit of x over GF(p)."""
+    out = [x]
+    for _ in range(n - 1):
+        out.append(out[-1] ** p)
+    return out
 
 
 _IRREDUCIBLE_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -726,8 +848,10 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
     """A field homomorphism src -> dst (identity when the specs agree).
 
     Supported: GF(p) into GF(p^k), and GF(p^k) into GF(p^K) with k | K.  The
-    image of w is the first root of the source modulus in destination element
-    order, so the map is deterministic.
+    image of w is the root of the source modulus that comes first in
+    destination element order, so the map is deterministic: equal-degree
+    splitting (Cantor-Zassenhaus) finds one root, and the smallest of its
+    Frobenius conjugates is returned.
     """
     if src.spec == dst.spec:
         return lambda x: x
@@ -747,17 +871,12 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
         and src.spec.p == dst.spec.p
         and dst.spec.k % src.spec.k == 0
     ):
-        mod = src.spec.modulus
-        root = None
-        for e in dst.elements():
-            acc = dst.zero()
-            for coef in reversed(mod):
-                acc = acc * e + dst.from_int(coef)
-            if not acc:
-                root = e
-                break
-        if root is None:
-            raise ValueError(f"{src} does not embed in {dst}")
+        mod = [dst.from_int(coef) for coef in src.spec.modulus]
+        root = _split_off_root(mod, dst)
+        if _xeval(mod, root):
+            raise RuntimeError(f"{root} is not a root of the modulus of {src}")
+        # the roots of the irreducible modulus are the conjugates of any one
+        root = min(_conjugates(root, src.spec.p, src.spec.k), key=dst.index_of)
         powers = [dst.one()]
         for _ in range(src.spec.k - 1):
             powers.append(powers[-1] * root)
@@ -771,6 +890,93 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
         _EMBED_CACHE[key] = lift
         return lift
     raise ValueError(f"no embedding of {src} into {dst}")
+
+
+def _split_off_root(f: list[FieldElement], dst: Field) -> FieldElement:
+    """One root of the monic f, a product of distinct linear factors over the
+    finite field dst, by equal-degree splitting.
+
+    Each step takes the next delta in element order and keeps the proper
+    factor gcd(f, s) when there is one, where s is (x + delta)^((Q-1)/2) - 1
+    in odd characteristic and the trace sum_i (delta*x)^(2^i) in
+    characteristic 2 (Q = |dst| = 2^K).
+    """
+    zero, one = dst.zero(), dst.one()
+    deltas = dst.elements()
+    while len(f) > 2:
+        delta = next(deltas)
+        if dst.characteristic() == 2:
+            t = _xmod([zero, delta], f)
+            s = [zero] * (len(f) - 1)
+            for _ in range(dst.spec.k):
+                for i, coef in enumerate(t):
+                    s[i] = s[i] + coef
+                t = _xmulmod(t, t, f)
+        else:
+            s = _xpowmod([delta, one], (dst.order() - 1) // 2, f) or [zero]
+            s[0] = s[0] - one
+        h = _xgcd(f, _xtrim(s))
+        if 2 <= len(h) < len(f):
+            f = h
+    return -f[0]
+
+
+# dense polynomials over a finite field, used by _split_off_root
+# (lists of FieldElements, low degree first, trailing zeros trimmed)
+
+
+def _xtrim(a: list[FieldElement]) -> list[FieldElement]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _xeval(a: Sequence[FieldElement], x: FieldElement) -> FieldElement:
+    acc = x.field.zero()
+    for coef in reversed(a):
+        acc = acc * x + coef
+    return acc
+
+
+def _xmod(a: Sequence[FieldElement], m: Sequence[FieldElement]) -> list[FieldElement]:
+    """Remainder of a by the monic m."""
+    r = list(a)
+    dm = len(m) - 1
+    for top in range(len(r) - 1, dm - 1, -1):
+        c = r[top]
+        if c:
+            for i in range(dm):
+                r[top - dm + i] = r[top - dm + i] - c * m[i]
+    return _xtrim(r[:dm])
+
+
+def _xmulmod(a, b, m) -> list[FieldElement]:
+    if not a or not b:
+        return []
+    out = [m[-1].field.zero()] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return _xmod(out, m)
+
+
+def _xpowmod(a, n: int, m) -> list[FieldElement]:
+    result, base = [m[-1].field.one()], _xmod(a, m)
+    while n:
+        if n & 1:
+            result = _xmulmod(result, base, m)
+        base = _xmulmod(base, base, m)
+        n >>= 1
+    return result
+
+
+def _xgcd(a, b) -> list[FieldElement]:
+    """Monic gcd; a is monic and nonzero."""
+    while b:
+        inv = b[-1].inverse()
+        b = [coef * inv for coef in b]
+        a, b = b, _xmod(a, b)
+    return a
 
 
 def splitting_field(

@@ -2,9 +2,11 @@
 
 import json
 import os
+import time
 
 import pytest
 
+from leonard import FamilyParams, FieldSpec, generate, make_field
 from leonard.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -327,3 +329,81 @@ def test_array_file_schema_is_exit_2(capsys, tmp_path, key, value, message):
         code, out, err = run(capsys, command, str(bad))
         assert (code, out) == (2, "")
         assert err.startswith("bad input: ") and message in err
+
+
+QRAC4_PARAMS = ("q=3", "h=1", "hstar=1", "s=5", "sstar=7", "r1=5", "r2=1701",
+                "theta0=0", "thetastar0=0")
+
+# `leonard classify` stdout for the q-Racah array of QRAC4_PARAMS at d = 4
+# over GF(1000003), captured when quadratic_roots still scanned the field
+QRAC4_GF1000003_CLASSIFY = """\
+{
+  "case": "I",
+  "family": "q-racah",
+  "parameters": {
+    "family": "q-racah",
+    "d": 4,
+    "field": {
+      "kind": "prime",
+      "p": 1000003
+    },
+    "values": {
+      "theta0": "0",
+      "thetastar0": "0",
+      "q": "3",
+      "h": "1",
+      "hstar": "1",
+      "s": "5",
+      "sstar": "7",
+      "r1": "5",
+      "r2": "1701"
+    }
+  },
+  "field_of_witness": {
+    "kind": "prime",
+    "p": 1000003
+  }
+}
+"""
+
+
+def gen_qrac4(capsys, tmp_path, p):
+    code, out, _ = run(capsys, "gen", "q-racah", "--d", "4", "--field",
+                       f"prime:{p}", "--param", *QRAC4_PARAMS)
+    assert code == 0
+    path = tmp_path / "qrac4.json"
+    path.write_text(out)
+    return str(path)
+
+
+def test_classify_large_prime_field_is_pinned_and_fast(capsys, tmp_path):
+    path = gen_qrac4(capsys, tmp_path, 1000003)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", path)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (0, QRAC4_GF1000003_CLASSIFY)
+
+
+def test_classify_over_gf_10_18_plus_3(capsys, tmp_path):
+    path = gen_qrac4(capsys, tmp_path, 10**18 + 3)
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 0
+    w = json.loads(out)
+    assert w["case"] == "I" and w["family"] == "q-racah"
+    field = make_field(FieldSpec.from_json(w["field_of_witness"]))
+    again = generate(FamilyParams.from_json(w["parameters"]), field)
+    assert again.to_json() == json.loads(open(path).read())
+
+
+def test_gen_near_the_characteristic_limit(capsys, monkeypatch):
+    # an empty field cache, so that the primality test of p is timed too
+    monkeypatch.setattr("leonard.fields._FIELD_CACHE", {})
+    argv = ["gen", "krawtchouk", "--d", "3", "--param", "s=1", "sstar=1",
+            "r=2", "theta0=0", "thetastar0=0"]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv, "--field", "prime:1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["field"]["p"] == 10**18 + 3
+    code, out, err = run(capsys, *argv, "--field", f"prime:{2**64 + 13}")
+    assert (code, out) == (2, "")
+    assert "below 2^64" in err

@@ -1,0 +1,156 @@
+"""Finite-field root finding and primality against brute-force oracles.
+
+The oracles are the element scans and the trial division that the field
+layer used before it moved to Tonelli-Shanks, the trace-one formula,
+equal-degree splitting and Miller-Rabin.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from leonard import embed_map, extension_field, prime_field, quadratic_roots
+from leonard.fields import _find_irreducible, _irreducible, _is_prime
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+LIMIT = 3**5
+
+
+def oracle_quadratic_roots(field, b, c):
+    found = []
+    for e in field.elements():
+        if not (e * e + b * e + c):
+            found.append(e)
+            if len(found) == 2:  # a quadratic has no third root
+                break
+    if not found:
+        return None
+    if len(found) == 1:
+        return (found[0], found[0])
+    return (found[0], found[1])
+
+
+def oracle_embed_images(src, dst):
+    """Image of every source element when w goes to the first root of the
+    source modulus in destination element order."""
+    if src.spec.kind == "prime":
+        return [dst.from_int(x.value) for x in src.elements()]
+    mod = src.spec.modulus
+    for root in dst.elements():
+        acc = dst.zero()
+        for coef in reversed(mod):
+            acc = acc * root + coef
+        if not acc:
+            break
+    powers = [root**i for i in range(src.spec.k)]
+    return [sum((pw * coef for coef, pw in zip(x.value, powers)), dst.zero())
+            for x in src.elements()]
+
+
+def field_of(p, k):
+    return prime_field(p) if k == 1 else extension_field(p, k, _find_irreducible(p, k))
+
+
+def finite_fields():
+    """GF(p) for p <= 31 and every GF(p^k), k >= 2, of order at most 3^5."""
+    fields = [prime_field(p) for p in SMALL_PRIMES]
+    for p in SMALL_PRIMES:
+        k = 2
+        while p**k <= LIMIT:
+            fields.append(field_of(p, k))
+            k += 1
+    return fields
+
+
+def test_quadratic_roots_every_pair_in_small_fields():
+    small = [F for F in finite_fields() if F.order() <= 32]
+    assert len(small) == 18
+    for F in small:
+        for b, c in itertools.product(list(F.elements()), repeat=2):
+            assert quadratic_roots(F, b, c) == oracle_quadratic_roots(F, b, c), (F, b, c)
+
+
+def test_quadratic_roots_sampled_pairs_in_larger_fields():
+    large = [F for F in finite_fields() if F.order() > 32]
+    assert [str(F) for F in large] == ["GF(2^6)", "GF(2^7)", "GF(3^4)",
+                                       "GF(3^5)", "GF(5^3)", "GF(7^2)",
+                                       "GF(11^2)", "GF(13^2)"]
+    rng = random.Random(20261017)
+    cases = []
+    for i in range(2000):
+        F = large[i % len(large)]
+        cases.append((F, F.random_element(rng), F.random_element(rng)))
+    for F in large:
+        for _ in range(5):
+            x = F.random_element(rng, nonzero=True)
+            cases += [(F, F.zero(), x), (F, x, F.zero())]
+            if F.characteristic() != 2:
+                cases.append((F, x, x * x / 4))  # discriminant 0
+    for F, b, c in cases:
+        assert quadratic_roots(F, b, c) == oracle_quadratic_roots(F, b, c), (F, b, c)
+
+
+def test_quadratic_roots_in_large_prime_fields():
+    # Tonelli-Shanks with many factors of two in p - 1, and a double root
+    for p in (65537, 998244353, 1000000000000000003):
+        F = prime_field(p)
+        for r1, r2 in ((3, 5), (12345, p - 1), (7, 7), (0, 2)):
+            a, b = F.from_int(r1), F.from_int(r2)
+            roots = quadratic_roots(F, -(a + b), a * b)
+            assert roots == tuple(sorted((a, b), key=F.index_of))
+        # x^2 - z for the first non-residue z has no roots
+        z = next(F.from_int(n) for n in range(2, p)
+                 if F.from_int(n) ** ((p - 1) // 2) != F.one())
+        assert quadratic_roots(F, F.zero(), -z) is None
+
+
+def test_embed_map_every_subfield():
+    pairs = []
+    for p in SMALL_PRIMES:
+        K = 2
+        while p**K <= LIMIT:
+            dst = field_of(p, K)
+            pairs.append((prime_field(p), dst))
+            for k in range(2, K):
+                if K % k:
+                    continue
+                # every monic irreducible of degree k as the source modulus
+                for tail in itertools.product(range(p), repeat=k):
+                    if _irreducible(tail + (1,), p):
+                        pairs.append((extension_field(p, k, tail + (1,)), dst))
+            K += 1
+    pairs.append((field_of(2, 4), field_of(2, 8)))
+    assert len(pairs) == 23
+    for src, dst in pairs:
+        lift = embed_map(src, dst)
+        assert [lift(x) for x in src.elements()] == oracle_embed_images(src, dst), (src, dst)
+
+
+def trial_division(n):
+    if n < 2:
+        return False
+    i = 2
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 10**5):
+        assert _is_prime(n) == trial_division(n), n
+
+
+def test_is_prime_large_values():
+    # a strong pseudoprime to every prime base up to 31; base 37 rejects it
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(1000000000000000003)
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime((2**31 - 1) * (2**31 + 11))
+    assert _is_prime(2**64 - 59)  # the largest prime below 2^64
+    with pytest.raises(ValueError, match=r"2\^64"):
+        _is_prime(2**64)
+    with pytest.raises(ValueError, match=r"2\^64"):
+        prime_field(2**64 + 13)
