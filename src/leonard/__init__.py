@@ -13,7 +13,6 @@ from .errors import (
     NoCaseMatched,
     NonPrimeModulus,
     PreconditionViolated,
-    ProportionalityViolated,
     ReducibleModulus,
     RepeatedEigenvalue,
     SeriesDoesNotTerminate,
@@ -63,7 +62,9 @@ from .polys import (
     PolyTable,
     corresponding_polys,
     duality_check,
+    endpoint_evaluations,
     endpoint_values,
+    proportionality_alphas,
     verify_proportionality,
 )
 from .ortho import OrthoData, ortho_data, verify_nu_sums, verify_orthogonality

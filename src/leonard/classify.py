@@ -11,11 +11,21 @@ of built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from .errors import NeedsFieldExtension, NoCaseMatched, SingularMatrix
 from .fields import Field, FieldElement, splitting_field
-from .families import FamilyParams, generate
+from .families import (
+    FAMILIES,
+    FamilyParams,
+    _QPowers,
+    generate,
+    ordinary_eigenvalues,
+    ordinary_splits,
+    q_eigenvalues,
+    q_splits,
+)
 from .parray import ParameterArray, base_candidates, make_array
 from .splitmat import SquareMatrix
 
@@ -74,9 +84,8 @@ def fit_closed_form_theta(theta: Sequence[FieldElement], q: FieldElement,
                 eta, mu, h = SquareMatrix.from_rows(F, rows).solve(list(theta[:3]))
             except SingularMatrix:
                 return None
-        for i in range(d + 1):
-            if theta[i] != eta + mu * q ** i + h * q ** (-i):
-                return None
+        if list(theta) != q_eigenvalues(_QPowers(q), d, eta, mu, h):
+            return None
         return eta, mu, h
 
     if case == "II":
@@ -88,10 +97,8 @@ def fit_closed_form_theta(theta: Sequence[FieldElement], q: FieldElement,
             h = (theta[2] - theta[1] - (theta[1] - theta[0])) / F.from_int(2)
             mu = theta[1] - theta[0] - 2 * h
             eta = theta[0]
-        for i in range(d + 1):
-            ni = F.from_int(i)
-            if theta[i] != eta + (mu + h) * ni + h * ni * ni:
-                return None
+        if list(theta) != ordinary_eigenvalues(F.from_int, d, eta, mu, h):
+            return None
         return eta, mu, h
 
     if case == "III":
@@ -145,18 +152,42 @@ def _case1_data(p: ParameterArray, q: FieldElement) -> Optional[dict]:
     eta, mu, h = fit
     etas, mus, hs = fit_star
     d = p.d
-    tau = (p.varphi[0] / ((q - 1) * (q ** d - 1))
-           + mu * mus + h * hs * q ** (-1 - d))
-    for i in range(1, d + 1):
-        frame = (q ** i - 1) * (q ** (d - i + 1) - 1)
-        if p.varphi[i - 1] != frame * (tau - mu * mus * q ** (i - 1)
-                                       - h * hs * q ** (-i - d)):
-            return None
-        if p.phi[i - 1] != frame * (tau - h * mus * q ** (i - d - 1)
-                                    - mu * hs * q ** (-i)):
-            return None
+    P = _QPowers(q)
+    tau = (p.varphi[0] / ((q - 1) * (P(d) - 1))
+           + mu * mus + h * hs * P(-1 - d))
+    if q_splits(P, d, mu, mus, h, hs, tau) != (list(p.varphi), list(p.phi)):
+        return None
     return {"eta": eta, "mu": mu, "h": h, "eta_star": etas, "mu_star": mus,
             "h_star": hs, "tau": tau}
+
+
+def _from_table(case: str, p: ParameterArray, field: Field, q: FieldElement,
+                data: dict, lift: Callable,
+                source: ParameterArray) -> Optional[ClassifierWitness]:
+    """Name the family whose pattern of vanishing normal-form coordinates
+    matches `data`, recover its scalars, and certify them.  p lives in
+    `field`; lift maps the source field into it."""
+    c = SimpleNamespace(**data)
+    coords = (c.mu, c.mu_star, c.h, c.h_star, c.tau)
+    family = next((name for name, fam in FAMILIES.items() if fam.case == case
+                   and all(want is None or bool(x) == want
+                           for want, x in zip(fam.pattern, coords))), None)
+    if family is None:
+        return None
+    fam = FAMILIES[family]
+    named = {"theta0": p.theta[0], "thetastar0": p.theta_star[0],
+             **fam.scalars(c, q, p.d)}
+    ext, lift2 = field, _identity
+    if fam.roots is not None:
+        total, product = fam.roots(c, q, p.d)
+        ext, lift2, (r1, r2) = splitting_field(field, -total, product)
+    values = {k: lift2(v) for k, v in named.items()}
+    if fam.roots is not None:
+        values.update(r1=r1, r2=r2)
+    inter = {k: lift2(v) for k, v in data.items()}
+    both = _compose(lift2, lift)
+    return _make_witness(case, family, lift2(q), ext, both, inter, p.d,
+                         values, source, both)
 
 
 def _case1(p: ParameterArray, field: Field, lift: Callable,
@@ -184,60 +215,7 @@ def _case1(p: ParameterArray, field: Field, lift: Callable,
         data = _case1_data(p, q)
         if data is None:
             return None
-        mu, h = data["mu"], data["h"]
-        mus, hs = data["mu_star"], data["h_star"]
-    tau = data["tau"]
-    d = p.d
-    values = {"theta0": p.theta[0], "thetastar0": p.theta_star[0]}
-
-    if mu and mus and h and hs:
-        family = "q-racah"
-        s = mu / (h * q)
-        ss = mus / (hs * q)
-        total = tau / (h * hs) * q ** d          # r1 + r2
-        product = s * ss * q ** (d + 1)          # r1 r2
-        ext, lift2, (r1, r2) = splitting_field(field, -total, product)
-        values = {k: lift2(v) for k, v in values.items()}
-        values.update(q=lift2(q), h=lift2(h), hstar=lift2(hs), s=lift2(s),
-                      sstar=lift2(ss), r1=r1, r2=r2)
-    elif not mu and mus and h and hs:
-        ss = mus / (hs * q)
-        if tau:
-            family = "q-hahn"
-            values.update(q=q, h=h, hstar=hs, sstar=ss,
-                          r=tau / (h * hs) * q ** d)
-        else:
-            family = "q-krawtchouk"
-            values.update(q=q, h=h, hstar=hs, sstar=ss)
-        ext, lift2 = field, _identity
-    elif mu and not mus and h and hs:
-        s = mu / (h * q)
-        if tau:
-            family = "dual-q-hahn"
-            values.update(q=q, h=h, hstar=hs, s=s, r=tau / (h * hs) * q ** d)
-        else:
-            family = "dual-q-krawtchouk"
-            values.update(q=q, h=h, hstar=hs, s=s)
-        ext, lift2 = field, _identity
-    elif mu and not mus and not h and hs:
-        if not tau:
-            return None
-        family = "quantum-q-krawtchouk"
-        values.update(q=q, hstar=hs, s=mu / q, r=tau / hs * q ** d)
-        ext, lift2 = field, _identity
-    elif not mu and not mus and h and hs:
-        if not tau:
-            return None
-        family = "affine-q-krawtchouk"
-        values.update(q=q, h=h, hstar=hs, r=tau / (h * hs) * q ** d)
-        ext, lift2 = field, _identity
-    else:
-        return None
-
-    inter = {k: lift2(v) for k, v in data.items()}
-    return _make_witness("I", family, lift2(q), ext,
-                         _compose(lift2, lift), inter, d, values,
-                         source, _compose(lift2, lift))
+    return _from_table("I", p, field, q, data, lift, source)
 
 
 def _case2(p: ParameterArray) -> Optional[ClassifierWitness]:
@@ -254,46 +232,11 @@ def _case2(p: ParameterArray) -> Optional[ClassifierWitness]:
     # A verified quadratic fit of an injective sequence forces char 0 or > d,
     # so dividing by d is safe.
     tau = p.varphi[0] / N(d) + (mu * hs + h * mus) + h * hs * N(d + 2)
-    cross = mu * hs + h * mus
-    for i in range(1, d + 1):
-        ni = N(i)
-        frame = ni * N(d - i + 1)
-        if p.varphi[i - 1] != frame * (tau - cross * ni
-                                       - h * hs * ni * N(i + d + 1)):
-            return None
-        if p.phi[i - 1] != frame * (tau + mu * mus + h * mus * N(1 + d)
-                                    + (mu * hs - h * mus) * ni
-                                    + h * hs * ni * N(d - i + 1)):
-            return None
-
-    values = {"theta0": p.theta[0], "thetastar0": p.theta_star[0]}
-    if h and hs:
-        family = "racah"
-        s, ss = mu / h, mus / hs
-        total = s + ss + N(d + 1)
-        product = -tau / (h * hs)
-        ext, lift, (r1, r2) = splitting_field(F, -total, product)
-        values = {k: lift(v) for k, v in values.items()}
-        values.update(h=lift(h), hstar=lift(hs), s=lift(s), sstar=lift(ss),
-                      r1=r1, r2=r2)
-    elif not h and hs:
-        family = "hahn"
-        values.update(hstar=hs, s=mu, sstar=mus / hs, r=-tau / (mu * hs))
-        ext, lift = F, _identity
-    elif h and not hs:
-        family = "dual-hahn"
-        values.update(h=h, s=mu / h, sstar=mus, r=-tau / (h * mus))
-        ext, lift = F, _identity
-    else:
-        family = "krawtchouk"
-        values.update(s=mu, sstar=mus, r=-tau)
-        ext, lift = F, _identity
-
-    inter = {k: lift(v) for k, v in
-             {"eta": eta, "mu": mu, "h": h, "eta_star": etas,
-              "mu_star": mus, "h_star": hs, "tau": tau}.items()}
-    return _make_witness("II", family, ext.one(), ext, lift, inter,
-                         d, values, p, lift)
+    if ordinary_splits(N, d, mu, mus, h, hs, tau) != (list(p.varphi), list(p.phi)):
+        return None
+    data = {"eta": eta, "mu": mu, "h": h, "eta_star": etas, "mu_star": mus,
+            "h_star": hs, "tau": tau}
+    return _from_table("II", p, F, one, data, _identity, p)
 
 
 def _case3(p: ParameterArray) -> Optional[ClassifierWitness]:

@@ -25,7 +25,6 @@ from .errors import (
     NoCaseMatched,
     NonPrimeModulus,
     PreconditionViolated,
-    ProportionalityViolated,
     ReducibleModulus,
 )
 from .families import FamilyParams, family_param_names, generate
@@ -89,18 +88,6 @@ def _report_line(name: str, report: CheckReport) -> str:
     return _line(name, "fail", "; ".join(report.failures[:4]))
 
 
-def _raising(check, error: type[LeonardError]):
-    """Adapt a check that returns values and raises `error` on a failure."""
-    def run(a: Analysis) -> CheckReport:
-        report = CheckReport("")
-        try:
-            check(a)
-        except error as e:
-            report.add(str(e))
-        return report
-    return run
-
-
 def _transition_matrix(a: Analysis) -> CheckReport:
     """G against the q-binomial closed form, when a usable base exists in
     the field."""
@@ -139,9 +126,8 @@ def _scoreboard(p: ParameterArray) -> tuple[list[str], bool]:
     checks = (
         ("conjugation", verify_conjugation),
         ("leonard-conditions", verify_leonard_conditions),
-        ("proportionality", _raising(verify_proportionality,
-                                     ProportionalityViolated)),
-        ("endpoint-values", _raising(endpoint_values, IdentityViolated)),
+        ("proportionality", verify_proportionality),
+        ("endpoint-values", endpoint_values),
         ("duality", duality_check),
         ("orthogonality", verify_orthogonality),
         ("weight-sums", verify_nu_sums),

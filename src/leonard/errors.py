@@ -44,11 +44,6 @@ class BaseNotApplicable(LeonardError):
     or for a scalar that is not a base of the array."""
 
 
-class ProportionalityViolated(LeonardError):
-    """f_i failed to be a scalar multiple of f_i^dn (impossible for validated
-    arrays; indicates a construction bug)."""
-
-
 class IdentityViolated(LeonardError):
     """An exact identity that holds for every validated array failed.
 

@@ -1,7 +1,12 @@
 """Named parameter-array families and their terminating series forms.
 
 Each family turns a short list of scalars into a full parameter array.  The
-preconditions on the scalars are exactly what the formulas need: products
+eleven q- and ordinary families are rows of one table, FAMILIES, that places
+their scalars in the two classification normal forms (cases I and II); the
+same normal-form functions build their arrays here and check arrays in
+classify.  Bannai-Ito and the orphan keep hand-written builders.
+
+The preconditions on the scalars are exactly what the formulas need: products
 that appear in phi or varphi must not vanish, and the eigenvalue sequences
 must stay injective.  Violations are reported by name, not silently fixed.
 """
@@ -10,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -94,17 +100,19 @@ class FamilyParams:
 
 def characteristic_admissible(family: str, d: int, field: Field) -> bool:
     """Whether the field characteristic allows the family at diameter d."""
-    char = field.characteristic()
-    if family in ORDINARY_FAMILIES:
-        return char == 0 or char > d
-    if family == "bannai-ito":
-        return char == 0 or (char > 2 and 2 * char > d)
+    if not _characteristic_allows(family, d, field.characteristic()):
+        return False
     if family == "orphan":
-        return char == 2 and d == 3
+        return d == 3
     # q-families: need a scalar of multiplicative order above d
-    if field.is_finite():
+    if family in Q_FAMILIES and field.is_finite():
         return field.order() - 1 > d
     return True
+
+
+def _characteristic_allows(family: str, d: int, char: int) -> bool:
+    rule = FAMILIES[family].char  # (holds(char, d), what the family needs)
+    return rule is None or rule[0](char, d)
 
 
 def _require(cond: bool, family: str, message: str) -> None:
@@ -114,16 +122,9 @@ def _require(cond: bool, family: str, message: str) -> None:
 
 def _check_char(family: str, d: int, field: Field) -> None:
     char = field.characteristic()
-    if family in ORDINARY_FAMILIES and not (char == 0 or char > d):
-        raise CharacteristicMismatch(
-            f"{family} needs characteristic 0 or above {d}, field has {char}")
-    if family == "bannai-ito" and not (char == 0 or (char > 2 and 2 * char > d)):
-        raise CharacteristicMismatch(
-            f"bannai-ito needs characteristic 0 or an odd prime above {d}/2, "
-            f"field has {char}")
-    if family == "orphan" and char != 2:
-        raise CharacteristicMismatch(
-            f"orphan needs characteristic 2, field has {char}")
+    if not _characteristic_allows(family, d, char):
+        needs = FAMILIES[family].char[1].format(d=d)
+        raise CharacteristicMismatch(f"{family} needs {needs}, field has {char}")
 
 
 class _QPowers:
@@ -141,234 +142,50 @@ class _QPowers:
         return cache[abs(n)]
 
 
-def _build_q_racah(field, d, v):
-    q, h, hs, s, ss = v["q"], v["h"], v["hstar"], v["s"], v["sstar"]
-    r1, r2 = v["r1"], v["r2"]
-    fam = "q-racah"
-    for name in ("q", "h", "hstar", "s", "sstar", "r1", "r2"):
-        _require(bool(v[name]), fam, f"{name} != 0")
-    qq = _QPowers(q)
-    _require(r1 * r2 == s * ss * qq(d + 1), fam, "r1 r2 = s s* q^(d+1)")
+# The two classification normal forms.  P(n) is q^n (a _QPowers) in case I
+# and the integer n as a field element in case II.
+
+def q_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
+    """Case I: theta_i = eta + mu q^i + h q^-i."""
+    return [eta + mu * P(i) + h * P(-i) for i in range(d + 1)]
+
+
+def q_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
+    """Case I varphi and phi, with phi_i and varphi_i carrying the frame
+    (q^i - 1)(q^(d-i+1) - 1)."""
+    mm, hh, hm, mh = mu * mus, h * hs, h * mus, mu * hs
+    varphi, phi = [], []
     for i in range(1, d + 1):
-        _require(qq(i) != 1, fam, f"q^{i} != 1")
-        _require(r1 * qq(i) != 1, fam, f"r1 q^{i} != 1")
-        _require(r2 * qq(i) != 1, fam, f"r2 q^{i} != 1")
-        _require(ss * qq(i) != r1, fam, f"s* q^{i} / r1 != 1")
-        _require(ss * qq(i) != r2, fam, f"s* q^{i} / r2 != 1")
-    for i in range(2, 2 * d + 1):
-        _require(s * qq(i) != 1, fam, f"s q^{i} != 1")
-        _require(ss * qq(i) != 1, fam, f"s* q^{i} != 1")
-    theta = [v["theta0"] + h * (1 - qq(i)) * (1 - s * qq(i + 1)) * qq(-i)
-             for i in range(d + 1)]
-    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * (1 - ss * qq(i + 1)) * qq(-i)
-              for i in range(d + 1)]
-    varphi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-              * (1 - r1 * qq(i)) * (1 - r2 * qq(i))
-              for i in range(1, d + 1)]
-    phi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-           * (r1 - ss * qq(i)) * (r2 - ss * qq(i)) / ss
-           for i in range(1, d + 1)]
-    return theta, thetas, varphi, phi
+        frame = (P(i) - P(0)) * (P(d - i + 1) - P(0))
+        varphi.append(frame * (tau - mm * P(i - 1) - hh * P(-i - d)))
+        phi.append(frame * (tau - hm * P(i - d - 1) - mh * P(-i)))
+    return varphi, phi
 
 
-def _build_q_hahn(field, d, v):
-    q, h, hs, ss, r = v["q"], v["h"], v["hstar"], v["sstar"], v["r"]
-    fam = "q-hahn"
-    for name in ("q", "h", "hstar", "sstar", "r"):
-        _require(bool(v[name]), fam, f"{name} != 0")
-    qq = _QPowers(q)
+def ordinary_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
+    """Case II: theta_i = eta + (mu + h) i + h i^2."""
+    slope = mu + h
+    return [eta + n * (slope + h * n) for n in map(P, range(d + 1))]
+
+
+def ordinary_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
+    """Case II varphi and phi, with the frame i (d - i + 1):
+    varphi_i = frame (tau - (mu h* + h mu*) i - h h* i (i + d + 1)),
+    phi_i = frame (tau + mu mu* + h mu* (d + 1) + (mu h* - h mu*) i
+                   + h h* i (d - i + 1))."""
+    a, b, hh = mu * hs, h * mus, h * hs
+    cross, twist, top = a + b, a - b, tau + mu * mus + b * P(d + 1)
+    varphi, phi = [], []
     for i in range(1, d + 1):
-        _require(qq(i) != 1, fam, f"q^{i} != 1")
-        _require(r * qq(i) != 1, fam, f"r q^{i} != 1")
-        _require(ss * qq(i) != r, fam, f"s* q^{i} / r != 1")
-    for i in range(2, 2 * d + 1):
-        _require(ss * qq(i) != 1, fam, f"s* q^{i} != 1")
-    theta = [v["theta0"] + h * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
-    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * (1 - ss * qq(i + 1)) * qq(-i)
-              for i in range(d + 1)]
-    varphi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-              * (1 - r * qq(i)) for i in range(1, d + 1)]
-    phi = [-(h * hs) * qq(1 - i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-           * (r - ss * qq(i)) for i in range(1, d + 1)]
-    return theta, thetas, varphi, phi
+        ni = P(i)
+        frame = ni * P(d - i + 1)
+        varphi.append(frame * (tau - ni * (cross + hh * P(i + d + 1))))
+        phi.append(frame * (top + twist * ni + hh * frame))
+    return varphi, phi
 
 
-def _build_dual_q_hahn(field, d, v):
-    q, h, hs, s, r = v["q"], v["h"], v["hstar"], v["s"], v["r"]
-    fam = "dual-q-hahn"
-    for name in ("q", "h", "hstar", "s", "r"):
-        _require(bool(v[name]), fam, f"{name} != 0")
-    qq = _QPowers(q)
-    for i in range(1, d + 1):
-        _require(qq(i) != 1, fam, f"q^{i} != 1")
-        _require(r * qq(i) != 1, fam, f"r q^{i} != 1")
-        _require(s * qq(i) != r, fam, f"s q^{i} / r != 1")
-    for i in range(2, 2 * d + 1):
-        _require(s * qq(i) != 1, fam, f"s q^{i} != 1")
-    theta = [v["theta0"] + h * (1 - qq(i)) * (1 - s * qq(i + 1)) * qq(-i)
-             for i in range(d + 1)]
-    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
-    varphi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-              * (1 - r * qq(i)) for i in range(1, d + 1)]
-    phi = [h * hs * qq(d + 2 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-           * (s - r * qq(i - d - 1)) for i in range(1, d + 1)]
-    return theta, thetas, varphi, phi
-
-
-def _build_quantum_q_krawtchouk(field, d, v):
-    q, hs, s, r = v["q"], v["hstar"], v["s"], v["r"]
-    fam = "quantum-q-krawtchouk"
-    for name in ("q", "hstar", "s", "r"):
-        _require(bool(v[name]), fam, f"{name} != 0")
-    qq = _QPowers(q)
-    for i in range(1, d + 1):
-        _require(qq(i) != 1, fam, f"q^{i} != 1")
-        _require(s * qq(i) != r, fam, f"s q^{i} / r != 1")
-    theta = [v["theta0"] - s * q * (1 - qq(i)) for i in range(d + 1)]
-    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
-    varphi = [-(r * hs) * qq(1 - i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-              for i in range(1, d + 1)]
-    phi = [hs * qq(d + 2 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-           * (s - r * qq(i - d - 1)) for i in range(1, d + 1)]
-    return theta, thetas, varphi, phi
-
-
-def _build_q_krawtchouk(field, d, v):
-    q, h, hs, ss = v["q"], v["h"], v["hstar"], v["sstar"]
-    fam = "q-krawtchouk"
-    for name in ("q", "h", "hstar", "sstar"):
-        _require(bool(v[name]), fam, f"{name} != 0")
-    qq = _QPowers(q)
-    for i in range(1, d + 1):
-        _require(qq(i) != 1, fam, f"q^{i} != 1")
-    for i in range(2, 2 * d + 1):
-        _require(ss * qq(i) != 1, fam, f"s* q^{i} != 1")
-    theta = [v["theta0"] + h * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
-    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * (1 - ss * qq(i + 1)) * qq(-i)
-              for i in range(d + 1)]
-    varphi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-              for i in range(1, d + 1)]
-    phi = [h * hs * ss * q * (1 - qq(i)) * (1 - qq(i - d - 1))
-           for i in range(1, d + 1)]
-    return theta, thetas, varphi, phi
-
-
-def _build_affine_q_krawtchouk(field, d, v):
-    q, h, hs, r = v["q"], v["h"], v["hstar"], v["r"]
-    fam = "affine-q-krawtchouk"
-    for name in ("q", "h", "hstar", "r"):
-        _require(bool(v[name]), fam, f"{name} != 0")
-    qq = _QPowers(q)
-    for i in range(1, d + 1):
-        _require(qq(i) != 1, fam, f"q^{i} != 1")
-        _require(r * qq(i) != 1, fam, f"r q^{i} != 1")
-    theta = [v["theta0"] + h * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
-    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
-    varphi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-              * (1 - r * qq(i)) for i in range(1, d + 1)]
-    phi = [-(h * hs * r) * qq(1 - i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-           for i in range(1, d + 1)]
-    return theta, thetas, varphi, phi
-
-
-def _build_dual_q_krawtchouk(field, d, v):
-    q, h, hs, s = v["q"], v["h"], v["hstar"], v["s"]
-    fam = "dual-q-krawtchouk"
-    for name in ("q", "h", "hstar", "s"):
-        _require(bool(v[name]), fam, f"{name} != 0")
-    qq = _QPowers(q)
-    for i in range(1, d + 1):
-        _require(qq(i) != 1, fam, f"q^{i} != 1")
-    for i in range(2, 2 * d + 1):
-        _require(s * qq(i) != 1, fam, f"s q^{i} != 1")
-    theta = [v["theta0"] + h * (1 - qq(i)) * (1 - s * qq(i + 1)) * qq(-i)
-             for i in range(d + 1)]
-    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
-    varphi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-              for i in range(1, d + 1)]
-    phi = [h * hs * s * qq(d + 2 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
-           for i in range(1, d + 1)]
-    return theta, thetas, varphi, phi
-
-
-def _build_racah(field, d, v):
-    h, hs, s, ss, r1, r2 = (v["h"], v["hstar"], v["s"], v["sstar"],
-                            v["r1"], v["r2"])
-    fam = "racah"
-    N = field.from_int
-    _require(bool(h), fam, "h != 0")
-    _require(bool(hs), fam, "hstar != 0")
-    _require(r1 + r2 == s + ss + N(d + 1), fam, "r1 + r2 = s + s* + d + 1")
-    for i in range(1, d + 1):
-        _require(r1 != -N(i), fam, f"r1 != -{i}")
-        _require(r2 != -N(i), fam, f"r2 != -{i}")
-        _require(ss - r1 != -N(i), fam, f"s* - r1 != -{i}")
-        _require(ss - r2 != -N(i), fam, f"s* - r2 != -{i}")
-    for i in range(2, 2 * d + 1):
-        _require(s != -N(i), fam, f"s != -{i}")
-        _require(ss != -N(i), fam, f"s* != -{i}")
-    theta = [v["theta0"] + h * N(i) * (N(i + 1) + s) for i in range(d + 1)]
-    thetas = [v["thetastar0"] + hs * N(i) * (N(i + 1) + ss) for i in range(d + 1)]
-    varphi = [h * hs * N(i) * (N(i) - N(d + 1)) * (N(i) + r1) * (N(i) + r2)
-              for i in range(1, d + 1)]
-    phi = [h * hs * N(i) * (N(i) - N(d + 1)) * (N(i) + ss - r1) * (N(i) + ss - r2)
-           for i in range(1, d + 1)]
-    return theta, thetas, varphi, phi
-
-
-def _build_hahn(field, d, v):
-    hs, s, ss, r = v["hstar"], v["s"], v["sstar"], v["r"]
-    fam = "hahn"
-    N = field.from_int
-    _require(bool(hs), fam, "hstar != 0")
-    _require(bool(s), fam, "s != 0")
-    for i in range(1, d + 1):
-        _require(r != -N(i), fam, f"r != -{i}")
-        _require(ss - r != -N(i), fam, f"s* - r != -{i}")
-    for i in range(2, 2 * d + 1):
-        _require(ss != -N(i), fam, f"s* != -{i}")
-    theta = [v["theta0"] + s * N(i) for i in range(d + 1)]
-    thetas = [v["thetastar0"] + hs * N(i) * (N(i + 1) + ss) for i in range(d + 1)]
-    varphi = [hs * s * N(i) * (N(i) - N(d + 1)) * (N(i) + r)
-              for i in range(1, d + 1)]
-    phi = [-(hs * s) * N(i) * (N(i) - N(d + 1)) * (N(i) + ss - r)
-           for i in range(1, d + 1)]
-    return theta, thetas, varphi, phi
-
-
-def _build_dual_hahn(field, d, v):
-    h, s, ss, r = v["h"], v["s"], v["sstar"], v["r"]
-    fam = "dual-hahn"
-    N = field.from_int
-    _require(bool(h), fam, "h != 0")
-    _require(bool(ss), fam, "sstar != 0")
-    for i in range(1, d + 1):
-        _require(r != -N(i), fam, f"r != -{i}")
-        _require(r - s - N(d + 1) != -N(i), fam, f"r - s - d - 1 != -{i}")
-    for i in range(2, 2 * d + 1):
-        _require(s != -N(i), fam, f"s != -{i}")
-    theta = [v["theta0"] + h * N(i) * (N(i + 1) + s) for i in range(d + 1)]
-    thetas = [v["thetastar0"] + ss * N(i) for i in range(d + 1)]
-    varphi = [h * ss * N(i) * (N(i) - N(d + 1)) * (N(i) + r)
-              for i in range(1, d + 1)]
-    phi = [h * ss * N(i) * (N(i) - N(d + 1)) * (N(i) + r - s - N(d + 1))
-           for i in range(1, d + 1)]
-    return theta, thetas, varphi, phi
-
-
-def _build_krawtchouk(field, d, v):
-    r, s, ss = v["r"], v["s"], v["sstar"]
-    fam = "krawtchouk"
-    N = field.from_int
-    _require(bool(r), fam, "r != 0")
-    _require(bool(s), fam, "s != 0")
-    _require(bool(ss), fam, "sstar != 0")
-    _require(r != s * ss, fam, "r != s s*")
-    theta = [v["theta0"] + s * N(i) for i in range(d + 1)]
-    thetas = [v["thetastar0"] + ss * N(i) for i in range(d + 1)]
-    varphi = [r * N(i) * (N(i) - N(d + 1)) for i in range(1, d + 1)]
-    phi = [(r - s * ss) * N(i) * (N(i) - N(d + 1)) for i in range(1, d + 1)]
-    return theta, thetas, varphi, phi
+_FORMS = {"I": (q_eigenvalues, q_splits),
+          "II": (ordinary_eigenvalues, ordinary_splits)}
 
 
 def _build_bannai_ito(field, d, v):
@@ -444,21 +261,197 @@ def _build_orphan(field, d, v):
     return theta, thetas, varphi, phi
 
 
-_BUILDERS: dict[str, Callable] = {
-    "q-racah": _build_q_racah,
-    "q-hahn": _build_q_hahn,
-    "dual-q-hahn": _build_dual_q_hahn,
-    "quantum-q-krawtchouk": _build_quantum_q_krawtchouk,
-    "q-krawtchouk": _build_q_krawtchouk,
-    "affine-q-krawtchouk": _build_affine_q_krawtchouk,
-    "dual-q-krawtchouk": _build_dual_q_krawtchouk,
-    "racah": _build_racah,
-    "hahn": _build_hahn,
-    "dual-hahn": _build_dual_hahn,
-    "krawtchouk": _build_krawtchouk,
-    "bannai-ito": _build_bannai_ito,
-    "orphan": _build_orphan,
+# Characteristic rules: (holds(char, d), what the family needs)
+_ABOVE_D = (lambda char, d: char == 0 or char > d, "characteristic 0 or above {d}")
+_ODD_ABOVE_HALF_D = (lambda char, d: char == 0 or (char > 2 and 2 * char > d),
+                     "characteristic 0 or an odd prime above {d}/2")
+_TWO = (lambda char, d: char == 2, "characteristic 2")
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of the family table.
+
+    `case` is the classification case: I and II are the normal forms above,
+    III (bannai-ito) and IV (the orphan) keep a hand-written `build`.  For
+    cases I and II, `coords(v, d, P)` maps the named scalars (attributes of
+    v) to (mu, mu*, h, h*, tau); eta and eta* follow from theta0 and
+    thetastar0.  `scalars(c, q, d)` inverts it for classify, from the fitted
+    c.mu, c.mu_star, c.h, c.h_star, c.tau, and `roots` gives the sum and the
+    product of r1 and r2 where the family has them.  `pattern` says which of
+    (mu, mu*, h, h*, tau) must not vanish (True), must vanish (False) or may
+    do either (None).
+
+    The preconditions run in this order: each name in `nonzero` != 0, the
+    `relation`, then for 1 <= i <= d (after q^i != 1 in case I) each factor
+    of `steps`, and for 2 <= i <= 2d each factor of `doubled`.  Case I
+    requires x q^i != 1 for a factor x = a or a/b of named scalars
+    ("sstar/r1" reads "s* q^i / r1 != 1"); case II requires x != -i for x
+    the first term minus the others, where d and 1 may appear ("r-s-d-1").
+    """
+
+    case: str
+    char: Optional[tuple[Callable[[int, int], bool], str]] = None
+    build: Optional[Callable] = None
+    pattern: tuple[Optional[bool], ...] = ()
+    nonzero: tuple[str, ...] = ()
+    relation: Optional[tuple[str, Callable]] = None
+    steps: tuple[str, ...] = ()
+    doubled: tuple[str, ...] = ()
+    coords: Optional[Callable] = None
+    scalars: Optional[Callable] = None
+    roots: Optional[Callable] = None
+
+
+FAMILIES: dict[str, Family] = {
+    "q-racah": Family(
+        "I", pattern=(True, True, True, True, None),
+        nonzero=("q", "h", "hstar", "s", "sstar", "r1", "r2"),
+        relation=("r1 r2 = s s* q^(d+1)",
+                  lambda v, d, P: v.r1 * v.r2 == v.s * v.sstar * P(d + 1)),
+        steps=("r1", "r2", "sstar/r1", "sstar/r2"), doubled=("s", "sstar"),
+        coords=lambda v, d, P: (v.h * v.s * v.q, v.hstar * v.sstar * v.q, v.h,
+                                v.hstar, v.h * v.hstar * (v.r1 + v.r2) * P(-d)),
+        scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star, s=c.mu / (c.h * q),
+                                     sstar=c.mu_star / (c.h_star * q)),
+        roots=lambda c, q, d: (c.tau / (c.h * c.h_star) * q ** d,
+                               c.mu * c.mu_star / (c.h * c.h_star) * q ** (d - 1))),
+    "q-hahn": Family(
+        "I", pattern=(False, True, True, True, True),
+        nonzero=("q", "h", "hstar", "sstar", "r"),
+        steps=("r", "sstar/r"), doubled=("sstar",),
+        coords=lambda v, d, P: (0, v.hstar * v.sstar * v.q, v.h, v.hstar,
+                                v.h * v.hstar * v.r * P(-d)),
+        scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star,
+                                     sstar=c.mu_star / (c.h_star * q),
+                                     r=c.tau / (c.h * c.h_star) * q ** d)),
+    "dual-q-hahn": Family(
+        "I", pattern=(True, False, True, True, True),
+        nonzero=("q", "h", "hstar", "s", "r"),
+        steps=("r", "s/r"), doubled=("s",),
+        coords=lambda v, d, P: (v.h * v.s * v.q, 0, v.h, v.hstar,
+                                v.h * v.hstar * v.r * P(-d)),
+        scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star, s=c.mu / (c.h * q),
+                                     r=c.tau / (c.h * c.h_star) * q ** d)),
+    "quantum-q-krawtchouk": Family(
+        "I", pattern=(True, False, False, True, True),
+        nonzero=("q", "hstar", "s", "r"), steps=("s/r",),
+        coords=lambda v, d, P: (v.s * v.q, 0, 0, v.hstar, v.hstar * v.r * P(-d)),
+        scalars=lambda c, q, d: dict(q=q, hstar=c.h_star, s=c.mu / q,
+                                     r=c.tau / c.h_star * q ** d)),
+    "q-krawtchouk": Family(
+        "I", pattern=(False, True, True, True, False),
+        nonzero=("q", "h", "hstar", "sstar"), doubled=("sstar",),
+        coords=lambda v, d, P: (0, v.hstar * v.sstar * v.q, v.h, v.hstar, 0),
+        scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star,
+                                     sstar=c.mu_star / (c.h_star * q))),
+    "affine-q-krawtchouk": Family(
+        "I", pattern=(False, False, True, True, True),
+        nonzero=("q", "h", "hstar", "r"), steps=("r",),
+        coords=lambda v, d, P: (0, 0, v.h, v.hstar, v.h * v.hstar * v.r * P(-d)),
+        scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star,
+                                     r=c.tau / (c.h * c.h_star) * q ** d)),
+    "dual-q-krawtchouk": Family(
+        "I", pattern=(True, False, True, True, False),
+        nonzero=("q", "h", "hstar", "s"), doubled=("s",),
+        coords=lambda v, d, P: (v.h * v.s * v.q, 0, v.h, v.hstar, 0),
+        scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star, s=c.mu / (c.h * q))),
+    "racah": Family(
+        "II", _ABOVE_D, pattern=(None, None, True, True, None),
+        nonzero=("h", "hstar"),
+        relation=("r1 + r2 = s + s* + d + 1",
+                  lambda v, d, P: v.r1 + v.r2 == v.s + v.sstar + P(d + 1)),
+        steps=("r1", "r2", "sstar-r1", "sstar-r2"), doubled=("s", "sstar"),
+        coords=lambda v, d, P: (v.h * v.s, v.hstar * v.sstar, v.h, v.hstar,
+                                -(v.h * v.hstar * v.r1 * v.r2)),
+        scalars=lambda c, q, d: dict(h=c.h, hstar=c.h_star, s=c.mu / c.h,
+                                     sstar=c.mu_star / c.h_star),
+        roots=lambda c, q, d: (c.mu / c.h + c.mu_star / c.h_star + (d + 1),
+                               -c.tau / (c.h * c.h_star))),
+    "hahn": Family(
+        "II", _ABOVE_D, pattern=(None, None, False, True, None),
+        nonzero=("hstar", "s"), steps=("r", "sstar-r"), doubled=("sstar",),
+        coords=lambda v, d, P: (v.s, v.hstar * v.sstar, 0, v.hstar,
+                                -(v.hstar * v.s * v.r)),
+        scalars=lambda c, q, d: dict(hstar=c.h_star, s=c.mu,
+                                     sstar=c.mu_star / c.h_star,
+                                     r=-c.tau / (c.mu * c.h_star))),
+    "dual-hahn": Family(
+        "II", _ABOVE_D, pattern=(None, None, True, False, None),
+        nonzero=("h", "sstar"), steps=("r", "r-s-d-1"), doubled=("s",),
+        coords=lambda v, d, P: (v.h * v.s, v.sstar, v.h, 0, -(v.h * v.sstar * v.r)),
+        scalars=lambda c, q, d: dict(h=c.h, s=c.mu / c.h, sstar=c.mu_star,
+                                     r=-c.tau / (c.h * c.mu_star))),
+    "krawtchouk": Family(
+        "II", _ABOVE_D, pattern=(None, None, False, False, None),
+        nonzero=("r", "s", "sstar"),
+        relation=("r != s s*", lambda v, d, P: v.r != v.s * v.sstar),
+        coords=lambda v, d, P: (v.s, v.sstar, 0, 0, -v.r),
+        scalars=lambda c, q, d: dict(s=c.mu, sstar=c.mu_star, r=-c.tau)),
+    "bannai-ito": Family("III", _ODD_ABOVE_HALF_D, build=_build_bannai_ito),
+    "orphan": Family("IV", _TWO, build=_build_orphan),
 }
+
+
+def _factor(expr: str, case: str, v, d: int) -> FieldElement:
+    """Value of a precondition factor (see Family)."""
+    terms = [d if t == "d" else 1 if t == "1" else getattr(v, t)
+             for t in expr.split("/" if case == "I" else "-")]
+    if case == "I":
+        return terms[0] / terms[1] if len(terms) == 2 else terms[0]
+    x = terms[0]
+    for t in terms[1:]:
+        x = x - t
+    return x
+
+
+def _factor_fails(expr: str, case: str, i: int) -> str:
+    """The message of a failed precondition factor at index i."""
+    shown = [t.replace("star", "*") for t in expr.split("/" if case == "I" else "-")]
+    if case == "I":
+        return " / ".join([f"{shown[0]} q^{i}"] + shown[1:]) + " != 1"
+    return " - ".join(shown) + f" != -{i}"
+
+
+def _check_factors(family: str, case: str, factors: list, P, i: int) -> None:
+    if factors:
+        bad = P(-i) if case == "I" else -P(i)  # x q^i = 1, or x = -i
+        for expr, x in factors:
+            if x == bad:
+                _require(False, family, _factor_fails(expr, case, i))
+
+
+def _check_preconditions(family: str, fam: Family, v, d: int, P) -> None:
+    """Raise PreconditionViolated at the first of the family's preconditions
+    that fails, in table order."""
+    for name in fam.nonzero:
+        _require(bool(getattr(v, name)), family, f"{name} != 0")
+    if fam.relation is not None:
+        message, holds = fam.relation
+        _require(holds(v, d, P), family, message)
+    steps = [(expr, _factor(expr, fam.case, v, d)) for expr in fam.steps]
+    for i in range(1, d + 1):
+        if fam.case == "I":
+            _require(P(i) != P(0), family, f"q^{i} != 1")
+        _check_factors(family, fam.case, steps, P, i)
+    doubled = [(expr, _factor(expr, fam.case, v, d)) for expr in fam.doubled]
+    for i in range(2, 2 * d + 1):
+        _check_factors(family, fam.case, doubled, P, i)
+
+
+def _from_normal_form(family: str, field: Field, d: int, values: dict):
+    fam = FAMILIES[family]
+    v = SimpleNamespace(**values)
+    P = _QPowers(v.q) if fam.case == "I" else field.from_int
+    _check_preconditions(family, fam, v, d, P)
+    mu, mus, h, hs, tau = fam.coords(v, d, P)
+    eigenvalues, splits = _FORMS[fam.case]
+    if fam.case == "I":    # theta_0 = eta + mu + h
+        eta, etas = v.theta0 - mu - h, v.thetastar0 - mus - hs
+    else:
+        eta, etas = v.theta0, v.thetastar0
+    return (eigenvalues(P, d, eta, mu, h), eigenvalues(P, d, etas, mus, hs),
+            *splits(P, d, mu, mus, h, hs, tau))
 
 
 def family_base(fp: FamilyParams, field: Field) -> FieldElement:
@@ -473,7 +466,7 @@ def family_base(fp: FamilyParams, field: Field) -> FieldElement:
 def generate(fp: FamilyParams, field: Field) -> ParameterArray:
     """Instantiate a family; raises PreconditionViolated or
     CharacteristicMismatch when the scalars do not fit the field."""
-    if fp.family not in _BUILDERS:
+    if fp.family not in FAMILIES:
         raise ValueError(f"unknown family {fp.family!r}")
     if fp.d < 1:
         raise ValueError("diameter must be at least 1")
@@ -486,7 +479,12 @@ def generate(fp: FamilyParams, field: Field) -> ParameterArray:
             raise ValueError(f"parameter {name} lives in {value.field}, not {field}")
     _check_char(fp.family, fp.d, field)
 
-    theta, thetas, varphi, phi = _BUILDERS[fp.family](field, fp.d, fp.values)
+    build = FAMILIES[fp.family].build
+    if build is not None:
+        theta, thetas, varphi, phi = build(field, fp.d, fp.values)
+    else:
+        theta, thetas, varphi, phi = _from_normal_form(fp.family, field, fp.d,
+                                                       fp.values)
     p = make_array(field, theta, thetas, varphi, phi)
     rep = validate(p)
     if not rep.ok():

@@ -7,9 +7,8 @@ Elements are immutable wrappers around a canonical payload:
 * extensions: tuple of ``k`` residues, low degree first, reduced mod p
 
 An extension modulus is monic of degree k (stored low degree first, so the
-last entry is 1) and is rejected unless irreducible over GF(p).  The check is
-trial division by every monic polynomial of degree <= k/2, which for the
-degrees supported here is the usual root and small-factor search.  The
+last entry is 1) and is rejected unless irreducible over GF(p), by Rabin's
+test (SIAM J. Comput. 1980) in time polynomial in k log p.  The
 characteristic p must be below 2^64, where deterministic Miller-Rabin decides
 primality exactly.
 
@@ -187,20 +186,37 @@ def _pinv_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     return _ptrim([(c * x) % p for x in s0])
 
 
+def _ppowmod(a: Sequence[int], n: int, m: Sequence[int], p: int) -> list[int]:
+    result, base = [1], _pmod(a, m, p)
+    while n:
+        if n & 1:
+            result = _pmod(_pmul(result, base, p), m, p)
+        base = _pmod(_pmul(base, base, p), m, p)
+        n >>= 1
+    return result
+
+
+def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> Sequence[int]:
+    """gcd of two trimmed polynomials, up to a unit."""
+    while b:
+        a, b = b, _pmod(a, b, p)
+    return a
+
+
 def _irreducible(modulus: Sequence[int], p: int) -> bool:
-    k = len(modulus) - 1
-    for deg in range(1, k // 2 + 1):
-        # every monic divisor candidate of this degree
-        for idx in range(p**deg):
-            cand = [0] * (deg + 1)
-            n = idx
-            for i in range(deg):
-                cand[i] = n % p
-                n //= p
-            cand[deg] = 1
-            if not _pmod(modulus, cand, p):
-                return False
-    return True
+    """Rabin's test: the monic f of degree k is irreducible over GF(p) iff
+    x^(p^k) = x mod f and gcd(x^(p^(k/r)) - x, f) = 1 for each prime r | k."""
+    f = list(modulus)
+    k = len(f) - 1
+    x = _pmod([0, 1], f, p)
+
+    def frobenius_minus_x(n: int) -> list[int]:  # x^(p^n) - x mod f
+        return _psub(_ppowmod(x, p**n, f, p), x, p)
+
+    if frobenius_minus_x(k):
+        return False
+    return all(len(_pgcd(f, frobenius_minus_x(k // r), p)) == 1
+               for r in range(2, k + 1) if k % r == 0 and _is_prime(r))
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +787,19 @@ def _sqrt(field: Field, a: FieldElement) -> Optional[FieldElement]:
     return x
 
 
+def _per_field(compute: Callable[[Field], FieldElement]) -> Callable[[Field], FieldElement]:
+    """Memoise a constant of a field by its spec."""
+    cache: dict[FieldSpec, FieldElement] = {}
+
+    def cached(field: Field) -> FieldElement:
+        if field.spec not in cache:
+            cache[field.spec] = compute(field)
+        return cache[field.spec]
+
+    return cached
+
+
+@_per_field
 def _first_nonsquare(field: Field) -> FieldElement:
     """First non-square in element order, for a field of odd order.
 
@@ -800,16 +829,23 @@ def _roots_char2(field: Field, b: FieldElement, c: FieldElement):
         return None
     # With Tr(delta) = 1, y = sum_{i=1}^{n-1} (delta + ... + delta^(2^(i-1)))
     # u^(2^i) has y^2 + y = u + delta*Tr(u) = u.  For odd n, delta = 1 and y
-    # is the half-trace.  The trace is linear, so the first delta of trace 1 in
-    # element order is a power w^j, at index 2^j.
-    delta = next(x for x in (field.element(2**j) for j in range(n))
-                 if sum(_conjugates(x, 2, n), field.zero()))
+    # is the half-trace.
+    delta = _trace_one(field)
     y = a = field.zero()
     for ui in conj[1:]:
         a = a + delta
         delta = delta * delta
         y = y + a * ui
     return (b * y, b * y + b)
+
+
+@_per_field
+def _trace_one(field: Field) -> FieldElement:
+    """First element of absolute trace 1 in element order, for GF(2^n).  The
+    trace is linear, so it is a power w^j, at index 2^j."""
+    n = field.spec.k or 1
+    return next(x for x in (field.element(2**j) for j in range(n))
+                if sum(_conjugates(x, 2, n), field.zero()))
 
 
 def _conjugates(x: FieldElement, p: int, n: int) -> list[FieldElement]:

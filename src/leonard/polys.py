@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import IdentityViolated, ProportionalityViolated
 from .fields import Field, FieldElement
 from .parray import ParameterArray, d4_apply
 from .report import CheckReport
@@ -129,34 +128,43 @@ def corresponding_polys(p: ParameterArray) -> PolyTable:
                      P=P, Pdown=Pdown)
 
 
-def verify_proportionality(a: Analysis) -> list[FieldElement]:
-    """Each f_i is a scalar multiple of its reversed companion; returns the
-    scalars, cumulative ratios of phi over varphi."""
-    p, table = a.p, a.polys
+def proportionality_alphas(p: ParameterArray) -> list[FieldElement]:
+    """alpha_0 .. alpha_d, the cumulative ratios of phi over varphi."""
     alpha = [p.field.one()]
     for i in range(1, p.d + 1):
         alpha.append(alpha[-1] * p.phi[i - 1] * p.varphi[i - 1].inverse())
-    for i in range(p.d + 1):
-        if table.f[i] != table.fdown[i].scale(alpha[i]):
-            raise ProportionalityViolated(
-                f"f_{i} is not alpha_{i} times its reversed companion")
     return alpha
 
 
-def endpoint_values(a: Analysis) -> list[FieldElement]:
-    """Values f_i(theta_d), checked against the phi/varphi ratio form and the
-    weighted form involving the dual eigenvalues."""
-    p, table = a.p, a.polys
-    d = p.d
-    vals = [table.f[i](p.theta[d]) for i in range(d + 1)]
+def verify_proportionality(a: Analysis) -> CheckReport:
+    """Each f_i is alpha_i times its reversed companion; reports the first i
+    where it is not."""
+    table = a.polys
+    report = CheckReport("proportionality")
+    for i, alpha in enumerate(proportionality_alphas(a.p)):
+        if table.f[i] != table.fdown[i].scale(alpha):
+            report.add(f"f_{i} is not alpha_{i} times its reversed companion")
+            break
+    return report
 
-    ratio = p.field.one()
-    for i in range(d + 1):
-        if i > 0:
-            ratio = ratio * p.phi[i - 1] * p.varphi[i - 1].inverse()
-        if vals[i] != ratio:
-            raise IdentityViolated(
-                f"f_{i}(theta_d) differs from the phi/varphi cumulative ratio")
+
+def endpoint_evaluations(a: Analysis) -> list[FieldElement]:
+    """The values f_i(theta_d)."""
+    p, table = a.p, a.polys
+    return [table.f[i](p.theta[p.d]) for i in range(p.d + 1)]
+
+
+def endpoint_values(a: Analysis) -> CheckReport:
+    """f_i(theta_d) against the phi/varphi ratio form and the weighted form
+    involving the dual eigenvalues; reports the first failure."""
+    p = a.p
+    d = p.d
+    report = CheckReport("endpoint-values")
+    vals = endpoint_evaluations(a)
+    for i, alpha in enumerate(proportionality_alphas(p)):
+        if vals[i] != alpha:
+            report.add(f"f_{i}(theta_d) differs from the phi/varphi cumulative ratio")
+            return report
 
     data = a.ortho
     num = p.field.one()
@@ -168,9 +176,9 @@ def endpoint_values(a: Analysis) -> list[FieldElement]:
             if j != i:
                 den = den * (p.theta_star[i] - p.theta_star[j])
         if data.k[i] * vals[i] != num * den.inverse():
-            raise IdentityViolated(
-                f"k_{i} f_{i}(theta_d) differs from the dual eigenvalue product")
-    return vals
+            report.add(f"k_{i} f_{i}(theta_d) differs from the dual eigenvalue product")
+            break
+    return report
 
 
 def duality_check(a: Analysis) -> CheckReport:

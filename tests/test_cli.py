@@ -407,3 +407,43 @@ def test_gen_near_the_characteristic_limit(capsys, monkeypatch):
     code, out, err = run(capsys, *argv, "--field", f"prime:{2**64 + 13}")
     assert (code, out) == (2, "")
     assert "below 2^64" in err
+
+
+# `leonard gen` stderr for one violating parameter set per family, captured
+# while every family still had its own hand-written builder
+@pytest.mark.parametrize("family, d, field, params, message", [
+    ("q-racah", 3, "rational", "q=2 h=1 hstar=1 s=1 sstar=1 r1=4 r2=4",
+     "q-racah: requires s* q^2 / r1 != 1"),
+    ("q-hahn", 3, "rational", "q=2 h=1 hstar=1 sstar=1/8 r=5",
+     "q-hahn: requires s* q^3 != 1"),
+    ("dual-q-hahn", 3, "rational", "q=2 h=1 hstar=1 s=1 r=4",
+     "dual-q-hahn: requires s q^2 / r != 1"),
+    ("quantum-q-krawtchouk", 3, "rational", "q=2 hstar=1 s=1 r=8",
+     "quantum-q-krawtchouk: requires s q^3 / r != 1"),
+    ("q-krawtchouk", 2, "rational", "q=3 h=1 hstar=1 sstar=1/9",
+     "q-krawtchouk: requires s* q^2 != 1"),
+    ("affine-q-krawtchouk", 3, "rational", "q=2 h=1 hstar=1 r=1/4",
+     "affine-q-krawtchouk: requires r q^2 != 1"),
+    ("dual-q-krawtchouk", 3, "prime:7", "q=3 h=1 hstar=1 s=2",
+     "dual-q-krawtchouk: requires s q^4 != 1"),
+    ("racah", 3, "rational", "h=1 hstar=1 s=1 sstar=1 r1=-2 r2=8",
+     "racah: requires r1 != -2"),
+    ("hahn", 3, "rational", "hstar=1 s=1 sstar=2 r=5",
+     "hahn: requires s* - r != -3"),
+    ("dual-hahn", 3, "rational", "h=1 s=1 sstar=1 r=3",
+     "dual-hahn: requires r - s - d - 1 != -2"),
+    ("krawtchouk", 2, "rational", "s=1 sstar=2 r=2",
+     "krawtchouk: requires r != s s*"),
+    ("bannai-ito", 3, "rational", "h=1 hstar=1 s=3 sstar=5 r1=-1 r2=-3",
+     "bannai-ito: requires r1 != -1"),
+    ("orphan", 3, "ext:2:2:1,1,1",
+     "h=1+0*w hstar=1+0*w s=0+1*w sstar=1+1*w r=1+0*w",
+     "orphan: requires r != s + s*"),
+])
+def test_gen_precondition_messages_are_pinned(capsys, family, d, field, params,
+                                              message):
+    zero = "0+0*w" if field.startswith("ext:") else "0"
+    code, out, err = run(capsys, "gen", family, "--d", str(d), "--field", field,
+                         "--param", *params.split(), f"theta0={zero}",
+                         f"thetastar0={zero}")
+    assert (code, out, err) == (1, "", message + "\n")

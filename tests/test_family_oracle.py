@@ -1,0 +1,376 @@
+"""The eleven q- and ordinary-family builders, kept as the oracle for the
+family table.
+
+`generate` computes these families from the two classification normal forms
+(families.FAMILIES).  Each builder below is the hand-written formula that
+preceded the table, unchanged, and `oracle_generate` is the `generate` that
+called them, with its characteristic check.  The table must give an equal
+array, or raise the same exception type with the same message, on sampled
+parameters and on unconstrained random values that trip the preconditions.
+"""
+
+import random
+
+import pytest
+
+from leonard import (
+    CharacteristicMismatch,
+    FamilyParams,
+    IdentityViolated,
+    LeonardError,
+    extension_field,
+    family_base,
+    family_param_names,
+    generate,
+    make_array,
+    prime_field,
+    rational_field,
+    sample_params,
+    validate,
+)
+from leonard.families import (
+    FAMILY_PARAMS,
+    ORDINARY_FAMILIES,
+    _QPowers,
+    _build_bannai_ito,
+    _build_orphan,
+    _require,
+)
+from leonard.fields import _find_irreducible
+from leonard.parray import beta_plus_one
+
+
+def _build_q_racah(field, d, v):
+    q, h, hs, s, ss = v["q"], v["h"], v["hstar"], v["s"], v["sstar"]
+    r1, r2 = v["r1"], v["r2"]
+    fam = "q-racah"
+    for name in ("q", "h", "hstar", "s", "sstar", "r1", "r2"):
+        _require(bool(v[name]), fam, f"{name} != 0")
+    qq = _QPowers(q)
+    _require(r1 * r2 == s * ss * qq(d + 1), fam, "r1 r2 = s s* q^(d+1)")
+    for i in range(1, d + 1):
+        _require(qq(i) != 1, fam, f"q^{i} != 1")
+        _require(r1 * qq(i) != 1, fam, f"r1 q^{i} != 1")
+        _require(r2 * qq(i) != 1, fam, f"r2 q^{i} != 1")
+        _require(ss * qq(i) != r1, fam, f"s* q^{i} / r1 != 1")
+        _require(ss * qq(i) != r2, fam, f"s* q^{i} / r2 != 1")
+    for i in range(2, 2 * d + 1):
+        _require(s * qq(i) != 1, fam, f"s q^{i} != 1")
+        _require(ss * qq(i) != 1, fam, f"s* q^{i} != 1")
+    theta = [v["theta0"] + h * (1 - qq(i)) * (1 - s * qq(i + 1)) * qq(-i)
+             for i in range(d + 1)]
+    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * (1 - ss * qq(i + 1)) * qq(-i)
+              for i in range(d + 1)]
+    varphi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+              * (1 - r1 * qq(i)) * (1 - r2 * qq(i))
+              for i in range(1, d + 1)]
+    phi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+           * (r1 - ss * qq(i)) * (r2 - ss * qq(i)) / ss
+           for i in range(1, d + 1)]
+    return theta, thetas, varphi, phi
+
+
+def _build_q_hahn(field, d, v):
+    q, h, hs, ss, r = v["q"], v["h"], v["hstar"], v["sstar"], v["r"]
+    fam = "q-hahn"
+    for name in ("q", "h", "hstar", "sstar", "r"):
+        _require(bool(v[name]), fam, f"{name} != 0")
+    qq = _QPowers(q)
+    for i in range(1, d + 1):
+        _require(qq(i) != 1, fam, f"q^{i} != 1")
+        _require(r * qq(i) != 1, fam, f"r q^{i} != 1")
+        _require(ss * qq(i) != r, fam, f"s* q^{i} / r != 1")
+    for i in range(2, 2 * d + 1):
+        _require(ss * qq(i) != 1, fam, f"s* q^{i} != 1")
+    theta = [v["theta0"] + h * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
+    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * (1 - ss * qq(i + 1)) * qq(-i)
+              for i in range(d + 1)]
+    varphi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+              * (1 - r * qq(i)) for i in range(1, d + 1)]
+    phi = [-(h * hs) * qq(1 - i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+           * (r - ss * qq(i)) for i in range(1, d + 1)]
+    return theta, thetas, varphi, phi
+
+
+def _build_dual_q_hahn(field, d, v):
+    q, h, hs, s, r = v["q"], v["h"], v["hstar"], v["s"], v["r"]
+    fam = "dual-q-hahn"
+    for name in ("q", "h", "hstar", "s", "r"):
+        _require(bool(v[name]), fam, f"{name} != 0")
+    qq = _QPowers(q)
+    for i in range(1, d + 1):
+        _require(qq(i) != 1, fam, f"q^{i} != 1")
+        _require(r * qq(i) != 1, fam, f"r q^{i} != 1")
+        _require(s * qq(i) != r, fam, f"s q^{i} / r != 1")
+    for i in range(2, 2 * d + 1):
+        _require(s * qq(i) != 1, fam, f"s q^{i} != 1")
+    theta = [v["theta0"] + h * (1 - qq(i)) * (1 - s * qq(i + 1)) * qq(-i)
+             for i in range(d + 1)]
+    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
+    varphi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+              * (1 - r * qq(i)) for i in range(1, d + 1)]
+    phi = [h * hs * qq(d + 2 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+           * (s - r * qq(i - d - 1)) for i in range(1, d + 1)]
+    return theta, thetas, varphi, phi
+
+
+def _build_quantum_q_krawtchouk(field, d, v):
+    q, hs, s, r = v["q"], v["hstar"], v["s"], v["r"]
+    fam = "quantum-q-krawtchouk"
+    for name in ("q", "hstar", "s", "r"):
+        _require(bool(v[name]), fam, f"{name} != 0")
+    qq = _QPowers(q)
+    for i in range(1, d + 1):
+        _require(qq(i) != 1, fam, f"q^{i} != 1")
+        _require(s * qq(i) != r, fam, f"s q^{i} / r != 1")
+    theta = [v["theta0"] - s * q * (1 - qq(i)) for i in range(d + 1)]
+    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
+    varphi = [-(r * hs) * qq(1 - i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+              for i in range(1, d + 1)]
+    phi = [hs * qq(d + 2 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+           * (s - r * qq(i - d - 1)) for i in range(1, d + 1)]
+    return theta, thetas, varphi, phi
+
+
+def _build_q_krawtchouk(field, d, v):
+    q, h, hs, ss = v["q"], v["h"], v["hstar"], v["sstar"]
+    fam = "q-krawtchouk"
+    for name in ("q", "h", "hstar", "sstar"):
+        _require(bool(v[name]), fam, f"{name} != 0")
+    qq = _QPowers(q)
+    for i in range(1, d + 1):
+        _require(qq(i) != 1, fam, f"q^{i} != 1")
+    for i in range(2, 2 * d + 1):
+        _require(ss * qq(i) != 1, fam, f"s* q^{i} != 1")
+    theta = [v["theta0"] + h * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
+    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * (1 - ss * qq(i + 1)) * qq(-i)
+              for i in range(d + 1)]
+    varphi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+              for i in range(1, d + 1)]
+    phi = [h * hs * ss * q * (1 - qq(i)) * (1 - qq(i - d - 1))
+           for i in range(1, d + 1)]
+    return theta, thetas, varphi, phi
+
+
+def _build_affine_q_krawtchouk(field, d, v):
+    q, h, hs, r = v["q"], v["h"], v["hstar"], v["r"]
+    fam = "affine-q-krawtchouk"
+    for name in ("q", "h", "hstar", "r"):
+        _require(bool(v[name]), fam, f"{name} != 0")
+    qq = _QPowers(q)
+    for i in range(1, d + 1):
+        _require(qq(i) != 1, fam, f"q^{i} != 1")
+        _require(r * qq(i) != 1, fam, f"r q^{i} != 1")
+    theta = [v["theta0"] + h * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
+    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
+    varphi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+              * (1 - r * qq(i)) for i in range(1, d + 1)]
+    phi = [-(h * hs * r) * qq(1 - i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+           for i in range(1, d + 1)]
+    return theta, thetas, varphi, phi
+
+
+def _build_dual_q_krawtchouk(field, d, v):
+    q, h, hs, s = v["q"], v["h"], v["hstar"], v["s"]
+    fam = "dual-q-krawtchouk"
+    for name in ("q", "h", "hstar", "s"):
+        _require(bool(v[name]), fam, f"{name} != 0")
+    qq = _QPowers(q)
+    for i in range(1, d + 1):
+        _require(qq(i) != 1, fam, f"q^{i} != 1")
+    for i in range(2, 2 * d + 1):
+        _require(s * qq(i) != 1, fam, f"s q^{i} != 1")
+    theta = [v["theta0"] + h * (1 - qq(i)) * (1 - s * qq(i + 1)) * qq(-i)
+             for i in range(d + 1)]
+    thetas = [v["thetastar0"] + hs * (1 - qq(i)) * qq(-i) for i in range(d + 1)]
+    varphi = [h * hs * qq(1 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+              for i in range(1, d + 1)]
+    phi = [h * hs * s * qq(d + 2 - 2 * i) * (1 - qq(i)) * (1 - qq(i - d - 1))
+           for i in range(1, d + 1)]
+    return theta, thetas, varphi, phi
+
+
+def _build_racah(field, d, v):
+    h, hs, s, ss, r1, r2 = (v["h"], v["hstar"], v["s"], v["sstar"],
+                            v["r1"], v["r2"])
+    fam = "racah"
+    N = field.from_int
+    _require(bool(h), fam, "h != 0")
+    _require(bool(hs), fam, "hstar != 0")
+    _require(r1 + r2 == s + ss + N(d + 1), fam, "r1 + r2 = s + s* + d + 1")
+    for i in range(1, d + 1):
+        _require(r1 != -N(i), fam, f"r1 != -{i}")
+        _require(r2 != -N(i), fam, f"r2 != -{i}")
+        _require(ss - r1 != -N(i), fam, f"s* - r1 != -{i}")
+        _require(ss - r2 != -N(i), fam, f"s* - r2 != -{i}")
+    for i in range(2, 2 * d + 1):
+        _require(s != -N(i), fam, f"s != -{i}")
+        _require(ss != -N(i), fam, f"s* != -{i}")
+    theta = [v["theta0"] + h * N(i) * (N(i + 1) + s) for i in range(d + 1)]
+    thetas = [v["thetastar0"] + hs * N(i) * (N(i + 1) + ss) for i in range(d + 1)]
+    varphi = [h * hs * N(i) * (N(i) - N(d + 1)) * (N(i) + r1) * (N(i) + r2)
+              for i in range(1, d + 1)]
+    phi = [h * hs * N(i) * (N(i) - N(d + 1)) * (N(i) + ss - r1) * (N(i) + ss - r2)
+           for i in range(1, d + 1)]
+    return theta, thetas, varphi, phi
+
+
+def _build_hahn(field, d, v):
+    hs, s, ss, r = v["hstar"], v["s"], v["sstar"], v["r"]
+    fam = "hahn"
+    N = field.from_int
+    _require(bool(hs), fam, "hstar != 0")
+    _require(bool(s), fam, "s != 0")
+    for i in range(1, d + 1):
+        _require(r != -N(i), fam, f"r != -{i}")
+        _require(ss - r != -N(i), fam, f"s* - r != -{i}")
+    for i in range(2, 2 * d + 1):
+        _require(ss != -N(i), fam, f"s* != -{i}")
+    theta = [v["theta0"] + s * N(i) for i in range(d + 1)]
+    thetas = [v["thetastar0"] + hs * N(i) * (N(i + 1) + ss) for i in range(d + 1)]
+    varphi = [hs * s * N(i) * (N(i) - N(d + 1)) * (N(i) + r)
+              for i in range(1, d + 1)]
+    phi = [-(hs * s) * N(i) * (N(i) - N(d + 1)) * (N(i) + ss - r)
+           for i in range(1, d + 1)]
+    return theta, thetas, varphi, phi
+
+
+def _build_dual_hahn(field, d, v):
+    h, s, ss, r = v["h"], v["s"], v["sstar"], v["r"]
+    fam = "dual-hahn"
+    N = field.from_int
+    _require(bool(h), fam, "h != 0")
+    _require(bool(ss), fam, "sstar != 0")
+    for i in range(1, d + 1):
+        _require(r != -N(i), fam, f"r != -{i}")
+        _require(r - s - N(d + 1) != -N(i), fam, f"r - s - d - 1 != -{i}")
+    for i in range(2, 2 * d + 1):
+        _require(s != -N(i), fam, f"s != -{i}")
+    theta = [v["theta0"] + h * N(i) * (N(i + 1) + s) for i in range(d + 1)]
+    thetas = [v["thetastar0"] + ss * N(i) for i in range(d + 1)]
+    varphi = [h * ss * N(i) * (N(i) - N(d + 1)) * (N(i) + r)
+              for i in range(1, d + 1)]
+    phi = [h * ss * N(i) * (N(i) - N(d + 1)) * (N(i) + r - s - N(d + 1))
+           for i in range(1, d + 1)]
+    return theta, thetas, varphi, phi
+
+
+def _build_krawtchouk(field, d, v):
+    r, s, ss = v["r"], v["s"], v["sstar"]
+    fam = "krawtchouk"
+    N = field.from_int
+    _require(bool(r), fam, "r != 0")
+    _require(bool(s), fam, "s != 0")
+    _require(bool(ss), fam, "sstar != 0")
+    _require(r != s * ss, fam, "r != s s*")
+    theta = [v["theta0"] + s * N(i) for i in range(d + 1)]
+    thetas = [v["thetastar0"] + ss * N(i) for i in range(d + 1)]
+    varphi = [r * N(i) * (N(i) - N(d + 1)) for i in range(1, d + 1)]
+    phi = [(r - s * ss) * N(i) * (N(i) - N(d + 1)) for i in range(1, d + 1)]
+    return theta, thetas, varphi, phi
+
+
+ORACLE_BUILDERS = {
+    "q-racah": _build_q_racah,
+    "q-hahn": _build_q_hahn,
+    "dual-q-hahn": _build_dual_q_hahn,
+    "quantum-q-krawtchouk": _build_quantum_q_krawtchouk,
+    "q-krawtchouk": _build_q_krawtchouk,
+    "affine-q-krawtchouk": _build_affine_q_krawtchouk,
+    "dual-q-krawtchouk": _build_dual_q_krawtchouk,
+    "racah": _build_racah,
+    "hahn": _build_hahn,
+    "dual-hahn": _build_dual_hahn,
+    "krawtchouk": _build_krawtchouk,
+    # these two keep their builders in the package
+    "bannai-ito": _build_bannai_ito,
+    "orphan": _build_orphan,
+}
+
+
+def oracle_check_char(family, d, field):
+    char = field.characteristic()
+    if family in ORDINARY_FAMILIES and not (char == 0 or char > d):
+        raise CharacteristicMismatch(
+            f"{family} needs characteristic 0 or above {d}, field has {char}")
+    if family == "bannai-ito" and not (char == 0 or (char > 2 and 2 * char > d)):
+        raise CharacteristicMismatch(
+            f"bannai-ito needs characteristic 0 or an odd prime above {d}/2, "
+            f"field has {char}")
+    if family == "orphan" and char != 2:
+        raise CharacteristicMismatch(
+            f"orphan needs characteristic 2, field has {char}")
+
+
+def oracle_generate(fp, field):
+    """`generate` as it was, over the builders above."""
+    oracle_check_char(fp.family, fp.d, field)
+    theta, thetas, varphi, phi = ORACLE_BUILDERS[fp.family](field, fp.d, fp.values)
+    p = make_array(field, theta, thetas, varphi, phi)
+    rep = validate(p)
+    if not rep.ok():
+        raise IdentityViolated(
+            "family output failed validation: " + "; ".join(rep.lines()))
+    if fp.d >= 3:
+        base = family_base(fp, field)
+        if base + base.inverse() + 1 != beta_plus_one(p):
+            raise IdentityViolated("family output has the wrong eigenvalue ratio")
+    return p
+
+
+def outcome(make, fp, field):
+    """The array, or the exception type and message."""
+    try:
+        return make(fp, field)
+    except LeonardError as e:
+        return type(e), str(e)
+
+
+FIELDS = {
+    "Q": rational_field(),
+    "GF(11)": prime_field(11),
+    "GF(3^3)": extension_field(3, 3, _find_irreducible(3, 3)),
+    "GF(2^4)": extension_field(2, 4, _find_irreducible(2, 4)),
+}
+
+
+def random_values(family, d, field, rng):
+    """Unconstrained scalars: small integers over Q, any element otherwise,
+    so that zeros and coincidences trip the preconditions.  Every other draw
+    solves r2 from the family's relation, so that the checks after it run."""
+    def draw():
+        if field.is_finite():
+            return field.random_element(rng)
+        return field.from_int(rng.randint(-3, 3))
+    v = {name: draw() for name in family_param_names(family)}
+    if "r2" in v and rng.random() < 0.5:
+        N = field.from_int
+        if family == "q-racah" and v["r1"] and v["q"]:
+            v["r2"] = v["s"] * v["sstar"] * v["q"] ** (d + 1) / v["r1"]
+        elif family == "racah":
+            v["r2"] = v["s"] + v["sstar"] + N(d + 1) - v["r1"]
+        elif family == "bannai-ito":
+            v["r2"] = N(d + 1) - v["s"] - v["sstar"] - v["r1"]
+    return v
+
+
+@pytest.mark.parametrize("field_name", list(FIELDS))
+@pytest.mark.parametrize("family", list(FAMILY_PARAMS))
+def test_table_matches_the_builders(family, field_name):
+    field = FIELDS[field_name]
+    rng = random.Random(f"{family} {field_name}")
+    compared = 0
+    for d in (1, 2, 3, 5):
+        cases = []
+        for _ in range(3):
+            fp = sample_params(family, d, field, rng)
+            if fp is not None:
+                cases.append(fp)
+        cases += [FamilyParams(family, d, random_values(family, d, field, rng))
+                  for _ in range(12)]
+        for fp in cases:
+            want = outcome(oracle_generate, fp, field)
+            got = outcome(generate, fp, field)
+            assert got == want, (family, field_name, d, fp.values)
+            compared += 1
+    assert compared >= 48

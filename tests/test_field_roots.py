@@ -1,17 +1,24 @@
 """Finite-field root finding and primality against brute-force oracles.
 
-The oracles are the element scans and the trial division that the field
+The oracles are the element scans and the trial divisions that the field
 layer used before it moved to Tonelli-Shanks, the trace-one formula,
-equal-degree splitting and Miller-Rabin.
+equal-degree splitting, Miller-Rabin and Rabin's irreducibility test.
 """
 
 import itertools
 import random
+import time
 
 import pytest
 
-from leonard import embed_map, extension_field, prime_field, quadratic_roots
-from leonard.fields import _find_irreducible, _irreducible, _is_prime
+from leonard import (
+    embed_map,
+    extension_field,
+    prime_field,
+    quadratic_roots,
+    splitting_field,
+)
+from leonard.fields import _find_irreducible, _irreducible, _is_prime, _pmod
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 LIMIT = 3**5
@@ -154,3 +161,49 @@ def test_is_prime_large_values():
         _is_prime(2**64)
     with pytest.raises(ValueError, match=r"2\^64"):
         prime_field(2**64 + 13)
+
+
+def oracle_irreducible(modulus, p):
+    """Trial division by every monic polynomial of degree <= k/2."""
+    k = len(modulus) - 1
+    for deg in range(1, k // 2 + 1):
+        # every monic divisor candidate of this degree
+        for idx in range(p**deg):
+            cand = [0] * (deg + 1)
+            n = idx
+            for i in range(deg):
+                cand[i] = n % p
+                n //= p
+            cand[deg] = 1
+            if not _pmod(modulus, cand, p):
+                return False
+    return True
+
+
+def test_irreducible_matches_trial_division():
+    checked = 0
+    for p in SMALL_PRIMES:
+        k = 1
+        while p**k <= LIMIT:
+            for tail in itertools.product(range(p), repeat=k):
+                modulus = tail + (1,)
+                assert _irreducible(modulus, p) == oracle_irreducible(modulus, p), \
+                    (p, modulus)
+                checked += 1
+            k += 1
+    assert checked == sum(p**k for p in SMALL_PRIMES for k in range(1, 9)
+                          if p**k <= LIMIT)
+
+
+@pytest.mark.parametrize("p, bound", [(1000003, 0.5), (10**18 + 3, 5.0)])
+def test_splitting_field_over_a_large_prime_is_fast(p, bound):
+    F = prime_field(p)
+    # x^2 - z for a non-residue z splits only in GF(p^2)
+    z = next(F.from_int(n) for n in range(2, 100)
+             if F.from_int(n) ** ((p - 1) // 2) != F.one())
+    start = time.perf_counter()
+    ext, lift, (r1, r2) = splitting_field(F, F.zero(), -z)
+    assert time.perf_counter() - start < bound
+    assert ext.spec.k == 2 and ext.spec.modulus == ((-z).value, 0, 1)
+    for r in (r1, r2):
+        assert r * r == lift(z)

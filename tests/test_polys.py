@@ -1,18 +1,17 @@
 """Polynomial families, evaluation matrices, proportionality, duality."""
 
-import pytest
-
 from leonard import (
     Analysis,
     Poly,
-    ProportionalityViolated,
     build,
     corresponding_polys,
     d4_apply,
     duality_check,
+    endpoint_evaluations,
     endpoint_values,
     make_array,
     ortho_data,
+    proportionality_alphas,
     verify_proportionality,
 )
 from conftest import Q, qarr
@@ -76,13 +75,15 @@ def test_evaluation_matrix_is_first_transition_product(qrac3, orphan3):
 
 
 def test_proportionality_alpha_values(fix_d1, kraw2):
-    alphas = lambda p: [Q.format(a) for a in verify_proportionality(Analysis(p))]
+    alphas = lambda p: [Q.format(a) for a in proportionality_alphas(p)]
     assert alphas(fix_d1) == ["1", "2"]
     assert alphas(kraw2) == ["1", "1/2", "1/4"]
+    for p in (fix_d1, kraw2):
+        assert verify_proportionality(Analysis(p)).ok()
 
 
 def test_proportionality_alpha_is_phi_ratio(qrac3):
-    alphas = verify_proportionality(Analysis(qrac3))
+    alphas = proportionality_alphas(qrac3)
     num = den = Q.one()
     assert alphas[0] == Q.one()
     for i in range(1, qrac3.d + 1):
@@ -94,14 +95,15 @@ def test_proportionality_alpha_is_phi_ratio(qrac3):
 def test_proportionality_rejects_mangled_arrays(kraw3):
     broken = make_array(kraw3.field, kraw3.theta, kraw3.theta_star,
                         kraw3.varphi, (Q.from_int(-4),) + kraw3.phi[1:])
-    with pytest.raises(ProportionalityViolated):
-        verify_proportionality(Analysis(broken))
+    report = verify_proportionality(Analysis(broken))
+    assert report.failures == ["f_1 is not alpha_1 times its reversed companion"]
 
 
 def test_endpoint_values_match_alpha(fix_d1, qrac3):
     for p in (fix_d1, qrac3):
-        vals = endpoint_values(Analysis(p))
-        alphas = verify_proportionality(Analysis(p))
+        assert endpoint_values(Analysis(p)).ok()
+        vals = endpoint_evaluations(Analysis(p))
+        alphas = proportionality_alphas(p)
         t = corresponding_polys(p)
         for i, v in enumerate(vals):
             assert v == alphas[i]
@@ -109,7 +111,7 @@ def test_endpoint_values_match_alpha(fix_d1, qrac3):
 
 
 def test_endpoint_weighted_by_k(qrac3):
-    vals = endpoint_values(Analysis(qrac3))
+    vals = endpoint_evaluations(Analysis(qrac3))
     k = ortho_data(qrac3).k
     d = qrac3.d
     ts = qrac3.theta_star
