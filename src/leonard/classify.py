@@ -19,12 +19,11 @@ from .fields import Field, FieldElement, splitting_field
 from .families import (
     FAMILIES,
     FamilyParams,
+    _FORMS,
     _QPowers,
     generate,
     ordinary_eigenvalues,
-    ordinary_splits,
     q_eigenvalues,
-    q_splits,
 )
 from .parray import ParameterArray, base_candidates, make_array
 from .splitmat import SquareMatrix
@@ -144,18 +143,27 @@ def _make_witness(case: str, family: str, q: FieldElement, field: Field,
                              embed=embed, intermediates=inter, params=params)
 
 
-def _case1_data(p: ParameterArray, q: FieldElement) -> Optional[dict]:
-    fit = fit_closed_form_theta(p.theta, q, "I")
-    fit_star = fit_closed_form_theta(p.theta_star, q, "I")
+def _normal_form(p: ParameterArray, case: str, q: FieldElement) -> Optional[dict]:
+    """Fit p to the normal form of case I or II (families._FORMS) at base q:
+    theta and theta*, then tau from varphi_1, then both split sequences.
+    The fitted coordinates, or None where any of them does not fit."""
+    fit = fit_closed_form_theta(p.theta, q, case)
+    fit_star = fit_closed_form_theta(p.theta_star, q, case)
     if fit is None or fit_star is None:
         return None
     eta, mu, h = fit
     etas, mus, hs = fit_star
     d = p.d
-    P = _QPowers(q)
-    tau = (p.varphi[0] / ((q - 1) * (P(d) - 1))
-           + mu * mus + h * hs * P(-1 - d))
-    if q_splits(P, d, mu, mus, h, hs, tau) != (list(p.varphi), list(p.phi)):
+    if case == "I":
+        P = _QPowers(q)
+        tau = (p.varphi[0] / ((q - 1) * (P(d) - 1))
+               + mu * mus + h * hs * P(-1 - d))
+    else:
+        P = p.field.from_int
+        # A verified quadratic fit of an injective sequence forces char 0 or
+        # > d, so dividing by d is safe.
+        tau = p.varphi[0] / P(d) + (mu * hs + h * mus) + h * hs * P(d + 2)
+    if _FORMS[case][1](P, d, mu, mus, h, hs, tau) != (list(p.varphi), list(p.phi)):
         return None
     return {"eta": eta, "mu": mu, "h": h, "eta_star": etas, "mu_star": mus,
             "h_star": hs, "tau": tau}
@@ -199,7 +207,7 @@ def _case1(p: ParameterArray, field: Field, lift: Callable,
         if any(candidate == r for r in seen):
             continue
         seen.append(candidate)
-        data = _case1_data(p, candidate)
+        data = _normal_form(p, "I", candidate)
         if data is not None:
             q = candidate
             break
@@ -212,31 +220,18 @@ def _case1(p: ParameterArray, field: Field, lift: Callable,
     # two-sided theta* also flips, matching the family displays.
     if (not hs) or (mu and not h and mus and hs):
         q = q.inverse()
-        data = _case1_data(p, q)
+        data = _normal_form(p, "I", q)
         if data is None:
             return None
     return _from_table("I", p, field, q, data, lift, source)
 
 
 def _case2(p: ParameterArray) -> Optional[ClassifierWitness]:
-    F = p.field
-    one = F.one()
-    fit = fit_closed_form_theta(p.theta, one, "II")
-    fit_star = fit_closed_form_theta(p.theta_star, one, "II")
-    if fit is None or fit_star is None:
+    one = p.field.one()
+    data = _normal_form(p, "II", one)
+    if data is None:
         return None
-    eta, mu, h = fit
-    etas, mus, hs = fit_star
-    d = p.d
-    N = F.from_int
-    # A verified quadratic fit of an injective sequence forces char 0 or > d,
-    # so dividing by d is safe.
-    tau = p.varphi[0] / N(d) + (mu * hs + h * mus) + h * hs * N(d + 2)
-    if ordinary_splits(N, d, mu, mus, h, hs, tau) != (list(p.varphi), list(p.phi)):
-        return None
-    data = {"eta": eta, "mu": mu, "h": h, "eta_star": etas, "mu_star": mus,
-            "h_star": hs, "tau": tau}
-    return _from_table("II", p, F, one, data, _identity, p)
+    return _from_table("II", p, p.field, one, data, _identity, p)
 
 
 def _case3(p: ParameterArray) -> Optional[ClassifierWitness]:

@@ -8,6 +8,7 @@ itself is malformed (bad JSON, bad field spec, unknown names).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Optional
@@ -16,15 +17,10 @@ from .analysis import Analysis
 from .classify import _first_case1_base, classify
 from .errors import (
     BaseNotApplicable,
-    BudgetExceeded,
-    CharacteristicMismatch,
     IdentityViolated,
     LengthMismatch,
     LeonardError,
-    NeedsFieldExtension,
-    NoCaseMatched,
     NonPrimeModulus,
-    PreconditionViolated,
     ReducibleModulus,
 )
 from .families import FamilyParams, family_param_names, generate
@@ -185,12 +181,7 @@ def cmd_gen(args) -> int:
     missing = set(names) - set(values)
     if missing:
         raise ValueError(f"missing parameters: {', '.join(sorted(missing))}")
-    fp = FamilyParams(family=args.family, d=args.d, values=values)
-    try:
-        p = generate(fp, field)
-    except (PreconditionViolated, CharacteristicMismatch) as e:
-        print(str(e), file=sys.stderr)
-        return FAIL
+    p = generate(FamilyParams(family=args.family, d=args.d, values=values), field)
     sys.stdout.write(dump_json(p.to_json()))
     return OK
 
@@ -206,11 +197,7 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     p = load_array(args.file)
     _require_valid(p)
-    try:
-        w = classify(p)
-    except (NeedsFieldExtension, NoCaseMatched) as e:
-        print(str(e), file=sys.stderr)
-        return FAIL
+    w = classify(p)
     out = {
         "case": w.case,
         "family": w.family,
@@ -277,16 +264,11 @@ def cmd_enumerate(args) -> int:
     if args.shard:
         index, count = args.shard.split(":", 1)
         shard = (int(index), int(count))
-    emitted = 0
-    try:
-        for p in enumerate_arrays(field, args.d, budget=args.budget, shard=shard):
-            print(json.dumps(p.to_json(), separators=(",", ":")))
-            emitted += 1
-            if args.limit is not None and emitted >= args.limit:
-                break
-    except BudgetExceeded as e:
-        print(str(e), file=sys.stderr)
-        return FAIL
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be at least 0, got {args.limit}")
+    arrays = enumerate_arrays(field, args.d, budget=args.budget, shard=shard)
+    for p in itertools.islice(arrays, args.limit):
+        print(json.dumps(p.to_json(), separators=(",", ":")))
     return OK
 
 

@@ -1,10 +1,11 @@
 """Named parameter-array families and their terminating series forms.
 
-Each family turns a short list of scalars into a full parameter array.  The
-eleven q- and ordinary families are rows of one table, FAMILIES, that places
-their scalars in the two classification normal forms (cases I and II); the
-same normal-form functions build their arrays here and check arrays in
-classify.  Bannai-Ito and the orphan keep hand-written builders.
+Each family turns a short list of scalars into a full parameter array.  Every
+family is a row of one table, FAMILIES, and every list of families is a view
+of it.  The rows of the eleven q- and ordinary families place their scalars
+in the two classification normal forms (cases I and II); the same
+normal-form functions build their arrays here and check arrays in classify.
+Bannai-Ito and the orphan keep hand-written builders.
 
 The preconditions on the scalars are exactly what the formulas need: products
 that appear in phi or varphi must not vanish, and the eigenvalue sequences
@@ -29,35 +30,12 @@ from .fields import Field, FieldElement, make_field, FieldSpec
 from .parray import ParameterArray, beta_plus_one, make_array, validate
 from .report import CheckReport
 
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "q-racah": ("q", "h", "hstar", "s", "sstar", "r1", "r2"),
-    "q-hahn": ("q", "h", "hstar", "sstar", "r"),
-    "dual-q-hahn": ("q", "h", "hstar", "s", "r"),
-    "quantum-q-krawtchouk": ("q", "hstar", "s", "r"),
-    "q-krawtchouk": ("q", "h", "hstar", "sstar"),
-    "affine-q-krawtchouk": ("q", "h", "hstar", "r"),
-    "dual-q-krawtchouk": ("q", "h", "hstar", "s"),
-    "racah": ("h", "hstar", "s", "sstar", "r1", "r2"),
-    "hahn": ("hstar", "s", "sstar", "r"),
-    "dual-hahn": ("h", "s", "sstar", "r"),
-    "krawtchouk": ("r", "s", "sstar"),
-    "bannai-ito": ("h", "hstar", "s", "sstar", "r1", "r2"),
-    "orphan": ("h", "hstar", "s", "sstar", "r"),
-}
-
 # Every family also takes the two affine offsets.
 COMMON_PARAMS = ("theta0", "thetastar0")
 
-Q_FAMILIES = ("q-racah", "q-hahn", "dual-q-hahn", "quantum-q-krawtchouk",
-              "q-krawtchouk", "affine-q-krawtchouk", "dual-q-krawtchouk")
-ORDINARY_FAMILIES = ("racah", "hahn", "dual-hahn", "krawtchouk")
-
-# Families whose polynomials have a terminating series display.
-CLOSED_FORM_FAMILIES = Q_FAMILIES + ORDINARY_FAMILIES
-
 
 def list_families() -> list[str]:
-    return list(FAMILY_PARAMS)
+    return list(FAMILIES)
 
 
 def family_param_names(family: str) -> tuple[str, ...]:
@@ -104,8 +82,8 @@ def characteristic_admissible(family: str, d: int, field: Field) -> bool:
         return False
     if family == "orphan":
         return d == 3
-    # q-families: need a scalar of multiplicative order above d
-    if family in Q_FAMILIES and field.is_finite():
+    # case I: needs a scalar of multiplicative order above d
+    if FAMILIES[family].case == "I" and field.is_finite():
         return field.order() - 1 > d
     return True
 
@@ -268,29 +246,44 @@ _ODD_ABOVE_HALF_D = (lambda char, d: char == 0 or (char > 2 and 2 * char > d),
 _TWO = (lambda char, d: char == 2, "characteristic 2")
 
 
+def _q_racah_series(v, d, i, j, P):
+    """4phi3(q^-i, s* q^(i+1), q^-j, s q^(j+1); r1 q, r2 q, q^-d; q, q), the
+    q-Racah display, which the other q-families specialise: a scalar the
+    family lacks reads as 0, and r as r1."""
+    q, zero = v.q, v.q.field.zero()
+    s, ss = getattr(v, "s", zero), getattr(v, "sstar", zero)
+    r1, r2 = getattr(v, "r1", getattr(v, "r", zero)), getattr(v, "r2", zero)
+    return HypergeomSpec("basic", (P(-i), ss * P(i + 1), P(-j), s * P(j + 1)),
+                         (r1 * q, r2 * q, P(-d)), q, q)
+
+
 @dataclass(frozen=True)
 class Family:
-    """One row of the family table.
+    """One row of the family table, the only description of its family.
 
     `case` is the classification case: I and II are the normal forms above,
-    III (bannai-ito) and IV (the orphan) keep a hand-written `build`.  For
-    cases I and II, `coords(v, d, P)` maps the named scalars (attributes of
-    v) to (mu, mu*, h, h*, tau); eta and eta* follow from theta0 and
-    thetastar0.  `scalars(c, q, d)` inverts it for classify, from the fitted
-    c.mu, c.mu_star, c.h, c.h_star, c.tau, and `roots` gives the sum and the
-    product of r1 and r2 where the family has them.  `pattern` says which of
-    (mu, mu*, h, h*, tau) must not vanish (True), must vanish (False) or may
-    do either (None).
+    III (bannai-ito) and IV (the orphan) keep a hand-written `build`.
+    `params` names the family's scalars in the order sample_params draws
+    them.  For cases I and II, `coords(v, d, P)` maps the named scalars
+    (attributes of v) to (mu, mu*, h, h*, tau); eta and eta* follow from
+    theta0 and thetastar0.  `scalars(c, q, d)` inverts it for classify, from
+    the fitted c.mu, c.mu_star, c.h, c.h_star, c.tau, and `roots` gives the
+    sum and the product of r1 and r2 where the family has them.  `pattern`
+    says which of (mu, mu*, h, h*, tau) must not vanish (True), must vanish
+    (False) or may do either (None).  `series(v, d, i, j, P)` is the
+    terminating series equal to f_i(theta_j), for the families that have one.
 
-    The preconditions run in this order: each name in `nonzero` != 0, the
-    `relation`, then for 1 <= i <= d (after q^i != 1 in case I) each factor
-    of `steps`, and for 2 <= i <= 2d each factor of `doubled`.  Case I
-    requires x q^i != 1 for a factor x = a or a/b of named scalars
-    ("sstar/r1" reads "s* q^i / r1 != 1"); case II requires x != -i for x
-    the first term minus the others, where d and 1 may appear ("r-s-d-1").
+    The preconditions run in this order: each name in `nonzero` (in case I,
+    every named scalar) != 0, the `relation`, then for 1 <= i <= d (after
+    q^i != 1 in case I) each factor of `steps`, and for 2 <= i <= 2d each
+    factor of `doubled`.  Case I requires x q^i != 1 for a factor x = a or
+    a/b of named scalars ("sstar/r1" reads "s* q^i / r1 != 1"); case II
+    requires x != -i for x the first term minus the others, where d and 1 may
+    appear ("r-s-d-1").
     """
 
     case: str
+    params: tuple[str, ...]
     char: Optional[tuple[Callable[[int, int], bool], str]] = None
     build: Optional[Callable] = None
     pattern: tuple[Optional[bool], ...] = ()
@@ -301,12 +294,13 @@ class Family:
     coords: Optional[Callable] = None
     scalars: Optional[Callable] = None
     roots: Optional[Callable] = None
+    series: Optional[Callable] = None
 
 
 FAMILIES: dict[str, Family] = {
     "q-racah": Family(
-        "I", pattern=(True, True, True, True, None),
-        nonzero=("q", "h", "hstar", "s", "sstar", "r1", "r2"),
+        "I", ("q", "h", "hstar", "s", "sstar", "r1", "r2"),
+        pattern=(True, True, True, True, None),
         relation=("r1 r2 = s s* q^(d+1)",
                   lambda v, d, P: v.r1 * v.r2 == v.s * v.sstar * P(d + 1)),
         steps=("r1", "r2", "sstar/r1", "sstar/r2"), doubled=("s", "sstar"),
@@ -315,50 +309,56 @@ FAMILIES: dict[str, Family] = {
         scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star, s=c.mu / (c.h * q),
                                      sstar=c.mu_star / (c.h_star * q)),
         roots=lambda c, q, d: (c.tau / (c.h * c.h_star) * q ** d,
-                               c.mu * c.mu_star / (c.h * c.h_star) * q ** (d - 1))),
+                               c.mu * c.mu_star / (c.h * c.h_star) * q ** (d - 1)),
+        series=_q_racah_series),
     "q-hahn": Family(
-        "I", pattern=(False, True, True, True, True),
-        nonzero=("q", "h", "hstar", "sstar", "r"),
+        "I", ("q", "h", "hstar", "sstar", "r"), pattern=(False, True, True, True, True),
         steps=("r", "sstar/r"), doubled=("sstar",),
         coords=lambda v, d, P: (0, v.hstar * v.sstar * v.q, v.h, v.hstar,
                                 v.h * v.hstar * v.r * P(-d)),
         scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star,
                                      sstar=c.mu_star / (c.h_star * q),
-                                     r=c.tau / (c.h * c.h_star) * q ** d)),
+                                     r=c.tau / (c.h * c.h_star) * q ** d),
+        series=_q_racah_series),
     "dual-q-hahn": Family(
-        "I", pattern=(True, False, True, True, True),
-        nonzero=("q", "h", "hstar", "s", "r"),
+        "I", ("q", "h", "hstar", "s", "r"), pattern=(True, False, True, True, True),
         steps=("r", "s/r"), doubled=("s",),
         coords=lambda v, d, P: (v.h * v.s * v.q, 0, v.h, v.hstar,
                                 v.h * v.hstar * v.r * P(-d)),
         scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star, s=c.mu / (c.h * q),
-                                     r=c.tau / (c.h * c.h_star) * q ** d)),
+                                     r=c.tau / (c.h * c.h_star) * q ** d),
+        series=_q_racah_series),
     "quantum-q-krawtchouk": Family(
-        "I", pattern=(True, False, False, True, True),
-        nonzero=("q", "hstar", "s", "r"), steps=("s/r",),
+        "I", ("q", "hstar", "s", "r"), pattern=(True, False, False, True, True),
+        steps=("s/r",),
         coords=lambda v, d, P: (v.s * v.q, 0, 0, v.hstar, v.hstar * v.r * P(-d)),
         scalars=lambda c, q, d: dict(q=q, hstar=c.h_star, s=c.mu / q,
-                                     r=c.tau / c.h_star * q ** d)),
+                                     r=c.tau / c.h_star * q ** d),
+        series=lambda v, d, i, j, P: HypergeomSpec(
+            "basic", (P(-i), P(-j)), (P(-d),), v.s * v.r.inverse() * P(j + 1), v.q)),
     "q-krawtchouk": Family(
-        "I", pattern=(False, True, True, True, False),
-        nonzero=("q", "h", "hstar", "sstar"), doubled=("sstar",),
+        "I", ("q", "h", "hstar", "sstar"), pattern=(False, True, True, True, False),
+        doubled=("sstar",),
         coords=lambda v, d, P: (0, v.hstar * v.sstar * v.q, v.h, v.hstar, 0),
         scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star,
-                                     sstar=c.mu_star / (c.h_star * q))),
+                                     sstar=c.mu_star / (c.h_star * q)),
+        series=_q_racah_series),
     "affine-q-krawtchouk": Family(
-        "I", pattern=(False, False, True, True, True),
-        nonzero=("q", "h", "hstar", "r"), steps=("r",),
+        "I", ("q", "h", "hstar", "r"), pattern=(False, False, True, True, True),
+        steps=("r",),
         coords=lambda v, d, P: (0, 0, v.h, v.hstar, v.h * v.hstar * v.r * P(-d)),
         scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star,
-                                     r=c.tau / (c.h * c.h_star) * q ** d)),
+                                     r=c.tau / (c.h * c.h_star) * q ** d),
+        series=_q_racah_series),
     "dual-q-krawtchouk": Family(
-        "I", pattern=(True, False, True, True, False),
-        nonzero=("q", "h", "hstar", "s"), doubled=("s",),
+        "I", ("q", "h", "hstar", "s"), pattern=(True, False, True, True, False),
+        doubled=("s",),
         coords=lambda v, d, P: (v.h * v.s * v.q, 0, v.h, v.hstar, 0),
-        scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star, s=c.mu / (c.h * q))),
+        scalars=lambda c, q, d: dict(q=q, h=c.h, hstar=c.h_star, s=c.mu / (c.h * q)),
+        series=_q_racah_series),
     "racah": Family(
-        "II", _ABOVE_D, pattern=(None, None, True, True, None),
-        nonzero=("h", "hstar"),
+        "II", ("h", "hstar", "s", "sstar", "r1", "r2"), _ABOVE_D,
+        pattern=(None, None, True, True, None), nonzero=("h", "hstar"),
         relation=("r1 + r2 = s + s* + d + 1",
                   lambda v, d, P: v.r1 + v.r2 == v.s + v.sstar + P(d + 1)),
         steps=("r1", "r2", "sstar-r1", "sstar-r2"), doubled=("s", "sstar"),
@@ -367,30 +367,51 @@ FAMILIES: dict[str, Family] = {
         scalars=lambda c, q, d: dict(h=c.h, hstar=c.h_star, s=c.mu / c.h,
                                      sstar=c.mu_star / c.h_star),
         roots=lambda c, q, d: (c.mu / c.h + c.mu_star / c.h_star + (d + 1),
-                               -c.tau / (c.h * c.h_star))),
+                               -c.tau / (c.h * c.h_star)),
+        series=lambda v, d, i, j, N: HypergeomSpec(
+            "ordinary", (N(-i), N(i + 1) + v.sstar, N(-j), N(j + 1) + v.s),
+            (v.r1 + 1, v.r2 + 1, N(-d)), N(1))),
     "hahn": Family(
-        "II", _ABOVE_D, pattern=(None, None, False, True, None),
-        nonzero=("hstar", "s"), steps=("r", "sstar-r"), doubled=("sstar",),
+        "II", ("hstar", "s", "sstar", "r"), _ABOVE_D,
+        pattern=(None, None, False, True, None), nonzero=("hstar", "s"),
+        steps=("r", "sstar-r"), doubled=("sstar",),
         coords=lambda v, d, P: (v.s, v.hstar * v.sstar, 0, v.hstar,
                                 -(v.hstar * v.s * v.r)),
         scalars=lambda c, q, d: dict(hstar=c.h_star, s=c.mu,
                                      sstar=c.mu_star / c.h_star,
-                                     r=-c.tau / (c.mu * c.h_star))),
+                                     r=-c.tau / (c.mu * c.h_star)),
+        series=lambda v, d, i, j, N: HypergeomSpec(
+            "ordinary", (N(-i), N(i + 1) + v.sstar, N(-j)), (v.r + 1, N(-d)), N(1))),
     "dual-hahn": Family(
-        "II", _ABOVE_D, pattern=(None, None, True, False, None),
-        nonzero=("h", "sstar"), steps=("r", "r-s-d-1"), doubled=("s",),
+        "II", ("h", "s", "sstar", "r"), _ABOVE_D,
+        pattern=(None, None, True, False, None), nonzero=("h", "sstar"),
+        steps=("r", "r-s-d-1"), doubled=("s",),
         coords=lambda v, d, P: (v.h * v.s, v.sstar, v.h, 0, -(v.h * v.sstar * v.r)),
         scalars=lambda c, q, d: dict(h=c.h, s=c.mu / c.h, sstar=c.mu_star,
-                                     r=-c.tau / (c.h * c.mu_star))),
+                                     r=-c.tau / (c.h * c.mu_star)),
+        series=lambda v, d, i, j, N: HypergeomSpec(
+            "ordinary", (N(-i), N(-j), N(j + 1) + v.s), (v.r + 1, N(-d)), N(1))),
     "krawtchouk": Family(
-        "II", _ABOVE_D, pattern=(None, None, False, False, None),
-        nonzero=("r", "s", "sstar"),
+        "II", ("r", "s", "sstar"), _ABOVE_D,
+        pattern=(None, None, False, False, None), nonzero=("r", "s", "sstar"),
         relation=("r != s s*", lambda v, d, P: v.r != v.s * v.sstar),
         coords=lambda v, d, P: (v.s, v.sstar, 0, 0, -v.r),
-        scalars=lambda c, q, d: dict(s=c.mu, sstar=c.mu_star, r=-c.tau)),
-    "bannai-ito": Family("III", _ODD_ABOVE_HALF_D, build=_build_bannai_ito),
-    "orphan": Family("IV", _TWO, build=_build_orphan),
+        scalars=lambda c, q, d: dict(s=c.mu, sstar=c.mu_star, r=-c.tau),
+        series=lambda v, d, i, j, N: HypergeomSpec(
+            "ordinary", (N(-i), N(-j)), (N(-d),), v.s * v.sstar * v.r.inverse())),
+    "bannai-ito": Family("III", ("h", "hstar", "s", "sstar", "r1", "r2"),
+                         _ODD_ABOVE_HALF_D, build=_build_bannai_ito),
+    "orphan": Family("IV", ("h", "hstar", "s", "sstar", "r"), _TWO,
+                     build=_build_orphan),
 }
+
+# Views of the table, in its order.
+FAMILY_PARAMS = {name: fam.params for name, fam in FAMILIES.items()}
+Q_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.case == "I")
+ORDINARY_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.case == "II")
+# Families whose polynomials have a terminating series display.
+CLOSED_FORM_FAMILIES = tuple(name for name, fam in FAMILIES.items()
+                             if fam.series is not None)
 
 
 def _factor(expr: str, case: str, v, d: int) -> FieldElement:
@@ -424,7 +445,7 @@ def _check_factors(family: str, case: str, factors: list, P, i: int) -> None:
 def _check_preconditions(family: str, fam: Family, v, d: int, P) -> None:
     """Raise PreconditionViolated at the first of the family's preconditions
     that fails, in table order."""
-    for name in fam.nonzero:
+    for name in fam.params if fam.case == "I" else fam.nonzero:
         _require(bool(getattr(v, name)), family, f"{name} != 0")
     if fam.relation is not None:
         message, holds = fam.relation
@@ -439,10 +460,15 @@ def _check_preconditions(family: str, fam: Family, v, d: int, P) -> None:
         _check_factors(family, fam.case, doubled, P, i)
 
 
+def _powers(fam: Family, v, field: Field) -> Callable[[int], FieldElement]:
+    """P(n) of the family's normal form: q^n in case I, n in case II."""
+    return _QPowers(v.q) if fam.case == "I" else field.from_int
+
+
 def _from_normal_form(family: str, field: Field, d: int, values: dict):
     fam = FAMILIES[family]
     v = SimpleNamespace(**values)
-    P = _QPowers(v.q) if fam.case == "I" else field.from_int
+    P = _powers(fam, v, field)
     _check_preconditions(family, fam, v, d, P)
     mu, mus, h, hs, tau = fam.coords(v, d, P)
     eigenvalues, splits = _FORMS[fam.case]
@@ -455,12 +481,12 @@ def _from_normal_form(family: str, field: Field, d: int, values: dict):
 
 
 def family_base(fp: FamilyParams, field: Field) -> FieldElement:
-    """The scalar whose powers structure the family's eigenvalues."""
-    if fp.family in Q_FAMILIES:
+    """The scalar whose powers structure the family's eigenvalues: q in
+    case I, -1 in case III, 1 in cases II and IV."""
+    case = FAMILIES[fp.family].case
+    if case == "I":
         return fp.values["q"]
-    if fp.family == "bannai-ito":
-        return -field.one()
-    return field.one()
+    return -field.one() if case == "III" else field.one()
 
 
 def generate(fp: FamilyParams, field: Field) -> ParameterArray:
@@ -558,59 +584,11 @@ def hypergeom_sum(spec: HypergeomSpec, terms: int) -> FieldElement:
 
 def closed_form_spec(fp: FamilyParams, i: int, j: int) -> HypergeomSpec:
     """The terminating series equal to f_i(theta_j) for display families."""
-    family, v = fp.family, fp.values
-    if family not in CLOSED_FORM_FAMILIES:
-        raise ValueError(f"{family} has no terminating series display")
-    F = fp.field
-    d = fp.d
-    if family in Q_FAMILIES:
-        q = v["q"]
-        qq = _QPowers(q)
-        qi, qj, qd = qq(-i), qq(-j), qq(-d)
-        if family == "q-racah":
-            return HypergeomSpec("basic",
-                                 (qi, v["sstar"] * qq(i + 1), qj, v["s"] * qq(j + 1)),
-                                 (v["r1"] * q, v["r2"] * q, qd), q, q)
-        if family == "q-hahn":
-            return HypergeomSpec("basic",
-                                 (qi, v["sstar"] * qq(i + 1), qj),
-                                 (v["r"] * q, qd), q, q)
-        if family == "dual-q-hahn":
-            return HypergeomSpec("basic",
-                                 (qi, qj, v["s"] * qq(j + 1)),
-                                 (v["r"] * q, qd), q, q)
-        if family == "quantum-q-krawtchouk":
-            z = v["s"] * v["r"].inverse() * qq(j + 1)
-            return HypergeomSpec("basic", (qi, qj), (qd,), z, q)
-        if family == "q-krawtchouk":
-            return HypergeomSpec("basic",
-                                 (qi, v["sstar"] * qq(i + 1), qj),
-                                 (F.zero(), qd), q, q)
-        if family == "affine-q-krawtchouk":
-            return HypergeomSpec("basic",
-                                 (qi, F.zero(), qj),
-                                 (v["r"] * q, qd), q, q)
-        # dual-q-krawtchouk
-        return HypergeomSpec("basic",
-                             (qi, qj, v["s"] * qq(j + 1)),
-                             (F.zero(), qd), q, q)
-    N = F.from_int
-    one = F.one()
-    if family == "racah":
-        return HypergeomSpec("ordinary",
-                             (N(-i), N(i + 1) + v["sstar"], N(-j), N(j + 1) + v["s"]),
-                             (v["r1"] + one, v["r2"] + one, N(-d)), one)
-    if family == "hahn":
-        return HypergeomSpec("ordinary",
-                             (N(-i), N(i + 1) + v["sstar"], N(-j)),
-                             (v["r"] + one, N(-d)), one)
-    if family == "dual-hahn":
-        return HypergeomSpec("ordinary",
-                             (N(-i), N(-j), N(j + 1) + v["s"]),
-                             (v["r"] + one, N(-d)), one)
-    # krawtchouk
-    z = v["s"] * v["sstar"] * v["r"].inverse()
-    return HypergeomSpec("ordinary", (N(-i), N(-j)), (N(-d),), z)
+    fam = FAMILIES.get(fp.family)
+    if fam is None or fam.series is None:
+        raise ValueError(f"{fp.family} has no terminating series display")
+    v = SimpleNamespace(**fp.values)
+    return fam.series(v, fp.d, i, j, _powers(fam, v, fp.field))
 
 
 def verify_closed_form(p: ParameterArray, fp: FamilyParams) -> CheckReport:

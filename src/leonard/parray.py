@@ -210,9 +210,6 @@ def validate(p: ParameterArray) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # dihedral symmetry
 
-D4_GENERATORS = ("star", "down", "ddown")
-
-
 def _star(p: ParameterArray) -> ParameterArray:
     d = p.d
     return ParameterArray(
@@ -373,13 +370,22 @@ def enumerate_arrays(
     phi_1) under the field's element order.
 
     Each (theta, theta*, phi_1) triple tried counts one kernel call against
-    the budget.  shard=(index, count) keeps only theta tuples whose position
-    is congruent to index mod count, so shards partition the output.
+    the budget.  shard=(index, count), 0 <= index < count, keeps only theta
+    tuples whose position is congruent to index mod count, so shards
+    partition the output.  Bad arguments raise at the call, before any
+    array is asked for.
     """
     if not field.is_finite():
         raise TypeError("enumeration requires a finite field")
     if d < 1:
         raise ValueError("enumeration requires d >= 1")
+    if shard is not None and not 0 <= shard[0] < shard[1]:
+        raise ValueError(f"shard {shard[0]}:{shard[1]} needs 0 <= index < count")
+    return _arrays(field, d, budget, shard)
+
+
+def _arrays(field: Field, d: int, budget: Optional[int],
+            shard: Optional[tuple[int, int]]) -> Iterator[ParameterArray]:
     order = field.order()
     if order < d + 1:
         return

@@ -1,10 +1,14 @@
 """Command line behaviour: output shapes, exit codes, round trips."""
 
+import contextlib
+import io
 import json
 import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leonard import FamilyParams, FieldSpec, generate, make_field
 from leonard.cli import main
@@ -205,6 +209,46 @@ def test_enumerate_limit_and_shard(capsys):
         full.update(text.splitlines())
     code3, whole, _ = run(capsys, "enumerate", "--field", "prime:3", "--d", "1")
     assert full == set(whole.splitlines())
+
+
+@pytest.mark.parametrize("shard", ["0:0", "3:2", "0:-1"])
+def test_enumerate_bad_shard_is_exit_2(capsys, shard):
+    code, out, err = run(capsys, "enumerate", "--field", "prime:3", "--d", "1",
+                         f"--shard={shard}")
+    assert (code, out) == (2, "")
+    assert err.startswith("bad input: ") and "0 <= index < count" in err
+
+
+def test_enumerate_limit_zero_prints_nothing(capsys):
+    assert run(capsys, "enumerate", "--field", "prime:5", "--d", "2",
+               "--limit", "0") == (0, "", "")
+
+
+def test_enumerate_negative_limit_is_exit_2(capsys):
+    code, out, err = run(capsys, "enumerate", "--field", "prime:5", "--d", "2",
+                         "--limit=-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("bad input: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(["prime:2", "prime:3", "ext:2:2:1,1,1",
+                              "rational", "prime:4"]),
+       d=st.integers(-2, 4), limit=st.integers(-2, 4) | st.none(),
+       shard=st.tuples(st.integers(-2, 4), st.integers(-2, 4)) | st.none(),
+       budget=st.integers(-2, 50))
+def test_enumerate_arguments_never_raise(field, d, limit, shard, budget):
+    argv = ["enumerate", f"--field={field}", f"--d={d}", f"--budget={budget}"]
+    if limit is not None:
+        argv.append(f"--limit={limit}")
+    if shard is not None:
+        argv.append(f"--shard={shard[0]}:{shard[1]}")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0 and limit is not None and limit >= 0:
+        assert len(out.getvalue().splitlines()) <= limit
 
 
 def test_round_trip_bytes(capsys, tmp_path):

@@ -6,6 +6,9 @@ import pytest
 
 from leonard import (
     CLOSED_FORM_FAMILIES,
+    FAMILY_PARAMS,
+    ORDINARY_FAMILIES,
+    Q_FAMILIES,
     CharacteristicMismatch,
     DenominatorPoleBeforeTermination,
     FamilyParams,
@@ -46,6 +49,31 @@ def test_registry_complete():
     assert "orphan" not in CLOSED_FORM_FAMILIES
     with pytest.raises(ValueError):
         family_param_names("wilson")
+
+
+def test_family_lists_are_pinned():
+    # views of the family table; sample_params draws in the FAMILY_PARAMS order
+    assert list(FAMILY_PARAMS.items()) == [
+        ("q-racah", ("q", "h", "hstar", "s", "sstar", "r1", "r2")),
+        ("q-hahn", ("q", "h", "hstar", "sstar", "r")),
+        ("dual-q-hahn", ("q", "h", "hstar", "s", "r")),
+        ("quantum-q-krawtchouk", ("q", "hstar", "s", "r")),
+        ("q-krawtchouk", ("q", "h", "hstar", "sstar")),
+        ("affine-q-krawtchouk", ("q", "h", "hstar", "r")),
+        ("dual-q-krawtchouk", ("q", "h", "hstar", "s")),
+        ("racah", ("h", "hstar", "s", "sstar", "r1", "r2")),
+        ("hahn", ("hstar", "s", "sstar", "r")),
+        ("dual-hahn", ("h", "s", "sstar", "r")),
+        ("krawtchouk", ("r", "s", "sstar")),
+        ("bannai-ito", ("h", "hstar", "s", "sstar", "r1", "r2")),
+        ("orphan", ("h", "hstar", "s", "sstar", "r")),
+    ]
+    assert Q_FAMILIES == ("q-racah", "q-hahn", "dual-q-hahn",
+                          "quantum-q-krawtchouk", "q-krawtchouk",
+                          "affine-q-krawtchouk", "dual-q-krawtchouk")
+    assert ORDINARY_FAMILIES == ("racah", "hahn", "dual-hahn", "krawtchouk")
+    assert CLOSED_FORM_FAMILIES == Q_FAMILIES + ORDINARY_FAMILIES
+    assert list_families() == ALL
 
 
 def test_krawtchouk_matches_fixture(kraw2, kraw3):

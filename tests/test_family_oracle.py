@@ -1,5 +1,5 @@
-"""The eleven q- and ordinary-family builders, kept as the oracle for the
-family table.
+"""The eleven q- and ordinary-family builders and series displays, kept as
+the oracle for the family table.
 
 `generate` computes these families from the two classification normal forms
 (families.FAMILIES).  Each builder below is the hand-written formula that
@@ -7,6 +7,10 @@ preceded the table, unchanged, and `oracle_generate` is the `generate` that
 called them, with its characteristic check.  The table must give an equal
 array, or raise the same exception type with the same message, on sampled
 parameters and on unconstrained random values that trip the preconditions.
+
+`oracle_closed_form_spec` is the per-family series display that preceded the
+table's `series` rows, unchanged.  Both must sum to the same value, or raise
+the same exception type, at every (i, j).
 """
 
 import random
@@ -16,12 +20,15 @@ import pytest
 from leonard import (
     CharacteristicMismatch,
     FamilyParams,
+    HypergeomSpec,
     IdentityViolated,
     LeonardError,
+    closed_form_spec,
     extension_field,
     family_base,
     family_param_names,
     generate,
+    hypergeom_sum,
     make_array,
     prime_field,
     rational_field,
@@ -29,8 +36,10 @@ from leonard import (
     validate,
 )
 from leonard.families import (
+    CLOSED_FORM_FAMILIES,
     FAMILY_PARAMS,
     ORDINARY_FAMILIES,
+    Q_FAMILIES,
     _QPowers,
     _build_bannai_ito,
     _build_orphan,
@@ -374,3 +383,89 @@ def test_table_matches_the_builders(family, field_name):
             assert got == want, (family, field_name, d, fp.values)
             compared += 1
     assert compared >= 48
+
+
+def oracle_closed_form_spec(fp: FamilyParams, i: int, j: int) -> HypergeomSpec:
+    """The terminating series equal to f_i(theta_j) for display families."""
+    family, v = fp.family, fp.values
+    if family not in CLOSED_FORM_FAMILIES:
+        raise ValueError(f"{family} has no terminating series display")
+    F = fp.field
+    d = fp.d
+    if family in Q_FAMILIES:
+        q = v["q"]
+        qq = _QPowers(q)
+        qi, qj, qd = qq(-i), qq(-j), qq(-d)
+        if family == "q-racah":
+            return HypergeomSpec("basic",
+                                 (qi, v["sstar"] * qq(i + 1), qj, v["s"] * qq(j + 1)),
+                                 (v["r1"] * q, v["r2"] * q, qd), q, q)
+        if family == "q-hahn":
+            return HypergeomSpec("basic",
+                                 (qi, v["sstar"] * qq(i + 1), qj),
+                                 (v["r"] * q, qd), q, q)
+        if family == "dual-q-hahn":
+            return HypergeomSpec("basic",
+                                 (qi, qj, v["s"] * qq(j + 1)),
+                                 (v["r"] * q, qd), q, q)
+        if family == "quantum-q-krawtchouk":
+            z = v["s"] * v["r"].inverse() * qq(j + 1)
+            return HypergeomSpec("basic", (qi, qj), (qd,), z, q)
+        if family == "q-krawtchouk":
+            return HypergeomSpec("basic",
+                                 (qi, v["sstar"] * qq(i + 1), qj),
+                                 (F.zero(), qd), q, q)
+        if family == "affine-q-krawtchouk":
+            return HypergeomSpec("basic",
+                                 (qi, F.zero(), qj),
+                                 (v["r"] * q, qd), q, q)
+        # dual-q-krawtchouk
+        return HypergeomSpec("basic",
+                             (qi, qj, v["s"] * qq(j + 1)),
+                             (F.zero(), qd), q, q)
+    N = F.from_int
+    one = F.one()
+    if family == "racah":
+        return HypergeomSpec("ordinary",
+                             (N(-i), N(i + 1) + v["sstar"], N(-j), N(j + 1) + v["s"]),
+                             (v["r1"] + one, v["r2"] + one, N(-d)), one)
+    if family == "hahn":
+        return HypergeomSpec("ordinary",
+                             (N(-i), N(i + 1) + v["sstar"], N(-j)),
+                             (v["r"] + one, N(-d)), one)
+    if family == "dual-hahn":
+        return HypergeomSpec("ordinary",
+                             (N(-i), N(-j), N(j + 1) + v["s"]),
+                             (v["r"] + one, N(-d)), one)
+    # krawtchouk
+    z = v["s"] * v["sstar"] * v["r"].inverse()
+    return HypergeomSpec("ordinary", (N(-i), N(-j)), (N(-d),), z)
+
+
+def series_outcome(spec_of, fp, i, j):
+    """The series sum at (i, j), or the type of the exception it raised."""
+    try:
+        return hypergeom_sum(spec_of(fp, i, j), fp.d + 2)
+    except (LeonardError, ZeroDivisionError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("field_name", list(FIELDS))
+@pytest.mark.parametrize("family", list(CLOSED_FORM_FAMILIES))
+def test_series_rows_match_the_old_displays(family, field_name):
+    field = FIELDS[field_name]
+    rng = random.Random(f"series {family} {field_name}")
+    sums = 0
+    for d in range(1, 6):
+        cases = [sample_params(family, d, field, rng) for _ in range(2)]
+        cases = [fp for fp in cases if fp is not None]
+        sums += len(cases)
+        cases += [FamilyParams(family, d, random_values(family, d, field, rng))
+                  for _ in range(2)]
+        for fp in cases:
+            for i in range(d + 1):
+                for j in range(d + 1):
+                    want = series_outcome(oracle_closed_form_spec, fp, i, j)
+                    got = series_outcome(closed_form_spec, fp, i, j)
+                    assert got == want, (family, field_name, d, i, j, fp.values)
+    assert sums >= 2

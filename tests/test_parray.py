@@ -229,6 +229,13 @@ def test_enumeration_shards_partition():
     assert sorted(map(hash, merged)) == sorted(map(hash, whole))
 
 
+@pytest.mark.parametrize("shard", [(0, 0), (3, 2), (2, 2), (0, -1), (-1, 2)])
+def test_enumeration_rejects_a_shard_outside_its_count(shard):
+    # raised at the call, so even a caller that asks for no array sees it
+    with pytest.raises(ValueError, match="0 <= index < count"):
+        enumerate_arrays(prime_field(3), 1, shard=shard)
+
+
 def test_enumeration_gf2_empty():
     f2 = prime_field(2)
     assert list(enumerate_arrays(f2, 1)) == []
