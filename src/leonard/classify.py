@@ -16,15 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import NeedsFieldExtension, NoCaseMatched, SingularMatrix
 from .fields import Field, FieldElement, splitting_field
-from .families import (
-    FAMILIES,
-    FamilyParams,
-    _FORMS,
-    _QPowers,
-    generate,
-    ordinary_eigenvalues,
-    q_eigenvalues,
-)
+from .families import FAMILIES, FamilyParams, _FORMS, _QPowers, generate
 from .parray import ParameterArray, base_candidates, make_array
 from .splitmat import SquareMatrix
 
@@ -71,6 +63,8 @@ def fit_closed_form_theta(theta: Sequence[FieldElement], q: FieldElement,
     d = len(theta) - 1
     zero, one = F.zero(), F.one()
 
+    if case not in _FORMS:
+        raise ValueError(f"unknown case {case!r}")
     if case == "I":
         if q == zero or q == one or q == -one:
             return None
@@ -83,41 +77,25 @@ def fit_closed_form_theta(theta: Sequence[FieldElement], q: FieldElement,
                 eta, mu, h = SquareMatrix.from_rows(F, rows).solve(list(theta[:3]))
             except SingularMatrix:
                 return None
-        if list(theta) != q_eigenvalues(_QPowers(q), d, eta, mu, h):
-            return None
-        return eta, mu, h
-
-    if case == "II":
-        if F.characteristic() == 2:
-            return None
+    elif F.characteristic() == 2:  # cases II and III divide by 2
+        return None
+    elif case == "II":
         if d == 1:
             eta, mu, h = theta[0], theta[1] - theta[0], zero
         else:
             h = (theta[2] - theta[1] - (theta[1] - theta[0])) / F.from_int(2)
             mu = theta[1] - theta[0] - 2 * h
             eta = theta[0]
-        if list(theta) != ordinary_eigenvalues(F.from_int, d, eta, mu, h):
-            return None
-        return eta, mu, h
-
-    if case == "III":
-        if F.characteristic() == 2:
-            return None
-        if d == 1:
-            eta = theta[0]
-            mu = zero
-            h = (theta[0] - theta[1]) / F.from_int(2)
-        else:
-            h = (theta[2] - theta[0]) / F.from_int(4)
-            mu = (theta[0] - theta[1]) / F.from_int(2) - h
-            eta = theta[0] - mu
-        for i in range(d + 1):
-            sign = one if i % 2 == 0 else -one
-            if theta[i] != eta + (mu + 2 * h * F.from_int(i)) * sign:
-                return None
-        return eta, mu, h
-
-    raise ValueError(f"unknown case {case!r}")
+    elif d == 1:  # case III
+        eta, mu, h = theta[0], zero, (theta[0] - theta[1]) / F.from_int(2)
+    else:
+        h = (theta[2] - theta[0]) / F.from_int(4)
+        mu = (theta[0] - theta[1]) / F.from_int(2) - h
+        eta = theta[0] - mu
+    P = _QPowers(q) if case == "I" else F.from_int
+    if list(theta) != _FORMS[case].eigenvalues(P, d, eta, mu, h):
+        return None
+    return eta, mu, h
 
 
 def _compose(outer: Callable, inner: Callable) -> Callable:
@@ -144,9 +122,9 @@ def _make_witness(case: str, family: str, q: FieldElement, field: Field,
 
 
 def _normal_form(p: ParameterArray, case: str, q: FieldElement) -> Optional[dict]:
-    """Fit p to the normal form of case I or II (families._FORMS) at base q:
-    theta and theta*, then tau from varphi_1, then both split sequences.
-    The fitted coordinates, or None where any of them does not fit."""
+    """Fit p to the normal form of case I, II or III (families._FORMS) at
+    base q: theta and theta*, then tau from varphi_1, then both split
+    sequences.  The fitted coordinates, or None where one does not fit."""
     fit = fit_closed_form_theta(p.theta, q, case)
     fit_star = fit_closed_form_theta(p.theta_star, q, case)
     if fit is None or fit_star is None:
@@ -154,16 +132,10 @@ def _normal_form(p: ParameterArray, case: str, q: FieldElement) -> Optional[dict
     eta, mu, h = fit
     etas, mus, hs = fit_star
     d = p.d
-    if case == "I":
-        P = _QPowers(q)
-        tau = (p.varphi[0] / ((q - 1) * (P(d) - 1))
-               + mu * mus + h * hs * P(-1 - d))
-    else:
-        P = p.field.from_int
-        # A verified quadratic fit of an injective sequence forces char 0 or
-        # > d, so dividing by d is safe.
-        tau = p.varphi[0] / P(d) + (mu * hs + h * mus) + h * hs * P(d + 2)
-    if _FORMS[case][1](P, d, mu, mus, h, hs, tau) != (list(p.varphi), list(p.phi)):
+    P = _QPowers(q) if case == "I" else p.field.from_int
+    form = _FORMS[case]
+    tau = form.tau(P, d, mu, mus, h, hs, p.varphi[0])
+    if form.splits(P, d, mu, mus, h, hs, tau) != (list(p.varphi), list(p.phi)):
         return None
     return {"eta": eta, "mu": mu, "h": h, "eta_star": etas, "mu_star": mus,
             "h_star": hs, "tau": tau}
@@ -185,13 +157,12 @@ def _from_table(case: str, p: ParameterArray, field: Field, q: FieldElement,
     fam = FAMILIES[family]
     named = {"theta0": p.theta[0], "thetastar0": p.theta_star[0],
              **fam.scalars(c, q, p.d)}
-    ext, lift2 = field, _identity
-    if fam.roots is not None:
-        total, product = fam.roots(c, q, p.d)
-        ext, lift2, (r1, r2) = splitting_field(field, -total, product)
+    ext, lift2, roots = field, _identity, ()
+    pair = fam.roots(c, q, p.d) if fam.roots is not None else None
+    if pair is not None:  # (r1 + r2, r1 r2)
+        ext, lift2, roots = splitting_field(field, -pair[0], pair[1])
     values = {k: lift2(v) for k, v in named.items()}
-    if fam.roots is not None:
-        values.update(r1=r1, r2=r2)
+    values.update(zip(("r1", "r2"), roots))
     inter = {k: lift2(v) for k, v in data.items()}
     both = _compose(lift2, lift)
     return _make_witness(case, family, lift2(q), ext, both, inter, p.d,
@@ -226,47 +197,13 @@ def _case1(p: ParameterArray, field: Field, lift: Callable,
     return _from_table("I", p, field, q, data, lift, source)
 
 
-def _case2(p: ParameterArray) -> Optional[ClassifierWitness]:
-    one = p.field.one()
-    data = _normal_form(p, "II", one)
+def _ground_case(p: ParameterArray, case: str,
+                 base: FieldElement) -> Optional[ClassifierWitness]:
+    """Case II (base 1) or III (base -1), fitted in p's own field."""
+    data = _normal_form(p, case, base)
     if data is None:
         return None
-    return _from_table("II", p, p.field, one, data, _identity, p)
-
-
-def _case3(p: ParameterArray) -> Optional[ClassifierWitness]:
-    F = p.field
-    fit = fit_closed_form_theta(p.theta, -F.one(), "III")
-    fit_star = fit_closed_form_theta(p.theta_star, -F.one(), "III")
-    if fit is None or fit_star is None:
-        return None
-    eta, mu, h = fit
-    etas, mus, hs = fit_star
-    if not h or not hs:
-        return None
-    d = p.d
-    N = F.from_int
-    s = 1 - mu / h
-    ss = 1 - mus / hs
-    total = N(d + 1) - s - ss  # r1 + r2
-    four = N(4) * h * hs
-    if d % 2 == 0:
-        # phi_1 sits on the odd branch and pins r2 alone.
-        r2 = p.varphi[0] / (four * N(d)) - 1
-        r1 = total - r2
-        ext, lift = F, _identity
-    else:
-        c = -p.varphi[0] / four      # (1 + r1)(1 + r2)
-        product = c - 1 - total
-        ext, lift, (r1, r2) = splitting_field(F, -total, product)
-    values = {"theta0": lift(p.theta[0]), "thetastar0": lift(p.theta_star[0]),
-              "h": lift(h), "hstar": lift(hs), "s": lift(s), "sstar": lift(ss),
-              "r1": r1, "r2": r2}
-    inter = {k: lift(v) for k, v in
-             {"eta": eta, "mu": mu, "h": h, "eta_star": etas,
-              "mu_star": mus, "h_star": hs}.items()}
-    return _make_witness("III", "bannai-ito", -ext.one(), ext, lift, inter,
-                         d, values, p, lift)
+    return _from_table(case, p, p.field, base, data, _identity, p)
 
 
 def _case4(p: ParameterArray) -> Optional[ClassifierWitness]:
@@ -317,9 +254,10 @@ def classify(p: ParameterArray) -> ClassifierWitness:
         if bc.kind == "in_field":
             q1, q2 = bc.roots
             if q1 == one:
-                w = _case4(p) if F.characteristic() == 2 else _case2(p)
+                w = (_case4(p) if F.characteristic() == 2
+                     else _ground_case(p, "II", one))
             elif q1 == -one:
-                w = _case3(p)
+                w = _ground_case(p, "III", q1)
             else:
                 w = _case1(p, F, _identity, (q1, q2), p)
         else:
@@ -336,9 +274,9 @@ def classify(p: ParameterArray) -> ClassifierWitness:
     # only surfaced when nothing else fits.
     deferred = None
     if F.characteristic() != 2:
-        for attempt in (_case2, _case3):
+        for case, base in (("II", one), ("III", -one)):
             try:
-                w = attempt(p)
+                w = _ground_case(p, case, base)
             except NoCaseMatched:
                 w = None
             except NeedsFieldExtension as e:

@@ -2,10 +2,11 @@
 
 Each family turns a short list of scalars into a full parameter array.  Every
 family is a row of one table, FAMILIES, and every list of families is a view
-of it.  The rows of the eleven q- and ordinary families place their scalars
-in the two classification normal forms (cases I and II); the same
-normal-form functions build their arrays here and check arrays in classify.
-Bannai-Ito and the orphan keep hand-written builders.
+of it.  The rows of the twelve q-, ordinary and Bannai-Ito families place
+their scalars in the three classification normal forms (cases I, II and
+III); the same normal-form functions build their arrays here and check
+arrays in classify.  Only the orphan, which exists at d = 3 in
+characteristic 2, keeps a hand-written builder.
 
 The preconditions on the scalars are exactly what the formulas need: products
 that appear in phi or varphi must not vanish, and the eigenvalue sequences
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     CharacteristicMismatch,
@@ -120,8 +121,9 @@ class _QPowers:
         return cache[abs(n)]
 
 
-# The two classification normal forms.  P(n) is q^n (a _QPowers) in case I
-# and the integer n as a field element in case II.
+# The three classification normal forms.  P(n) is q^n (a _QPowers) in case I
+# and the integer n as a field element in cases II and III.  Each form's
+# varphi and phi are affine in tau, and `tau` solves varphi_1 for it.
 
 def q_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
     """Case I: theta_i = eta + mu q^i + h q^-i."""
@@ -138,6 +140,10 @@ def q_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
         varphi.append(frame * (tau - mm * P(i - 1) - hh * P(-i - d)))
         phi.append(frame * (tau - hm * P(i - d - 1) - mh * P(-i)))
     return varphi, phi
+
+
+def q_tau(P, d, mu, mus, h, hs, varphi1) -> FieldElement:
+    return varphi1 / ((P(1) - 1) * (P(d) - 1)) + mu * mus + h * hs * P(-1 - d)
 
 
 def ordinary_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
@@ -162,59 +168,67 @@ def ordinary_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
     return varphi, phi
 
 
-_FORMS = {"I": (q_eigenvalues, q_splits),
-          "II": (ordinary_eigenvalues, ordinary_splits)}
+def ordinary_tau(P, d, mu, mus, h, hs, varphi1) -> FieldElement:
+    # A quadratic fit of an injective sequence forces characteristic 0 or
+    # above d, so dividing by d is safe.
+    return varphi1 / P(d) + (mu * hs + h * mus) + h * hs * P(d + 2)
 
 
-def _build_bannai_ito(field, d, v):
-    h, hs, s, ss, r1, r2 = (v["h"], v["hstar"], v["s"], v["sstar"],
-                            v["r1"], v["r2"])
-    fam = "bannai-ito"
-    N = field.from_int
-    _require(bool(h), fam, "h != 0")
-    _require(bool(hs), fam, "hstar != 0")
-    _require(r1 + r2 == -s - ss + N(d + 1), fam, "r1 + r2 = -s - s* + d + 1")
-    for i in range(1, d + 1):
-        _require(s != N(2 * i), fam, f"s != {2 * i}")
-        _require(ss != N(2 * i), fam, f"s* != {2 * i}")
-    if d % 2 == 0:
-        for i in range(2, d + 1, 2):
-            _require(r1 != -N(i), fam, f"r1 != -{i}")
-            _require(N(i) - ss - r1 != 0, fam, f"-s* - r1 != -{i}")
-        for i in range(1, d + 1, 2):
-            _require(r2 != -N(i), fam, f"r2 != -{i}")
-            _require(N(i) - ss - r2 != 0, fam, f"-s* - r2 != -{i}")
-    else:
-        for i in range(1, d + 1, 2):
-            _require(r1 != -N(i), fam, f"r1 != -{i}")
-            _require(r2 != -N(i), fam, f"r2 != -{i}")
-            _require(N(i) - ss - r1 != 0, fam, f"-s* - r1 != -{i}")
-            _require(N(i) - ss - r2 != 0, fam, f"-s* - r2 != -{i}")
+def alternating_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
+    """Case III: theta_i = eta + (mu + 2 h i) (-1)^i."""
+    h2 = h + h
+    terms = (mu + h2 * n for n in map(P, range(d + 1)))
+    return [eta - t if i % 2 else eta + t for i, t in enumerate(terms)]
 
-    theta, thetas = [], []
-    for i in range(d + 1):
-        sign = field.one() if i % 2 == 0 else -field.one()
-        theta.append(v["theta0"] + h * (s - 1 + (1 - s + N(2 * i)) * sign))
-        thetas.append(v["thetastar0"] + hs * (ss - 1 + (1 - ss + N(2 * i)) * sign))
 
-    four = N(4) * h * hs
+def alternating_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
+    """Case III (Bannai-Ito) varphi and phi, where mu = h (1 - s),
+    mu* = h* (1 - s*), r1 + r2 = d + 1 - s - s*, and tau = h h* r1 r2 for
+    odd d, h h* r2 for even d.  Odd d: varphi_i = phi_i = -4 h h* i (i-d-1)
+    at even i; varphi_i = -4 h h* (i+r1)(i+r2), phi_i =
+    -4 h h* (i-s*-r1)(i-s*-r2) at odd i.  Even d: varphi_i = -4 h h* f (i+r),
+    phi_i = 4 h h* f (i-s*-r), with (f, r) = (i, r1) at even i and
+    (i-d-1, r2) at odd i."""
+    hh, four = h * hs, P(4)
+    total = hh * P(d - 1) + h * mus + mu * hs  # h h* (r1 + r2)
+    hss = h * (hs - mus)                        # h h* s*
     varphi, phi = [], []
     for i in range(1, d + 1):
-        if d % 2 == 0:
-            if i % 2 == 0:
-                varphi.append(-four * N(i) * (N(i) + r1))
-                phi.append(four * N(i) * (N(i) - ss - r1))
-            else:
-                varphi.append(-four * (N(i) - N(d + 1)) * (N(i) + r2))
-                phi.append(four * (N(i) - N(d + 1)) * (N(i) - ss - r2))
+        n, m = P(i), P(i - d - 1)
+        if d % 2 and i % 2 == 0:
+            varphi.append(-four * hh * n * m)
+            phi.append(varphi[-1])
+        elif d % 2:
+            varphi.append(-four * (n * (hh * n + total) + tau))
+            phi.append(-four * ((hs * n - hs + mus) * (h * m + h - mu) + tau))
         else:
-            if i % 2 == 0:
-                varphi.append(-four * N(i) * (N(i) - N(d + 1)))
-                phi.append(-four * N(i) * (N(i) - N(d + 1)))
-            else:
-                varphi.append(-four * (N(i) + r1) * (N(i) + r2))
-                phi.append(-four * (N(i) - ss - r1) * (N(i) - ss - r2))
-    return theta, thetas, varphi, phi
+            f, r = (n, total - tau) if i % 2 == 0 else (m, tau)
+            varphi.append(-four * f * (hh * n + r))
+            phi.append(four * f * (hh * n - hss - r))
+    return varphi, phi
+
+
+def alternating_tau(P, d, mu, mus, h, hs, varphi1) -> FieldElement:
+    if d % 2:
+        return -varphi1 / P(4) - h * hs * P(d) - h * mus - mu * hs
+    # An injective case-III sequence forces an odd characteristic above d/2,
+    # so an even d is invertible.
+    return varphi1 / P(4 * d) - h * hs
+
+
+class NormalForm(NamedTuple):
+    eigenvalues: Callable
+    splits: Callable
+    tau: Callable
+    eta: Callable  # (theta_0, mu, h) -> eta
+
+
+_FORMS = {"I": NormalForm(q_eigenvalues, q_splits, q_tau,
+                          lambda theta0, mu, h: theta0 - mu - h),
+          "II": NormalForm(ordinary_eigenvalues, ordinary_splits, ordinary_tau,
+                           lambda theta0, mu, h: theta0),
+          "III": NormalForm(alternating_eigenvalues, alternating_splits,
+                            alternating_tau, lambda theta0, mu, h: theta0 - mu)}
 
 
 def _build_orphan(field, d, v):
@@ -239,6 +253,35 @@ def _build_orphan(field, d, v):
     return theta, thetas, varphi, phi
 
 
+def _bannai_ito_checks(v, d, N):
+    """Bannai-Ito's preconditions after its relation, as (holds, message):
+    s and s* avoid 2i, then the factors i + r and i - s* - r of the splits
+    avoid 0 for r1 at the even i and r2 at the odd i when d is even, and for
+    both at the odd i when d is odd."""
+    for i in range(1, d + 1):
+        yield v.s != N(2 * i), f"s != {2 * i}"
+        yield v.sstar != N(2 * i), f"s* != {2 * i}"
+    if d % 2 == 0:
+        runs = ((range(2, d + 1, 2), ("r1",)), (range(1, d + 1, 2), ("r2",)))
+    else:
+        runs = ((range(1, d + 1, 2), ("r1", "r2")),)
+    for indices, names in runs:
+        for i in indices:
+            for name in names:
+                yield getattr(v, name) != -N(i), f"{name} != -{i}"
+            for name in names:
+                yield N(i) - v.sstar - getattr(v, name) != 0, f"-s* - {name} != -{i}"
+
+
+def _bannai_ito_scalars(c, q, d):
+    s, sstar = 1 - c.mu / c.h, 1 - c.mu_star / c.h_star
+    named = dict(h=c.h, hstar=c.h_star, s=s, sstar=sstar)
+    if d % 2 == 0:  # tau = h h* r2
+        r2 = c.tau / (c.h * c.h_star)
+        named.update(r1=(d + 1) - s - sstar - r2, r2=r2)
+    return named
+
+
 # Characteristic rules: (holds(char, d), what the family needs)
 _ABOVE_D = (lambda char, d: char == 0 or char > d, "characteristic 0 or above {d}")
 _ODD_ABOVE_HALF_D = (lambda char, d: char == 0 or (char > 2 and 2 * char > d),
@@ -261,23 +304,27 @@ def _q_racah_series(v, d, i, j, P):
 class Family:
     """One row of the family table, the only description of its family.
 
-    `case` is the classification case: I and II are the normal forms above,
-    III (bannai-ito) and IV (the orphan) keep a hand-written `build`.
-    `params` names the family's scalars in the order sample_params draws
-    them.  For cases I and II, `coords(v, d, P)` maps the named scalars
-    (attributes of v) to (mu, mu*, h, h*, tau); eta and eta* follow from
-    theta0 and thetastar0.  `scalars(c, q, d)` inverts it for classify, from
-    the fitted c.mu, c.mu_star, c.h, c.h_star, c.tau, and `roots` gives the
-    sum and the product of r1 and r2 where the family has them.  `pattern`
-    says which of (mu, mu*, h, h*, tau) must not vanish (True), must vanish
-    (False) or may do either (None).  `series(v, d, i, j, P)` is the
-    terminating series equal to f_i(theta_j), for the families that have one.
+    `case` is the classification case: I, II and III are the normal forms
+    above; IV, the orphan, keeps a hand-written `build`.  `params` names the
+    family's scalars in the order sample_params draws them.  For cases I-III,
+    `coords(v, d, P)` maps the named scalars (attributes of v) to
+    (mu, mu*, h, h*, tau); eta and eta* follow from theta0 and thetastar0.
+    `scalars(c, q, d)` inverts it for classify, from the fitted c.mu,
+    c.mu_star, c.h, c.h_star, c.tau, and `roots(c, q, d)` gives the sum and
+    the product of r1 and r2 where they come from a quadratic.  Bannai-Ito's
+    tau is h h* r1 r2 for odd d, where `roots` gives that pair, and h h* r2
+    for even d, where `roots` gives None and `scalars` gives r1 and r2, whose
+    order matters there.  `pattern` says which of (mu, mu*, h, h*, tau) must
+    not vanish (True), must vanish (False) or may do either (None).
+    `series(v, d, i, j, P)` is the terminating series equal to f_i(theta_j),
+    for the families that have one.
 
     The preconditions run in this order: each name in `nonzero` (in case I,
     every named scalar) != 0, the `relation`, then for 1 <= i <= d (after
-    q^i != 1 in case I) each factor of `steps`, and for 2 <= i <= 2d each
-    factor of `doubled`.  Case I requires x q^i != 1 for a factor x = a or
-    a/b of named scalars ("sstar/r1" reads "s* q^i / r1 != 1"); case II
+    q^i != 1 in case I) each factor of `steps`, for 2 <= i <= 2d each
+    factor of `doubled`, and last the (holds, message) pairs that
+    `checks(v, d, P)` yields.  Case I requires x q^i != 1 for a factor x = a
+    or a/b of named scalars ("sstar/r1" reads "s* q^i / r1 != 1"); case II
     requires x != -i for x the first term minus the others, where d and 1 may
     appear ("r-s-d-1").
     """
@@ -291,6 +338,7 @@ class Family:
     relation: Optional[tuple[str, Callable]] = None
     steps: tuple[str, ...] = ()
     doubled: tuple[str, ...] = ()
+    checks: Optional[Callable] = None
     coords: Optional[Callable] = None
     scalars: Optional[Callable] = None
     roots: Optional[Callable] = None
@@ -399,8 +447,18 @@ FAMILIES: dict[str, Family] = {
         scalars=lambda c, q, d: dict(s=c.mu, sstar=c.mu_star, r=-c.tau),
         series=lambda v, d, i, j, N: HypergeomSpec(
             "ordinary", (N(-i), N(-j)), (N(-d),), v.s * v.sstar * v.r.inverse())),
-    "bannai-ito": Family("III", ("h", "hstar", "s", "sstar", "r1", "r2"),
-                         _ODD_ABOVE_HALF_D, build=_build_bannai_ito),
+    "bannai-ito": Family(
+        "III", ("h", "hstar", "s", "sstar", "r1", "r2"), _ODD_ABOVE_HALF_D,
+        pattern=(None, None, True, True, None), nonzero=("h", "hstar"),
+        relation=("r1 + r2 = -s - s* + d + 1",
+                  lambda v, d, P: v.r1 + v.r2 == -v.s - v.sstar + P(d + 1)),
+        checks=_bannai_ito_checks,
+        coords=lambda v, d, P: (v.h * (1 - v.s), v.hstar * (1 - v.sstar), v.h,
+                                v.hstar,
+                                v.h * v.hstar * (v.r1 * v.r2 if d % 2 else v.r2)),
+        scalars=_bannai_ito_scalars,
+        roots=lambda c, q, d: (c.mu / c.h + c.mu_star / c.h_star + (d - 1),
+                               c.tau / (c.h * c.h_star)) if d % 2 else None),
     "orphan": Family("IV", ("h", "hstar", "s", "sstar", "r"), _TWO,
                      build=_build_orphan),
 }
@@ -458,10 +516,12 @@ def _check_preconditions(family: str, fam: Family, v, d: int, P) -> None:
     doubled = [(expr, _factor(expr, fam.case, v, d)) for expr in fam.doubled]
     for i in range(2, 2 * d + 1):
         _check_factors(family, fam.case, doubled, P, i)
+    for holds, message in fam.checks(v, d, P) if fam.checks else ():
+        _require(holds, family, message)
 
 
 def _powers(fam: Family, v, field: Field) -> Callable[[int], FieldElement]:
-    """P(n) of the family's normal form: q^n in case I, n in case II."""
+    """P(n) of the family's normal form: q^n in case I, else n."""
     return _QPowers(v.q) if fam.case == "I" else field.from_int
 
 
@@ -471,13 +531,11 @@ def _from_normal_form(family: str, field: Field, d: int, values: dict):
     P = _powers(fam, v, field)
     _check_preconditions(family, fam, v, d, P)
     mu, mus, h, hs, tau = fam.coords(v, d, P)
-    eigenvalues, splits = _FORMS[fam.case]
-    if fam.case == "I":    # theta_0 = eta + mu + h
-        eta, etas = v.theta0 - mu - h, v.thetastar0 - mus - hs
-    else:
-        eta, etas = v.theta0, v.thetastar0
-    return (eigenvalues(P, d, eta, mu, h), eigenvalues(P, d, etas, mus, hs),
-            *splits(P, d, mu, mus, h, hs, tau))
+    form = _FORMS[fam.case]
+    eta, etas = form.eta(v.theta0, mu, h), form.eta(v.thetastar0, mus, hs)
+    return (form.eigenvalues(P, d, eta, mu, h),
+            form.eigenvalues(P, d, etas, mus, hs),
+            *form.splits(P, d, mu, mus, h, hs, tau))
 
 
 def family_base(fp: FamilyParams, field: Field) -> FieldElement:

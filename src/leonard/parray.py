@@ -370,10 +370,10 @@ def enumerate_arrays(
     phi_1) under the field's element order.
 
     Each (theta, theta*, phi_1) triple tried counts one kernel call against
-    the budget.  shard=(index, count), 0 <= index < count, keeps only theta
-    tuples whose position is congruent to index mod count, so shards
-    partition the output.  Bad arguments raise at the call, before any
-    array is asked for.
+    the budget, which must be at least 0.  shard=(index, count),
+    0 <= index < count, keeps only theta tuples whose position is congruent
+    to index mod count, so shards partition the output.  Bad arguments
+    raise at the call, before any array is asked for.
     """
     if not field.is_finite():
         raise TypeError("enumeration requires a finite field")
@@ -381,6 +381,8 @@ def enumerate_arrays(
         raise ValueError("enumeration requires d >= 1")
     if shard is not None and not 0 <= shard[0] < shard[1]:
         raise ValueError(f"shard {shard[0]}:{shard[1]} needs 0 <= index < count")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     return _arrays(field, d, budget, shard)
 
 

@@ -231,6 +231,14 @@ def test_enumerate_negative_limit_is_exit_2(capsys):
     assert err.startswith("bad input: ")
 
 
+@pytest.mark.parametrize("field, d", [("prime:5", 2), ("prime:2", 3)])
+def test_enumerate_negative_budget_is_exit_2(capsys, field, d):
+    code, out, err = run(capsys, "enumerate", "--field", field, "--d", str(d),
+                         "--budget=-2")
+    assert (code, out) == (2, "")
+    assert err == "bad input: budget must be at least 0, got -2\n"
+
+
 @settings(max_examples=150, deadline=None)
 @given(field=st.sampled_from(["prime:2", "prime:3", "ext:2:2:1,1,1",
                               "rational", "prime:4"]),

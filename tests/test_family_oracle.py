@@ -1,19 +1,26 @@
-"""The eleven q- and ordinary-family builders and series displays, kept as
-the oracle for the family table.
+"""The twelve q-, ordinary and Bannai-Ito family builders and series
+displays, kept as the oracle for the family table.
 
-`generate` computes these families from the two classification normal forms
-(families.FAMILIES).  Each builder below is the hand-written formula that
-preceded the table, unchanged, and `oracle_generate` is the `generate` that
-called them, with its characteristic check.  The table must give an equal
+`generate` computes these families from the three classification normal
+forms (families.FAMILIES).  Each builder below is the hand-written formula
+that preceded the table, unchanged, and `oracle_generate` is the `generate`
+that called them, with its characteristic check.  The table must give an equal
 array, or raise the same exception type with the same message, on sampled
 parameters and on unconstrained random values that trip the preconditions.
 
 `oracle_closed_form_spec` is the per-family series display that preceded the
 table's `series` rows, unchanged.  Both must sum to the same value, or raise
 the same exception type, at every (i, j).
+
+`_case3` is the Bannai-Ito classifier that preceded the case-III normal form,
+unchanged, over the case-III theta fit it called.  `leonard classify` must
+print the same witness with it as without it.
 """
 
+import importlib
+import json
 import random
+from typing import Optional
 
 import pytest
 
@@ -41,12 +48,16 @@ from leonard.families import (
     ORDINARY_FAMILIES,
     Q_FAMILIES,
     _QPowers,
-    _build_bannai_ito,
     _build_orphan,
     _require,
 )
-from leonard.fields import _find_irreducible
-from leonard.parray import beta_plus_one
+from leonard.classify import ClassifierWitness, _identity, _make_witness
+from leonard.cli import main
+from leonard.fields import _find_irreducible, splitting_field
+from leonard.parray import ParameterArray, beta_plus_one
+
+# the module, which the package's `classify` function shadows
+classify_module = importlib.import_module("leonard.classify")
 
 
 def _build_q_racah(field, d, v):
@@ -279,6 +290,57 @@ def _build_krawtchouk(field, d, v):
     return theta, thetas, varphi, phi
 
 
+def _build_bannai_ito(field, d, v):
+    h, hs, s, ss, r1, r2 = (v["h"], v["hstar"], v["s"], v["sstar"],
+                            v["r1"], v["r2"])
+    fam = "bannai-ito"
+    N = field.from_int
+    _require(bool(h), fam, "h != 0")
+    _require(bool(hs), fam, "hstar != 0")
+    _require(r1 + r2 == -s - ss + N(d + 1), fam, "r1 + r2 = -s - s* + d + 1")
+    for i in range(1, d + 1):
+        _require(s != N(2 * i), fam, f"s != {2 * i}")
+        _require(ss != N(2 * i), fam, f"s* != {2 * i}")
+    if d % 2 == 0:
+        for i in range(2, d + 1, 2):
+            _require(r1 != -N(i), fam, f"r1 != -{i}")
+            _require(N(i) - ss - r1 != 0, fam, f"-s* - r1 != -{i}")
+        for i in range(1, d + 1, 2):
+            _require(r2 != -N(i), fam, f"r2 != -{i}")
+            _require(N(i) - ss - r2 != 0, fam, f"-s* - r2 != -{i}")
+    else:
+        for i in range(1, d + 1, 2):
+            _require(r1 != -N(i), fam, f"r1 != -{i}")
+            _require(r2 != -N(i), fam, f"r2 != -{i}")
+            _require(N(i) - ss - r1 != 0, fam, f"-s* - r1 != -{i}")
+            _require(N(i) - ss - r2 != 0, fam, f"-s* - r2 != -{i}")
+
+    theta, thetas = [], []
+    for i in range(d + 1):
+        sign = field.one() if i % 2 == 0 else -field.one()
+        theta.append(v["theta0"] + h * (s - 1 + (1 - s + N(2 * i)) * sign))
+        thetas.append(v["thetastar0"] + hs * (ss - 1 + (1 - ss + N(2 * i)) * sign))
+
+    four = N(4) * h * hs
+    varphi, phi = [], []
+    for i in range(1, d + 1):
+        if d % 2 == 0:
+            if i % 2 == 0:
+                varphi.append(-four * N(i) * (N(i) + r1))
+                phi.append(four * N(i) * (N(i) - ss - r1))
+            else:
+                varphi.append(-four * (N(i) - N(d + 1)) * (N(i) + r2))
+                phi.append(four * (N(i) - N(d + 1)) * (N(i) - ss - r2))
+        else:
+            if i % 2 == 0:
+                varphi.append(-four * N(i) * (N(i) - N(d + 1)))
+                phi.append(-four * N(i) * (N(i) - N(d + 1)))
+            else:
+                varphi.append(-four * (N(i) + r1) * (N(i) + r2))
+                phi.append(-four * (N(i) - ss - r1) * (N(i) - ss - r2))
+    return theta, thetas, varphi, phi
+
+
 ORACLE_BUILDERS = {
     "q-racah": _build_q_racah,
     "q-hahn": _build_q_hahn,
@@ -291,8 +353,8 @@ ORACLE_BUILDERS = {
     "hahn": _build_hahn,
     "dual-hahn": _build_dual_hahn,
     "krawtchouk": _build_krawtchouk,
-    # these two keep their builders in the package
     "bannai-ito": _build_bannai_ito,
+    # the orphan keeps its builder in the package
     "orphan": _build_orphan,
 }
 
@@ -469,3 +531,122 @@ def test_series_rows_match_the_old_displays(family, field_name):
                     got = series_outcome(closed_form_spec, fp, i, j)
                     assert got == want, (family, field_name, d, i, j, fp.values)
     assert sums >= 2
+
+
+def fit_closed_form_theta(theta, q, case):
+    """The case-III branch of classify.fit_closed_form_theta as it was."""
+    assert case == "III"
+    F = theta[0].field
+    d = len(theta) - 1
+    zero, one = F.zero(), F.one()
+    if F.characteristic() == 2:
+        return None
+    if d == 1:
+        eta = theta[0]
+        mu = zero
+        h = (theta[0] - theta[1]) / F.from_int(2)
+    else:
+        h = (theta[2] - theta[0]) / F.from_int(4)
+        mu = (theta[0] - theta[1]) / F.from_int(2) - h
+        eta = theta[0] - mu
+    for i in range(d + 1):
+        sign = one if i % 2 == 0 else -one
+        if theta[i] != eta + (mu + 2 * h * F.from_int(i)) * sign:
+            return None
+    return eta, mu, h
+
+
+def _case3(p: ParameterArray) -> Optional[ClassifierWitness]:
+    F = p.field
+    fit = fit_closed_form_theta(p.theta, -F.one(), "III")
+    fit_star = fit_closed_form_theta(p.theta_star, -F.one(), "III")
+    if fit is None or fit_star is None:
+        return None
+    eta, mu, h = fit
+    etas, mus, hs = fit_star
+    if not h or not hs:
+        return None
+    d = p.d
+    N = F.from_int
+    s = 1 - mu / h
+    ss = 1 - mus / hs
+    total = N(d + 1) - s - ss  # r1 + r2
+    four = N(4) * h * hs
+    if d % 2 == 0:
+        # phi_1 sits on the odd branch and pins r2 alone.
+        r2 = p.varphi[0] / (four * N(d)) - 1
+        r1 = total - r2
+        ext, lift = F, _identity
+    else:
+        c = -p.varphi[0] / four      # (1 + r1)(1 + r2)
+        product = c - 1 - total
+        ext, lift, (r1, r2) = splitting_field(F, -total, product)
+    values = {"theta0": lift(p.theta[0]), "thetastar0": lift(p.theta_star[0]),
+              "h": lift(h), "hstar": lift(hs), "s": lift(s), "sstar": lift(ss),
+              "r1": r1, "r2": r2}
+    inter = {k: lift(v) for k, v in
+             {"eta": eta, "mu": mu, "h": h, "eta_star": etas,
+              "mu_star": mus, "h_star": hs}.items()}
+    return _make_witness("III", "bannai-ito", -ext.one(), ext, lift, inter,
+                         d, values, p, lift)
+
+
+def witness_json(step, p):
+    """What `leonard classify` prints of the witness that step finds, or the
+    exception type and message."""
+    try:
+        w = step(p)
+    except LeonardError as e:
+        return type(e), str(e)
+    return json.dumps({"case": w.case, "family": w.family,
+                       "parameters": w.params.to_json(),
+                       "field_of_witness": w.field.spec.to_json()})
+
+
+CLASSIFY_FIELDS = {
+    "Q": rational_field(),
+    "GF(11)": prime_field(11),
+    "GF(101)": prime_field(101),
+    "GF(3^3)": FIELDS["GF(3^3)"],
+}
+
+
+@pytest.mark.parametrize("field_name", list(CLASSIFY_FIELDS))
+def test_case3_witness_matches_the_old_classifier(field_name, capsys,
+                                                  monkeypatch, tmp_path):
+    field = CLASSIFY_FIELDS[field_name]
+    rng = random.Random(f"case III {field_name}")
+    ground_case = classify_module._ground_case
+
+    def new_case3(p):
+        return ground_case(p, "III", -field.one())
+
+    def old_ground_case(p, case, base):
+        return _case3(p) if case == "III" else ground_case(p, case, base)
+
+    def classify_cli(path, step):
+        with monkeypatch.context() as m:
+            m.setattr(classify_module, "_ground_case", step)
+            code = main(["classify", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    printed_case3 = set()
+    for d in range(1, 9):
+        for k in range(3):
+            fp = sample_params("bannai-ito", d, field, rng)
+            if fp is None:
+                continue
+            p = generate(fp, field)
+            # the case-III step alone, at every d
+            assert witness_json(new_case3, p) == witness_json(_case3, p), (
+                field_name, d, fp.values)
+            # and everything classify prints
+            path = tmp_path / f"bi-{d}-{k}.json"
+            path.write_text(json.dumps(p.to_json()))
+            got = classify_cli(path, ground_case)
+            assert got == classify_cli(path, old_ground_case), (field_name, d)
+            if got[0] == 0 and json.loads(got[1])["case"] == "III":
+                printed_case3.add(d)
+    want = set(range(3, 9)) if field.characteristic() != 3 else {3, 4, 5}
+    assert printed_case3 >= want

@@ -248,6 +248,13 @@ def test_enumeration_respects_budget():
         list(enumerate_arrays(f5, 2, budget=10))
 
 
+def test_enumeration_rejects_a_negative_budget_at_the_call():
+    # GF(2) has no d = 3 arrays, so only a check at the call can see it
+    for field, d in ((prime_field(5), 2), (prime_field(2), 3)):
+        with pytest.raises(ValueError, match="budget must be at least 0"):
+            enumerate_arrays(field, d, budget=-1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 60))
 def test_d1_completion_exactly_when_varphi_nonzero(a, b, v):
