@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from .errors import NeedsFieldExtension, NoCaseMatched, SingularMatrix
+from .errors import NeedsFieldExtension, NoCaseMatched
 from .fields import Field, FieldElement, splitting_field
-from .families import FAMILIES, FamilyParams, _FORMS, _QPowers, generate
+from .families import FAMILIES, FamilyParams, NormalForm, _FORMS, _powers, generate
 from .parray import ParameterArray, base_candidates, make_array
-from .splitmat import SquareMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,43 +58,19 @@ def fit_closed_form_theta(theta: Sequence[FieldElement], q: FieldElement,
     """
     if len(theta) < 2:
         raise ValueError("need at least two eigenvalues")
-    F = theta[0].field
-    d = len(theta) - 1
-    zero, one = F.zero(), F.one()
-
     if case not in _FORMS:
         raise ValueError(f"unknown case {case!r}")
-    if case == "I":
-        if q == zero or q == one or q == -one:
-            return None
-        if d == 1:
-            h = (theta[1] - theta[0]) / (q.inverse() - 1)
-            eta, mu = theta[0] - h, zero
-        else:
-            rows = [[one, q ** i, q ** (-i)] for i in range(3)]
-            try:
-                eta, mu, h = SquareMatrix.from_rows(F, rows).solve(list(theta[:3]))
-            except SingularMatrix:
-                return None
-    elif F.characteristic() == 2:  # cases II and III divide by 2
-        return None
-    elif case == "II":
-        if d == 1:
-            eta, mu, h = theta[0], theta[1] - theta[0], zero
-        else:
-            h = (theta[2] - theta[1] - (theta[1] - theta[0])) / F.from_int(2)
-            mu = theta[1] - theta[0] - 2 * h
-            eta = theta[0]
-    elif d == 1:  # case III
-        eta, mu, h = theta[0], zero, (theta[0] - theta[1]) / F.from_int(2)
-    else:
-        h = (theta[2] - theta[0]) / F.from_int(4)
-        mu = (theta[0] - theta[1]) / F.from_int(2) - h
-        eta = theta[0] - mu
-    P = _QPowers(q) if case == "I" else F.from_int
-    if list(theta) != _FORMS[case].eigenvalues(P, d, eta, mu, h):
-        return None
-    return eta, mu, h
+    return _fit(_FORMS[case], _powers(case, theta[0].field, q), theta)
+
+
+def _fit(form: NormalForm, P, theta: Sequence[FieldElement]) -> Optional[tuple]:
+    """(eta, mu, h) from the form's fit, if its eigenvalues give theta back."""
+    fit = form.fit(P, theta)
+    if fit is not None:
+        fit = (form.eta(theta[0], *fit), *fit)
+        if list(theta) == form.eigenvalues(P, len(theta) - 1, *fit):
+            return fit
+    return None
 
 
 def _compose(outer: Callable, inner: Callable) -> Callable:
@@ -125,15 +100,13 @@ def _normal_form(p: ParameterArray, case: str, q: FieldElement) -> Optional[dict
     """Fit p to the normal form of case I, II or III (families._FORMS) at
     base q: theta and theta*, then tau from varphi_1, then both split
     sequences.  The fitted coordinates, or None where one does not fit."""
-    fit = fit_closed_form_theta(p.theta, q, case)
-    fit_star = fit_closed_form_theta(p.theta_star, q, case)
+    form, P = _FORMS[case], _powers(case, p.field, q)
+    fit, fit_star = _fit(form, P, p.theta), _fit(form, P, p.theta_star)
     if fit is None or fit_star is None:
         return None
     eta, mu, h = fit
     etas, mus, hs = fit_star
     d = p.d
-    P = _QPowers(q) if case == "I" else p.field.from_int
-    form = _FORMS[case]
     tau = form.tau(P, d, mu, mus, h, hs, p.varphi[0])
     if form.splits(P, d, mu, mus, h, hs, tau) != (list(p.varphi), list(p.phi)):
         return None

@@ -5,7 +5,8 @@ family is a row of one table, FAMILIES, and every list of families is a view
 of it.  The rows of the twelve q-, ordinary and Bannai-Ito families place
 their scalars in the three classification normal forms (cases I, II and
 III); the same normal-form functions build their arrays here and check
-arrays in classify.  Only the orphan, which exists at d = 3 in
+arrays in classify, where each form also solves theta for (eta, mu, h) and
+varphi_1 for tau.  Only the orphan, which exists at d = 3 in
 characteristic 2, keeps a hand-written builder.
 
 The preconditions on the scalars are exactly what the formulas need: products
@@ -27,7 +28,7 @@ from .errors import (
     PreconditionViolated,
     SeriesDoesNotTerminate,
 )
-from .fields import Field, FieldElement, make_field, FieldSpec
+from .fields import Field, FieldElement, FieldSpec, json_int, make_field
 from .parray import ParameterArray, beta_plus_one, make_array, validate
 from .report import CheckReport
 
@@ -74,7 +75,7 @@ class FamilyParams:
             raise ValueError(
                 f"{family} takes parameters {sorted(names)}, got {sorted(given)}")
         values = {k: field.parse(v) for k, v in given.items()}
-        return FamilyParams(family=family, d=int(obj["d"]), values=values)
+        return FamilyParams(family=family, d=json_int(obj["d"], "d"), values=values)
 
 
 def characteristic_admissible(family: str, d: int, field: Field) -> bool:
@@ -121,13 +122,35 @@ class _QPowers:
         return cache[abs(n)]
 
 
+def _powers(case: str, field: Field,
+            q: Optional[FieldElement] = None) -> Callable[[int], FieldElement]:
+    """P(n) of a normal form: q^n in case I, else n as a field element."""
+    return _QPowers(q) if case == "I" else field.from_int
+
+
 # The three classification normal forms.  P(n) is q^n (a _QPowers) in case I
 # and the integer n as a field element in cases II and III.  Each form's
+# `fit` solves theta for (mu, h), and `eta` gives eta from theta_0; its
 # varphi and phi are affine in tau, and `tau` solves varphi_1 for it.
 
 def q_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
     """Case I: theta_i = eta + mu q^i + h q^-i."""
     return [eta + mu * P(i) + h * P(-i) for i in range(d + 1)]
+
+
+def q_fit(P, theta) -> Optional[tuple]:
+    """Case I (mu, h) from D1 = theta_1 - theta_0 and D2 = theta_2 - theta_1:
+    D2 - q D1 = h (q^-1 - 1)(q^-1 - q) and D2 - q^-1 D1 = mu (q - 1)(q - q^-1).
+    At d = 1, mu = 0.  None when q is 0, 1 or -1."""
+    q, one = P(1), P(0)
+    if not q or q == one or q == -one:
+        return None
+    qi, d1 = P(-1), theta[1] - theta[0]
+    if len(theta) == 2:
+        return theta[0].field.zero(), d1 / (qi - one)
+    d2 = theta[2] - theta[1]
+    return ((d2 - qi * d1) / ((q - one) * (q - qi)),
+            (d2 - q * d1) / ((qi - one) * (qi - q)))
 
 
 def q_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
@@ -150,6 +173,15 @@ def ordinary_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
     """Case II: theta_i = eta + (mu + h) i + h i^2."""
     slope = mu + h
     return [eta + n * (slope + h * n) for n in map(P, range(d + 1))]
+
+
+def ordinary_fit(P, theta) -> Optional[tuple]:
+    """Case II (mu, h): 2h is the second difference of theta, and h = 0 at
+    d = 1.  None in characteristic 2."""
+    if not P(2):
+        return None
+    h = (theta[2] - 2 * theta[1] + theta[0]) / P(2) if len(theta) > 2 else P(0)
+    return theta[1] - theta[0] - 2 * h, h
 
 
 def ordinary_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
@@ -179,6 +211,16 @@ def alternating_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
     h2 = h + h
     terms = (mu + h2 * n for n in map(P, range(d + 1)))
     return [eta - t if i % 2 else eta + t for i, t in enumerate(terms)]
+
+
+def alternating_fit(P, theta) -> Optional[tuple]:
+    """Case III (mu, h): theta_0 - theta_1 = 2 (mu + h) and theta_2 - theta_0
+    = 4h, and mu = 0 at d = 1.  None in characteristic 2."""
+    if not P(2):
+        return None
+    half = (theta[0] - theta[1]) / P(2)
+    h = (theta[2] - theta[0]) / P(4) if len(theta) > 2 else half
+    return half - h, h
 
 
 def alternating_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
@@ -217,18 +259,23 @@ def alternating_tau(P, d, mu, mus, h, hs, varphi1) -> FieldElement:
 
 
 class NormalForm(NamedTuple):
+    """One case's formulas (see above); classify inverts `eigenvalues` with
+    `fit` and `eta`, and the splits with `tau`."""
+
     eigenvalues: Callable
     splits: Callable
     tau: Callable
     eta: Callable  # (theta_0, mu, h) -> eta
+    fit: Callable  # (P, theta) -> (mu, h) or None
 
 
 _FORMS = {"I": NormalForm(q_eigenvalues, q_splits, q_tau,
-                          lambda theta0, mu, h: theta0 - mu - h),
+                          lambda theta0, mu, h: theta0 - mu - h, q_fit),
           "II": NormalForm(ordinary_eigenvalues, ordinary_splits, ordinary_tau,
-                           lambda theta0, mu, h: theta0),
+                           lambda theta0, mu, h: theta0, ordinary_fit),
           "III": NormalForm(alternating_eigenvalues, alternating_splits,
-                            alternating_tau, lambda theta0, mu, h: theta0 - mu)}
+                            alternating_tau, lambda theta0, mu, h: theta0 - mu,
+                            alternating_fit)}
 
 
 def _build_orphan(field, d, v):
@@ -520,15 +567,10 @@ def _check_preconditions(family: str, fam: Family, v, d: int, P) -> None:
         _require(holds, family, message)
 
 
-def _powers(fam: Family, v, field: Field) -> Callable[[int], FieldElement]:
-    """P(n) of the family's normal form: q^n in case I, else n."""
-    return _QPowers(v.q) if fam.case == "I" else field.from_int
-
-
 def _from_normal_form(family: str, field: Field, d: int, values: dict):
     fam = FAMILIES[family]
     v = SimpleNamespace(**values)
-    P = _powers(fam, v, field)
+    P = _powers(fam.case, field, getattr(v, "q", None))
     _check_preconditions(family, fam, v, d, P)
     mu, mus, h, hs, tau = fam.coords(v, d, P)
     form = _FORMS[fam.case]
@@ -646,7 +688,8 @@ def closed_form_spec(fp: FamilyParams, i: int, j: int) -> HypergeomSpec:
     if fam is None or fam.series is None:
         raise ValueError(f"{fp.family} has no terminating series display")
     v = SimpleNamespace(**fp.values)
-    return fam.series(v, fp.d, i, j, _powers(fam, v, fp.field))
+    P = _powers(fam.case, fp.field, getattr(v, "q", None))
+    return fam.series(v, fp.d, i, j, P)
 
 
 def verify_closed_form(p: ParameterArray, fp: FamilyParams) -> CheckReport:

@@ -76,15 +76,22 @@ class FieldSpec:
         if kind == "rational":
             return FieldSpec("rational")
         if kind == "prime":
-            return FieldSpec("prime", p=int(obj["p"]))
+            return FieldSpec("prime", p=json_int(obj["p"], "p"))
         if kind == "extension":
             return FieldSpec(
                 "extension",
-                p=int(obj["p"]),
-                k=int(obj["k"]),
-                modulus=tuple(int(c) for c in obj["modulus"]),
+                p=json_int(obj["p"], "p"),
+                k=json_int(obj["k"], "k"),
+                modulus=tuple(json_int(c, "modulus entry") for c in obj["modulus"]),
             )
         raise ValueError(f"unknown field kind {kind!r}")
+
+
+def json_int(value, name: str) -> int:
+    """An integer read from JSON; a float or a boolean is refused, not truncated."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # Miller-Rabin to these bases (the first twelve primes) decides every n below
@@ -406,7 +413,7 @@ class Field:
         return hash(self.spec)
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 

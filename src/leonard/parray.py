@@ -22,7 +22,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, LengthMismatch
-from .fields import Field, FieldElement, FieldSpec, make_field, quadratic_roots
+from .fields import (Field, FieldElement, FieldSpec, json_int, make_field,
+                     quadratic_roots)
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def array_from_json(obj: dict) -> ParameterArray:
         raise ValueError(f"unknown key {unknown[0]!r}; an array has the keys "
                          + ", ".join(ARRAY_KEYS))
     field = make_field(FieldSpec.from_json(obj["field"]))
-    d = int(obj["d"])
+    d = json_int(obj["d"], "d")
 
     def entries(key: str) -> tuple[FieldElement, ...]:
         raw = obj[key]
@@ -141,18 +142,14 @@ class ValidationReport:
         return out
 
 
-def _pa34_sums(p: ParameterArray) -> Optional[list[FieldElement]]:
-    """S_1..S_d, or None when theta_0 = theta_d makes them undefined."""
-    den = p.theta[0] - p.theta[p.d]
+def _pa34_sums(theta: Sequence[FieldElement]) -> Optional[list[FieldElement]]:
+    """S_i = sum_{h<i} (theta_h - theta_{d-h}) / (theta_0 - theta_d) for
+    i = 1..d, or None when theta_0 = theta_d makes them undefined."""
+    d, den = len(theta) - 1, theta[0] - theta[-1]
     if not den:
         return None
     inv = den.inverse()
-    sums = []
-    acc = p.field.zero()
-    for h in range(p.d):
-        acc = acc + (p.theta[h] - p.theta[p.d - h]) * inv
-        sums.append(acc)
-    return sums
+    return list(itertools.accumulate((theta[h] - theta[d - h]) * inv for h in range(d)))
 
 
 def validate(p: ParameterArray) -> ValidationReport:
@@ -170,7 +167,7 @@ def validate(p: ParameterArray) -> ValidationReport:
         if not p.phi[i - 1]:
             rep.add("PA2", (i,), f"phi_{i} = 0")
     if d >= 1:
-        sums = _pa34_sums(p)
+        sums = _pa34_sums(p.theta)
         if sums is None:
             rep.add("PA3", (0, d), "theta_0 = theta_d leaves the sum undefined")
             rep.add("PA4", (0, d), "theta_0 = theta_d leaves the sum undefined")
@@ -318,21 +315,17 @@ def complete_from_theta(
     d = len(theta) - 1
     if d < 1 or len(theta_star) != d + 1:
         raise LengthMismatch("need matching theta and theta* with d >= 1")
-    inv = (theta[0] - theta[d]).inverse()
+    sums = _pa34_sums(theta)
+    if sums is None:
+        return None
     ts0 = theta_star[0]
-    varphi = []
-    phi = []
-    acc = field.zero()
-    for i in range(1, d + 1):
-        acc = acc + (theta[i - 1] - theta[d - i + 1]) * inv
-        varphi.append(phi_1 * acc + (theta_star[i] - ts0) * (theta[i - 1] - theta[d]))
+    varphi = [phi_1 * s + (theta_star[i] - ts0) * (theta[i - 1] - theta[d])
+              for i, s in enumerate(sums, 1)]
     varphi_1 = varphi[0]
     if not varphi_1:
         return None
-    acc = field.zero()
-    for i in range(1, d + 1):
-        acc = acc + (theta[i - 1] - theta[d - i + 1]) * inv
-        phi.append(varphi_1 * acc + (theta_star[i] - ts0) * (theta[d - i + 1] - theta[0]))
+    phi = [varphi_1 * s + (theta_star[i] - ts0) * (theta[d - i + 1] - theta[0])
+           for i, s in enumerate(sums, 1)]
     if phi[0] != phi_1:
         return None
     for x in varphi:

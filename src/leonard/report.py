@@ -17,11 +17,3 @@ class CheckReport:
 
     def add(self, message: str) -> None:
         self.failures.append(message)
-
-    def __str__(self) -> str:
-        if self.skipped:
-            return f"{self.name}: skipped ({self.skipped})"
-        if self.ok():
-            return f"{self.name}: pass"
-        head = f"{self.name}: fail ({len(self.failures)} problem(s))"
-        return "\n  ".join([head] + self.failures)

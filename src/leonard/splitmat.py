@@ -59,10 +59,6 @@ class SquareMatrix:
         ent = list(entries)
         return SquareMatrix.build(field, len(ent), lambda i, j: ent[i] if i == j else zero)
 
-    def __getitem__(self, ij: tuple[int, int]) -> FieldElement:
-        i, j = ij
-        return self.rows[i][j]
-
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
         return SquareMatrix.build(self.field, self.n,
                                   lambda i, j: self.rows[i][j] + other.rows[i][j])
@@ -108,13 +104,6 @@ class SquareMatrix:
                     left[r] = [x - f * y for x, y in zip(left[r], left[col])]
                     right[r] = [x - f * y for x, y in zip(right[r], right[col])]
         return SquareMatrix.from_rows(self.field, right)
-
-    def solve(self, rhs: Sequence[FieldElement]) -> list[FieldElement]:
-        if len(rhs) != self.n:
-            raise ValueError("rhs length must equal n")
-        inv = self.inverse()
-        return [sum((a * b for a, b in zip(row, rhs)), start=self.field.zero())
-                for row in inv.rows]
 
     def to_json(self) -> dict:
         return {"n": self.n,

@@ -383,6 +383,48 @@ def test_array_file_schema_is_exit_2(capsys, tmp_path, key, value, message):
         assert err.startswith("bad input: ") and message in err
 
 
+def test_zero_denominator_is_exit_2(capsys, tmp_path):
+    obj = json.load(open(KRAW2))
+    obj["theta"] = ["0", "1/0"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    gen = ("gen", "krawtchouk", "--d", "2", "--field", "rational", "--param",
+           "s=1/0", "sstar=1", "r=2", "theta0=0", "thetastar0=0")
+    for argv in (("validate", str(bad)), gen):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "bad input: not a rational literal: '1/0'\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("field", {"kind": "prime", "p": 7.9}, "p must be an integer, got 7.9"),
+    ("field", {"kind": "prime", "p": True}, "p must be an integer, got True"),
+    ("field", {"kind": "extension", "p": 3, "k": 2.0, "modulus": [1, 0, 1]},
+     "k must be an integer, got 2.0"),
+    ("field", {"kind": "extension", "p": 3, "k": 2, "modulus": [1, 0.5, 1]},
+     "modulus entry must be an integer, got 0.5"),
+    ("d", 1.7, "d must be an integer, got 1.7"),
+])
+def test_json_float_is_exit_2(capsys, tmp_path, key, value, message):
+    obj = json.load(open(KRAW2))
+    obj[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "validate", "--emit", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"bad input: {message}\n"
+
+
+def test_family_params_json_refuses_a_float_diameter():
+    obj = {"family": "krawtchouk", "d": 2.5, "field": {"kind": "rational"},
+           "values": {"r": "2", "s": "1", "sstar": "1", "theta0": "0",
+                      "thetastar0": "0"}}
+    with pytest.raises(ValueError, match="d must be an integer, got 2.5"):
+        FamilyParams.from_json(obj)
+    obj["d"] = 2
+    assert FamilyParams.from_json(obj).d == 2
+
+
 QRAC4_PARAMS = ("q=3", "h=1", "hstar=1", "s=5", "sstar=7", "r1=5", "r2=1701",
                 "theta0=0", "thetastar0=0")
 

@@ -15,6 +15,12 @@ the same exception type, at every (i, j).
 `_case3` is the Bannai-Ito classifier that preceded the case-III normal form,
 unchanged, over the case-III theta fit it called.  `leonard classify` must
 print the same witness with it as without it.
+
+`fit_closed_form_theta_by_solve` is the theta fit that preceded each normal
+form's own `fit`, unchanged apart from the name: case I by a 3x3
+Gauss-Jordan solve (`_solve`, the `SquareMatrix.solve` it called), cases II
+and III by hand.  Both fits must return the same triple, or both None, and
+raise the same ValueError.
 """
 
 import importlib
@@ -26,6 +32,8 @@ import pytest
 
 from leonard import (
     CharacteristicMismatch,
+    SingularMatrix,
+    SquareMatrix,
     FamilyParams,
     HypergeomSpec,
     IdentityViolated,
@@ -47,6 +55,7 @@ from leonard.families import (
     FAMILY_PARAMS,
     ORDINARY_FAMILIES,
     Q_FAMILIES,
+    _FORMS,
     _QPowers,
     _build_orphan,
     _require,
@@ -650,3 +659,123 @@ def test_case3_witness_matches_the_old_classifier(field_name, capsys,
                 printed_case3.add(d)
     want = set(range(3, 9)) if field.characteristic() != 3 else {3, 4, 5}
     assert printed_case3 >= want
+
+
+def _solve(self, rhs):
+    if len(rhs) != self.n:
+        raise ValueError("rhs length must equal n")
+    inv = self.inverse()
+    return [sum((a * b for a, b in zip(row, rhs)), start=self.field.zero())
+            for row in inv.rows]
+
+
+def fit_closed_form_theta_by_solve(theta, q, case):
+    """Fit (eta, mu, h) to an eigenvalue sequence for one classification case:
+
+      I    theta_i = eta + mu q^i + h q^(-i)
+      II   theta_i = eta + (mu + h) i + h i^2
+      III  theta_i = eta + mu (-1)^i + 2 h i (-1)^i
+
+    Checks every index; None when the shape does not fit.  For d = 1 the
+    underdetermined direction is pinned: mu = 0 in cases I and III, h = 0
+    in case II.
+    """
+    if len(theta) < 2:
+        raise ValueError("need at least two eigenvalues")
+    F = theta[0].field
+    d = len(theta) - 1
+    zero, one = F.zero(), F.one()
+
+    if case not in _FORMS:
+        raise ValueError(f"unknown case {case!r}")
+    if case == "I":
+        if q == zero or q == one or q == -one:
+            return None
+        if d == 1:
+            h = (theta[1] - theta[0]) / (q.inverse() - 1)
+            eta, mu = theta[0] - h, zero
+        else:
+            rows = [[one, q ** i, q ** (-i)] for i in range(3)]
+            try:
+                eta, mu, h = _solve(SquareMatrix.from_rows(F, rows), list(theta[:3]))
+            except SingularMatrix:
+                return None
+    elif F.characteristic() == 2:  # cases II and III divide by 2
+        return None
+    elif case == "II":
+        if d == 1:
+            eta, mu, h = theta[0], theta[1] - theta[0], zero
+        else:
+            h = (theta[2] - theta[1] - (theta[1] - theta[0])) / F.from_int(2)
+            mu = theta[1] - theta[0] - 2 * h
+            eta = theta[0]
+    elif d == 1:  # case III
+        eta, mu, h = theta[0], zero, (theta[0] - theta[1]) / F.from_int(2)
+    else:
+        h = (theta[2] - theta[0]) / F.from_int(4)
+        mu = (theta[0] - theta[1]) / F.from_int(2) - h
+        eta = theta[0] - mu
+    P = _QPowers(q) if case == "I" else F.from_int
+    if list(theta) != _FORMS[case].eigenvalues(P, d, eta, mu, h):
+        return None
+    return eta, mu, h
+
+
+FIT_FIELDS = {
+    "Q": rational_field(),
+    "GF(5)": prime_field(5),
+    "GF(7)": prime_field(7),
+    "GF(101)": prime_field(101),
+    "GF(4)": extension_field(2, 2, _find_irreducible(2, 2)),
+    "GF(3^2)": extension_field(3, 2, _find_irreducible(3, 2)),
+}
+
+
+def fit_outcome(fit, theta, q, case):
+    try:
+        return fit(theta, q, case)
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+@pytest.mark.parametrize("field_name", list(FIT_FIELDS))
+def test_fit_matches_the_solve(field_name):
+    field = FIT_FIELDS[field_name]
+    rng = random.Random(f"fit {field_name}")
+    zero, one = field.zero(), field.one()
+    special = (zero, one, -one)
+
+    def draw_base():
+        """0, 1 or -1 three times in ten, else another element."""
+        if rng.random() < 0.3:
+            return rng.choice(special)
+        while True:
+            x = field.random_element(rng)
+            if x not in special:
+                return x
+
+    new_fit = classify_module.fit_closed_form_theta
+    fitted = {case: 0 for case in _FORMS}
+    for case in _FORMS:
+        for d in range(1, 7):
+            for _ in range(30):
+                q = draw_base()
+                # theta has the case's shape, mostly at base q, or is random
+                shape_q = q if rng.random() < 0.8 else draw_base()
+                if rng.random() < 0.25 or (case == "I" and shape_q in special):
+                    theta = [field.random_element(rng) for _ in range(d + 1)]
+                else:
+                    P = _QPowers(shape_q) if case == "I" else field.from_int
+                    theta = _FORMS[case].eigenvalues(
+                        P, d, *(field.random_element(rng) for _ in range(3)))
+                want = fit_outcome(fit_closed_form_theta_by_solve, theta, q, case)
+                assert fit_outcome(new_fit, theta, q, case) == want, (
+                    field_name, case, d, q, theta)
+                fitted[case] += want is not None
+    for bad_case, theta in (("I", [one]), ("II", []), ("IV", [zero, one])):
+        want = fit_outcome(fit_closed_form_theta_by_solve, theta, one, bad_case)
+        assert want[0] is ValueError
+        assert fit_outcome(new_fit, theta, one, bad_case) == want
+    assert fitted["I"] >= 40
+    if field.characteristic() != 2:
+        assert fitted["II"] >= 40 and fitted["III"] >= 40

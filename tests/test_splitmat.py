@@ -32,7 +32,7 @@ def test_matrix_algebra_basics():
     assert a * b == mat([[2, 1], [4, 3]])
     assert a.transpose() == mat([[1, 3], [2, 4]])
     assert a.scale(Q.from_int(2)) == mat([[2, 4], [6, 8]])
-    assert a[(0, 1)] == Q.from_int(2)
+    assert a.rows[0][1] == Q.from_int(2)
 
 
 def test_matrix_inverse_exact():
