@@ -23,6 +23,20 @@ Text formats round-trip exactly: ``"a/b"`` or ``"a"`` for rationals, a bare
 residue for prime fields, and ``"c0+c1*w"`` (``"c0+c1*w+c2*w^2"`` and so on,
 always all k terms) for extensions, where w is the residue of the modulus
 root.  No decimal notation anywhere.
+
+Cost of an operation.  Every FieldElement operator first takes a fast path
+when the other operand is an element of the very same field object (make_field
+caches one object per spec); only otherwise does it coerce an int or compare
+field specs, refusing mixed fields.  Elements are built by the slot
+descriptors directly, and each field stores its zero and one payloads and the
+hash of its spec.  An extension field of order at most TABLE_ORDER_CAP (2^10)
+multiplies and inverts by log/antilog tables built when it is made: the
+generator is the first element of multiplicative order q - 1 in element
+order, found by walking each candidate's powers with the convolution product
+and accepted only when the walk returns to one after exactly q - 1 distinct
+powers.  Larger extensions keep the convolution product and the extended
+Euclid inverse, which are also the tables' test oracle.  Prime fields
+multiply as (a*b) % p.
 """
 
 from __future__ import annotations
@@ -41,6 +55,10 @@ from .errors import (
 )
 
 MAX_EXTENSION_DEGREE = 8
+
+# Extension fields of at most this order multiply and invert by log/antilog
+# tables, built when the field is made.
+TABLE_ORDER_CAP = 2**10
 
 
 # ---------------------------------------------------------------------------
@@ -75,23 +93,32 @@ class FieldSpec:
         kind = obj["kind"]
         if kind == "rational":
             return FieldSpec("rational")
+        if kind not in ("prime", "extension"):
+            raise ValueError(f"unknown field kind {kind!r}")
+        p = json_int(json_key(obj, "p", "field spec"), "p")
         if kind == "prime":
-            return FieldSpec("prime", p=json_int(obj["p"], "p"))
-        if kind == "extension":
-            return FieldSpec(
-                "extension",
-                p=json_int(obj["p"], "p"),
-                k=json_int(obj["k"], "k"),
-                modulus=tuple(json_int(c, "modulus entry") for c in obj["modulus"]),
-            )
-        raise ValueError(f"unknown field kind {kind!r}")
+            return FieldSpec("prime", p=p)
+        k = json_int(json_key(obj, "k", "field spec"), "k")
+        modulus = json_key(obj, "modulus", "field spec")
+        if not isinstance(modulus, list):
+            raise ValueError("modulus must be a list of integers")
+        return FieldSpec("extension", p=p, k=k,
+                         modulus=tuple(json_int(c, "modulus entry") for c in modulus))
+
+
+def json_key(obj: dict, key: str, what: str):
+    """obj[key], or a ValueError naming the missing key."""
+    if key not in obj:
+        raise ValueError(f"{what} is missing {key!r}")
+    return obj[key]
 
 
 def json_int(value, name: str) -> int:
-    """An integer read from JSON; a float or a boolean is refused, not truncated."""
-    if isinstance(value, (bool, float)):
+    """An integer read from JSON; a float, a boolean or a string is refused,
+    not converted."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 # Miller-Rabin to these bases (the first twelve primes) decides every n below
@@ -231,13 +258,18 @@ def _irreducible(modulus: Sequence[int], p: int) -> bool:
 
 
 class FieldElement:
-    """Immutable element of a Field; supports +, -, *, /, ** and ==."""
+    """Immutable element of a Field; supports +, -, *, /, ** and ==.
+
+    Every operator first tries the same-field fast path (the other operand is
+    a FieldElement of this very field object) and only otherwise goes through
+    _coerce, which accepts an int or an element of a field with an equal
+    spec and refuses any other field."""
 
     __slots__ = ("field", "value")
 
     def __init__(self, field: "Field", value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
+        _set_field(self, field)
+        _set_value(self, value)
 
     def __setattr__(self, *_):
         raise AttributeError("FieldElement is immutable")
@@ -254,67 +286,80 @@ class FieldElement:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._add(self.value, o.value))
+        field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _element(field, field._add(self.value, other.value))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._sub(self.value, o.value))
+        field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _element(field, field._sub(self.value, other.value))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._sub(o.value, self.value))
+        field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _element(field, field._sub(other.value, self.value))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.value, o.value))
+        field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _element(field, field._mul(self.value, other.value))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return other * self.inverse()
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._neg(self.value))
+        field = self.field
+        return _element(field, field._neg(self.value))
 
     def __pow__(self, n: int):
         return self.field.pow(self, n)
 
     def inverse(self) -> "FieldElement":
-        if not self:
-            raise ZeroDivisionError(f"division by zero in {self.field}")
-        return FieldElement(self.field, self.field._inv(self.value))
+        field = self.field
+        if self.value == field.zero_value:
+            raise ZeroDivisionError(f"division by zero in {field}")
+        return _element(field, field._inv(self.value))
 
     def __bool__(self):
-        return self.value != self.field._zero_value()
+        return self.value != self.field.zero_value
 
     def __eq__(self, other):
-        o = self._coerce(other) if isinstance(other, (FieldElement, int)) else None
-        if o is None:
-            return NotImplemented
-        return self.value == o.value
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.value == other.value
 
     def __hash__(self):
-        return hash((self.field.spec, self.value))
+        return hash((self.field.spec_hash, self.value))
 
     def __str__(self):
         return self.field.format(self)
@@ -323,18 +368,34 @@ class FieldElement:
         return f"<{self} in {self.field}>"
 
 
+_set_field = FieldElement.field.__set__
+_set_value = FieldElement.value.__set__
+_new_element = object.__new__
+
+
+def _element(field: "Field", value) -> FieldElement:
+    """FieldElement(field, value) without the cost of a constructor call."""
+    e = _new_element(FieldElement)
+    _set_field(e, field)
+    _set_value(e, value)
+    return e
+
+
 class Field:
     """Common behaviour; concrete fields fill in the payload operations."""
 
     spec: FieldSpec
+    spec_hash: int  # hash(spec), taken once
+    zero_value: object  # payloads of zero() and one()
+    one_value: object
+
+    def __init__(self, spec: FieldSpec, zero_value, one_value):
+        self.spec = spec
+        self.spec_hash = hash(spec)
+        self.zero_value = zero_value
+        self.one_value = one_value
 
     # payload-level hooks -------------------------------------------------
-    def _zero_value(self):
-        raise NotImplementedError
-
-    def _one_value(self):
-        raise NotImplementedError
-
     def _add(self, a, b):
         raise NotImplementedError
 
@@ -352,10 +413,10 @@ class Field:
 
     # shared API -----------------------------------------------------------
     def zero(self) -> FieldElement:
-        return FieldElement(self, self._zero_value())
+        return _element(self, self.zero_value)
 
     def one(self) -> FieldElement:
-        return FieldElement(self, self._one_value())
+        return _element(self, self.one_value)
 
     def from_int(self, n: int) -> FieldElement:
         raise NotImplementedError
@@ -410,7 +471,7 @@ class Field:
         return isinstance(other, Field) and self.spec == other.spec
 
     def __hash__(self):
-        return hash(self.spec)
+        return self.spec_hash
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
@@ -419,13 +480,7 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 
 class RationalField(Field):
     def __init__(self):
-        self.spec = FieldSpec("rational")
-
-    def _zero_value(self):
-        return Fraction(0)
-
-    def _one_value(self):
-        return Fraction(1)
+        super().__init__(FieldSpec("rational"), Fraction(0), Fraction(1))
 
     def _add(self, a, b):
         return a + b
@@ -443,7 +498,7 @@ class RationalField(Field):
         return 1 / a
 
     def from_int(self, n: int) -> FieldElement:
-        return FieldElement(self, Fraction(n))
+        return _element(self, Fraction(n))
 
     def characteristic(self) -> int:
         return 0
@@ -452,7 +507,7 @@ class RationalField(Field):
         text = text.strip()
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not a rational literal: {text!r}")
-        return FieldElement(self, Fraction(text))
+        return _element(self, Fraction(text))
 
     def format(self, a: FieldElement) -> str:
         return str(a.value)
@@ -461,7 +516,7 @@ class RationalField(Field):
         while True:
             v = Fraction(rng.randint(-8, 8), rng.randint(1, 6))
             if v or not nonzero:
-                return FieldElement(self, v)
+                return _element(self, v)
 
     def __repr__(self):
         return "Q"
@@ -472,13 +527,7 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = p
-        self.spec = FieldSpec("prime", p=p)
-
-    def _zero_value(self):
-        return 0
-
-    def _one_value(self):
-        return 1
+        super().__init__(FieldSpec("prime", p=p), 0, 1)
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -496,7 +545,7 @@ class PrimeField(Field):
         return pow(a, -1, self.p)
 
     def from_int(self, n: int) -> FieldElement:
-        return FieldElement(self, n % self.p)
+        return _element(self, n % self.p)
 
     def characteristic(self) -> int:
         return self.p
@@ -506,12 +555,12 @@ class PrimeField(Field):
 
     def elements(self) -> Iterator[FieldElement]:
         for v in range(self.p):
-            yield FieldElement(self, v)
+            yield _element(self, v)
 
     def element(self, index: int) -> FieldElement:
         if not 0 <= index < self.p:
             raise IndexError(index)
-        return FieldElement(self, index)
+        return _element(self, index)
 
     def index_of(self, a: FieldElement) -> int:
         return a.value
@@ -520,14 +569,14 @@ class PrimeField(Field):
         text = text.strip()
         if not _INT_RE.match(text):
             raise ValueError(f"not a residue literal: {text!r}")
-        return FieldElement(self, int(text) % self.p)
+        return _element(self, int(text) % self.p)
 
     def format(self, a: FieldElement) -> str:
         return str(a.value)
 
     def random_element(self, rng, nonzero: bool = False) -> FieldElement:
         lo = 1 if nonzero else 0
-        return FieldElement(self, rng.randrange(lo, self.p))
+        return _element(self, rng.randrange(lo, self.p))
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -559,25 +608,24 @@ class ExtensionField(Field):
         self.p = p
         self.k = k
         self.modulus = mod
-        self.spec = FieldSpec("extension", p=p, k=k, modulus=mod)
-
-    def _zero_value(self):
-        return (0,) * self.k
-
-    def _one_value(self):
-        return (1,) + (0,) * (self.k - 1)
+        super().__init__(FieldSpec("extension", p=p, k=k, modulus=mod),
+                         (0,) * k, (1,) + (0,) * (k - 1))
+        if p**k <= TABLE_ORDER_CAP:
+            # the instance's table lookups shadow the class's convolution
+            # _mul and Euclid _inv, which stay the only path above the cap
+            self._mul, self._inv = _table_ops(self)
 
     def _add(self, a, b):
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def _sub(self, a, b):
         p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def _neg(self, a):
         p = self.p
-        return tuple((-x) % p for x in a)
+        return tuple([(-x) % p for x in a])
 
     def _mul(self, a, b):
         p, k = self.p, self.k
@@ -602,11 +650,11 @@ class ExtensionField(Field):
         return tuple(inv + [0] * (self.k - len(inv)))
 
     def from_int(self, n: int) -> FieldElement:
-        return FieldElement(self, (n % self.p,) + (0,) * (self.k - 1))
+        return _element(self, (n % self.p,) + (0,) * (self.k - 1))
 
     def generator(self) -> FieldElement:
         """The residue w of the modulus root."""
-        return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
+        return _element(self, (0, 1) + (0,) * (self.k - 2))
 
     def characteristic(self) -> int:
         return self.p
@@ -626,7 +674,7 @@ class ExtensionField(Field):
         for _ in range(self.k):
             coeffs.append(n % self.p)
             n //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return _element(self, tuple(coeffs))
 
     def index_of(self, a: FieldElement) -> int:
         n = 0
@@ -651,7 +699,7 @@ class ExtensionField(Field):
             if power != i:
                 raise ValueError(f"term {term!r} out of place in {text!r}")
             coeffs.append(int(m.group(1)) % self.p)
-        return FieldElement(self, tuple(coeffs))
+        return _element(self, tuple(coeffs))
 
     def format(self, a: FieldElement) -> str:
         parts = []
@@ -670,6 +718,41 @@ class ExtensionField(Field):
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
+
+
+def _table_ops(field: ExtensionField):
+    """Payload multiply and inverse of a finite extension field by table.
+
+    The generator g is the first element of multiplicative order q - 1 in
+    element order: each candidate's powers are walked with the convolution
+    product, and the walk is used only if it comes back to one after exactly
+    q - 1 distinct powers.  Then antilog[i] = g^i for 0 <= i < q - 1, and
+    log is its inverse map."""
+    n = field.order() - 1
+    zero, one = field.zero_value, field.one_value
+    for index in range(1, n + 1):
+        g = field.element(index).value
+        antilog, x = [one], g
+        while x != one and len(antilog) < n:
+            antilog.append(x)
+            x = ExtensionField._mul(field, x, g)
+        log = {y: i for i, y in enumerate(antilog)}
+        if x == one and len(log) == n:
+            break
+    else:  # unreachable: the multiplicative group of a finite field is cyclic
+        raise RuntimeError(f"{field} has no element of order {n}")
+
+    def mul(a, b):
+        if a == zero or b == zero:
+            return zero
+        # log[a] + log[b] - n lies in [-n, n - 2], and a negative index
+        # counts from the end: this is antilog[(log[a] + log[b]) % n]
+        return antilog[log[a] + log[b] - n]
+
+    def inv(a):
+        return antilog[-log[a]]  # g^(n - i); antilog[-0] is one
+
+    return mul, inv
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +830,7 @@ def quadratic_roots(
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
         return None
-    root = FieldElement(field, Fraction(rn, rd))
+    root = _element(field, Fraction(rn, rd))
     half = field.from_int(2).inverse()
     return ((-b + root) * half, (-b - root) * half)
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, LengthMismatch
-from .fields import (Field, FieldElement, FieldSpec, json_int, make_field,
-                     quadratic_roots)
+from .fields import (Field, FieldElement, FieldSpec, json_int, json_key,
+                     make_field, quadratic_roots)
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,18 @@ ARRAY_KEYS = ("field", "d", "theta", "theta_star", "varphi", "phi")
 
 def array_from_json(obj: dict) -> ParameterArray:
     """Inverse of ParameterArray.to_json.  Raises ValueError on a key outside
-    ARRAY_KEYS and on entries that are not strings."""
+    ARRAY_KEYS, on a missing key and on entries that are not strings."""
     if not isinstance(obj, dict):
         raise ValueError("an array must be a JSON object")
     unknown = [key for key in obj if key not in ARRAY_KEYS]
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}; an array has the keys "
                          + ", ".join(ARRAY_KEYS))
-    field = make_field(FieldSpec.from_json(obj["field"]))
-    d = json_int(obj["d"], "d")
+    field = make_field(FieldSpec.from_json(json_key(obj, "field", "array")))
+    d = json_int(json_key(obj, "d", "array"), "d")
 
     def entries(key: str) -> tuple[FieldElement, ...]:
-        raw = obj[key]
+        raw = json_key(obj, key, "array")
         if not isinstance(raw, list):
             raise ValueError(f"{key} must be a list of strings")
         for s in raw:

@@ -404,6 +404,8 @@ def test_zero_denominator_is_exit_2(capsys, tmp_path):
     ("field", {"kind": "extension", "p": 3, "k": 2, "modulus": [1, 0.5, 1]},
      "modulus entry must be an integer, got 0.5"),
     ("d", 1.7, "d must be an integer, got 1.7"),
+    ("d", "2", "d must be an integer, got '2'"),
+    ("field", {"kind": "prime", "p": "7"}, "p must be an integer, got '7'"),
 ])
 def test_json_float_is_exit_2(capsys, tmp_path, key, value, message):
     obj = json.load(open(KRAW2))
@@ -411,6 +413,33 @@ def test_json_float_is_exit_2(capsys, tmp_path, key, value, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     code, out, err = run(capsys, "validate", "--emit", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"bad input: {message}\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("field", {"kind": "prime"}, "field spec is missing 'p'"),
+    ("field", {"kind": "extension", "p": 3, "modulus": [1, 0, 1]},
+     "field spec is missing 'k'"),
+    ("field", {"kind": "extension", "p": 3, "k": 2},
+     "field spec is missing 'modulus'"),
+    ("field", {"kind": "extension", "p": 3, "k": 2, "modulus": 7},
+     "modulus must be a list of integers"),
+    ("field", {"kind": "extension", "p": 3, "k": 2, "modulus": "1,0,1"},
+     "modulus must be a list of integers"),
+    ("field", None, "array is missing 'field'"),
+    ("d", None, "array is missing 'd'"),
+    ("theta", None, "array is missing 'theta'"),
+    ("phi", None, "array is missing 'phi'"),
+])
+def test_malformed_array_names_the_key(capsys, monkeypatch, key, value, message):
+    obj = json.load(open(KRAW2))
+    if value is None:
+        del obj[key]
+    else:
+        obj[key] = value
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+    code, out, err = run(capsys, "validate", "-")
     assert (code, out) == (2, "")
     assert err == f"bad input: {message}\n"
 

@@ -12,13 +12,20 @@ import time
 import pytest
 
 from leonard import (
+    ExtensionField,
     embed_map,
     extension_field,
     prime_field,
     quadratic_roots,
     splitting_field,
 )
-from leonard.fields import _find_irreducible, _irreducible, _is_prime, _pmod
+from leonard.fields import (
+    TABLE_ORDER_CAP,
+    _find_irreducible,
+    _irreducible,
+    _is_prime,
+    _pmod,
+)
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 LIMIT = 3**5
@@ -132,6 +139,45 @@ def test_embed_map_every_subfield():
     for src, dst in pairs:
         lift = embed_map(src, dst)
         assert [lift(x) for x in src.elements()] == oracle_embed_images(src, dst), (src, dst)
+
+
+def test_tables_match_the_convolution_and_euclid():
+    """Below TABLE_ORDER_CAP, multiply and inverse are log/antilog lookups;
+    the convolution product and the extended Euclid loop (_pinv_mod), the
+    only path above the cap, are their oracle over every element pair."""
+    fields = [F for F in finite_fields() if F.spec.kind == "extension"]
+    # every other monic irreducible of small degree, among them the source
+    # moduli of test_embed_map_every_subfield
+    for p, k in ((2, 2), (2, 3), (3, 2)):
+        for tail in itertools.product(range(p), repeat=k):
+            modulus = tail + (1,)
+            if _irreducible(modulus, p) and modulus != _find_irreducible(p, k):
+                fields.append(extension_field(p, k, modulus))
+    assert len(fields) == 18
+    for F in fields:
+        assert F.order() <= TABLE_ORDER_CAP and "_mul" in vars(F)
+        values = [x.value for x in F.elements()]
+        for a in values:
+            for b in values:
+                assert F._mul(a, b) == ExtensionField._mul(F, a, b), (F, a, b)
+            if a != F.zero_value:
+                assert F._inv(a) == ExtensionField._inv(F, a), (F, a)
+
+
+def test_field_above_the_table_cap_keeps_the_axioms():
+    F = field_of(3, 7)
+    assert F.order() > TABLE_ORDER_CAP and "_mul" not in vars(F)
+    rng = random.Random(37)
+    one = F.one()
+    for _ in range(150):
+        a, b = F.random_element(rng), F.random_element(rng)
+        c = F.random_element(rng, nonzero=True)
+        assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
+        assert (a + b) * c == a * c + b * c
+        assert c * c.inverse() == one and (a / c) * c == a
+    w = F.generator()
+    assert w ** (F.order() - 1) == one
 
 
 def trial_division(n):

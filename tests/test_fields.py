@@ -1,5 +1,6 @@
 """Field arithmetic: axioms, parsing, embeddings, quadratic roots."""
 
+import operator
 import random
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leonard import (
+    ExtensionField,
     FieldSpec,
     NeedsFieldExtension,
     NonPrimeModulus,
+    PrimeField,
     ReducibleModulus,
     ZeroToNegativePower,
     embed_map,
@@ -20,15 +23,24 @@ from leonard import (
     rational_field,
     splitting_field,
 )
+from leonard.fields import _find_irreducible
 
 Q = rational_field()
 F7 = prime_field(7)
 F4 = extension_field(2, 2, (1, 1, 1))
 F8 = extension_field(2, 3, (1, 1, 0, 1))
+F3_7 = extension_field(3, 7, _find_irreducible(3, 7))  # above TABLE_ORDER_CAP
 
 
 def all_fields():
     return [Q, F7, F4, F8]
+
+
+def invariant_fields():
+    """Every field kind, with and without log/antilog tables: the invariants
+    that the same-field fast path of the FieldElement operators must keep
+    are checked on each."""
+    return all_fields() + [F3_7]
 
 
 @given(st.fractions(), st.fractions(), st.fractions())
@@ -72,14 +84,68 @@ def test_int_coercion_both_sides():
     assert 2 * a == F7.from_int(6)
     assert 6 / a == F7.from_int(2)
     assert a == 3 and 3 == a
+    for field in invariant_fields():
+        x = field.element(3) if field.is_finite() else field.parse("3/2")
+        one = field.one()
+        assert x + 1 == 1 + x == x + one
+        assert x - 2 == -(2 - x) == x - (one + one)
+        assert 2 * x == x * 2 == x + x
+        assert 1 / x == x.inverse() and x / 1 == x
+        assert one == 1 and 1 == one and field.zero() == 0
+
+
+def test_element_is_immutable():
+    for field in invariant_fields():
+        x = field.one()
+        with pytest.raises(AttributeError):
+            x.value = field.zero().value
+        with pytest.raises(AttributeError):
+            x.field = Q
+        assert x == field.one() and x.field is field
+
+
+def test_mixed_fields_are_refused():
+    pairs = [
+        (F7, prime_field(11)),
+        (F7, Q),
+        # equal orders, different moduli
+        (F8, extension_field(2, 3, (1, 0, 1, 1))),
+        (extension_field(3, 2, (1, 0, 1)), extension_field(3, 2, (2, 1, 1))),
+    ]
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv,
+           operator.eq)
+    for left, right in pairs:
+        for x, y in ((left.one(), right.one()), (right.one(), left.one())):
+            for op in ops:
+                with pytest.raises(ValueError, match="mixed fields"):
+                    op(x, y)
+
+
+def test_fields_with_equal_specs_interoperate():
+    for cached, direct in ((F7, PrimeField(7)),
+                           (F4, ExtensionField(2, 2, (1, 1, 1))),
+                           (F3_7, ExtensionField(3, 7, F3_7.spec.modulus))):
+        assert direct is not cached and direct == cached
+        for n in range(4):
+            a, b = direct.from_int(n), cached.from_int(n)
+            assert a == b and b == a and hash(a) == hash(b)
+            assert a + b == cached.from_int(2 * n) == b + a
+            assert a * b == cached.from_int(n * n) == b * a
+            assert a - b == cached.zero() == b - a
+        w = direct.element(cached.order() - 1)
+        assert w / cached.element(cached.order() - 1) == cached.one()
 
 
 def test_zero_inverse_raises():
-    for field in all_fields():
+    for field in invariant_fields():
         with pytest.raises(ZeroToNegativePower):
             field.zero() ** -1
         with pytest.raises(ZeroDivisionError):
             field.one() / field.zero()
+        with pytest.raises(ZeroDivisionError):
+            field.zero().inverse()
+        with pytest.raises(ZeroDivisionError):
+            1 / field.zero()
 
 
 def test_characteristic_and_order():
