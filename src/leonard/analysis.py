@@ -17,7 +17,7 @@ from .ortho import OrthoData, ortho_data
 from .parray import ParameterArray
 from .polys import PolyTable, corresponding_polys
 from .recur import RecurrenceCoeffs, recurrence_coeffs
-from .splitmat import SplitMatrixSet, build
+from .splitmat import SplitMatrixSet, _diagonal_inverse, build
 
 
 class Analysis:
@@ -36,9 +36,9 @@ class Analysis:
         # The evaluation matrices have triangular factorizations; a
         # disagreement would mean a bug in polys or splitmat, not bad input.
         m = self.matrices
-        if table.P != m.T * m.D.inverse() * m.Tstar.transpose():
+        if table.P != m.T * _diagonal_inverse(m.D) * m.Tstar.transpose():
             raise IdentityViolated("evaluation matrix disagrees with T D^-1 T*^t")
-        if table.Pdown != m.Z * m.Tdown * m.Ddown.inverse() * m.Tstar.transpose():
+        if table.Pdown != m.Z * m.Tdown * _diagonal_inverse(m.Ddown) * m.Tstar.transpose():
             raise IdentityViolated(
                 "reversed evaluation matrix disagrees with Z Tdown Ddown^-1 T*^t")
         return table

@@ -28,15 +28,18 @@ Cost of an operation.  Every FieldElement operator first takes a fast path
 when the other operand is an element of the very same field object (make_field
 caches one object per spec); only otherwise does it coerce an int or compare
 field specs, refusing mixed fields.  Elements are built by the slot
-descriptors directly, and each field stores its zero and one payloads and the
-hash of its spec.  An extension field of order at most TABLE_ORDER_CAP (2^10)
-multiplies and inverts by log/antilog tables built when it is made: the
-generator is the first element of multiplicative order q - 1 in element
-order, found by walking each candidate's powers with the convolution product
-and accepted only when the walk returns to one after exactly q - 1 distinct
-powers.  Larger extensions keep the convolution product and the extended
-Euclid inverse, which are also the tables' test oracle.  Prime fields
-multiply as (a*b) % p.
+descriptors directly, and each field stores its zero and one payloads, the
+hash of its spec and a zero key: the cheapest object equal to the zero
+payload, which the zero tests of bool() and inverse() compare with (the int 0
+over Q, which Fraction compares with faster than with Fraction(0)).  An
+extension field of order at most TABLE_ORDER_CAP (2^10) multiplies and
+inverts by log/antilog tables built when it is made: the generator is the
+first element of multiplicative order q - 1 in element order, found by
+walking each candidate's powers with the convolution product and accepted
+only when the walk returns to one after exactly q - 1 distinct powers.
+Larger extensions keep the convolution product and the extended Euclid
+inverse, which are also the tables' test oracle.  Prime fields multiply as
+(a*b) % p.
 """
 
 from __future__ import annotations
@@ -344,12 +347,12 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         field = self.field
-        if self.value == field.zero_value:
+        if self.value == field.zero_key:
             raise ZeroDivisionError(f"division by zero in {field}")
         return _element(field, field._inv(self.value))
 
     def __bool__(self):
-        return self.value != self.field.zero_value
+        return self.value != self.field.zero_key
 
     def __eq__(self, other):
         if other.__class__ is not FieldElement or other.field is not self.field:
@@ -388,12 +391,14 @@ class Field:
     spec_hash: int  # hash(spec), taken once
     zero_value: object  # payloads of zero() and one()
     one_value: object
+    zero_key: object  # equals zero_value; the cheapest payload to test against
 
     def __init__(self, spec: FieldSpec, zero_value, one_value):
         self.spec = spec
         self.spec_hash = hash(spec)
         self.zero_value = zero_value
         self.one_value = one_value
+        self.zero_key = zero_value
 
     # payload-level hooks -------------------------------------------------
     def _add(self, a, b):
@@ -481,6 +486,9 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 class RationalField(Field):
     def __init__(self):
         super().__init__(FieldSpec("rational"), Fraction(0), Fraction(1))
+        # Fraction.__eq__ answers an int at once but sends another Fraction
+        # through its numbers.Rational check, which is about 3x slower.
+        self.zero_key = 0
 
     def _add(self, a, b):
         return a + b

@@ -2,6 +2,7 @@ import pytest
 
 from leonard import (
     FamilyParams,
+    SquareMatrix,
     extension_field,
     generate,
     make_array,
@@ -16,6 +17,16 @@ def qarr(theta, theta_star, varphi, phi):
     """Build an array over Q from plain int/str literals."""
     conv = lambda xs: [Q.parse(str(x)) for x in xs]
     return make_array(Q, conv(theta), conv(theta_star), conv(varphi), conv(phi))
+
+
+def dense_mul(x, y):
+    """The schoolbook product, every entry the full sum of n terms started
+    from zero: the oracle for SquareMatrix.__mul__, which skips zero terms."""
+    F = x.field
+    cols = list(zip(*y.rows))
+    return SquareMatrix(F, x.n, tuple(
+        tuple(sum((a * b for a, b in zip(row, col)), start=F.zero()) for col in cols)
+        for row in x.rows))
 
 
 @pytest.fixture

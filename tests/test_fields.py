@@ -138,6 +138,7 @@ def test_fields_with_equal_specs_interoperate():
 
 def test_zero_inverse_raises():
     for field in invariant_fields():
+        assert not field.zero() and field.one() and -field.one()
         with pytest.raises(ZeroToNegativePower):
             field.zero() ** -1
         with pytest.raises(ZeroDivisionError):

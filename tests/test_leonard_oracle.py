@@ -1,14 +1,17 @@
-"""The eigenvector-basis Leonard check against the Lagrange-projector one.
+"""The structured split-basis checks against the dense ones they replaced.
 
 lagrange_leonard_conditions is the O(n^5) check that splitmat used before:
 it forms every primitive idempotent as a product of Lagrange factors and
-tests each block E_i X E_j as a whole matrix.  The fast check must report
-the same failures, in the same order, on sampled arrays of every family and
-on arrays broken in ways that do and do not keep the blocks tridiagonal.
+tests each block E_i X E_j as a whole matrix.  sandwich_conjugation is the
+conjugation check in the paper's form, Ginv X G = Y, with every product
+dense and D^-1 by Gauss-Jordan.  Each fast check must report the same
+failures, in the same order, on sampled arrays of every family and on arrays
+broken in ways that do and do not keep the blocks tridiagonal.
 """
 
 import random
 from dataclasses import replace
+from functools import reduce
 
 import pytest
 
@@ -25,9 +28,10 @@ from leonard import (
     primitive_idempotents,
     rational_field,
     sample_params,
+    verify_conjugation,
     verify_leonard_conditions,
 )
-from conftest import qarr
+from conftest import dense_mul, qarr
 
 FIELDS = {
     "Q": rational_field(),
@@ -69,6 +73,31 @@ def lagrange_leonard_conditions(p):
                     report.add(f"{label} block ({i}, {j}) should vanish")
                 if abs(i - j) == 1 and block == zero_mat:
                     report.add(f"{label} block ({i}, {j}) should be nonzero")
+    return report
+
+
+def sandwich_conjugation(p):
+    m = build(p)
+    F, n = p.field, p.d + 1
+    report = CheckReport("conjugation")
+
+    def mul(*factors):
+        return reduce(dense_mul, factors)
+
+    Ginv = mul(m.Tdown.inverse(), m.Z, m.T)
+    checks = [
+        ("G * Ginv = I", mul(m.G, Ginv), SquareMatrix.identity(F, n)),
+        ("Ginv * A * G = B", mul(Ginv, m.A, m.G), m.B),
+        ("Ginv * A* * G = B*", mul(Ginv, m.Astar, m.G), m.Bstar),
+        ("T A = H T", mul(m.T, m.A), mul(m.H, m.T)),
+        ("Z Tdown B = H Z Tdown", mul(m.Z, m.Tdown, m.B), mul(m.H, m.Z, m.Tdown)),
+        ("D A* D^-1 T*^t = T*^t H*",
+         mul(m.D, m.Astar, m.D.inverse(), m.Tstar.transpose()),
+         mul(m.Tstar.transpose(), m.Hstar)),
+    ]
+    for label, got, want in checks:
+        if got != want:
+            report.add(label + " violated")
     return report
 
 
@@ -136,3 +165,18 @@ def test_oracle_call_order_on_repeated_eigenvalues():
         assert outcome(lambda arr: verify_leonard_conditions(Analysis(arr)), p) is want
     with pytest.raises(RepeatedEigenvalue):
         verify_leonard_conditions(Analysis(only_star))
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_conjugation_check_matches_sandwich_oracle(label):
+    F = FIELDS[label]
+    compared = set()
+    for name, p, rng in sampled_arrays(label, F):
+        for change, q in perturbations(p, rng):
+            want = outcome(sandwich_conjugation, q)
+            got = outcome(lambda arr: verify_conjugation(Analysis(arr)), q)
+            assert got == want, (label, name, change)
+            compared.add("raises" if isinstance(want, type)
+                         else "fails" if want else "passes")
+    # a zero varphi makes D singular
+    assert compared == {"passes", "fails", "raises"}, compared

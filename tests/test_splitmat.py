@@ -1,22 +1,37 @@
 """Exact matrices: bidiagonal pair, transition matrices, idempotents."""
 
+import random
+
 import pytest
 
 from leonard import (
     Analysis,
     BaseNotApplicable,
+    FieldElement,
     IdentityViolated,
     RepeatedEigenvalue,
     SingularMatrix,
     SquareMatrix,
     build,
+    extension_field,
+    generate,
     make_array,
+    prime_field,
     primitive_idempotents,
     s_matrix,
+    sample_params,
     verify_conjugation,
     verify_leonard_conditions,
 )
-from conftest import Q, qarr
+from leonard.fields import _find_irreducible
+from conftest import Q, dense_mul, qarr
+
+PRODUCT_FIELDS = {
+    "Q": Q,
+    "GF(7)": prime_field(7),
+    "GF(4)": extension_field(2, 2, (1, 1, 1)),
+    "GF(3^7)": extension_field(3, 7, _find_irreducible(3, 7)),  # above the table cap
+}
 
 
 def mat(rows):
@@ -48,6 +63,77 @@ def test_matrix_inverse_exact():
 def test_matrix_json_round_trip():
     a = mat([[1, 2], [3, 4]])
     assert SquareMatrix.from_json(Q, a.to_json()) == a
+
+
+def shaped_matrices(F, n, rng):
+    """One n x n matrix of each zero pattern: those the split-basis checks
+    multiply, a dense one, and one with a zero row and a zero column."""
+    def pattern(keep):
+        return SquareMatrix.build(F, n, lambda i, j: F.random_element(rng, nonzero=True)
+                                  if keep(i, j) else F.zero())
+
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return {
+        "zero": pattern(lambda i, j: False),
+        "identity": SquareMatrix.identity(F, n),
+        "diagonal": pattern(lambda i, j: i == j),
+        "permutation": SquareMatrix.build(
+            F, n, lambda i, j: F.one() if perm[i] == j else F.zero()),
+        "lower bidiagonal": pattern(lambda i, j: 0 <= i - j <= 1),
+        "upper bidiagonal": pattern(lambda i, j: 0 <= j - i <= 1),
+        "lower triangular": pattern(lambda i, j: j <= i),
+        "upper triangular": pattern(lambda i, j: i <= j),
+        "dense": pattern(lambda i, j: True),
+        "zero row and column": pattern(lambda i, j: i != 1 and j != n - 2),
+    }
+
+
+@pytest.mark.parametrize("label", list(PRODUCT_FIELDS))
+def test_product_matches_dense_oracle(label):
+    F = PRODUCT_FIELDS[label]
+    shapes = shaped_matrices(F, 5, random.Random(f"product/{label}"))
+    for x_name, x in shapes.items():
+        for y_name, y in shapes.items():
+            assert x * y == dense_mul(x, y), (x_name, y_name)
+
+
+def count_multiplications(fn):
+    """Call fn() and return how many times FieldElement.__mul__ ran."""
+    orig = FieldElement.__mul__
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return orig(a, b)
+
+    FieldElement.__mul__ = counted
+    try:
+        fn()
+    finally:
+        FieldElement.__mul__ = orig
+    return calls
+
+
+def test_bidiagonal_product_costs_band_multiplications():
+    n = 17
+    lower = SquareMatrix.build(
+        Q, n, lambda i, j: Q.from_int(i + j + 1) if 0 <= i - j <= 1 else Q.zero())
+    dense = SquareMatrix.build(Q, n, lambda i, j: Q.from_int(i * n + j + 1))
+    # the dense product would make n^3 = 4913
+    assert count_multiplications(lambda: lower * dense) <= 2 * n * n
+
+
+def test_conjugation_check_costs_band_multiplications():
+    fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
+    a = Analysis(generate(fp, Q))
+    a.matrices
+    reports = []
+    calls = count_multiplications(lambda: reports.append(verify_conjugation(a)))
+    assert reports[0].ok(), reports[0].failures
+    # the sandwich form with dense products made 85,051
+    assert calls <= 10_000
 
 
 def test_fix_d1_split_matrices(fix_d1):
