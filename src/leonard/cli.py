@@ -324,7 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--field", required=True)
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--limit", type=int, default=None)
-    s.add_argument("--budget", type=int, default=10_000_000)
+    s.add_argument("--budget", type=int, default=10_000_000,
+                   help="(theta, theta*) pairs it may examine before it stops "
+                        "with exit 1; at least 0")
     s.add_argument("--shard", default=None, metavar="INDEX:COUNT")
     s.set_defaults(fn=cmd_enumerate)
     return parser

@@ -309,8 +309,10 @@ def complete_from_theta(
 
     theta and theta* must already be injective with theta_0 != theta_d.
     varphi falls out of PA3 with phi_1 prescribed; phi then falls out of PA4
-    with the computed varphi_1.  The candidate survives only if PA4 at i=1
-    reproduces phi_1 and PA2 and PA5 hold.
+    with the computed varphi_1.  The candidate survives only if PA2 and PA5
+    hold.  PA4 at i=1 always gives back phi_1: S_1 = 1 and its product
+    term (theta*_1 - theta*_0)(theta_d - theta_0) cancels the one PA3 added
+    to varphi_1.
     """
     d = len(theta) - 1
     if d < 1 or len(theta_star) != d + 1:
@@ -326,8 +328,6 @@ def complete_from_theta(
         return None
     phi = [varphi_1 * s + (theta_star[i] - ts0) * (theta[d - i + 1] - theta[0])
            for i, s in enumerate(sums, 1)]
-    if phi[0] != phi_1:
-        return None
     for x in varphi:
         if not x:
             return None
@@ -362,11 +362,19 @@ def enumerate_arrays(
     exactly once, in lexicographic order of (theta tuple, theta* tuple,
     phi_1) under the field's element order.
 
-    Each (theta, theta*, phi_1) triple tried counts one kernel call against
-    the budget, which must be at least 0.  shard=(index, count),
-    0 <= index < count, keeps only theta tuples whose position is congruent
-    to index mod count, so shards partition the output.  Bad arguments
-    raise at the call, before any array is asked for.
+    Nothing is tried against the full grid.  For d >= 3, PA5 fixes theta
+    from its head theta_0..theta_3 and theta* from theta*_0..theta*_2 with
+    the same beta + 1, so theta runs over heads closed by the recurrence and
+    theta* over its heads closed the same way; a closure that repeats an
+    entry is dropped.  PA3 and PA4 make every varphi_i and phi_i affine in
+    phi_1, so the phi_1 that break PA2 are solved for, not tried.
+
+    Each (theta, theta*) pair examined counts one against the budget, which
+    must be at least 0: every theta* head paired with a theta that survives
+    its closure and the shard.  shard=(index, count), 0 <= index < count,
+    keeps only theta tuples whose rank among all (d+1)-permutations of the
+    field is congruent to index mod count, so shards partition the output.
+    Bad arguments raise at the call, before any array is asked for.
     """
     if not field.is_finite():
         raise TypeError("enumeration requires a finite field")
@@ -379,24 +387,82 @@ def enumerate_arrays(
     return _arrays(field, d, budget, shard)
 
 
+def _close(head: tuple[FieldElement, ...], d: int,
+           bp1: Optional[FieldElement]) -> Optional[tuple[FieldElement, ...]]:
+    """head extended to d + 1 entries by PA5's recurrence
+    x_{i+1} = x_{i-2} - (beta + 1)(x_{i-1} - x_i), or None when an entry
+    repeats.  A head of d + 1 entries is returned as it is."""
+    seq = list(head)
+    for i in range(len(head) - 1, d):
+        x = seq[i - 2] - bp1 * (seq[i - 1] - seq[i])
+        if x in seq:
+            return None
+        seq.append(x)
+    return tuple(seq)
+
+
+def _rank(seq: Sequence[FieldElement], index: dict, q: int) -> int:
+    """The position of an injective seq among all len(seq)-permutations of
+    the q field elements in lexicographic order, read off its Lehmer code."""
+    rank, used = 0, []
+    for k, x in enumerate(seq):
+        a = index[x]
+        rank = rank * (q - k) + a - sum(u < a for u in used)
+        used.append(a)
+    return rank
+
+
 def _arrays(field: Field, d: int, budget: Optional[int],
             shard: Optional[tuple[int, int]]) -> Iterator[ParameterArray]:
-    order = field.order()
-    if order < d + 1:
-        return
     elems = list(field.elements())
-    nonzero = elems[1:] if not elems[0] else [e for e in elems if e]
-    calls = 0
-    for pos, theta in enumerate(itertools.permutations(elems, d + 1)):
-        if shard is not None and pos % shard[1] != shard[0]:
+    q = len(elems)
+    if q < d + 1:
+        return
+    nonzero = [x for x in elems if x]
+    index = {x: k for k, x in enumerate(elems)}
+    pairs = 0
+    for head in itertools.permutations(elems, min(d, 3) + 1):
+        bp1 = (head[0] - head[3]) / (head[1] - head[2]) if d >= 3 else None
+        theta = _close(head, d, bp1)
+        if theta is None:
             continue
-        for theta_star in itertools.permutations(elems, d + 1):
-            for phi_1 in nonzero:
-                calls += 1
-                if budget is not None and calls > budget:
-                    raise BudgetExceeded(
-                        f"enumeration budget {budget} exhausted at d={d} over {field}"
-                    )
-                arr = complete_from_theta(field, theta, theta_star, phi_1)
-                if arr is not None:
-                    yield arr
+        if shard is not None and _rank(theta, index, q) % shard[1] != shard[0]:
+            continue
+        # With a_i = theta_{i-1} - theta_d, b_i = theta_{d-i+1} - theta_0 and
+        # D_i = theta*_i - theta*_0, PA3 reads varphi_i = phi_1 S_i + D_i a_i
+        # and PA4 reads phi_i = (phi_1 + D_1 a_1) S_i + D_i b_i, because
+        # varphi_1 = phi_1 + D_1 a_1 (S_1 = 1).  Where S_i != 0 they vanish
+        # at phi_1 = D_i (-a_i / S_i) and phi_1 = D_i (-b_i / S_i) - D_1 a_1.
+        # Where S_i = 0 they are D_i a_i and D_i b_i, products of differences
+        # of distinct entries, so that i excludes no phi_1.
+        sums = _pa34_sums(theta)
+        a = [theta[i - 1] - theta[d] for i in range(1, d + 1)]
+        b = [theta[d - i + 1] - theta[0] for i in range(1, d + 1)]
+        roots = [(i, -x / s, -y / s)
+                 for i, (s, x, y) in enumerate(zip(sums, a, b)) if s]
+        for star_head in itertools.permutations(elems, min(d, 2) + 1):
+            pairs += 1
+            if budget is not None and pairs > budget:
+                raise BudgetExceeded(
+                    f"enumeration budget {budget} exhausted at d={d} over {field}"
+                )
+            theta_star = _close(star_head, d, bp1)
+            if theta_star is None:
+                continue
+            diffs = [x - theta_star[0] for x in theta_star[1:]]
+            c1 = diffs[0] * a[0]
+            bad = set()
+            for i, u, w in roots:
+                bad.add(diffs[i] * u)
+                bad.add(diffs[i] * w - c1)
+            phis = [x for x in nonzero if x not in bad]
+            if not phis:
+                continue
+            c = [D * x for D, x in zip(diffs, a)]
+            e = [D * y for D, y in zip(diffs, b)]
+            for phi_1 in phis:
+                varphi_1 = phi_1 + c1
+                yield ParameterArray(
+                    field, d, theta, theta_star,
+                    tuple(phi_1 * s + x for s, x in zip(sums, c)),
+                    tuple(varphi_1 * s + y for s, y in zip(sums, e)))

@@ -200,16 +200,22 @@ def build(p: ParameterArray) -> SplitMatrixSet:
     Astar = bidiag_upper(ths, vp)
     Bstar = bidiag_upper(ths, ph)
 
-    def prod(values, i, j):
-        acc = one
-        for h in range(j):
-            acc = acc * (values[i] - values[h])
-        return acc
+    def products(values):
+        """Entry (i, j) is the product of values[i] - values[h] over h < j,
+        taken as a running product along row i.  Above the diagonal the
+        product holds the factor values[i] - values[i], so it is zero."""
+        rows = []
+        for i, x in enumerate(values):
+            acc, row = one, [one]
+            for h in range(i):
+                acc = acc * (x - values[h])
+                row.append(acc)
+            rows.append(tuple(row) + (zero,) * (d - i))
+        return SquareMatrix(F, n, tuple(rows))
 
-    T = SquareMatrix.build(F, n, lambda i, j: prod(th, i, j))
-    Tstar = SquareMatrix.build(F, n, lambda i, j: prod(ths, i, j))
-    rev = tuple(th[d - i] for i in range(n))
-    Tdown = SquareMatrix.build(F, n, lambda i, j: prod(rev, i, j))
+    T = products(th)
+    Tstar = products(ths)
+    Tdown = products(tuple(th[d - i] for i in range(n)))
 
     def prefix_products(values):
         acc, out = one, [one]

@@ -29,6 +29,16 @@ def dense_mul(x, y):
         for row in x.rows))
 
 
+def random_injective(F, n, rng):
+    """n distinct random elements of F, in the order drawn."""
+    values = []
+    while len(values) < n:
+        x = F.random_element(rng)
+        if x not in values:
+            values.append(x)
+    return values
+
+
 @pytest.fixture
 def fix_d1():
     # smallest fixture: d = 1, f_1 = 1 + lambda, nu = 1/2

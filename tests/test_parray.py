@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leonard import (
+    BudgetExceeded,
     array_from_json,
     base_candidates,
     beta_plus_one,
@@ -20,7 +21,9 @@ from leonard import (
     rational_field,
     validate,
 )
-from conftest import Q, qarr
+from leonard import parray
+from leonard.parray import _pa34_sums
+from conftest import Q, qarr, random_injective
 
 
 def test_fix_d1_is_valid(fix_d1):
@@ -248,6 +251,14 @@ def test_enumeration_respects_budget():
         list(enumerate_arrays(f5, 2, budget=10))
 
 
+def test_enumeration_budget_counts_theta_theta_star_pairs():
+    # GF(5), d = 2 examines all 60 x 60 (theta, theta*) pairs
+    f5 = prime_field(5)
+    assert len(list(enumerate_arrays(f5, 2, budget=3600))) == 6000
+    with pytest.raises(BudgetExceeded):
+        list(enumerate_arrays(f5, 2, budget=3599))
+
+
 def test_enumeration_rejects_a_negative_budget_at_the_call():
     # GF(2) has no d = 3 arrays, so only a check at the call can see it
     for field, d in ((prime_field(5), 2), (prime_field(2), 3)):
@@ -268,3 +279,86 @@ def test_d1_completion_exactly_when_varphi_nonzero(a, b, v):
         assert p is None
     else:
         assert p is not None and validate(p).ok()
+
+
+def _grid_arrays(field, d, budget, shard):
+    """The enumerator as it was before it ran over PA5 heads: it tries every
+    (theta, theta*, phi_1) triple of the grid.  The oracle for
+    enumerate_arrays, order and shard assignment included."""
+    order = field.order()
+    if order < d + 1:
+        return
+    elems = list(field.elements())
+    nonzero = elems[1:] if not elems[0] else [e for e in elems if e]
+    calls = 0
+    for pos, theta in enumerate(itertools.permutations(elems, d + 1)):
+        if shard is not None and pos % shard[1] != shard[0]:
+            continue
+        for theta_star in itertools.permutations(elems, d + 1):
+            for phi_1 in nonzero:
+                calls += 1
+                if budget is not None and calls > budget:
+                    raise BudgetExceeded(
+                        f"enumeration budget {budget} exhausted at d={d} over {field}"
+                    )
+                arr = complete_from_theta(field, theta, theta_star, phi_1)
+                if arr is not None:
+                    yield arr
+
+
+GRID_FIELDS = {
+    "GF(3)": prime_field(3),
+    "GF(4)": extension_field(2, 2, (1, 1, 1)),
+    "GF(5)": prime_field(5),
+    "GF(7)": prime_field(7),
+}
+
+
+@pytest.mark.parametrize("label, d", [("GF(3)", 1), ("GF(4)", 2), ("GF(4)", 3),
+                                      ("GF(5)", 2), ("GF(5)", 3)])
+def test_enumeration_matches_grid_oracle(label, d):
+    F = GRID_FIELDS[label]
+    ours = list(enumerate_arrays(F, d, budget=None))
+    assert ours == list(_grid_arrays(F, d, None, None))
+    assert ours
+
+
+# GF(5), d = 4 closes theta from its head by PA5 and ranks it by its Lehmer
+# code; the GF(7) shards of 840 keep three theta tuples each
+@pytest.mark.parametrize("label, shard", [("GF(5)", (0, 3)), ("GF(5)", (1, 3)),
+                                          ("GF(5)", (2, 3)), ("GF(7)", (4, 840)),
+                                          ("GF(7)", (35, 840))])
+def test_enumeration_shard_matches_grid_oracle(label, shard):
+    F = GRID_FIELDS[label]
+    ours = list(enumerate_arrays(F, 4, budget=None, shard=shard))
+    assert ours == list(_grid_arrays(F, 4, None, shard))
+    assert ours
+
+
+def test_enumeration_solves_phi_1_without_the_completion_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("complete_from_theta called")
+
+    monkeypatch.setattr(parray, "complete_from_theta", refuse)
+    assert len(list(enumerate_arrays(GRID_FIELDS["GF(4)"], 3))) == 576
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["Q", "GF(7)", "GF(101)"]), st.integers(1, 6),
+       st.integers(0, 2**32))
+def test_pa4_at_one_gives_back_phi_1(label, d, seed):
+    # S_1 = 1, so the product term PA3 adds to varphi_1 is the one PA4
+    # takes away again; complete_from_theta relies on it
+    F = {"Q": Q, "GF(7)": prime_field(7), "GF(101)": prime_field(101)}[label]
+    rng = random.Random(seed)
+    theta = random_injective(F, d + 1, rng)
+    theta_star = random_injective(F, d + 1, rng)
+    phi_1 = F.random_element(rng, nonzero=True)
+    sums = _pa34_sums(theta)
+    assert sums[0] == F.one()
+    delta = theta_star[1] - theta_star[0]
+    varphi_1 = phi_1 * sums[0] + delta * (theta[0] - theta[d])
+    assert varphi_1 * sums[0] + delta * (theta[d] - theta[0]) == phi_1
+    p = complete_from_theta(F, theta, theta_star, phi_1)
+    if p is not None:
+        assert p.phi[0] == phi_1 and validate(p).ok()

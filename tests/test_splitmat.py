@@ -24,7 +24,7 @@ from leonard import (
     verify_leonard_conditions,
 )
 from leonard.fields import _find_irreducible
-from conftest import Q, dense_mul, qarr
+from conftest import Q, dense_mul, qarr, random_injective
 
 PRODUCT_FIELDS = {
     "Q": Q,
@@ -155,6 +155,49 @@ def test_fix_d1_split_matrices(fix_d1):
     }
     for name, rows in expect.items():
         assert getattr(m, name) == mat(rows), name
+
+
+def product_formula(values):
+    """Entry (i, j) as the fresh product of values[i] - values[h] over h < j,
+    the way build once computed T, T* and Tdown: the oracle for its running
+    products."""
+    F = values[0].field
+
+    def prod(i, j):
+        acc = F.one()
+        for h in range(j):
+            acc = acc * (values[i] - values[h])
+        return acc
+
+    return SquareMatrix.build(F, len(values), prod)
+
+
+def random_array(F, d, rng):
+    """theta and theta* injective, varphi and phi nonzero; nothing else holds."""
+    nonzero = lambda: [F.random_element(rng, nonzero=True) for _ in range(d)]
+    return make_array(F, random_injective(F, d + 1, rng),
+                      random_injective(F, d + 1, rng), nonzero(), nonzero())
+
+
+def test_transition_matrices_match_product_formula(fix_d1, kraw2, kraw3, qrac3,
+                                                   orphan3):
+    rng = random.Random("transition-products")
+    arrays = [fix_d1, kraw2, kraw3, qrac3, orphan3]
+    for F in PRODUCT_FIELDS.values():
+        arrays += [random_array(F, d, rng) for d in (1, 3, 6)
+                   if not F.is_finite() or d < F.order()]
+    for p in arrays:
+        m = build(p)
+        assert m.T == product_formula(p.theta)
+        assert m.Tstar == product_formula(p.theta_star)
+        assert m.Tdown == product_formula(p.theta[::-1])
+
+
+def test_build_takes_running_products():
+    fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
+    p = generate(fp, Q)
+    # 3,330 of them; a fresh product per entry of T, T* and Tdown made 9,858
+    assert count_multiplications(lambda: build(p)) <= 4_000
 
 
 def test_conjugation_moves_one_matrix_pair_to_other(qrac3):
