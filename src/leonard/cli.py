@@ -8,6 +8,7 @@ itself is malformed (bad JSON, bad field spec, unknown names).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -272,7 +273,11 @@ def cmd_enumerate(args) -> int:
     return OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and each command's module globals are still looked
+    up when the command runs."""
     parser = argparse.ArgumentParser(
         prog="leonard",
         description="Exact construction, verification, and classification "

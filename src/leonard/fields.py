@@ -2,7 +2,8 @@
 
 Elements are immutable wrappers around a canonical payload:
 
-* rationals: ``fractions.Fraction``, always reduced, positive denominator
+* rationals: a pair ``(n, d)`` of ints, n/d in lowest terms with d > 0, and
+  zero as ``(0, 1)``
 * prime fields: ``int`` residue in ``[0, p)``
 * extensions: tuple of ``k`` residues, low degree first, reduced mod p
 
@@ -28,10 +29,11 @@ Cost of an operation.  Every FieldElement operator first takes a fast path
 when the other operand is an element of the very same field object (make_field
 caches one object per spec); only otherwise does it coerce an int or compare
 field specs, refusing mixed fields.  Elements are built by the slot
-descriptors directly, and each field stores its zero and one payloads, the
-hash of its spec and a zero key: the cheapest object equal to the zero
-payload, which the zero tests of bool() and inverse() compare with (the int 0
-over Q, which Fraction compares with faster than with Fraction(0)).  An
+descriptors directly, and each field stores its zero and one payloads, which
+the zero tests of bool() and inverse() compare with, and the hash of its
+spec.  Every payload is canonical, so equal elements have equal payloads and
+equal hashes.  Rationals add and multiply on their (n, d) pairs with the
+gcd-splitting sum and product of Knuth (TAOCP vol. 2, 4.5.1).  An
 extension field of order at most TABLE_ORDER_CAP (2^10) multiplies and
 inverts by log/antilog tables built when it is made: the generator is the
 first element of multiplicative order q - 1 in element order, found by
@@ -44,10 +46,10 @@ inverse, which are also the tables' test oracle.  Prime fields multiply as
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -347,12 +349,12 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         field = self.field
-        if self.value == field.zero_key:
+        if self.value == field.zero_value:
             raise ZeroDivisionError(f"division by zero in {field}")
         return _element(field, field._inv(self.value))
 
     def __bool__(self):
-        return self.value != self.field.zero_key
+        return self.value != self.field.zero_value
 
     def __eq__(self, other):
         if other.__class__ is not FieldElement or other.field is not self.field:
@@ -391,14 +393,12 @@ class Field:
     spec_hash: int  # hash(spec), taken once
     zero_value: object  # payloads of zero() and one()
     one_value: object
-    zero_key: object  # equals zero_value; the cheapest payload to test against
 
     def __init__(self, spec: FieldSpec, zero_value, one_value):
         self.spec = spec
         self.spec_hash = hash(spec)
         self.zero_value = zero_value
         self.one_value = one_value
-        self.zero_key = zero_value
 
     # payload-level hooks -------------------------------------------------
     def _add(self, a, b):
@@ -484,29 +484,53 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 class RationalField(Field):
+    """Q, with payload (n, d): n/d in lowest terms, d > 0, zero as (0, 1).
+
+    The sum and the product split off gcds before they multiply (Knuth, TAOCP
+    vol. 2, 4.5.1), so that their results come out in lowest terms without a
+    final gcd of the full-size numerator and denominator."""
+
     def __init__(self):
-        super().__init__(FieldSpec("rational"), Fraction(0), Fraction(1))
-        # Fraction.__eq__ answers an int at once but sends another Fraction
-        # through its numbers.Rational check, which is about 3x slower.
-        self.zero_key = 0
+        super().__init__(FieldSpec("rational"), (0, 1), (1, 1))
 
     def _add(self, a, b):
-        return a + b
+        na, da = a
+        nb, db = b
+        g = gcd(da, db)
+        if g == 1:
+            return (na * db + nb * da, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return (t, s * db)
+        return (t // g2, s * (db // g2))
 
     def _sub(self, a, b):
-        return a - b
+        return self._add(a, (-b[0], b[1]))
 
     def _mul(self, a, b):
-        return a * b
+        na, da = a
+        nb, db = b
+        g1 = gcd(na, db)
+        if g1 != 1:
+            na //= g1
+            db //= g1
+        g2 = gcd(nb, da)
+        if g2 != 1:
+            nb //= g2
+            da //= g2
+        return (na * nb, da * db)
 
     def _neg(self, a):
-        return -a
+        return (-a[0], a[1])
 
     def _inv(self, a):
-        return 1 / a
+        n, d = a
+        return (-d, -n) if n < 0 else (d, n)
 
     def from_int(self, n: int) -> FieldElement:
-        return _element(self, Fraction(n))
+        return _element(self, (n, 1))
 
     def characteristic(self) -> int:
         return 0
@@ -515,16 +539,19 @@ class RationalField(Field):
         text = text.strip()
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not a rational literal: {text!r}")
-        return _element(self, Fraction(text))
+        v = Fraction(text)
+        return _element(self, (v.numerator, v.denominator))
 
     def format(self, a: FieldElement) -> str:
-        return str(a.value)
+        n, d = a.value
+        return str(n) if d == 1 else f"{n}/{d}"
 
     def random_element(self, rng, nonzero: bool = False) -> FieldElement:
         while True:
-            v = Fraction(rng.randint(-8, 8), rng.randint(1, 6))
-            if v or not nonzero:
-                return _element(self, v)
+            n, d = rng.randint(-8, 8), rng.randint(1, 6)
+            if n or not nonzero:
+                g = gcd(n, d)
+                return _element(self, (n // g, d // g))
 
     def __repr__(self):
         return "Q"
@@ -832,13 +859,14 @@ def quadratic_roots(
                 raise RuntimeError(f"{r} is not a root of x^2 + ({b})*x + ({c})")
         return tuple(sorted(roots, key=field.index_of))
     disc = b * b - 4 * c
-    num, den = disc.value.numerator, disc.value.denominator
+    num, den = disc.value
     if num < 0:
         return None
-    rn, rd = math.isqrt(num), math.isqrt(den)
+    # num/den is in lowest terms, so it is a square iff num and den both are
+    rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
         return None
-    root = _element(field, Fraction(rn, rd))
+    root = _element(field, (rn, rd))
     half = field.from_int(2).inverse()
     return ((-b + root) * half, (-b - root) * half)
 

@@ -59,28 +59,38 @@ def verify_orthogonality(a: Analysis) -> CheckReport:
     """Row and column orthogonality of the evaluation table under the two
     weight families."""
     table, data = a.polys, a.ortho
-    F, d = a.p.field, a.p.d
-    zero = F.zero()
-    report = CheckReport("orthogonality")
-
     vals = table.P.rows  # vals[j][i] = f_i(theta_j)
-    for i in range(d + 1):
-        for j in range(d + 1):
-            acc = zero
-            for r in range(d + 1):
-                acc = acc + vals[r][i] * vals[r][j] * data.kstar[r]
-            want = data.nu * data.k[i].inverse() if i == j else zero
-            if acc != want:
-                report.add(f"row orthogonality fails at ({i}, {j})")
-    for i in range(d + 1):
-        for j in range(d + 1):
-            acc = zero
-            for r in range(d + 1):
-                acc = acc + vals[i][r] * vals[j][r] * data.k[r]
-            want = data.nu * data.kstar[i].inverse() if i == j else zero
-            if acc != want:
-                report.add(f"column orthogonality fails at ({i}, {j})")
+    report = CheckReport("orthogonality")
+    # row (i, j): sum_r f_i(theta_r) f_j(theta_r) kstar_r = delta_ij nu / k_i
+    cols = tuple(zip(*vals))  # cols[i][r] = f_i(theta_r)
+    _gram_failures(report, "row", cols, data.kstar, data.k, data.nu)
+    # column (i, j): sum_r f_r(theta_i) f_r(theta_j) k_r = delta_ij nu / kstar_i
+    _gram_failures(report, "column", vals, data.k, data.kstar, data.nu)
     return report
+
+
+def _gram_failures(report: CheckReport, kind: str, vecs, weights, diag, nu) -> None:
+    """Add a line for each (i, j), in row-major order, where the weighted
+    inner product of vecs[i] and vecs[j] is not delta_ij nu / diag_i.
+
+    The product is symmetric in i and j, so it is computed for i <= j only,
+    each vecs[i] weighted once."""
+    n = len(vecs)
+    zero = nu.field.zero()
+    weighted = [[x * w for x, w in zip(v, weights)] for v in vecs]
+    bad = [[False] * n for _ in range(n)]
+    for i in range(n):
+        wi = weighted[i]
+        for j in range(i, n):
+            acc = zero
+            for x, y in zip(wi, vecs[j]):
+                acc = acc + x * y
+            want = nu * diag[i].inverse() if i == j else zero
+            bad[i][j] = bad[j][i] = acc != want
+    for i in range(n):
+        for j in range(n):
+            if bad[i][j]:
+                report.add(f"{kind} orthogonality fails at ({i}, {j})")
 
 
 def verify_nu_sums(a: Analysis) -> CheckReport:

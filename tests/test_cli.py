@@ -570,3 +570,29 @@ def test_gen_precondition_messages_are_pinned(capsys, family, d, field, params,
                          "--param", *params.split(), f"theta0={zero}",
                          f"thetastar0={zero}")
     assert (code, out, err) == (1, "", message + "\n")
+
+
+def test_cached_parser_gives_each_call_its_first_answer(capsys):
+    """main builds its parser once per process; a call made after others
+    must answer byte for byte as it does when it is the first call."""
+    from leonard.cli import _build_parser
+
+    calls = [
+        ["verify", QRAC3],
+        ["gen", "q-racah", "--field", "rational"],  # no --d: exit 2
+        ["gen", "bannai-ito", "--d", "4", "--field", "rational", "--param",
+         "h=1", "hstar=1", "s=3", "sstar=5", "r1=2", "r2=-5", "theta0=0",
+         "thetastar0=0"],
+        ["gen", "dual-q-krawtchouk", "--d", "4", "--field", "rational",
+         "--param", "q=3", "h=1", "hstar=1", "s=2", "theta0=0",
+         "thetastar0=0"],
+        ["classify", QRAC3],
+    ]
+    first = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        first.append(run(capsys, *argv)[:2])
+    assert [code for code, _ in first] == [0, 2, 0, 0, 0]
+    assert first[2][1] != first[3][1]
+    for _ in range(2):
+        assert [run(capsys, *argv)[:2] for argv in calls] == first

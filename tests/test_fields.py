@@ -1,10 +1,12 @@
 """Field arithmetic: axioms, parsing, embeddings, quadratic roots."""
 
+import math
 import operator
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leonard import (
@@ -58,6 +60,89 @@ def test_prime_field_matches_int_mod(m, n):
     assert a + b == F7.from_int(m + n)
     assert a * b == F7.from_int(m * n)
     assert -a == F7.from_int(-m)
+
+
+_BIG = st.integers(2**200, 2**260)
+# zero, small fractions, and numerators and denominators past 2^200
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(),
+    st.builds(Fraction, _BIG | _BIG.map(operator.neg) | st.integers(-9, 9),
+              _BIG | st.integers(1, 9)),
+)
+
+
+def as_fraction(e):
+    """The Fraction a rational element stands for, after checking that its
+    payload is canonical: ints in lowest terms, positive denominator, zero
+    as (0, 1)."""
+    n, d = e.value
+    assert type(n) is int and type(d) is int
+    assert d > 0 and math.gcd(n, d) == 1
+    assert n != 0 or d == 1
+    return Fraction(n, d)
+
+
+@given(RATIONALS, RATIONALS)
+@example(Fraction(0), Fraction(-3, 2**201))
+def test_rational_field_matches_fraction(x, y):
+    a, b = Q.parse(str(x)), Q.parse(str(y))
+    assert as_fraction(a) == x and as_fraction(b) == y
+    assert as_fraction(a + b) == x + y
+    assert as_fraction(a - b) == x - y
+    assert as_fraction(a * b) == x * y
+    assert as_fraction(-a) == -x
+    assert as_fraction(a**3) == x**3
+    assert (a == b) == (x == y) and bool(a) == bool(x)
+    assert Q.format(a * b) == str(x * y)
+    if y:
+        assert as_fraction(a / b) == x / y
+        assert as_fraction(b.inverse()) == 1 / y
+        assert as_fraction(b**-2) == y**-2
+    for n in (0, 1, -7, 2**201):
+        assert as_fraction(Q.from_int(n)) == n
+        assert as_fraction(a + n) == x + n and as_fraction(n - a) == n - x
+
+
+@given(RATIONALS, st.integers(1, 10**6))
+def test_equal_rationals_are_one_payload(x, k):
+    built = (
+        Q.parse(f"{x.numerator * k}/{x.denominator * k}"),
+        Q.from_int(x.numerator) / Q.from_int(x.denominator),
+        Q.parse(str(x)) * k / k,
+        Q.parse(str(x)) + Q.one() - Q.one(),
+    )
+    for e in built:
+        assert e == built[0] and hash(e) == hash(built[0])
+        assert e.value == built[0].value == (x.numerator, x.denominator)
+    half = Q.parse("2/4")
+    assert half == Q.one() / 2 and hash(half) == hash(Q.one() / 2)
+    assert Q.parse("-0") == Q.parse("0/7") == Q.zero()
+    assert Q.parse("-0").value == Q.zero().value == (0, 1)
+
+
+@given(st.sampled_from(["", "+", "-"]), st.integers(0, 2**210),
+       st.integers(0, 3), st.none() | st.integers(1, 2**210), st.integers(0, 3))
+def test_rational_format_is_str_of_fraction(sign, num, pad, den, dpad):
+    text = sign + "0" * pad + str(num)
+    if den is not None:
+        text += "/" + "0" * dpad + str(den)
+    assert Q.format(Q.parse(text)) == str(Fraction(text))
+    assert Q.parse(Q.format(Q.parse(text))) == Q.parse(text)
+
+
+def test_rational_random_element_draws_as_fraction_did():
+    """random_element makes the rng calls that the Fraction payload made, so
+    seeded draws of arrays over Q stay the same."""
+    ours, theirs = random.Random(11), random.Random(11)
+    for i in range(300):
+        nonzero = i % 2 == 1
+        while True:
+            want = Fraction(theirs.randint(-8, 8), theirs.randint(1, 6))
+            if want or not nonzero:
+                break
+        assert as_fraction(Q.random_element(ours, nonzero=nonzero)) == want
+    assert ours.random() == theirs.random()
 
 
 def test_field_axioms_random_elements():
@@ -237,6 +322,12 @@ def test_quadratic_roots_rational():
     assert quadratic_roots(Q, Q.from_int(0), Q.from_int(1)) is None
     double = quadratic_roots(Q, Q.from_int(-2), Q.from_int(1))
     assert double == (Q.one(), Q.one())
+    # (x - 1/2)(x - 1/3): the discriminant 1/36 is a square with denominator 36
+    roots = quadratic_roots(Q, Q.parse("-5/6"), Q.parse("1/6"))
+    assert [Q.format(r) for r in roots] == ["1/2", "1/3"]
+    # discriminants 1/2 and 2/9: a square numerator or denominator alone is not enough
+    assert quadratic_roots(Q, Q.zero(), Q.parse("-1/8")) is None
+    assert quadratic_roots(Q, Q.zero(), Q.parse("-1/18")) is None
 
 
 def test_quadratic_roots_finite():

@@ -1,7 +1,10 @@
 """Weights, the normalization scalar, and both orthogonality sums."""
 
+import pytest
+
 from leonard import (
     Analysis,
+    CheckReport,
     corresponding_polys,
     make_array,
     ortho_data,
@@ -72,3 +75,60 @@ def test_orthogonality_detects_broken_phi(kraw3):
                         kraw3.varphi, (Q.from_int(-4),) + kraw3.phi[1:])
     assert not verify_orthogonality(Analysis(broken)).ok()
     assert not verify_nu_sums(Analysis(broken)).ok()
+
+
+def orthogonality_oracle(a):
+    """verify_orthogonality as it was before it used the symmetry of the
+    sums: both (i, j) and (j, i) summed in full, each in row-major order."""
+    table, data = a.polys, a.ortho
+    F, d = a.p.field, a.p.d
+    zero = F.zero()
+    report = CheckReport("orthogonality")
+    vals = table.P.rows
+    for i in range(d + 1):
+        for j in range(d + 1):
+            acc = zero
+            for r in range(d + 1):
+                acc = acc + vals[r][i] * vals[r][j] * data.kstar[r]
+            want = data.nu * data.k[i].inverse() if i == j else zero
+            if acc != want:
+                report.add(f"row orthogonality fails at ({i}, {j})")
+    for i in range(d + 1):
+        for j in range(d + 1):
+            acc = zero
+            for r in range(d + 1):
+                acc = acc + vals[i][r] * vals[j][r] * data.k[r]
+            want = data.nu * data.kstar[i].inverse() if i == j else zero
+            if acc != want:
+                report.add(f"column orthogonality fails at ({i}, {j})")
+    return report
+
+
+def perturbed(p):
+    """p with one entry of theta, theta*, varphi or phi raised by one, for
+    every entry in turn."""
+    seqs = (p.theta, p.theta_star, p.varphi, p.phi)
+    for s, seq in enumerate(seqs):
+        for i in range(len(seq)):
+            changed = list(seqs)
+            changed[s] = seq[:i] + (seq[i] + 1,) + seq[i + 1:]
+            yield make_array(p.field, *changed)
+
+
+def outcome(check, p):
+    try:
+        return check(Analysis(p)).failures
+    except ZeroDivisionError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("name", ["fix_d1", "kraw2", "kraw3", "qrac3", "orphan3"])
+def test_orthogonality_matches_oracle(name, request):
+    p = request.getfixturevalue(name)
+    assert verify_orthogonality(Analysis(p)) == orthogonality_oracle(Analysis(p))
+    failing = 0
+    for q in perturbed(p):
+        got = outcome(verify_orthogonality, q)
+        assert got == outcome(orthogonality_oracle, q)
+        failing += bool(got)
+    assert failing > 0
