@@ -108,7 +108,8 @@ def _check_char(family: str, d: int, field: Field) -> None:
 
 
 class _QPowers:
-    """Cached integer powers of a fixed nonzero scalar."""
+    """Cached integer powers of a fixed nonzero scalar; q^-1 is taken once,
+    when the first negative power is asked for."""
 
     def __init__(self, q: FieldElement):
         self.q = q
@@ -116,10 +117,16 @@ class _QPowers:
         self._neg = [q.field.one()]
 
     def __call__(self, n: int) -> FieldElement:
-        cache, step = (self._pos, self.q) if n >= 0 else (self._neg, self.q.inverse())
-        while len(cache) <= abs(n):
+        if n >= 0:
+            cache, step = self._pos, self.q
+        else:
+            cache, n = self._neg, -n
+            if len(cache) == 1:
+                cache.append(self.q.inverse())
+            step = cache[1]
+        while len(cache) <= n:
             cache.append(cache[-1] * step)
-        return cache[abs(n)]
+        return cache[n]
 
 
 def _powers(case: str, field: Field,

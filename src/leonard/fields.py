@@ -37,11 +37,15 @@ gcd-splitting sum and product of Knuth (TAOCP vol. 2, 4.5.1).  An
 extension field of order at most TABLE_ORDER_CAP (2^10) multiplies and
 inverts by log/antilog tables built when it is made: the generator is the
 first element of multiplicative order q - 1 in element order, found by
-walking each candidate's powers with the convolution product and accepted
+walking each candidate's powers with the fold product below and accepted
 only when the walk returns to one after exactly q - 1 distinct powers.
-Larger extensions keep the convolution product and the extended Euclid
-inverse, which are also the tables' test oracle.  Prime fields multiply as
-(a*b) % p.
+Larger extensions multiply by the fold product and invert by extended
+Euclid.  The fold product accumulates the convolution in plain ints, folds
+degrees k..2k-2 down through the rows of x^(k+j) mod the modulus, stored
+once per field as sparse rows, and takes one % p per output coefficient.
+An embedding GF(p^k) -> GF(p^K) is GF(p)-linear and keeps the payloads of
+the root's powers as a k x K matrix, so an image costs k*K integer products
+and no field operation.  Prime fields multiply as (a*b) % p.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul as _imul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -210,6 +215,16 @@ def _pdivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], lis
 
 def _pmod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _pdivmod(a, b, p)[1]
+
+
+def _fold_rows(modulus: Sequence[int], p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row j is x^(k+j) mod the monic modulus of degree k, for 0 <= j <= k-2,
+    as the (i, c) pairs of its nonzero coefficients."""
+    k = len(modulus) - 1
+    return tuple(
+        tuple((i, c) for i, c in enumerate(_pmod([0] * (k + j) + [1], modulus, p)) if c)
+        for j in range(k - 1)
+    )
 
 
 def _pinv_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
@@ -643,6 +658,7 @@ class ExtensionField(Field):
         self.p = p
         self.k = k
         self.modulus = mod
+        self._fold = _fold_rows(mod, p)
         super().__init__(FieldSpec("extension", p=p, k=k, modulus=mod),
                          (0,) * k, (1,) + (0,) * (k - 1))
         if p**k <= TABLE_ORDER_CAP:
@@ -668,17 +684,14 @@ class ExtensionField(Field):
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
-                    conv[i + j] = (conv[i + j] + ai * bj) % p
-        # fold degrees >= k down using the monic modulus
-        m = self.modulus
-        for deg in range(2 * k - 2, k - 1, -1):
-            c = conv[deg]
+                    conv[i + j] += ai * bj
+        # fold degrees k..2k-2 down through the rows of x^(k+j) mod the
+        # modulus; the sums stay plain ints until the one % p per coefficient
+        for c, row in zip(conv[k:], self._fold):
             if c:
-                conv[deg] = 0
-                shift = deg - k
-                for i in range(k):
-                    conv[shift + i] = (conv[shift + i] - c * m[i]) % p
-        return tuple(conv[:k])
+                for i, r in row:
+                    conv[i] += c * r
+        return tuple([c % p for c in conv[:k]])
 
     def _inv(self, a):
         inv = _pinv_mod(list(a), list(self.modulus), self.p)
@@ -1042,12 +1055,13 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
         powers = [dst.one()]
         for _ in range(src.spec.k - 1):
             powers.append(powers[-1] * root)
+        # the map is GF(p)-linear: image coefficient j is sum_i c_i (root^i)_j,
+        # so keep the k x K matrix of the powers' payloads by columns
+        columns = tuple(zip(*(pw.value for pw in powers)))
 
-        def lift(x: FieldElement, dst=dst, powers=powers) -> FieldElement:
-            acc = dst.zero()
-            for coef, pw in zip(x.value, powers):
-                acc = acc + dst.from_int(coef) * pw
-            return acc
+        def lift(x: FieldElement, dst=dst, columns=columns, p=src.spec.p) -> FieldElement:
+            c = x.value
+            return _element(dst, tuple([sum(map(_imul, c, col)) % p for col in columns]))
 
         _EMBED_CACHE[key] = lift
         return lift

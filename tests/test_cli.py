@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leonard import FamilyParams, FieldSpec, generate, make_field
-from leonard.cli import main
+from leonard import FamilyParams, FieldSpec, embed_map, generate, make_field
+from leonard.classify import embed_array
+from leonard.cli import load_array, main
 
 HERE = os.path.dirname(__file__)
 KRAW2 = os.path.join(HERE, "fixtures", "kraw2.json")
 QRAC3 = os.path.join(HERE, "fixtures", "qrac3.json")
 ORPHAN3 = os.path.join(HERE, "fixtures", "orphan3.json")
+EXT3_4 = os.path.join(HERE, "fixtures", "ext3_4.json")
 
 SCOREBOARD = ["validate", "conjugation", "leonard-conditions",
               "proportionality", "endpoint-values", "duality",
@@ -134,6 +136,19 @@ def test_classify_orphan(capsys):
     assert code == 0
     w = json.loads(out)
     assert w["case"] == "IV" and w["family"] == "orphan"
+
+
+def test_classify_above_the_table_cap(capsys):
+    # q lies only in GF(3^8), whose 6561 elements are above TABLE_ORDER_CAP
+    code, out, _ = run(capsys, "classify", EXT3_4)
+    assert code == 0
+    w = json.loads(out)
+    assert w["case"] == "I" and w["family"] == "q-racah"
+    W = make_field(FieldSpec.from_json(w["field_of_witness"]))
+    assert W.order() == 6561
+    p = load_array(EXT3_4)
+    again = generate(FamilyParams.from_json(w["parameters"]), W)
+    assert again == embed_array(p, W, embed_map(p.field, W))
 
 
 def test_classify_invalid_array(capsys, tmp_path):

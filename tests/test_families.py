@@ -12,11 +12,13 @@ from leonard import (
     CharacteristicMismatch,
     DenominatorPoleBeforeTermination,
     FamilyParams,
+    FieldElement,
     HypergeomSpec,
     PreconditionViolated,
     SeriesDoesNotTerminate,
     characteristic_admissible,
     closed_form_spec,
+    extension_field,
     family_base,
     family_param_names,
     generate,
@@ -27,6 +29,8 @@ from leonard import (
     validate,
     verify_closed_form,
 )
+from leonard.families import _QPowers
+from leonard.fields import _find_irreducible
 from conftest import Q
 
 
@@ -252,3 +256,23 @@ def test_generate_rejects_wrong_value_set(kraw2):
     with pytest.raises(ValueError):
         generate(FamilyParams("krawtchouk", 0, vals(
             Q, s="1", sstar="1", r="2", theta0="0", thetastar0="0")), Q)
+
+
+def test_qpowers_inverts_q_once(monkeypatch):
+    d = 6
+    for F in (Q, prime_field(101), extension_field(3, 8, _find_irreducible(3, 8))):
+        q = F.from_int(2) + (F.generator() if F.spec.kind == "extension" else 0)
+        want = {n: q**n for n in range(-2 * d, 2 * d + 1)}
+        calls = []
+        inverse = FieldElement.inverse
+        monkeypatch.setattr(FieldElement, "inverse",
+                            lambda self: calls.append(self) or inverse(self))
+        P = _QPowers(q)
+        # every power twice, out of order, the negative ones first
+        order = list(range(-2 * d, 2 * d + 1))
+        random.Random(F.spec_hash).shuffle(order)
+        order.sort(key=lambda n: n >= 0)
+        got = {n: P(n) for n in order + order}
+        monkeypatch.undo()
+        assert calls == [q], F
+        assert got == want, F

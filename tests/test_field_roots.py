@@ -25,6 +25,7 @@ from leonard.fields import (
     _irreducible,
     _is_prime,
     _pmod,
+    _pmul,
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -141,10 +142,18 @@ def test_embed_map_every_subfield():
         assert [lift(x) for x in src.elements()] == oracle_embed_images(src, dst), (src, dst)
 
 
+def reduced_product(F, a, b):
+    """The payload of a*b in GF(p^k): the product of the two polynomials,
+    reduced by long division by the modulus."""
+    r = _pmod(_pmul(a, b, F.p), F.modulus, F.p)
+    return tuple(r + [0] * (F.k - len(r)))
+
+
 def test_tables_match_the_convolution_and_euclid():
     """Below TABLE_ORDER_CAP, multiply and inverse are log/antilog lookups;
-    the convolution product and the extended Euclid loop (_pinv_mod), the
-    only path above the cap, are their oracle over every element pair."""
+    the product reduced by polynomial long division, and the extended Euclid
+    loop (_pinv_mod) that is the only inverse above the cap, are their
+    oracle over every element pair."""
     fields = [F for F in finite_fields() if F.spec.kind == "extension"]
     # every other monic irreducible of small degree, among them the source
     # moduli of test_embed_map_every_subfield
@@ -159,7 +168,7 @@ def test_tables_match_the_convolution_and_euclid():
         values = [x.value for x in F.elements()]
         for a in values:
             for b in values:
-                assert F._mul(a, b) == ExtensionField._mul(F, a, b), (F, a, b)
+                assert F._mul(a, b) == reduced_product(F, a, b), (F, a, b)
             if a != F.zero_value:
                 assert F._inv(a) == ExtensionField._inv(F, a), (F, a)
 
@@ -178,6 +187,57 @@ def test_field_above_the_table_cap_keeps_the_axioms():
         assert c * c.inverse() == one and (a / c) * c == a
     w = F.generator()
     assert w ** (F.order() - 1) == one
+
+
+def test_fold_multiply_matches_the_reduced_product():
+    """Above the cap the product folds degrees k..2k-2 through the rows of
+    x^(k+j) mod the modulus and reduces mod p once per coefficient."""
+    rng = random.Random("fold-multiply")
+    for p, k in ((101, 2), (7, 4), (5, 6), (3, 7), (3, 8), (5, 8)):
+        F = field_of(p, k)
+        assert F.order() > TABLE_ORDER_CAP and "_mul" not in vars(F)
+        top = (p - 1,) * k  # the largest sums before the reduction
+        pairs = [(top, top), (F.zero_value, top), (F.one_value, top)]
+        pairs += [(F.random_element(rng).value, F.random_element(rng).value)
+                  for _ in range(300)]
+        for a, b in pairs:
+            assert F._mul(a, b) == reduced_product(F, a, b), (F, a, b)
+
+
+def first_root_lift(src, dst):
+    """The old embedding: w goes to the first root of the source modulus in
+    destination element order, found by a scan, and x to the FieldElement
+    sum of its coefficients times the powers of that root."""
+    for root in dst.elements():
+        acc = dst.zero()
+        for coef in reversed(src.spec.modulus):
+            acc = acc * root + coef
+        if not acc:
+            break
+    powers = [root**i for i in range(src.spec.k)]
+
+    def lift(x):
+        acc = dst.zero()
+        for coef, pw in zip(x.value, powers):
+            acc = acc + dst.from_int(coef) * pw
+        return acc
+
+    return lift
+
+
+def test_linear_lift_above_the_table_cap():
+    rng = random.Random("linear-lift")
+    for p, k in ((7, 2), (3, 4), (5, 3)):
+        src, dst = field_of(p, k), field_of(p, 2 * k)
+        assert src.order() <= TABLE_ORDER_CAP < dst.order()
+        lift, oracle = embed_map(src, dst), first_root_lift(src, dst)
+        xs = [src.zero(), src.one(), src.generator()]
+        xs += [src.random_element(rng) for _ in range(100)]
+        for x in xs:
+            assert lift(x) == oracle(x), (src, x)
+        for x, y in zip(xs, xs[1:] + xs[:1]):
+            assert lift(x + y) == lift(x) + lift(y), (src, x, y)
+            assert lift(x * y) == lift(x) * lift(y), (src, x, y)
 
 
 def trial_division(n):

@@ -1,6 +1,7 @@
 """Exact matrices: bidiagonal pair, transition matrices, idempotents."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +25,8 @@ from leonard import (
     verify_leonard_conditions,
 )
 from leonard.fields import _find_irreducible
+from leonard.report import CheckReport
+from leonard.splitmat import _diagonal_inverse, _lower_inverse
 from conftest import Q, dense_mul, qarr, random_injective
 
 PRODUCT_FIELDS = {
@@ -211,6 +214,56 @@ def test_conjugation_report_passes_on_fixtures(fix_d1, kraw3, qrac3, orphan3):
     for p in (fix_d1, kraw3, qrac3, orphan3):
         rep = verify_conjugation(Analysis(p))
         assert rep.ok(), rep.failures
+
+
+def conjugation_via_ginv(a):
+    """verify_conjugation as it was before it checked G Ginv = I as
+    T G = Z Tdown: it built Ginv = Tdown^-1 Z T for that one check."""
+    m = a.matrices
+    report = CheckReport("conjugation")
+    Ginv = _lower_inverse(m.Tdown) * m.Z * m.T
+    ident = SquareMatrix.identity(a.p.field, m.A.n)
+    checks = [
+        ("G * Ginv = I", m.G * Ginv, ident),
+        ("Ginv * A * G = B", m.A * m.G, m.G * m.B),
+        ("Ginv * A* * G = B*", m.Astar * m.G, m.G * m.Bstar),
+        ("T A = H T", m.T * m.A, m.H * m.T),
+        ("Z Tdown B = H Z Tdown", m.Z * m.Tdown * m.B, m.H * m.Z * m.Tdown),
+        ("D A* D^-1 T*^t = T*^t H*",
+         m.D * m.Astar * _diagonal_inverse(m.D) * m.Tstar.transpose(),
+         m.Tstar.transpose() * m.Hstar),
+    ]
+    for label, got, want in checks:
+        if got != want:
+            report.add(label + " violated")
+    return report
+
+
+def test_conjugation_check_matches_ginv_oracle(fix_d1, kraw2, kraw3, qrac3, orphan3):
+    """The same report as the Ginv oracle on each fixture and on every copy
+    whose G has one entry changed, where both flag G * Ginv = I."""
+    for p in (fix_d1, kraw2, kraw3, qrac3, orphan3):
+        a = Analysis(p)
+        assert verify_conjugation(a).failures == conjugation_via_ginv(a).failures == []
+        m, one = a.matrices, p.field.one()
+        for i in range(m.G.n):
+            for j in range(m.G.n):
+                rows = [list(row) for row in m.G.rows]
+                rows[i][j] = rows[i][j] + one
+                changed = Analysis(p)
+                changed.matrices = replace(m, G=SquareMatrix.from_rows(p.field, rows))
+                got = verify_conjugation(changed).failures
+                assert got == conjugation_via_ginv(changed).failures, (p, i, j)
+                assert "G * Ginv = I violated" in got
+
+
+def test_conjugation_check_builds_no_inverse():
+    fp = sample_params("q-racah", 10, Q, random.Random("conjugation-cost"))
+    a = Analysis(generate(fp, Q))
+    a.matrices
+    # 1,679 of them; the Ginv oracle makes 2,317, 847 of them to build Ginv
+    assert count_multiplications(lambda: conjugation_via_ginv(a)) == 2_317
+    assert count_multiplications(lambda: verify_conjugation(a)) <= 1_700
 
 
 def test_conjugation_detects_broken_varphi(kraw3):
