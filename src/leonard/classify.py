@@ -1,8 +1,9 @@
 """Constructive classification of parameter arrays.
 
-Given a validated array, recover the closed form of its eigenvalue sequences
-(exponential, quadratic, alternating, or the characteristic-2 shape), derive
-the family scalars, and certify the answer by regenerating the array from
+Given a validated array, fit it to one of the four normal forms of
+families._FORMS (exponential, quadratic, alternating, or the characteristic-2
+shape at d = 3), name the family whose row matches the fitted coordinates,
+derive its scalars, and certify the answer by regenerating the array from
 them.  When the required scalars live in a quadratic extension the witness is
 produced there; over the rationals the needed extension is reported instead
 of built.
@@ -27,7 +28,6 @@ class ClassifierWitness:
     q: FieldElement
     field: Field
     embed: Callable[[FieldElement], FieldElement]
-    intermediates: dict[str, FieldElement]
     params: FamilyParams
 
 
@@ -58,7 +58,7 @@ def fit_closed_form_theta(theta: Sequence[FieldElement], q: FieldElement,
     """
     if len(theta) < 2:
         raise ValueError("need at least two eigenvalues")
-    if case not in _FORMS:
+    if case not in ("I", "II", "III"):
         raise ValueError(f"unknown case {case!r}")
     return _fit(_FORMS[case], _powers(case, theta[0].field, q), theta)
 
@@ -82,9 +82,8 @@ def _compose(outer: Callable, inner: Callable) -> Callable:
 
 
 def _make_witness(case: str, family: str, q: FieldElement, field: Field,
-                  embed: Callable, inter: dict, d: int,
-                  values: dict, source: ParameterArray,
-                  lift: Callable) -> ClassifierWitness:
+                  embed: Callable, d: int, values: dict,
+                  source: ParameterArray, lift: Callable) -> ClassifierWitness:
     """Assemble the witness and certify it by regenerating the array."""
     params = FamilyParams(family=family, d=d, values=values)
     regenerated = generate(params, field)
@@ -93,12 +92,12 @@ def _make_witness(case: str, family: str, q: FieldElement, field: Field,
             f"{family} scalars recovered for case {case} fail to regenerate "
             f"the array")
     return ClassifierWitness(case=case, family=family, q=q, field=field,
-                             embed=embed, intermediates=inter, params=params)
+                             embed=embed, params=params)
 
 
 def _normal_form(p: ParameterArray, case: str, q: FieldElement) -> Optional[dict]:
-    """Fit p to the normal form of case I, II or III (families._FORMS) at
-    base q: theta and theta*, then tau from varphi_1, then both split
+    """Fit p to the normal form of case I, II, III or IV (families._FORMS)
+    at base q: theta and theta*, then tau from varphi_1, then both split
     sequences.  The fitted coordinates, or None where one does not fit."""
     form, P = _FORMS[case], _powers(case, p.field, q)
     fit, fit_star = _fit(form, P, p.theta), _fit(form, P, p.theta_star)
@@ -136,10 +135,9 @@ def _from_table(case: str, p: ParameterArray, field: Field, q: FieldElement,
         ext, lift2, roots = splitting_field(field, -pair[0], pair[1])
     values = {k: lift2(v) for k, v in named.items()}
     values.update(zip(("r1", "r2"), roots))
-    inter = {k: lift2(v) for k, v in data.items()}
     both = _compose(lift2, lift)
-    return _make_witness(case, family, lift2(q), ext, both, inter, p.d,
-                         values, source, both)
+    return _make_witness(case, family, lift2(q), ext, both, p.d, values,
+                         source, both)
 
 
 def _case1(p: ParameterArray, field: Field, lift: Callable,
@@ -172,30 +170,11 @@ def _case1(p: ParameterArray, field: Field, lift: Callable,
 
 def _ground_case(p: ParameterArray, case: str,
                  base: FieldElement) -> Optional[ClassifierWitness]:
-    """Case II (base 1) or III (base -1), fitted in p's own field."""
+    """Case II or IV (base 1) or III (base -1), fitted in p's own field."""
     data = _normal_form(p, case, base)
     if data is None:
         return None
     return _from_table(case, p, p.field, base, data, _identity, p)
-
-
-def _case4(p: ParameterArray) -> Optional[ClassifierWitness]:
-    F = p.field
-    if F.characteristic() != 2 or p.d != 3:
-        return None
-    th, ths = p.theta, p.theta_star
-    h = th[0] + th[2]
-    hs = ths[0] + ths[2]
-    if not h or not hs:
-        return None
-    s = (th[0] + th[3]) / h
-    ss = (ths[0] + ths[3]) / hs
-    r = p.varphi[0] / (h * hs)
-    values = {"theta0": th[0], "thetastar0": ths[0],
-              "h": h, "hstar": hs, "s": s, "sstar": ss, "r": r}
-    inter = {"h": h, "s": s, "h_star": hs, "s_star": ss, "r": r}
-    return _make_witness("IV", "orphan", F.one(), F, _identity, inter,
-                         3, values, p, _identity)
 
 
 def _first_case1_base(field: Field) -> Optional[FieldElement]:
@@ -227,8 +206,7 @@ def classify(p: ParameterArray) -> ClassifierWitness:
         if bc.kind == "in_field":
             q1, q2 = bc.roots
             if q1 == one:
-                w = (_case4(p) if F.characteristic() == 2
-                     else _ground_case(p, "II", one))
+                w = _ground_case(p, "IV" if F.characteristic() == 2 else "II", one)
             elif q1 == -one:
                 w = _ground_case(p, "III", q1)
             else:

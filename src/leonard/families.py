@@ -2,12 +2,12 @@
 
 Each family turns a short list of scalars into a full parameter array.  Every
 family is a row of one table, FAMILIES, and every list of families is a view
-of it.  The rows of the twelve q-, ordinary and Bannai-Ito families place
-their scalars in the three classification normal forms (cases I, II and
-III); the same normal-form functions build their arrays here and check
-arrays in classify, where each form also solves theta for (eta, mu, h) and
-varphi_1 for tau.  Only the orphan, which exists at d = 3 in
-characteristic 2, keeps a hand-written builder.
+of it.  Each row places its scalars in one of the four classification normal
+forms: case I for the q-families, II for the ordinary ones, III for
+Bannai-Ito and IV for the orphan, which exists at d = 3 in characteristic 2.
+The same normal-form functions build the arrays here and check arrays in
+classify, where each form also solves theta for (eta, mu, h) and varphi_1
+for tau.
 
 The preconditions on the scalars are exactly what the formulas need: products
 that appear in phi or varphi must not vanish, and the eigenvalue sequences
@@ -135,8 +135,8 @@ def _powers(case: str, field: Field,
     return _QPowers(q) if case == "I" else field.from_int
 
 
-# The three classification normal forms.  P(n) is q^n (a _QPowers) in case I
-# and the integer n as a field element in cases II and III.  Each form's
+# The four classification normal forms.  P(n) is q^n (a _QPowers) in case I
+# and the integer n as a field element in cases II, III and IV.  Each form's
 # `fit` solves theta for (mu, h), and `eta` gives eta from theta_0; its
 # varphi and phi are affine in tau, and `tau` solves varphi_1 for it.
 
@@ -265,6 +265,32 @@ def alternating_tau(P, d, mu, mus, h, hs, varphi1) -> FieldElement:
     return varphi1 / P(4 * d) - h * hs
 
 
+def orphan_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
+    """Case IV, at d = 3 in characteristic 2 only: theta_i = eta + mu i
+    + h gamma_i with gamma = (0, 1, 1, 0)."""
+    gamma = (0, 1, 1, 0)
+    return [eta + mu * P(i) + h * P(gamma[i]) for i in range(d + 1)]
+
+
+def orphan_fit(P, theta) -> Optional[tuple]:
+    """Case IV (mu, h) = (theta_3 - theta_0, theta_2 - theta_0).  None
+    unless d = 3."""
+    if len(theta) != 4:
+        return None
+    return theta[3] - theta[0], theta[2] - theta[0]
+
+
+def orphan_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
+    """Case IV varphi = (tau, h h*, tau + mu h* + h mu*) and
+    phi = (tau + mu h* + mu mu*, h h*, tau + h mu* + mu mu*)."""
+    hh, mh, hm, mm = h * hs, mu * hs, h * mus, mu * mus
+    return [tau, hh, tau + mh + hm], [tau + mh + mm, hh, tau + hm + mm]
+
+
+def orphan_tau(P, d, mu, mus, h, hs, varphi1) -> FieldElement:
+    return varphi1
+
+
 class NormalForm(NamedTuple):
     """One case's formulas (see above); classify inverts `eigenvalues` with
     `fit` and `eta`, and the splits with `tau`."""
@@ -282,29 +308,9 @@ _FORMS = {"I": NormalForm(q_eigenvalues, q_splits, q_tau,
                            lambda theta0, mu, h: theta0, ordinary_fit),
           "III": NormalForm(alternating_eigenvalues, alternating_splits,
                             alternating_tau, lambda theta0, mu, h: theta0 - mu,
-                            alternating_fit)}
-
-
-def _build_orphan(field, d, v):
-    h, hs, s, ss, r = v["h"], v["hstar"], v["s"], v["sstar"], v["r"]
-    fam = "orphan"
-    _require(d == 3, fam, "diameter 3")
-    one = field.one()
-    for name in ("h", "hstar", "s", "sstar", "r"):
-        _require(bool(v[name]), fam, f"{name} != 0")
-    _require(s != one, fam, "s != 1")
-    _require(ss != one, fam, "s* != 1")
-    _require(r != s + ss, fam, "r != s + s*")
-    _require(r != s * (one + ss), fam, "r != s(1 + s*)")
-    _require(r != ss * (one + s), fam, "r != s*(1 + s)")
-    gamma = (field.zero(), one, one, field.zero())
-    N = field.from_int
-    theta = [v["theta0"] + h * (s * N(i) + gamma[i]) for i in range(4)]
-    thetas = [v["thetastar0"] + hs * (ss * N(i) + gamma[i]) for i in range(4)]
-    hh = h * hs
-    varphi = [hh * r, hh, hh * (r + s + ss)]
-    phi = [hh * (r + s * (one + ss)), hh, hh * (r + ss * (one + s))]
-    return theta, thetas, varphi, phi
+                            alternating_fit),
+          "IV": NormalForm(orphan_eigenvalues, orphan_splits, orphan_tau,
+                           lambda theta0, mu, h: theta0, orphan_fit)}
 
 
 def _bannai_ito_checks(v, d, N):
@@ -325,6 +331,21 @@ def _bannai_ito_checks(v, d, N):
                 yield getattr(v, name) != -N(i), f"{name} != -{i}"
             for name in names:
                 yield N(i) - v.sstar - getattr(v, name) != 0, f"-s* - {name} != -{i}"
+
+
+def _orphan_checks(v, d, N):
+    """The orphan's preconditions, as (holds, message): diameter 3, its five
+    scalars nonzero, s and s* not 1, then r off the three values where a
+    split vanishes."""
+    yield d == 3, "diameter 3"
+    for name in ("h", "hstar", "s", "sstar", "r"):
+        yield bool(getattr(v, name)), f"{name} != 0"
+    one = N(1)
+    yield v.s != one, "s != 1"
+    yield v.sstar != one, "s* != 1"
+    yield v.r != v.s + v.sstar, "r != s + s*"
+    yield v.r != v.s * (one + v.sstar), "r != s(1 + s*)"
+    yield v.r != v.sstar * (one + v.s), "r != s*(1 + s)"
 
 
 def _bannai_ito_scalars(c, q, d):
@@ -358,10 +379,9 @@ def _q_racah_series(v, d, i, j, P):
 class Family:
     """One row of the family table, the only description of its family.
 
-    `case` is the classification case: I, II and III are the normal forms
-    above; IV, the orphan, keeps a hand-written `build`.  `params` names the
-    family's scalars in the order sample_params draws them.  For cases I-III,
-    `coords(v, d, P)` maps the named scalars (attributes of v) to
+    `case` is the classification case, one of the normal forms above.
+    `params` names the family's scalars in the order sample_params draws
+    them.  `coords(v, d, P)` maps the named scalars (attributes of v) to
     (mu, mu*, h, h*, tau); eta and eta* follow from theta0 and thetastar0.
     `scalars(c, q, d)` inverts it for classify, from the fitted c.mu,
     c.mu_star, c.h, c.h_star, c.tau, and `roots(c, q, d)` gives the sum and
@@ -386,7 +406,6 @@ class Family:
     case: str
     params: tuple[str, ...]
     char: Optional[tuple[Callable[[int, int], bool], str]] = None
-    build: Optional[Callable] = None
     pattern: tuple[Optional[bool], ...] = ()
     nonzero: tuple[str, ...] = ()
     relation: Optional[tuple[str, Callable]] = None
@@ -513,8 +532,14 @@ FAMILIES: dict[str, Family] = {
         scalars=_bannai_ito_scalars,
         roots=lambda c, q, d: (c.mu / c.h + c.mu_star / c.h_star + (d - 1),
                                c.tau / (c.h * c.h_star)) if d % 2 else None),
-    "orphan": Family("IV", ("h", "hstar", "s", "sstar", "r"), _TWO,
-                     build=_build_orphan),
+    "orphan": Family(
+        "IV", ("h", "hstar", "s", "sstar", "r"), _TWO,
+        pattern=(None, None, True, True, None), checks=_orphan_checks,
+        coords=lambda v, d, P: (v.h * v.s, v.hstar * v.sstar, v.h, v.hstar,
+                                v.h * v.hstar * v.r),
+        scalars=lambda c, q, d: dict(h=c.h, hstar=c.h_star, s=c.mu / c.h,
+                                     sstar=c.mu_star / c.h_star,
+                                     r=c.tau / (c.h * c.h_star))),
 }
 
 # Views of the table, in its order.
@@ -612,13 +637,7 @@ def generate(fp: FamilyParams, field: Field) -> ParameterArray:
             raise ValueError(f"parameter {name} lives in {value.field}, not {field}")
     _check_char(fp.family, fp.d, field)
 
-    build = FAMILIES[fp.family].build
-    if build is not None:
-        theta, thetas, varphi, phi = build(field, fp.d, fp.values)
-    else:
-        theta, thetas, varphi, phi = _from_normal_form(fp.family, field, fp.d,
-                                                       fp.values)
-    p = make_array(field, theta, thetas, varphi, phi)
+    p = make_array(field, *_from_normal_form(fp.family, field, fp.d, fp.values))
     rep = validate(p)
     if not rep.ok():
         raise IdentityViolated(

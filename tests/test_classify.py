@@ -171,9 +171,7 @@ def test_every_gf4_d3_array_is_orphan(gf4):
         w = classify(p)
         assert (w.case, w.family) == ("IV", "orphan")
         count += 1
-        if count >= 40:
-            break
-    assert count == 40
+    assert count == 576
 
 
 def test_invalid_array_is_rejected():

@@ -1,29 +1,34 @@
-"""The twelve q-, ordinary and Bannai-Ito family builders and series
-displays, kept as the oracle for the family table.
+"""The thirteen family builders and the series displays, kept as the oracle
+for the family table.
 
-`generate` computes these families from the three classification normal
-forms (families.FAMILIES).  Each builder below is the hand-written formula
-that preceded the table, unchanged, and `oracle_generate` is the `generate`
-that called them, with its characteristic check.  The table must give an equal
+`generate` computes every family from the four classification normal forms
+(families.FAMILIES).  Each builder below is the hand-written formula that
+preceded the table, unchanged, and `oracle_generate` is the `generate` that
+called them, with its characteristic check.  The table must give an equal
 array, or raise the same exception type with the same message, on sampled
-parameters and on unconstrained random values that trip the preconditions.
+parameters and on unconstrained random values that trip the preconditions,
+and for the orphan on every scalar tuple over GF(4) at d = 3.
 
 `oracle_closed_form_spec` is the per-family series display that preceded the
 table's `series` rows, unchanged.  Both must sum to the same value, or raise
 the same exception type, at every (i, j).
 
 `_case3` is the Bannai-Ito classifier that preceded the case-III normal form,
-unchanged, over the case-III theta fit it called.  `leonard classify` must
-print the same witness with it as without it.
+unchanged, over the case-III theta fit it called, and `_case4` the orphan
+classifier that preceded the case-IV normal form; both drop only the witness
+field that no caller read.  `leonard classify` must print the same witness
+with each as without it.
 
 `fit_closed_form_theta_by_solve` is the theta fit that preceded each normal
 form's own `fit`, unchanged apart from the name: case I by a 3x3
 Gauss-Jordan solve (`_solve`, the `SquareMatrix.solve` it called), cases II
 and III by hand.  Both fits must return the same triple, or both None, and
-raise the same ValueError.
+raise the same ValueError.  Case IV never had a theta fit of its own, so
+both fits take cases I, II and III only.
 """
 
 import importlib
+import itertools
 import json
 import random
 from typing import Optional
@@ -38,6 +43,7 @@ from leonard import (
     HypergeomSpec,
     IdentityViolated,
     LeonardError,
+    PreconditionViolated,
     closed_form_spec,
     extension_field,
     family_base,
@@ -57,13 +63,12 @@ from leonard.families import (
     Q_FAMILIES,
     _FORMS,
     _QPowers,
-    _build_orphan,
     _require,
 )
 from leonard.classify import ClassifierWitness, _identity, _make_witness
 from leonard.cli import main
 from leonard.fields import _find_irreducible, splitting_field
-from leonard.parray import ParameterArray, beta_plus_one
+from leonard.parray import ParameterArray, beta_plus_one, enumerate_arrays
 
 # the module, which the package's `classify` function shadows
 classify_module = importlib.import_module("leonard.classify")
@@ -350,6 +355,28 @@ def _build_bannai_ito(field, d, v):
     return theta, thetas, varphi, phi
 
 
+def _build_orphan(field, d, v):
+    h, hs, s, ss, r = v["h"], v["hstar"], v["s"], v["sstar"], v["r"]
+    fam = "orphan"
+    _require(d == 3, fam, "diameter 3")
+    one = field.one()
+    for name in ("h", "hstar", "s", "sstar", "r"):
+        _require(bool(v[name]), fam, f"{name} != 0")
+    _require(s != one, fam, "s != 1")
+    _require(ss != one, fam, "s* != 1")
+    _require(r != s + ss, fam, "r != s + s*")
+    _require(r != s * (one + ss), fam, "r != s(1 + s*)")
+    _require(r != ss * (one + s), fam, "r != s*(1 + s)")
+    gamma = (field.zero(), one, one, field.zero())
+    N = field.from_int
+    theta = [v["theta0"] + h * (s * N(i) + gamma[i]) for i in range(4)]
+    thetas = [v["thetastar0"] + hs * (ss * N(i) + gamma[i]) for i in range(4)]
+    hh = h * hs
+    varphi = [hh * r, hh, hh * (r + s + ss)]
+    phi = [hh * (r + s * (one + ss)), hh, hh * (r + ss * (one + s))]
+    return theta, thetas, varphi, phi
+
+
 ORACLE_BUILDERS = {
     "q-racah": _build_q_racah,
     "q-hahn": _build_q_hahn,
@@ -363,7 +390,6 @@ ORACLE_BUILDERS = {
     "dual-hahn": _build_dual_hahn,
     "krawtchouk": _build_krawtchouk,
     "bannai-ito": _build_bannai_ito,
-    # the orphan keeps its builder in the package
     "orphan": _build_orphan,
 }
 
@@ -454,6 +480,39 @@ def test_table_matches_the_builders(family, field_name):
             assert got == want, (family, field_name, d, fp.values)
             compared += 1
     assert compared >= 48
+
+
+GF4 = extension_field(2, 2, (1, 1, 1))
+
+
+def test_orphan_row_matches_the_builder_on_all_of_gf4():
+    """Every (h, h*, s, s*, r) in GF(4)^5 at d = 3, with theta0 =
+    thetastar0 = 0."""
+    zero = GF4.zero()
+    elements = list(GF4.elements())
+    outcomes = {}
+    for scalars in itertools.product(elements, repeat=5):
+        values = dict(zip(("h", "hstar", "s", "sstar", "r"), scalars),
+                      theta0=zero, thetastar0=zero)
+        fp = FamilyParams("orphan", 3, values)
+        want = outcome(oracle_generate, fp, GF4)
+        assert outcome(generate, fp, GF4) == want, values
+        key = "array" if isinstance(want, ParameterArray) else want[1]
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # 576 orphans over GF(4), 36 with each (theta0, thetastar0); and every
+    # precondition but the diameter fails somewhere
+    assert outcomes["array"] == 36
+    assert len(outcomes) == 11
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_orphan_row_rejects_other_diameters_like_the_builder(d):
+    rng = random.Random(f"orphan d={d}")
+    for _ in range(60):
+        fp = FamilyParams("orphan", d, random_values("orphan", d, GF4, rng))
+        want = outcome(oracle_generate, fp, GF4)
+        assert want == (PreconditionViolated, "orphan: requires diameter 3")
+        assert outcome(generate, fp, GF4) == want, fp.values
 
 
 def oracle_closed_form_spec(fp: FamilyParams, i: int, j: int) -> HypergeomSpec:
@@ -593,11 +652,26 @@ def _case3(p: ParameterArray) -> Optional[ClassifierWitness]:
     values = {"theta0": lift(p.theta[0]), "thetastar0": lift(p.theta_star[0]),
               "h": lift(h), "hstar": lift(hs), "s": lift(s), "sstar": lift(ss),
               "r1": r1, "r2": r2}
-    inter = {k: lift(v) for k, v in
-             {"eta": eta, "mu": mu, "h": h, "eta_star": etas,
-              "mu_star": mus, "h_star": hs}.items()}
-    return _make_witness("III", "bannai-ito", -ext.one(), ext, lift, inter,
+    return _make_witness("III", "bannai-ito", -ext.one(), ext, lift,
                          d, values, p, lift)
+
+
+def _case4(p: ParameterArray) -> Optional[ClassifierWitness]:
+    F = p.field
+    if F.characteristic() != 2 or p.d != 3:
+        return None
+    th, ths = p.theta, p.theta_star
+    h = th[0] + th[2]
+    hs = ths[0] + ths[2]
+    if not h or not hs:
+        return None
+    s = (th[0] + th[3]) / h
+    ss = (ths[0] + ths[3]) / hs
+    r = p.varphi[0] / (h * hs)
+    values = {"theta0": th[0], "thetastar0": ths[0],
+              "h": h, "hstar": hs, "s": s, "sstar": ss, "r": r}
+    return _make_witness("IV", "orphan", F.one(), F, _identity,
+                         3, values, p, _identity)
 
 
 def witness_json(step, p):
@@ -661,6 +735,43 @@ def test_case3_witness_matches_the_old_classifier(field_name, capsys,
     assert printed_case3 >= want
 
 
+def test_case4_witness_matches_the_old_classifier(capsys, monkeypatch, tmp_path):
+    """classify with the case-IV normal form against classify with _case4,
+    on every GF(4) array at d = 3 and the first 2,000 over GF(8)."""
+    ground_case = classify_module._ground_case
+
+    def old_ground_case(p, case, base):
+        return _case4(p) if case == "IV" else ground_case(p, case, base)
+
+    def classify_with(step, p):
+        with monkeypatch.context() as m:
+            m.setattr(classify_module, "_ground_case", step)
+            return witness_json(classify_module.classify, p)
+
+    def classify_cli(path, step):
+        with monkeypatch.context() as m:
+            m.setattr(classify_module, "_ground_case", step)
+            code = main(["classify", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    gf8 = extension_field(2, 3, (1, 1, 0, 1))
+    orphans = {}
+    for name, field, limit in (("GF(4)", GF4, None), ("GF(8)", gf8, 2000)):
+        arrays = itertools.islice(enumerate_arrays(field, 3), limit)
+        orphans[name] = 0
+        for k, p in enumerate(arrays):
+            got = classify_with(ground_case, p)
+            assert got == classify_with(old_ground_case, p), (name, k)
+            orphans[name] += '"case": "IV"' in got
+            if k % 97 == 0:
+                path = tmp_path / f"{name}-{k}.json"
+                path.write_text(json.dumps(p.to_json()))
+                assert classify_cli(path, ground_case) == classify_cli(
+                    path, old_ground_case), (name, k)
+    assert orphans == {"GF(4)": 576, "GF(8)": 1456}
+
+
 def _solve(self, rhs):
     if len(rhs) != self.n:
         raise ValueError("rhs length must equal n")
@@ -686,7 +797,7 @@ def fit_closed_form_theta_by_solve(theta, q, case):
     d = len(theta) - 1
     zero, one = F.zero(), F.one()
 
-    if case not in _FORMS:
+    if case not in ("I", "II", "III"):
         raise ValueError(f"unknown case {case!r}")
     if case == "I":
         if q == zero or q == one or q == -one:
@@ -755,8 +866,8 @@ def test_fit_matches_the_solve(field_name):
                 return x
 
     new_fit = classify_module.fit_closed_form_theta
-    fitted = {case: 0 for case in _FORMS}
-    for case in _FORMS:
+    fitted = {case: 0 for case in ("I", "II", "III")}
+    for case in fitted:
         for d in range(1, 7):
             for _ in range(30):
                 q = draw_base()
