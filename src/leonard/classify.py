@@ -25,7 +25,6 @@ from .parray import ParameterArray, base_candidates, make_array
 class ClassifierWitness:
     case: str
     family: str
-    q: FieldElement
     field: Field
     embed: Callable[[FieldElement], FieldElement]
     params: FamilyParams
@@ -81,7 +80,7 @@ def _compose(outer: Callable, inner: Callable) -> Callable:
     return lambda x: outer(inner(x))
 
 
-def _make_witness(case: str, family: str, q: FieldElement, field: Field,
+def _make_witness(case: str, family: str, field: Field,
                   embed: Callable, d: int, values: dict,
                   source: ParameterArray, lift: Callable) -> ClassifierWitness:
     """Assemble the witness and certify it by regenerating the array."""
@@ -91,7 +90,7 @@ def _make_witness(case: str, family: str, q: FieldElement, field: Field,
         raise NoCaseMatched(
             f"{family} scalars recovered for case {case} fail to regenerate "
             f"the array")
-    return ClassifierWitness(case=case, family=family, q=q, field=field,
+    return ClassifierWitness(case=case, family=family, field=field,
                              embed=embed, params=params)
 
 
@@ -136,23 +135,15 @@ def _from_table(case: str, p: ParameterArray, field: Field, q: FieldElement,
     values = {k: lift2(v) for k, v in named.items()}
     values.update(zip(("r1", "r2"), roots))
     both = _compose(lift2, lift)
-    return _make_witness(case, family, lift2(q), ext, both, p.d, values,
-                         source, both)
+    return _make_witness(case, family, ext, both, p.d, values, source, both)
 
 
 def _case1(p: ParameterArray, field: Field, lift: Callable,
-           roots: tuple, source: ParameterArray) -> Optional[ClassifierWitness]:
-    """p lives in `field`; lift maps the source field into it."""
-    data, q = None, None
-    seen = []
-    for candidate in roots:
-        if any(candidate == r for r in seen):
-            continue
-        seen.append(candidate)
-        data = _normal_form(p, "I", candidate)
-        if data is not None:
-            q = candidate
-            break
+           q: FieldElement, source: ParameterArray) -> Optional[ClassifierWitness]:
+    """p lives in `field`; lift maps the source field into it.  The case-I
+    form fits at q exactly when it fits at 1/q (mu and h swap, tau gains
+    q^(d+1)), so one root of q^2 - beta q + 1 decides."""
+    data = _normal_form(p, "I", q)
     if data is None:
         return None
 
@@ -204,17 +195,17 @@ def classify(p: ParameterArray) -> ClassifierWitness:
     if p.d >= 3:
         bc = base_candidates(p)
         if bc.kind == "in_field":
-            q1, q2 = bc.roots
-            if q1 == one:
+            q = bc.roots[0]
+            if q == one:
                 w = _ground_case(p, "IV" if F.characteristic() == 2 else "II", one)
-            elif q1 == -one:
-                w = _ground_case(p, "III", q1)
+            elif q == -one:
+                w = _ground_case(p, "III", q)
             else:
-                w = _case1(p, F, _identity, (q1, q2), p)
+                w = _case1(p, F, _identity, q, p)
         else:
             c0, c1, _ = bc.quadratic
             ext, lift, roots = splitting_field(F, c1, c0)
-            w = _case1(embed_array(p, ext, lift), ext, lift, roots, p)
+            w = _case1(embed_array(p, ext, lift), ext, lift, roots[0], p)
         if w is None:
             raise NoCaseMatched(
                 f"no eigenvalue closed form fits this array over {F}")
@@ -238,7 +229,7 @@ def classify(p: ParameterArray) -> ClassifierWitness:
     q = _first_case1_base(F)
     if q is not None:
         try:
-            w = _case1(p, F, _identity, (q,), p)
+            w = _case1(p, F, _identity, q, p)
         except (NoCaseMatched, NeedsFieldExtension):
             w = None
         if w is not None:

@@ -80,12 +80,13 @@ class FamilyParams:
 
 def characteristic_admissible(family: str, d: int, field: Field) -> bool:
     """Whether the field characteristic allows the family at diameter d."""
+    fam = FAMILIES[family]
     if not _characteristic_allows(family, d, field.characteristic()):
         return False
-    if family == "orphan":
-        return d == 3
+    if fam.diameter not in (None, d):
+        return False
     # case I: needs a scalar of multiplicative order above d
-    if FAMILIES[family].case == "I" and field.is_finite():
+    if fam.case == "I" and field.is_finite():
         return field.order() - 1 > d
     return True
 
@@ -314,7 +315,7 @@ _FORMS = {"I": NormalForm(q_eigenvalues, q_splits, q_tau,
 
 
 def _bannai_ito_checks(v, d, N):
-    """Bannai-Ito's preconditions after its relation, as (holds, message):
+    """Bannai-Ito's preconditions after the check of r2, as (holds, message):
     s and s* avoid 2i, then the factors i + r and i - s* - r of the splits
     avoid 0 for r1 at the even i and r2 at the odd i when d is even, and for
     both at the odd i when d is odd."""
@@ -334,12 +335,9 @@ def _bannai_ito_checks(v, d, N):
 
 
 def _orphan_checks(v, d, N):
-    """The orphan's preconditions, as (holds, message): diameter 3, its five
-    scalars nonzero, s and s* not 1, then r off the three values where a
-    split vanishes."""
-    yield d == 3, "diameter 3"
-    for name in ("h", "hstar", "s", "sstar", "r"):
-        yield bool(getattr(v, name)), f"{name} != 0"
+    """The orphan's preconditions after its nonzero scalars, as (holds,
+    message): s and s* not 1, then r off the three values where a split
+    vanishes."""
     one = N(1)
     yield v.s != one, "s != 1"
     yield v.sstar != one, "s* != 1"
@@ -391,13 +389,17 @@ class Family:
     order matters there.  `pattern` says which of (mu, mu*, h, h*, tau) must
     not vanish (True), must vanish (False) or may do either (None).
     `series(v, d, i, j, P)` is the terminating series equal to f_i(theta_j),
-    for the families that have one.
+    for the families that have one.  `dependent = (message, solve)` is set
+    where r2 follows from the other scalars: `solve(v, d, P)` gives it, and
+    sample_params fills r2 in with it.  `diameter`, where set, is the only
+    d at which the family exists (the orphan's 3).
 
-    The preconditions run in this order: each name in `nonzero` (in case I,
-    every named scalar) != 0, the `relation`, then for 1 <= i <= d (after
-    q^i != 1 in case I) each factor of `steps`, for 2 <= i <= 2d each
-    factor of `doubled`, and last the (holds, message) pairs that
-    `checks(v, d, P)` yields.  Case I requires x q^i != 1 for a factor x = a
+    The preconditions run in this order: the `diameter`, each name in
+    `nonzero` (None: every named scalar) != 0, r2 equal to what `dependent`
+    solves (reported by its message), then for 1 <= i <= d (after q^i != 1
+    in case I) each factor of `steps`, for 2 <= i <= 2d each factor of
+    `doubled`, and last the (holds, message) pairs that `checks(v, d, P)`
+    yields.  Case I requires x q^i != 1 for a factor x = a
     or a/b of named scalars ("sstar/r1" reads "s* q^i / r1 != 1"); case II
     requires x != -i for x the first term minus the others, where d and 1 may
     appear ("r-s-d-1").
@@ -406,9 +408,10 @@ class Family:
     case: str
     params: tuple[str, ...]
     char: Optional[tuple[Callable[[int, int], bool], str]] = None
+    diameter: Optional[int] = None
     pattern: tuple[Optional[bool], ...] = ()
-    nonzero: tuple[str, ...] = ()
-    relation: Optional[tuple[str, Callable]] = None
+    nonzero: Optional[tuple[str, ...]] = None
+    dependent: Optional[tuple[str, Callable]] = None
     steps: tuple[str, ...] = ()
     doubled: tuple[str, ...] = ()
     checks: Optional[Callable] = None
@@ -422,8 +425,8 @@ FAMILIES: dict[str, Family] = {
     "q-racah": Family(
         "I", ("q", "h", "hstar", "s", "sstar", "r1", "r2"),
         pattern=(True, True, True, True, None),
-        relation=("r1 r2 = s s* q^(d+1)",
-                  lambda v, d, P: v.r1 * v.r2 == v.s * v.sstar * P(d + 1)),
+        dependent=("r1 r2 = s s* q^(d+1)",
+                   lambda v, d, P: v.s * v.sstar * P(d + 1) / v.r1),
         steps=("r1", "r2", "sstar/r1", "sstar/r2"), doubled=("s", "sstar"),
         coords=lambda v, d, P: (v.h * v.s * v.q, v.hstar * v.sstar * v.q, v.h,
                                 v.hstar, v.h * v.hstar * (v.r1 + v.r2) * P(-d)),
@@ -480,8 +483,8 @@ FAMILIES: dict[str, Family] = {
     "racah": Family(
         "II", ("h", "hstar", "s", "sstar", "r1", "r2"), _ABOVE_D,
         pattern=(None, None, True, True, None), nonzero=("h", "hstar"),
-        relation=("r1 + r2 = s + s* + d + 1",
-                  lambda v, d, P: v.r1 + v.r2 == v.s + v.sstar + P(d + 1)),
+        dependent=("r1 + r2 = s + s* + d + 1",
+                   lambda v, d, P: v.s + v.sstar + P(d + 1) - v.r1),
         steps=("r1", "r2", "sstar-r1", "sstar-r2"), doubled=("s", "sstar"),
         coords=lambda v, d, P: (v.h * v.s, v.hstar * v.sstar, v.h, v.hstar,
                                 -(v.h * v.hstar * v.r1 * v.r2)),
@@ -514,8 +517,8 @@ FAMILIES: dict[str, Family] = {
             "ordinary", (N(-i), N(-j), N(j + 1) + v.s), (v.r + 1, N(-d)), N(1))),
     "krawtchouk": Family(
         "II", ("r", "s", "sstar"), _ABOVE_D,
-        pattern=(None, None, False, False, None), nonzero=("r", "s", "sstar"),
-        relation=("r != s s*", lambda v, d, P: v.r != v.s * v.sstar),
+        pattern=(None, None, False, False, None),
+        checks=lambda v, d, P: [(v.r != v.s * v.sstar, "r != s s*")],
         coords=lambda v, d, P: (v.s, v.sstar, 0, 0, -v.r),
         scalars=lambda c, q, d: dict(s=c.mu, sstar=c.mu_star, r=-c.tau),
         series=lambda v, d, i, j, N: HypergeomSpec(
@@ -523,8 +526,8 @@ FAMILIES: dict[str, Family] = {
     "bannai-ito": Family(
         "III", ("h", "hstar", "s", "sstar", "r1", "r2"), _ODD_ABOVE_HALF_D,
         pattern=(None, None, True, True, None), nonzero=("h", "hstar"),
-        relation=("r1 + r2 = -s - s* + d + 1",
-                  lambda v, d, P: v.r1 + v.r2 == -v.s - v.sstar + P(d + 1)),
+        dependent=("r1 + r2 = -s - s* + d + 1",
+                   lambda v, d, P: P(d + 1) - v.s - v.sstar - v.r1),
         checks=_bannai_ito_checks,
         coords=lambda v, d, P: (v.h * (1 - v.s), v.hstar * (1 - v.sstar), v.h,
                                 v.hstar,
@@ -533,7 +536,7 @@ FAMILIES: dict[str, Family] = {
         roots=lambda c, q, d: (c.mu / c.h + c.mu_star / c.h_star + (d - 1),
                                c.tau / (c.h * c.h_star)) if d % 2 else None),
     "orphan": Family(
-        "IV", ("h", "hstar", "s", "sstar", "r"), _TWO,
+        "IV", ("h", "hstar", "s", "sstar", "r"), _TWO, diameter=3,
         pattern=(None, None, True, True, None), checks=_orphan_checks,
         coords=lambda v, d, P: (v.h * v.s, v.hstar * v.sstar, v.h, v.hstar,
                                 v.h * v.hstar * v.r),
@@ -582,11 +585,12 @@ def _check_factors(family: str, case: str, factors: list, P, i: int) -> None:
 def _check_preconditions(family: str, fam: Family, v, d: int, P) -> None:
     """Raise PreconditionViolated at the first of the family's preconditions
     that fails, in table order."""
-    for name in fam.params if fam.case == "I" else fam.nonzero:
+    _require(fam.diameter in (None, d), family, f"diameter {fam.diameter}")
+    for name in fam.params if fam.nonzero is None else fam.nonzero:
         _require(bool(getattr(v, name)), family, f"{name} != 0")
-    if fam.relation is not None:
-        message, holds = fam.relation
-        _require(holds(v, d, P), family, message)
+    if fam.dependent is not None:
+        message, solve = fam.dependent
+        _require(v.r2 == solve(v, d, P), family, message)
     steps = [(expr, _factor(expr, fam.case, v, d)) for expr in fam.steps]
     for i in range(1, d + 1):
         if fam.case == "I":
@@ -743,36 +747,36 @@ def _random_nonzero(field: Field, rng: random.Random,
             return x
 
 
-def sample_params(family: str, d: int, field: Field, rng: random.Random,
-                  max_tries: int = 400) -> Optional[FamilyParams]:
+# Draws sample_params makes before it gives up on a family.
+_SAMPLE_TRIES = 400
+
+
+def sample_params(family: str, d: int, field: Field,
+                  rng: random.Random) -> Optional[FamilyParams]:
     """Rejection-sample admissible parameters; None when the field cannot
-    host the family at this diameter (or the sampler runs out of tries)."""
-    if family not in FAMILY_PARAMS:
+    host the family at this diameter (or the sampler runs out of tries).
+    The row's scalars are drawn nonzero in row order, q also not +-1, and
+    r2 is solved from the others where the row has a `dependent`."""
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if not characteristic_admissible(family, d, field):
         return None
+    fam = FAMILIES[family]
     one = field.one()
-    N = field.from_int
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         values: dict[str, FieldElement] = {
             "theta0": field.random_element(rng),
             "thetastar0": field.random_element(rng),
         }
         try:
-            if family in Q_FAMILIES:
-                values["q"] = _random_nonzero(field, rng, exclude=(one, -one))
-            for name in FAMILY_PARAMS[family]:
-                if name in values or name == "r2":
-                    continue
-                values[name] = _random_nonzero(field, rng)
-            if family == "q-racah":
-                qq = _QPowers(values["q"])
-                values["r2"] = (values["s"] * values["sstar"] * qq(d + 1)
-                                / values["r1"])
-            elif family == "racah":
-                values["r2"] = values["s"] + values["sstar"] + N(d + 1) - values["r1"]
-            elif family == "bannai-ito":
-                values["r2"] = N(d + 1) - values["s"] - values["sstar"] - values["r1"]
+            for name in fam.params:
+                if name != "r2" or fam.dependent is None:
+                    exclude = (one, -one) if name == "q" else ()
+                    values[name] = _random_nonzero(field, rng, exclude)
+            if fam.dependent is not None:
+                v = SimpleNamespace(**values)
+                P = _powers(fam.case, field, getattr(v, "q", None))
+                values["r2"] = fam.dependent[1](v, d, P)
             fp = FamilyParams(family=family, d=d, values=values)
             generate(fp, field)
             return fp

@@ -149,9 +149,8 @@ def verify_proportionality(a: Analysis) -> CheckReport:
 
 
 def endpoint_evaluations(a: Analysis) -> list[FieldElement]:
-    """The values f_i(theta_d)."""
-    p, table = a.p, a.polys
-    return [table.f[i](p.theta[p.d]) for i in range(p.d + 1)]
+    """The values f_i(theta_d), the last row of P."""
+    return list(a.polys.P.rows[a.p.d])
 
 
 def endpoint_values(a: Analysis) -> CheckReport:
@@ -182,11 +181,12 @@ def endpoint_values(a: Analysis) -> CheckReport:
 
 
 def duality_check(a: Analysis) -> CheckReport:
-    """f_i(theta_j) must equal the starred value f*_j(theta*_i)."""
+    """f_i(theta_j), read from P, must equal the starred value
+    f*_j(theta*_i)."""
     p, table = a.p, a.polys
     report = CheckReport("duality")
     for i in range(p.d + 1):
         for j in range(p.d + 1):
-            if table.f[i](p.theta[j]) != table.fstar[j](p.theta_star[i]):
+            if table.P.rows[j][i] != table.fstar[j](p.theta_star[i]):
                 report.add(f"f_{i}(theta_{j}) != f*_{j}(theta*_{i})")
     return report

@@ -1,5 +1,7 @@
 """Closed-form fits, case dispatch, and certified scalar recovery."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -18,6 +20,10 @@ from leonard import (
     sample_params,
     validate,
 )
+from leonard.classify import _normal_form
+from leonard.families import Q_FAMILIES
+from leonard.fields import _find_irreducible, splitting_field
+from leonard.parray import base_candidates
 from conftest import Q, qarr
 
 
@@ -178,3 +184,57 @@ def test_invalid_array_is_rejected():
     p = qarr([0, 1, 0], [0, 1, 2], [1, 1], [1, 1])
     with pytest.raises(NoCaseMatched):
         classify(p)
+
+
+@pytest.mark.parametrize("field", [
+    prime_field(7), prime_field(11), prime_field(13),
+    extension_field(2, 3, _find_irreducible(2, 3)),
+    extension_field(3, 2, _find_irreducible(3, 2)),
+], ids=str)
+def test_case1_form_fits_at_q_exactly_when_at_1_over_q(field):
+    """The roots of q^2 - beta q + 1 are q and 1/q, and the case-I form
+    fits at one exactly when it fits at the other (mu and h swap, tau gains
+    q^(d+1)), so classify tries one root.  Checked on valid arrays, on
+    copies with one entry bumped by 1 and on copies with random splits."""
+    rng = random.Random(str(field))
+    one = field.one()
+
+    def nonzero():
+        while True:
+            x = field.random_element(rng)
+            if x:
+                return x
+
+    # q-family arrays, whose q lies in the field, and every 200th
+    # enumerated array, some of whose q need the quadratic extension
+    valid = [generate(fp, field) for fp in (
+        sample_params(family, d, field, rng)
+        for family in Q_FAMILIES for d in (3, 4, 5)) if fp is not None]
+    for d in (3, 4):
+        valid += itertools.islice(enumerate_arrays(field, d), 0, 4000, 200)
+    arrays = []
+    for p in valid:
+        name = rng.choice(("theta", "theta_star", "varphi", "phi"))
+        seq = list(getattr(p, name))
+        seq[rng.randrange(len(seq))] += one
+        splits = dict(varphi=tuple(nonzero() for _ in range(p.d)),
+                      phi=tuple(nonzero() for _ in range(p.d)))
+        arrays += [p, dataclasses.replace(p, **splits)]
+        if name != "theta" or len(set(seq)) == len(seq):  # theta injective
+            arrays.append(dataclasses.replace(p, **{name: tuple(seq)}))
+    fits = misses = 0
+    for p in arrays:
+        bc = base_candidates(p)
+        if bc.kind == "in_field":
+            q = bc.roots[0]
+        else:
+            c0, c1, _ = bc.quadratic
+            ext, lift, (q, _) = splitting_field(field, c1, c0)
+            p = embed_array(p, ext, lift)
+        if q == q.inverse():
+            continue
+        at_q = _normal_form(p, "I", q) is not None
+        assert at_q == (_normal_form(p, "I", q.inverse()) is not None), p
+        fits += at_q
+        misses += not at_q
+    assert fits >= 10 and misses >= 10

@@ -577,6 +577,17 @@ def test_gen_near_the_characteristic_limit(capsys, monkeypatch):
     ("orphan", 3, "ext:2:2:1,1,1",
      "h=1+0*w hstar=1+0*w s=0+1*w sstar=1+1*w r=1+0*w",
      "orphan: requires r != s + s*"),
+    # captured before r2, the diameter and the nonzero rule moved into the
+    # rows of the family table
+    ("q-racah", 3, "rational", "q=2 h=1 hstar=1 s=3 sstar=5 r1=2 r2=15",
+     "q-racah: requires r1 r2 = s s* q^(d+1)"),
+    ("racah", 3, "rational", "h=1 hstar=1 s=1 sstar=1 r1=1 r2=4",
+     "racah: requires r1 + r2 = s + s* + d + 1"),
+    ("bannai-ito", 4, "rational", "h=1 hstar=1 s=3 sstar=5 r1=2 r2=-4",
+     "bannai-ito: requires r1 + r2 = -s - s* + d + 1"),
+    ("orphan", 4, "ext:2:2:1,1,1",
+     "h=1+0*w hstar=1+0*w s=0+1*w sstar=0+1*w r=0+1*w",
+     "orphan: requires diameter 3"),
 ])
 def test_gen_precondition_messages_are_pinned(capsys, family, d, field, params,
                                               message):

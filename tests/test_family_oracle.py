@@ -9,6 +9,12 @@ array, or raise the same exception type with the same message, on sampled
 parameters and on unconstrained random values that trip the preconditions,
 and for the orphan on every scalar tuple over GF(4) at d = 3.
 
+`oracle_sample_params` is the sampler that solved r2 by hand for q-Racah,
+Racah and Bannai-Ito, over the `characteristic_admissible` that named the
+orphan, both unchanged apart from the names.  `sample_params` reads the
+row instead; it must return the same parameters, or None, and leave the
+random generator in the same state.
+
 `oracle_closed_form_spec` is the per-family series display that preceded the
 table's `series` rows, unchanged.  Both must sum to the same value, or raise
 the same exception type, at every (i, j).
@@ -58,11 +64,14 @@ from leonard import (
 )
 from leonard.families import (
     CLOSED_FORM_FAMILIES,
+    FAMILIES,
     FAMILY_PARAMS,
     ORDINARY_FAMILIES,
     Q_FAMILIES,
     _FORMS,
     _QPowers,
+    _characteristic_allows,
+    _random_nonzero,
     _require,
 )
 from leonard.classify import ClassifierWitness, _identity, _make_witness
@@ -515,6 +524,78 @@ def test_orphan_row_rejects_other_diameters_like_the_builder(d):
         assert outcome(generate, fp, GF4) == want, fp.values
 
 
+def oracle_characteristic_admissible(family, d, field) -> bool:
+    """Whether the field characteristic allows the family at diameter d."""
+    if not _characteristic_allows(family, d, field.characteristic()):
+        return False
+    if family == "orphan":
+        return d == 3
+    # case I: needs a scalar of multiplicative order above d
+    if FAMILIES[family].case == "I" and field.is_finite():
+        return field.order() - 1 > d
+    return True
+
+
+def oracle_sample_params(family, d, field, rng,
+                         max_tries: int = 400) -> Optional[FamilyParams]:
+    """Rejection-sample admissible parameters; None when the field cannot
+    host the family at this diameter (or the sampler runs out of tries)."""
+    if family not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family {family!r}")
+    if not oracle_characteristic_admissible(family, d, field):
+        return None
+    one = field.one()
+    N = field.from_int
+    for _ in range(max_tries):
+        values = {
+            "theta0": field.random_element(rng),
+            "thetastar0": field.random_element(rng),
+        }
+        try:
+            if family in Q_FAMILIES:
+                values["q"] = _random_nonzero(field, rng, exclude=(one, -one))
+            for name in FAMILY_PARAMS[family]:
+                if name in values or name == "r2":
+                    continue
+                values[name] = _random_nonzero(field, rng)
+            if family == "q-racah":
+                qq = _QPowers(values["q"])
+                values["r2"] = (values["s"] * values["sstar"] * qq(d + 1)
+                                / values["r1"])
+            elif family == "racah":
+                values["r2"] = values["s"] + values["sstar"] + N(d + 1) - values["r1"]
+            elif family == "bannai-ito":
+                values["r2"] = N(d + 1) - values["s"] - values["sstar"] - values["r1"]
+            fp = FamilyParams(family=family, d=d, values=values)
+            generate(fp, field)
+            return fp
+        except PreconditionViolated:
+            continue
+    return None
+
+
+@pytest.mark.parametrize("field_name", list(FIELDS) + ["GF(5)"])
+@pytest.mark.parametrize("family", list(FAMILY_PARAMS))
+def test_sampler_reads_the_row_like_the_old_sampler(family, field_name):
+    """The same parameters or the same None, in the same key order, with
+    the generator left in the same state."""
+    field = FIELDS.get(field_name) or prime_field(5)
+    found = 0
+    for d in range(1, 7):
+        for seed in range(3):
+            old_rng = random.Random(f"{family} {field_name} {d} {seed}")
+            new_rng = random.Random(f"{family} {field_name} {d} {seed}")
+            want = oracle_sample_params(family, d, field, old_rng)
+            got = sample_params(family, d, field, new_rng)
+            assert got == want, (family, field_name, d, seed)
+            if want is not None:
+                assert list(got.values) == list(want.values)
+                found += 1
+            assert new_rng.getstate() == old_rng.getstate()
+    assert found > 0 or not any(
+        oracle_characteristic_admissible(family, d, field) for d in range(1, 7))
+
+
 def oracle_closed_form_spec(fp: FamilyParams, i: int, j: int) -> HypergeomSpec:
     """The terminating series equal to f_i(theta_j) for display families."""
     family, v = fp.family, fp.values
@@ -652,8 +733,7 @@ def _case3(p: ParameterArray) -> Optional[ClassifierWitness]:
     values = {"theta0": lift(p.theta[0]), "thetastar0": lift(p.theta_star[0]),
               "h": lift(h), "hstar": lift(hs), "s": lift(s), "sstar": lift(ss),
               "r1": r1, "r2": r2}
-    return _make_witness("III", "bannai-ito", -ext.one(), ext, lift,
-                         d, values, p, lift)
+    return _make_witness("III", "bannai-ito", ext, lift, d, values, p, lift)
 
 
 def _case4(p: ParameterArray) -> Optional[ClassifierWitness]:
@@ -670,8 +750,7 @@ def _case4(p: ParameterArray) -> Optional[ClassifierWitness]:
     r = p.varphi[0] / (h * hs)
     values = {"theta0": th[0], "thetastar0": ths[0],
               "h": h, "hstar": hs, "s": s, "sstar": ss, "r": r}
-    return _make_witness("IV", "orphan", F.one(), F, _identity,
-                         3, values, p, _identity)
+    return _make_witness("IV", "orphan", F, _identity, 3, values, p, _identity)
 
 
 def witness_json(step, p):

@@ -1,7 +1,11 @@
 """Polynomial families, evaluation matrices, proportionality, duality."""
 
+import dataclasses
+
 from leonard import (
     Analysis,
+    CheckReport,
+    LeonardError,
     Poly,
     build,
     corresponding_polys,
@@ -129,6 +133,53 @@ def test_duality_on_fixtures(fix_d1, kraw2, kraw3, qrac3, orphan3):
     for p in (fix_d1, kraw2, kraw3, qrac3, orphan3):
         rep = duality_check(Analysis(p))
         assert rep.ok(), rep.failures
+
+
+def oracle_duality_check(a):
+    """duality_check as it was, evaluating each f_i(theta_j) by Horner."""
+    p, table = a.p, a.polys
+    report = CheckReport("duality")
+    for i in range(p.d + 1):
+        for j in range(p.d + 1):
+            if table.f[i](p.theta[j]) != table.fstar[j](p.theta_star[i]):
+                report.add(f"f_{i}(theta_{j}) != f*_{j}(theta*_{i})")
+    return report
+
+
+def duality_outcome(check, p):
+    """The check's failures, or the exception type and message.  The table
+    skips Analysis's cross-check against the split matrices, which a bumped
+    theta fails before either check runs."""
+    try:
+        a = Analysis(p)
+        a.polys = corresponding_polys(p)
+        return check(a).failures
+    except (LeonardError, ZeroDivisionError) as e:
+        return type(e), str(e)
+
+
+def test_duality_reads_p_like_the_horner_check(fix_d1, kraw2, kraw3, qrac3,
+                                               orphan3):
+    """On the fixtures and on every copy with one entry bumped by 1, which
+    validate would reject before verify reaches the check: P holds each
+    f_i(theta_j), and both checks give the same answer."""
+    compared = 0
+    for p in (fix_d1, kraw2, kraw3, qrac3, orphan3):
+        copies = [p]
+        for name in ("theta", "theta_star", "varphi", "phi"):
+            seq = getattr(p, name)
+            for k in range(len(seq)):
+                bumped = seq[:k] + (seq[k] + p.field.one(),) + seq[k + 1:]
+                copies.append(dataclasses.replace(p, **{name: bumped}))
+        for c in copies:
+            want = duality_outcome(oracle_duality_check, c)
+            assert duality_outcome(duality_check, c) == want, c
+            if want == []:
+                t = corresponding_polys(c)
+                assert all(t.P.rows[j][i] == t.f[i](c.theta[j])
+                           for i in range(c.d + 1) for j in range(c.d + 1))
+            compared += 1
+    assert compared == 5 + 58
 
 
 def test_duality_is_star_symmetry(qrac3):
