@@ -37,8 +37,6 @@ from .fields import (
 from .parray import (
     BaseCandidates,
     ParameterArray,
-    ValidationReport,
-    Violation,
     array_from_json,
     base_candidates,
     beta_plus_one,
@@ -47,6 +45,7 @@ from .parray import (
     enumerate_arrays,
     make_array,
     validate,
+    validation_lines,
 )
 from .splitmat import (
     SplitMatrixSet,
@@ -56,6 +55,7 @@ from .splitmat import (
     s_matrix,
     verify_conjugation,
     verify_leonard_conditions,
+    verify_transition_matrix,
 )
 from .polys import (
     Poly,

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 from .errors import NeedsFieldExtension, NoCaseMatched
 from .fields import Field, FieldElement, splitting_field
 from .families import FAMILIES, FamilyParams, NormalForm, _FORMS, _powers, generate
-from .parray import ParameterArray, base_candidates, make_array
+from .parray import ParameterArray, base_candidates, first_case1_base, make_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,16 +168,6 @@ def _ground_case(p: ParameterArray, case: str,
     return _from_table(case, p, p.field, base, data, _identity, p)
 
 
-def _first_case1_base(field: Field) -> Optional[FieldElement]:
-    if not field.is_finite():
-        return field.from_int(2)
-    zero, one = field.zero(), field.one()
-    for x in field.elements():
-        if x != zero and x != one and x != -one:
-            return x
-    return None
-
-
 def classify(p: ParameterArray) -> ClassifierWitness:
     """Classify a validated array; returns a witness whose params regenerate
     it over the witness field.
@@ -226,7 +216,7 @@ def classify(p: ParameterArray) -> ClassifierWitness:
                 w = None
             if w is not None:
                 return w
-    q = _first_case1_base(F)
+    q = first_case1_base(F)
     if q is not None:
         try:
             w = _case1(p, F, _identity, q, p)

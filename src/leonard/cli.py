@@ -15,9 +15,8 @@ import sys
 from typing import Optional
 
 from .analysis import Analysis
-from .classify import _first_case1_base, classify
+from .classify import classify
 from .errors import (
-    BaseNotApplicable,
     IdentityViolated,
     LengthMismatch,
     LeonardError,
@@ -30,13 +29,14 @@ from .ortho import ortho_data, verify_nu_sums, verify_orthogonality
 from .parray import (
     ParameterArray,
     array_from_json,
-    base_candidates,
     enumerate_arrays,
     validate,
+    validation_lines,
 )
 from .polys import duality_check, endpoint_values, verify_proportionality
 from .recur import recurrence_coeffs, verify_alt_formulas, verify_difference, verify_three_term
-from .splitmat import build, s_matrix, verify_conjugation, verify_leonard_conditions
+from .splitmat import (build, verify_conjugation, verify_leonard_conditions,
+                       verify_transition_matrix)
 from .report import CheckReport
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
@@ -85,38 +85,6 @@ def _report_line(name: str, report: CheckReport) -> str:
     return _line(name, "fail", "; ".join(report.failures[:4]))
 
 
-def _transition_matrix(a: Analysis) -> CheckReport:
-    """G against the q-binomial closed form, when a usable base exists in
-    the field."""
-    p = a.p
-    report = CheckReport("transition-matrix")
-    q = None
-    if p.d >= 3:
-        bc = base_candidates(p)
-        if bc.kind == "quadratic_only":
-            report.skipped = "no in-field base"
-        else:
-            root = bc.roots[0]
-            if root == p.field.one() or root == -p.field.one():
-                report.skipped = "base ±1"
-            else:
-                q = root
-    else:
-        q = _first_case1_base(p.field)
-        if q is None:
-            report.skipped = "no in-field base"
-    if q is None:
-        return report
-    try:
-        S = s_matrix(p, q)
-    except BaseNotApplicable as e:
-        report.skipped = str(e)
-        return report
-    if a.matrices.G != S.scale(S.rows[0][0].inverse()):
-        report.add("G differs from the scaled closed form")
-    return report
-
-
 def _scoreboard(p: ParameterArray) -> tuple[list[str], bool]:
     """Run every verification in a fixed order; never stop at a failure."""
     # Built per call so that the names are looked up when the checks run.
@@ -131,12 +99,11 @@ def _scoreboard(p: ParameterArray) -> tuple[list[str], bool]:
         ("three-term", verify_three_term),
         ("difference", verify_difference),
         ("alt-recurrence", verify_alt_formulas),
-        ("transition-matrix", _transition_matrix),
+        ("transition-matrix", verify_transition_matrix),
     )
     rep = validate(p)
     if not rep.ok():
-        bad = [line for line in rep.lines() if not line.endswith("pass")]
-        lines = [_line("validate", "fail", "; ".join(bad))]
+        lines = [_line("validate", "fail", "; ".join(rep.failures))]
         lines += [_line(name, "skipped", "array invalid") for name, _ in checks]
         return lines, False
 
@@ -150,7 +117,7 @@ def _scoreboard(p: ParameterArray) -> tuple[list[str], bool]:
 def _require_valid(p: ParameterArray) -> None:
     rep = validate(p)
     if not rep.ok():
-        for line in rep.lines():
+        for line in validation_lines(rep):
             print(line, file=sys.stderr)
         raise IdentityViolated("array fails validation; see report above")
 
@@ -160,10 +127,10 @@ def cmd_validate(args) -> int:
     rep = validate(p)
     if args.emit:
         sys.stdout.write(dump_json(p.to_json()))
-        for line in rep.lines():
+        for line in validation_lines(rep):
             print(line, file=sys.stderr)
     else:
-        for line in rep.lines():
+        for line in validation_lines(rep):
             print(line)
     return OK if rep.ok() else FAIL
 

@@ -29,7 +29,8 @@ from .errors import (
     SeriesDoesNotTerminate,
 )
 from .fields import Field, FieldElement, FieldSpec, json_int, make_field
-from .parray import ParameterArray, beta_plus_one, make_array, validate
+from .parray import (ParameterArray, beta_plus_one, make_array, validate,
+                     validation_lines)
 from .report import CheckReport
 
 # Every family also takes the two affine offsets.
@@ -85,9 +86,10 @@ def characteristic_admissible(family: str, d: int, field: Field) -> bool:
         return False
     if fam.diameter not in (None, d):
         return False
-    # case I: needs a scalar of multiplicative order above d
+    # case I: needs a scalar of multiplicative order above d, and q = +-1 is
+    # never a base, so GF(3), whose nonzero elements are +-1, hosts none
     if fam.case == "I" and field.is_finite():
-        return field.order() - 1 > d
+        return field.order() - 1 > max(d, 2)
     return True
 
 
@@ -645,7 +647,7 @@ def generate(fp: FamilyParams, field: Field) -> ParameterArray:
     rep = validate(p)
     if not rep.ok():
         raise IdentityViolated(
-            "family output failed validation: " + "; ".join(rep.lines()))
+            "family output failed validation: " + "; ".join(validation_lines(rep)))
     if fp.d >= 3:
         base = family_base(fp, field)
         if base + base.inverse() + 1 != beta_plus_one(p):

@@ -50,6 +50,7 @@ and no field operation.  Prime fields multiply as (a*b) % p.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -926,19 +927,7 @@ def _sqrt(field: Field, a: FieldElement) -> Optional[FieldElement]:
     return x
 
 
-def _per_field(compute: Callable[[Field], FieldElement]) -> Callable[[Field], FieldElement]:
-    """Memoise a constant of a field by its spec."""
-    cache: dict[FieldSpec, FieldElement] = {}
-
-    def cached(field: Field) -> FieldElement:
-        if field.spec not in cache:
-            cache[field.spec] = compute(field)
-        return cache[field.spec]
-
-    return cached
-
-
-@_per_field
+@functools.cache
 def _first_nonsquare(field: Field) -> FieldElement:
     """First non-square in element order, for a field of odd order.
 
@@ -978,7 +967,7 @@ def _roots_char2(field: Field, b: FieldElement, c: FieldElement):
     return (b * y, b * y + b)
 
 
-@_per_field
+@functools.cache
 def _trace_one(field: Field) -> FieldElement:
     """First element of absolute trace 1 in element order, for GF(2^n).  The
     trace is linear, so it is a power w^j, at index 2^j."""
@@ -995,14 +984,9 @@ def _conjugates(x: FieldElement, p: int, n: int) -> list[FieldElement]:
     return out
 
 
-_IRREDUCIBLE_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
+@functools.cache
 def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k over GF(p) in coefficient order."""
-    key = (p, k)
-    if key in _IRREDUCIBLE_CACHE:
-        return _IRREDUCIBLE_CACHE[key]
     for idx in range(p**k):
         coeffs = []
         n = idx
@@ -1011,14 +995,11 @@ def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
             n //= p
         cand = tuple(coeffs) + (1,)
         if _irreducible(cand, p):
-            _IRREDUCIBLE_CACHE[key] = cand
             return cand
     raise RuntimeError(f"no irreducible of degree {k} over GF({p})")  # unreachable
 
 
-_EMBED_CACHE: dict[tuple[FieldSpec, FieldSpec], Callable] = {}
-
-
+@functools.cache
 def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
     """A field homomorphism src -> dst (identity when the specs agree).
 
@@ -1030,15 +1011,10 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
     """
     if src.spec == dst.spec:
         return lambda x: x
-    key = (src.spec, dst.spec)
-    cached = _EMBED_CACHE.get(key)
-    if cached is not None:
-        return cached
     if src.spec.kind == "prime" and dst.spec.kind == "extension" and src.spec.p == dst.spec.p:
         def lift(x: FieldElement, dst=dst) -> FieldElement:
             return dst.from_int(x.value)
 
-        _EMBED_CACHE[key] = lift
         return lift
     if (
         src.spec.kind == "extension"
@@ -1063,7 +1039,6 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
             c = x.value
             return _element(dst, tuple([sum(map(_imul, c, col)) % p for col in columns]))
 
-        _EMBED_CACHE[key] = lift
         return lift
     raise ValueError(f"no embedding of {src} into {dst}")
 

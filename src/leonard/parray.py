@@ -18,12 +18,13 @@ over 0 <= h <= i-1.  PA5 is vacuous for d < 3.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, LengthMismatch
 from .fields import (Field, FieldElement, FieldSpec, json_int, json_key,
                      make_field, quadratic_roots)
+from .report import CheckReport
 
 
 @dataclass(frozen=True)
@@ -106,40 +107,16 @@ def array_from_json(obj: dict) -> ParameterArray:
 # validation
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: str
-    indices: tuple[int, ...]
-    detail: str
-
-
 CONDITIONS = ("PA1", "PA2", "PA3", "PA4", "PA5")
 
 
-@dataclass
-class ValidationReport:
-    violations: dict[str, list[Violation]] = dc_field(
-        default_factory=lambda: {name: [] for name in CONDITIONS}
-    )
-
-    def ok(self) -> bool:
-        return not any(self.violations.values())
-
-    def condition_ok(self, name: str) -> bool:
-        return not self.violations[name]
-
-    def add(self, condition: str, indices: tuple[int, ...], detail: str) -> None:
-        self.violations[condition].append(Violation(condition, indices, detail))
-
-    def lines(self) -> list[str]:
-        out = []
-        for name in CONDITIONS:
-            if self.condition_ok(name):
-                out.append(f"{name} pass")
-            else:
-                for v in self.violations[name]:
-                    out.append(f"{name} fail at {list(v.indices)}: {v.detail}")
-        return out
+def validation_lines(report: CheckReport) -> list[str]:
+    """The report of validate as printed: the failures of each condition in
+    turn, or `PAn pass` for a condition with none."""
+    out = []
+    for name in CONDITIONS:
+        out += [f for f in report.failures if f.startswith(name + " ")] or [f"{name} pass"]
+    return out
 
 
 def _pa34_sums(theta: Sequence[FieldElement]) -> Optional[list[FieldElement]]:
@@ -152,55 +129,61 @@ def _pa34_sums(theta: Sequence[FieldElement]) -> Optional[list[FieldElement]]:
     return list(itertools.accumulate((theta[h] - theta[d - h]) * inv for h in range(d)))
 
 
-def validate(p: ParameterArray) -> ValidationReport:
-    """Check PA1 through PA5, reporting every violation with witnesses."""
-    rep = ValidationReport()
+def validate(p: ParameterArray) -> CheckReport:
+    """Check PA1 through PA5, reporting every violation with witnesses.  Each
+    failure reads `PAn fail at [indices]: detail`, condition by condition."""
+    rep = CheckReport("validate")
+
+    def fail(condition: str, indices: tuple[int, ...], detail: str) -> None:
+        rep.add(f"{condition} fail at {list(indices)}: {detail}")
+
     d = p.d
     for name, seq in (("theta", p.theta), ("theta*", p.theta_star)):
         for i in range(d + 1):
             for j in range(i + 1, d + 1):
                 if seq[i] == seq[j]:
-                    rep.add("PA1", (i, j), f"{name}_{i} = {name}_{j} = {seq[i]}")
+                    fail("PA1", (i, j), f"{name}_{i} = {name}_{j} = {seq[i]}")
     for i in range(1, d + 1):
         if not p.varphi[i - 1]:
-            rep.add("PA2", (i,), f"varphi_{i} = 0")
+            fail("PA2", (i,), f"varphi_{i} = 0")
         if not p.phi[i - 1]:
-            rep.add("PA2", (i,), f"phi_{i} = 0")
+            fail("PA2", (i,), f"phi_{i} = 0")
     if d >= 1:
         sums = _pa34_sums(p.theta)
         if sums is None:
-            rep.add("PA3", (0, d), "theta_0 = theta_d leaves the sum undefined")
-            rep.add("PA4", (0, d), "theta_0 = theta_d leaves the sum undefined")
+            fail("PA3", (0, d), "theta_0 = theta_d leaves the sum undefined")
+            fail("PA4", (0, d), "theta_0 = theta_d leaves the sum undefined")
         else:
             for i in range(1, d + 1):
                 want = p.phi[0] * sums[i - 1] + (
                     (p.theta_star[i] - p.theta_star[0]) * (p.theta[i - 1] - p.theta[d])
                 )
                 if p.varphi[i - 1] != want:
-                    rep.add("PA3", (i,), f"varphi_{i} = {p.varphi[i-1]}, expected {want}")
+                    fail("PA3", (i,), f"varphi_{i} = {p.varphi[i-1]}, expected {want}")
+            for i in range(1, d + 1):
                 want = p.varphi[0] * sums[i - 1] + (
                     (p.theta_star[i] - p.theta_star[0]) * (p.theta[d - i + 1] - p.theta[0])
                 )
                 if p.phi[i - 1] != want:
-                    rep.add("PA4", (i,), f"phi_{i} = {p.phi[i-1]}, expected {want}")
+                    fail("PA4", (i,), f"phi_{i} = {p.phi[i-1]}, expected {want}")
     if d >= 3:
         ratios: list[Optional[FieldElement]] = []
         for i in range(2, d):
             den = p.theta[i - 1] - p.theta[i]
             den_s = p.theta_star[i - 1] - p.theta_star[i]
             if not den or not den_s:
-                rep.add("PA5", (i,), "zero denominator (theta repeats)")
+                fail("PA5", (i,), "zero denominator (theta repeats)")
                 ratios.append(None)
                 continue
             r = (p.theta[i - 2] - p.theta[i + 1]) / den
             r_s = (p.theta_star[i - 2] - p.theta_star[i + 1]) / den_s
             if r != r_s:
-                rep.add("PA5", (i,), f"theta ratio {r} != theta* ratio {r_s}")
+                fail("PA5", (i,), f"theta ratio {r} != theta* ratio {r_s}")
             ratios.append(r)
         for i in range(len(ratios) - 1):
             a, b = ratios[i], ratios[i + 1]
             if a is not None and b is not None and a != b:
-                rep.add("PA5", (i + 2, i + 3), f"ratio changes: {a} then {b}")
+                fail("PA5", (i + 2, i + 3), f"ratio changes: {a} then {b}")
     return rep
 
 
@@ -292,6 +275,19 @@ def base_candidates(p: ParameterArray) -> BaseCandidates:
     return BaseCandidates(
         "quadratic_only", quadratic=(p.field.one(), -beta, p.field.one())
     )
+
+
+def first_case1_base(field: Field) -> Optional[FieldElement]:
+    """A base for case I below d = 3, where every scalar is a base: 2 over
+    the rationals, else the first element in field order other than 0 and
+    +-1, or None when the field has none."""
+    if not field.is_finite():
+        return field.from_int(2)
+    zero, one = field.zero(), field.one()
+    for x in field.elements():
+        if x != zero and x != one and x != -one:
+            return x
+    return None
 
 
 # ---------------------------------------------------------------------------

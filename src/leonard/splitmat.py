@@ -19,7 +19,7 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import Field, FieldElement
-from .parray import ParameterArray, beta_plus_one
+from .parray import ParameterArray, base_candidates, beta_plus_one, first_case1_base
 from .report import CheckReport
 
 if TYPE_CHECKING:
@@ -394,3 +394,35 @@ def s_matrix(p: ParameterArray, q: FieldElement) -> SquareMatrix:
     return SquareMatrix.build(F, d + 1, lambda i, j:
                               prefix[j - i] * trinomial(i, j - i, d - j)
                               if i <= j else zero)
+
+
+def verify_transition_matrix(a: Analysis) -> CheckReport:
+    """G against the scaled closed form s_matrix, when a usable base exists
+    in the field; skipped otherwise."""
+    p = a.p
+    report = CheckReport("transition-matrix")
+    q = None
+    if p.d >= 3:
+        bc = base_candidates(p)
+        if bc.kind == "quadratic_only":
+            report.skipped = "no in-field base"
+        else:
+            root = bc.roots[0]
+            if root == p.field.one() or root == -p.field.one():
+                report.skipped = "base ±1"
+            else:
+                q = root
+    else:
+        q = first_case1_base(p.field)
+        if q is None:
+            report.skipped = "no in-field base"
+    if q is None:
+        return report
+    try:
+        S = s_matrix(p, q)
+    except BaseNotApplicable as e:
+        report.skipped = str(e)
+        return report
+    if a.matrices.G != S.scale(S.rows[0][0].inverse()):
+        report.add("G differs from the scaled closed form")
+    return report

@@ -330,6 +330,17 @@ def edited(path, key=None, index=None, value=None):
     return obj
 
 
+# validate groups its failures by condition: read index by index, PA4 at [1]
+# would come between the two PA3 failures.
+KRAW2_PHI1 = edited(KRAW2, "phi", 0, "-3")
+KRAW2_PHI1_LINES = ("PA1 pass\n"
+                    "PA2 pass\n"
+                    "PA3 fail at [1]: varphi_1 = -4, expected -5\n"
+                    "PA3 fail at [2]: varphi_2 = -4, expected -5\n"
+                    "PA4 fail at [1]: phi_1 = -3, expected -2\n"
+                    "PA5 pass\n")
+
+
 @pytest.mark.parametrize("obj, code, expected", [
     (edited(KRAW2, "varphi", 0, "-3"), 1,
      "validate: fail (PA3 fail at [1]: varphi_1 = -3, expected -4; "
@@ -348,11 +359,23 @@ def edited(path, key=None, index=None, value=None):
      "".join(f"{name}: pass\n" for name in SCOREBOARD[:-2])
      + "alt-recurrence: skipped (no interior coefficients at d = 0)\n"
      + "transition-matrix: pass\n"),
+    (KRAW2_PHI1, 1,
+     "validate: fail (PA3 fail at [1]: varphi_1 = -4, expected -5; "
+     "PA3 fail at [2]: varphi_2 = -4, expected -5; "
+     "PA4 fail at [1]: phi_1 = -3, expected -2)\n" + SKIPPED_INVALID),
 ])
 def test_verify_scoreboard_text_is_pinned(capsys, tmp_path, obj, code, expected):
     target = tmp_path / "array.json"
     target.write_text(json.dumps(obj))
     assert run(capsys, "verify", str(target)) == (code, expected, "")
+
+
+def test_validate_and_classify_report_pinned(capsys, tmp_path):
+    target = tmp_path / "array.json"
+    target.write_text(json.dumps(KRAW2_PHI1))
+    assert run(capsys, "validate", str(target)) == (1, KRAW2_PHI1_LINES, "")
+    assert run(capsys, "classify", str(target)) == (
+        1, "", KRAW2_PHI1_LINES + "array fails validation; see report above\n")
 
 
 def test_verify_derives_each_object_once(capsys, monkeypatch):

@@ -120,6 +120,9 @@ def test_characteristic_gates():
     # q needs multiplicative order above d, so GF(4) caps d at 2 for q-families
     gf4 = pytest.importorskip("leonard").extension_field(2, 2, (1, 1, 1))
     assert not characteristic_admissible("q-racah", 3, gf4)
+    # GF(3)* = {1, -1} and q = +-1 is never a base, so no q-family fits
+    for family in Q_FAMILIES:
+        assert not characteristic_admissible(family, 1, f3), family
 
 
 def test_precondition_messages():
@@ -231,6 +234,8 @@ def test_sample_params_none_when_inadmissible():
     f3 = prime_field(3)
     assert sample_params("racah", 3, f3, random.Random(1)) is None
     assert sample_params("orphan", 3, Q, random.Random(1)) is None
+    for family in Q_FAMILIES:
+        assert sample_params(family, 1, f3, random.Random(1)) is None, family
 
 
 def test_sample_params_finite_fields(gf4, gf7, gf11):

@@ -61,6 +61,7 @@ from leonard import (
     rational_field,
     sample_params,
     validate,
+    validation_lines,
 )
 from leonard.families import (
     CLOSED_FORM_FAMILIES,
@@ -425,7 +426,7 @@ def oracle_generate(fp, field):
     rep = validate(p)
     if not rep.ok():
         raise IdentityViolated(
-            "family output failed validation: " + "; ".join(rep.lines()))
+            "family output failed validation: " + "; ".join(validation_lines(rep)))
     if fp.d >= 3:
         base = family_base(fp, field)
         if base + base.inverse() + 1 != beta_plus_one(p):
