@@ -58,7 +58,6 @@ from .splitmat import (
     verify_transition_matrix,
 )
 from .polys import (
-    Poly,
     PolyTable,
     corresponding_polys,
     duality_check,

@@ -1,10 +1,18 @@
-"""Polynomials attached to a parameter array and their evaluation matrices.
+"""Polynomials attached to a parameter array, held by their values.
 
 The central objects are the sequence f_0 .. f_d built from theta, theta*,
 and the varphi column, the companion sequence built after reversing theta
 and switching to the phi column, and the starred sequence obtained from the
-dual array.  deg f_i = i and the three sequences are tied together by exact
-proportionality and duality identities checked here.
+dual array.  deg f_i = i, so PA1's d + 1 distinct theta_j determine each
+f_i from its values f_i(theta_j), and every identity checked here is an
+identity between evaluation matrices.  Each matrix has one construction,
+from the triangular factors of the split basis:
+
+    f_j(theta_i) = sum over n of T[i][n] T*[j][n] / (varphi_1 .. varphi_n),
+
+that is T D^-1 T*^t, with T and T* the products of differences of theta and
+theta* (`splitmat.difference_products`) and D the prefix products of
+varphi.
 """
 
 from __future__ import annotations
@@ -15,117 +23,44 @@ from typing import TYPE_CHECKING, Sequence
 from .fields import Field, FieldElement
 from .parray import ParameterArray, d4_apply
 from .report import CheckReport
-from .splitmat import SquareMatrix
+from .splitmat import SquareMatrix, difference_products, prefix_products
 
 if TYPE_CHECKING:
     from .analysis import Analysis
 
 
 @dataclass(frozen=True)
-class Poly:
-    """Dense univariate polynomial, coefficients low order first, trimmed."""
-
-    field: Field
-    coeffs: tuple[FieldElement, ...]
-
-    @staticmethod
-    def make(field: Field, coeffs: Sequence[FieldElement]) -> "Poly":
-        cs = list(coeffs)
-        while cs and cs[-1] == field.zero():
-            cs.pop()
-        return Poly(field, tuple(cs))
-
-    @staticmethod
-    def constant(field: Field, c: FieldElement) -> "Poly":
-        return Poly.make(field, [c])
-
-    @staticmethod
-    def one(field: Field) -> "Poly":
-        return Poly.constant(field, field.one())
-
-    @staticmethod
-    def x_minus(field: Field, c: FieldElement) -> "Poly":
-        return Poly.make(field, [-c, field.one()])
-
-    def degree(self) -> int:
-        # degree of the zero polynomial reported as -1
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.field.zero()
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
-        return Poly.make(self.field, [x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(-self.field.one())
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, ())
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly.make(self.field, out)
-
-    def scale(self, c: FieldElement) -> "Poly":
-        return Poly.make(self.field, [a * c for a in self.coeffs])
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-@dataclass(frozen=True)
 class PolyTable:
-    f: tuple[Poly, ...]
-    fdown: tuple[Poly, ...]
-    fstar: tuple[Poly, ...]
+    """P[i][j] = f_j(theta_i), Pdown[i][j] = fdown_j(theta_i) for the
+    reversed companion, and Pstar[i][j] = f*_j(theta*_i)."""
+
     P: SquareMatrix
     Pdown: SquareMatrix
+    Pstar: SquareMatrix
 
 
-def _poly_family(field: Field,
-                 theta: Sequence[FieldElement],
-                 theta_star: Sequence[FieldElement],
-                 varphi: Sequence[FieldElement]) -> list[Poly]:
-    # f_i = sum over n of (x - theta_0)..(x - theta_{n-1})
-    #       * (theta*_i - theta*_0)..(theta*_i - theta*_{n-1}) / (varphi_1..varphi_n)
-    d = len(theta) - 1
-    prefix = [Poly.one(field)]
-    for n in range(1, d + 1):
-        prefix.append(prefix[-1] * Poly.x_minus(field, theta[n - 1]))
-    out = []
-    for i in range(d + 1):
-        total = Poly.one(field)
-        coeff = field.one()
-        for n in range(1, i + 1):
-            coeff = coeff * (theta_star[i] - theta_star[n - 1]) * varphi[n - 1].inverse()
-            total = total + prefix[n].scale(coeff)
-        out.append(total)
-    return out
+def _evaluation_matrix(field: Field,
+                       theta: Sequence[FieldElement],
+                       theta_star: Sequence[FieldElement],
+                       varphi: Sequence[FieldElement]) -> SquareMatrix:
+    # T D^-1 T*^t: entry (i, j) is f_j(theta_i) for the family that
+    # theta, theta* and varphi define.
+    Dinv = SquareMatrix.diagonal(
+        field, [x.inverse() for x in prefix_products(field, varphi)])
+    return (difference_products(field, theta) * Dinv
+            * difference_products(field, theta_star).transpose())
 
 
 def corresponding_polys(p: ParameterArray) -> PolyTable:
     F, d = p.field, p.d
-    f = _poly_family(F, p.theta, p.theta_star, p.varphi)
+    P = _evaluation_matrix(F, p.theta, p.theta_star, p.varphi)
+    # Z Tdown Ddown^-1 T*^t; Z only reverses the rows.
     rev = tuple(p.theta[d - i] for i in range(d + 1))
-    fdown = _poly_family(F, rev, p.theta_star, p.phi)
+    down = _evaluation_matrix(F, rev, p.theta_star, p.phi)
+    Pdown = SquareMatrix(F, d + 1, down.rows[::-1])
     star = d4_apply(p, ["star"])
-    fstar = _poly_family(F, star.theta, star.theta_star, star.varphi)
-
-    P = SquareMatrix.build(F, d + 1, lambda i, j: f[j](p.theta[i]))
-    Pdown = SquareMatrix.build(F, d + 1, lambda i, j: fdown[j](p.theta[i]))
-    return PolyTable(f=tuple(f), fdown=tuple(fdown), fstar=tuple(fstar),
-                     P=P, Pdown=Pdown)
+    Pstar = _evaluation_matrix(F, star.theta, star.theta_star, star.varphi)
+    return PolyTable(P=P, Pdown=Pdown, Pstar=Pstar)
 
 
 def proportionality_alphas(p: ParameterArray) -> list[FieldElement]:
@@ -138,11 +73,13 @@ def proportionality_alphas(p: ParameterArray) -> list[FieldElement]:
 
 def verify_proportionality(a: Analysis) -> CheckReport:
     """Each f_i is alpha_i times its reversed companion; reports the first i
-    where it is not."""
-    table = a.polys
+    where it is not.  Both sides have degree at most d, so on an array with
+    distinct theta_0 .. theta_d they are equal exactly when they agree at
+    every theta_j: P[j][i] = alpha_i Pdown[j][i]."""
+    P, Pdown = a.polys.P.rows, a.polys.Pdown.rows
     report = CheckReport("proportionality")
     for i, alpha in enumerate(proportionality_alphas(a.p)):
-        if table.f[i] != table.fdown[i].scale(alpha):
+        if any(row[i] != alpha * down[i] for row, down in zip(P, Pdown)):
             report.add(f"f_{i} is not alpha_{i} times its reversed companion")
             break
     return report
@@ -182,11 +119,11 @@ def endpoint_values(a: Analysis) -> CheckReport:
 
 def duality_check(a: Analysis) -> CheckReport:
     """f_i(theta_j), read from P, must equal the starred value
-    f*_j(theta*_i)."""
-    p, table = a.p, a.polys
+    f*_j(theta*_i), read from Pstar."""
+    P, Pstar = a.polys.P.rows, a.polys.Pstar.rows
     report = CheckReport("duality")
-    for i in range(p.d + 1):
-        for j in range(p.d + 1):
-            if table.P.rows[j][i] != table.fstar[j](p.theta_star[i]):
+    for i in range(a.p.d + 1):
+        for j in range(a.p.d + 1):
+            if P[j][i] != Pstar[i][j]:
                 report.add(f"f_{i}(theta_{j}) != f*_{j}(theta*_{i})")
     return report

@@ -162,6 +162,32 @@ def _diagonal_inverse(m: SquareMatrix) -> SquareMatrix:
     return SquareMatrix.diagonal(m.field, inv)
 
 
+def difference_products(field: Field, values: Sequence[FieldElement]) -> SquareMatrix:
+    """The lower-triangular matrix whose entry (i, j) is the product of
+    values[i] - values[h] over h < j, taken as a running product along row i.
+    Above the diagonal the product holds the factor values[i] - values[i], so
+    it is zero."""
+    zero, one = field.zero(), field.one()
+    n = len(values)
+    rows = []
+    for i, x in enumerate(values):
+        acc, row = one, [one]
+        for h in range(i):
+            acc = acc * (x - values[h])
+            row.append(acc)
+        rows.append(tuple(row) + (zero,) * (n - 1 - i))
+    return SquareMatrix(field, n, tuple(rows))
+
+
+def prefix_products(field: Field, values: Sequence[FieldElement]) -> list[FieldElement]:
+    """1, values[0], values[0] values[1], ..., the product of all values."""
+    acc, out = field.one(), [field.one()]
+    for v in values:
+        acc = acc * v
+        out.append(acc)
+    return out
+
+
 @dataclass(frozen=True)
 class SplitMatrixSet:
     """The matrices realizing a parameter array in the split basis."""
@@ -200,32 +226,11 @@ def build(p: ParameterArray) -> SplitMatrixSet:
     Astar = bidiag_upper(ths, vp)
     Bstar = bidiag_upper(ths, ph)
 
-    def products(values):
-        """Entry (i, j) is the product of values[i] - values[h] over h < j,
-        taken as a running product along row i.  Above the diagonal the
-        product holds the factor values[i] - values[i], so it is zero."""
-        rows = []
-        for i, x in enumerate(values):
-            acc, row = one, [one]
-            for h in range(i):
-                acc = acc * (x - values[h])
-                row.append(acc)
-            rows.append(tuple(row) + (zero,) * (d - i))
-        return SquareMatrix(F, n, tuple(rows))
-
-    T = products(th)
-    Tstar = products(ths)
-    Tdown = products(tuple(th[d - i] for i in range(n)))
-
-    def prefix_products(values):
-        acc, out = one, [one]
-        for v in values:
-            acc = acc * v
-            out.append(acc)
-        return out
-
-    D = SquareMatrix.diagonal(F, prefix_products(vp))
-    Ddown = SquareMatrix.diagonal(F, prefix_products(ph))
+    T = difference_products(F, th)
+    Tstar = difference_products(F, ths)
+    Tdown = difference_products(F, tuple(th[d - i] for i in range(n)))
+    D = SquareMatrix.diagonal(F, prefix_products(F, vp))
+    Ddown = SquareMatrix.diagonal(F, prefix_products(F, ph))
     Z = SquareMatrix.build(F, n, lambda i, j: one if i + j == d else zero)
     H = SquareMatrix.diagonal(F, th)
     Hstar = SquareMatrix.diagonal(F, ths)

@@ -1,8 +1,15 @@
+import dataclasses
+from dataclasses import dataclass
+from typing import Sequence
+
 import pytest
 
 from leonard import (
     FamilyParams,
+    Field,
+    FieldElement,
     SquareMatrix,
+    d4_apply,
     extension_field,
     generate,
     make_array,
@@ -37,6 +44,131 @@ def random_injective(F, n, rng):
         if x not in values:
             values.append(x)
     return values
+
+
+@dataclass(frozen=True)
+class Poly:
+    """Dense univariate polynomial, coefficients low order first, trimmed."""
+
+    field: Field
+    coeffs: tuple[FieldElement, ...]
+
+    @staticmethod
+    def make(field: Field, coeffs: Sequence[FieldElement]) -> "Poly":
+        cs = list(coeffs)
+        while cs and cs[-1] == field.zero():
+            cs.pop()
+        return Poly(field, tuple(cs))
+
+    @staticmethod
+    def constant(field: Field, c: FieldElement) -> "Poly":
+        return Poly.make(field, [c])
+
+    @staticmethod
+    def one(field: Field) -> "Poly":
+        return Poly.constant(field, field.one())
+
+    @staticmethod
+    def x_minus(field: Field, c: FieldElement) -> "Poly":
+        return Poly.make(field, [-c, field.one()])
+
+    def degree(self) -> int:
+        # degree of the zero polynomial reported as -1
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other: "Poly") -> "Poly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        zero = self.field.zero()
+        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
+        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
+        return Poly.make(self.field, [x + y for x, y in zip(a, b)])
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + other.scale(-self.field.one())
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        if self.is_zero() or other.is_zero():
+            return Poly(self.field, ())
+        zero = self.field.zero()
+        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return Poly.make(self.field, out)
+
+    def scale(self, c: FieldElement) -> "Poly":
+        return Poly.make(self.field, [a * c for a in self.coeffs])
+
+    def __call__(self, x: FieldElement) -> FieldElement:
+        acc = self.field.zero()
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+def _poly_family(field: Field,
+                 theta: Sequence[FieldElement],
+                 theta_star: Sequence[FieldElement],
+                 varphi: Sequence[FieldElement]) -> list[Poly]:
+    # f_i = sum over n of (x - theta_0)..(x - theta_{n-1})
+    #       * (theta*_i - theta*_0)..(theta*_i - theta*_{n-1}) / (varphi_1..varphi_n)
+    d = len(theta) - 1
+    prefix = [Poly.one(field)]
+    for n in range(1, d + 1):
+        prefix.append(prefix[-1] * Poly.x_minus(field, theta[n - 1]))
+    out = []
+    for i in range(d + 1):
+        total = Poly.one(field)
+        coeff = field.one()
+        for n in range(1, i + 1):
+            coeff = coeff * (theta_star[i] - theta_star[n - 1]) * varphi[n - 1].inverse()
+            total = total + prefix[n].scale(coeff)
+        out.append(total)
+    return out
+
+
+@dataclass(frozen=True)
+class HornerTable:
+    f: tuple[Poly, ...]
+    fdown: tuple[Poly, ...]
+    fstar: tuple[Poly, ...]
+
+
+def horner_table(p):
+    """The three polynomial families of p by their coefficients, built as
+    sums of Newton products: the oracle for the evaluation matrices of
+    corresponding_polys, which never forms a coefficient."""
+    F, d = p.field, p.d
+    rev = tuple(p.theta[d - i] for i in range(d + 1))
+    star = d4_apply(p, ["star"])
+    return HornerTable(
+        f=tuple(_poly_family(F, p.theta, p.theta_star, p.varphi)),
+        fdown=tuple(_poly_family(F, rev, p.theta_star, p.phi)),
+        fstar=tuple(_poly_family(F, star.theta, star.theta_star, star.varphi)))
+
+
+def satisfies_pa1_pa2(p):
+    distinct = all(len(set(seq)) == p.d + 1 for seq in (p.theta, p.theta_star))
+    return distinct and all(p.varphi) and all(p.phi)
+
+
+def pa1_pa2_perturbations(p):
+    """Every copy of p with one entry of theta, theta*, varphi or phi moved
+    by +1 or -1 that still satisfies PA1 and PA2, each copy once."""
+    one = p.field.one()
+    seen = set()
+    for name in ("theta", "theta_star", "varphi", "phi"):
+        seq = getattr(p, name)
+        for k in range(len(seq)):
+            for step in (one, -one):
+                moved = seq[:k] + (seq[k] + step,) + seq[k + 1:]
+                q = dataclasses.replace(p, **{name: moved})
+                if q not in seen and satisfies_pa1_pa2(q):
+                    seen.add(q)
+                    yield q
 
 
 @pytest.fixture

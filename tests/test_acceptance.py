@@ -30,6 +30,7 @@ from leonard import (
 )
 from leonard.cli import _scoreboard
 from leonard.splitmat import build
+from conftest import horner_table
 
 Q = rational_field()
 GF4 = extension_field(2, 2, (1, 1, 1))
@@ -90,11 +91,12 @@ def test_criterion_1_smallest_fixture():
         assert fmt_all(Q, co.c) == ["0", "-2"]
         assert fmt_all(Q, co.a) == ["-1", "2"]
 
-        table = corresponding_polys(p)
-        assert fmt_all(Q, table.f[1].coeffs) == ["1", "1"]  # 1 + lambda
-        value = table.f[1](p.theta[1])
+        f = horner_table(p).f
+        assert fmt_all(Q, f[1].coeffs) == ["1", "1"]  # 1 + lambda
+        value = f[1](p.theta[1])
         assert value == Q.from_int(2)
         assert value == p.phi[0] / p.varphi[0]
+        assert corresponding_polys(p).P.rows[1][1] == Q.from_int(2)
 
         scoreboard_clean(p)
 

@@ -5,13 +5,12 @@ import pytest
 from leonard import (
     Analysis,
     CheckReport,
-    corresponding_polys,
     make_array,
     ortho_data,
     verify_nu_sums,
     verify_orthogonality,
 )
-from conftest import Q, qarr
+from conftest import Q, horner_table
 
 
 def test_fix_d1_weights(fix_d1):
@@ -57,7 +56,7 @@ def test_orthogonality_rows_and_columns(fix_d1, kraw2, qrac3, orphan3):
 
 def test_orthogonality_sums_explicitly(kraw2):
     # sum_r f_i(theta_r) f_j(theta_r) kstar_r = delta_ij nu / k_i
-    t = corresponding_polys(kraw2)
+    t = horner_table(kraw2)
     data = ortho_data(kraw2)
     d = kraw2.d
     for i in range(d + 1):
@@ -79,7 +78,9 @@ def test_orthogonality_detects_broken_phi(kraw3):
 
 def orthogonality_oracle(a):
     """verify_orthogonality as it was before it used the symmetry of the
-    sums: both (i, j) and (j, i) summed in full, each in row-major order."""
+    sums and skipped the column pass after a clean row pass: both passes
+    always run, and both (i, j) and (j, i) are summed in full, each in
+    row-major order."""
     table, data = a.polys, a.ortho
     F, d = a.p.field, a.p.d
     zero = F.zero()

@@ -2,11 +2,12 @@
 
 import dataclasses
 
+import pytest
+
 from leonard import (
     Analysis,
     CheckReport,
     LeonardError,
-    Poly,
     build,
     corresponding_polys,
     d4_apply,
@@ -18,7 +19,7 @@ from leonard import (
     proportionality_alphas,
     verify_proportionality,
 )
-from conftest import Q, qarr
+from conftest import Poly, Q, horner_table, pa1_pa2_perturbations
 
 
 def test_poly_arithmetic():
@@ -40,15 +41,18 @@ def test_poly_str_and_trim():
 
 
 def test_fix_d1_polynomials(fix_d1):
-    t = corresponding_polys(fix_d1)
+    h = horner_table(fix_d1)
     fmt = lambda poly: [Q.format(c) for c in poly.coeffs]
-    assert [fmt(f) for f in t.f] == [["1"], ["1", "1"]]
-    assert [fmt(f) for f in t.fdown] == [["1"], ["1/2", "1/2"]]
-    assert [fmt(f) for f in t.fstar] == [["1"], ["1", "1"]]
+    assert [fmt(f) for f in h.f] == [["1"], ["1", "1"]]
+    assert [fmt(f) for f in h.fdown] == [["1"], ["1/2", "1/2"]]
+    assert [fmt(f) for f in h.fstar] == [["1"], ["1", "1"]]
+    t = corresponding_polys(fix_d1)
     rows = [[Q.format(x) for x in row] for row in t.P.rows]
     assert rows == [["1", "1"], ["1", "2"]]
     down = [[Q.format(x) for x in row] for row in t.Pdown.rows]
     assert down == [["1", "1/2"], ["1", "1"]]
+    star = [[Q.format(x) for x in row] for row in t.Pstar.rows]
+    assert star == [["1", "1"], ["1", "2"]]
 
 
 def test_kraw2_evaluation_matrix(kraw2):
@@ -60,7 +64,7 @@ def test_kraw2_evaluation_matrix(kraw2):
 
 
 def test_degrees_and_leading_structure(qrac3):
-    t = corresponding_polys(qrac3)
+    t = horner_table(qrac3)
     for i in range(qrac3.d + 1):
         assert t.f[i].degree() == i
         assert t.fdown[i].degree() == i
@@ -108,7 +112,7 @@ def test_endpoint_values_match_alpha(fix_d1, qrac3):
         assert endpoint_values(Analysis(p)).ok()
         vals = endpoint_evaluations(Analysis(p))
         alphas = proportionality_alphas(p)
-        t = corresponding_polys(p)
+        t = horner_table(p)
         for i, v in enumerate(vals):
             assert v == alphas[i]
             assert t.f[i](p.theta[p.d]) == v
@@ -135,25 +139,37 @@ def test_duality_on_fixtures(fix_d1, kraw2, kraw3, qrac3, orphan3):
         assert rep.ok(), rep.failures
 
 
+FIXTURES = ["fix_d1", "kraw2", "kraw3", "qrac3", "orphan3"]
+
+
+def oracle_proportionality(a):
+    """verify_proportionality as it was, comparing the coefficient lists of
+    f_i and alpha_i times its reversed companion."""
+    h = horner_table(a.p)
+    report = CheckReport("proportionality")
+    for i, alpha in enumerate(proportionality_alphas(a.p)):
+        if h.f[i] != h.fdown[i].scale(alpha):
+            report.add(f"f_{i} is not alpha_{i} times its reversed companion")
+            break
+    return report
+
+
 def oracle_duality_check(a):
-    """duality_check as it was, evaluating each f_i(theta_j) by Horner."""
-    p, table = a.p, a.polys
+    """duality_check as it was, evaluating f_i(theta_j) and f*_j(theta*_i)
+    by Horner."""
+    p, h = a.p, horner_table(a.p)
     report = CheckReport("duality")
     for i in range(p.d + 1):
         for j in range(p.d + 1):
-            if table.f[i](p.theta[j]) != table.fstar[j](p.theta_star[i]):
+            if h.f[i](p.theta[j]) != h.fstar[j](p.theta_star[i]):
                 report.add(f"f_{i}(theta_{j}) != f*_{j}(theta*_{i})")
     return report
 
 
-def duality_outcome(check, p):
-    """The check's failures, or the exception type and message.  The table
-    skips Analysis's cross-check against the split matrices, which a bumped
-    theta fails before either check runs."""
+def outcome(check, p):
+    """The check's failures, or the exception type and message."""
     try:
-        a = Analysis(p)
-        a.polys = corresponding_polys(p)
-        return check(a).failures
+        return check(Analysis(p)).failures
     except (LeonardError, ZeroDivisionError) as e:
         return type(e), str(e)
 
@@ -172,21 +188,59 @@ def test_duality_reads_p_like_the_horner_check(fix_d1, kraw2, kraw3, qrac3,
                 bumped = seq[:k] + (seq[k] + p.field.one(),) + seq[k + 1:]
                 copies.append(dataclasses.replace(p, **{name: bumped}))
         for c in copies:
-            want = duality_outcome(oracle_duality_check, c)
-            assert duality_outcome(duality_check, c) == want, c
+            want = outcome(oracle_duality_check, c)
+            assert outcome(duality_check, c) == want, c
             if want == []:
-                t = corresponding_polys(c)
-                assert all(t.P.rows[j][i] == t.f[i](c.theta[j])
+                t, h = corresponding_polys(c), horner_table(c)
+                assert all(t.P.rows[j][i] == h.f[i](c.theta[j])
                            for i in range(c.d + 1) for j in range(c.d + 1))
             compared += 1
     assert compared == 5 + 58
 
 
+@pytest.mark.parametrize("name", FIXTURES)
+def test_tables_match_horner(name, request):
+    """P, Pdown and Pstar hold the Horner values of f, fdown and f*, entry
+    by entry, on the fixture and on every one-entry +-1 perturbation that
+    keeps PA1 and PA2."""
+    p = request.getfixturevalue(name)
+    copies = [p, *pa1_pa2_perturbations(p)]
+    for c in copies:
+        t, h = corresponding_polys(c), horner_table(c)
+        n = c.d + 1
+        assert t.P.rows == tuple(tuple(h.f[j](c.theta[i]) for j in range(n))
+                                 for i in range(n)), c
+        assert t.Pdown.rows == tuple(tuple(h.fdown[j](c.theta[i]) for j in range(n))
+                                     for i in range(n)), c
+        assert t.Pstar.rows == tuple(tuple(h.fstar[j](c.theta_star[i]) for j in range(n))
+                                     for i in range(n)), c
+    assert len(copies) > 1
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_checks_match_coefficient_oracles(name, request):
+    """verify_proportionality and duality_check, which read the evaluation
+    matrices, agree with the coefficient-list and Horner checks they
+    replaced, on the fixture and on every one-entry +-1 perturbation that
+    keeps PA1 and PA2.  validate would reject most of the perturbations
+    before verify reaches either check, so both outcomes occur."""
+    p = request.getfixturevalue(name)
+    failing = 0
+    for c in (p, *pa1_pa2_perturbations(p)):
+        got = outcome(verify_proportionality, c)
+        assert got == outcome(oracle_proportionality, c), c
+        assert outcome(duality_check, c) == outcome(oracle_duality_check, c), c
+        failing += bool(got)
+    assert outcome(verify_proportionality, p) == []
+    assert failing > 0
+
+
 def test_duality_is_star_symmetry(qrac3):
     # fstar here equals the plain family of the starred array
     star = d4_apply(qrac3, ["star"])
-    t = corresponding_polys(qrac3)
-    s = corresponding_polys(star)
+    assert corresponding_polys(qrac3).Pstar == corresponding_polys(star).P
+    t = horner_table(qrac3)
+    s = horner_table(star)
     for i in range(qrac3.d + 1):
         for j in range(qrac3.d + 1):
             x, y = qrac3.theta_star[j], star.theta[j]

@@ -4,7 +4,6 @@ import pytest
 
 from leonard import (
     Analysis,
-    corresponding_polys,
     d4_apply,
     make_array,
     recurrence_coeffs,
@@ -12,7 +11,7 @@ from leonard import (
     verify_difference,
     verify_three_term,
 )
-from conftest import Q, qarr
+from conftest import Q, horner_table
 
 
 def test_fix_d1_coefficients(fix_d1):
@@ -53,7 +52,7 @@ def test_rows_sum_to_first_eigenvalue(kraw3, qrac3, orphan3):
 
 
 def test_three_term_recurrence_explicit(kraw2):
-    t = corresponding_polys(kraw2)
+    t = horner_table(kraw2)
     co = recurrence_coeffs(kraw2)
     d = kraw2.d
     for j in range(d + 1):
@@ -76,7 +75,7 @@ def test_three_term_and_difference_reports(fix_d1, kraw3, qrac3, orphan3):
 def test_difference_equation_explicit(qrac3):
     # theta*_i f_i(theta_j) = c*_j f_i(theta_{j-1}) + a*_j f_i(theta_j)
     #                          + b*_j f_i(theta_{j+1})
-    t = corresponding_polys(qrac3)
+    t = horner_table(qrac3)
     co = recurrence_coeffs(qrac3)
     d = qrac3.d
     for i in range(d + 1):

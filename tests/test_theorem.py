@@ -8,7 +8,8 @@
 
 are equivalent.  Random scalars almost never satisfy PA5 at d >= 3, so the
 valid side comes from the family normal forms through `sample_params`, and
-the invalid side from changing one entry of a sampled array.
+the invalid side from changing one entry of a sampled array.  Over the
+smallest fields, `sweep_theorem.py` checks every sequence instead.
 """
 
 import random
@@ -31,6 +32,7 @@ from leonard import (
     verify_conjugation,
     verify_proportionality,
 )
+from conftest import satisfies_pa1_pa2
 
 FIELDS = {
     "Q": rational_field(),
@@ -51,11 +53,6 @@ def verdicts(p):
     return (validate(p).ok(),
             not any(line in conjugation for line in G_LINES),
             verify_proportionality(a).ok())
-
-
-def satisfies_pa1_pa2(p):
-    distinct = all(len(set(seq)) == p.d + 1 for seq in (p.theta, p.theta_star))
-    return distinct and all(p.varphi) and all(p.phi)
 
 
 def admissible(family):
@@ -84,3 +81,14 @@ def test_the_three_conditions_agree(family, data, seed, entry, index, shift):
     assume(satisfies_pa1_pa2(q))
     i, ii, iii = verdicts(q)
     assert i == ii == iii, (family, field, d, entry, k, shift, (i, ii, iii))
+
+
+@pytest.mark.parametrize("field, d, sequences, valid", [
+    (prime_field(3), 1, 144, 36),
+    (prime_field(3), 2, 576, 36),
+    (FIELDS["GF(4)"], 1, 1296, 288),
+], ids=["GF(3)-1", "GF(3)-2", "GF(4)-1"])
+def test_every_sequence_over_tiny_fields(field, d, sequences, valid):
+    # imported here: sweep_theorem imports verdicts from this module
+    from sweep_theorem import sweep
+    assert sweep(field, d) == (sequences, valid)
