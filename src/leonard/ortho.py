@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING
 from .fields import FieldElement
 from .parray import ParameterArray
 from .report import CheckReport
+from .splitmat import SquareMatrix
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -65,38 +66,29 @@ def verify_orthogonality(a: Analysis) -> CheckReport:
     therefore computed only when the rows fail or nu is zero; it could add
     no line otherwise."""
     table, data = a.polys, a.ortho
-    vals = table.P.rows  # vals[j][i] = f_i(theta_j)
+    P = table.P  # P[j][i] = f_i(theta_j)
     report = CheckReport("orthogonality")
     # row (i, j): sum_r f_i(theta_r) f_j(theta_r) kstar_r = delta_ij nu / k_i
-    cols = tuple(zip(*vals))  # cols[i][r] = f_i(theta_r)
-    _gram_failures(report, "row", cols, data.kstar, data.k, data.nu)
+    _gram_failures(report, "row", P.transpose(), data.kstar, data.k, data.nu)
     if report.failures or not data.nu:
         # column (i, j): sum_r f_r(theta_i) f_r(theta_j) k_r = delta_ij nu / kstar_i
-        _gram_failures(report, "column", vals, data.k, data.kstar, data.nu)
+        _gram_failures(report, "column", P, data.k, data.kstar, data.nu)
     return report
 
 
-def _gram_failures(report: CheckReport, kind: str, vecs, weights, diag, nu) -> None:
+def _gram_failures(report: CheckReport, kind: str, X: SquareMatrix, weights,
+                   diag, nu) -> None:
     """Add a line for each (i, j), in row-major order, where the weighted
-    inner product of vecs[i] and vecs[j] is not delta_ij nu / diag_i.
+    inner product of rows i and j of X is not delta_ij nu / diag_i.
 
-    The product is symmetric in i and j, so it is computed for i <= j only,
-    each vecs[i] weighted once."""
-    n = len(vecs)
-    zero = nu.field.zero()
-    weighted = [[x * w for x, w in zip(v, weights)] for v in vecs]
-    bad = [[False] * n for _ in range(n)]
-    for i in range(n):
-        wi = weighted[i]
-        for j in range(i, n):
-            acc = zero
-            for x, y in zip(wi, vecs[j]):
-                acc = acc + x * y
-            want = nu * diag[i].inverse() if i == j else zero
-            bad[i][j] = bad[j][i] = acc != want
-    for i in range(n):
-        for j in range(n):
-            if bad[i][j]:
+    The inner products are the entries of the Gram matrix X W X^t, with
+    W = diag(weights), taken by two matrix products on payloads."""
+    F = X.field
+    gram = X * SquareMatrix.diagonal(F, weights) * X.transpose()
+    want = [(nu * x.inverse()).value for x in diag]
+    for i, row in enumerate(gram.values):
+        for j, x in enumerate(row):
+            if x != (want[i] if i == j else F.zero_value):
                 report.add(f"{kind} orthogonality fails at ({i}, {j})")
 
 

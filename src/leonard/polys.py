@@ -12,7 +12,10 @@ from the triangular factors of the split basis:
 
 that is T D^-1 T*^t, with T and T* the products of differences of theta and
 theta* (`splitmat.difference_products`) and D the prefix products of
-varphi.
+varphi.  The dual array swaps theta with theta* and keeps varphi, so its
+table T* D^-1 T^t is P^t: Pstar is read as the transpose of P, and the
+duality check compares P with it.  The Horner f* table of the tests is
+Pstar's independent check.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .fields import Field, FieldElement
-from .parray import ParameterArray, d4_apply
+from .parray import ParameterArray
 from .report import CheckReport
 from .splitmat import SquareMatrix, difference_products, prefix_products
 
@@ -32,7 +35,7 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class PolyTable:
     """P[i][j] = f_j(theta_i), Pdown[i][j] = fdown_j(theta_i) for the
-    reversed companion, and Pstar[i][j] = f*_j(theta*_i)."""
+    reversed companion, and Pstar[i][j] = f*_j(theta*_i), which is P^t."""
 
     P: SquareMatrix
     Pdown: SquareMatrix
@@ -57,10 +60,9 @@ def corresponding_polys(p: ParameterArray) -> PolyTable:
     # Z Tdown Ddown^-1 T*^t; Z only reverses the rows.
     rev = tuple(p.theta[d - i] for i in range(d + 1))
     down = _evaluation_matrix(F, rev, p.theta_star, p.phi)
-    Pdown = SquareMatrix(F, d + 1, down.rows[::-1])
-    star = d4_apply(p, ["star"])
-    Pstar = _evaluation_matrix(F, star.theta, star.theta_star, star.varphi)
-    return PolyTable(P=P, Pdown=Pdown, Pstar=Pstar)
+    Pdown = SquareMatrix(F, d + 1, down.values[::-1])
+    # star swaps theta with theta* and keeps varphi, so T* D^-1 T^t = P^t
+    return PolyTable(P=P, Pdown=Pdown, Pstar=P.transpose())
 
 
 def proportionality_alphas(p: ParameterArray) -> list[FieldElement]:
@@ -119,8 +121,9 @@ def endpoint_values(a: Analysis) -> CheckReport:
 
 def duality_check(a: Analysis) -> CheckReport:
     """f_i(theta_j), read from P, must equal the starred value
-    f*_j(theta*_i), read from Pstar."""
-    P, Pstar = a.polys.P.rows, a.polys.Pstar.rows
+    f*_j(theta*_i), read from Pstar; payloads are canonical, so they are
+    compared as payloads."""
+    P, Pstar = a.polys.P.values, a.polys.Pstar.values
     report = CheckReport("duality")
     for i in range(a.p.d + 1):
         for j in range(a.p.d + 1):

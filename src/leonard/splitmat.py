@@ -5,11 +5,19 @@ with exact entries, the bidiagonal pair (A, A*) and its companion pair
 (B, B*), the triangular transition machinery connecting them, primitive
 idempotents, and the q-binomial transition matrix available when the array
 has a usable base in the field.
+
+A SquareMatrix holds the canonical payloads of its entries, row by row,
+and wraps them in FieldElements only when a caller reads `rows`.  The
+identities checked here are chains of products, and each product is one
+call of the field's payload kernel (`Field._matmul`), which delays its
+reductions over Q and GF(p): no FieldElement is built along a chain, and
+comparing two results compares payload tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
@@ -28,11 +36,22 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class SquareMatrix:
-    """Immutable square matrix with entries in a common field."""
+    """Immutable square matrix with entries in a common field.
+
+    The entries are stored once, as the rows of their canonical payloads
+    (`values`), so two matrices over one field are equal exactly when their
+    payload rows are.  `rows` is a view that wraps the payloads in
+    FieldElements the first time a caller reads entries; products, sums,
+    `transpose` and `==` work on the payloads and build no element."""
 
     field: Field
     n: int
-    rows: tuple[tuple[FieldElement, ...], ...]
+    values: tuple[tuple, ...]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
+        F = self.field
+        return tuple(tuple([FieldElement(F, v) for v in row]) for row in self.values)
 
     @staticmethod
     def from_rows(field: Field, rows: Sequence[Sequence[FieldElement]]) -> "SquareMatrix":
@@ -40,66 +59,68 @@ class SquareMatrix:
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix rows must all have length n")
-        return SquareMatrix(field, n, tuple(tuple(row) for row in rows))
+        return SquareMatrix(field, n, tuple(tuple([x.value for x in row]) for row in rows))
 
     @staticmethod
     def build(field: Field, n: int, entry: Callable[[int, int], FieldElement]) -> "SquareMatrix":
         return SquareMatrix(field, n, tuple(
-            tuple(entry(i, j) for j in range(n)) for i in range(n)
+            tuple([entry(i, j).value for j in range(n)]) for i in range(n)
         ))
 
     @staticmethod
     def identity(field: Field, n: int) -> "SquareMatrix":
-        one, zero = field.one(), field.zero()
-        return SquareMatrix.build(field, n, lambda i, j: one if i == j else zero)
+        return SquareMatrix.diagonal(field, [field.one()] * n)
 
     @staticmethod
     def diagonal(field: Field, entries: Sequence[FieldElement]) -> "SquareMatrix":
-        zero = field.zero()
-        ent = list(entries)
-        return SquareMatrix.build(field, len(ent), lambda i, j: ent[i] if i == j else zero)
+        zero = field.zero_value
+        n = len(entries)
+        return SquareMatrix(field, n, tuple(
+            (zero,) * i + (x.value,) + (zero,) * (n - 1 - i) for i, x in enumerate(entries)
+        ))
+
+    def _require_match(self, other: "SquareMatrix") -> None:
+        if self.n != other.n or self.field != other.field:
+            raise ValueError("matrix operands require matching shapes and fields")
+
+    def _entrywise(self, op, other: "SquareMatrix") -> "SquareMatrix":
+        self._require_match(other)
+        return SquareMatrix(self.field, self.n, tuple(
+            tuple(map(op, a, b)) for a, b in zip(self.values, other.values)
+        ))
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
-        return SquareMatrix.build(self.field, self.n,
-                                  lambda i, j: self.rows[i][j] + other.rows[i][j])
+        return self._entrywise(self.field._add, other)
 
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
-        return SquareMatrix.build(self.field, self.n,
-                                  lambda i, j: self.rows[i][j] - other.rows[i][j])
+        return self._entrywise(self.field._sub, other)
 
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
-        """Matrix product that spends field operations only on nonzero terms.
+        """Matrix product on payloads, by the field's kernel `Field._matmul`.
 
-        The right factor's nonzero entries are listed once, row by row.  Each
-        nonzero a_ik of the left factor is then multiplied into the nonzero
-        entries of row k of the right one, and each output entry starts from
-        its first product.  The cost is at most 2n^2 zero tests plus one
-        multiplication, and at most one addition, per pair (a_ik, b_kj) with
-        both entries nonzero: O(n^2) when either factor is diagonal,
-        bidiagonal or a permutation, about n^3/6 for two lower (or two upper)
-        triangular factors, and n^3 for two dense ones.
+        Each nonzero a_ik of the left factor is multiplied into the nonzero
+        entries of row k of the right one, so the cost is at most 2n^2 zero
+        tests plus one multiplication, and at most one addition, per pair
+        (a_ik, b_kj) with both entries nonzero: O(n^2) when either factor is
+        diagonal, bidiagonal or a permutation, about n^3/6 for two lower (or
+        two upper) triangular factors, and n^3 for two dense ones.  Over Q
+        and GF(p) those operations are on ints: Q writes each left row and
+        each right column over the lcm of its denominators and takes one
+        gcd per entry, GF(p) reduces once per entry.  GF(p^k) works term by
+        term with the field's payload product.  No FieldElement is built.
         """
-        if self.n != other.n or self.field != other.field:
-            raise ValueError("matrix product requires matching shapes and fields")
-        n = self.n
-        zero = self.field.zero()
-        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
-        rows = []
-        for row in self.rows:
-            acc = [None] * n
-            for a, terms in zip(row, right):
-                if terms and a:
-                    for j, b in terms:
-                        t = acc[j]
-                        acc[j] = a * b if t is None else t + a * b
-            rows.append(tuple(zero if x is None else x for x in acc))
-        return SquareMatrix(self.field, n, tuple(rows))
+        self._require_match(other)
+        return SquareMatrix(self.field, self.n,
+                            self.field._matmul(self.values, other.values))
 
     def scale(self, c: FieldElement) -> "SquareMatrix":
-        return SquareMatrix.build(self.field, self.n, lambda i, j: self.rows[i][j] * c)
+        mul, c = self.field._mul, c.value
+        return SquareMatrix(self.field, self.n, tuple(
+            tuple([mul(x, c) for x in row]) for row in self.values
+        ))
 
     def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(self.field, self.n, tuple(zip(*self.rows)))
+        return SquareMatrix(self.field, self.n, tuple(zip(*self.values)))
 
     def inverse(self) -> "SquareMatrix":
         """Gauss-Jordan with exact pivoting; raises SingularMatrix."""
@@ -167,15 +188,15 @@ def difference_products(field: Field, values: Sequence[FieldElement]) -> SquareM
     values[i] - values[h] over h < j, taken as a running product along row i.
     Above the diagonal the product holds the factor values[i] - values[i], so
     it is zero."""
-    zero, one = field.zero(), field.one()
+    one = field.one()
     n = len(values)
     rows = []
     for i, x in enumerate(values):
-        acc, row = one, [one]
+        acc, row = one, [one.value]
         for h in range(i):
             acc = acc * (x - values[h])
-            row.append(acc)
-        rows.append(tuple(row) + (zero,) * (n - 1 - i))
+            row.append(acc.value)
+        rows.append(tuple(row) + (field.zero_value,) * (n - 1 - i))
     return SquareMatrix(field, n, tuple(rows))
 
 
@@ -236,7 +257,7 @@ def build(p: ParameterArray) -> SplitMatrixSet:
     Hstar = SquareMatrix.diagonal(F, ths)
 
     G = _lower_inverse(T) * Z * Tdown
-    if G.rows[0][0] != one:
+    if G.values[0][0] != F.one_value:
         raise IdentityViolated("transition matrix is not unit-normalized at (0, 0)")
     return SplitMatrixSet(A=A, B=B, Astar=Astar, Bstar=Bstar, T=T, Tstar=Tstar,
                           Tdown=Tdown, D=D, Ddown=Ddown, Z=Z, H=H, Hstar=Hstar, G=G)
@@ -345,11 +366,11 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     Vinv = _lower_inverse(V.transpose()).transpose()
     for label, block in (("E* A E*", Vinv * m.A * V),
                          ("E A* E", _lower_inverse(U) * m.Astar * U)):
-        for i in range(n):
-            for j in range(n):
-                if abs(i - j) > 1 and block.rows[i][j] != zero:
+        for i, row in enumerate(block.values):
+            for j, x in enumerate(row):
+                if abs(i - j) > 1 and x != F.zero_value:
                     report.add(f"{label} block ({i}, {j}) should vanish")
-                if abs(i - j) == 1 and block.rows[i][j] == zero:
+                if abs(i - j) == 1 and x == F.zero_value:
                     report.add(f"{label} block ({i}, {j}) should be nonzero")
     return report
 

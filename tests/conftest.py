@@ -31,9 +31,9 @@ def dense_mul(x, y):
     from zero: the oracle for SquareMatrix.__mul__, which skips zero terms."""
     F = x.field
     cols = list(zip(*y.rows))
-    return SquareMatrix(F, x.n, tuple(
-        tuple(sum((a * b for a, b in zip(row, col)), start=F.zero()) for col in cols)
-        for row in x.rows))
+    return SquareMatrix.from_rows(F, [
+        [sum((a * b for a, b in zip(row, col)), start=F.zero()) for col in cols]
+        for row in x.rows])
 
 
 def random_injective(F, n, rng):

@@ -10,6 +10,7 @@ from leonard import (
     verify_nu_sums,
     verify_orthogonality,
 )
+from leonard.ortho import _gram_failures
 from conftest import Q, horner_table
 
 
@@ -132,4 +133,62 @@ def test_orthogonality_matches_oracle(name, request):
         got = outcome(verify_orthogonality, q)
         assert got == outcome(orthogonality_oracle, q)
         failing += bool(got)
+    assert failing > 0
+
+
+def gram_failures_oracle(report, kind, vecs, weights, diag, nu):
+    """_gram_failures as it was before it took the Gram matrix by matrix
+    products: element by element, each inner product summed for i <= j
+    only, each vecs[i] weighted once."""
+    n = len(vecs)
+    zero = nu.field.zero()
+    weighted = [[x * w for x, w in zip(v, weights)] for v in vecs]
+    bad = [[False] * n for _ in range(n)]
+    for i in range(n):
+        wi = weighted[i]
+        for j in range(i, n):
+            acc = zero
+            for x, y in zip(wi, vecs[j]):
+                acc = acc + x * y
+            want = nu * diag[i].inverse() if i == j else zero
+            bad[i][j] = bad[j][i] = acc != want
+    for i in range(n):
+        for j in range(n):
+            if bad[i][j]:
+                report.add(f"{kind} orthogonality fails at ({i}, {j})")
+
+
+def gram_outcomes(p):
+    """Both Gram passes of p, by the kernel and by the oracle; None when the
+    table or the weights cannot be built."""
+    a = Analysis(p)
+    try:
+        P, data = a.polys.P, a.ortho
+    except ZeroDivisionError:
+        return None
+    passes = (("row", P.transpose(), data.kstar, data.k),
+              ("column", P, data.k, data.kstar))
+    out = []
+    for kind, X, weights, diag in passes:
+        for check, vecs in ((_gram_failures, X), (gram_failures_oracle, X.rows)):
+            report = CheckReport("orthogonality")
+            try:
+                check(report, kind, vecs, weights, diag, data.nu)
+                out.append(report.failures)
+            except ZeroDivisionError as e:
+                out.append(type(e))
+    return out
+
+
+@pytest.mark.parametrize("name", ["fix_d1", "kraw2", "kraw3", "qrac3", "orphan3"])
+def test_gram_kernel_matches_elementwise_oracle(name, request):
+    p = request.getfixturevalue(name)
+    assert gram_outcomes(p) == [[]] * 4
+    failing = 0
+    for q in perturbed(p):
+        outcomes = gram_outcomes(q)
+        if outcomes is not None:
+            row, row_oracle, column, column_oracle = outcomes
+            assert row == row_oracle and column == column_oracle
+            failing += bool(row) + bool(column)
     assert failing > 0

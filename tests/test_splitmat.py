@@ -2,12 +2,14 @@
 
 import random
 from dataclasses import replace
+from math import gcd
 
 import pytest
 
 from leonard import (
     Analysis,
     BaseNotApplicable,
+    Field,
     FieldElement,
     IdentityViolated,
     RepeatedEigenvalue,
@@ -68,12 +70,15 @@ def test_matrix_json_round_trip():
     assert SquareMatrix.from_json(Q, a.to_json()) == a
 
 
-def shaped_matrices(F, n, rng):
+def shaped_matrices(F, n, rng, entry=None):
     """One n x n matrix of each zero pattern: those the split-basis checks
-    multiply, a dense one, and one with a zero row and a zero column."""
+    multiply, a dense one, and one with a zero row and a zero column.  The
+    entries inside a pattern are entry(), by default random and nonzero."""
+    if entry is None:
+        entry = lambda: F.random_element(rng, nonzero=True)
+
     def pattern(keep):
-        return SquareMatrix.build(F, n, lambda i, j: F.random_element(rng, nonzero=True)
-                                  if keep(i, j) else F.zero())
+        return SquareMatrix.build(F, n, lambda i, j: entry() if keep(i, j) else F.zero())
 
     perm = list(range(n))
     rng.shuffle(perm)
@@ -92,30 +97,90 @@ def shaped_matrices(F, n, rng):
     }
 
 
-@pytest.mark.parametrize("label", list(PRODUCT_FIELDS))
+# the kernel's fields besides PRODUCT_FIELDS: both prime-field extremes,
+# tables at 2^4 and the fold product above the cap at 3^8
+KERNEL_FIELDS = {
+    "GF(2)": prime_field(2),
+    "GF(1000003)": prime_field(1000003),
+    "GF(2^4)": extension_field(2, 4, (1, 1, 0, 0, 1)),
+    "GF(3^8)": extension_field(3, 8, (2, 0, 1, 0, 0, 0, 0, 0, 1)),
+}
+
+
+def kernel_entry(F, rng):
+    """A random entry, zero one time in four; over Q with numerator and
+    denominator up to 2^200."""
+    if rng.random() < 0.25:
+        return F.zero()
+    if F.is_finite():
+        return F.random_element(rng)
+    return Q.parse(f"{rng.randint(-2**200, 2**200)}/{rng.randint(1, 2**200)}")
+
+
+def assert_canonical(F, m):
+    for row in m.values:
+        for x in row:
+            if F.spec.kind == "rational":
+                n, d = x
+                assert d > 0 and gcd(n, d) == 1 and (n != 0 or d == 1), x
+            elif F.spec.kind == "prime":
+                assert isinstance(x, int) and 0 <= x < F.p, x
+            else:
+                assert len(x) == F.k and all(0 <= c < F.p for c in x), x
+
+
+@pytest.mark.parametrize("label", list(PRODUCT_FIELDS | KERNEL_FIELDS))
 def test_product_matches_dense_oracle(label):
-    F = PRODUCT_FIELDS[label]
-    shapes = shaped_matrices(F, 5, random.Random(f"product/{label}"))
-    for x_name, x in shapes.items():
-        for y_name, y in shapes.items():
-            assert x * y == dense_mul(x, y), (x_name, y_name)
+    """Every pair of shapes, with nonzero entries inside each pattern and
+    with kernel_entry's, against the schoolbook product; each result
+    payload is canonical and the rows view wraps the same entries."""
+    F = (PRODUCT_FIELDS | KERNEL_FIELDS)[label]
+    rng = random.Random(f"product/{label}")
+    shapes = list(shaped_matrices(F, 5, rng).items()) + list(
+        shaped_matrices(F, 6, rng, entry=lambda: kernel_entry(F, rng)).items())
+    for x_name, x in shapes:
+        for y_name, y in shapes:
+            if x.n == y.n:
+                got, want = x * y, dense_mul(x, y)
+                assert got == want and got.rows == want.rows, (x_name, y_name)
+                assert_canonical(F, got)
 
 
 def count_multiplications(fn):
-    """Call fn() and return how many times FieldElement.__mul__ ran."""
-    orig = FieldElement.__mul__
+    """Call fn() and return how many multiplications it made: the calls of
+    FieldElement.__mul__, plus, in each matrix product, every pair
+    (a_ik, b_kj) of nonzero factors that the field's payload kernel
+    multiplies."""
     calls = 0
 
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return orig(a, b)
+    def counted_mul(orig):
+        def mul(a, b):
+            nonlocal calls
+            calls += 1
+            return orig(a, b)
+        return mul
 
-    FieldElement.__mul__ = counted
+    def counted_matmul(orig):
+        def matmul(field, left, right):
+            nonlocal calls
+            zero = field.zero_value
+            nonzero = [sum(x != zero for x in row) for row in right]
+            calls += sum(nonzero[k] for row in left
+                         for k, a in enumerate(row) if a != zero)
+            return orig(field, left, right)
+        return matmul
+
+    patched = [(FieldElement, "__mul__", counted_mul)] + [
+        (cls, "_matmul", counted_matmul)
+        for cls in (Field, *Field.__subclasses__()) if "_matmul" in vars(cls)]
+    originals = [(cls, name, vars(cls)[name]) for cls, name, _ in patched]
+    for cls, name, wrap in patched:
+        setattr(cls, name, wrap(vars(cls)[name]))
     try:
         fn()
     finally:
-        FieldElement.__mul__ = orig
+        for cls, name, orig in originals:
+            setattr(cls, name, orig)
     return calls
 
 
