@@ -2,10 +2,10 @@
 
 The verification routines all read the same few objects of an array: the
 split-basis matrices, the polynomial table (the evaluation matrices P and
-Pdown, each built once from triangular factors, and Pstar, read as P^t),
-the orthogonality data and the recurrence coefficients.  An Analysis
-computes each of them on first use and hands the same result to every later
-check, so a full scoreboard builds each object once.  The results live on the Analysis, not on the
+Pdown, each built once from triangular factors), the orthogonality data
+and the recurrence coefficients.  An Analysis computes each of them on
+first use and hands the same result to every later check, so a full
+scoreboard builds each object once.  The results live on the Analysis, not on the
 array: a changed array (say from dataclasses.replace) needs a new Analysis.
 """
 

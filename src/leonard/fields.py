@@ -47,15 +47,15 @@ An embedding GF(p^k) -> GF(p^K) is GF(p)-linear and keeps the payloads of
 the root's powers as a k x K matrix, so an image costs k*K integer products
 and no field operation.  Prime fields multiply as (a*b) % p.
 
-A matrix product does not go through FieldElement at all: each field has
-one kernel, _matmul, on rows of payloads, which skips zero terms and delays
-its reductions (the delayed modular reduction of FFLAS-FFPACK, Dumas,
-Giorgi and Pernet, ACM TOMS 35(3), 2008).  Over Q each left row and each
-right column is written as integers over the lcm of its denominators once
-per product, so an entry is one integer dot and one gcd; over GF(p) the int
-products are summed and reduced once per entry.  The base version, which
-GF(p^k) uses, works term by term through the payload _mul and _add, so it
-takes the tables below the cap and the fold product above it.
+A matrix product does not go through FieldElement at all: it is one call
+of the field's kernel, _matmul, on rows of payloads, which skips zero
+terms.  The base version works term by term through the payload _mul and
+_add, so a finite field takes its own product: (a*b) % p, the tables below
+the cap or the fold product above it.  Over Q each left row and each right
+column is written as integers over the lcm of its denominators once per
+product, so an entry is one integer dot and one gcd: the reductions are
+delayed to one per entry, as in the delayed modular reduction of
+FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
@@ -419,9 +419,8 @@ def _nonzero_terms(rows, zero) -> list[list[tuple[int, object]]]:
 
 def _int_products(left, right) -> Iterator[list[int]]:
     """The rows of the product of two int matrices, each given by the
-    nonzero terms of its rows (as _nonzero_terms lists them), with no
-    reduction: each nonzero left[i][k] is multiplied into the nonzero
-    entries of right[k]."""
+    nonzero terms of its rows, with no reduction: each nonzero left[i][k]
+    is multiplied into the nonzero entries of right[k]."""
     n = len(right)
     for row in left:
         acc = [0] * n
@@ -467,7 +466,7 @@ class Field:
         the nonzero entries of right[k], and each output entry starts from
         its first product, so zero terms cost one test and nothing else.
         This version works term by term through _mul and _add; the
-        rationals and the prime fields delay their reductions."""
+        rationals delay their reductions."""
         zero, mul, add = self.zero_value, self._mul, self._add
         right = _nonzero_terms(right, zero)
         out = []
@@ -598,11 +597,12 @@ class RationalField(Field):
         # written as integers over the lcm of its denominators, so every
         # entry is one integer dot over a known denominator and one gcd.
         col_den = [lcm(*col) for col in zip(*[[d for _, d in row] for row in right])]
-        right = [[(j, n * (c // d)) for j, ((n, d), c) in enumerate(zip(row, col_den))
-                  if n] for row in right]
+        zero = self.zero_value
+        right = [[(j, n * (col_den[j] // d)) for j, (n, d) in row]
+                 for row in _nonzero_terms(right, zero)]
         row_den = [lcm(*[d for _, d in row]) for row in left]
-        left = [[(k, n * (r // d)) for k, (n, d) in enumerate(row) if n]
-                for row, r in zip(left, row_den)]
+        left = [[(k, n * (r // d)) for k, (n, d) in row]
+                for row, r in zip(_nonzero_terms(left, zero), row_den)]
         out = []
         for acc, r in zip(_int_products(left, right), row_den):
             out_row = []
@@ -665,12 +665,6 @@ class PrimeField(Field):
 
     def _inv(self, a):
         return pow(a, -1, self.p)
-
-    def _matmul(self, left, right):
-        # the int sums are reduced once per entry
-        p = self.p
-        return tuple(tuple([x % p for x in acc]) for acc in
-                     _int_products(_nonzero_terms(left, 0), _nonzero_terms(right, 0)))
 
     def from_int(self, n: int) -> FieldElement:
         return _element(self, n % self.p)

@@ -6,12 +6,10 @@ with exact entries, the bidiagonal pair (A, A*) and its companion pair
 idempotents, and the q-binomial transition matrix available when the array
 has a usable base in the field.
 
-A SquareMatrix holds the canonical payloads of its entries, row by row,
-and wraps them in FieldElements only when a caller reads `rows`.  The
-identities checked here are chains of products, and each product is one
-call of the field's payload kernel (`Field._matmul`), which delays its
-reductions over Q and GF(p): no FieldElement is built along a chain, and
-comparing two results compares payload tuples.
+A SquareMatrix holds the canonical payloads of its entries, row by row.
+The identities checked here are chains of products, each one call of the
+field's payload kernel `Field._matmul`, so no FieldElement is built along
+a chain and comparing two results compares payload tuples.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from .errors import (
     RepeatedEigenvalue,
     SingularMatrix,
 )
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, _element
 from .parray import ParameterArray, base_candidates, beta_plus_one, first_case1_base
 from .report import CheckReport
 
@@ -51,7 +49,7 @@ class SquareMatrix:
     @cached_property
     def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
         F = self.field
-        return tuple(tuple([FieldElement(F, v) for v in row]) for row in self.values)
+        return tuple(tuple([_element(F, v) for v in row]) for row in self.values)
 
     @staticmethod
     def from_rows(field: Field, rows: Sequence[Sequence[FieldElement]]) -> "SquareMatrix":
@@ -98,16 +96,10 @@ class SquareMatrix:
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         """Matrix product on payloads, by the field's kernel `Field._matmul`.
 
-        Each nonzero a_ik of the left factor is multiplied into the nonzero
-        entries of row k of the right one, so the cost is at most 2n^2 zero
-        tests plus one multiplication, and at most one addition, per pair
-        (a_ik, b_kj) with both entries nonzero: O(n^2) when either factor is
-        diagonal, bidiagonal or a permutation, about n^3/6 for two lower (or
-        two upper) triangular factors, and n^3 for two dense ones.  Over Q
-        and GF(p) those operations are on ints: Q writes each left row and
-        each right column over the lcm of its denominators and takes one
-        gcd per entry, GF(p) reduces once per entry.  GF(p^k) works term by
-        term with the field's payload product.  No FieldElement is built.
+        One multiplication per pair (a_ik, b_kj) of nonzero entries, after
+        2n^2 zero tests: O(n^2) when either factor is diagonal, bidiagonal
+        or a permutation, about n^3/6 for two lower (or two upper)
+        triangular factors, and n^3 for two dense ones.
         """
         self._require_match(other)
         return SquareMatrix(self.field, self.n,

@@ -51,7 +51,7 @@ def test_fix_d1_polynomials(fix_d1):
     assert rows == [["1", "1"], ["1", "2"]]
     down = [[Q.format(x) for x in row] for row in t.Pdown.rows]
     assert down == [["1", "1/2"], ["1", "1"]]
-    star = [[Q.format(x) for x in row] for row in t.Pstar.rows]
+    star = [[Q.format(x) for x in row] for row in t.P.transpose().rows]
     assert star == [["1", "1"], ["1", "2"]]
 
 
@@ -200,7 +200,7 @@ def test_duality_reads_p_like_the_horner_check(fix_d1, kraw2, kraw3, qrac3,
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_tables_match_horner(name, request):
-    """P, Pdown and Pstar hold the Horner values of f, fdown and f*, entry
+    """P, Pdown and P^t hold the Horner values of f, fdown and f*, entry
     by entry, on the fixture and on every one-entry +-1 perturbation that
     keeps PA1 and PA2."""
     p = request.getfixturevalue(name)
@@ -212,8 +212,8 @@ def test_tables_match_horner(name, request):
                                  for i in range(n)), c
         assert t.Pdown.rows == tuple(tuple(h.fdown[j](c.theta[i]) for j in range(n))
                                      for i in range(n)), c
-        assert t.Pstar.rows == tuple(tuple(h.fstar[j](c.theta_star[i]) for j in range(n))
-                                     for i in range(n)), c
+        assert t.P.transpose().rows == tuple(
+            tuple(h.fstar[j](c.theta_star[i]) for j in range(n)) for i in range(n)), c
     assert len(copies) > 1
 
 
@@ -238,7 +238,7 @@ def test_checks_match_coefficient_oracles(name, request):
 def test_duality_is_star_symmetry(qrac3):
     # fstar here equals the plain family of the starred array
     star = d4_apply(qrac3, ["star"])
-    assert corresponding_polys(qrac3).Pstar == corresponding_polys(star).P
+    assert corresponding_polys(qrac3).P.transpose() == corresponding_polys(star).P
     t = horner_table(qrac3)
     s = horner_table(star)
     for i in range(qrac3.d + 1):

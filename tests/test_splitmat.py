@@ -26,6 +26,7 @@ from leonard import (
     verify_conjugation,
     verify_leonard_conditions,
 )
+from leonard import fields
 from leonard.fields import _find_irreducible
 from leonard.report import CheckReport
 from leonard.splitmat import _diagonal_inverse, _lower_inverse
@@ -147,41 +148,70 @@ def test_product_matches_dense_oracle(label):
 
 
 def count_multiplications(fn):
-    """Call fn() and return how many multiplications it made: the calls of
-    FieldElement.__mul__, plus, in each matrix product, every pair
-    (a_ik, b_kj) of nonzero factors that the field's payload kernel
-    multiplies."""
+    """Call fn() and return how many field multiplications it made: the
+    calls of FieldElement.__mul__, the payload products that the base
+    kernel Field._matmul makes, and the pairs of int terms that the Q
+    kernel multiplies in fields._int_products.  Every kernel lists its
+    terms through fields._nonzero_terms, so a kernel that stopped skipping
+    zero terms would be counted for them."""
     calls = 0
 
-    def counted_mul(orig):
-        def mul(a, b):
+    def counted(mul):
+        def counted_mul(*args):
             nonlocal calls
             calls += 1
-            return orig(a, b)
-        return mul
+            return mul(*args)
+        return counted_mul
 
-    def counted_matmul(orig):
-        def matmul(field, left, right):
-            nonlocal calls
-            zero = field.zero_value
-            nonzero = [sum(x != zero for x in row) for row in right]
-            calls += sum(nonzero[k] for row in left
-                         for k, a in enumerate(row) if a != zero)
-            return orig(field, left, right)
-        return matmul
+    int_products, base_matmul = fields._int_products, Field._matmul
 
-    patched = [(FieldElement, "__mul__", counted_mul)] + [
-        (cls, "_matmul", counted_matmul)
-        for cls in (Field, *Field.__subclasses__()) if "_matmul" in vars(cls)]
-    originals = [(cls, name, vars(cls)[name]) for cls, name, _ in patched]
-    for cls, name, wrap in patched:
-        setattr(cls, name, wrap(vars(cls)[name]))
+    def counted_int_products(left, right):
+        nonlocal calls
+        calls += sum(len(right[k]) for row in left for k, _ in row)
+        return int_products(left, right)
+
+    def counted_base_matmul(field, left, right):
+        # an extension below the table cap keeps its table product on the
+        # instance, so the count goes there too
+        shadowed = vars(field).get("_mul")
+        field._mul = counted(field._mul)
+        try:
+            return base_matmul(field, left, right)
+        finally:
+            if shadowed is None:
+                del field._mul
+            else:
+                field._mul = shadowed
+
+    patches = [(FieldElement, "__mul__", counted(FieldElement.__mul__)),
+               (fields, "_int_products", counted_int_products),
+               (Field, "_matmul", counted_base_matmul)]
+    originals = [(obj, name, getattr(obj, name)) for obj, name, _ in patches]
+    for obj, name, wrapped in patches:
+        setattr(obj, name, wrapped)
     try:
         fn()
     finally:
-        for cls, name, orig in originals:
-            setattr(cls, name, orig)
+        for obj, name, orig in originals:
+            setattr(obj, name, orig)
     return calls
+
+
+@pytest.mark.parametrize("label", list(PRODUCT_FIELDS | KERNEL_FIELDS))
+def test_kernel_multiplies_each_nonzero_pair_once(label):
+    """Every pair of shapes, with entries that are zero one time in four:
+    the product makes one multiplication per pair (a_ik, b_kj) of nonzero
+    entries and none for a zero term, in each field's kernel."""
+    F = (PRODUCT_FIELDS | KERNEL_FIELDS)[label]
+    rng = random.Random(f"kernel-cost/{label}")
+    shapes = shaped_matrices(F, 6, rng, entry=lambda: kernel_entry(F, rng))
+    zero = F.zero_value
+    for x_name, x in shapes.items():
+        for y_name, y in shapes.items():
+            nonzero = [sum(b != zero for b in row) for row in y.values]
+            pairs = sum(nonzero[k] for row in x.values
+                        for k, a in enumerate(row) if a != zero)
+            assert count_multiplications(lambda: x * y) == pairs, (x_name, y_name)
 
 
 def test_bidiagonal_product_costs_band_multiplications():
