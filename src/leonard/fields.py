@@ -37,23 +37,36 @@ gcd-splitting sum and product of Knuth (TAOCP vol. 2, 4.5.1).  An
 extension field of order at most TABLE_ORDER_CAP (2^10) multiplies and
 inverts by log/antilog tables built when it is made: the generator is the
 first element of multiplicative order q - 1 in element order, found by
-walking each candidate's powers with the fold product below and accepted
+walking each candidate's powers with the Kronecker product below, accepted
 only when the walk returns to one after exactly q - 1 distinct powers.
-Larger extensions multiply by the fold product and invert by extended
-Euclid.  The fold product accumulates the convolution in plain ints, folds
-degrees k..2k-2 down through the rows of x^(k+j) mod the modulus, stored
-once per field as sparse rows, and takes one % p per output coefficient.
-An embedding GF(p^k) -> GF(p^K) is GF(p)-linear and keeps the payloads of
-the root's powers as a k x K matrix, so an image costs k*K integer products
-and no field operation.  Prime fields multiply as (a*b) % p.
+Larger extensions multiply by Kronecker substitution: a precompiled struct
+packs each payload into one int at 1, 2, 4 or 8 bytes per coefficient, the
+fewest that hold k(p-1)^2, the largest convolution coefficient, so one int
+product carries no digit into the next and is the convolution; one unpack
+gives its 2k - 1 coefficients, degrees k..2k-2 fold down through the rows
+of x^(k+j) mod the modulus, stored once per field as sparse triples, and
+each output coefficient takes one % p.  Where no width of 8 bytes holds
+k(p-1)^2, the convolution is summed term by term before the same fold.
+They invert by Itoh-Tsujii (Inform. and Comput. 78(3), 1988): with
+r = (p^k - 1)/(p - 1), a^(r-1) is the product of the conjugates a^(p^i),
+0 < i < k, taken by an addition chain on k - 1 (at most 4 products at
+k = 8), and a^-1 = a^(r-1) / a^r.  The norm a^r must come out in GF(p),
+every higher coefficient zero, which is exactly a * a^-1 = 1, so the
+inverse is checked before it is returned.  The Frobenius maps sigma^m of
+the chain, like an embedding GF(p^k) -> GF(p^K), are GF(p)-linear: their
+rows are the payloads of the powers of w^(p^m) (of the root, for an
+embedding), packed like the product's operands, so an image costs one int
+product per row, one unpack and no field operation (a field too wide to
+pack keeps the rows by columns, at one dot product per column).  Prime
+fields multiply as (a*b) % p.
 
 A matrix product does not go through FieldElement at all: it is one call
 of the field's kernel, _matmul, on rows of payloads, which skips zero
 terms.  The base version works term by term through the payload _mul and
 _add, so a finite field takes its own product: (a*b) % p, the tables below
-the cap or the fold product above it.  Over Q each left row and each right
-column is written as integers over the lcm of its denominators once per
-product, so an entry is one integer dot and one gcd: the reductions are
+the cap or the Kronecker product above it.  Over Q each left row and each
+right column is written as integers over the lcm of its denominators once
+per product, so an entry is one integer dot and one gcd: the reductions are
 delayed to one per entry, as in the delayed modular reduction of
 FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
 """
@@ -62,6 +75,7 @@ from __future__ import annotations
 
 import functools
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -228,27 +242,15 @@ def _pmod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _pdivmod(a, b, p)[1]
 
 
-def _fold_rows(modulus: Sequence[int], p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row j is x^(k+j) mod the monic modulus of degree k, for 0 <= j <= k-2,
-    as the (i, c) pairs of its nonzero coefficients."""
+def _fold_rows(modulus: Sequence[int], p: int) -> tuple[tuple[int, int, int], ...]:
+    """The rows x^(k+j) mod the monic modulus of degree k, 0 <= j <= k-2, as
+    one (k + j, i, c) triple per nonzero coefficient c of x^i in row j."""
     k = len(modulus) - 1
     return tuple(
-        tuple((i, c) for i, c in enumerate(_pmod([0] * (k + j) + [1], modulus, p)) if c)
+        (k + j, i, c)
         for j in range(k - 1)
+        for i, c in enumerate(_pmod([0] * (k + j) + [1], modulus, p)) if c
     )
-
-
-def _pinv_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    """Inverse of a modulo the irreducible m, by the extended Euclid loop."""
-    r0, r1 = list(m), _ptrim(list(a))
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-    # r0 is a nonzero constant gcd because m is irreducible and a nonzero
-    c = pow(r0[0], -1, p)
-    return _ptrim([(c * x) % p for x in s0])
 
 
 def _ppowmod(a: Sequence[int], n: int, m: Sequence[int], p: int) -> list[int]:
@@ -731,12 +733,18 @@ class ExtensionField(Field):
         self.k = k
         self.modulus = mod
         self._fold = _fold_rows(mod, p)
+        self._payload_struct, self._conv_struct = _packings(p, k)
         super().__init__(FieldSpec("extension", p=p, k=k, modulus=mod),
                          (0,) * k, (1,) + (0,) * (k - 1))
+        # The class's _mul and _inv are the Kronecker product and the
+        # Itoh-Tsujii inverse; the instance shadows them where they do not
+        # apply.
         if p**k <= TABLE_ORDER_CAP:
-            # the instance's table lookups shadow the class's convolution
-            # _mul and Euclid _inv, which stay the only path above the cap
             self._mul, self._inv = _table_ops(self)
+            return
+        if self._payload_struct is None:
+            self._mul = self._fold_mul
+        self._frobenius, self._chain = _itoh_tsujii_chain(self)
 
     def _add(self, a, b):
         p = self.p
@@ -751,23 +759,67 @@ class ExtensionField(Field):
         return tuple([(-x) % p for x in a])
 
     def _mul(self, a, b):
-        p, k = self.p, self.k
-        conv = [0] * (2 * k - 1)
+        # Kronecker substitution: each payload packed into one int, its
+        # coefficients as base-256^width digits wide enough that the
+        # convolution never carries, so one int product is the convolution
+        to_int = int.from_bytes
+        pack, conv = self._payload_struct.pack, self._conv_struct
+        product = to_int(pack(*a), "little") * to_int(pack(*b), "little")
+        return self._reduce(conv.unpack(product.to_bytes(conv.size, "little")))
+
+    def _fold_mul(self, a, b):
+        """The product for fields too wide to pack: the convolution summed
+        term by term."""
+        conv = [0] * (2 * self.k - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     conv[i + j] += ai * bj
-        # fold degrees k..2k-2 down through the rows of x^(k+j) mod the
-        # modulus; the sums stay plain ints until the one % p per coefficient
-        for c, row in zip(conv[k:], self._fold):
-            if c:
-                for i, r in row:
-                    conv[i] += c * r
-        return tuple([c % p for c in conv[:k]])
+        return self._reduce(conv)
+
+    def _reduce(self, conv):
+        """The payload of a convolution of 2k - 1 coefficients: degrees
+        k..2k-2 fold down through the rows of x^(k+j) mod the modulus, and
+        the sums stay plain ints until the one % p per coefficient."""
+        low = list(conv[:self.k])
+        for j, i, c in self._fold:
+            low[i] += conv[j] * c
+        p = self.p
+        return tuple([c % p for c in low])
 
     def _inv(self, a):
-        inv = _pinv_mod(list(a), list(self.modulus), self.p)
-        return tuple(inv + [0] * (self.k - len(inv)))
+        # Itoh-Tsujii: with r = (p^k - 1)/(p - 1), a^(r-1) is the product
+        # of the conjugates a^(p^i), 1 <= i < k, and the norm a^r lies in
+        # GF(p), so a^-1 = a^(r-1) / a^r.  The chain builds
+        # t_m = a^(p + ... + p^m) from t_1 = a^p by t_2m = t_m * sigma^m(t_m)
+        # and t_(m+1) = sigma(a * t_m), sigma being the Frobenius map.
+        mul, frobenius = self._mul, self._frobenius
+        t = frobenius(a)
+        for sigma in self._chain:
+            t = mul(t, sigma(t)) if sigma else frobenius(mul(a, t))
+        norm = mul(a, t)
+        # a norm in GF(p)* is the statement a * (t / norm) = 1, so this
+        # checks the inverse before it is returned
+        if not norm[0] or any(norm[1:]):
+            raise RuntimeError(f"{a} has norm {norm} in {self}")
+        p = self.p
+        c = pow(norm[0], -1, p)
+        return tuple([x * c % p for x in t])
+
+    def _linear_map(self, rows) -> Callable[[tuple], tuple]:
+        """The GF(p)-linear map of payloads x -> sum_i x_i rows[i], for at
+        most k rows that are payloads of this field.  Where the field packs,
+        the rows are packed ints, so an image is len(rows) int products."""
+        p = self.p
+        if self._payload_struct is None:
+            columns = tuple(zip(*rows))
+            return lambda x: tuple([sum(map(_imul, x, col)) % p for col in columns])
+        payload = self._payload_struct
+        packed = [int.from_bytes(payload.pack(*row), "little") for row in rows]
+        unpack, size = payload.unpack, payload.size
+        return lambda x: tuple([
+            c % p for c in unpack(sum(map(_imul, x, packed)).to_bytes(size, "little"))
+        ])
 
     def from_int(self, n: int) -> FieldElement:
         return _element(self, (n % self.p,) + (0,) * (self.k - 1))
@@ -840,11 +892,54 @@ class ExtensionField(Field):
         return f"GF({self.p}^{self.k})"
 
 
+# Coefficient widths, in bytes, of the packed payloads of the Kronecker
+# product, with their struct codes
+_PACK_WIDTHS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+
+
+def _packings(p: int, k: int):
+    """The structs that pack a payload and unpack a convolution of GF(p^k),
+    at the narrowest width that holds k(p-1)^2, the largest convolution
+    coefficient; (None, None) when no width of at most 8 bytes does."""
+    bound = k * (p - 1) ** 2
+    for width, code in _PACK_WIDTHS:
+        if bound < 256**width:
+            return struct.Struct(f"<{k}{code}"), struct.Struct(f"<{2 * k - 1}{code}")
+    return None, None
+
+
+def _itoh_tsujii_chain(field: ExtensionField):
+    """The Frobenius map sigma of the field and the steps of the addition
+    chain on k - 1 that ExtensionField._inv takes: reading k - 1 in binary
+    after its leading bit, each bit doubles m (the step is the map sigma^m)
+    and a set bit then adds one (the step is None).  Each map is linear,
+    built from the powers of w^(p^m), and w^p costs one powering."""
+    p, k, mul, one = field.p, field.k, field._mul, field.one_value
+
+    def powers(x):  # the payloads of x^i, 0 <= i < k: the rows of the map
+        rows = [one]
+        for _ in range(k - 1):
+            rows.append(mul(rows[-1], x))
+        return field._linear_map(rows)
+
+    image = field.pow(field.generator(), p).value  # sigma^m(w), from m = 1
+    frobenius = powers(image)
+    chain = []
+    for bit in bin(k - 1)[3:]:
+        sigma = powers(image) if chain else frobenius  # the first m is 1
+        chain.append(sigma)
+        image = sigma(image)
+        if bit == "1":
+            chain.append(None)
+            image = frobenius(image)
+    return frobenius, tuple(chain)
+
+
 def _table_ops(field: ExtensionField):
     """Payload multiply and inverse of a finite extension field by table.
 
     The generator g is the first element of multiplicative order q - 1 in
-    element order: each candidate's powers are walked with the convolution
+    element order: each candidate's powers are walked with the Kronecker
     product, and the walk is used only if it comes back to one after exactly
     q - 1 distinct powers.  Then antilog[i] = g^i for 0 <= i < q - 1, and
     log is its inverse map."""
@@ -1057,8 +1152,23 @@ def _conjugates(x: FieldElement, p: int, n: int) -> list[FieldElement]:
 
 @functools.cache
 def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible of degree k over GF(p) in coefficient order."""
-    for idx in range(p**k):
+    """First monic irreducible of degree k over GF(p) in coefficient order.
+
+    The first p candidates are the binomials x^k + c, c < p, decided by
+    Lidl-Niederreiter Thm 3.75: x^k - a is irreducible iff every prime r | k
+    divides p - 1 with a^((p-1)/r) != 1, and 4 | p - 1 when 4 | k.  So the
+    block costs nothing when no binomial qualifies and a few powerings when
+    one does.  Past it, candidates go through Rabin's test in index order.
+    Every answer passes Rabin's test before it is returned."""
+    primes = [r for r in range(2, k + 1) if k % r == 0 and _is_prime(r)]
+    if all((p - 1) % r == 0 for r in primes) and (k % 4 or (p - 1) % 4 == 0):
+        for c in range(1, p):
+            if all(pow(-c % p, (p - 1) // r, p) != 1 for r in primes):
+                binomial = (c,) + (0,) * (k - 1) + (1,)
+                if not _irreducible(binomial, p):  # unreachable by the theorem
+                    raise RuntimeError(f"x^{k} + {c} is reducible over GF({p})")
+                return binomial
+    for idx in range(p, p**k):
         coeffs = []
         n = idx
         for _ in range(k):
@@ -1102,13 +1212,11 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
         powers = [dst.one()]
         for _ in range(src.spec.k - 1):
             powers.append(powers[-1] * root)
-        # the map is GF(p)-linear: image coefficient j is sum_i c_i (root^i)_j,
-        # so keep the k x K matrix of the powers' payloads by columns
-        columns = tuple(zip(*(pw.value for pw in powers)))
+        # the map is GF(p)-linear: x goes to sum_i x_i root^i
+        linear = dst._linear_map([pw.value for pw in powers])
 
-        def lift(x: FieldElement, dst=dst, columns=columns, p=src.spec.p) -> FieldElement:
-            c = x.value
-            return _element(dst, tuple([sum(map(_imul, c, col)) % p for col in columns]))
+        def lift(x: FieldElement, dst=dst, linear=linear) -> FieldElement:
+            return _element(dst, linear(x.value))
 
         return lift
     raise ValueError(f"no embedding of {src} into {dst}")
@@ -1121,10 +1229,14 @@ def _split_off_root(f: list[FieldElement], dst: Field) -> FieldElement:
     Each step takes the next delta in element order and keeps the proper
     factor gcd(f, s) when there is one, where s is (x + delta)^((Q-1)/2) - 1
     in odd characteristic and the trace sum_i (delta*x)^(2^i) in
-    characteristic 2 (Q = |dst| = 2^K).
+    characteristic 2 (Q = |dst| = 2^K).  The deltas start past the prime
+    subfield GF(p): the roots lie in a subfield E, and for delta in GF(p)
+    so do r + delta and delta*r, which are all squares, or all of trace 0,
+    when [dst : E] is even; no such delta would split f, and walking the p
+    of them costs time exponential in log p.
     """
     zero, one = dst.zero(), dst.one()
-    deltas = dst.elements()
+    deltas = (dst.element(i) for i in range(dst.characteristic(), dst.order()))
     while len(f) > 2:
         delta = next(deltas)
         if dst.characteristic() == 2:

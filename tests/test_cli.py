@@ -19,6 +19,7 @@ KRAW2 = os.path.join(HERE, "fixtures", "kraw2.json")
 QRAC3 = os.path.join(HERE, "fixtures", "qrac3.json")
 ORPHAN3 = os.path.join(HERE, "fixtures", "orphan3.json")
 EXT3_4 = os.path.join(HERE, "fixtures", "ext3_4.json")
+EXT1000003_2 = os.path.join(HERE, "fixtures", "ext1000003_2.json")
 
 SCOREBOARD = ["validate", "conjugation", "leonard-conditions",
               "proportionality", "endpoint-values", "duality",
@@ -147,6 +148,25 @@ def test_classify_above_the_table_cap(capsys):
     W = make_field(FieldSpec.from_json(w["field_of_witness"]))
     assert W.order() == 6561
     p = load_array(EXT3_4)
+    again = generate(FamilyParams.from_json(w["parameters"]), W)
+    assert again == embed_array(p, W, embed_map(p.field, W))
+
+
+def test_classify_over_a_large_quadratic_extension(capsys):
+    # q lies only in GF(1000003^4): its modulus comes from the binomial rule
+    # (1000003 = 3 mod 4 leaves no irreducible x^4 + c), its payloads pack
+    # 8 bytes per coefficient, and it inverts by Itoh-Tsujii
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", EXT1000003_2)
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    w = json.loads(out)
+    assert w["case"] == "I" and w["family"] == "q-racah"
+    assert w["field_of_witness"] == {"kind": "extension", "p": 1000003, "k": 4,
+                                     "modulus": [1, 1, 0, 0, 1]}
+    W = make_field(FieldSpec.from_json(w["field_of_witness"]))
+    assert W._payload_struct.size == 8 * 4
+    p = load_array(EXT1000003_2)
     again = generate(FamilyParams.from_json(w["parameters"]), W)
     assert again == embed_array(p, W, embed_map(p.field, W))
 

@@ -12,7 +12,6 @@ import time
 import pytest
 
 from leonard import (
-    ExtensionField,
     embed_map,
     extension_field,
     prime_field,
@@ -24,8 +23,11 @@ from leonard.fields import (
     _find_irreducible,
     _irreducible,
     _is_prime,
+    _pdivmod,
     _pmod,
     _pmul,
+    _psub,
+    _ptrim,
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -149,11 +151,26 @@ def reduced_product(F, a, b):
     return tuple(r + [0] * (F.k - len(r)))
 
 
+def euclid_inverse(F, a):
+    """The payload of a^-1 in GF(p^k), by the extended Euclid loop on a and
+    the irreducible modulus."""
+    p = F.p
+    r0, r1 = list(F.modulus), _ptrim(list(a))
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
+    # r0 is a nonzero constant gcd because the modulus is irreducible
+    c = pow(r0[0], -1, p)
+    inv = _ptrim([(c * x) % p for x in s0])
+    return tuple(inv + [0] * (F.k - len(inv)))
+
+
 def test_tables_match_the_convolution_and_euclid():
     """Below TABLE_ORDER_CAP, multiply and inverse are log/antilog lookups;
-    the product reduced by polynomial long division, and the extended Euclid
-    loop (_pinv_mod) that is the only inverse above the cap, are their
-    oracle over every element pair."""
+    the product reduced by polynomial long division and the inverse by the
+    extended Euclid loop are their oracles over every element pair."""
     fields = [F for F in finite_fields() if F.spec.kind == "extension"]
     # every other monic irreducible of small degree, among them the source
     # moduli of test_embed_map_every_subfield
@@ -170,7 +187,7 @@ def test_tables_match_the_convolution_and_euclid():
             for b in values:
                 assert F._mul(a, b) == reduced_product(F, a, b), (F, a, b)
             if a != F.zero_value:
-                assert F._inv(a) == ExtensionField._inv(F, a), (F, a)
+                assert F._inv(a) == euclid_inverse(F, a), (F, a)
 
 
 def test_field_above_the_table_cap_keeps_the_axioms():
@@ -189,19 +206,84 @@ def test_field_above_the_table_cap_keeps_the_axioms():
     assert w ** (F.order() - 1) == one
 
 
+# Fields above the table cap, with the bytes per coefficient of their
+# Kronecker product: the fewest of 1, 2, 4 and 8 that hold k(p-1)^2, and
+# None where 8 do not and the convolution is summed term by term.  GF(13^3),
+# GF(46349^2) and GF((2^32-5)^2) are the ones where (p-1)^2 alone would pick
+# a width too narrow by one step.
+ABOVE_THE_CAP = [
+    ((101, 2), 2), ((7, 4), 1), ((5, 6), 1), ((3, 7), 1), ((3, 8), 1),
+    ((5, 8), 1), ((1000003, 2), 8), ((2**61 - 1, 2), None),
+    ((13, 3), 2), ((46349, 2), 8), ((2**32 - 5, 2), None),
+]
+
+
+def operands(F, rng, n):
+    """The extreme payloads, all-(p-1), zero and one, then n random ones."""
+    top = (F.p - 1,) * F.k  # the largest sums before the reduction
+    return [top, F.zero_value, F.one_value] + [F.random_element(rng).value
+                                              for _ in range(n)]
+
+
 def test_fold_multiply_matches_the_reduced_product():
-    """Above the cap the product folds degrees k..2k-2 through the rows of
-    x^(k+j) mod the modulus and reduces mod p once per coefficient."""
-    rng = random.Random("fold-multiply")
-    for p, k in ((101, 2), (7, 4), (5, 6), (3, 7), (3, 8), (5, 8)):
+    """Above the cap the product is one int product of the payloads packed
+    width bytes per coefficient, or the convolution summed term by term
+    where no width of at most 8 bytes holds k(p-1)^2; either folds degrees
+    k..2k-2 through the rows of x^(k+j) mod the modulus and reduces mod p
+    once per coefficient."""
+    for (p, k), width in ABOVE_THE_CAP:
         F = field_of(p, k)
-        assert F.order() > TABLE_ORDER_CAP and "_mul" not in vars(F)
-        top = (p - 1,) * k  # the largest sums before the reduction
-        pairs = [(top, top), (F.zero_value, top), (F.one_value, top)]
-        pairs += [(F.random_element(rng).value, F.random_element(rng).value)
-                  for _ in range(300)]
-        for a, b in pairs:
+        assert F.order() > TABLE_ORDER_CAP
+        if width is None:
+            assert F._payload_struct is None and vars(F)["_mul"] == F._fold_mul
+        else:
+            assert F._payload_struct.size == width * k and "_mul" not in vars(F)
+        xs = operands(F, random.Random(f"fold-multiply/{p}/{k}"), 100)
+        for a in xs[:3]:
+            for b in xs:
+                assert F._mul(a, b) == F._mul(b, a) == reduced_product(F, a, b), (F, a, b)
+        for a, b in zip(xs[3:], xs[4:]):
             assert F._mul(a, b) == reduced_product(F, a, b), (F, a, b)
+
+
+def test_itoh_tsujii_inverse_matches_euclid():
+    for (p, k), _ in ABOVE_THE_CAP:
+        F = field_of(p, k)
+        for a in operands(F, random.Random(f"itoh-tsujii/{p}/{k}"), 100):
+            if a != F.zero_value:
+                assert F._inv(a) == euclid_inverse(F, a), (F, a)
+
+
+def test_itoh_tsujii_refuses_a_failed_norm():
+    # a chain that skips its last step leaves a^r outside GF(p), and the
+    # inverse says so rather than return a wrong payload
+    F = field_of(3, 8)
+    a = F.generator().value
+    chain = F._chain
+    F._chain = chain[:-1]
+    try:
+        with pytest.raises(RuntimeError, match="norm"):
+            F._inv(a)
+    finally:
+        F._chain = chain
+    assert F._mul(a, F._inv(a)) == F.one_value
+
+
+@pytest.mark.parametrize("p", [1000003, 2**61 - 1])
+def test_embed_map_into_a_large_quadratic_extension_is_fast(p):
+    """The roots of a GF(p^2) modulus lie in the subfield GF(p^2) of
+    GF(p^4), where every element is a square: splitting with a delta from
+    GF(p) never succeeds, and the deltas start past them."""
+    src, dst = field_of(p, 2), field_of(p, 4)
+    start = time.perf_counter()
+    lift = embed_map.__wrapped__(src, dst)
+    assert time.perf_counter() - start < 5.0
+    root = lift(src.generator())
+    assert not sum((root**i * c for i, c in enumerate(src.spec.modulus)), dst.zero())
+    rng = random.Random(f"large-lift/{p}")
+    for _ in range(20):
+        x, y = src.random_element(rng), src.random_element(rng)
+        assert lift(x * y) == lift(x) * lift(y) and lift(x + y) == lift(x) + lift(y)
 
 
 def first_root_lift(src, dst):
@@ -299,6 +381,47 @@ def test_irreducible_matches_trial_division():
             k += 1
     assert checked == sum(p**k for p in SMALL_PRIMES for k in range(1, 9)
                           if p**k <= LIMIT)
+
+
+def candidate(p, k, idx):
+    """The monic polynomial of degree k at index idx in coefficient order."""
+    coeffs = []
+    for _ in range(k):
+        coeffs.append(idx % p)
+        idx //= p
+    return tuple(coeffs) + (1,)
+
+
+def scan_irreducible(p, k):
+    """The first monic irreducible of degree k, by Rabin's test on every
+    candidate in index order, the binomials x^k + c among them."""
+    return next(m for m in (candidate(p, k, i) for i in range(p**k))
+                if _irreducible(m, p))
+
+
+def test_find_irreducible_matches_the_scan():
+    # p = 3 mod 4 has no irreducible binomial of degree 4 or 8, and p = 2
+    # mod 3 none of degree 3 or 6; the rest decide inside the binomial block
+    for p in SMALL_PRIMES + (37, 43, 47, 59, 67, 71, 79, 83, 101, 103):
+        for k in range(2, 9):
+            assert _find_irreducible(p, k) == scan_irreducible(p, k), (p, k)
+
+
+@pytest.mark.parametrize("p", [10007, 1000003, 2**61 - 1, 2**64 - 59])
+def test_find_irreducible_is_fast_for_a_large_prime(p):
+    """Without the binomial rule, p = 3 mod 4 walks all p binomials at k = 4
+    before the first irreducible."""
+    start = time.perf_counter()
+    found = {k: _find_irreducible.__wrapped__(p, k) for k in range(2, 9)}
+    assert time.perf_counter() - start < 5.0
+    for k, modulus in found.items():
+        assert _irreducible(modulus, p)
+        idx = sum(c * p**i for i, c in enumerate(modulus[:-1]))
+        # past the binomial block the scan itself is short
+        if idx >= p:
+            assert not any(_irreducible(candidate(p, k, i), p) for i in range(p, idx))
+        else:
+            assert modulus[1:-1] == (0,) * (k - 1)
 
 
 @pytest.mark.parametrize("p, bound", [(1000003, 0.5), (10**18 + 3, 5.0)])
