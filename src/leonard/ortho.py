@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 from .fields import FieldElement
 from .parray import ParameterArray
 from .report import CheckReport
-from .splitmat import SquareMatrix
+from .splitmat import SquareMatrix, one_sided_products, prefix_products
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -22,37 +22,27 @@ class OrthoData:
 
 
 def ortho_data(p: ParameterArray) -> OrthoData:
-    F, d = p.field, p.d
-    th, ths, vp, ph = p.theta, p.theta_star, p.varphi, p.phi
-    one = F.one()
+    """k_i = (varphi_1 .. varphi_i) / (phi_1 .. phi_i) above*_0 / (below*_i
+    above*_i), with below* and above* the one-sided products of theta*;
+    k*_i likewise from theta, with phi read from the top end; and
+    nu = above_0 above*_0 / (phi_1 .. phi_d)."""
+    F = p.field
+    vp, ph = p.varphi, p.phi
+    below, above = one_sided_products(p.theta)
+    below_s, above_s = one_sided_products(p.theta_star)
 
-    def weights(eigs, num_seq, den_seq):
-        # weight_i = (num_seq cumulative / den_seq cumulative)
-        #            * prod_j (eigs_0 - eigs_j) / prod_{j != i} (eigs_i - eigs_j)
-        top = one
-        for j in range(1, d + 1):
-            top = top * (eigs[0] - eigs[j])
-        out = []
-        ratio = one
-        for i in range(d + 1):
+    def weights(below, above, num_seq, den_seq):
+        ratio, out = F.one(), []
+        for i, (x, y) in enumerate(zip(below, above)):
             if i > 0:
                 ratio = ratio * num_seq[i - 1] * den_seq[i - 1].inverse()
-            bottom = one
-            for j in range(d + 1):
-                if j != i:
-                    bottom = bottom * (eigs[i] - eigs[j])
-            out.append(ratio * top * bottom.inverse())
+            out.append(ratio * above[0] * (x * y).inverse())
         return tuple(out)
 
-    k = weights(ths, vp, ph)
+    k = weights(below_s, above_s, vp, ph)
     # The starred weights consume phi from the top end: phi_d, phi_{d-1}, ...
-    kstar = weights(th, vp, tuple(reversed(ph)))
-
-    nu = one
-    for j in range(1, d + 1):
-        nu = nu * (th[0] - th[j]) * (ths[0] - ths[j])
-    for x in ph:
-        nu = nu * x.inverse()
+    kstar = weights(below, above, vp, tuple(reversed(ph)))
+    nu = above[0] * above_s[0] * prefix_products(F, ph)[-1].inverse()
     return OrthoData(k=k, kstar=kstar, nu=nu)
 
 

@@ -15,7 +15,9 @@ theta* (`splitmat.difference_products`) and D the prefix products of
 varphi.  The dual array swaps theta with theta* and keeps varphi, so its
 table T* D^-1 T^t is P^t, and the duality f_i(theta_j) = f*_j(theta*_i)
 holds by construction.  The Horner f* table of the tests is its
-independent check.
+independent check.  The other products of differences come from
+`splitmat.one_sided_products`: `endpoint_values` compares k_i f_i(theta_d)
+with above*_0 / (below*_i above*_i).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 from .fields import Field, FieldElement
 from .parray import ParameterArray
 from .report import CheckReport
-from .splitmat import SquareMatrix, difference_products, prefix_products
+from .splitmat import SquareMatrix, difference_products, one_sided_products, prefix_products
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -93,7 +95,6 @@ def endpoint_values(a: Analysis) -> CheckReport:
     """f_i(theta_d) against the phi/varphi ratio form and the weighted form
     involving the dual eigenvalues; reports the first failure."""
     p = a.p
-    d = p.d
     report = CheckReport("endpoint-values")
     vals = endpoint_evaluations(a)
     for i, alpha in enumerate(proportionality_alphas(p)):
@@ -102,15 +103,9 @@ def endpoint_values(a: Analysis) -> CheckReport:
             return report
 
     data = a.ortho
-    num = p.field.one()
-    for j in range(1, d + 1):
-        num = num * (p.theta_star[0] - p.theta_star[j])
-    for i in range(d + 1):
-        den = p.field.one()
-        for j in range(d + 1):
-            if j != i:
-                den = den * (p.theta_star[i] - p.theta_star[j])
-        if data.k[i] * vals[i] != num * den.inverse():
+    below, above = one_sided_products(p.theta_star)
+    for i in range(p.d + 1):
+        if data.k[i] * vals[i] != above[0] * (below[i] * above[i]).inverse():
             report.add(f"k_{i} f_{i}(theta_d) differs from the dual eigenvalue product")
             break
     return report

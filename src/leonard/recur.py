@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .fields import FieldElement
+from .fields import Field, FieldElement
 from .parray import ParameterArray, d4_apply
 from .report import CheckReport
+from .splitmat import SquareMatrix, one_sided_products
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -24,84 +25,70 @@ class RecurrenceCoeffs:
 
 
 def _one_side(theta0: FieldElement,
-              dual: Sequence[FieldElement],
+              below: Sequence[FieldElement],
+              above: Sequence[FieldElement],
               varphi: Sequence[FieldElement],
               phi: Sequence[FieldElement]) -> tuple:
-    # dual carries the eigenvalues appearing in the products; varphi feeds b,
-    # phi feeds c, and a balances the row sum against theta_0.
-    F = theta0.field
-    d = len(dual) - 1
-    zero, one = F.zero(), F.one()
-
-    b = []
-    for i in range(d):
-        num = varphi[i]
-        for h in range(i):
-            num = num * (dual[i] - dual[h])
-        den = one
-        for h in range(i + 1):
-            den = den * (dual[i + 1] - dual[h])
-        b.append(num * den.inverse())
-    b.append(zero)
-
-    c = [zero]
-    for i in range(1, d + 1):
-        num = phi[i - 1]
-        for h in range(i + 1, d + 1):
-            num = num * (dual[i] - dual[h])
-        den = one
-        for h in range(i, d + 1):
-            den = den * (dual[i - 1] - dual[h])
-        c.append(num * den.inverse())
-
+    # below and above are the one-sided products of the eigenvalues dual to
+    # this side: b_i = varphi_{i+1} below_i / below_{i+1} and
+    # c_i = phi_i above_i / above_{i-1}; a balances the row sum against theta_0.
+    zero = theta0.field.zero()
+    d = len(below) - 1
+    b = [varphi[i] * below[i] * below[i + 1].inverse() for i in range(d)] + [zero]
+    c = [zero] + [phi[i - 1] * above[i] * above[i - 1].inverse()
+                  for i in range(1, d + 1)]
     a = [theta0 - c[i] - b[i] for i in range(d + 1)]
     return tuple(a), tuple(b), tuple(c)
 
 
 def recurrence_coeffs(p: ParameterArray) -> RecurrenceCoeffs:
-    a, b, c = _one_side(p.theta[0], p.theta_star, p.varphi, p.phi)
-    astar, bstar, cstar = _one_side(p.theta_star[0], p.theta,
+    a, b, c = _one_side(p.theta[0], *one_sided_products(p.theta_star),
+                        p.varphi, p.phi)
+    astar, bstar, cstar = _one_side(p.theta_star[0], *one_sided_products(p.theta),
                                     p.varphi, tuple(reversed(p.phi)))
     return RecurrenceCoeffs(a=a, b=b, c=c, astar=astar, bstar=bstar, cstar=cstar)
 
 
+def _tridiagonal(field: Field, c, a, b) -> SquareMatrix:
+    # (c_i, a_i, b_i) down column i, in rows i - 1, i and i + 1
+    n = len(a)
+    zero = field.zero()
+    return SquareMatrix.build(field, n, lambda r, i: (
+        a[i] if r == i else c[i] if r == i - 1 else b[i] if r == i + 1 else zero))
+
+
+def _column_failures(report: CheckReport, got: SquareMatrix, want: SquareMatrix,
+                     message: str) -> None:
+    """Add message.format(i, j) for each entry (j, i) where got and want
+    differ, column i by column."""
+    pairs = zip(zip(*got.values), zip(*want.values))
+    for i, (x, y) in enumerate(pairs):
+        for j in range(len(x)):
+            if x[j] != y[j]:
+                report.add(message.format(i, j))
+
+
 def verify_three_term(a: Analysis) -> CheckReport:
     """theta_j f_i = c_i f_{i-1} + a_i f_i + b_i f_{i+1} evaluated on the
-    eigenvalues, boundary terms omitted."""
-    p, table, co = a.p, a.polys, a.recurrence
-    d = p.d
+    eigenvalues, boundary terms omitted: H P = P J with P[j][i] = f_i(theta_j)
+    and J tridiagonal with (c_i, a_i, b_i) down column i."""
+    p, P, co = a.p, a.polys.P, a.recurrence
     report = CheckReport("three-term")
-    vals = table.P.rows  # vals[j][i] = f_i(theta_j)
-    for i in range(d + 1):
-        for j in range(d + 1):
-            lhs = p.theta[j] * vals[j][i]
-            rhs = co.a[i] * vals[j][i]
-            if i > 0:
-                rhs = rhs + co.c[i] * vals[j][i - 1]
-            if i < d:
-                rhs = rhs + co.b[i] * vals[j][i + 1]
-            if lhs != rhs:
-                report.add(f"recurrence fails for f_{i} at theta_{j}")
+    J = _tridiagonal(p.field, co.c, co.a, co.b)
+    _column_failures(report, SquareMatrix.diagonal(p.field, p.theta) * P, P * J,
+                     "recurrence fails for f_{} at theta_{}")
     return report
 
 
 def verify_difference(a: Analysis) -> CheckReport:
     """theta*_i f_i(theta_j) = c*_j f_i(theta_{j-1}) + a*_j f_i(theta_j)
-    + b*_j f_i(theta_{j+1}), boundary terms omitted."""
-    p, table, co = a.p, a.polys, a.recurrence
-    d = p.d
+    + b*_j f_i(theta_{j+1}), boundary terms omitted: P H* = J* P with
+    J* tridiagonal with (c*_j, a*_j, b*_j) along row j."""
+    p, P, co = a.p, a.polys.P, a.recurrence
     report = CheckReport("difference")
-    vals = table.P.rows
-    for i in range(d + 1):
-        for j in range(d + 1):
-            lhs = p.theta_star[i] * vals[j][i]
-            rhs = co.astar[j] * vals[j][i]
-            if j > 0:
-                rhs = rhs + co.cstar[j] * vals[j - 1][i]
-            if j < d:
-                rhs = rhs + co.bstar[j] * vals[j + 1][i]
-            if lhs != rhs:
-                report.add(f"difference equation fails for f_{i} at theta_{j}")
+    Jstar = _tridiagonal(p.field, co.cstar, co.astar, co.bstar).transpose()
+    _column_failures(report, P * SquareMatrix.diagonal(p.field, p.theta_star),
+                     Jstar * P, "difference equation fails for f_{} at theta_{}")
     return report
 
 

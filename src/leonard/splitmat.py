@@ -6,6 +6,12 @@ with exact entries, the bidiagonal pair (A, A*) and its companion pair
 idempotents, and the q-binomial transition matrix available when the array
 has a usable base in the field.
 
+Every product of differences of eigenvalues is built here:
+`difference_products` (the triangular factors T, T* and Tdown),
+`divided_differences` (T^-1 in closed form) and `one_sided_products` (the
+products below and above each value, from which the recurrence
+coefficients, the weights, nu and the endpoint values are read).
+
 A SquareMatrix holds the canonical payloads of its entries, row by row.
 The identities checked here are chains of products, each one call of the
 field's payload kernel `Field._matmul`, so no FieldElement is built along
@@ -14,8 +20,9 @@ a chain and comparing two results compares payload tuples.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
@@ -148,22 +155,6 @@ class SquareMatrix:
         return SquareMatrix.from_rows(field, rows)
 
 
-def _lower_inverse(m: SquareMatrix) -> SquareMatrix:
-    # Forward substitution column by column; diagonal entries must be units.
-    n = m.n
-    zero = m.field.zero()
-    inv = [m.rows[i][i].inverse() for i in range(n)]
-    out = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        out[j][j] = inv[j]
-        for i in range(j + 1, n):
-            acc = zero
-            for k in range(j, i):
-                acc = acc + m.rows[i][k] * out[k][j]
-            out[i][j] = -acc * inv[i]
-    return SquareMatrix.from_rows(m.field, out)
-
-
 def _diagonal_inverse(m: SquareMatrix) -> SquareMatrix:
     """Inverse of a diagonal matrix, entry by entry; raises SingularMatrix
     at the first zero on the diagonal, as Gauss-Jordan would."""
@@ -190,6 +181,42 @@ def difference_products(field: Field, values: Sequence[FieldElement]) -> SquareM
             row.append(acc.value)
         rows.append(tuple(row) + (field.zero_value,) * (n - 1 - i))
     return SquareMatrix(field, n, tuple(rows))
+
+
+def one_sided_products(
+        values: Sequence[FieldElement]) -> tuple[list[FieldElement], list[FieldElement]]:
+    """below[i], the product of values[i] - values[h] over h < i, and
+    above[i], the same over h > i.  below[i] above[i] is the denominator of
+    the i-th Lagrange basis polynomial, and 1 / (below[i] above[i]) the
+    barycentric weight of values[i]."""
+    one = values[0].field.one()
+    below = [reduce(operator.mul, [x - y for y in values[:i]], one)
+             for i, x in enumerate(values)]
+    above = [reduce(operator.mul, [x - y for y in values[i + 1:]], one)
+             for i, x in enumerate(values)]
+    return below, above
+
+
+def divided_differences(field: Field, values: Sequence[FieldElement]) -> SquareMatrix:
+    """The inverse of difference_products(field, values), in closed form.
+
+    Entry (k, j), for j <= k, is 1 / the product of values[j] - values[h]
+    over h <= k, h != j: row k holds the weights of the divided difference
+    over values[0..k].  Each column takes one inverse, the barycentric
+    weight of values[j] at its foot (k = n - 1), and climbs by one factor
+    values[j] - values[k + 1] a step.  Raises ZeroDivisionError when a
+    value repeats."""
+    n = len(values)
+    below, above = one_sided_products(values)
+    columns = []
+    for j, x in enumerate(values):
+        acc = (below[j] * above[j]).inverse()
+        column = [acc.value]
+        for k in range(n - 2, j - 1, -1):
+            acc = acc * (x - values[k + 1])
+            column.append(acc.value)
+        columns.append((field.zero_value,) * j + tuple(reversed(column)))
+    return SquareMatrix(field, n, tuple(zip(*columns)))
 
 
 def prefix_products(field: Field, values: Sequence[FieldElement]) -> list[FieldElement]:
@@ -248,7 +275,7 @@ def build(p: ParameterArray) -> SplitMatrixSet:
     H = SquareMatrix.diagonal(F, th)
     Hstar = SquareMatrix.diagonal(F, ths)
 
-    G = _lower_inverse(T) * Z * Tdown
+    G = divided_differences(F, th) * Z * Tdown
     if G.values[0][0] != F.one_value:
         raise IdentityViolated("transition matrix is not unit-normalized at (0, 0)")
     return SplitMatrixSet(A=A, B=B, Astar=Astar, Bstar=Bstar, T=T, Tstar=Tstar,
@@ -323,12 +350,18 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
 
     A is lower bidiagonal with distinct diagonal theta, so its eigenvectors
     are the columns of a unit lower-triangular U with
-    U[k][j] = U[k-1][j] / (theta_j - theta_k).  Each primitive idempotent is
-    rank one, E_i = U e_i e_i^t U^-1, so the block E_i A* E_j vanishes exactly
-    when the scalar (U^-1 A* U)_ij does.  A* is upper bidiagonal, and its
-    eigenvectors form a unit upper-triangular V with
-    V[k][j] = varphi_{k+1} V[k+1][j] / (theta*_j - theta*_k); V stays
-    invertible when some varphi_i is zero.  O(n^3) field operations.
+    U[k][j] = U[k-1][j] / (theta_j - theta_k), and the rows of U^-1 are its
+    left eigenvectors, U^-1[i][k] = U^-1[i][k+1] / (theta_i - theta_k) for
+    k < i.  Each primitive idempotent is rank one, E_i = U e_i e_i^t U^-1, so
+    the block E_i A* E_j vanishes exactly when the scalar (U^-1 A* U)_ij
+    does.  A* is upper bidiagonal, and its eigenvectors form a unit
+    upper-triangular V with V[k][j] = varphi_{k+1} V[k+1][j] /
+    (theta*_j - theta*_k); the rows of V^-1 are
+    V^-1[i][k] = V^-1[i][k-1] varphi_k / (theta*_i - theta*_k) for k > i.
+    No recurrence divides by a varphi_i, so a zero one is handled.  The four
+    triangles take 3n(n-1) multiplications and 2n(n-1) inverses, one per
+    ordered pair of eigenvalues on each side; the two blocks are
+    triangular-times-Hessenberg products of about n^3/6 each.
     """
     m = a.matrices
     p = a.p
@@ -338,16 +371,16 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     zero, one = F.zero(), F.one()
     th, ths, vp = p.theta, p.theta_star, p.varphi
 
-    U = [[zero] * n for _ in range(n)]
-    V = [[zero] * n for _ in range(n)]
+    U, Uinv, V, Vinv = ([[zero] * n for _ in range(n)] for _ in range(4))
     for j in range(n):
-        U[j][j] = V[j][j] = one
+        U[j][j] = Uinv[j][j] = V[j][j] = Vinv[j][j] = one
         for k in range(j + 1, n):
             U[k][j] = U[k - 1][j] * (th[j] - th[k]).inverse()
+            Vinv[j][k] = Vinv[j][k - 1] * vp[k - 1] * (ths[j] - ths[k]).inverse()
         for k in range(j - 1, -1, -1):
+            Uinv[j][k] = Uinv[j][k + 1] * (th[j] - th[k]).inverse()
             V[k][j] = vp[k] * V[k + 1][j] * (ths[j] - ths[k]).inverse()
-    U = SquareMatrix.from_rows(F, U)
-    V = SquareMatrix.from_rows(F, V)
+    U, Uinv, V, Vinv = (SquareMatrix.from_rows(F, x) for x in (U, Uinv, V, Vinv))
 
     report = CheckReport("leonard-conditions")
     if m.A * U != U * m.H:
@@ -355,9 +388,8 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     if m.Astar * V != V * m.Hstar:
         report.add("A* V = V H* violated")
 
-    Vinv = _lower_inverse(V.transpose()).transpose()
     for label, block in (("E* A E*", Vinv * m.A * V),
-                         ("E A* E", _lower_inverse(U) * m.Astar * U)):
+                         ("E A* E", Uinv * m.Astar * U)):
         for i, row in enumerate(block.values):
             for j, x in enumerate(row):
                 if abs(i - j) > 1 and x != F.zero_value:

@@ -16,6 +16,7 @@ from leonard import (
     prime_field,
     rational_field,
 )
+from leonard import fields
 
 Q = rational_field()
 
@@ -34,6 +35,56 @@ def dense_mul(x, y):
     return SquareMatrix.from_rows(F, [
         [sum((a * b for a, b in zip(row, col)), start=F.zero()) for col in cols]
         for row in x.rows])
+
+
+def count_multiplications(fn):
+    """Call fn() and return how many field multiplications it made: the
+    calls of FieldElement.__mul__, the payload products that the base
+    kernel Field._matmul makes, and the pairs of int terms that the Q
+    kernel multiplies in fields._int_products.  Every kernel lists its
+    terms through fields._nonzero_terms, so a kernel that stopped skipping
+    zero terms would be counted for them."""
+    calls = 0
+
+    def counted(mul):
+        def counted_mul(*args):
+            nonlocal calls
+            calls += 1
+            return mul(*args)
+        return counted_mul
+
+    int_products, base_matmul = fields._int_products, Field._matmul
+
+    def counted_int_products(left, right):
+        nonlocal calls
+        calls += sum(len(right[k]) for row in left for k, _ in row)
+        return int_products(left, right)
+
+    def counted_base_matmul(field, left, right):
+        # an extension below the table cap keeps its table product on the
+        # instance, so the count goes there too
+        shadowed = vars(field).get("_mul")
+        field._mul = counted(field._mul)
+        try:
+            return base_matmul(field, left, right)
+        finally:
+            if shadowed is None:
+                del field._mul
+            else:
+                field._mul = shadowed
+
+    patches = [(FieldElement, "__mul__", counted(FieldElement.__mul__)),
+               (fields, "_int_products", counted_int_products),
+               (Field, "_matmul", counted_base_matmul)]
+    originals = [(obj, name, getattr(obj, name)) for obj, name, _ in patches]
+    for obj, name, wrapped in patches:
+        setattr(obj, name, wrapped)
+    try:
+        fn()
+    finally:
+        for obj, name, orig in originals:
+            setattr(obj, name, orig)
+    return calls
 
 
 def random_injective(F, n, rng):

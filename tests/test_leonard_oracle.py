@@ -1,12 +1,17 @@
-"""The structured split-basis checks against the dense ones they replaced.
+"""The structured checks and constructions against the element loops and
+dense checks they replaced.
 
 lagrange_leonard_conditions is the O(n^5) check that splitmat used before:
 it forms every primitive idempotent as a product of Lagrange factors and
 tests each block E_i X E_j as a whole matrix.  sandwich_conjugation is the
 conjugation check in the paper's form, Ginv X G = Y, with every product
-dense and D^-1 by Gauss-Jordan.  Each fast check must report the same
-failures, in the same order, on sampled arrays of every family and on arrays
-broken in ways that do and do not keep the blocks tridiagonal.
+dense and D^-1 by Gauss-Jordan.  The recurrence coefficients, the weights
+and nu, the endpoint check and the three-term and difference checks are
+compared with the loops that took each product of differences, and each
+sum, entry by entry.  Each fast version must give the same values, or
+report the same failures in the same order, or raise the same exception
+type, on sampled arrays of every family and on arrays broken in ways that
+do and do not keep the blocks tridiagonal.
 """
 
 import random
@@ -18,19 +23,28 @@ import pytest
 from leonard import (
     Analysis,
     CheckReport,
+    RecurrenceCoeffs,
     RepeatedEigenvalue,
     SquareMatrix,
     build,
+    endpoint_evaluations,
+    endpoint_values,
     extension_field,
     generate,
     list_families,
+    ortho_data,
     prime_field,
     primitive_idempotents,
+    proportionality_alphas,
     rational_field,
+    recurrence_coeffs,
     sample_params,
     verify_conjugation,
+    verify_difference,
     verify_leonard_conditions,
+    verify_three_term,
 )
+from leonard.ortho import OrthoData
 from conftest import dense_mul, qarr
 
 FIELDS = {
@@ -180,3 +194,190 @@ def test_conjugation_check_matches_sandwich_oracle(label):
                          else "fails" if want else "passes")
     # a zero varphi makes D singular
     assert compared == {"passes", "fails", "raises"}, compared
+
+
+def one_side_oracle(theta0, dual, varphi, phi):
+    """recur._one_side as it was before it read one_sided_products: each
+    b_i and c_i takes its own products of differences."""
+    F = theta0.field
+    d = len(dual) - 1
+    zero, one = F.zero(), F.one()
+
+    b = []
+    for i in range(d):
+        num = varphi[i]
+        for h in range(i):
+            num = num * (dual[i] - dual[h])
+        den = one
+        for h in range(i + 1):
+            den = den * (dual[i + 1] - dual[h])
+        b.append(num * den.inverse())
+    b.append(zero)
+
+    c = [zero]
+    for i in range(1, d + 1):
+        num = phi[i - 1]
+        for h in range(i + 1, d + 1):
+            num = num * (dual[i] - dual[h])
+        den = one
+        for h in range(i, d + 1):
+            den = den * (dual[i - 1] - dual[h])
+        c.append(num * den.inverse())
+
+    a = [theta0 - c[i] - b[i] for i in range(d + 1)]
+    return tuple(a), tuple(b), tuple(c)
+
+
+def recurrence_oracle(p):
+    a, b, c = one_side_oracle(p.theta[0], p.theta_star, p.varphi, p.phi)
+    astar, bstar, cstar = one_side_oracle(p.theta_star[0], p.theta,
+                                          p.varphi, tuple(reversed(p.phi)))
+    return RecurrenceCoeffs(a=a, b=b, c=c, astar=astar, bstar=bstar, cstar=cstar)
+
+
+def ortho_data_oracle(p):
+    """ortho_data as it was before it read one_sided_products: each weight
+    takes its own product over j != i."""
+    F, d = p.field, p.d
+    th, ths, vp, ph = p.theta, p.theta_star, p.varphi, p.phi
+    one = F.one()
+
+    def weights(eigs, num_seq, den_seq):
+        top = one
+        for j in range(1, d + 1):
+            top = top * (eigs[0] - eigs[j])
+        out = []
+        ratio = one
+        for i in range(d + 1):
+            if i > 0:
+                ratio = ratio * num_seq[i - 1] * den_seq[i - 1].inverse()
+            bottom = one
+            for j in range(d + 1):
+                if j != i:
+                    bottom = bottom * (eigs[i] - eigs[j])
+            out.append(ratio * top * bottom.inverse())
+        return tuple(out)
+
+    k = weights(ths, vp, ph)
+    kstar = weights(th, vp, tuple(reversed(ph)))
+    nu = one
+    for j in range(1, d + 1):
+        nu = nu * (th[0] - th[j]) * (ths[0] - ths[j])
+    for x in ph:
+        nu = nu * x.inverse()
+    return OrthoData(k=k, kstar=kstar, nu=nu)
+
+
+def endpoint_oracle(a):
+    """endpoint_values as it was before it read one_sided_products."""
+    p = a.p
+    d = p.d
+    report = CheckReport("endpoint-values")
+    vals = endpoint_evaluations(a)
+    for i, alpha in enumerate(proportionality_alphas(p)):
+        if vals[i] != alpha:
+            report.add(f"f_{i}(theta_d) differs from the phi/varphi cumulative ratio")
+            return report
+
+    data = a.ortho
+    num = p.field.one()
+    for j in range(1, d + 1):
+        num = num * (p.theta_star[0] - p.theta_star[j])
+    for i in range(d + 1):
+        den = p.field.one()
+        for j in range(d + 1):
+            if j != i:
+                den = den * (p.theta_star[i] - p.theta_star[j])
+        if data.k[i] * vals[i] != num * den.inverse():
+            report.add(f"k_{i} f_{i}(theta_d) differs from the dual eigenvalue product")
+            break
+    return report
+
+
+def three_term_oracle(a):
+    """verify_three_term as it was before it compared H P with P J: every
+    side of every (i, j) summed element by element."""
+    p, table, co = a.p, a.polys, a.recurrence
+    d = p.d
+    report = CheckReport("three-term")
+    vals = table.P.rows
+    for i in range(d + 1):
+        for j in range(d + 1):
+            lhs = p.theta[j] * vals[j][i]
+            rhs = co.a[i] * vals[j][i]
+            if i > 0:
+                rhs = rhs + co.c[i] * vals[j][i - 1]
+            if i < d:
+                rhs = rhs + co.b[i] * vals[j][i + 1]
+            if lhs != rhs:
+                report.add(f"recurrence fails for f_{i} at theta_{j}")
+    return report
+
+
+def difference_oracle(a):
+    """verify_difference as it was before it compared P H* with J* P."""
+    p, table, co = a.p, a.polys, a.recurrence
+    d = p.d
+    report = CheckReport("difference")
+    vals = table.P.rows
+    for i in range(d + 1):
+        for j in range(d + 1):
+            lhs = p.theta_star[i] * vals[j][i]
+            rhs = co.astar[j] * vals[j][i]
+            if j > 0:
+                rhs = rhs + co.cstar[j] * vals[j - 1][i]
+            if j < d:
+                rhs = rhs + co.bstar[j] * vals[j + 1][i]
+            if lhs != rhs:
+                report.add(f"difference equation fails for f_{i} at theta_{j}")
+    return report
+
+
+def value_outcome(fn, p):
+    """fn(p), or the type of the exception it raised."""
+    try:
+        return fn(p)
+    except Exception as e:  # the comparison is over exception types
+        return type(e)
+
+
+def oracle_cases(label):
+    """The sampled arrays and their perturbations, each array followed by
+    one more copy with 1 added to theta_d, which the starred side reads."""
+    F = FIELDS[label]
+    for name, p, rng in sampled_arrays(label, F):
+        yield from ((name, change, q) for change, q in perturbations(p, rng))
+        yield name, f"theta_{p.d} + 1", replace(
+            p, theta=p.theta[:-1] + (p.theta[-1] + F.one(),))
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_products_of_differences_match_element_loops(label):
+    """recurrence_coeffs and ortho_data give the values of the loops they
+    replaced, or raise the same exception type."""
+    compared = set()
+    for name, change, q in oracle_cases(label):
+        for fn, oracle in ((recurrence_coeffs, recurrence_oracle),
+                           (ortho_data, ortho_data_oracle)):
+            want = value_outcome(oracle, q)
+            assert value_outcome(fn, q) == want, (label, name, change, fn.__name__)
+            compared.add("raises" if isinstance(want, type) else "values")
+    # a zero phi makes the weights raise
+    assert compared == {"values", "raises"}, compared
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_checks_on_products_match_element_loops(label):
+    """endpoint_values, verify_three_term and verify_difference report what
+    the element loops they replaced report, in the same order."""
+    compared = set()
+    for name, change, q in oracle_cases(label):
+        for check, oracle in ((endpoint_values, endpoint_oracle),
+                              (verify_three_term, three_term_oracle),
+                              (verify_difference, difference_oracle)):
+            want = outcome(lambda arr: oracle(Analysis(arr)), q)
+            got = outcome(lambda arr: check(Analysis(arr)), q)
+            assert got == want, (label, name, change, check.__name__)
+            compared.add((check.__name__, "raises" if isinstance(want, type)
+                          else "fails" if want else "passes"))
+    assert {kind for _, kind in compared} == {"passes", "fails", "raises"}, compared

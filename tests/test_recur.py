@@ -1,17 +1,21 @@
 """Three-term recurrence, difference equation, alternate coefficient forms."""
 
+import random
+
 import pytest
 
 from leonard import (
     Analysis,
     d4_apply,
+    generate,
     make_array,
     recurrence_coeffs,
+    sample_params,
     verify_alt_formulas,
     verify_difference,
     verify_three_term,
 )
-from conftest import Q, horner_table
+from conftest import Q, count_multiplications, horner_table
 
 
 def test_fix_d1_coefficients(fix_d1):
@@ -110,3 +114,11 @@ def test_three_term_detects_broken_arrays(kraw3):
     broken = make_array(kraw3.field, kraw3.theta, kraw3.theta_star,
                         kraw3.varphi, (Q.from_int(-4),) + kraw3.phi[1:])
     assert not verify_three_term(Analysis(broken)).ok()
+
+
+def test_recurrence_coeffs_read_one_sided_products():
+    fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
+    p = generate(fp, Q)
+    # 672 of them; 1,088 when each coefficient took its own products of
+    # differences
+    assert count_multiplications(lambda: recurrence_coeffs(p)) <= 700

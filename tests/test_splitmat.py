@@ -9,8 +9,6 @@ import pytest
 from leonard import (
     Analysis,
     BaseNotApplicable,
-    Field,
-    FieldElement,
     IdentityViolated,
     RepeatedEigenvalue,
     SingularMatrix,
@@ -26,11 +24,29 @@ from leonard import (
     verify_conjugation,
     verify_leonard_conditions,
 )
-from leonard import fields
 from leonard.fields import _find_irreducible
 from leonard.report import CheckReport
-from leonard.splitmat import _diagonal_inverse, _lower_inverse
-from conftest import Q, dense_mul, qarr, random_injective
+from leonard.splitmat import _diagonal_inverse, difference_products, divided_differences
+from conftest import Q, count_multiplications, dense_mul, qarr, random_injective
+
+
+# The forward substitution that inverted T, U and V^t before T^-1 had a
+# closed form: the oracle for divided_differences, and the Ginv oracle below.
+def _lower_inverse(m: SquareMatrix) -> SquareMatrix:
+    # Forward substitution column by column; diagonal entries must be units.
+    n = m.n
+    zero = m.field.zero()
+    inv = [m.rows[i][i].inverse() for i in range(n)]
+    out = [[zero] * n for _ in range(n)]
+    for j in range(n):
+        out[j][j] = inv[j]
+        for i in range(j + 1, n):
+            acc = zero
+            for k in range(j, i):
+                acc = acc + m.rows[i][k] * out[k][j]
+            out[i][j] = -acc * inv[i]
+    return SquareMatrix.from_rows(m.field, out)
+
 
 PRODUCT_FIELDS = {
     "Q": Q,
@@ -147,56 +163,6 @@ def test_product_matches_dense_oracle(label):
                 assert_canonical(F, got)
 
 
-def count_multiplications(fn):
-    """Call fn() and return how many field multiplications it made: the
-    calls of FieldElement.__mul__, the payload products that the base
-    kernel Field._matmul makes, and the pairs of int terms that the Q
-    kernel multiplies in fields._int_products.  Every kernel lists its
-    terms through fields._nonzero_terms, so a kernel that stopped skipping
-    zero terms would be counted for them."""
-    calls = 0
-
-    def counted(mul):
-        def counted_mul(*args):
-            nonlocal calls
-            calls += 1
-            return mul(*args)
-        return counted_mul
-
-    int_products, base_matmul = fields._int_products, Field._matmul
-
-    def counted_int_products(left, right):
-        nonlocal calls
-        calls += sum(len(right[k]) for row in left for k, _ in row)
-        return int_products(left, right)
-
-    def counted_base_matmul(field, left, right):
-        # an extension below the table cap keeps its table product on the
-        # instance, so the count goes there too
-        shadowed = vars(field).get("_mul")
-        field._mul = counted(field._mul)
-        try:
-            return base_matmul(field, left, right)
-        finally:
-            if shadowed is None:
-                del field._mul
-            else:
-                field._mul = shadowed
-
-    patches = [(FieldElement, "__mul__", counted(FieldElement.__mul__)),
-               (fields, "_int_products", counted_int_products),
-               (Field, "_matmul", counted_base_matmul)]
-    originals = [(obj, name, getattr(obj, name)) for obj, name, _ in patches]
-    for obj, name, wrapped in patches:
-        setattr(obj, name, wrapped)
-    try:
-        fn()
-    finally:
-        for obj, name, orig in originals:
-            setattr(obj, name, orig)
-    return calls
-
-
 @pytest.mark.parametrize("label", list(PRODUCT_FIELDS | KERNEL_FIELDS))
 def test_kernel_multiplies_each_nonzero_pair_once(label):
     """Every pair of shapes, with entries that are zero one time in four:
@@ -294,8 +260,44 @@ def test_transition_matrices_match_product_formula(fix_d1, kraw2, kraw3, qrac3,
 def test_build_takes_running_products():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
-    # 3,330 of them; a fresh product per entry of T, T* and Tdown made 9,858
-    assert count_multiplications(lambda: build(p)) <= 4_000
+    # 2,803 of them; 3,330 when T^-1 was a forward substitution, and 9,858
+    # with a fresh product per entry of T, T* and Tdown
+    assert count_multiplications(lambda: build(p)) <= 2_900
+
+
+def distinct_entries(F, n, rng):
+    """n distinct kernel_entry values: over Q with numerators and
+    denominators up to 2^200."""
+    values = []
+    while len(values) < n:
+        x = kernel_entry(F, rng)
+        if x not in values:
+            values.append(x)
+    return values
+
+
+@pytest.mark.parametrize("label", ["Q", *KERNEL_FIELDS])
+def test_divided_differences_invert_difference_products(label):
+    """T^-1 in closed form is the inverse of T on both sides and equals the
+    forward substitution; its payloads are canonical, and a repeated value
+    raises ZeroDivisionError, as the substitution did."""
+    F = (PRODUCT_FIELDS | KERNEL_FIELDS)[label]
+    rng = random.Random(f"divided-differences/{label}")
+    for n in (1, 2, 5, 9):
+        if F.is_finite() and n > F.order():
+            continue
+        values = distinct_entries(F, n, rng)
+        T, Tinv = difference_products(F, values), divided_differences(F, values)
+        ident = SquareMatrix.identity(F, n)
+        assert T * Tinv == ident and Tinv * T == ident, n
+        assert Tinv == _lower_inverse(T), n
+        assert_canonical(F, Tinv)
+        if n > 1:
+            repeated = values[:-1] + [values[rng.randrange(n - 1)]]
+            with pytest.raises(ZeroDivisionError):
+                divided_differences(F, repeated)
+            with pytest.raises(ZeroDivisionError):
+                _lower_inverse(difference_products(F, repeated))
 
 
 def test_conjugation_moves_one_matrix_pair_to_other(qrac3):
@@ -373,6 +375,17 @@ def test_leonard_conditions_on_fixtures(fix_d1, kraw3, qrac3, orphan3):
     for p in (fix_d1, kraw3, qrac3, orphan3):
         rep = verify_leonard_conditions(Analysis(p))
         assert rep.ok(), rep.failures
+
+
+def test_leonard_conditions_build_no_inverse_matrix():
+    fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
+    a = Analysis(generate(fp, Q))
+    a.matrices
+    reports = []
+    calls = count_multiplications(lambda: reports.append(verify_leonard_conditions(a)))
+    assert reports[0].ok(), reports[0].failures
+    # 4,552 of them; 6,048 when U^-1 and V^-t were forward substitutions
+    assert calls <= 4_600
 
 
 def test_leonard_conditions_fail_off_tridiagonal(kraw3):
