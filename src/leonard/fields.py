@@ -20,6 +20,14 @@ solves y^2 + y = u by the trace-one formula in characteristic 2; embed_map
 finds a root of the source modulus by equal-degree splitting
 (Cantor-Zassenhaus) and maps w to the smallest of its Frobenius conjugates.
 
+Both run on one dense-polynomial arithmetic over a Field: lists of
+canonical payloads, low degree first, with remainder, product and power
+modulo a polynomial, monic gcd and Horner evaluation taken through the
+field's payload _add, _sub, _mul and _inv.  A remainder by a monic
+polynomial takes no inverse.  Rabin's test and the fold rows below run it
+over GF(p), on int payloads; the splitting runs it over the destination
+field and builds no FieldElement in its loop.
+
 Text formats round-trip exactly: ``"a/b"`` or ``"a"`` for rationals, a bare
 residue for prime fields, and ``"c0+c1*w"`` (``"c0+c1*w+c2*w^2"`` and so on,
 always all k terms) for extensions, where w is the residue of the modulus
@@ -190,99 +198,107 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over GF(p), used only for modulus arithmetic
-# (coefficient lists of ints, low degree first, trailing zeros trimmed)
+# dense polynomials over a field F, on payloads
+# (lists of canonical payloads of F, low degree first, trailing zeros trimmed)
 
 
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
+def _ptrim(F: "Field", a: list) -> list:
+    zero = F.zero_value
+    while a and a[-1] == zero:
         a.pop()
     return a
 
 
-def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+def _psub(F: "Field", a: Sequence, b: Sequence) -> list:
+    zero, sub = F.zero_value, F._sub
     n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        out[i] = ((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-    return _ptrim(out)
+    a = list(a) + [zero] * (n - len(a))
+    b = list(b) + [zero] * (n - len(b))
+    return _ptrim(F, [sub(x, y) for x, y in zip(a, b)])
 
 
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+def _peval(F: "Field", a: Sequence, x):
+    """The payload of a(x), by Horner's rule."""
+    acc, add, mul = F.zero_value, F._add, F._mul
+    for c in reversed(a):
+        acc = add(mul(acc, x), c)
+    return acc
+
+
+def _pmod(F: "Field", a: Sequence, m: Sequence) -> list:
+    """The remainder of a by the nonzero trimmed m.  A monic m takes no
+    inverse: above the table cap an inverse is an Itoh-Tsujii chain."""
+    zero, mul, sub = F.zero_value, F._mul, F._sub
+    lead = None if m[-1] == F.one_value else F._inv(m[-1])
+    r = list(a)
+    dm = len(m) - 1
+    for top in range(len(r) - 1, dm - 1, -1):
+        c = r[top]
+        if c != zero:
+            if lead is not None:
+                c = mul(c, lead)
+            for i in range(dm):
+                r[top - dm + i] = sub(r[top - dm + i], mul(c, m[i]))
+    return _ptrim(F, r[:dm])
+
+
+def _pmulmod(F: "Field", a: Sequence, b: Sequence, m: Sequence) -> list:
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+    zero, add, mul = F.zero_value, F._add, F._mul
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != zero:
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
+    return _pmod(F, out, m)
 
 
-def _pdivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    _ptrim(r)
-    q = [0] * max(0, len(r) - len(b) + 1)
-    binv = pow(b[-1], -1, p)
-    while len(r) >= len(b):
-        c = (r[-1] * binv) % p
-        shift = len(r) - len(b)
-        q[shift] = c
-        for i, bi in enumerate(b):
-            r[shift + i] = (r[shift + i] - c * bi) % p
-        _ptrim(r)
-        if not r:
-            break
-    return _ptrim(q), r
+def _ppowmod(F: "Field", a: Sequence, n: int, m: Sequence) -> list:
+    """a^n mod m, for m of degree at least 1."""
+    result, base = [F.one_value], _pmod(F, a, m)
+    while n:
+        if n & 1:
+            result = _pmulmod(F, result, base, m)
+        base = _pmulmod(F, base, base, m)
+        n >>= 1
+    return result
 
 
-def _pmod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    return _pdivmod(a, b, p)[1]
+def _pgcd(F: "Field", a: Sequence, b: Sequence) -> list:
+    """The monic gcd of two trimmed polynomials; [] when both are zero."""
+    while b:
+        a, b = b, _pmod(F, a, b)
+    if not a or a[-1] == F.one_value:
+        return list(a)
+    lead, mul = F._inv(a[-1]), F._mul
+    return [mul(c, lead) for c in a]
 
 
 def _fold_rows(modulus: Sequence[int], p: int) -> tuple[tuple[int, int, int], ...]:
     """The rows x^(k+j) mod the monic modulus of degree k, 0 <= j <= k-2, as
     one (k + j, i, c) triple per nonzero coefficient c of x^i in row j."""
-    k = len(modulus) - 1
+    F, k = prime_field(p), len(modulus) - 1
     return tuple(
         (k + j, i, c)
         for j in range(k - 1)
-        for i, c in enumerate(_pmod([0] * (k + j) + [1], modulus, p)) if c
+        for i, c in enumerate(_pmod(F, [0] * (k + j) + [1], modulus)) if c
     )
-
-
-def _ppowmod(a: Sequence[int], n: int, m: Sequence[int], p: int) -> list[int]:
-    result, base = [1], _pmod(a, m, p)
-    while n:
-        if n & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        n >>= 1
-    return result
-
-
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> Sequence[int]:
-    """gcd of two trimmed polynomials, up to a unit."""
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
 
 
 def _irreducible(modulus: Sequence[int], p: int) -> bool:
     """Rabin's test: the monic f of degree k is irreducible over GF(p) iff
     x^(p^k) = x mod f and gcd(x^(p^(k/r)) - x, f) = 1 for each prime r | k."""
-    f = list(modulus)
+    F, f = prime_field(p), list(modulus)
     k = len(f) - 1
-    x = _pmod([0, 1], f, p)
+    x = _pmod(F, [0, 1], f)
 
     def frobenius_minus_x(n: int) -> list[int]:  # x^(p^n) - x mod f
-        return _psub(_ppowmod(x, p**n, f, p), x, p)
+        return _psub(F, _ppowmod(F, x, p**n, f), x)
 
     if frobenius_minus_x(k):
         return False
-    return all(len(_pgcd(f, frobenius_minus_x(k // r), p)) == 1
+    return all(len(_pgcd(F, f, frobenius_minus_x(k // r))) == 1
                for r in range(2, k + 1) if k % r == 0 and _is_prime(r))
 
 
@@ -1203,9 +1219,9 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
         and src.spec.p == dst.spec.p
         and dst.spec.k % src.spec.k == 0
     ):
-        mod = [dst.from_int(coef) for coef in src.spec.modulus]
-        root = _split_off_root(mod, dst)
-        if _xeval(mod, root):
+        mod = [dst.from_int(coef).value for coef in src.spec.modulus]
+        root = _element(dst, _split_off_root(mod, dst))
+        if _peval(dst, mod, root.value) != dst.zero_value:
             raise RuntimeError(f"{root} is not a root of the modulus of {src}")
         # the roots of the irreducible modulus are the conjugates of any one
         root = min(_conjugates(root, src.spec.p, src.spec.k), key=dst.index_of)
@@ -1222,9 +1238,10 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
     raise ValueError(f"no embedding of {src} into {dst}")
 
 
-def _split_off_root(f: list[FieldElement], dst: Field) -> FieldElement:
-    """One root of the monic f, a product of distinct linear factors over the
-    finite field dst, by equal-degree splitting.
+def _split_off_root(f: list, dst: Field):
+    """The payload of one root of the monic f, given by payloads, a product
+    of distinct linear factors over the finite field dst, by equal-degree
+    splitting.
 
     Each step takes the next delta in element order and keeps the proper
     factor gcd(f, s) when there is one, where s is (x + delta)^((Q-1)/2) - 1
@@ -1235,82 +1252,22 @@ def _split_off_root(f: list[FieldElement], dst: Field) -> FieldElement:
     when [dst : E] is even; no such delta would split f, and walking the p
     of them costs time exponential in log p.
     """
-    zero, one = dst.zero(), dst.one()
-    deltas = (dst.element(i) for i in range(dst.characteristic(), dst.order()))
+    one = dst.one_value
+    deltas = (dst.element(i).value for i in range(dst.characteristic(), dst.order()))
     while len(f) > 2:
         delta = next(deltas)
         if dst.characteristic() == 2:
-            t = _xmod([zero, delta], f)
-            s = [zero] * (len(f) - 1)
+            # subtraction is addition in characteristic 2, so s - t is s + t
+            t, s = _pmod(dst, [dst.zero_value, delta], f), []
             for _ in range(dst.spec.k):
-                for i, coef in enumerate(t):
-                    s[i] = s[i] + coef
-                t = _xmulmod(t, t, f)
+                s = _psub(dst, s, t)
+                t = _pmulmod(dst, t, t, f)
         else:
-            s = _xpowmod([delta, one], (dst.order() - 1) // 2, f) or [zero]
-            s[0] = s[0] - one
-        h = _xgcd(f, _xtrim(s))
+            s = _psub(dst, _ppowmod(dst, [delta, one], (dst.order() - 1) // 2, f), [one])
+        h = _pgcd(dst, f, s)
         if 2 <= len(h) < len(f):
             f = h
-    return -f[0]
-
-
-# dense polynomials over a finite field, used by _split_off_root
-# (lists of FieldElements, low degree first, trailing zeros trimmed)
-
-
-def _xtrim(a: list[FieldElement]) -> list[FieldElement]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _xeval(a: Sequence[FieldElement], x: FieldElement) -> FieldElement:
-    acc = x.field.zero()
-    for coef in reversed(a):
-        acc = acc * x + coef
-    return acc
-
-
-def _xmod(a: Sequence[FieldElement], m: Sequence[FieldElement]) -> list[FieldElement]:
-    """Remainder of a by the monic m."""
-    r = list(a)
-    dm = len(m) - 1
-    for top in range(len(r) - 1, dm - 1, -1):
-        c = r[top]
-        if c:
-            for i in range(dm):
-                r[top - dm + i] = r[top - dm + i] - c * m[i]
-    return _xtrim(r[:dm])
-
-
-def _xmulmod(a, b, m) -> list[FieldElement]:
-    if not a or not b:
-        return []
-    out = [m[-1].field.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return _xmod(out, m)
-
-
-def _xpowmod(a, n: int, m) -> list[FieldElement]:
-    result, base = [m[-1].field.one()], _xmod(a, m)
-    while n:
-        if n & 1:
-            result = _xmulmod(result, base, m)
-        base = _xmulmod(base, base, m)
-        n >>= 1
-    return result
-
-
-def _xgcd(a, b) -> list[FieldElement]:
-    """Monic gcd; a is monic and nonzero."""
-    while b:
-        inv = b[-1].inverse()
-        b = [coef * inv for coef in b]
-        a, b = b, _xmod(a, b)
-    return a
+    return dst._neg(f[0])
 
 
 def splitting_field(

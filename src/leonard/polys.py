@@ -15,9 +15,10 @@ theta* (`splitmat.difference_products`) and D the prefix products of
 varphi.  The dual array swaps theta with theta* and keeps varphi, so its
 table T* D^-1 T^t is P^t, and the duality f_i(theta_j) = f*_j(theta*_i)
 holds by construction.  The Horner f* table of the tests is its
-independent check.  The other products of differences come from
-`splitmat.one_sided_products`: `endpoint_values` compares k_i f_i(theta_d)
-with above*_0 / (below*_i above*_i).
+independent check.  `endpoint_values` compares f_i(theta_d) with the
+phi/varphi ratios alpha_i; its weighted form, k_i f_i(theta_d) =
+above*_0 / (below*_i above*_i) with the one-sided products of theta*, is
+how `ortho_data` defines k_i, so it is only read, not compared.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 from .fields import Field, FieldElement
 from .parray import ParameterArray
 from .report import CheckReport
-from .splitmat import SquareMatrix, difference_products, one_sided_products, prefix_products
+from .splitmat import SquareMatrix, difference_products, prefix_products
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -92,22 +93,21 @@ def endpoint_evaluations(a: Analysis) -> list[FieldElement]:
 
 
 def endpoint_values(a: Analysis) -> CheckReport:
-    """f_i(theta_d) against the phi/varphi ratio form and the weighted form
-    involving the dual eigenvalues; reports the first failure."""
-    p = a.p
+    """f_i(theta_d) against the phi/varphi ratio form alpha_i, then the
+    weighted form k_i f_i(theta_d) = above*_0 / (below*_i above*_i), with
+    below* and above* the one-sided products of theta*; reports the first
+    failure.  ortho_data defines k_i as above*_0 / (alpha_i below*_i
+    above*_i), so once f_i(theta_d) = alpha_i the weighted form holds
+    identically and can add no line.  It is read as a.ortho, which raises
+    where the weights cannot be formed, as for a repeated theta*_i, just as
+    duality_check reads a.polys."""
     report = CheckReport("endpoint-values")
     vals = endpoint_evaluations(a)
-    for i, alpha in enumerate(proportionality_alphas(p)):
+    for i, alpha in enumerate(proportionality_alphas(a.p)):
         if vals[i] != alpha:
             report.add(f"f_{i}(theta_d) differs from the phi/varphi cumulative ratio")
             return report
-
-    data = a.ortho
-    below, above = one_sided_products(p.theta_star)
-    for i in range(p.d + 1):
-        if data.k[i] * vals[i] != above[0] * (below[i] * above[i]).inverse():
-            report.add(f"k_{i} f_{i}(theta_d) differs from the dual eigenvalue product")
-            break
+    a.ortho
     return report
 
 

@@ -8,9 +8,9 @@ has a usable base in the field.
 
 Every product of differences of eigenvalues is built here:
 `difference_products` (the triangular factors T, T* and Tdown),
-`divided_differences` (T^-1 in closed form) and `one_sided_products` (the
-products below and above each value, from which the recurrence
-coefficients, the weights, nu and the endpoint values are read).
+`divided_differences` (T^-1 in closed form, kept as `Tinv`) and
+`one_sided_products` (the products below and above each value, from which
+the recurrence coefficients, the weights and nu are read).
 
 A SquareMatrix holds the canonical payloads of its entries, row by row.
 The identities checked here are chains of products, each one call of the
@@ -237,6 +237,7 @@ class SplitMatrixSet:
     Astar: SquareMatrix
     Bstar: SquareMatrix
     T: SquareMatrix
+    Tinv: SquareMatrix
     Tstar: SquareMatrix
     Tdown: SquareMatrix
     D: SquareMatrix
@@ -275,10 +276,11 @@ def build(p: ParameterArray) -> SplitMatrixSet:
     H = SquareMatrix.diagonal(F, th)
     Hstar = SquareMatrix.diagonal(F, ths)
 
-    G = divided_differences(F, th) * Z * Tdown
+    Tinv = divided_differences(F, th)
+    G = Tinv * Z * Tdown
     if G.values[0][0] != F.one_value:
         raise IdentityViolated("transition matrix is not unit-normalized at (0, 0)")
-    return SplitMatrixSet(A=A, B=B, Astar=Astar, Bstar=Bstar, T=T, Tstar=Tstar,
+    return SplitMatrixSet(A=A, B=B, Astar=Astar, Bstar=Bstar, T=T, Tinv=Tinv, Tstar=Tstar,
                           Tdown=Tdown, D=D, Ddown=Ddown, Z=Z, H=H, Hstar=Hstar, G=G)
 
 
@@ -348,19 +350,20 @@ def primitive_idempotents(m: SquareMatrix,
 def verify_leonard_conditions(a: Analysis) -> CheckReport:
     """Tridiagonal shape of A on the eigenspaces of A*, and of A* on those of A.
 
-    A is lower bidiagonal with distinct diagonal theta, so its eigenvectors
-    are the columns of a unit lower-triangular U with
-    U[k][j] = U[k-1][j] / (theta_j - theta_k), and the rows of U^-1 are its
-    left eigenvectors, U^-1[i][k] = U^-1[i][k+1] / (theta_i - theta_k) for
-    k < i.  Each primitive idempotent is rank one, E_i = U e_i e_i^t U^-1, so
-    the block E_i A* E_j vanishes exactly when the scalar (U^-1 A* U)_ij
-    does.  A* is upper bidiagonal, and its eigenvectors form a unit
-    upper-triangular V with V[k][j] = varphi_{k+1} V[k+1][j] /
-    (theta*_j - theta*_k); the rows of V^-1 are
-    V^-1[i][k] = V^-1[i][k-1] varphi_k / (theta*_i - theta*_k) for k > i.
-    No recurrence divides by a varphi_i, so a zero one is handled.  The four
-    triangles take 3n(n-1) multiplications and 2n(n-1) inverses, one per
-    ordered pair of eigenvalues on each side; the two blocks are
+    A is lower bidiagonal with distinct diagonal theta, so T A = H T makes
+    the columns of T^-1 its eigenvectors: U = T^-1 diag(T) is the unit
+    lower-triangular eigenvector matrix, and U^-1 = diag(T)^-1 T.  Each
+    primitive idempotent is rank one, E_i = U e_i e_i^t U^-1, so the block
+    E_i A* E_j vanishes exactly when the scalar (U^-1 A* U)_ij does, and
+    that scalar is (T A* T^-1)_ij times the nonzero T_jj / T_ii.  So the A
+    side reads A U = U H as A T^-1 = T^-1 H and the E A* E block as
+    T A* T^-1, with the T^-1 that build keeps.  A* is upper bidiagonal, and
+    its eigenvectors form a unit upper-triangular V with
+    V[k][j] = varphi_{k+1} V[k+1][j] / (theta*_j - theta*_k); the rows of
+    V^-1 are V^-1[i][k] = V^-1[i][k-1] varphi_k / (theta*_i - theta*_k) for
+    k > i.  No recurrence divides by a varphi_i, so a zero one is handled.
+    The two triangles take 2n(n-1) multiplications and n(n-1) inverses, one
+    per ordered pair of dual eigenvalues; the two blocks are
     triangular-times-Hessenberg products of about n^3/6 each.
     """
     m = a.matrices
@@ -369,27 +372,25 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     _require_distinct(p.theta_star)
     F, n = p.field, p.d + 1
     zero, one = F.zero(), F.one()
-    th, ths, vp = p.theta, p.theta_star, p.varphi
+    ths, vp = p.theta_star, p.varphi
 
-    U, Uinv, V, Vinv = ([[zero] * n for _ in range(n)] for _ in range(4))
+    V, Vinv = ([[zero] * n for _ in range(n)] for _ in range(2))
     for j in range(n):
-        U[j][j] = Uinv[j][j] = V[j][j] = Vinv[j][j] = one
+        V[j][j] = Vinv[j][j] = one
         for k in range(j + 1, n):
-            U[k][j] = U[k - 1][j] * (th[j] - th[k]).inverse()
             Vinv[j][k] = Vinv[j][k - 1] * vp[k - 1] * (ths[j] - ths[k]).inverse()
         for k in range(j - 1, -1, -1):
-            Uinv[j][k] = Uinv[j][k + 1] * (th[j] - th[k]).inverse()
             V[k][j] = vp[k] * V[k + 1][j] * (ths[j] - ths[k]).inverse()
-    U, Uinv, V, Vinv = (SquareMatrix.from_rows(F, x) for x in (U, Uinv, V, Vinv))
+    V, Vinv = (SquareMatrix.from_rows(F, x) for x in (V, Vinv))
 
     report = CheckReport("leonard-conditions")
-    if m.A * U != U * m.H:
+    if m.A * m.Tinv != m.Tinv * m.H:
         report.add("A U = U H violated")
     if m.Astar * V != V * m.Hstar:
         report.add("A* V = V H* violated")
 
     for label, block in (("E* A E*", Vinv * m.A * V),
-                         ("E A* E", Uinv * m.Astar * U)):
+                         ("E A* E", m.T * m.Astar * m.Tinv)):
         for i, row in enumerate(block.values):
             for j, x in enumerate(row):
                 if abs(i - j) > 1 and x != F.zero_value:

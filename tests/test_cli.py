@@ -20,6 +20,7 @@ QRAC3 = os.path.join(HERE, "fixtures", "qrac3.json")
 ORPHAN3 = os.path.join(HERE, "fixtures", "orphan3.json")
 EXT3_4 = os.path.join(HERE, "fixtures", "ext3_4.json")
 EXT1000003_2 = os.path.join(HERE, "fixtures", "ext1000003_2.json")
+EXT5_4 = os.path.join(HERE, "fixtures", "ext5_4.json")
 
 SCOREBOARD = ["validate", "conjugation", "leonard-conditions",
               "proportionality", "endpoint-values", "duality",
@@ -169,6 +170,37 @@ def test_classify_over_a_large_quadratic_extension(capsys):
     p = load_array(EXT1000003_2)
     again = generate(FamilyParams.from_json(w["parameters"]), W)
     assert again == embed_array(p, W, embed_map(p.field, W))
+
+
+def test_classify_over_a_degree_eight_extension(capsys):
+    # q lies only in GF(5^8), above the table cap, so classify splits the
+    # modulus x^4 + 2 of GF(5^4) there to embed the array; the witness is
+    # pinned byte for byte
+    W = {"kind": "extension", "p": 5, "k": 8, "modulus": [2, 0, 0, 0, 0, 0, 0, 0, 1]}
+    witness = {
+        "case": "I",
+        "family": "q-racah",
+        "parameters": {"family": "q-racah", "d": 4, "field": W, "values": {
+            "theta0": "4+0*w+1*w^2+0*w^3+3*w^4+0*w^5+1*w^6+0*w^7",
+            "thetastar0": "4+0*w+3*w^2+0*w^3+1*w^4+0*w^5+3*w^6+0*w^7",
+            "q": "0+1*w+2*w^2+1*w^3+4*w^4+0*w^5+4*w^6+0*w^7",
+            "h": "3+0*w+2*w^2+1*w^3+3*w^4+2*w^5+3*w^6+3*w^7",
+            "hstar": "0+2*w+4*w^2+1*w^3+3*w^4+3*w^5+3*w^6+4*w^7",
+            "s": "1+0*w+4*w^2+2*w^3+2*w^4+2*w^5+3*w^6+1*w^7",
+            "sstar": "4+0*w+2*w^2+2*w^3+1*w^4+0*w^5+1*w^6+1*w^7",
+            "r1": "3+3*w+2*w^2+1*w^3+4*w^4+1*w^5+4*w^6+0*w^7",
+            "r2": "4+3*w+2*w^2+3*w^3+0*w^4+4*w^5+3*w^6+3*w^7",
+        }},
+        "field_of_witness": W,
+    }
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", EXT5_4)
+    assert time.perf_counter() - start < 10.0
+    assert (code, out, err) == (0, json.dumps(witness, indent=2) + "\n", "")
+    p = load_array(EXT5_4)
+    Wf = make_field(FieldSpec.from_json(W))
+    again = generate(FamilyParams.from_json(witness["parameters"]), Wf)
+    assert again == embed_array(p, Wf, embed_map(p.field, Wf))
 
 
 def test_classify_invalid_array(capsys, tmp_path):

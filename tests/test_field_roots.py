@@ -2,32 +2,32 @@
 
 The oracles are the element scans and the trial divisions that the field
 layer used before it moved to Tonelli-Shanks, the trace-one formula,
-equal-degree splitting, Miller-Rabin and Rabin's irreducibility test.
+equal-degree splitting, Miller-Rabin and Rabin's irreducibility test, and
+the two polynomial libraries it used before its one arithmetic on payloads:
+int lists mod p, and lists of FieldElements.
 """
 
 import itertools
 import random
 import time
+from typing import Sequence
 
 import pytest
 
 from leonard import (
+    FieldElement,
     embed_map,
     extension_field,
     prime_field,
     quadratic_roots,
     splitting_field,
 )
+from leonard import fields
 from leonard.fields import (
     TABLE_ORDER_CAP,
     _find_irreducible,
     _irreducible,
     _is_prime,
-    _pdivmod,
-    _pmod,
-    _pmul,
-    _psub,
-    _ptrim,
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -142,6 +142,116 @@ def test_embed_map_every_subfield():
     for src, dst in pairs:
         lift = embed_map(src, dst)
         assert [lift(x) for x in src.elements()] == oracle_embed_images(src, dst), (src, dst)
+
+
+# dense polynomials over GF(p), the oracle over prime fields
+# (coefficient lists of ints, low degree first, trailing zeros trimmed)
+
+
+def _ptrim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        out[i] = ((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
+    return _ptrim(out)
+
+
+def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _ptrim(out)
+
+
+def _pdivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    _ptrim(r)
+    q = [0] * max(0, len(r) - len(b) + 1)
+    binv = pow(b[-1], -1, p)
+    while len(r) >= len(b):
+        c = (r[-1] * binv) % p
+        shift = len(r) - len(b)
+        q[shift] = c
+        for i, bi in enumerate(b):
+            r[shift + i] = (r[shift + i] - c * bi) % p
+        _ptrim(r)
+        if not r:
+            break
+    return _ptrim(q), r
+
+
+def _pmod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    return _pdivmod(a, b, p)[1]
+
+
+# dense polynomials over a finite field, the oracle over every field
+# (lists of FieldElements, low degree first, trailing zeros trimmed)
+
+
+def _xtrim(a: list[FieldElement]) -> list[FieldElement]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _xeval(a: Sequence[FieldElement], x: FieldElement) -> FieldElement:
+    acc = x.field.zero()
+    for coef in reversed(a):
+        acc = acc * x + coef
+    return acc
+
+
+def _xmod(a: Sequence[FieldElement], m: Sequence[FieldElement]) -> list[FieldElement]:
+    """Remainder of a by the monic m."""
+    r = list(a)
+    dm = len(m) - 1
+    for top in range(len(r) - 1, dm - 1, -1):
+        c = r[top]
+        if c:
+            for i in range(dm):
+                r[top - dm + i] = r[top - dm + i] - c * m[i]
+    return _xtrim(r[:dm])
+
+
+def _xmulmod(a, b, m) -> list[FieldElement]:
+    if not a or not b:
+        return []
+    out = [m[-1].field.zero()] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return _xmod(out, m)
+
+
+def _xpowmod(a, n: int, m) -> list[FieldElement]:
+    result, base = [m[-1].field.one()], _xmod(a, m)
+    while n:
+        if n & 1:
+            result = _xmulmod(result, base, m)
+        base = _xmulmod(base, base, m)
+        n >>= 1
+    return result
+
+
+def _xgcd(a, b) -> list[FieldElement]:
+    """Monic gcd; a is monic and nonzero."""
+    while b:
+        inv = b[-1].inverse()
+        b = [coef * inv for coef in b]
+        a, b = b, _xmod(a, b)
+    return a
 
 
 def reduced_product(F, a, b):
@@ -284,6 +394,82 @@ def test_embed_map_into_a_large_quadratic_extension_is_fast(p):
     for _ in range(20):
         x, y = src.random_element(rng), src.random_element(rng)
         assert lift(x * y) == lift(x) * lift(y) and lift(x + y) == lift(x) + lift(y)
+
+
+def test_embed_map_from_gf5_4_into_gf5_8():
+    """GF(5^8) has 390,625 elements, too many for the scan oracle.  The
+    moduli are x^4 + 2 and x^8 + 2, so w^2 is a root of the source modulus;
+    it is also the smallest of the conjugates that the splitting finds."""
+    src, dst = field_of(5, 4), field_of(5, 8)
+    lift = embed_map.__wrapped__(src, dst)
+    root = lift(src.generator())
+    assert not _xeval([dst.from_int(c) for c in src.spec.modulus], root)
+    assert root.value == (0, 0, 1, 0, 0, 0, 0, 0)
+    rng = random.Random("embed-5-4-into-5-8")
+    for _ in range(100):
+        x, y = src.random_element(rng), src.random_element(rng)
+        assert lift(x + y) == lift(x) + lift(y) and lift(x * y) == lift(x) * lift(y)
+
+
+# GF(2) and GF(1000003), GF(2^4) with tables, GF(3^8) and GF(5^8) packed
+# above the cap, and GF((2^61-1)^2), too wide to pack
+POLY_FIELDS = [(2, 1), (1000003, 1), (2, 4), (3, 8), (5, 8), (2**61 - 1, 2)]
+
+
+def random_poly(F, rng, degree, monic=False):
+    """The payloads of a random polynomial of the given degree, [] for
+    degree -1; the lead is one when monic, else any nonzero payload."""
+    if degree < 0:
+        return []
+    lead = F.one_value if monic else F.random_element(rng, nonzero=True).value
+    return [F.random_element(rng).value for _ in range(degree)] + [lead]
+
+
+@pytest.mark.parametrize("p, k", POLY_FIELDS)
+def test_polynomial_arithmetic_matches_the_oracles(p, k):
+    """fields._pmod, _pmulmod, _ppowmod, _pgcd and _peval against the
+    FieldElement lists over every field, and _pmod and _pmulmod against
+    the int lists over GF(p), on random operands and on monic and
+    non-monic moduli.  Each result is a list of trimmed canonical
+    payloads: it equals the oracle's payloads, and its lead is nonzero."""
+    F = field_of(p, k)
+    rng = random.Random(f"payload-polynomials/{p}/{k}")
+    big = [F.zero()] * 30 + [F.one()]  # x^30: a product mod it is the product
+
+    def elements(a):
+        return [FieldElement(F, c) for c in a]
+
+    def values(a):
+        return [x.value for x in a]
+
+    def monic(a):
+        inv = a[-1].inverse()
+        return [c * inv for c in a]
+
+    def check(got, want):
+        assert type(got) is list and got == values(want), (F, got, want)
+        assert not got or got[-1] != F.zero_value
+
+    for _ in range(30):
+        m = random_poly(F, rng, rng.randint(0, 6), monic=rng.random() < 0.5)
+        a, b = (random_poly(F, rng, rng.randint(-1, 12)) for _ in range(2))
+        M = monic(elements(m))
+        check(fields._pmod(F, a, m), _xmod(elements(a), M))
+        check(fields._pmulmod(F, a, b, m), _xmulmod(elements(a), elements(b), M))
+        if k == 1:
+            assert fields._pmod(F, a, m) == _pmod(a, m, p)
+            assert fields._pmulmod(F, a, b, m) == _pmod(_pmul(a, b, p), m, p)
+        x = F.random_element(rng)
+        assert fields._peval(F, a, x.value) == _xeval(elements(a), x).value
+        if len(m) > 1:
+            n = rng.choice((0, 1, rng.getrandbits(20)))
+            check(fields._ppowmod(F, a, n, m), _xpowmod(elements(a), n, M))
+        # A and B share a random factor, so that the gcd is not always one
+        G = elements(random_poly(F, rng, rng.randint(0, 3)))
+        A, B = (_xmulmod(G, elements(random_poly(F, rng, rng.randint(-1, 5))), big)
+                for _ in range(2))
+        want = _xgcd(monic(A), B) if A else _xgcd(monic(B), A) if B else []
+        check(fields._pgcd(F, values(A), values(B)), want)
 
 
 def first_root_lift(src, dst):
