@@ -97,6 +97,13 @@ def random_injective(F, n, rng):
     return values
 
 
+def random_array(F, d, rng):
+    """theta and theta* injective, varphi and phi nonzero; nothing else holds."""
+    nonzero = lambda: [F.random_element(rng, nonzero=True) for _ in range(d)]
+    return make_array(F, random_injective(F, d + 1, rng),
+                      random_injective(F, d + 1, rng), nonzero(), nonzero())
+
+
 @dataclass(frozen=True)
 class Poly:
     """Dense univariate polynomial, coefficients low order first, trimmed."""

@@ -12,6 +12,14 @@ sum, entry by entry.  Each fast version must give the same values, or
 report the same failures in the same order, or raise the same exception
 type, on sampled arrays of every family and on arrays broken in ways that
 do and do not keep the blocks tridiagonal.
+
+sandwich_conjugation and eigenvector_leonard_conditions (the check as it
+was before it dropped its two eigenvector lines) compute seven lines that
+hold on build for every PA1-PA2 sequence (T A = H T, `Tinv` = T^-1, ...)
+and that the scoreboard no longer computes.  The audit tests check those
+lines on build, over seeded random PA1-PA2 sequences as well as the
+sampled arrays, and that the two checks still report what the oracles
+report.
 """
 
 import random
@@ -45,7 +53,8 @@ from leonard import (
     verify_three_term,
 )
 from leonard.ortho import OrthoData
-from conftest import dense_mul, qarr
+from leonard.splitmat import _require_distinct
+from conftest import dense_mul, qarr, random_array, satisfies_pa1_pa2
 
 FIELDS = {
     "Q": rational_field(),
@@ -154,6 +163,20 @@ def sampled_arrays(label, F):
             yield f"{family} d={d}", generate(fp, F), rng
 
 
+def audit_cases(label):
+    """The sampled arrays and their perturbations, then 25 seeded random
+    PA1-PA2 sequences (almost all of them invalid) at each d = 1..5 that
+    the field has room for."""
+    F = FIELDS[label]
+    for name, p, rng in sampled_arrays(label, F):
+        yield from ((name, change, q) for change, q in perturbations(p, rng))
+    rng = random.Random(f"construction-audit/{label}")
+    for d in range(1, 6):
+        if not F.is_finite() or d < F.order():
+            for k in range(25):
+                yield f"random d={d}", k, random_array(F, d, rng)
+
+
 @pytest.mark.parametrize("label", list(FIELDS))
 def test_eigenvector_check_matches_lagrange_oracle(label):
     F = FIELDS[label]
@@ -183,15 +206,13 @@ def test_oracle_call_order_on_repeated_eigenvalues():
 
 @pytest.mark.parametrize("label", list(FIELDS))
 def test_conjugation_check_matches_sandwich_oracle(label):
-    F = FIELDS[label]
     compared = set()
-    for name, p, rng in sampled_arrays(label, F):
-        for change, q in perturbations(p, rng):
-            want = outcome(sandwich_conjugation, q)
-            got = outcome(lambda arr: verify_conjugation(Analysis(arr)), q)
-            assert got == want, (label, name, change)
-            compared.add("raises" if isinstance(want, type)
-                         else "fails" if want else "passes")
+    for name, change, q in audit_cases(label):
+        want = outcome(sandwich_conjugation, q)
+        got = outcome(lambda arr: verify_conjugation(Analysis(arr)), q)
+        assert got == want, (label, name, change)
+        compared.add("raises" if isinstance(want, type)
+                     else "fails" if want else "passes")
     # a zero varphi makes D singular
     assert compared == {"passes", "fails", "raises"}, compared
 
@@ -381,3 +402,85 @@ def test_checks_on_products_match_element_loops(label):
             compared.add((check.__name__, "raises" if isinstance(want, type)
                           else "fails" if want else "passes"))
     assert {kind for _, kind in compared} == {"passes", "fails", "raises"}, compared
+
+
+def eigenvector_leonard_conditions(a):
+    """verify_leonard_conditions as it was before it dropped its two
+    eigenvector lines, A U = U H and A* V = V H*."""
+    m = a.matrices
+    p = a.p
+    _require_distinct(p.theta)
+    _require_distinct(p.theta_star)
+    F, n = p.field, p.d + 1
+    zero, one = F.zero(), F.one()
+    ths, vp = p.theta_star, p.varphi
+
+    V, Vinv = ([[zero] * n for _ in range(n)] for _ in range(2))
+    for j in range(n):
+        V[j][j] = Vinv[j][j] = one
+        for k in range(j + 1, n):
+            Vinv[j][k] = Vinv[j][k - 1] * vp[k - 1] * (ths[j] - ths[k]).inverse()
+        for k in range(j - 1, -1, -1):
+            V[k][j] = vp[k] * V[k + 1][j] * (ths[j] - ths[k]).inverse()
+    V, Vinv = (SquareMatrix.from_rows(F, x) for x in (V, Vinv))
+
+    report = CheckReport("leonard-conditions")
+    if m.A * m.Tinv != m.Tinv * m.H:
+        report.add("A U = U H violated")
+    if m.Astar * V != V * m.Hstar:
+        report.add("A* V = V H* violated")
+
+    for label, block in (("E* A E*", Vinv * m.A * V),
+                         ("E A* E", m.T * m.Astar * m.Tinv)):
+        for i, row in enumerate(block.values):
+            for j, x in enumerate(row):
+                if abs(i - j) > 1 and x != F.zero_value:
+                    report.add(f"{label} block ({i}, {j}) should vanish")
+                if abs(i - j) == 1 and x == F.zero_value:
+                    report.add(f"{label} block ({i}, {j}) should be nonzero")
+    return report
+
+
+# the lines that sandwich_conjugation and eigenvector_leonard_conditions
+# compute and the scoreboard does not: identities of build for distinct
+# theta and theta* and nonzero varphi
+CONSTRUCTION_LINES = {
+    "G * Ginv = I violated",
+    "Ginv * A * G = B violated",
+    "T A = H T violated",
+    "Z Tdown B = H Z Tdown violated",
+    "D A* D^-1 T*^t = T*^t H* violated",
+    "A U = U H violated",
+    "A* V = V H* violated",
+}
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_dropped_lines_are_identities_of_build(label):
+    """On every PA1-PA2 audit case the seven lines that the scoreboard no
+    longer computes hold on build, while the A* line and both blocks fail
+    on some."""
+    failed = set()
+    for name, change, q in audit_cases(label):
+        if satisfies_pa1_pa2(q):
+            lines = (sandwich_conjugation(q).failures
+                     + eigenvector_leonard_conditions(Analysis(q)).failures)
+            assert not CONSTRUCTION_LINES & set(lines), (label, name, change, lines)
+            failed.update(line.split(" block")[0] for line in lines)
+    assert failed == {"Ginv * A* * G = B* violated", "E* A E*", "E A* E"}, failed
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_leonard_conditions_match_eigenvector_oracle(label):
+    """verify_leonard_conditions reports the block failures of the check
+    that also computed the eigenvector lines, or raises the same exception
+    type, on every audit case."""
+    compared = set()
+    for name, change, q in audit_cases(label):
+        want = outcome(lambda arr: eigenvector_leonard_conditions(Analysis(arr)), q)
+        got = outcome(lambda arr: verify_leonard_conditions(Analysis(arr)), q)
+        assert got == want, (label, name, change)
+        compared.add("raises" if isinstance(want, type)
+                     else "fails" if want else "passes")
+    # a theta* shift can repeat an eigenvalue over the finite fields only
+    assert {"passes", "fails"} <= compared, compared
