@@ -7,10 +7,11 @@ that claims byte-identical outputs can show it.
 The inputs are seeded `sample_params` draws of every family over Q, GF(7)
 and GF(4) at d = 1..6, each followed by a copy with 1 added to varphi_1
 (which fails `validate`), then every array in `tests/fixtures`.  Each input
-goes through `verify`, `matrices` and `poly-table`, run in-process through
-`cli.main` with the array JSON on stdin.  A line of `fixtures/cli_corpus.tsv`
-holds the argv (with the input's name in place of `-`), the exit code and
-the sha256 of stdout and of stderr.  The comparison prints each line that
+goes through `verify`, `validate`, `matrices`, `poly-table`, `weights` and
+`recurrence`, run in-process through `cli.main` with the array JSON on
+stdin.  A line of `fixtures/cli_corpus.tsv` holds the argv (with the
+input's name in place of `-`), the exit code and the sha256 of stdout and
+of stderr.  The comparison prints each line that
 differs and exits 1; `test_cli_corpus.py` runs it in the tier-1 suite.
 
 The module name does not start with test_, so pytest does not collect it.
@@ -35,7 +36,7 @@ CORPUS = os.path.join(FIXTURES, "cli_corpus.tsv")
 
 FIELDS = ("rational", "prime:7", "ext:2:2:1,1,1")
 DIAMETERS = range(1, 7)
-COMMANDS = ("verify", "matrices", "poly-table")
+COMMANDS = ("verify", "validate", "matrices", "poly-table", "weights", "recurrence")
 HEADER = "argv\texit\tstdout_sha256\tstderr_sha256"
 
 
