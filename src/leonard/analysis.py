@@ -1,12 +1,16 @@
 """One parameter array together with the objects derived from it.
 
 The verification routines all read the same few objects of an array: the
-split-basis matrices, the polynomial table (the evaluation matrices P and
-Pdown, each built once from triangular factors), the orthogonality data
-and the recurrence coefficients.  An Analysis computes each of them on
-first use and hands the same result to every later check, so a full
-scoreboard builds each object once.  The results live on the Analysis, not on the
-array: a changed array (say from dataclasses.replace) needs a new Analysis.
+products of differences of its (theta, theta*) pair, the split-basis
+matrices, the polynomial table (the evaluation matrices P and Pdown), the
+orthogonality data and the recurrence coefficients.  An Analysis computes
+each of them on first use and hands the same result to every later check,
+so a full scoreboard builds each object once.  `build`,
+`corresponding_polys`, `ortho_data` and `recurrence_coeffs` take the
+Analysis and read T, T*, Tdown and the one-sided products from `pair`,
+which depends on (theta, theta*) alone.  The results live on the Analysis,
+not on the array: a changed array (say from dataclasses.replace) needs a
+new Analysis.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .ortho import OrthoData, ortho_data
 from .parray import ParameterArray
 from .polys import PolyTable, corresponding_polys
 from .recur import RecurrenceCoeffs, recurrence_coeffs
-from .splitmat import SplitMatrixSet, build
+from .splitmat import PairProducts, SplitMatrixSet, build, pair_products
 
 
 class Analysis:
@@ -27,17 +31,21 @@ class Analysis:
         self.p = p
 
     @cached_property
+    def pair(self) -> PairProducts:
+        return pair_products(self.p.field, self.p.theta, self.p.theta_star)
+
+    @cached_property
     def matrices(self) -> SplitMatrixSet:
-        return build(self.p)
+        return build(self)
 
     @cached_property
     def polys(self) -> PolyTable:
-        return corresponding_polys(self.p)
+        return corresponding_polys(self)
 
     @cached_property
     def ortho(self) -> OrthoData:
-        return ortho_data(self.p)
+        return ortho_data(self)
 
     @cached_property
     def recurrence(self) -> RecurrenceCoeffs:
-        return recurrence_coeffs(self.p)
+        return recurrence_coeffs(self)

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .families import FamilyParams, family_param_names, generate
 from .fields import Field, extension_field, prime_field, rational_field
-from .ortho import ortho_data, verify_nu_sums, verify_orthogonality
+from .ortho import verify_nu_sums, verify_orthogonality
 from .parray import (
     ParameterArray,
     array_from_json,
@@ -34,9 +34,8 @@ from .parray import (
     validation_lines,
 )
 from .polys import duality_check, endpoint_values, verify_proportionality
-from .recur import recurrence_coeffs, verify_alt_formulas, verify_difference, verify_three_term
-from .splitmat import (build, verify_conjugation, verify_leonard_conditions,
-                       verify_transition_matrix)
+from .recur import verify_alt_formulas, verify_difference, verify_three_term
+from .splitmat import verify_conjugation, verify_leonard_conditions, verify_transition_matrix
 from .report import CheckReport
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
@@ -193,7 +192,7 @@ def cmd_poly_table(args) -> int:
 def cmd_weights(args) -> int:
     p = load_array(args.file)
     _require_valid(p)
-    data = ortho_data(p)
+    data = Analysis(p).ortho
     fmt = p.field.format
     sys.stdout.write(dump_json({
         "k": [fmt(x) for x in data.k],
@@ -206,7 +205,7 @@ def cmd_weights(args) -> int:
 def cmd_recurrence(args) -> int:
     p = load_array(args.file)
     _require_valid(p)
-    co = recurrence_coeffs(p)
+    co = Analysis(p).recurrence
     fmt = p.field.format
     sys.stdout.write(dump_json({
         name: [fmt(x) for x in getattr(co, name)]
@@ -218,7 +217,7 @@ def cmd_recurrence(args) -> int:
 def cmd_matrices(args) -> int:
     p = load_array(args.file)
     _require_valid(p)
-    m = build(p)
+    m = Analysis(p).matrices
     names = ("A", "B", "Astar", "Bstar", "T", "Tstar", "Tdown",
              "D", "Ddown", "Z", "H", "Hstar", "G")
     sys.stdout.write(dump_json({name: getattr(m, name).to_json()

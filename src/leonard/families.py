@@ -726,10 +726,10 @@ def closed_form_spec(fp: FamilyParams, i: int, j: int) -> HypergeomSpec:
 
 def verify_closed_form(p: ParameterArray, fp: FamilyParams) -> CheckReport:
     """Evaluate the terminating series against f_i(theta_j) for all i, j."""
-    from .polys import corresponding_polys
+    from .analysis import Analysis
 
     report = CheckReport("closed-form")
-    table = corresponding_polys(p)
+    table = Analysis(p).polys
     d = p.d
     for i in range(d + 1):
         for j in range(d + 1):

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .fields import FieldElement
-from .parray import ParameterArray
 from .report import CheckReport
-from .splitmat import SquareMatrix, one_sided_products, prefix_products
+from .splitmat import SquareMatrix, prefix_products
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -21,15 +20,14 @@ class OrthoData:
     nu: FieldElement
 
 
-def ortho_data(p: ParameterArray) -> OrthoData:
+def ortho_data(a: Analysis) -> OrthoData:
     """k_i = (varphi_1 .. varphi_i) / (phi_1 .. phi_i) above*_0 / (below*_i
-    above*_i), with below* and above* the one-sided products of theta*;
-    k*_i likewise from theta, with phi read from the top end; and
-    nu = above_0 above*_0 / (phi_1 .. phi_d)."""
-    F = p.field
-    vp, ph = p.varphi, p.phi
-    below, above = one_sided_products(p.theta)
-    below_s, above_s = one_sided_products(p.theta_star)
+    above*_i), with below* and above* the one-sided products of theta*
+    (`Analysis.pair`); k*_i likewise from theta, with phi read from the top
+    end; and nu = above_0 above*_0 / (phi_1 .. phi_d)."""
+    p, pair = a.p, a.pair
+    F, vp, ph = p.field, p.varphi, p.phi
+    (below, above), (below_s, above_s) = pair.sides, pair.sides_star
 
     def weights(below, above, num_seq, den_seq):
         ratio, out = F.one(), []

@@ -11,11 +11,11 @@ from the triangular factors of the split basis:
     f_j(theta_i) = sum over n of T[i][n] T*[j][n] / (varphi_1 .. varphi_n),
 
 that is T D^-1 T*^t, with T and T* the products of differences of theta and
-theta* (`splitmat.difference_products`) and D the prefix products of
-varphi.  The dual array swaps theta with theta* and keeps varphi, so its
-table T* D^-1 T^t is P^t, and the duality f_i(theta_j) = f*_j(theta*_i)
-holds by construction.  The Horner f* table of the tests is its
-independent check.  `endpoint_values` compares f_i(theta_d) with the
+theta* (`Analysis.pair`, the factors that `build` reads too) and D the
+prefix products of varphi.  The dual array swaps theta with theta* and
+keeps varphi, so its table T* D^-1 T^t is P^t, and the duality
+f_i(theta_j) = f*_j(theta*_i) holds by construction.  The Horner f* table
+of the tests is its independent check.  `endpoint_values` compares f_i(theta_d) with the
 phi/varphi ratios alpha_i; its weighted form, k_i f_i(theta_d) =
 above*_0 / (below*_i above*_i) with the one-sided products of theta*, is
 how `ortho_data` defines k_i, so it is only read, not compared.
@@ -24,12 +24,12 @@ how `ortho_data` defines k_i, so it is only read, not compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from .fields import Field, FieldElement
+from .fields import FieldElement
 from .parray import ParameterArray
 from .report import CheckReport
-from .splitmat import SquareMatrix, difference_products, prefix_products
+from .splitmat import SquareMatrix, prefix_products
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -44,25 +44,18 @@ class PolyTable:
     Pdown: SquareMatrix
 
 
-def _evaluation_matrix(field: Field,
-                       theta: Sequence[FieldElement],
-                       theta_star: Sequence[FieldElement],
-                       varphi: Sequence[FieldElement]) -> SquareMatrix:
-    # T D^-1 T*^t: entry (i, j) is f_j(theta_i) for the family that
-    # theta, theta* and varphi define.
-    Dinv = SquareMatrix.diagonal(
-        field, [x.inverse() for x in prefix_products(field, varphi)])
-    return (difference_products(field, theta) * Dinv
-            * difference_products(field, theta_star).transpose())
-
-
-def corresponding_polys(p: ParameterArray) -> PolyTable:
-    F, d = p.field, p.d
-    P = _evaluation_matrix(F, p.theta, p.theta_star, p.varphi)
-    # Z Tdown Ddown^-1 T*^t; Z only reverses the rows.
-    rev = tuple(p.theta[d - i] for i in range(d + 1))
-    down = _evaluation_matrix(F, rev, p.theta_star, p.phi)
-    return PolyTable(P=P, Pdown=SquareMatrix(F, d + 1, down.values[::-1]))
+def corresponding_polys(a: Analysis) -> PolyTable:
+    """P = T D^-1 T*^t and Pdown = Z Tdown Ddown^-1 T*^t, where Z only
+    reverses the rows.  The inverses are taken entry by entry, so a zero
+    varphi_i or phi_i raises ZeroDivisionError."""
+    p, pair = a.p, a.pair
+    F = p.field
+    Dinv, Ddown_inv = (SquareMatrix.diagonal(F, [x.inverse() for x in prefix_products(F, c)])
+                       for c in (p.varphi, p.phi))
+    Tstar_t = pair.Tstar.transpose()
+    down = pair.Tdown * Ddown_inv * Tstar_t
+    return PolyTable(P=pair.T * Dinv * Tstar_t,
+                     Pdown=SquareMatrix(F, p.d + 1, down.values[::-1]))
 
 
 def proportionality_alphas(p: ParameterArray) -> list[FieldElement]:

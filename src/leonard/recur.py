@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Sequence
 from .fields import Field, FieldElement
 from .parray import ParameterArray, d4_apply
 from .report import CheckReport
-from .splitmat import SquareMatrix, one_sided_products
+from .splitmat import SquareMatrix
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -41,12 +41,12 @@ def _one_side(theta0: FieldElement,
     return tuple(a), tuple(b), tuple(c)
 
 
-def recurrence_coeffs(p: ParameterArray) -> RecurrenceCoeffs:
-    a, b, c = _one_side(p.theta[0], *one_sided_products(p.theta_star),
-                        p.varphi, p.phi)
-    astar, bstar, cstar = _one_side(p.theta_star[0], *one_sided_products(p.theta),
-                                    p.varphi, tuple(reversed(p.phi)))
-    return RecurrenceCoeffs(a=a, b=b, c=c, astar=astar, bstar=bstar, cstar=cstar)
+def recurrence_coeffs(a: Analysis) -> RecurrenceCoeffs:
+    """The coefficients from the one-sided products of `Analysis.pair`."""
+    p, pair = a.p, a.pair
+    return RecurrenceCoeffs(
+        *_one_side(p.theta[0], *pair.sides_star, p.varphi, p.phi),
+        *_one_side(p.theta_star[0], *pair.sides, p.varphi, tuple(reversed(p.phi))))
 
 
 def _tridiagonal(field: Field, c, a, b) -> SquareMatrix:

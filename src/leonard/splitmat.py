@@ -6,11 +6,15 @@ with exact entries, the bidiagonal pair (A, A*) and its companion pair
 idempotents, and the q-binomial transition matrix available when the array
 has a usable base in the field.
 
-Every product of differences of eigenvalues is built here:
-`difference_products` (the triangular factors T, T* and Tdown),
-`divided_differences` (T^-1 in closed form, kept as `Tinv`) and
-`one_sided_products` (the products below and above each value, from which
-the recurrence coefficients, the weights and nu are read).
+Every product of differences of eigenvalues is built here, once per
+array: `pair_products` holds what depends on (theta, theta*) alone, the
+triangular factors T, T* and Tdown (`difference_products`) and the products
+below and above each eigenvalue, from which the recurrence coefficients,
+the weights and nu are read.  The products below are the diagonals of T and
+T*, those above each theta the reversed diagonal of Tdown, and those above
+each theta* are `one_sided_products`.  `build`, `polys`, `ortho` and `recur`
+read the one `Analysis.pair`; `divided_differences` turns the products of
+theta into T^-1 in closed form, kept as `Tinv`.
 
 A SquareMatrix holds the canonical payloads of its entries, row by row.
 The identities checked here are chains of products, each one call of the
@@ -147,13 +151,6 @@ class SquareMatrix:
         return {"n": self.n,
                 "rows": [[self.field.format(x) for x in row] for row in self.rows]}
 
-    @staticmethod
-    def from_json(field: Field, obj: dict) -> "SquareMatrix":
-        rows = [[field.parse(s) for s in row] for row in obj["rows"]]
-        if len(rows) != obj["n"]:
-            raise ValueError("row count disagrees with n")
-        return SquareMatrix.from_rows(field, rows)
-
 
 def _diagonal_inverse(m: SquareMatrix) -> SquareMatrix:
     """Inverse of a diagonal matrix, entry by entry; raises SingularMatrix
@@ -183,22 +180,50 @@ def difference_products(field: Field, values: Sequence[FieldElement]) -> SquareM
     return SquareMatrix(field, n, tuple(rows))
 
 
-def one_sided_products(
-        values: Sequence[FieldElement]) -> tuple[list[FieldElement], list[FieldElement]]:
-    """below[i], the product of values[i] - values[h] over h < i, and
-    above[i], the same over h > i.  below[i] above[i] is the denominator of
-    the i-th Lagrange basis polynomial, and 1 / (below[i] above[i]) the
-    barycentric weight of values[i]."""
+def one_sided_products(values: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
+    """above[i], the product of values[i] - values[h] over h > i.  The
+    product over h < i, below[i], is the diagonal entry (i, i) of
+    difference_products(values)."""
     one = values[0].field.one()
-    below = [reduce(operator.mul, [x - y for y in values[:i]], one)
-             for i, x in enumerate(values)]
-    above = [reduce(operator.mul, [x - y for y in values[i + 1:]], one)
-             for i, x in enumerate(values)]
-    return below, above
+    return tuple(reduce(operator.mul, [x - y for y in values[i + 1:]], one)
+                 for i, x in enumerate(values))
 
 
-def divided_differences(field: Field, values: Sequence[FieldElement]) -> SquareMatrix:
-    """The inverse of difference_products(field, values), in closed form.
+@dataclass(frozen=True)
+class PairProducts:
+    """The products of differences of one (theta, theta*) pair: T, T* and
+    Tdown, and `sides` = (below, above), with below[i] and above[i] the
+    products of theta_i - theta_h over h < i and over h > i (`sides_star`
+    likewise for theta*).  below[i] above[i] is the denominator of the i-th
+    Lagrange basis polynomial, and 1 / (below[i] above[i]) the barycentric
+    weight of theta_i."""
+
+    T: SquareMatrix
+    Tstar: SquareMatrix
+    Tdown: SquareMatrix
+    sides: tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]
+    sides_star: tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]
+
+
+def pair_products(field: Field, theta: Sequence[FieldElement],
+                  theta_star: Sequence[FieldElement]) -> PairProducts:
+    """T, T* and Tdown, each one run of products.  The products below are
+    the diagonals of T and T*, and those above each theta_i the diagonal of
+    Tdown read backwards.  Nothing is inverted, so a repeated value gives
+    zeros, not an error."""
+    T, Tstar, Tdown = (difference_products(field, v)
+                       for v in (theta, theta_star, theta[::-1]))
+    below, above, below_star = (tuple(_element(field, row[i]) for i, row in enumerate(m.values))
+                                for m in (T, Tdown, Tstar))
+    return PairProducts(T=T, Tstar=Tstar, Tdown=Tdown, sides=(below, above[::-1]),
+                        sides_star=(below_star, one_sided_products(theta_star)))
+
+
+def divided_differences(field: Field, values: Sequence[FieldElement],
+                        below: Sequence[FieldElement],
+                        above: Sequence[FieldElement]) -> SquareMatrix:
+    """The inverse of difference_products(field, values), in closed form,
+    from the products below and above each value (`PairProducts`).
 
     Entry (k, j), for j <= k, is 1 / the product of values[j] - values[h]
     over h <= k, h != j: row k holds the weights of the divided difference
@@ -207,7 +232,6 @@ def divided_differences(field: Field, values: Sequence[FieldElement]) -> SquareM
     values[j] - values[k + 1] a step.  Raises ZeroDivisionError when a
     value repeats."""
     n = len(values)
-    below, above = one_sided_products(values)
     columns = []
     for j, x in enumerate(values):
         acc = (below[j] * above[j]).inverse()
@@ -248,7 +272,8 @@ class SplitMatrixSet:
     G: SquareMatrix
 
 
-def build(p: ParameterArray) -> SplitMatrixSet:
+def build(a: Analysis) -> SplitMatrixSet:
+    p, pair = a.p, a.pair
     F, d = p.field, p.d
     n = d + 1
     zero, one = F.zero(), F.one()
@@ -267,9 +292,6 @@ def build(p: ParameterArray) -> SplitMatrixSet:
     Astar = bidiag_upper(ths, vp)
     Bstar = bidiag_upper(ths, ph)
 
-    T = difference_products(F, th)
-    Tstar = difference_products(F, ths)
-    Tdown = difference_products(F, tuple(th[d - i] for i in range(n)))
     D = SquareMatrix.diagonal(F, prefix_products(F, vp))
     Ddown = SquareMatrix.diagonal(F, prefix_products(F, ph))
     Z = SquareMatrix.build(F, n, lambda i, j: one if i + j == d else zero)
@@ -277,12 +299,13 @@ def build(p: ParameterArray) -> SplitMatrixSet:
     Hstar = SquareMatrix.diagonal(F, ths)
 
     # G = T^-1 Z Tdown, and Z Tdown is Tdown with its rows reversed
-    Tinv = divided_differences(F, th)
-    G = Tinv * SquareMatrix(F, n, Tdown.values[::-1])
+    Tinv = divided_differences(F, th, *pair.sides)
+    G = Tinv * SquareMatrix(F, n, pair.Tdown.values[::-1])
     if G.values[0][0] != F.one_value:
         raise IdentityViolated("transition matrix is not unit-normalized at (0, 0)")
-    return SplitMatrixSet(A=A, B=B, Astar=Astar, Bstar=Bstar, T=T, Tinv=Tinv, Tstar=Tstar,
-                          Tdown=Tdown, D=D, Ddown=Ddown, Z=Z, H=H, Hstar=Hstar, G=G)
+    return SplitMatrixSet(A=A, B=B, Astar=Astar, Bstar=Bstar, T=pair.T, Tinv=Tinv,
+                          Tstar=pair.Tstar, Tdown=pair.Tdown, D=D, Ddown=Ddown, Z=Z, H=H,
+                          Hstar=Hstar, G=G)
 
 
 def verify_conjugation(a: Analysis) -> CheckReport:

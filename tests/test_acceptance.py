@@ -9,6 +9,7 @@ import pytest
 
 from leonard import (
     CLOSED_FORM_FAMILIES,
+    Analysis,
     characteristic_admissible,
     classify,
     complete_from_theta,
@@ -82,11 +83,11 @@ def test_criterion_1_smallest_fixture():
         assert p is not None and validate(p).ok()
         assert fmt_all(Q, p.varphi) == ["1"] and fmt_all(Q, p.phi) == ["2"]
 
-        data = ortho_data(p)
+        data = ortho_data(Analysis(p))
         assert fmt_all(Q, data.k) == ["1", "-1/2"]
         assert Q.format(data.nu) == "1/2"
 
-        co = recurrence_coeffs(p)
+        co = recurrence_coeffs(Analysis(p))
         assert fmt_all(Q, co.b) == ["1", "0"]
         assert fmt_all(Q, co.c) == ["0", "-2"]
         assert fmt_all(Q, co.a) == ["-1", "2"]
@@ -96,7 +97,7 @@ def test_criterion_1_smallest_fixture():
         value = f[1](p.theta[1])
         assert value == Q.from_int(2)
         assert value == p.phi[0] / p.varphi[0]
-        assert corresponding_polys(p).P.rows[1][1] == Q.from_int(2)
+        assert corresponding_polys(Analysis(p)).P.rows[1][1] == Q.from_int(2)
 
         scoreboard_clean(p)
 
@@ -203,7 +204,7 @@ def test_criterion_6_transition_closed_form():
                 assert q != Q.one() and q != -Q.one()
                 S = s_matrix(p, q)
                 alpha = S.rows[0][0].inverse()
-                assert build(p).G == S.scale(alpha), (family, d)
+                assert build(Analysis(p)).G == S.scale(alpha), (family, d)
                 checked += 1
         assert checked == 14
 

@@ -4,15 +4,17 @@ import contextlib
 import io
 import json
 import os
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leonard import FamilyParams, FieldSpec, embed_map, generate, make_field
+from leonard import FamilyParams, FieldSpec, embed_map, generate, make_field, sample_params
 from leonard.classify import embed_array
-from leonard.cli import load_array, main
+from leonard.cli import _scoreboard, load_array, main
+from conftest import Q, count_multiplications
 
 HERE = os.path.dirname(__file__)
 KRAW2 = os.path.join(HERE, "fixtures", "kraw2.json")
@@ -440,7 +442,9 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
 
     calls = {}
     originals = [leonard.splitmat.build, leonard.polys.corresponding_polys,
-                 leonard.ortho.ortho_data, leonard.recur.recurrence_coeffs]
+                 leonard.ortho.ortho_data, leonard.recur.recurrence_coeffs,
+                 leonard.splitmat.difference_products,
+                 leonard.splitmat.one_sided_products]
     for fn in originals:
         def counted(*args, fn=fn):
             calls[fn.__name__] += 1
@@ -453,8 +457,19 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
                 monkeypatch.setattr(module, fn.__name__, counted)
     code, out, _ = run(capsys, "verify", QRAC3)
     assert code == 0 and out.endswith("transition-matrix: pass\n")
+    # T, T* and Tdown once each, and the products above each theta*_i: 7
+    # and 5 when build, polys, ortho and recur each formed their own
     assert calls == {"build": 1, "corresponding_polys": 1, "ortho_data": 1,
-                     "recurrence_coeffs": 1}
+                     "recurrence_coeffs": 1, "difference_products": 3,
+                     "one_sided_products": 1}
+
+
+def test_scoreboard_multiplications_at_d16():
+    fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
+    p = generate(fp, Q)
+    # 20,072 of them; 21,840 when build, polys, ortho and recur each formed
+    # their own products of differences
+    assert count_multiplications(lambda: _scoreboard(p)) <= 20_072
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -15,14 +15,14 @@ from conftest import Q, horner_table
 
 
 def test_fix_d1_weights(fix_d1):
-    data = ortho_data(fix_d1)
+    data = ortho_data(Analysis(fix_d1))
     assert [Q.format(x) for x in data.k] == ["1", "-1/2"]
     assert [Q.format(x) for x in data.kstar] == ["1", "-1/2"]
     assert Q.format(data.nu) == "1/2"
 
 
 def test_kraw2_weights(kraw2):
-    data = ortho_data(kraw2)
+    data = ortho_data(Analysis(kraw2))
     assert [Q.format(x) for x in data.k] == ["1", "-4", "4"]
     assert [Q.format(x) for x in data.kstar] == ["1", "-4", "4"]
     assert Q.format(data.nu) == "1"
@@ -30,14 +30,14 @@ def test_kraw2_weights(kraw2):
 
 def test_k0_is_always_one(fix_d1, kraw3, qrac3, orphan3):
     for p in (fix_d1, kraw3, qrac3, orphan3):
-        data = ortho_data(p)
+        data = ortho_data(Analysis(p))
         assert data.k[0] == p.field.one()
         assert data.kstar[0] == p.field.one()
 
 
 def test_weight_sums_equal_nu(fix_d1, kraw3, qrac3, orphan3):
     for p in (fix_d1, kraw3, qrac3, orphan3):
-        data = ortho_data(p)
+        data = ortho_data(Analysis(p))
         total = p.field.zero()
         for x in data.k:
             total = total + x
@@ -58,7 +58,7 @@ def test_orthogonality_rows_and_columns(fix_d1, kraw2, qrac3, orphan3):
 def test_orthogonality_sums_explicitly(kraw2):
     # sum_r f_i(theta_r) f_j(theta_r) kstar_r = delta_ij nu / k_i
     t = horner_table(kraw2)
-    data = ortho_data(kraw2)
+    data = ortho_data(Analysis(kraw2))
     d = kraw2.d
     for i in range(d + 1):
         for j in range(d + 1):

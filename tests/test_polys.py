@@ -46,7 +46,7 @@ def test_fix_d1_polynomials(fix_d1):
     assert [fmt(f) for f in h.f] == [["1"], ["1", "1"]]
     assert [fmt(f) for f in h.fdown] == [["1"], ["1/2", "1/2"]]
     assert [fmt(f) for f in h.fstar] == [["1"], ["1", "1"]]
-    t = corresponding_polys(fix_d1)
+    t = corresponding_polys(Analysis(fix_d1))
     rows = [[Q.format(x) for x in row] for row in t.P.rows]
     assert rows == [["1", "1"], ["1", "2"]]
     down = [[Q.format(x) for x in row] for row in t.Pdown.rows]
@@ -56,7 +56,7 @@ def test_fix_d1_polynomials(fix_d1):
 
 
 def test_kraw2_evaluation_matrix(kraw2):
-    t = corresponding_polys(kraw2)
+    t = corresponding_polys(Analysis(kraw2))
     rows = [[Q.format(x) for x in row] for row in t.P.rows]
     assert rows == [["1", "1", "1"],
                     ["1", "3/4", "1/2"],
@@ -74,8 +74,8 @@ def test_degrees_and_leading_structure(qrac3):
 
 def test_evaluation_matrix_is_first_transition_product(qrac3, orphan3):
     for p in (qrac3, orphan3):
-        t = corresponding_polys(p)
-        m = build(p)
+        t = corresponding_polys(Analysis(p))
+        m = build(Analysis(p))
         lhs = t.P
         rhs = m.T * m.D.inverse() * m.Tstar.transpose()
         assert lhs == rhs
@@ -120,7 +120,7 @@ def test_endpoint_values_match_alpha(fix_d1, qrac3):
 
 def test_endpoint_weighted_by_k(qrac3):
     vals = endpoint_evaluations(Analysis(qrac3))
-    k = ortho_data(qrac3).k
+    k = ortho_data(Analysis(qrac3)).k
     d = qrac3.d
     ts = qrac3.theta_star
     for i in range(d + 1):
@@ -191,7 +191,7 @@ def test_duality_reads_p_like_the_horner_check(fix_d1, kraw2, kraw3, qrac3,
             want = outcome(oracle_duality_check, c)
             assert outcome(duality_check, c) == want, c
             if want == []:
-                t, h = corresponding_polys(c), horner_table(c)
+                t, h = corresponding_polys(Analysis(c)), horner_table(c)
                 assert all(t.P.rows[j][i] == h.f[i](c.theta[j])
                            for i in range(c.d + 1) for j in range(c.d + 1))
             compared += 1
@@ -206,7 +206,7 @@ def test_tables_match_horner(name, request):
     p = request.getfixturevalue(name)
     copies = [p, *pa1_pa2_perturbations(p)]
     for c in copies:
-        t, h = corresponding_polys(c), horner_table(c)
+        t, h = corresponding_polys(Analysis(c)), horner_table(c)
         n = c.d + 1
         assert t.P.rows == tuple(tuple(h.f[j](c.theta[i]) for j in range(n))
                                  for i in range(n)), c
@@ -238,7 +238,7 @@ def test_checks_match_coefficient_oracles(name, request):
 def test_duality_is_star_symmetry(qrac3):
     # fstar here equals the plain family of the starred array
     star = d4_apply(qrac3, ["star"])
-    assert corresponding_polys(qrac3).P.transpose() == corresponding_polys(star).P
+    assert corresponding_polys(Analysis(qrac3)).P.transpose() == corresponding_polys(Analysis(star)).P
     t = horner_table(qrac3)
     s = horner_table(star)
     for i in range(qrac3.d + 1):

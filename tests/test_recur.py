@@ -19,7 +19,7 @@ from conftest import Q, count_multiplications, horner_table
 
 
 def test_fix_d1_coefficients(fix_d1):
-    co = recurrence_coeffs(fix_d1)
+    co = recurrence_coeffs(Analysis(fix_d1))
     fmt = lambda xs: [Q.format(x) for x in xs]
     assert fmt(co.a) == ["-1", "2"]
     assert fmt(co.b) == ["1", "0"]
@@ -30,7 +30,7 @@ def test_fix_d1_coefficients(fix_d1):
 
 
 def test_kraw2_coefficients(kraw2):
-    co = recurrence_coeffs(kraw2)
+    co = recurrence_coeffs(Analysis(kraw2))
     fmt = lambda xs: [Q.format(x) for x in xs]
     assert fmt(co.a) == ["4", "1", "-2"]
     assert fmt(co.b) == ["-4", "-2", "0"]
@@ -39,7 +39,7 @@ def test_kraw2_coefficients(kraw2):
 
 def test_boundary_entries(fix_d1, kraw3, qrac3, orphan3):
     for p in (fix_d1, kraw3, qrac3, orphan3):
-        co = recurrence_coeffs(p)
+        co = recurrence_coeffs(Analysis(p))
         zero = p.field.zero()
         assert co.c[0] == zero and co.cstar[0] == zero
         assert co.b[p.d] == zero and co.bstar[p.d] == zero
@@ -49,7 +49,7 @@ def test_boundary_entries(fix_d1, kraw3, qrac3, orphan3):
 
 def test_rows_sum_to_first_eigenvalue(kraw3, qrac3, orphan3):
     for p in (kraw3, qrac3, orphan3):
-        co = recurrence_coeffs(p)
+        co = recurrence_coeffs(Analysis(p))
         for i in range(p.d + 1):
             assert co.a[i] + co.b[i] + co.c[i] == p.theta[0]
             assert co.astar[i] + co.bstar[i] + co.cstar[i] == p.theta_star[0]
@@ -57,7 +57,7 @@ def test_rows_sum_to_first_eigenvalue(kraw3, qrac3, orphan3):
 
 def test_three_term_recurrence_explicit(kraw2):
     t = horner_table(kraw2)
-    co = recurrence_coeffs(kraw2)
+    co = recurrence_coeffs(Analysis(kraw2))
     d = kraw2.d
     for j in range(d + 1):
         x = kraw2.theta[j]
@@ -80,7 +80,7 @@ def test_difference_equation_explicit(qrac3):
     # theta*_i f_i(theta_j) = c*_j f_i(theta_{j-1}) + a*_j f_i(theta_j)
     #                          + b*_j f_i(theta_{j+1})
     t = horner_table(qrac3)
-    co = recurrence_coeffs(qrac3)
+    co = recurrence_coeffs(Analysis(qrac3))
     d = qrac3.d
     for i in range(d + 1):
         for j in range(d + 1):
@@ -93,8 +93,8 @@ def test_difference_equation_explicit(qrac3):
 
 
 def test_starred_side_is_star_of_plain(qrac3):
-    co = recurrence_coeffs(qrac3)
-    so = recurrence_coeffs(d4_apply(qrac3, ["star"]))
+    co = recurrence_coeffs(Analysis(qrac3))
+    so = recurrence_coeffs(Analysis(d4_apply(qrac3, ["star"])))
     assert co.astar == so.a and co.bstar == so.b and co.cstar == so.c
 
 
@@ -118,7 +118,9 @@ def test_three_term_detects_broken_arrays(kraw3):
 
 def test_recurrence_coeffs_read_one_sided_products():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
-    p = generate(fp, Q)
-    # 672 of them; 1,088 when each coefficient took its own products of
-    # differences
-    assert count_multiplications(lambda: recurrence_coeffs(p)) <= 700
+    a = Analysis(generate(fp, Q))
+    a.pair
+    # 128 of them once the pair's one-sided products are formed; 672 when
+    # recurrence_coeffs took its own one-sided products, and 1,088 when each
+    # coefficient took its own products of differences
+    assert count_multiplications(lambda: recurrence_coeffs(a)) <= 128
