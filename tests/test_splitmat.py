@@ -250,7 +250,9 @@ def test_transition_matrices_match_product_formula(fix_d1, kraw2, kraw3, qrac3,
 def test_build_takes_running_products():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     a = Analysis(generate(fp, Q))
-    a.pair
+    # T, T* and Tdown as running products, n(n-1)/2 each, and as many for
+    # the products above each theta*_i
+    assert count_multiplications(lambda: a.pair) <= 4 * 17 * 16 // 2
     # 1,970 of them once the pair's T, T*, Tdown and one-sided products are
     # formed; 2,514 with the pair formed inside the count, 2,650 when build
     # formed T, T* and Tdown itself, 2,803 when G took two products, 3,330
