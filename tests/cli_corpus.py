@@ -6,10 +6,12 @@ that claims byte-identical outputs can show it.
 
 The inputs are seeded `sample_params` draws of every family over Q, GF(7)
 and GF(4) at d = 1..6, each followed by a copy with 1 added to varphi_1
-(which fails `validate`), then every array in `tests/fixtures`.  Each input
-goes through `verify`, `validate`, `matrices`, `poly-table`, `weights` and
-`recurrence`, run in-process through `cli.main` with the array JSON on
-stdin.  A line of `fixtures/cli_corpus.tsv` holds the argv (with the
+(which fails `validate`), then every array in `tests/fixtures`, then a few
+malformed copies of `kraw2.json` that must exit 2 (invalid JSON, an unknown
+key, a field spec without `p`, a non-string entry, a reducible modulus).
+Each input goes through `verify`, `validate`, `classify`, `matrices`,
+`poly-table`, `weights` and `recurrence`, run in-process through
+`cli.main` with the array JSON on stdin.  A line of `fixtures/cli_corpus.tsv` holds the argv (with the
 input's name in place of `-`), the exit code and the sha256 of stdout and
 of stderr.  The comparison prints each line that
 differs and exits 1; `test_cli_corpus.py` runs it in the tier-1 suite.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
 import sys
@@ -36,7 +39,16 @@ CORPUS = os.path.join(FIXTURES, "cli_corpus.tsv")
 
 FIELDS = ("rational", "prime:7", "ext:2:2:1,1,1")
 DIAMETERS = range(1, 7)
-COMMANDS = ("verify", "validate", "matrices", "poly-table", "weights", "recurrence")
+COMMANDS = ("verify", "validate", "classify", "matrices", "poly-table", "weights",
+            "recurrence")
+# name -> the keys that replace or join those of kraw2.json
+MALFORMED = {
+    "unknown-key": {"comment": "kraw2"},
+    "field-without-p": {"field": {"kind": "prime"}},
+    "non-string-entry": {"theta": [0, 1, 2]},
+    "reducible-modulus": {"field": {"kind": "extension", "p": 2, "k": 2,
+                                    "modulus": [1, 0, 1]}},
+}
 HEADER = "argv\texit\tstdout_sha256\tstderr_sha256"
 
 
@@ -56,6 +68,12 @@ def inputs():
         if name.endswith(".json"):
             with open(os.path.join(FIXTURES, name), encoding="utf-8") as f:
                 yield f"fixtures/{name}", f.read()
+    with open(os.path.join(FIXTURES, "kraw2.json"), encoding="utf-8") as f:
+        text = f.read()
+    yield "malformed/invalid-json", text[:len(text) // 2]
+    base = json.loads(text)
+    for name, change in MALFORMED.items():
+        yield f"malformed/{name}", dump_json({**base, **change})
 
 
 def _sha(text: str) -> str:
