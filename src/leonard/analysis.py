@@ -1,16 +1,20 @@
 """One parameter array together with the objects derived from it.
 
 The verification routines all read the same few objects of an array: the
-products of differences of its (theta, theta*) pair, the split-basis
-matrices, the polynomial table (the evaluation matrices P and Pdown), the
-orthogonality data and the recurrence coefficients.  An Analysis computes
-each of them on first use and hands the same result to every later check,
-so a full scoreboard builds each object once.  `build`,
-`corresponding_polys`, `ortho_data` and `recurrence_coeffs` take the
-Analysis and read T, T*, Tdown and the one-sided products from `pair`,
-which depends on (theta, theta*) alone.  The results live on the Analysis,
-not on the array: a changed array (say from dataclasses.replace) needs a
-new Analysis.
+products of differences of its (theta, theta*) pair, the prefix products of
+its (varphi, phi) split sequences, the split-basis matrices, the polynomial
+table (the evaluation matrices P and Pdown), the orthogonality data and the
+recurrence coefficients.  An Analysis computes each of them on first use
+and hands the same result to every later check, so a full scoreboard builds
+each object once.  `build`, `corresponding_polys`, `ortho_data` and
+`recurrence_coeffs` take the Analysis and read T, T*, Tdown, H, H* and the
+one-sided products from `pair`, which depends on (theta, theta*) alone, and
+the diagonals of D and Ddown from `splits`, which depends on (varphi, phi)
+alone; `proportionality_alphas` reads `splits` too.  Neither layer inverts
+anything, so a repeated eigenvalue or a zero varphi_i or phi_i gives zeros
+there, and each reader raises where it divides.  The results live on the
+Analysis, not on the array: a changed array (say from dataclasses.replace)
+needs a new Analysis.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from .ortho import OrthoData, ortho_data
 from .parray import ParameterArray
 from .polys import PolyTable, corresponding_polys
 from .recur import RecurrenceCoeffs, recurrence_coeffs
-from .splitmat import PairProducts, SplitMatrixSet, build, pair_products
+from .splitmat import (PairProducts, SplitMatrixSet, SplitProducts, build, pair_products,
+                       split_products)
 
 
 class Analysis:
@@ -33,6 +38,10 @@ class Analysis:
     @cached_property
     def pair(self) -> PairProducts:
         return pair_products(self.p.field, self.p.theta, self.p.theta_star)
+
+    @cached_property
+    def splits(self) -> SplitProducts:
+        return split_products(self.p.field, self.p.varphi, self.p.phi)
 
     @cached_property
     def matrices(self) -> SplitMatrixSet:

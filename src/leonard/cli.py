@@ -144,6 +144,8 @@ def cmd_gen(args) -> int:
         name, text = item.split("=", 1)
         if name not in names:
             raise ValueError(f"{args.family} has no parameter {name!r}")
+        if name in values:
+            raise ValueError(f"--param {name} is given more than once")
         values[name] = field.parse(text)
     missing = set(names) - set(values)
     if missing:

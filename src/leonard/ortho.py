@@ -1,4 +1,9 @@
-"""Weights and orthogonality sums for the polynomial sequence of an array."""
+"""Weights and orthogonality sums for the polynomial sequence of an array.
+
+The weights and nu are read from the two layers of `Analysis`: the
+one-sided products of (theta, theta*) from `pair`, and the prefix products
+D_i = varphi_1 .. varphi_i and Ddown_i = phi_1 .. phi_i from `splits`.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from .fields import FieldElement
 from .report import CheckReport
-from .splitmat import SquareMatrix, prefix_products
+from .splitmat import SquareMatrix
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -21,26 +26,21 @@ class OrthoData:
 
 
 def ortho_data(a: Analysis) -> OrthoData:
-    """k_i = (varphi_1 .. varphi_i) / (phi_1 .. phi_i) above*_0 / (below*_i
-    above*_i), with below* and above* the one-sided products of theta*
-    (`Analysis.pair`); k*_i likewise from theta, with phi read from the top
-    end; and nu = above_0 above*_0 / (phi_1 .. phi_d)."""
-    p, pair = a.p, a.pair
-    F, vp, ph = p.field, p.varphi, p.phi
-    (below, above), (below_s, above_s) = pair.sides, pair.sides_star
-
-    def weights(below, above, num_seq, den_seq):
-        ratio, out = F.one(), []
-        for i, (x, y) in enumerate(zip(below, above)):
-            if i > 0:
-                ratio = ratio * num_seq[i - 1] * den_seq[i - 1].inverse()
-            out.append(ratio * above[0] * (x * y).inverse())
-        return tuple(out)
-
-    k = weights(below_s, above_s, vp, ph)
-    # The starred weights consume phi from the top end: phi_d, phi_{d-1}, ...
-    kstar = weights(below, above, vp, tuple(reversed(ph)))
-    nu = above[0] * above_s[0] * prefix_products(F, ph)[-1].inverse()
+    """k_i = D_i above*_0 / (Ddown_i below*_i above*_i), with below* and
+    above* the one-sided products of theta* (`Analysis.pair`) and D_i =
+    varphi_1 .. varphi_i, Ddown_i = phi_1 .. phi_i (`Analysis.splits`);
+    k*_i likewise from theta, with phi read from the top end, so that
+    phi_d .. phi_{d-i+1} = Ddown_d / Ddown_{d-i}; and nu = above_0 above*_0
+    / Ddown_d.  A zero phi_i or a repeated eigenvalue raises
+    ZeroDivisionError."""
+    (below, above), (below_s, above_s) = a.pair.sides, a.pair.sides_star
+    D, Ddown = a.splits.D, a.splits.Ddown
+    d = len(D) - 1
+    k = tuple(D[i] * above_s[0] * (Ddown[i] * below_s[i] * above_s[i]).inverse()
+              for i in range(d + 1))
+    kstar = tuple(D[i] * Ddown[d - i] * above[0] * (Ddown[d] * below[i] * above[i]).inverse()
+                  for i in range(d + 1))
+    nu = above[0] * above_s[0] * Ddown[d].inverse()
     return OrthoData(k=k, kstar=kstar, nu=nu)
 
 

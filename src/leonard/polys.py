@@ -12,13 +12,16 @@ from the triangular factors of the split basis:
 
 that is T D^-1 T*^t, with T and T* the products of differences of theta and
 theta* (`Analysis.pair`, the factors that `build` reads too) and D the
-prefix products of varphi.  The dual array swaps theta with theta* and
+diagonal of prefix products D_i = varphi_1 .. varphi_i (`Analysis.splits`,
+inverted here entry by entry).  The dual array swaps theta with theta* and
 keeps varphi, so its table T* D^-1 T^t is P^t, and the duality
 f_i(theta_j) = f*_j(theta*_i) holds by construction.  The Horner f* table
-of the tests is its independent check.  `endpoint_values` compares f_i(theta_d) with the
-phi/varphi ratios alpha_i; its weighted form, k_i f_i(theta_d) =
-above*_0 / (below*_i above*_i) with the one-sided products of theta*, is
-how `ortho_data` defines k_i, so it is only read, not compared.
+of the tests is its independent check.  The scalar that relates f_i to its
+reversed companion is alpha_i = Ddown_i / D_i, the ratio of the products
+of phi and of varphi.  `endpoint_values` compares f_i(theta_d) with
+alpha_i; its weighted form, k_i f_i(theta_d) = above*_0 / (below*_i
+above*_i) with the one-sided products of theta*, is how `ortho_data`
+defines k_i, so it is only read, not compared.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .fields import FieldElement
-from .parray import ParameterArray
 from .report import CheckReport
-from .splitmat import SquareMatrix, prefix_products
+from .splitmat import SquareMatrix
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -50,20 +52,18 @@ def corresponding_polys(a: Analysis) -> PolyTable:
     varphi_i or phi_i raises ZeroDivisionError."""
     p, pair = a.p, a.pair
     F = p.field
-    Dinv, Ddown_inv = (SquareMatrix.diagonal(F, [x.inverse() for x in prefix_products(F, c)])
-                       for c in (p.varphi, p.phi))
+    Dinv, Ddown_inv = (SquareMatrix.diagonal(F, [x.inverse() for x in c])
+                       for c in (a.splits.D, a.splits.Ddown))
     Tstar_t = pair.Tstar.transpose()
     down = pair.Tdown * Ddown_inv * Tstar_t
     return PolyTable(P=pair.T * Dinv * Tstar_t,
                      Pdown=SquareMatrix(F, p.d + 1, down.values[::-1]))
 
 
-def proportionality_alphas(p: ParameterArray) -> list[FieldElement]:
-    """alpha_0 .. alpha_d, the cumulative ratios of phi over varphi."""
-    alpha = [p.field.one()]
-    for i in range(1, p.d + 1):
-        alpha.append(alpha[-1] * p.phi[i - 1] * p.varphi[i - 1].inverse())
-    return alpha
+def proportionality_alphas(a: Analysis) -> list[FieldElement]:
+    """alpha_0 .. alpha_d, alpha_i = (phi_1 .. phi_i) / (varphi_1 .. varphi_i)
+    = Ddown_i / D_i; a zero varphi_i raises ZeroDivisionError."""
+    return [y * x.inverse() for x, y in zip(a.splits.D, a.splits.Ddown)]
 
 
 def verify_proportionality(a: Analysis) -> CheckReport:
@@ -73,7 +73,7 @@ def verify_proportionality(a: Analysis) -> CheckReport:
     every theta_j: P[j][i] = alpha_i Pdown[j][i]."""
     P, Pdown = a.polys.P.rows, a.polys.Pdown.rows
     report = CheckReport("proportionality")
-    for i, alpha in enumerate(proportionality_alphas(a.p)):
+    for i, alpha in enumerate(proportionality_alphas(a)):
         if any(row[i] != alpha * down[i] for row, down in zip(P, Pdown)):
             report.add(f"f_{i} is not alpha_{i} times its reversed companion")
             break
@@ -96,7 +96,7 @@ def endpoint_values(a: Analysis) -> CheckReport:
     duality_check reads a.polys."""
     report = CheckReport("endpoint-values")
     vals = endpoint_evaluations(a)
-    for i, alpha in enumerate(proportionality_alphas(a.p)):
+    for i, alpha in enumerate(proportionality_alphas(a)):
         if vals[i] != alpha:
             report.add(f"f_{i}(theta_d) differs from the phi/varphi cumulative ratio")
             return report

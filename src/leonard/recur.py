@@ -75,7 +75,7 @@ def verify_three_term(a: Analysis) -> CheckReport:
     p, P, co = a.p, a.polys.P, a.recurrence
     report = CheckReport("three-term")
     J = _tridiagonal(p.field, co.c, co.a, co.b)
-    _column_failures(report, SquareMatrix.diagonal(p.field, p.theta) * P, P * J,
+    _column_failures(report, a.pair.H * P, P * J,
                      "recurrence fails for f_{} at theta_{}")
     return report
 
@@ -87,8 +87,8 @@ def verify_difference(a: Analysis) -> CheckReport:
     p, P, co = a.p, a.polys.P, a.recurrence
     report = CheckReport("difference")
     Jstar = _tridiagonal(p.field, co.cstar, co.astar, co.bstar).transpose()
-    _column_failures(report, P * SquareMatrix.diagonal(p.field, p.theta_star),
-                     Jstar * P, "difference equation fails for f_{} at theta_{}")
+    _column_failures(report, P * a.pair.Hstar, Jstar * P,
+                     "difference equation fails for f_{} at theta_{}")
     return report
 
 

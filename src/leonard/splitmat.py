@@ -8,13 +8,18 @@ has a usable base in the field.
 
 Every product of differences of eigenvalues is built here, once per
 array: `pair_products` holds what depends on (theta, theta*) alone, the
-triangular factors T, T* and Tdown (`difference_products`) and the products
-below and above each eigenvalue, from which the recurrence coefficients,
-the weights and nu are read.  The products below are the diagonals of T and
-T*, those above each theta the reversed diagonal of Tdown, and those above
-each theta* are `one_sided_products`.  `build`, `polys`, `ortho` and `recur`
-read the one `Analysis.pair`; `divided_differences` turns the products of
-theta into T^-1 in closed form, kept as `Tinv`.
+triangular factors T, T* and Tdown (`difference_products`), H = diag(theta),
+H* = diag(theta*) and the products below and above each eigenvalue, from
+which the recurrence coefficients, the weights and nu are read.  The
+products below are the diagonals of T and T*, those above each theta the
+reversed diagonal of Tdown, and those above each theta* are
+`one_sided_products`.  `split_products` holds what depends on (varphi, phi)
+alone, the diagonals D_i = varphi_1 .. varphi_i and Ddown_i = phi_1 ..
+phi_i (`prefix_products`), from which D, Ddown and their inverses, the
+alphas, the weights' ratios and nu's denominator are read.  `build`,
+`polys`, `ortho` and `recur` read the one `Analysis.pair` and the one
+`Analysis.splits`; `divided_differences` turns the products of theta into
+T^-1 in closed form, kept as `Tinv`.
 
 A SquareMatrix holds the canonical payloads of its entries, row by row.
 The identities checked here are chains of products, each one call of the
@@ -152,17 +157,6 @@ class SquareMatrix:
                 "rows": [[self.field.format(x) for x in row] for row in self.rows]}
 
 
-def _diagonal_inverse(m: SquareMatrix) -> SquareMatrix:
-    """Inverse of a diagonal matrix, entry by entry; raises SingularMatrix
-    at the first zero on the diagonal, as Gauss-Jordan would."""
-    inv = []
-    for i, row in enumerate(m.rows):
-        if not row[i]:
-            raise SingularMatrix(f"no pivot in column {i}")
-        inv.append(row[i].inverse())
-    return SquareMatrix.diagonal(m.field, inv)
-
-
 def difference_products(field: Field, values: Sequence[FieldElement]) -> SquareMatrix:
     """The lower-triangular matrix whose entry (i, j) is the product of
     values[i] - values[h] over h < j, taken as a running product along row i.
@@ -196,13 +190,15 @@ class PairProducts:
     products of theta_i - theta_h over h < i and over h > i (`sides_star`
     likewise for theta*).  below[i] above[i] is the denominator of the i-th
     Lagrange basis polynomial, and 1 / (below[i] above[i]) the barycentric
-    weight of theta_i."""
+    weight of theta_i.  H = diag(theta) and H* = diag(theta*) ride along."""
 
     T: SquareMatrix
     Tstar: SquareMatrix
     Tdown: SquareMatrix
     sides: tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]
     sides_star: tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]
+    H: SquareMatrix
+    Hstar: SquareMatrix
 
 
 def pair_products(field: Field, theta: Sequence[FieldElement],
@@ -216,7 +212,9 @@ def pair_products(field: Field, theta: Sequence[FieldElement],
     below, above, below_star = (tuple(_element(field, row[i]) for i, row in enumerate(m.values))
                                 for m in (T, Tdown, Tstar))
     return PairProducts(T=T, Tstar=Tstar, Tdown=Tdown, sides=(below, above[::-1]),
-                        sides_star=(below_star, one_sided_products(theta_star)))
+                        sides_star=(below_star, one_sided_products(theta_star)),
+                        H=SquareMatrix.diagonal(field, theta),
+                        Hstar=SquareMatrix.diagonal(field, theta_star))
 
 
 def divided_differences(field: Field, values: Sequence[FieldElement],
@@ -243,13 +241,31 @@ def divided_differences(field: Field, values: Sequence[FieldElement],
     return SquareMatrix(field, n, tuple(zip(*columns)))
 
 
-def prefix_products(field: Field, values: Sequence[FieldElement]) -> list[FieldElement]:
+def prefix_products(field: Field,
+                    values: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     """1, values[0], values[0] values[1], ..., the product of all values."""
     acc, out = field.one(), [field.one()]
     for v in values:
         acc = acc * v
         out.append(acc)
-    return out
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class SplitProducts:
+    """The diagonals of D and Ddown: D[i] = varphi_1 .. varphi_i and
+    Ddown[i] = phi_1 .. phi_i, with D[0] = Ddown[0] = 1.  The scalar that
+    relates f_i to its reversed companion is Ddown[i] / D[i]."""
+
+    D: tuple[FieldElement, ...]
+    Ddown: tuple[FieldElement, ...]
+
+
+def split_products(field: Field, varphi: Sequence[FieldElement],
+                   phi: Sequence[FieldElement]) -> SplitProducts:
+    """D and Ddown, one run of products each.  Nothing is inverted, so a
+    zero varphi_i or phi_i gives zeros from there on, not an error."""
+    return SplitProducts(D=prefix_products(field, varphi), Ddown=prefix_products(field, phi))
 
 
 @dataclass(frozen=True)
@@ -273,7 +289,7 @@ class SplitMatrixSet:
 
 
 def build(a: Analysis) -> SplitMatrixSet:
-    p, pair = a.p, a.pair
+    p, pair, splits = a.p, a.pair, a.splits
     F, d = p.field, p.d
     n = d + 1
     zero, one = F.zero(), F.one()
@@ -292,11 +308,8 @@ def build(a: Analysis) -> SplitMatrixSet:
     Astar = bidiag_upper(ths, vp)
     Bstar = bidiag_upper(ths, ph)
 
-    D = SquareMatrix.diagonal(F, prefix_products(F, vp))
-    Ddown = SquareMatrix.diagonal(F, prefix_products(F, ph))
+    D, Ddown = (SquareMatrix.diagonal(F, x) for x in (splits.D, splits.Ddown))
     Z = SquareMatrix.build(F, n, lambda i, j: one if i + j == d else zero)
-    H = SquareMatrix.diagonal(F, th)
-    Hstar = SquareMatrix.diagonal(F, ths)
 
     # G = T^-1 Z Tdown, and Z Tdown is Tdown with its rows reversed
     Tinv = divided_differences(F, th, *pair.sides)
@@ -304,8 +317,8 @@ def build(a: Analysis) -> SplitMatrixSet:
     if G.values[0][0] != F.one_value:
         raise IdentityViolated("transition matrix is not unit-normalized at (0, 0)")
     return SplitMatrixSet(A=A, B=B, Astar=Astar, Bstar=Bstar, T=pair.T, Tinv=Tinv,
-                          Tstar=pair.Tstar, Tdown=pair.Tdown, D=D, Ddown=Ddown, Z=Z, H=H,
-                          Hstar=Hstar, G=G)
+                          Tstar=pair.Tstar, Tdown=pair.Tdown, D=D, Ddown=Ddown, Z=Z,
+                          H=pair.H, Hstar=pair.Hstar, G=G)
 
 
 def verify_conjugation(a: Analysis) -> CheckReport:
@@ -327,10 +340,13 @@ def verify_conjugation(a: Analysis) -> CheckReport:
       is the transpose of A with theta* in place of theta;
     - G Ginv = I, since `Tinv` is T^-1 in closed form;
     - Ginv A G = B, which follows from the lines above.
-    D^-1 is still taken, so a zero varphi raises SingularMatrix.
+    D^-1 is not taken; a zero varphi raises SingularMatrix at the first
+    zero D_i, with the message Gauss-Jordan on D gives.
     """
     m = a.matrices
-    _diagonal_inverse(m.D)
+    for i, x in enumerate(a.splits.D):
+        if not x:
+            raise SingularMatrix(f"no pivot in column {i}")
     report = CheckReport("conjugation")
     if m.Astar * m.G != m.G * m.Bstar:
         report.add("Ginv * A* * G = B* violated")

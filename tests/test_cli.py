@@ -74,6 +74,15 @@ def test_gen_rejects_unknown_parameter(capsys):
     assert code == 2
 
 
+def test_gen_rejects_repeated_parameter(capsys):
+    # s=5 after s=1 is bad input, not a silent override
+    code, out, err = run(capsys, "gen", "krawtchouk", "--d", "2",
+                         "--field", "rational", "--param", "s=1", "sstar=1",
+                         "r=2", "theta0=0", "thetastar0=0", "s=5")
+    assert (code, out) == (2, "")
+    assert err == "bad input: --param s is given more than once\n"
+
+
 def test_gen_precondition_failure_is_exit_1(capsys):
     code, _, err = run(capsys, "gen", "krawtchouk", "--d", "2",
                        "--field", "rational", "--param", "s=1", "sstar=1",
@@ -444,7 +453,9 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
     originals = [leonard.splitmat.build, leonard.polys.corresponding_polys,
                  leonard.ortho.ortho_data, leonard.recur.recurrence_coeffs,
                  leonard.splitmat.difference_products,
-                 leonard.splitmat.one_sided_products]
+                 leonard.splitmat.one_sided_products,
+                 leonard.splitmat.prefix_products,
+                 leonard.splitmat.split_products]
     for fn in originals:
         def counted(*args, fn=fn):
             calls[fn.__name__] += 1
@@ -458,10 +469,13 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", QRAC3)
     assert code == 0 and out.endswith("transition-matrix: pass\n")
     # T, T* and Tdown once each, and the products above each theta*_i: 7
-    # and 5 when build, polys, ortho and recur each formed their own
+    # and 5 when build, polys, ortho and recur each formed their own.  The
+    # prefix products of varphi and of phi once each, in the one
+    # split_products: 5 when build, polys and ortho each formed their own
     assert calls == {"build": 1, "corresponding_polys": 1, "ortho_data": 1,
                      "recurrence_coeffs": 1, "difference_products": 3,
-                     "one_sided_products": 1}
+                     "one_sided_products": 1, "prefix_products": 2,
+                     "split_products": 1}
 
 
 def test_scoreboard_multiplications_at_d16():

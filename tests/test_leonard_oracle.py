@@ -8,7 +8,10 @@ conjugation check in the paper's form, Ginv X G = Y, with every product
 dense and D^-1 by Gauss-Jordan.  The recurrence coefficients, the weights
 and nu, the endpoint check and the three-term and difference checks are
 compared with the loops that took each product of differences, and each
-sum, entry by entry.  Each fast version must give the same values, or
+sum, entry by entry.  The polynomial table, the weights and the alphas,
+which read D and Ddown from `Analysis.splits`, are compared with the
+versions that formed their own prefix products of varphi and phi and
+their own cumulative phi/varphi ratios.  Each fast version must give the same values, or
 report the same failures in the same order, or raise the same exception
 type, on sampled arrays of every family and on arrays broken in ways that
 do and do not keep the blocks tridiagonal.
@@ -35,6 +38,7 @@ from leonard import (
     RepeatedEigenvalue,
     SquareMatrix,
     build,
+    corresponding_polys,
     endpoint_evaluations,
     endpoint_values,
     extension_field,
@@ -53,6 +57,7 @@ from leonard import (
     verify_three_term,
 )
 from leonard.ortho import OrthoData
+from leonard.polys import PolyTable
 from leonard.splitmat import _require_distinct
 from conftest import dense_mul, qarr, random_array, satisfies_pa1_pa2
 
@@ -295,7 +300,7 @@ def endpoint_oracle(a):
     d = p.d
     report = CheckReport("endpoint-values")
     vals = endpoint_evaluations(a)
-    for i, alpha in enumerate(proportionality_alphas(p)):
+    for i, alpha in enumerate(proportionality_alphas(a)):
         if vals[i] != alpha:
             report.add(f"f_{i}(theta_d) differs from the phi/varphi cumulative ratio")
             return report
@@ -386,6 +391,78 @@ def test_products_of_differences_match_element_loops(label):
             compared.add("raises" if isinstance(want, type) else "values")
     # a zero phi makes the weights raise
     assert compared == {"values", "raises"}, compared
+
+
+def polys_oracle(a):
+    """corresponding_polys as it was before it read Analysis.splits: D^-1
+    and Ddown^-1 from their own running products, inverted entry by entry."""
+    p, pair = a.p, a.pair
+    F = p.field
+
+    def inverse_diagonal(values):
+        products = [F.one()]
+        for v in values:
+            products.append(products[-1] * v)
+        return SquareMatrix.diagonal(F, [x.inverse() for x in products])
+
+    Dinv, Ddown_inv = inverse_diagonal(p.varphi), inverse_diagonal(p.phi)
+    Tstar_t = pair.Tstar.transpose()
+    down = pair.Tdown * Ddown_inv * Tstar_t
+    return PolyTable(P=pair.T * Dinv * Tstar_t,
+                     Pdown=SquareMatrix(F, p.d + 1, down.values[::-1]))
+
+
+def ratio_weights_oracle(a):
+    """ortho_data as it was before it read Analysis.splits: the one-sided
+    products of the pair, times a cumulative varphi/phi ratio for each
+    weight family, and nu over its own product of phi."""
+    p, pair = a.p, a.pair
+    F, vp, ph = p.field, p.varphi, p.phi
+    (below, above), (below_s, above_s) = pair.sides, pair.sides_star
+
+    def weights(below, above, num_seq, den_seq):
+        ratio, out = F.one(), []
+        for i, (x, y) in enumerate(zip(below, above)):
+            if i > 0:
+                ratio = ratio * num_seq[i - 1] * den_seq[i - 1].inverse()
+            out.append(ratio * above[0] * (x * y).inverse())
+        return tuple(out)
+
+    k = weights(below_s, above_s, vp, ph)
+    kstar = weights(below, above, vp, tuple(reversed(ph)))
+    nu = above[0] * above_s[0] * reduce(lambda x, y: x * y, ph, F.one()).inverse()
+    return OrthoData(k=k, kstar=kstar, nu=nu)
+
+
+def alphas_oracle(a):
+    """proportionality_alphas as it was before it read Analysis.splits: the
+    cumulative ratios of phi over varphi."""
+    p = a.p
+    alpha = [p.field.one()]
+    for i in range(1, p.d + 1):
+        alpha.append(alpha[-1] * p.phi[i - 1] * p.varphi[i - 1].inverse())
+    return alpha
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_split_readers_match_ratio_loops(label):
+    """corresponding_polys, ortho_data and proportionality_alphas give the
+    values of the versions that formed their own prefix products and
+    ratios, or raise the same exception type, on every audit case."""
+    readers = ((corresponding_polys, polys_oracle),
+               (ortho_data, ratio_weights_oracle),
+               (proportionality_alphas, alphas_oracle))
+    compared = set()
+    for name, change, q in audit_cases(label):
+        for fn, oracle in readers:
+            want = value_outcome(lambda arr: oracle(Analysis(arr)), q)
+            got = value_outcome(lambda arr: fn(Analysis(arr)), q)
+            assert got == want, (label, name, change, fn.__name__)
+            compared.add((fn.__name__, "raises" if isinstance(want, type) else "values"))
+    # a zero varphi makes D^-1 and the alphas raise, a zero phi Ddown^-1
+    # and the weights
+    assert compared == {(fn.__name__, kind) for fn, _ in readers
+                        for kind in ("values", "raises")}, compared
 
 
 @pytest.mark.parametrize("label", list(FIELDS))

@@ -26,8 +26,7 @@ from leonard import (
 )
 from leonard.fields import _find_irreducible
 from leonard.report import CheckReport
-from leonard.splitmat import (_diagonal_inverse, difference_products, divided_differences,
-                              pair_products)
+from leonard.splitmat import difference_products, divided_differences, pair_products
 from conftest import Q, count_multiplications, dense_mul, qarr, random_array
 
 
@@ -309,6 +308,29 @@ def test_conjugation_report_passes_on_fixtures(fix_d1, kraw3, qrac3, orphan3):
     for p in (fix_d1, kraw3, qrac3, orphan3):
         rep = verify_conjugation(Analysis(p))
         assert rep.ok(), rep.failures
+
+
+def test_conjugation_names_the_first_zero_of_d(qrac3):
+    # the message Gauss-Jordan gives on D: varphi_2 = 0 makes D_2 the first
+    # zero on its diagonal
+    p = replace(qrac3, varphi=(qrac3.varphi[0], Q.zero()) + qrac3.varphi[2:])
+    a = Analysis(p)
+    with pytest.raises(SingularMatrix) as gauss_jordan:
+        a.matrices.D.inverse()
+    with pytest.raises(SingularMatrix) as check:
+        verify_conjugation(a)
+    assert str(check.value) == str(gauss_jordan.value) == "no pivot in column 2"
+
+
+def _diagonal_inverse(m):
+    """Inverse of a diagonal matrix, entry by entry; raises SingularMatrix
+    at the first zero on the diagonal, as Gauss-Jordan would."""
+    inv = []
+    for i, row in enumerate(m.rows):
+        if not row[i]:
+            raise SingularMatrix(f"no pivot in column {i}")
+        inv.append(row[i].inverse())
+    return SquareMatrix.diagonal(m.field, inv)
 
 
 def ginv_oracle(m):
