@@ -19,7 +19,8 @@ phi_i (`prefix_products`), from which D, Ddown and their inverses, the
 alphas, the weights' ratios and nu's denominator are read.  `build`,
 `polys`, `ortho` and `recur` read the one `Analysis.pair` and the one
 `Analysis.splits`; `divided_differences` turns the products of theta into
-T^-1 in closed form, kept as `Tinv`.
+T^-1 in closed form, kept as `Tinv`, and those of theta* into T*^-1, from
+which `verify_leonard_conditions` reads the dual array's block.
 
 A SquareMatrix holds the canonical payloads of its entries, row by row.
 The identities checked here are chains of products, each one call of the
@@ -288,25 +289,30 @@ class SplitMatrixSet:
     G: SquareMatrix
 
 
+def bidiag_upper(field: Field, diag: Sequence[FieldElement],
+                 sup: Sequence[FieldElement]) -> SquareMatrix:
+    """The upper bidiagonal matrix with diagonal diag and superdiagonal sup,
+    the form of A* (theta*, varphi) and B* (theta*, phi)."""
+    zero = field.zero()
+    return SquareMatrix.build(field, len(diag), lambda i, j:
+                              diag[i] if i == j else sup[i] if j == i + 1 else zero)
+
+
 def build(a: Analysis) -> SplitMatrixSet:
     p, pair, splits = a.p, a.pair, a.splits
     F, d = p.field, p.d
     n = d + 1
     zero, one = F.zero(), F.one()
-    th, ths, vp, ph = p.theta, p.theta_star, p.varphi, p.phi
+    th, ths = p.theta, p.theta_star
 
     def bidiag_lower(diag):
         return SquareMatrix.build(F, n, lambda i, j:
                                   diag[i] if i == j else one if i == j + 1 else zero)
 
-    def bidiag_upper(diag, sup):
-        return SquareMatrix.build(F, n, lambda i, j:
-                                  diag[i] if i == j else sup[i] if j == i + 1 else zero)
-
     A = bidiag_lower(th)
     B = bidiag_lower(tuple(th[d - i] for i in range(n)))
-    Astar = bidiag_upper(ths, vp)
-    Bstar = bidiag_upper(ths, ph)
+    Astar = bidiag_upper(F, ths, p.varphi)
+    Bstar = bidiag_upper(F, ths, p.phi)
 
     D, Ddown = (SquareMatrix.diagonal(F, x) for x in (splits.D, splits.Ddown))
     Z = SquareMatrix.build(F, n, lambda i, j: one if i + j == d else zero)
@@ -391,44 +397,48 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     E_i A* E_j vanishes exactly when the scalar (U^-1 A* U)_ij does, and
     that scalar is (T A* T^-1)_ij times the nonzero T_jj / T_ii.  So the
     E A* E block is read from T A* T^-1, with the T^-1 that build keeps.
-    A* is upper bidiagonal, and its eigenvectors form a unit
-    upper-triangular V with V[k][j] = varphi_{k+1} V[k+1][j] /
-    (theta*_j - theta*_k); the rows of V^-1 are
-    V^-1[i][k] = V^-1[i][k-1] varphi_k / (theta*_i - theta*_k) for k > i.
-    No recurrence divides by a varphi_i, so a zero one is handled.  The
-    two triangles take 2n(n-1) multiplications and n(n-1) inverses, one
-    per ordered pair of dual eigenvalues; the two blocks are
-    triangular-times-Hessenberg products of about n^3/6 each.
+
+    The E* A E* block is the same block of the dual array, which swaps
+    theta with theta* and keeps varphi: K = T* A*' T*^-1, with A*' upper
+    bidiagonal with diagonal theta and superdiagonal varphi, and T*^-1
+    the closed form `divided_differences` of theta*.  A* has the unit
+    upper-triangular eigenvector matrix V = D^-1 T*^t diag(D_j / below*_j),
+    so for i <= j
+
+        (V^-1 A V)_ij = varphi_{i+1} .. varphi_j (below*_i / below*_j) K[j][i],
+
+    an identity of polynomials in varphi that holds at a zero varphi too;
+    below the diagonal V^-1 A V is 1 at (i + 1, i) and 0 further down, so
+    those entries cannot fail.  Row i of the block is therefore K[j][i]
+    for j = i + 1, i + 2, .. up to the first zero varphi_j, and zero from
+    there on, up to nonzero factors.  The two blocks are triangular times
+    Hessenberg products of about n^3/6 each, and T*^-1 takes n inverses.
 
     Only the two blocks are computed: the eigenvector labels `A U = U H`
     and `A* V = V H*` hold by construction for distinct theta and theta*
-    (`tests/test_leonard_oracle.py` checks them on build).
+    (`tests/test_leonard_oracle.py` checks them on build, and compares
+    this check with the V and V^-1 recurrences it replaced).
     """
-    m = a.matrices
-    p = a.p
-    _require_distinct(p.theta)
+    m, p, pair = a.matrices, a.p, a.pair
     _require_distinct(p.theta_star)
-    F, n = p.field, p.d + 1
-    zero, one = F.zero(), F.one()
-    ths, vp = p.theta_star, p.varphi
-
-    V, Vinv = ([[zero] * n for _ in range(n)] for _ in range(2))
-    for j in range(n):
-        V[j][j] = Vinv[j][j] = one
-        for k in range(j + 1, n):
-            Vinv[j][k] = Vinv[j][k - 1] * vp[k - 1] * (ths[j] - ths[k]).inverse()
-        for k in range(j - 1, -1, -1):
-            V[k][j] = vp[k] * V[k + 1][j] * (ths[j] - ths[k]).inverse()
-    V, Vinv = (SquareMatrix.from_rows(F, x) for x in (V, Vinv))
+    F, n, vp = p.field, p.d + 1, p.varphi
+    zero, one = F.zero_value, F.one_value
+    K = (pair.Tstar * bidiag_upper(F, p.theta, vp)
+         * divided_differences(F, p.theta_star, *pair.sides_star)).values
+    star = []
+    for i in range(n):
+        stop = next((j for j in range(i + 1, n) if not vp[j - 1]), n)
+        star.append([one if j == i - 1 else K[j][i] if i <= j < stop else zero
+                     for j in range(n)])
 
     report = CheckReport("leonard-conditions")
-    for label, block in (("E* A E*", Vinv * m.A * V),
-                         ("E A* E", m.T * m.Astar * m.Tinv)):
-        for i, row in enumerate(block.values):
+    for label, block in (("E* A E*", star),
+                         ("E A* E", (m.T * m.Astar * m.Tinv).values)):
+        for i, row in enumerate(block):
             for j, x in enumerate(row):
-                if abs(i - j) > 1 and x != F.zero_value:
+                if abs(i - j) > 1 and x != zero:
                     report.add(f"{label} block ({i}, {j}) should vanish")
-                if abs(i - j) == 1 and x == F.zero_value:
+                if abs(i - j) == 1 and x == zero:
                     report.add(f"{label} block ({i}, {j}) should be nonzero")
     return report
 

@@ -16,8 +16,14 @@ report the same failures in the same order, or raise the same exception
 type, on sampled arrays of every family and on arrays broken in ways that
 do and do not keep the blocks tridiagonal.
 
-sandwich_conjugation and eigenvector_leonard_conditions (the check as it
-was before it dropped its two eigenvector lines) compute seven lines that
+recurrence_leonard_conditions is the Leonard check as it was before it
+read E* A E* off the dual array: V and V^-1 from element recurrences, one
+inverse per ordered pair of dual eigenvalues.  It is compared on the audit
+cases and on random sequences with up to two zero varphi_i, and the
+identity that relates its block to the dual one is checked entry by entry.
+
+sandwich_conjugation and eigenvector_leonard_conditions (the recurrence
+check with its two eigenvector lines back) compute seven lines that
 hold on build for every PA1-PA2 sequence (T A = H T, `Tinv` = T^-1, ...)
 and that the scoreboard no longer computes.  The audit tests check those
 lines on build, over seeded random PA1-PA2 sequences as well as the
@@ -58,7 +64,7 @@ from leonard import (
 )
 from leonard.ortho import OrthoData
 from leonard.polys import PolyTable
-from leonard.splitmat import _require_distinct
+from leonard.splitmat import _require_distinct, bidiag_upper, divided_differences
 from conftest import dense_mul, qarr, random_array, satisfies_pa1_pa2
 
 FIELDS = {
@@ -482,10 +488,14 @@ def test_checks_on_products_match_element_loops(label):
     assert {kind for _, kind in compared} == {"passes", "fails", "raises"}, compared
 
 
-def eigenvector_leonard_conditions(a):
-    """verify_leonard_conditions as it was before it dropped its two
-    eigenvector lines, A U = U H and A* V = V H*."""
-    m = a.matrices
+def recurrence_eigenvectors(a):
+    """V and V^-1 for A*, by the element recurrences that
+    verify_leonard_conditions took them from before it read E* A E* off the
+    dual array, after build and the two eigenvalue tests, in that order:
+    V[k][j] = varphi_{k+1} V[k+1][j] / (theta*_j - theta*_k) and
+    V^-1[i][k] = V^-1[i][k-1] varphi_k / (theta*_i - theta*_k) for k > i,
+    one inverse per ordered pair of dual eigenvalues and none of a varphi."""
+    a.matrices
     p = a.p
     _require_distinct(p.theta)
     _require_distinct(p.theta_star)
@@ -500,23 +510,42 @@ def eigenvector_leonard_conditions(a):
             Vinv[j][k] = Vinv[j][k - 1] * vp[k - 1] * (ths[j] - ths[k]).inverse()
         for k in range(j - 1, -1, -1):
             V[k][j] = vp[k] * V[k + 1][j] * (ths[j] - ths[k]).inverse()
-    V, Vinv = (SquareMatrix.from_rows(F, x) for x in (V, Vinv))
+    return tuple(SquareMatrix.from_rows(F, x) for x in (V, Vinv))
 
+
+def add_block_failures(report, a, V, Vinv):
+    """The block lines, E* A E* from Vinv A V and E A* E from T A* T^-1."""
+    m, zero = a.matrices, a.p.field.zero_value
+    for label, block in (("E* A E*", Vinv * m.A * V),
+                         ("E A* E", m.T * m.Astar * m.Tinv)):
+        for i, row in enumerate(block.values):
+            for j, x in enumerate(row):
+                if abs(i - j) > 1 and x != zero:
+                    report.add(f"{label} block ({i}, {j}) should vanish")
+                if abs(i - j) == 1 and x == zero:
+                    report.add(f"{label} block ({i}, {j}) should be nonzero")
+    return report
+
+
+def recurrence_leonard_conditions(a):
+    """verify_leonard_conditions as it was before it read E* A E* off the
+    dual array's T* A*' T*^-1: the block of V^-1 A V, with V and V^-1 from
+    the element recurrences."""
+    V, Vinv = recurrence_eigenvectors(a)
+    return add_block_failures(CheckReport("leonard-conditions"), a, V, Vinv)
+
+
+def eigenvector_leonard_conditions(a):
+    """verify_leonard_conditions as it was before it dropped its two
+    eigenvector lines, A U = U H and A* V = V H*."""
+    V, Vinv = recurrence_eigenvectors(a)
+    m = a.matrices
     report = CheckReport("leonard-conditions")
     if m.A * m.Tinv != m.Tinv * m.H:
         report.add("A U = U H violated")
     if m.Astar * V != V * m.Hstar:
         report.add("A* V = V H* violated")
-
-    for label, block in (("E* A E*", Vinv * m.A * V),
-                         ("E A* E", m.T * m.Astar * m.Tinv)):
-        for i, row in enumerate(block.values):
-            for j, x in enumerate(row):
-                if abs(i - j) > 1 and x != F.zero_value:
-                    report.add(f"{label} block ({i}, {j}) should vanish")
-                if abs(i - j) == 1 and x == F.zero_value:
-                    report.add(f"{label} block ({i}, {j}) should be nonzero")
-    return report
+    return add_block_failures(report, a, V, Vinv)
 
 
 # the lines that sandwich_conjugation and eigenvector_leonard_conditions
@@ -562,3 +591,62 @@ def test_leonard_conditions_match_eigenvector_oracle(label):
                      else "fails" if want else "passes")
     # a theta* shift can repeat an eigenvalue over the finite fields only
     assert {"passes", "fails"} <= compared, compared
+
+
+def zero_varphi_sequences(label):
+    """Seeded random PA1-PA2 sequences with none, one and two of their
+    varphi_i set to zero (PA1 alone, then), 10 of each at every d = 1..6
+    that the field has room for."""
+    F = FIELDS[label]
+    rng = random.Random(f"zero-varphi/{label}")
+    for d in range(1, 7):
+        if F.is_finite() and d >= F.order():
+            continue
+        for zeros in range(min(d, 2) + 1):
+            for k in range(10):
+                p = random_array(F, d, rng)
+                hit = set(rng.sample(range(d), zeros))
+                varphi = tuple(F.zero() if i in hit else x for i, x in enumerate(p.varphi))
+                yield f"random d={d}", f"{zeros} zero varphi, draw {k}", replace(p, varphi=varphi)
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_leonard_conditions_match_recurrence_oracle(label):
+    """verify_leonard_conditions, which reads E* A E* off the dual array,
+    reports the failures of the V and V^-1 recurrences it replaced, in the
+    same order, or raises the same exception type: on every audit case and
+    on random sequences with up to two zero varphi_i."""
+    compared = set()
+    cases = list(audit_cases(label)) + list(zero_varphi_sequences(label))
+    for name, change, q in cases:
+        want = outcome(lambda arr: recurrence_leonard_conditions(Analysis(arr)), q)
+        got = outcome(lambda arr: verify_leonard_conditions(Analysis(arr)), q)
+        assert got == want, (label, name, change)
+        compared.add("raises" if isinstance(want, type)
+                     else "fails" if want else "passes")
+    # a theta* shift can repeat an eigenvalue over the finite fields only
+    assert {"passes", "fails"} <= compared, compared
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_dual_block_gives_the_recurrence_block_entry_by_entry(label):
+    """For i <= j, (V^-1 A V)_ij = varphi_{i+1} .. varphi_j (below*_i /
+    below*_j) K[j][i] with K = T* A*' T*^-1, the E A* E block of the dual
+    array; below the diagonal V^-1 A V is 1 at (i + 1, i) and 0 further
+    down.  Checked exactly, zero varphi_i included."""
+    for name, change, p in zero_varphi_sequences(label):
+        a = Analysis(p)
+        V, Vinv = recurrence_eigenvectors(a)
+        block = (Vinv * a.matrices.A * V).rows
+        F, n, pair = p.field, p.d + 1, a.pair
+        below = pair.sides_star[0]
+        K = (pair.Tstar * bidiag_upper(F, p.theta, p.varphi)
+             * divided_differences(F, p.theta_star, *pair.sides_star)).rows
+        for i in range(n):
+            for j in range(n):
+                if i <= j:
+                    scale = reduce(lambda x, y: x * y, p.varphi[i:j], F.one())
+                    want = scale * below[i] * below[j].inverse() * K[j][i]
+                else:
+                    want = F.one() if i == j + 1 else F.zero()
+                assert block[i][j] == want, (label, name, change, i, j)
