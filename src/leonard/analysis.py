@@ -10,7 +10,8 @@ each object once.  `build`, `corresponding_polys`, `ortho_data` and
 `recurrence_coeffs` take the Analysis and read T, T*, Tdown, H, H* and the
 one-sided products from `pair`, which depends on (theta, theta*) alone, and
 the diagonals of D and Ddown from `splits`, which depends on (varphi, phi)
-alone; `proportionality_alphas` reads `splits` too.  Neither layer inverts
+alone; `alphas` (`proportionality_alphas`) reads `splits` too, once for
+both checks that compare with it.  Neither layer inverts
 anything, so a repeated eigenvalue or a zero varphi_i or phi_i gives zeros
 there, and each reader raises where it divides.  The results live on the
 Analysis, not on the array: a changed array (say from dataclasses.replace)
@@ -21,9 +22,10 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .fields import FieldElement
 from .ortho import OrthoData, ortho_data
 from .parray import ParameterArray
-from .polys import PolyTable, corresponding_polys
+from .polys import PolyTable, corresponding_polys, proportionality_alphas
 from .recur import RecurrenceCoeffs, recurrence_coeffs
 from .splitmat import (PairProducts, SplitMatrixSet, SplitProducts, build, pair_products,
                        split_products)
@@ -50,6 +52,10 @@ class Analysis:
     @cached_property
     def polys(self) -> PolyTable:
         return corresponding_polys(self)
+
+    @cached_property
+    def alphas(self) -> list[FieldElement]:
+        return proportionality_alphas(self)
 
     @cached_property
     def ortho(self) -> OrthoData:

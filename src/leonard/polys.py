@@ -73,7 +73,7 @@ def verify_proportionality(a: Analysis) -> CheckReport:
     every theta_j: P[j][i] = alpha_i Pdown[j][i]."""
     P, Pdown = a.polys.P.rows, a.polys.Pdown.rows
     report = CheckReport("proportionality")
-    for i, alpha in enumerate(proportionality_alphas(a)):
+    for i, alpha in enumerate(a.alphas):
         if any(row[i] != alpha * down[i] for row, down in zip(P, Pdown)):
             report.add(f"f_{i} is not alpha_{i} times its reversed companion")
             break
@@ -96,7 +96,7 @@ def endpoint_values(a: Analysis) -> CheckReport:
     duality_check reads a.polys."""
     report = CheckReport("endpoint-values")
     vals = endpoint_evaluations(a)
-    for i, alpha in enumerate(proportionality_alphas(a)):
+    for i, alpha in enumerate(a.alphas):
         if vals[i] != alpha:
             report.add(f"f_{i}(theta_d) differs from the phi/varphi cumulative ratio")
             return report

@@ -455,7 +455,9 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
                  leonard.splitmat.difference_products,
                  leonard.splitmat.one_sided_products,
                  leonard.splitmat.prefix_products,
-                 leonard.splitmat.split_products]
+                 leonard.splitmat.split_products,
+                 leonard.polys.proportionality_alphas,
+                 leonard.splitmat.divided_differences]
     for fn in originals:
         def counted(*args, fn=fn):
             calls[fn.__name__] += 1
@@ -471,21 +473,28 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
     # T, T* and Tdown once each, and the products above each theta*_i: 7
     # and 5 when build, polys, ortho and recur each formed their own.  The
     # prefix products of varphi and of phi once each, in the one
-    # split_products: 5 when build, polys and ortho each formed their own
+    # split_products: 5 when build, polys and ortho each formed their own.
+    # The alphas once, in Analysis.alphas: 2 when verify_proportionality and
+    # endpoint_values each formed them.  T^-1 in build and T*^-1 in
+    # verify_leonard_conditions, which read E* A E* from V and V^-1
+    # recurrences before
     assert calls == {"build": 1, "corresponding_polys": 1, "ortho_data": 1,
                      "recurrence_coeffs": 1, "difference_products": 3,
                      "one_sided_products": 1, "prefix_products": 2,
-                     "split_products": 1}
+                     "split_products": 1, "proportionality_alphas": 1,
+                     "divided_differences": 2}
 
 
 def test_scoreboard_multiplications_at_d16():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
-    # 19,590 of them; 19,981 when verify_leonard_conditions read E* A E*
-    # from V and V^-1 recurrences, 20,072 when build, polys and ortho each
-    # formed their own prefix products of varphi and phi, and 21,840 when
-    # they and recur each formed their own products of differences
-    assert count_multiplications(lambda: _scoreboard(p)) <= 19_590
+    # 19,573 of them; 19,590 when verify_proportionality and
+    # endpoint_values each formed the alphas, 19,981 when
+    # verify_leonard_conditions read E* A E* from V and V^-1 recurrences
+    # too, 20,072 when build, polys and ortho each formed their own prefix
+    # products of varphi and phi, and 21,840 when they and recur each
+    # formed their own products of differences
+    assert count_multiplications(lambda: _scoreboard(p)) <= 19_573
 
 
 @pytest.mark.parametrize("key, value, message", [
