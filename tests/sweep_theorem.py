@@ -1,17 +1,25 @@
 """The paper's theorem on every sequence of a small finite field.
 
-    python tests/sweep_theorem.py FIELD D
+    python tests/sweep_theorem.py FIELD D            # the theorem and the Leonard pairs
+    python tests/sweep_theorem.py FIELD D --leonard  # the Leonard pairs alone
 
 FIELD is a field spec as `leonard` reads it (`prime:3`, `ext:2:2:1,1,1`).
 For every theta and theta* without repeats and every nonzero varphi and phi
 (every sequence satisfying PA1 and PA2), the theorem's three conditions must
 agree, and the sequences satisfying them must be exactly the arrays that
 `enumerate_arrays` lists.  No sampling and no enumerator: the valid arrays
-are counted from the theorem's side.  Prints the number of sequences swept
-and of valid arrays.
+are counted from the theorem's side.
+
+The split pair (A, A*) of (theta, theta*, varphi) is a Leonard pair exactly
+when some phi completes the triple to a parameter array (LS99), so
+`verify_leonard_conditions` must pass on exactly the triples of the
+enumerated arrays.  Both parts check every triple; `--leonard` skips the
+theorem's part, which is the slow one.  Prints the number of sequences
+swept and of valid arrays, then of triples and of Leonard pairs.
 
 The module name does not start with test_, so pytest does not collect it;
-`test_theorem.py` runs the small sizes and a CI step runs GF(4) at d = 2.
+`test_theorem.py` runs the small sizes, and CI steps run GF(4) at d = 2 and
+the Leonard pairs alone at d = 3.
 """
 
 from __future__ import annotations
@@ -19,18 +27,43 @@ from __future__ import annotations
 import itertools
 import sys
 
-from leonard import Field, enumerate_arrays, make_array
+from leonard import Analysis, Field, enumerate_arrays, make_array, verify_leonard_conditions
 from leonard.cli import parse_field
 from test_theorem import verdicts
 
 
-def sweep(F: Field, d: int) -> tuple[int, int]:
-    """Check (i) = (ii) = (iii) on every PA1-PA2 sequence of diameter d
-    over F, and that the valid ones are the enumerated arrays.  Returns the
-    number of sequences and the number of valid arrays."""
+def sequences_of(F: Field, d: int) -> tuple[list, list]:
+    """The theta (and theta*) without repeats, and the nonzero columns."""
     elements = list(F.elements())
-    eigenvalues = list(itertools.permutations(elements, d + 1))
-    columns = list(itertools.product([x for x in elements if x], repeat=d))
+    return (list(itertools.permutations(elements, d + 1)),
+            list(itertools.product([x for x in elements if x], repeat=d)))
+
+
+def sweep_leonard(F: Field, d: int, enumerated: list) -> tuple[int, int]:
+    """Check that the Leonard pairs among every (theta, theta*, varphi) of
+    diameter d over F are the triples of the enumerated arrays.  Returns the
+    number of triples and of Leonard pairs."""
+    eigenvalues, columns = sequences_of(F, d)
+    triples = 0
+    pairs = set()
+    for theta, theta_star in itertools.product(eigenvalues, repeat=2):
+        for varphi in columns:
+            # the check reads theta, theta* and varphi, not phi
+            p = make_array(F, theta, theta_star, varphi, varphi)
+            if verify_leonard_conditions(Analysis(p)).ok():
+                pairs.add((p.theta, p.theta_star, p.varphi))
+            triples += 1
+    want = {(p.theta, p.theta_star, p.varphi) for p in enumerated}
+    assert pairs == want, (len(pairs), len(want))
+    return triples, len(pairs)
+
+
+def sweep(F: Field, d: int) -> tuple[int, int, int, int]:
+    """Check (i) = (ii) = (iii) on every PA1-PA2 sequence of diameter d
+    over F, that the valid ones are the enumerated arrays, and that the
+    Leonard pairs are their triples.  Returns the number of sequences, of
+    valid arrays, of triples and of Leonard pairs."""
+    eigenvalues, columns = sequences_of(F, d)
     sequences = 0
     valid = set()
     for theta, theta_star in itertools.product(eigenvalues, repeat=2):
@@ -44,13 +77,21 @@ def sweep(F: Field, d: int) -> tuple[int, int]:
     enumerated = list(enumerate_arrays(F, d))
     assert len(enumerated) == len(valid) and valid == set(enumerated), (
         len(valid), len(enumerated))
-    return sequences, len(valid)
+    return (sequences, len(valid)) + sweep_leonard(F, d, enumerated)
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
+    args = sys.argv[1:]
+    if len(args) not in (2, 3) or args[2:] not in ([], ["--leonard"]):
         sys.exit(__doc__)
-    field, diameter = parse_field(sys.argv[1]), int(sys.argv[2])
-    sequences, valid = sweep(field, diameter)
-    print(f"{sys.argv[1]}, d = {diameter}: {sequences} sequences, "
-          f"{valid} valid, the three conditions agree on each")
+    field, diameter = parse_field(args[0]), int(args[1])
+    if args[2:]:
+        triples, pairs = sweep_leonard(field, diameter,
+                                       list(enumerate_arrays(field, diameter)))
+        print(f"{args[0]}, d = {diameter}: {triples} triples, {pairs} Leonard pairs, "
+              "the triples of the enumerated arrays")
+    else:
+        sequences, valid, triples, pairs = sweep(field, diameter)
+        print(f"{args[0]}, d = {diameter}: {sequences} sequences, {valid} valid, "
+              f"the three conditions agree on each; {triples} triples, "
+              f"{pairs} Leonard pairs, the triples of the valid arrays")

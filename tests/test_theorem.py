@@ -85,12 +85,12 @@ def test_the_three_conditions_agree(family, data, seed, entry, index, shift):
     assert i == ii == iii, (family, field, d, entry, k, shift, (i, ii, iii))
 
 
-@pytest.mark.parametrize("field, d, sequences, valid", [
-    (prime_field(3), 1, 144, 36),
-    (prime_field(3), 2, 576, 36),
-    (FIELDS["GF(4)"], 1, 1296, 288),
+@pytest.mark.parametrize("field, d, sequences, valid, triples, pairs", [
+    (prime_field(3), 1, 144, 36, 72, 36),
+    (prime_field(3), 2, 576, 36, 144, 36),
+    (FIELDS["GF(4)"], 1, 1296, 288, 432, 288),
 ], ids=["GF(3)-1", "GF(3)-2", "GF(4)-1"])
-def test_every_sequence_over_tiny_fields(field, d, sequences, valid):
+def test_every_sequence_over_tiny_fields(field, d, sequences, valid, triples, pairs):
     # imported here: sweep_theorem imports verdicts from this module
     from sweep_theorem import sweep
-    assert sweep(field, d) == (sequences, valid)
+    assert sweep(field, d) == (sequences, valid, triples, pairs)
