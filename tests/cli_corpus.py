@@ -11,10 +11,16 @@ malformed copies of `kraw2.json` that must exit 2 (invalid JSON, an unknown
 key, a field spec without `p`, a non-string entry, a reducible modulus).
 Each input goes through `verify`, `validate`, `classify`, `matrices`,
 `poly-table`, `weights` and `recurrence`, run in-process through
-`cli.main` with the array JSON on stdin.  A line of `fixtures/cli_corpus.tsv` holds the argv (with the
-input's name in place of `-`), the exit code and the sha256 of stdout and
-of stderr.  The comparison prints each line that
-differs and exits 1; `test_cli_corpus.py` runs it in the tier-1 suite.
+`cli.main` with the array JSON on stdin.  Then come the runs that take no
+array: `gen` with each draw's parameters as `--param` arguments, `gen`
+runs that must fail (an unknown family or parameter, a missing, repeated
+or malformed one, a violated precondition, a wrong characteristic), and
+`enumerate` over small fields with `--limit`, a shard, `--budget 10`,
+malformed shards and `--field rational`.  A line of
+`fixtures/cli_corpus.tsv` holds the argv (with the input's name in place
+of `-`), the exit code and the sha256 of stdout and of stderr.  The
+comparison prints each line that differs and exits 1; `test_cli_corpus.py`
+runs it in the tier-1 suite.
 
 The module name does not start with test_, so pytest does not collect it.
 """
@@ -49,21 +55,54 @@ MALFORMED = {
     "reducible-modulus": {"field": {"kind": "extension", "p": 2, "k": 2,
                                     "modulus": [1, 0, 1]}},
 }
+KRAW = ("gen", "krawtchouk", "--d", "2", "--field", "rational", "--param")
+# gen runs that must fail: exit 2 for malformed input, 1 for a violated
+# precondition or a characteristic the family cannot have
+GEN_FAILURES = (
+    ("gen", "no-such-family", "--d", "2", "--field", "rational", "--param", "q=2"),
+    KRAW + ("r=2", "s=1", "sstar=1", "theta0=0"),
+    KRAW + ("r=2", "r=3", "s=1", "sstar=1", "theta0=0", "thetastar0=0"),
+    KRAW + ("r=2", "s", "sstar=1", "theta0=0", "thetastar0=0"),
+    KRAW + ("r=2", "s=1", "sstar=1", "theta0=0", "thetastar0=0", "q=2"),
+    KRAW + ("r=2", "s=1/0", "sstar=1", "theta0=0", "thetastar0=0"),
+    KRAW + ("r=0", "s=1", "sstar=1", "theta0=0", "thetastar0=0"),
+    ("gen", "q-racah", "--d", "3", "--field", "rational", "--param", "q=2", "h=1",
+     "hstar=1", "s=3", "sstar=5", "r1=2", "r2=5", "theta0=0", "thetastar0=0"),
+    ("gen", "orphan", "--d", "3", "--field", "rational", "--param", "h=1", "hstar=1",
+     "s=1", "sstar=1", "r=1", "theta0=0", "thetastar0=0"),
+)
+ENUMERATE = tuple(("enumerate",) + argv for argv in (
+    ("--field", "prime:3", "--d", "1"),
+    ("--field", "prime:5", "--d", "2", "--limit", "5"),
+    ("--field", "ext:2:2:1,1,1", "--d", "3", "--limit", "5"),
+    ("--field", "prime:7", "--d", "2", "--limit", "5", "--shard", "1:3"),
+    ("--field", "prime:5", "--d", "3", "--budget", "10"),
+    ("--field", "prime:5", "--d", "2", "--shard", "1"),
+    ("--field", "prime:5", "--d", "2", "--shard", "1:2:3"),
+    ("--field", "prime:5", "--d", "2", "--shard", "3:2"),
+    ("--field", "rational", "--d", "2"),
+))
 HEADER = "argv\texit\tstdout_sha256\tstderr_sha256"
 
 
-def inputs():
-    """(name, array JSON text) for every input, in corpus order."""
+def draws():
+    """(name, field spec, field, FamilyParams) for every seeded draw."""
     for spec in FIELDS:
         F = parse_field(spec)
         for family in list_families():
             for d in DIAMETERS:
                 fp = sample_params(family, d, F, random.Random(f"cli-corpus/{spec}/{family}/{d}"))
                 if fp is not None:
-                    p = generate(fp, F)
-                    broken = replace(p, varphi=(p.varphi[0] + F.one(),) + p.varphi[1:])
-                    yield f"{family}/{spec}/d={d}", dump_json(p.to_json())
-                    yield f"{family}/{spec}/d={d}/varphi_1+1", dump_json(broken.to_json())
+                    yield f"{family}/{spec}/d={d}", spec, F, fp
+
+
+def inputs():
+    """(name, array JSON text) for every input, in corpus order."""
+    for name, _, F, fp in draws():
+        p = generate(fp, F)
+        broken = replace(p, varphi=(p.varphi[0] + F.one(),) + p.varphi[1:])
+        yield name, dump_json(p.to_json())
+        yield f"{name}/varphi_1+1", dump_json(broken.to_json())
     for name in sorted(os.listdir(FIXTURES)):
         if name.endswith(".json"):
             with open(os.path.join(FIXTURES, name), encoding="utf-8") as f:
@@ -80,14 +119,23 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run(command: str, text: str) -> tuple[int, str, str]:
-    """cli.main([command, '-']) with text on stdin: exit code, stdout, stderr."""
+def argv_runs():
+    """The argv of every run that reads no stdin, in corpus order."""
+    for _, spec, F, fp in draws():
+        yield ("gen", fp.family, "--d", str(fp.d), "--field", spec, "--param",
+               *(f"{k}={F.format(v)}" for k, v in fp.values.items()))
+    yield from GEN_FAILURES
+    yield from ENUMERATE
+
+
+def run(argv, text: str = "") -> tuple[int, str, str]:
+    """cli.main(argv) with text on stdin: exit code, stdout, stderr."""
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "-"])
+            code = main(list(argv))
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
@@ -95,10 +143,15 @@ def run(command: str, text: str) -> tuple[int, str, str]:
 
 def corpus_lines() -> list[str]:
     lines = [HEADER]
+
+    def add(key, code, out, err):
+        lines.append(f"{key}\t{code}\t{_sha(out)}\t{_sha(err)}")
+
     for name, text in inputs():
         for command in COMMANDS:
-            code, out, err = run(command, text)
-            lines.append(f"{command} {name}\t{code}\t{_sha(out)}\t{_sha(err)}")
+            add(f"{command} {name}", *run([command, "-"], text))
+    for argv in argv_runs():
+        add(" ".join(argv), *run(argv))
     return lines
 
 
