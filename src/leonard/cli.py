@@ -230,9 +230,12 @@ def cmd_matrices(args) -> int:
 def cmd_enumerate(args) -> int:
     field = parse_field(args.field)
     shard = None
-    if args.shard:
-        index, count = args.shard.split(":", 1)
-        shard = (int(index), int(count))
+    if args.shard is not None:
+        index, _, count = args.shard.partition(":")
+        try:
+            shard = (int(index), int(count))
+        except ValueError:
+            raise ValueError(f"--shard takes INDEX:COUNT, got {args.shard!r}") from None
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be at least 0, got {args.limit}")
     arrays = enumerate_arrays(field, args.d, budget=args.budget, shard=shard)

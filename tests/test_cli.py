@@ -297,6 +297,14 @@ def test_enumerate_bad_shard_is_exit_2(capsys, shard):
     assert err.startswith("bad input: ") and "0 <= index < count" in err
 
 
+@pytest.mark.parametrize("shard", ["1", "1:2:3", "a:2", "1:", ""])
+def test_enumerate_malformed_shard_names_the_form(capsys, shard):
+    code, out, err = run(capsys, "enumerate", "--field", "prime:5", "--d", "2",
+                         f"--shard={shard}")
+    assert (code, out) == (2, "")
+    assert err == f"bad input: --shard takes INDEX:COUNT, got {shard!r}\n"
+
+
 def test_enumerate_limit_zero_prints_nothing(capsys):
     assert run(capsys, "enumerate", "--field", "prime:5", "--d", "2",
                "--limit", "0") == (0, "", "")
