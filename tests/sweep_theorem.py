@@ -82,7 +82,7 @@ def sweep(F: Field, d: int) -> tuple[int, int, int, int]:
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    if len(args) not in (2, 3) or args[2:] not in ([], ["--leonard"]):
+    if len(args) < 2 or args[2:] not in ([], ["--leonard"]):
         sys.exit(__doc__)
     field, diameter = parse_field(args[0]), int(args[1])
     if args[2:]:
