@@ -1,12 +1,14 @@
 """Constructive classification of parameter arrays.
 
-Given a validated array, fit it to one of the four normal forms of
-families._FORMS (exponential, quadratic, alternating, or the characteristic-2
-shape at d = 3), name the family whose row matches the fitted coordinates,
-derive its scalars, and certify the answer by regenerating the array from
-them.  When the required scalars live in a quadratic extension the witness is
-produced there; over the rationals the needed extension is reported instead
-of built.
+Given a validated array, fit theta and theta* to one of the four normal forms
+of families._FORMS (exponential, quadratic, alternating, or the
+characteristic-2 shape at d = 3) and solve varphi_1 for tau, name the family
+whose row matches the fitted coordinates, derive its scalars, and certify the
+answer by regenerating the array from them.  That regeneration is the only
+comparison of the split sequences: in a validated array PA3 and PA4 fix them
+from theta, theta* and varphi_1.  When the required scalars live in a
+quadratic extension the witness is produced there; over the rationals the
+needed extension is reported instead of built, for an array that validates.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from .errors import NeedsFieldExtension, NoCaseMatched
+from .errors import NeedsFieldExtension, NoCaseMatched, PreconditionViolated
 from .fields import Field, FieldElement, splitting_field
 from .families import FAMILIES, FamilyParams, NormalForm, _FORMS, _powers, generate
-from .parray import ParameterArray, base_candidates, first_case1_base, make_array
+from .parray import (ParameterArray, base_candidates, first_case1_base, make_array,
+                     validate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,13 +83,16 @@ def _compose(outer: Callable, inner: Callable) -> Callable:
     return lambda x: outer(inner(x))
 
 
-def _make_witness(case: str, family: str, field: Field,
-                  embed: Callable, d: int, values: dict,
-                  source: ParameterArray, lift: Callable) -> ClassifierWitness:
-    """Assemble the witness and certify it by regenerating the array."""
+def _make_witness(case: str, family: str, field: Field, embed: Callable,
+                  d: int, values: dict, source: ParameterArray) -> ClassifierWitness:
+    """Assemble the witness and certify it by regenerating the array, which
+    embed maps into `field`."""
     params = FamilyParams(family=family, d=d, values=values)
-    regenerated = generate(params, field)
-    if regenerated != embed_array(source, field, lift):
+    try:
+        regenerated = generate(params, field)
+    except PreconditionViolated:
+        regenerated = None
+    if regenerated != embed_array(source, field, embed):
         raise NoCaseMatched(
             f"{family} scalars recovered for case {case} fail to regenerate "
             f"the array")
@@ -96,18 +102,16 @@ def _make_witness(case: str, family: str, field: Field,
 
 def _normal_form(p: ParameterArray, case: str, q: FieldElement) -> Optional[dict]:
     """Fit p to the normal form of case I, II, III or IV (families._FORMS)
-    at base q: theta and theta*, then tau from varphi_1, then both split
-    sequences.  The fitted coordinates, or None where one does not fit."""
+    at base q: theta and theta*, then tau from varphi_1.  The fitted
+    coordinates, or None where theta or theta* does not fit."""
     form, P = _FORMS[case], _powers(case, p.field, q)
     fit, fit_star = _fit(form, P, p.theta), _fit(form, P, p.theta_star)
     if fit is None or fit_star is None:
         return None
     eta, mu, h = fit
     etas, mus, hs = fit_star
-    d = p.d
-    tau = form.tau(P, d, mu, mus, h, hs, p.varphi[0])
-    if form.splits(P, d, mu, mus, h, hs, tau) != (list(p.varphi), list(p.phi)):
-        return None
+    slope, offset = form.varphi1(P, p.d, mu, mus, h, hs)
+    tau = (p.varphi[0] - offset) / slope
     return {"eta": eta, "mu": mu, "h": h, "eta_star": etas, "mu_star": mus,
             "h_star": hs, "tau": tau}
 
@@ -131,11 +135,18 @@ def _from_table(case: str, p: ParameterArray, field: Field, q: FieldElement,
     ext, lift2, roots = field, _identity, ()
     pair = fam.roots(c, q, p.d) if fam.roots is not None else None
     if pair is not None:  # (r1 + r2, r1 r2)
-        ext, lift2, roots = splitting_field(field, -pair[0], pair[1])
+        try:
+            ext, lift2, roots = splitting_field(field, -pair[0], pair[1])
+        except NeedsFieldExtension:
+            # with no field to regenerate in, certify the array itself
+            if not validate(p).ok():
+                raise NoCaseMatched(f"the array fits case {case} but fails "
+                                    "validation") from None
+            raise
     values = {k: lift2(v) for k, v in named.items()}
     values.update(zip(("r1", "r2"), roots))
     both = _compose(lift2, lift)
-    return _make_witness(case, family, ext, both, p.d, values, source, both)
+    return _make_witness(case, family, ext, both, p.d, values, source)
 
 
 def _case1(p: ParameterArray, field: Field, lift: Callable,

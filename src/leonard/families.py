@@ -5,8 +5,10 @@ family is a row of one table, FAMILIES, and every list of families is a view
 of it.  Each row places its scalars in one of the four classification normal
 forms: case I for the q-families, II for the ordinary ones, III for
 Bannai-Ito and IV for the orphan, which exists at d = 3 in characteristic 2.
-The same normal-form functions build the arrays here and check arrays in
-classify, where each form also solves theta for (eta, mu, h) and varphi_1
+A form gives theta, theta* and varphi_1; PA3 and PA4 (parray.split_sequences)
+give the rest of varphi and phi, so no closed formula for the split sequences
+is kept.  The same normal-form functions build the arrays here and fit arrays
+in classify, where each form also solves theta for (eta, mu, h) and varphi_1
 for tau.
 
 The preconditions on the scalars are exactly what the formulas need: products
@@ -29,8 +31,8 @@ from .errors import (
     SeriesDoesNotTerminate,
 )
 from .fields import Field, FieldElement, FieldSpec, json_int, make_field
-from .parray import (ParameterArray, beta_plus_one, make_array, validate,
-                     validation_lines)
+from .parray import (ParameterArray, beta_plus_one, make_array, split_sequences,
+                     validate, validation_lines)
 from .report import CheckReport
 
 # Every family also takes the two affine offsets.
@@ -140,8 +142,9 @@ def _powers(case: str, field: Field,
 
 # The four classification normal forms.  P(n) is q^n (a _QPowers) in case I
 # and the integer n as a field element in cases II, III and IV.  Each form's
-# `fit` solves theta for (mu, h), and `eta` gives eta from theta_0; its
-# varphi and phi are affine in tau, and `tau` solves varphi_1 for it.
+# `fit` solves theta for (mu, h), and `eta` gives eta from theta_0.  Its
+# `varphi1` gives (slope, offset) with varphi_1 = slope tau + offset; PA3 and
+# PA4 then fix the rest of varphi and phi (parray.split_sequences).
 
 def q_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
     """Case I: theta_i = eta + mu q^i + h q^-i."""
@@ -163,20 +166,10 @@ def q_fit(P, theta) -> Optional[tuple]:
             (d2 - q * d1) / ((qi - one) * (qi - q)))
 
 
-def q_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
-    """Case I varphi and phi, with phi_i and varphi_i carrying the frame
-    (q^i - 1)(q^(d-i+1) - 1)."""
-    mm, hh, hm, mh = mu * mus, h * hs, h * mus, mu * hs
-    varphi, phi = [], []
-    for i in range(1, d + 1):
-        frame = (P(i) - P(0)) * (P(d - i + 1) - P(0))
-        varphi.append(frame * (tau - mm * P(i - 1) - hh * P(-i - d)))
-        phi.append(frame * (tau - hm * P(i - d - 1) - mh * P(-i)))
-    return varphi, phi
-
-
-def q_tau(P, d, mu, mus, h, hs, varphi1) -> FieldElement:
-    return varphi1 / ((P(1) - 1) * (P(d) - 1)) + mu * mus + h * hs * P(-1 - d)
+def q_varphi1(P, d, mu, mus, h, hs) -> tuple:
+    """Case I: varphi_1 = (q - 1)(q^d - 1)(tau - mu mu* - h h* q^(-1-d))."""
+    slope = (P(1) - 1) * (P(d) - 1)
+    return slope, -slope * (mu * mus + h * hs * P(-1 - d))
 
 
 def ordinary_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
@@ -194,26 +187,11 @@ def ordinary_fit(P, theta) -> Optional[tuple]:
     return theta[1] - theta[0] - 2 * h, h
 
 
-def ordinary_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
-    """Case II varphi and phi, with the frame i (d - i + 1):
-    varphi_i = frame (tau - (mu h* + h mu*) i - h h* i (i + d + 1)),
-    phi_i = frame (tau + mu mu* + h mu* (d + 1) + (mu h* - h mu*) i
-                   + h h* i (d - i + 1))."""
-    a, b, hh = mu * hs, h * mus, h * hs
-    cross, twist, top = a + b, a - b, tau + mu * mus + b * P(d + 1)
-    varphi, phi = [], []
-    for i in range(1, d + 1):
-        ni = P(i)
-        frame = ni * P(d - i + 1)
-        varphi.append(frame * (tau - ni * (cross + hh * P(i + d + 1))))
-        phi.append(frame * (top + twist * ni + hh * frame))
-    return varphi, phi
-
-
-def ordinary_tau(P, d, mu, mus, h, hs, varphi1) -> FieldElement:
-    # A quadratic fit of an injective sequence forces characteristic 0 or
-    # above d, so dividing by d is safe.
-    return varphi1 / P(d) + (mu * hs + h * mus) + h * hs * P(d + 2)
+def ordinary_varphi1(P, d, mu, mus, h, hs) -> tuple:
+    """Case II: varphi_1 = d (tau - mu h* - h mu* - h h* (d + 2)).  A
+    quadratic fit of an injective sequence forces characteristic 0 or above
+    d, so d is invertible."""
+    return P(d), -P(d) * (mu * hs + h * mus + h * hs * P(d + 2))
 
 
 def alternating_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
@@ -233,39 +211,14 @@ def alternating_fit(P, theta) -> Optional[tuple]:
     return half - h, h
 
 
-def alternating_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
-    """Case III (Bannai-Ito) varphi and phi, where mu = h (1 - s),
-    mu* = h* (1 - s*), r1 + r2 = d + 1 - s - s*, and tau = h h* r1 r2 for
-    odd d, h h* r2 for even d.  Odd d: varphi_i = phi_i = -4 h h* i (i-d-1)
-    at even i; varphi_i = -4 h h* (i+r1)(i+r2), phi_i =
-    -4 h h* (i-s*-r1)(i-s*-r2) at odd i.  Even d: varphi_i = -4 h h* f (i+r),
-    phi_i = 4 h h* f (i-s*-r), with (f, r) = (i, r1) at even i and
-    (i-d-1, r2) at odd i."""
-    hh, four = h * hs, P(4)
-    total = hh * P(d - 1) + h * mus + mu * hs  # h h* (r1 + r2)
-    hss = h * (hs - mus)                        # h h* s*
-    varphi, phi = [], []
-    for i in range(1, d + 1):
-        n, m = P(i), P(i - d - 1)
-        if d % 2 and i % 2 == 0:
-            varphi.append(-four * hh * n * m)
-            phi.append(varphi[-1])
-        elif d % 2:
-            varphi.append(-four * (n * (hh * n + total) + tau))
-            phi.append(-four * ((hs * n - hs + mus) * (h * m + h - mu) + tau))
-        else:
-            f, r = (n, total - tau) if i % 2 == 0 else (m, tau)
-            varphi.append(-four * f * (hh * n + r))
-            phi.append(four * f * (hh * n - hss - r))
-    return varphi, phi
-
-
-def alternating_tau(P, d, mu, mus, h, hs, varphi1) -> FieldElement:
+def alternating_varphi1(P, d, mu, mus, h, hs) -> tuple:
+    """Case III: varphi_1 = -4 (tau + h h* d + h mu* + mu h*) for odd d,
+    where Bannai-Ito's tau is h h* r1 r2, and 4d (tau + h h*) for even d,
+    where it is h h* r2.  An injective case-III sequence forces an odd
+    characteristic above d/2, so an even d is invertible."""
     if d % 2:
-        return -varphi1 / P(4) - h * hs * P(d) - h * mus - mu * hs
-    # An injective case-III sequence forces an odd characteristic above d/2,
-    # so an even d is invertible.
-    return varphi1 / P(4 * d) - h * hs
+        return -P(4), -P(4) * (h * hs * P(d) + h * mus + mu * hs)
+    return P(4 * d), P(4 * d) * h * hs
 
 
 def orphan_eigenvalues(P, d, eta, mu, h) -> list[FieldElement]:
@@ -283,36 +236,28 @@ def orphan_fit(P, theta) -> Optional[tuple]:
     return theta[3] - theta[0], theta[2] - theta[0]
 
 
-def orphan_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
-    """Case IV varphi = (tau, h h*, tau + mu h* + h mu*) and
-    phi = (tau + mu h* + mu mu*, h h*, tau + h mu* + mu mu*)."""
-    hh, mh, hm, mm = h * hs, mu * hs, h * mus, mu * mus
-    return [tau, hh, tau + mh + hm], [tau + mh + mm, hh, tau + hm + mm]
-
-
-def orphan_tau(P, d, mu, mus, h, hs, varphi1) -> FieldElement:
-    return varphi1
+def orphan_varphi1(P, d, mu, mus, h, hs) -> tuple:
+    """Case IV: varphi_1 = tau."""
+    return P(1), P(0)
 
 
 class NormalForm(NamedTuple):
     """One case's formulas (see above); classify inverts `eigenvalues` with
-    `fit` and `eta`, and the splits with `tau`."""
+    `fit` and `eta`, and `varphi1` for tau."""
 
     eigenvalues: Callable
-    splits: Callable
-    tau: Callable
+    varphi1: Callable  # (P, d, mu, mu*, h, h*) -> (slope, offset)
     eta: Callable  # (theta_0, mu, h) -> eta
     fit: Callable  # (P, theta) -> (mu, h) or None
 
 
-_FORMS = {"I": NormalForm(q_eigenvalues, q_splits, q_tau,
+_FORMS = {"I": NormalForm(q_eigenvalues, q_varphi1,
                           lambda theta0, mu, h: theta0 - mu - h, q_fit),
-          "II": NormalForm(ordinary_eigenvalues, ordinary_splits, ordinary_tau,
+          "II": NormalForm(ordinary_eigenvalues, ordinary_varphi1,
                            lambda theta0, mu, h: theta0, ordinary_fit),
-          "III": NormalForm(alternating_eigenvalues, alternating_splits,
-                            alternating_tau, lambda theta0, mu, h: theta0 - mu,
-                            alternating_fit),
-          "IV": NormalForm(orphan_eigenvalues, orphan_splits, orphan_tau,
+          "III": NormalForm(alternating_eigenvalues, alternating_varphi1,
+                            lambda theta0, mu, h: theta0 - mu, alternating_fit),
+          "IV": NormalForm(orphan_eigenvalues, orphan_varphi1,
                            lambda theta0, mu, h: theta0, orphan_fit)}
 
 
@@ -613,9 +558,12 @@ def _from_normal_form(family: str, field: Field, d: int, values: dict):
     mu, mus, h, hs, tau = fam.coords(v, d, P)
     form = _FORMS[fam.case]
     eta, etas = form.eta(v.theta0, mu, h), form.eta(v.thetastar0, mus, hs)
-    return (form.eigenvalues(P, d, eta, mu, h),
-            form.eigenvalues(P, d, etas, mus, hs),
-            *form.splits(P, d, mu, mus, h, hs, tau))
+    theta = form.eigenvalues(P, d, eta, mu, h)
+    theta_star = form.eigenvalues(P, d, etas, mus, hs)
+    # The preconditions keep theta injective, so theta_0 != theta_d.
+    slope, offset = form.varphi1(P, d, mu, mus, h, hs)
+    phi_1 = slope * tau + offset - (theta_star[1] - theta_star[0]) * (theta[0] - theta[d])
+    return theta, theta_star, *split_sequences(theta, theta_star, phi_1)
 
 
 def family_base(fp: FamilyParams, field: Field) -> FieldElement:

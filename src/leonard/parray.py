@@ -129,6 +129,32 @@ def _pa34_sums(theta: Sequence[FieldElement]) -> Optional[list[FieldElement]]:
     return list(itertools.accumulate((theta[h] - theta[d - h]) * inv for h in range(d)))
 
 
+def _pa34_terms(theta: Sequence[FieldElement],
+                theta_star: Sequence[FieldElement]) -> Optional[tuple[list, list, list]]:
+    """(S, c, e) for i = 1..d, where PA3 reads varphi_i = phi_1 S_i + c_i and
+    PA4 reads phi_i = varphi_1 S_i + e_i, or None when theta_0 = theta_d."""
+    sums = _pa34_sums(theta)
+    if sums is None:
+        return None
+    d, ts0 = len(theta) - 1, theta_star[0]
+    c = [(theta_star[i] - ts0) * (theta[i - 1] - theta[d]) for i in range(1, d + 1)]
+    e = [(theta_star[i] - ts0) * (theta[d - i + 1] - theta[0]) for i in range(1, d + 1)]
+    return sums, c, e
+
+
+def split_sequences(theta: Sequence[FieldElement], theta_star: Sequence[FieldElement],
+                    phi_1: FieldElement) -> Optional[tuple[list, list]]:
+    """(varphi, phi) from PA3 with phi_1 prescribed, then PA4 with the
+    varphi_1 it gives, or None when theta_0 = theta_d.  PA4 at i = 1 gives
+    phi_1 back: S_1 = 1, and e_1 = -c_1."""
+    terms = _pa34_terms(theta, theta_star)
+    if terms is None:
+        return None
+    sums, c, e = terms
+    varphi = [phi_1 * s + x for s, x in zip(sums, c)]
+    return varphi, [varphi[0] * s + y for s, y in zip(sums, e)]
+
+
 def validate(p: ParameterArray) -> CheckReport:
     """Check PA1 through PA5, reporting every violation with witnesses.  Each
     failure reads `PAn fail at [indices]: detail`, condition by condition."""
@@ -149,21 +175,18 @@ def validate(p: ParameterArray) -> CheckReport:
         if not p.phi[i - 1]:
             fail("PA2", (i,), f"phi_{i} = 0")
     if d >= 1:
-        sums = _pa34_sums(p.theta)
-        if sums is None:
+        terms = _pa34_terms(p.theta, p.theta_star)
+        if terms is None:
             fail("PA3", (0, d), "theta_0 = theta_d leaves the sum undefined")
             fail("PA4", (0, d), "theta_0 = theta_d leaves the sum undefined")
         else:
-            for i in range(1, d + 1):
-                want = p.phi[0] * sums[i - 1] + (
-                    (p.theta_star[i] - p.theta_star[0]) * (p.theta[i - 1] - p.theta[d])
-                )
+            sums, c, e = terms
+            for i, (s, x) in enumerate(zip(sums, c), 1):
+                want = p.phi[0] * s + x
                 if p.varphi[i - 1] != want:
                     fail("PA3", (i,), f"varphi_{i} = {p.varphi[i-1]}, expected {want}")
-            for i in range(1, d + 1):
-                want = p.varphi[0] * sums[i - 1] + (
-                    (p.theta_star[i] - p.theta_star[0]) * (p.theta[d - i + 1] - p.theta[0])
-                )
+            for i, (s, y) in enumerate(zip(sums, e), 1):
+                want = p.varphi[0] * s + y
                 if p.phi[i - 1] != want:
                     fail("PA4", (i,), f"phi_{i} = {p.phi[i-1]}, expected {want}")
     if d >= 3:
@@ -304,32 +327,18 @@ def complete_from_theta(
     phi_1, or None when no valid array exists.
 
     theta and theta* must already be injective with theta_0 != theta_d.
-    varphi falls out of PA3 with phi_1 prescribed; phi then falls out of PA4
-    with the computed varphi_1.  The candidate survives only if PA2 and PA5
-    hold.  PA4 at i=1 always gives back phi_1: S_1 = 1 and its product
-    term (theta*_1 - theta*_0)(theta_d - theta_0) cancels the one PA3 added
-    to varphi_1.
+    varphi and phi are `split_sequences`; the candidate survives only if PA2
+    and PA5 hold.
     """
     d = len(theta) - 1
     if d < 1 or len(theta_star) != d + 1:
         raise LengthMismatch("need matching theta and theta* with d >= 1")
-    sums = _pa34_sums(theta)
-    if sums is None:
+    splits = split_sequences(theta, theta_star, phi_1)
+    if splits is None:
         return None
-    ts0 = theta_star[0]
-    varphi = [phi_1 * s + (theta_star[i] - ts0) * (theta[i - 1] - theta[d])
-              for i, s in enumerate(sums, 1)]
-    varphi_1 = varphi[0]
-    if not varphi_1:
+    varphi, phi = splits
+    if not all(varphi) or not all(phi):
         return None
-    phi = [varphi_1 * s + (theta_star[i] - ts0) * (theta[d - i + 1] - theta[0])
-           for i, s in enumerate(sums, 1)]
-    for x in varphi:
-        if not x:
-            return None
-    for x in phi:
-        if not x:
-            return None
     if d >= 3:
         first = None
         for i in range(2, d):

@@ -157,6 +157,20 @@ def test_d2_over_q_may_need_extension():
         assert "extension" in str(e) or e.b is not None
 
 
+def test_extension_request_only_for_a_valid_array():
+    """A Racah array over Q whose r1 and r2 need a quadratic field: classify
+    cannot regenerate it there, so it certifies the array itself, and a copy
+    that fails validate is NoCaseMatched, not a request for the field."""
+    p = qarr([0, 3, 8, 15], [0, 3, 8, 15], [-44, "-284/3", -104], [1, "16/3", 1])
+    assert validate(p).ok()
+    with pytest.raises(NeedsFieldExtension):
+        classify(p)
+    bad = dataclasses.replace(p, phi=p.phi[:2] + (Q.from_int(2),))
+    assert not validate(bad).ok()
+    with pytest.raises(NoCaseMatched):
+        classify(bad)
+
+
 def test_d2_finite_builds_extension():
     f5 = prime_field(5)
     hits = 0
@@ -195,15 +209,9 @@ def test_case1_form_fits_at_q_exactly_when_at_1_over_q(field):
     """The roots of q^2 - beta q + 1 are q and 1/q, and the case-I form
     fits at one exactly when it fits at the other (mu and h swap, tau gains
     q^(d+1)), so classify tries one root.  Checked on valid arrays, on
-    copies with one entry bumped by 1 and on copies with random splits."""
+    copies with one entry bumped by 1 and on copies with theta* redrawn."""
     rng = random.Random(str(field))
     one = field.one()
-
-    def nonzero():
-        while True:
-            x = field.random_element(rng)
-            if x:
-                return x
 
     # q-family arrays, whose q lies in the field, and every 200th
     # enumerated array, some of whose q need the quadratic extension
@@ -217,9 +225,8 @@ def test_case1_form_fits_at_q_exactly_when_at_1_over_q(field):
         name = rng.choice(("theta", "theta_star", "varphi", "phi"))
         seq = list(getattr(p, name))
         seq[rng.randrange(len(seq))] += one
-        splits = dict(varphi=tuple(nonzero() for _ in range(p.d)),
-                      phi=tuple(nonzero() for _ in range(p.d)))
-        arrays += [p, dataclasses.replace(p, **splits)]
+        theta_star = tuple(field.random_element(rng) for _ in range(p.d + 1))
+        arrays += [p, dataclasses.replace(p, theta_star=theta_star)]
         if name != "theta" or len(set(seq)) == len(seq):  # theta injective
             arrays.append(dataclasses.replace(p, **{name: tuple(seq)}))
     fits = misses = 0

@@ -31,6 +31,13 @@ Gauss-Jordan solve (`_solve`, the `SquareMatrix.solve` it called), cases II
 and III by hand.  Both fits must return the same triple, or both None, and
 raise the same ValueError.  Case IV never had a theta fit of its own, so
 both fits take cases I, II and III only.
+
+`q_splits`, `ordinary_splits`, `alternating_splits` and `orphan_splits` are
+the closed-form split sequences of the four normal forms, unchanged, which
+`generate` built arrays from and `classify` compared with before PA3 and PA4
+replaced them.  For arbitrary coordinates with theta_0 != theta_d they must
+satisfy PA3 and PA4 as the paper states them, and each form's `varphi1` must
+give their varphi_1.
 """
 
 import importlib
@@ -734,7 +741,7 @@ def _case3(p: ParameterArray) -> Optional[ClassifierWitness]:
     values = {"theta0": lift(p.theta[0]), "thetastar0": lift(p.theta_star[0]),
               "h": lift(h), "hstar": lift(hs), "s": lift(s), "sstar": lift(ss),
               "r1": r1, "r2": r2}
-    return _make_witness("III", "bannai-ito", ext, lift, d, values, p, lift)
+    return _make_witness("III", "bannai-ito", ext, lift, d, values, p)
 
 
 def _case4(p: ParameterArray) -> Optional[ClassifierWitness]:
@@ -751,7 +758,7 @@ def _case4(p: ParameterArray) -> Optional[ClassifierWitness]:
     r = p.varphi[0] / (h * hs)
     values = {"theta0": th[0], "thetastar0": ths[0],
               "h": h, "hstar": hs, "s": s, "sstar": ss, "r": r}
-    return _make_witness("IV", "orphan", F, _identity, 3, values, p, _identity)
+    return _make_witness("IV", "orphan", F, _identity, 3, values, p)
 
 
 def witness_json(step, p):
@@ -970,3 +977,145 @@ def test_fit_matches_the_solve(field_name):
     assert fitted["I"] >= 40
     if field.characteristic() != 2:
         assert fitted["II"] >= 40 and fitted["III"] >= 40
+
+
+def q_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
+    """Case I varphi and phi, with phi_i and varphi_i carrying the frame
+    (q^i - 1)(q^(d-i+1) - 1)."""
+    mm, hh, hm, mh = mu * mus, h * hs, h * mus, mu * hs
+    varphi, phi = [], []
+    for i in range(1, d + 1):
+        frame = (P(i) - P(0)) * (P(d - i + 1) - P(0))
+        varphi.append(frame * (tau - mm * P(i - 1) - hh * P(-i - d)))
+        phi.append(frame * (tau - hm * P(i - d - 1) - mh * P(-i)))
+    return varphi, phi
+
+
+def ordinary_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
+    """Case II varphi and phi, with the frame i (d - i + 1):
+    varphi_i = frame (tau - (mu h* + h mu*) i - h h* i (i + d + 1)),
+    phi_i = frame (tau + mu mu* + h mu* (d + 1) + (mu h* - h mu*) i
+                   + h h* i (d - i + 1))."""
+    a, b, hh = mu * hs, h * mus, h * hs
+    cross, twist, top = a + b, a - b, tau + mu * mus + b * P(d + 1)
+    varphi, phi = [], []
+    for i in range(1, d + 1):
+        ni = P(i)
+        frame = ni * P(d - i + 1)
+        varphi.append(frame * (tau - ni * (cross + hh * P(i + d + 1))))
+        phi.append(frame * (top + twist * ni + hh * frame))
+    return varphi, phi
+
+
+def alternating_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
+    """Case III (Bannai-Ito) varphi and phi, where mu = h (1 - s),
+    mu* = h* (1 - s*), r1 + r2 = d + 1 - s - s*, and tau = h h* r1 r2 for
+    odd d, h h* r2 for even d.  Odd d: varphi_i = phi_i = -4 h h* i (i-d-1)
+    at even i; varphi_i = -4 h h* (i+r1)(i+r2), phi_i =
+    -4 h h* (i-s*-r1)(i-s*-r2) at odd i.  Even d: varphi_i = -4 h h* f (i+r),
+    phi_i = 4 h h* f (i-s*-r), with (f, r) = (i, r1) at even i and
+    (i-d-1, r2) at odd i."""
+    hh, four = h * hs, P(4)
+    total = hh * P(d - 1) + h * mus + mu * hs  # h h* (r1 + r2)
+    hss = h * (hs - mus)                        # h h* s*
+    varphi, phi = [], []
+    for i in range(1, d + 1):
+        n, m = P(i), P(i - d - 1)
+        if d % 2 and i % 2 == 0:
+            varphi.append(-four * hh * n * m)
+            phi.append(varphi[-1])
+        elif d % 2:
+            varphi.append(-four * (n * (hh * n + total) + tau))
+            phi.append(-four * ((hs * n - hs + mus) * (h * m + h - mu) + tau))
+        else:
+            f, r = (n, total - tau) if i % 2 == 0 else (m, tau)
+            varphi.append(-four * f * (hh * n + r))
+            phi.append(four * f * (hh * n - hss - r))
+    return varphi, phi
+
+
+def orphan_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:
+    """Case IV varphi = (tau, h h*, tau + mu h* + h mu*) and
+    phi = (tau + mu h* + mu mu*, h h*, tau + h mu* + mu mu*)."""
+    hh, mh, hm, mm = h * hs, mu * hs, h * mus, mu * mus
+    return [tau, hh, tau + mh + hm], [tau + mh + mm, hh, tau + hm + mm]
+
+
+CLOSED_FORM_SPLITS = {"I": q_splits, "II": ordinary_splits,
+                      "III": alternating_splits, "IV": orphan_splits}
+
+
+def pa3_pa4_hold(theta, theta_star, varphi, phi) -> bool:
+    """PA3 and PA4 as the paper states them; theta_0 != theta_d."""
+    d = len(theta) - 1
+    den = theta[0] - theta[d]
+    for i in range(1, d + 1):
+        S = sum((theta[h] - theta[d - h] for h in range(i)), theta[0].field.zero()) / den
+        D = theta_star[i] - theta_star[0]
+        if varphi[i - 1] != phi[0] * S + D * (theta[i - 1] - theta[d]):
+            return False
+        if phi[i - 1] != varphi[0] * S + D * (theta[d - i + 1] - theta[0]):
+            return False
+    return True
+
+
+def closed_form_splits_checked(field, case, d, rng) -> bool:
+    """Draw (mu, mu*, h, h*, tau, eta, eta*), and q in case I; False when
+    theta_0 = theta_d leaves PA3 and PA4 undefined.  Otherwise assert that
+    the closed-form splits satisfy PA3 and PA4 and that the form's varphi1
+    gives their varphi_1."""
+    def draw():
+        if field.is_finite():
+            return field.random_element(rng)
+        return field.from_int(rng.randint(-9, 9)) / field.from_int(rng.randint(1, 4))
+    q = None
+    if case == "I":
+        q = draw()
+        while not q:
+            q = draw()
+    P = _QPowers(q) if case == "I" else field.from_int
+    mu, mus, h, hs, tau, eta, etas = (draw() for _ in range(7))
+    form = _FORMS[case]
+    theta = form.eigenvalues(P, d, eta, mu, h)
+    if theta[0] == theta[d]:
+        return False
+    theta_star = form.eigenvalues(P, d, etas, mus, hs)
+    varphi, phi = CLOSED_FORM_SPLITS[case](P, d, mu, mus, h, hs, tau)
+    assert pa3_pa4_hold(theta, theta_star, varphi, phi), (case, d, q, mu, mus, h, hs, tau)
+    slope, offset = form.varphi1(P, d, mu, mus, h, hs)
+    assert varphi[0] == slope * tau + offset, (case, d, q, mu, mus, h, hs, tau)
+    return True
+
+
+SPLIT_FIELDS = {
+    "Q": rational_field(),
+    "GF(7)": prime_field(7),
+    "GF(101)": prime_field(101),
+    "GF(1000003)": prime_field(1000003),
+    "GF(4)": GF4,
+    "GF(9)": extension_field(3, 2, _find_irreducible(3, 2)),
+}
+
+
+@pytest.mark.parametrize("field_name", list(SPLIT_FIELDS))
+def test_closed_form_splits_satisfy_pa3_and_pa4(field_name):
+    """The closed-form splits that generate and classify read before PA3 and
+    PA4 replaced them: for arbitrary coordinates they are the split sequences
+    that PA3 and PA4 complete from theta, theta* and varphi_1, so the two
+    descriptions give the same arrays."""
+    field = SPLIT_FIELDS[field_name]
+    rng = random.Random(f"closed-form splits {field_name}")
+    checked = {case: sum(closed_form_splits_checked(field, case, d, rng)
+                         for d in range(1, 9) for _ in range(48))
+               for case in ("I", "II", "III")}
+    # a case-III theta is constant in characteristic 2
+    if field.characteristic() == 2:
+        assert checked.pop("III") == 0
+    assert min(checked.values()) >= 100, checked
+
+
+def test_orphan_splits_satisfy_pa3_and_pa4():
+    """Case IV, at d = 3 in characteristic 2."""
+    rng = random.Random("closed-form splits orphan")
+    checked = sum(closed_form_splits_checked(GF4, "IV", 3, rng) for _ in range(200))
+    assert checked >= 100
