@@ -42,16 +42,23 @@ OK, FAIL, BAD_INPUT = 0, 1, 2
 
 
 def parse_field(text: str) -> Field:
+    def number(s: str) -> int:
+        try:
+            return int(s)
+        except ValueError:
+            raise ValueError("--field takes rational | prime:p | ext:p:k:modulusCSV, "
+                             f"got {text!r}") from None
+
     if text == "rational":
         return rational_field()
     if text.startswith("prime:"):
-        return prime_field(int(text.split(":", 1)[1]))
+        return prime_field(number(text.split(":", 1)[1]))
     if text.startswith("ext:"):
         parts = text.split(":")
         if len(parts) != 4:
             raise ValueError("extension field spec is ext:p:k:modulusCSV")
-        p, k = int(parts[1]), int(parts[2])
-        modulus = tuple(int(c) for c in parts[3].split(","))
+        p, k = number(parts[1]), number(parts[2])
+        modulus = tuple(number(c) for c in parts[3].split(","))
         return extension_field(p, k, modulus)
     raise ValueError(f"unknown field spec {text!r}; "
                      "use rational | prime:p | ext:p:k:modulusCSV")

@@ -305,6 +305,17 @@ def test_enumerate_malformed_shard_names_the_form(capsys, shard):
     assert err == f"bad input: --shard takes INDEX:COUNT, got {shard!r}\n"
 
 
+@pytest.mark.parametrize("command", [("enumerate", "--d", "2"),
+                                     ("gen", "krawtchouk", "--d", "2")])
+@pytest.mark.parametrize("spec", ["prime:x", "prime:", "ext:2:x:1,1,1",
+                                  "ext:2:2:1,x,1"])
+def test_malformed_field_number_names_the_form(capsys, command, spec):
+    code, out, err = run(capsys, *command, "--field", spec)
+    assert (code, out) == (2, "")
+    assert err == ("bad input: --field takes rational | prime:p | "
+                   f"ext:p:k:modulusCSV, got {spec!r}\n")
+
+
 def test_enumerate_limit_zero_prints_nothing(capsys):
     assert run(capsys, "enumerate", "--field", "prime:5", "--d", "2",
                "--limit", "0") == (0, "", "")
