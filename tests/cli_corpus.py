@@ -14,9 +14,10 @@ Each input goes through `verify`, `validate`, `classify`, `matrices`,
 `cli.main` with the array JSON on stdin.  Then come the runs that take no
 array: `gen` with each draw's parameters as `--param` arguments, `gen`
 runs that must fail (an unknown family or parameter, a missing, repeated
-or malformed one, a violated precondition, a wrong characteristic), and
-`enumerate` over small fields with `--limit`, a shard, `--budget 10`,
-malformed shards and `--field rational`.  A line of
+or malformed one, a violated precondition, a wrong characteristic, a
+malformed number in the field spec), and `enumerate` over small fields with
+`--limit`, a shard, `--budget 10`, malformed shards, `--field rational` and
+the malformed field specs.  A line of
 `fixtures/cli_corpus.tsv` holds the argv (with the input's name in place
 of `-`), the exit code and the sha256 of stdout and of stderr.  The
 comparison prints each line that differs and exits 1; `test_cli_corpus.py`
@@ -56,6 +57,8 @@ MALFORMED = {
                                     "modulus": [1, 0, 1]}},
 }
 KRAW = ("gen", "krawtchouk", "--d", "2", "--field", "rational", "--param")
+# field specs with a malformed number, which must exit 2
+MALFORMED_FIELDS = ("prime:x", "prime:", "ext:2:x:1,1,1")
 # gen runs that must fail: exit 2 for malformed input, 1 for a violated
 # precondition or a characteristic the family cannot have
 GEN_FAILURES = (
@@ -70,7 +73,8 @@ GEN_FAILURES = (
      "hstar=1", "s=3", "sstar=5", "r1=2", "r2=5", "theta0=0", "thetastar0=0"),
     ("gen", "orphan", "--d", "3", "--field", "rational", "--param", "h=1", "hstar=1",
      "s=1", "sstar=1", "r=1", "theta0=0", "thetastar0=0"),
-)
+) + tuple(KRAW[:5] + (spec, "--param", "r=2", "s=1", "sstar=1", "theta0=0",
+                      "thetastar0=0") for spec in MALFORMED_FIELDS)
 ENUMERATE = tuple(("enumerate",) + argv for argv in (
     ("--field", "prime:3", "--d", "1"),
     ("--field", "prime:5", "--d", "2", "--limit", "5"),
@@ -81,7 +85,7 @@ ENUMERATE = tuple(("enumerate",) + argv for argv in (
     ("--field", "prime:5", "--d", "2", "--shard", "1:2:3"),
     ("--field", "prime:5", "--d", "2", "--shard", "3:2"),
     ("--field", "rational", "--d", "2"),
-))
+) + tuple(("--field", spec, "--d", "2") for spec in MALFORMED_FIELDS))
 HEADER = "argv\texit\tstdout_sha256\tstderr_sha256"
 
 
