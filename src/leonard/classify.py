@@ -135,14 +135,7 @@ def _from_table(case: str, p: ParameterArray, field: Field, q: FieldElement,
     ext, lift2, roots = field, _identity, ()
     pair = fam.roots(c, q, p.d) if fam.roots is not None else None
     if pair is not None:  # (r1 + r2, r1 r2)
-        try:
-            ext, lift2, roots = splitting_field(field, -pair[0], pair[1])
-        except NeedsFieldExtension:
-            # with no field to regenerate in, certify the array itself
-            if not validate(p).ok():
-                raise NoCaseMatched(f"the array fits case {case} but fails "
-                                    "validation") from None
-            raise
+        ext, lift2, roots = splitting_field(field, -pair[0], pair[1])
     values = {k: lift2(v) for k, v in named.items()}
     values.update(zip(("r1", "r2"), roots))
     both = _compose(lift2, lift)
@@ -186,8 +179,19 @@ def classify(p: ParameterArray) -> ClassifierWitness:
     Raises NeedsFieldExtension when the witness requires a quadratic
     extension that is not built automatically (rational base field, or an
     extension degree beyond the supported bound), and NoCaseMatched when no
-    closed form fits.
+    closed form fits.  With no witness field to regenerate in, the array is
+    validated instead, so an array that fails validate gets NoCaseMatched.
     """
+    try:
+        return _classify(p)
+    except NeedsFieldExtension:
+        if validate(p).ok():
+            raise
+        raise NoCaseMatched(f"no eigenvalue closed form fits this array over "
+                            f"{p.field}") from None
+
+
+def _classify(p: ParameterArray) -> ClassifierWitness:
     if p.d < 1:
         raise ValueError("classification needs d >= 1")
     F = p.field

@@ -158,17 +158,21 @@ def test_d2_over_q_may_need_extension():
 
 
 def test_extension_request_only_for_a_valid_array():
-    """A Racah array over Q whose r1 and r2 need a quadratic field: classify
-    cannot regenerate it there, so it certifies the array itself, and a copy
-    that fails validate is NoCaseMatched, not a request for the field."""
+    """Over Q classify cannot regenerate in the quadratic field a witness
+    needs, so it certifies the array itself: a Racah array whose r1 and r2
+    need the field is a request for it, and a copy that fails validate is
+    NoCaseMatched.  So is an array that fails validate with a base q outside
+    Q (q^2 - 3q + 1 = 0)."""
     p = qarr([0, 3, 8, 15], [0, 3, 8, 15], [-44, "-284/3", -104], [1, "16/3", 1])
     assert validate(p).ok()
     with pytest.raises(NeedsFieldExtension):
         classify(p)
     bad = dataclasses.replace(p, phi=p.phi[:2] + (Q.from_int(2),))
-    assert not validate(bad).ok()
-    with pytest.raises(NoCaseMatched):
-        classify(bad)
+    irrational_base = qarr([0, 1, 2, 4], [0, 1, 2, 4], [1, 1, 1], [1, 1, 1])
+    for a in (bad, irrational_base):
+        assert not validate(a).ok()
+        with pytest.raises(NoCaseMatched):
+            classify(a)
 
 
 def test_d2_finite_builds_extension():
