@@ -6,7 +6,8 @@ that claims byte-identical outputs can show it.
 
 The inputs are seeded `sample_params` draws of every family over Q, GF(7)
 and GF(4) at d = 1..6, each followed by a copy with 1 added to varphi_1
-(which fails `validate`), then every array in `tests/fixtures`, then a few
+(which fails `validate`), then every array in `tests/fixtures`, then one
+hand-written array at d = 0 over each of the three fields, then a few
 malformed copies of `kraw2.json` that must exit 2 (invalid JSON, an unknown
 key, a field spec without `p`, a non-string entry, a reducible modulus).
 Each input goes through `verify`, `validate`, `classify`, `matrices`,
@@ -37,7 +38,7 @@ import random
 import sys
 from dataclasses import replace
 
-from leonard import generate, list_families, sample_params
+from leonard import generate, list_families, make_array, sample_params
 from leonard.cli import dump_json, main, parse_field
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -46,6 +47,8 @@ CORPUS = os.path.join(FIXTURES, "cli_corpus.tsv")
 
 FIELDS = ("rational", "prime:7", "ext:2:2:1,1,1")
 DIAMETERS = range(1, 7)
+# field spec -> (theta_0, theta*_0) of the d = 0 array over that field
+D0 = {"rational": ("1/2", "-3"), "prime:7": ("3", "5"), "ext:2:2:1,1,1": ("1+1*w", "0+1*w")}
 COMMANDS = ("verify", "validate", "classify", "matrices", "poly-table", "weights",
             "recurrence")
 # name -> the keys that replace or join those of kraw2.json
@@ -111,6 +114,10 @@ def inputs():
         if name.endswith(".json"):
             with open(os.path.join(FIXTURES, name), encoding="utf-8") as f:
                 yield f"fixtures/{name}", f.read()
+    for spec, (theta0, theta_star0) in D0.items():
+        F = parse_field(spec)
+        p = make_array(F, [F.parse(theta0)], [F.parse(theta_star0)], [], [])
+        yield f"d=0/{spec}", dump_json(p.to_json())
     with open(os.path.join(FIXTURES, "kraw2.json"), encoding="utf-8") as f:
         text = f.read()
     yield "malformed/invalid-json", text[:len(text) // 2]
