@@ -179,8 +179,9 @@ def classify(p: ParameterArray) -> ClassifierWitness:
     Raises NeedsFieldExtension when the witness requires a quadratic
     extension that is not built automatically (rational base field, or an
     extension degree beyond the supported bound), and NoCaseMatched when no
-    closed form fits.  With no witness field to regenerate in, the array is
-    validated instead, so an array that fails validate gets NoCaseMatched.
+    closed form fits (always at d = 0).  With no witness field to regenerate
+    in, the array is validated instead, so an array that fails validate gets
+    NoCaseMatched.
     """
     try:
         return _classify(p)
@@ -193,7 +194,7 @@ def classify(p: ParameterArray) -> ClassifierWitness:
 
 def _classify(p: ParameterArray) -> ClassifierWitness:
     if p.d < 1:
-        raise ValueError("classification needs d >= 1")
+        raise NoCaseMatched("classification needs d >= 1")
     F = p.field
     one = F.one()
 

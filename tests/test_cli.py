@@ -223,6 +223,17 @@ def test_classify_invalid_array(capsys, tmp_path):
     assert code == 1
 
 
+def test_classify_at_d0_is_no_case_not_bad_input(capsys, tmp_path):
+    # a d = 0 array validates, so no closed form fitting it is a failed
+    # construction (exit 1), not malformed input (exit 2)
+    target = tmp_path / "d0.json"
+    target.write_text(json.dumps({"field": {"kind": "rational"}, "d": 0, "theta": ["1"],
+                                  "theta_star": ["2"], "varphi": [], "phi": []}))
+    assert run(capsys, "validate", str(target))[0] == 0
+    assert run(capsys, "classify", str(target)) == (
+        1, "", "classification needs d >= 1\n")
+
+
 def test_poly_table_json(capsys):
     code, out, _ = run(capsys, "poly-table", KRAW2)
     assert code == 0
