@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .fields import Field, FieldElement
-from .parray import ParameterArray, d4_apply
 from .report import CheckReport
 from .splitmat import SquareMatrix
 
@@ -92,57 +91,47 @@ def verify_difference(a: Analysis) -> CheckReport:
     return report
 
 
-def _alt_checks(p: ParameterArray, co: tuple, report: CheckReport, tag: str) -> None:
+def _alt_checks(th: Sequence[FieldElement], ths: Sequence[FieldElement],
+                vp: Sequence[FieldElement], co: tuple, report: CheckReport,
+                tag: str) -> None:
+    # theta, theta* and varphi of one side
     a, b, c = co
-    th, ths, vp, ph = p.theta, p.theta_star, p.varphi, p.phi
-    d = p.d
-
-    if a[0] != th[0] + vp[0] * (ths[0] - ths[1]).inverse():
-        report.add(f"{tag}a_0 closed form fails")
-    if a[d] != th[d] + vp[d - 1] * (ths[d] - ths[d - 1]).inverse():
-        report.add(f"{tag}a_d closed form fails")
-    if b[0] != vp[0] * (ths[1] - ths[0]).inverse():
-        report.add(f"{tag}b_0 closed form fails")
-    if c[d] != ph[d - 1] * (ths[d - 1] - ths[d]).inverse():
-        report.add(f"{tag}c_d closed form fails")
-
-    for i in range(1, d):
-        ai = (th[i] + vp[i - 1] * (ths[i] - ths[i - 1]).inverse()
-              + vp[i] * (ths[i] - ths[i + 1]).inverse())
+    d = len(th) - 1
+    for i in range(1, d + 1):
+        ai = th[i] + vp[i - 1] * (ths[i] - ths[i - 1]).inverse()
+        if i < d:
+            ai = ai + vp[i] * (ths[i] - ths[i + 1]).inverse()
         if a[i] != ai:
-            report.add(f"{tag}a_{i} closed form fails")
-        common = (th[0] - th[1]) * (ths[0] - ths[i]) + vp[0]
-        bi = ((th[0] - a[i]) * (ths[i] - ths[i - 1]) + common) \
-            * (ths[i + 1] - ths[i - 1]).inverse()
-        if b[i] != bi:
-            report.add(f"{tag}b_{i} closed form fails")
-        ci = ((th[0] - a[i]) * (ths[i] - ths[i + 1]) + common) \
-            * (ths[i - 1] - ths[i + 1]).inverse()
-        if c[i] != ci:
-            report.add(f"{tag}c_{i} closed form fails")
-
-    for i in range(d + 1):
-        lhs = p.field.zero()
-        if i > 0:
-            lhs = lhs + c[i] * (ths[i - 1] - ths[i])
+            report.add(f"{tag}a_{'d' if i == d else i} closed form fails")
+    for i in range(1, d + 1):
+        lhs = c[i] * (ths[i - 1] - ths[i])
         if i < d:
             lhs = lhs - b[i] * (ths[i] - ths[i + 1])
-        rhs = (th[1] - th[0]) * (ths[i] - ths[0]) + vp[0]
-        if lhs != rhs:
+        if lhs != (th[1] - th[0]) * (ths[i] - ths[0]) + vp[0]:
             report.add(f"{tag}weighted b/c difference identity fails at {i}")
 
 
 def verify_alt_formulas(a: Analysis) -> CheckReport:
-    """Alternative closed forms for a_i, b_i, c_i, and the weighted difference
-    identity they satisfy; checked on the array and on its dual.  Skipped at
-    d = 0, where there are no interior coefficients."""
+    """For 1 <= i <= d, a_i against theta_i + varphi_i / (theta*_i -
+    theta*_{i-1}) + varphi_{i+1} / (theta*_i - theta*_{i+1}), and the
+    weighted difference identity c_i (theta*_{i-1} - theta*_i) - b_i
+    (theta*_i - theta*_{i+1}) = (theta_1 - theta_0)(theta*_i - theta*_0)
+    + varphi_1, the theta*_{i+1} terms absent at i = d (where the identity
+    is PA4 at d); on the array, and on its dual (theta*, theta, varphi).
+
+    The other closed forms are identities of `recurrence_coeffs`: a_0, b_0,
+    c_d and the weighted identity at 0 follow from its b_0 and c_d, and for
+    0 < i < d the closed forms of b_i and c_i are the weighted identity at
+    i scaled by nonzero differences of theta*, since a_i = theta_0 - b_i -
+    c_i.  a_d is not one: at d >= 3 it can fail where PA1-PA4 hold and PA5
+    does not.  Skipped at d = 0, where there are no interior coefficients."""
     p = a.p
     if p.d < 1:
         return CheckReport("alt-recurrence",
                            skipped="no interior coefficients at d = 0")
     report = CheckReport("alt-recurrence")
     co = a.recurrence
-    _alt_checks(p, (co.a, co.b, co.c), report, "")
-    star = d4_apply(p, ["star"])
-    _alt_checks(star, (co.astar, co.bstar, co.cstar), report, "dual ")
+    _alt_checks(p.theta, p.theta_star, p.varphi, (co.a, co.b, co.c), report, "")
+    _alt_checks(p.theta_star, p.theta, p.varphi, (co.astar, co.bstar, co.cstar),
+                report, "dual ")
     return report

@@ -45,6 +45,7 @@ from leonard import (
     SquareMatrix,
     build,
     corresponding_polys,
+    d4_apply,
     endpoint_evaluations,
     endpoint_values,
     extension_field,
@@ -57,12 +58,14 @@ from leonard import (
     rational_field,
     recurrence_coeffs,
     sample_params,
+    verify_alt_formulas,
     verify_conjugation,
     verify_difference,
     verify_leonard_conditions,
     verify_three_term,
 )
 from leonard.ortho import OrthoData
+from leonard.parray import split_sequences
 from leonard.polys import PolyTable
 from leonard.splitmat import _require_distinct, bidiag_upper, divided_differences
 from conftest import dense_mul, qarr, random_array, satisfies_pa1_pa2
@@ -73,6 +76,9 @@ FIELDS = {
     "GF(11)": prime_field(11),
     "GF(4)": extension_field(2, 2, (1, 1, 1)),
 }
+# the alt-recurrence tests also run over a larger prime field and over GF(9)
+ALT_FIELDS = {**FIELDS, "GF(101)": prime_field(101),
+              "GF(9)": extension_field(3, 2, (1, 0, 1))}
 
 
 def lagrange_leonard_conditions(p):
@@ -166,7 +172,7 @@ def sampled_arrays(label, F):
     """One sampled array per admissible family; the diameter cycles through
     1..4 across families and fields, so each family meets several."""
     rng = random.Random(f"leonard-oracle/{label}")
-    shift = list(FIELDS).index(label)
+    shift = list(ALT_FIELDS).index(label)
     for index, family in enumerate(list_families()):
         d = 1 + (index + shift) % 4
         fp = sample_params(family, d, F, rng)
@@ -650,3 +656,134 @@ def test_dual_block_gives_the_recurrence_block_entry_by_entry(label):
                 else:
                     want = F.one() if i == j + 1 else F.zero()
                 assert block[i][j] == want, (label, name, change, i, j)
+
+
+def alt_checks_oracle(p, co, report, tag):
+    """recur._alt_checks as it was before it compared only a_i and the
+    weighted identity for 1 <= i <= d: every closed form at every i, the
+    dual side read off d4_apply(p, ["star"])."""
+    a, b, c = co
+    th, ths, vp, ph = p.theta, p.theta_star, p.varphi, p.phi
+    d = p.d
+
+    if a[0] != th[0] + vp[0] * (ths[0] - ths[1]).inverse():
+        report.add(f"{tag}a_0 closed form fails")
+    if a[d] != th[d] + vp[d - 1] * (ths[d] - ths[d - 1]).inverse():
+        report.add(f"{tag}a_d closed form fails")
+    if b[0] != vp[0] * (ths[1] - ths[0]).inverse():
+        report.add(f"{tag}b_0 closed form fails")
+    if c[d] != ph[d - 1] * (ths[d - 1] - ths[d]).inverse():
+        report.add(f"{tag}c_d closed form fails")
+
+    for i in range(1, d):
+        ai = (th[i] + vp[i - 1] * (ths[i] - ths[i - 1]).inverse()
+              + vp[i] * (ths[i] - ths[i + 1]).inverse())
+        if a[i] != ai:
+            report.add(f"{tag}a_{i} closed form fails")
+        common = (th[0] - th[1]) * (ths[0] - ths[i]) + vp[0]
+        bi = ((th[0] - a[i]) * (ths[i] - ths[i - 1]) + common) \
+            * (ths[i + 1] - ths[i - 1]).inverse()
+        if b[i] != bi:
+            report.add(f"{tag}b_{i} closed form fails")
+        ci = ((th[0] - a[i]) * (ths[i] - ths[i + 1]) + common) \
+            * (ths[i - 1] - ths[i + 1]).inverse()
+        if c[i] != ci:
+            report.add(f"{tag}c_{i} closed form fails")
+
+    for i in range(d + 1):
+        lhs = p.field.zero()
+        if i > 0:
+            lhs = lhs + c[i] * (ths[i - 1] - ths[i])
+        if i < d:
+            lhs = lhs - b[i] * (ths[i] - ths[i + 1])
+        rhs = (th[1] - th[0]) * (ths[i] - ths[0]) + vp[0]
+        if lhs != rhs:
+            report.add(f"{tag}weighted b/c difference identity fails at {i}")
+
+
+def alt_formulas_oracle(a):
+    """verify_alt_formulas on alt_checks_oracle, for d >= 1."""
+    p, co = a.p, a.recurrence
+    report = CheckReport("alt-recurrence")
+    alt_checks_oracle(p, (co.a, co.b, co.c), report, "")
+    alt_checks_oracle(d4_apply(p, ["star"]), (co.astar, co.bstar, co.cstar), report, "dual ")
+    return report
+
+
+# the oracle's lines at 0 and d that hold on recurrence_coeffs, on each side
+ALT_IDENTITIES = {"a_0 closed form fails", "b_0 closed form fails",
+                  "c_d closed form fails", "weighted b/c difference identity fails at 0"}
+
+
+def dropped_alt_line(line):
+    """The oracle lines that verify_alt_formulas no longer computes: the
+    identities, and b_i and c_i for 0 < i < d, which fail exactly when the
+    weighted identity at i does."""
+    line = line.removeprefix("dual ")
+    return line in ALT_IDENTITIES or line.startswith(("b_", "c_"))
+
+
+def alt_sequences(label):
+    """Seeded random PA1-PA2 sequences, 60 at each d = 1..7 that the field
+    has room for.  Every other one has varphi and phi completed by
+    split_sequences from its theta, theta* and a random phi_1, so PA3/PA4
+    hold (PA2 may not); every fifth has one theta*_i moved onto another."""
+    F = ALT_FIELDS[label]
+    rng = random.Random(f"alt-recurrence/{label}")
+    for d in range(1, 8):
+        if F.is_finite() and d >= F.order():
+            continue
+        for k in range(60):
+            p, change = random_array(F, d, rng), f"draw {k}"
+            if k % 2:
+                varphi, phi = split_sequences(p.theta, p.theta_star,
+                                              F.random_element(rng, nonzero=True))
+                p, change = replace(p, varphi=tuple(varphi), phi=tuple(phi)), f"{change}, PA3/PA4"
+            if k % 5 == 0:
+                i, j = rng.sample(range(d + 1), 2)
+                theta_star = p.theta_star[:i] + (p.theta_star[j],) + p.theta_star[i + 1:]
+                p, change = replace(p, theta_star=theta_star), f"{change}, theta*_{i} = theta*_{j}"
+            yield f"random d={d}", change, p
+
+
+@pytest.mark.parametrize("label", list(ALT_FIELDS))
+def test_alt_formulas_match_oracle_less_its_dropped_lines(label):
+    """verify_alt_formulas reports the oracle's failures less the dropped
+    lines, or raises the same exception type: on the sampled arrays and
+    their perturbations, and on the random sequences."""
+    F = ALT_FIELDS[label]
+    cases = [(name, change, q) for name, p, rng in sampled_arrays(label, F)
+             for change, q in perturbations(p, rng)]
+    compared = set()
+    for name, change, q in cases + list(alt_sequences(label)):
+        want = outcome(lambda arr: alt_formulas_oracle(Analysis(arr)), q)
+        got = outcome(lambda arr: verify_alt_formulas(Analysis(arr)), q)
+        if not isinstance(want, type):
+            want = {line for line in want if not dropped_alt_line(line)}
+            got = set(got) if isinstance(got, list) else got
+        assert got == want, (label, name, change)
+        compared.add("raises" if isinstance(want, type)
+                     else "fails" if want else "passes")
+    assert compared == {"passes", "fails", "raises"}, compared
+
+
+@pytest.mark.parametrize("label", list(ALT_FIELDS))
+def test_dropped_alt_lines_are_identities_of_recurrence_coeffs(label):
+    """On every random PA1-PA2 sequence, on both sides of recurrence_coeffs,
+    the a_0, b_0 and c_d closed forms and the weighted identity at 0 hold,
+    and for 0 < i < d the b_i and c_i closed forms hold exactly when the
+    weighted identity at i does, which fails on some."""
+    failed = set()
+    for name, change, q in alt_sequences(label):
+        if not satisfies_pa1_pa2(q):
+            continue
+        lines = set(alt_formulas_oracle(Analysis(q)).failures)
+        for tag in ("", "dual "):
+            assert not {tag + line for line in ALT_IDENTITIES} & lines, (label, name, change)
+            for i in range(1, q.d):
+                group = {f"{tag}b_{i} closed form fails", f"{tag}c_{i} closed form fails",
+                         f"{tag}weighted b/c difference identity fails at {i}"}
+                assert len(group & lines) in (0, 3), (label, name, change, i)
+                if group <= lines:
+                    failed.add(tag + "interior")
+    assert failed == {"interior", "dual interior"}, failed

@@ -11,11 +11,12 @@ from leonard import (
     make_array,
     recurrence_coeffs,
     sample_params,
+    validate,
     verify_alt_formulas,
     verify_difference,
     verify_three_term,
 )
-from conftest import Q, count_multiplications, horner_table
+from conftest import Q, count_multiplications, horner_table, qarr
 
 
 def test_fix_d1_coefficients(fix_d1):
@@ -108,6 +109,14 @@ def test_alt_formulas_detect_broken_arrays(kraw3):
     broken = make_array(kraw3.field, kraw3.theta, kraw3.theta_star,
                         (Q.from_int(3),) + kraw3.varphi[1:], kraw3.phi)
     assert not verify_alt_formulas(Analysis(broken)).ok()
+
+
+def test_a_d_closed_form_is_not_an_identity_of_pa1_to_pa4():
+    # varphi and phi from PA3/PA4 (split_sequences with phi_1 = 2): only
+    # PA5 fails, and so does the a_d closed form
+    p = qarr([0, 1, 3, 4], [0, 1, 2, 3], [-2, -3, -1], [2, 3, 1])
+    assert [line.split(" fail")[0] for line in validate(p).failures] == ["PA5"]
+    assert "a_d closed form fails" in verify_alt_formulas(Analysis(p)).failures
 
 
 def test_three_term_detects_broken_arrays(kraw3):
