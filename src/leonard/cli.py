@@ -14,8 +14,6 @@ import json
 import sys
 from typing import Optional
 
-from .analysis import Analysis
-from .classify import classify
 from .errors import (
     IdentityViolated,
     LengthMismatch,
@@ -23,9 +21,7 @@ from .errors import (
     NonPrimeModulus,
     ReducibleModulus,
 )
-from .families import FamilyParams, family_param_names, generate
 from .fields import Field, extension_field, prime_field, rational_field
-from .ortho import verify_nu_sums, verify_orthogonality
 from .parray import (
     ParameterArray,
     array_from_json,
@@ -33,10 +29,10 @@ from .parray import (
     validate,
     validation_lines,
 )
-from .polys import duality_check, endpoint_values, verify_proportionality
-from .recur import verify_alt_formulas, verify_difference, verify_three_term
-from .splitmat import verify_conjugation, verify_leonard_conditions, verify_transition_matrix
 from .report import CheckReport
+
+# Every command uses the modules above.  Each command imports the rest of
+# what it runs when it runs, so that a process compiles only those modules.
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -93,7 +89,14 @@ def _report_line(name: str, report: CheckReport) -> str:
 
 def _scoreboard(p: ParameterArray) -> tuple[list[str], bool]:
     """Run every verification in a fixed order; never stop at a failure."""
-    # Built per call so that the names are looked up when the checks run.
+    # Imported per call so that the names are looked up when the checks run.
+    from .analysis import Analysis
+    from .ortho import verify_nu_sums, verify_orthogonality
+    from .polys import duality_check, endpoint_values, verify_proportionality
+    from .recur import verify_alt_formulas, verify_difference, verify_three_term
+    from .splitmat import (verify_conjugation, verify_leonard_conditions,
+                           verify_transition_matrix)
+
     checks = (
         ("conjugation", verify_conjugation),
         ("leonard-conditions", verify_leonard_conditions),
@@ -142,6 +145,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .families import FamilyParams, family_param_names, generate
+
     field = parse_field(args.field)
     names = family_param_names(args.family)
     values = {}
@@ -171,6 +176,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classify
+
     p = load_array(args.file)
     _require_valid(p)
     w = classify(p)
@@ -185,6 +192,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_poly_table(args) -> int:
+    from .analysis import Analysis
+
     p = load_array(args.file)
     _require_valid(p)
     table = Analysis(p).polys
@@ -199,6 +208,8 @@ def cmd_poly_table(args) -> int:
 
 
 def cmd_weights(args) -> int:
+    from .analysis import Analysis
+
     p = load_array(args.file)
     _require_valid(p)
     data = Analysis(p).ortho
@@ -212,6 +223,8 @@ def cmd_weights(args) -> int:
 
 
 def cmd_recurrence(args) -> int:
+    from .analysis import Analysis
+
     p = load_array(args.file)
     _require_valid(p)
     co = Analysis(p).recurrence
@@ -224,6 +237,8 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_matrices(args) -> int:
+    from .analysis import Analysis
+
     p = load_array(args.file)
     _require_valid(p)
     m = Analysis(p).matrices
