@@ -82,10 +82,10 @@ FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul as _imul
 from typing import Callable, Iterator, Optional, Sequence
@@ -644,8 +644,10 @@ class RationalField(Field):
         text = text.strip()
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not a rational literal: {text!r}")
-        v = Fraction(text)
-        return _element(self, (v.numerator, v.denominator))
+        n, _, d = text.partition("/")
+        n, d = int(n), int(d or 1)
+        g = gcd(n, d)
+        return _element(self, (n // g, d // g))
 
     def format(self, a: FieldElement) -> str:
         n, d = a.value
@@ -1251,9 +1253,19 @@ def _split_off_root(f: list, dst: Field):
     so do r + delta and delta*r, which are all squares, or all of trace 0,
     when [dst : E] is even; no such delta would split f, and walking the p
     of them costs time exponential in log p.
+
+    In characteristic 2 the trace of delta*r is Tr_E(r Tr_{dst/E}(delta)),
+    the same for every conjugate r when Tr_{dst/E}(delta) lies in GF(2).
+    Those deltas form a proper GF(2)-subspace that holds 1, so one of the
+    basis powers w^j, 1 <= j < K, lies outside it: they are tried first,
+    at indices 2^j, and then the rest in element order.
     """
     one = dst.one_value
-    deltas = (dst.element(i).value for i in range(dst.characteristic(), dst.order()))
+    indices = range(dst.characteristic(), dst.order())
+    if dst.characteristic() == 2:
+        indices = itertools.chain((2**j for j in range(1, dst.spec.k)),
+                                  (i for i in indices if i & (i - 1)))
+    deltas = (dst.element(i).value for i in indices)
     while len(f) > 2:
         delta = next(deltas)
         if dst.characteristic() == 2:

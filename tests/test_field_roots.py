@@ -508,6 +508,58 @@ def test_linear_lift_above_the_table_cap():
             assert lift(x * y) == lift(x) * lift(y), (src, x, y)
 
 
+def element_order_split_off_root(f, dst):
+    """The old fields._split_off_root: the deltas in element order from
+    index p, in every characteristic."""
+    one = dst.one_value
+    deltas = (dst.element(i).value for i in range(dst.characteristic(), dst.order()))
+    while len(f) > 2:
+        delta = next(deltas)
+        if dst.characteristic() == 2:
+            t, s = fields._pmod(dst, [dst.zero_value, delta], f), []
+            for _ in range(dst.spec.k):
+                s = fields._psub(dst, s, t)
+                t = fields._pmulmod(dst, t, t, f)
+        else:
+            s = fields._psub(dst, fields._ppowmod(dst, [delta, one], (dst.order() - 1) // 2, f),
+                             [one])
+        h = fields._pgcd(dst, f, s)
+        if 2 <= len(h) < len(f):
+            f = h
+    return dst._neg(f[0])
+
+
+def test_char2_powers_first_keep_every_embedding(monkeypatch):
+    """In characteristic 2 the deltas w^j go first.  For every GF(2^k) in
+    GF(2^K), k | K <= 8, the map (the least conjugate root) is the one the
+    element order gave, and the splitting takes fewer gcds: 31 in element
+    order for GF(2^4) and GF(2^2) in GF(2^8)."""
+    gcds = {}
+
+    def counted(*args):
+        gcds[order] += 1
+        return pgcd(*args)
+
+    pairs = [(k, K) for K in range(2, 9) for k in range(2, K) if K % k == 0]
+    assert pairs == [(2, 4), (2, 6), (3, 6), (2, 8), (4, 8)]
+    fields_of = {n: field_of(2, n) for n in (2, 3, 4, 6, 8)}
+    pgcd = fields._pgcd
+    monkeypatch.setattr(fields, "_pgcd", counted)
+    for k, K in pairs:
+        src, dst = fields_of[k], fields_of[K]
+        gcds.update(new=0, old=0)
+        order = "new"
+        new = embed_map.__wrapped__(src, dst)
+        order = "old"
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_split_off_root", element_order_split_off_root)
+            old = embed_map.__wrapped__(src, dst)
+        assert [new(x) for x in src.elements()] == [old(x) for x in src.elements()], (k, K)
+        assert gcds["new"] <= gcds["old"], (k, K, gcds)
+        if K == 8:
+            assert gcds == {"new": 5, "old": 31}, (k, gcds)
+
+
 def trial_division(n):
     if n < 2:
         return False

@@ -131,6 +131,40 @@ def test_rational_format_is_str_of_fraction(sign, num, pad, den, dpad):
     assert Q.parse(Q.format(Q.parse(text))) == Q.parse(text)
 
 
+def parse_outcome(parse, text):
+    """(numerator, denominator) of parse(text), or the message of the
+    ValueError it raises."""
+    try:
+        v = parse(text)
+    except ValueError as e:
+        return str(e)
+    return (v.numerator, v.denominator) if isinstance(v, Fraction) else v.value
+
+
+@given(RATIONALS, st.sampled_from(["", "+", "-"]), st.integers(0, 3), st.integers(0, 3),
+       st.integers(1, 50))
+def test_rational_parse_matches_fraction(x, sign, pad, dpad, k):
+    """The payload of a parsed literal is Fraction's numerator and
+    denominator, for literals with a sign, leading zeros and a common
+    factor."""
+    n, d = abs(x.numerator) * k, x.denominator * k
+    text = f"{sign}{'0' * pad}{n}/{'0' * dpad}{d}"
+    assert parse_outcome(Q.parse, text) == parse_outcome(Fraction, text)
+    assert parse_outcome(Q.parse, str(x)) == parse_outcome(Fraction, str(x))
+
+
+@pytest.mark.parametrize("text", [
+    "-0", "+0", "0/9", "+10/4", "-10/4", "007/014", "-007/0014", "12",
+    "9" * 4300, "-" + "9" * 4300 + "/" + "7" * 4300, "0" * 4300 + "/3",
+    "9" * 4301, "-" + "9" * 4301, "1/" + "7" * 4301, "9" * 4301 + "/" + "7" * 4400,
+], ids=lambda t: t if len(t) < 12 else f"{len(t)}-chars")
+def test_rational_parse_edge_literals_match_fraction(text):
+    """Zero with a sign, leading zeros, and numbers at and past the
+    interpreter's int-to-str digit limit: the same payload as Fraction, or
+    the same ValueError message."""
+    assert parse_outcome(Q.parse, text) == parse_outcome(Fraction, text)
+
+
 def test_rational_random_element_draws_as_fraction_did():
     """random_element makes the rng calls that the Fraction payload made, so
     seeded draws of arrays over Q stay the same."""
