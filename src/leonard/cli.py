@@ -131,6 +131,15 @@ def _require_valid(p: ParameterArray) -> None:
         raise IdentityViolated("array fails validation; see report above")
 
 
+def _valid_analysis(path: str):
+    """The Analysis of the array in a file, after checking that it is valid."""
+    from .analysis import Analysis
+
+    p = load_array(path)
+    _require_valid(p)
+    return Analysis(p)
+
+
 def cmd_validate(args) -> int:
     p = load_array(args.file)
     rep = validate(p)
@@ -192,11 +201,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_poly_table(args) -> int:
-    from .analysis import Analysis
-
-    p = load_array(args.file)
-    _require_valid(p)
-    table = Analysis(p).polys
+    a = _valid_analysis(args.file)
+    table, p = a.polys, a.p
     if args.format == "json":
         sys.stdout.write(dump_json(table.P.to_json()))
     else:
@@ -208,12 +214,8 @@ def cmd_poly_table(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    from .analysis import Analysis
-
-    p = load_array(args.file)
-    _require_valid(p)
-    data = Analysis(p).ortho
-    fmt = p.field.format
+    a = _valid_analysis(args.file)
+    data, fmt = a.ortho, a.p.field.format
     sys.stdout.write(dump_json({
         "k": [fmt(x) for x in data.k],
         "kstar": [fmt(x) for x in data.kstar],
@@ -223,12 +225,8 @@ def cmd_weights(args) -> int:
 
 
 def cmd_recurrence(args) -> int:
-    from .analysis import Analysis
-
-    p = load_array(args.file)
-    _require_valid(p)
-    co = Analysis(p).recurrence
-    fmt = p.field.format
+    a = _valid_analysis(args.file)
+    co, fmt = a.recurrence, a.p.field.format
     sys.stdout.write(dump_json({
         name: [fmt(x) for x in getattr(co, name)]
         for name in ("a", "b", "c", "astar", "bstar", "cstar")
@@ -237,11 +235,7 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_matrices(args) -> int:
-    from .analysis import Analysis
-
-    p = load_array(args.file)
-    _require_valid(p)
-    m = Analysis(p).matrices
+    m = _valid_analysis(args.file).matrices
     names = ("A", "B", "Astar", "Bstar", "T", "Tstar", "Tdown",
              "D", "Ddown", "Z", "H", "Hstar", "G")
     sys.stdout.write(dump_json({name: getattr(m, name).to_json()
