@@ -162,8 +162,9 @@ def q_fit(P, theta) -> Optional[tuple]:
     if len(theta) == 2:
         return theta[0].field.zero(), d1 / (qi - one)
     d2 = theta[2] - theta[1]
-    return ((d2 - qi * d1) / ((q - one) * (q - qi)),
-            (d2 - q * d1) / ((qi - one) * (qi - q)))
+    # (q^-1 - 1)(q^-1 - q) = (q - 1)(q - q^-1) / q, so one inverse serves both
+    inv = ((q - one) * (q - qi)).inverse()
+    return (d2 - qi * d1) * inv, (d2 - q * d1) * q * inv
 
 
 def q_varphi1(P, d, mu, mus, h, hs) -> tuple:

@@ -66,7 +66,13 @@ rows are the payloads of the powers of w^(p^m) (of the root, for an
 embedding), packed like the product's operands, so an image costs one int
 product per row, one unpack and no field operation (a field too wide to
 pack keeps the rows by columns, at one dot product per column).  Prime
-fields multiply as (a*b) % p.
+fields multiply as (a*b) % p.  A power is taken left to right from its
+base, one squaring per bit after the leading one.  A square root is
+Tonelli-Shanks, with q - 1 = 2^s t split and z^t, for the first
+non-square z, taken once per field, and one powering a^((t-1)/2) per
+root.  A rootless quadratic over GF(p^k), p odd, takes the square root of
+its discriminant D in GF(p^k) and not in GF(p^2k): sqrt(D / n0) there, for
+the first non-square n0, times s0 with s0^2 = n0, found once per field.
 
 A matrix product does not go through FieldElement at all: it is one call
 of the field's kernel, _matmul, on rows of payloads, which skips zero
@@ -508,7 +514,10 @@ class Field:
         raise NotImplementedError
 
     def pow(self, a: FieldElement, n: int) -> FieldElement:
-        """a**n by repeated squaring; n may be negative for nonzero a."""
+        """a**n by left-to-right binary powering, which starts from a and
+        not from one; n may be negative for nonzero a.  For n > 0 it takes
+        one squaring per bit of n after the leading one and one product per
+        set bit among them."""
         if not isinstance(n, int):
             raise TypeError("exponent must be an int")
         if n < 0:
@@ -516,13 +525,13 @@ class Field:
                 raise ZeroToNegativePower(f"0**{n} in {self}")
             a = a.inverse()
             n = -n
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if not n:
+            return self.one()
+        result = a
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * a
         return result
 
     def characteristic(self) -> int:
@@ -1040,7 +1049,9 @@ def quadratic_roots(
     A double root is returned twice.  Finite fields return their roots in
     element order (sorted by index_of), each checked against the quadratic:
     in odd characteristic the discriminant passes Euler's criterion and
-    Tonelli-Shanks takes its square root; in characteristic 2 the
+    Tonelli-Shanks takes its square root, with the field's constants (the
+    2-adic split of q - 1 and a generator of its 2-Sylow subgroup) and the
+    inverse of 2 taken once per field; in characteristic 2 the
     substitution x = b*y leaves y^2 + y = c/b^2, solved by the trace-one
     formula.  Over Q the discriminant is tested for being a perfect square
     and the root with '+' sign comes first.
@@ -1052,10 +1063,7 @@ def quadratic_roots(
             roots = _roots_odd(field, b, c)
         if roots is None:
             return None
-        for r in roots:
-            if r * r + b * r + c:
-                raise RuntimeError(f"{r} is not a root of x^2 + ({b})*x + ({c})")
-        return tuple(sorted(roots, key=field.index_of))
+        return _checked_roots(field, b, c, roots)
     disc = b * b - 4 * c
     num, den = disc.value
     if num < 0:
@@ -1065,12 +1073,28 @@ def quadratic_roots(
     if rn * rn != num or rd * rd != den:
         return None
     root = _element(field, (rn, rd))
-    half = field.from_int(2).inverse()
+    half = _half(field)
     return ((-b + root) * half, (-b - root) * half)
 
 
+def _checked_roots(field: Field, b: FieldElement, c: FieldElement, roots):
+    """The two roots of x^2 + b*x + c in element order, each checked against
+    the quadratic before it is returned."""
+    for r in roots:
+        if r * r + b * r + c:
+            raise RuntimeError(f"{r} is not a root of x^2 + ({b})*x + ({c})")
+    return tuple(sorted(roots, key=field.index_of))
+
+
+@functools.cache
+def _half(field: Field) -> FieldElement:
+    """The inverse of 2, for a field of characteristic other than 2: above
+    the table cap an inverse is an Itoh-Tsujii chain."""
+    return field.from_int(2).inverse()
+
+
 def _roots_odd(field: Field, b: FieldElement, c: FieldElement):
-    half = field.from_int(2).inverse()
+    half = _half(field)
     disc = b * b - 4 * c
     if not disc:
         return (-b * half,) * 2
@@ -1082,15 +1106,17 @@ def _roots_odd(field: Field, b: FieldElement, c: FieldElement):
 
 def _sqrt(field: Field, a: FieldElement) -> Optional[FieldElement]:
     """A square root of the nonzero a in a finite field of odd order, by
-    Tonelli-Shanks; None when Euler's criterion finds a non-square."""
-    q = field.order()
-    t, s = q - 1, 0
-    while t % 2 == 0:
-        t, s = t // 2, s + 1
+    Tonelli-Shanks; None when Euler's criterion finds a non-square.
+
+    With q - 1 = 2^s t, t odd, the constants t, s and z^t, for the first
+    non-square z, are taken once per field.  One powering gives
+    y = a^((t-1)/2), and then x = a^((t+1)/2) = y*a and e = a^t = y*x."""
+    t, s, zt = _tonelli_shanks_constants(field)
     one = field.one()
-    x = a ** ((t + 1) // 2)
-    e = a**t  # x^2 = a*e, and e has order 2^i with i <= s
-    g = None
+    y = a ** ((t - 1) // 2)
+    x = y * a
+    e = y * x  # x^2 = a*e, and e has order 2^i with i <= s
+    g = zt
     m = s
     while e != one:
         i, e2 = 0, e
@@ -1100,8 +1126,6 @@ def _sqrt(field: Field, a: FieldElement) -> Optional[FieldElement]:
         if i == m:
             # only on the first pass: a^((q-1)/2) = e^(2^(s-1)) != 1
             return None
-        if g is None:
-            g = _first_nonsquare(field) ** t
         for _ in range(m - i - 1):
             g = g * g
         x = x * g
@@ -1109,6 +1133,17 @@ def _sqrt(field: Field, a: FieldElement) -> Optional[FieldElement]:
         e = e * g
         m = i
     return x
+
+
+@functools.cache
+def _tonelli_shanks_constants(field: Field) -> tuple[int, int, FieldElement]:
+    """(t, s, z^t) for a field of odd order q, where q - 1 = 2^s t with t
+    odd and z is the first non-square: z^t generates the 2-Sylow subgroup
+    of the multiplicative group."""
+    t, s = field.order() - 1, 0
+    while t % 2 == 0:
+        t, s = t // 2, s + 1
+    return t, s, _first_nonsquare(field) ** t
 
 
 @functools.cache
@@ -1289,7 +1324,13 @@ def splitting_field(
 
     Returns the field itself with the identity map when the roots are already
     present.  Over Q, or past the supported extension degree, raises
-    NeedsFieldExtension carrying the quadratic.
+    NeedsFieldExtension carrying the quadratic.  Over GF(p) the roots are
+    w and -b - w in GF(p)[x] / (x^2 + b*x + c).  Over GF(p^k), p odd, E is
+    GF(p^2k), and the square root of the discriminant D is taken in the
+    ground field: D / n0 is a square there for the first non-square n0, and
+    sqrt(D) = s0 * sqrt(D / n0), with s0^2 = n0 in E found once per field.
+    Over GF(2^k) the roots are found in E by quadratic_roots.  Either way
+    they come in element order, each checked against the quadratic.
     """
     roots = quadratic_roots(field, b, c)
     if roots is not None:
@@ -1314,7 +1355,29 @@ def splitting_field(
         )
     ext = extension_field(field.spec.p, k2, _find_irreducible(field.spec.p, k2))
     lift = embed_map(field, ext)
-    roots = quadratic_roots(ext, lift(b), lift(c))
-    if roots is None:  # cannot happen: a quadratic splits one step up
-        raise RuntimeError("quadratic failed to split in its splitting field")
-    return ext, lift, roots
+    if field.characteristic() == 2:
+        roots = quadratic_roots(ext, lift(b), lift(c))
+        if roots is None:  # cannot happen: a quadratic splits one step up
+            raise RuntimeError("quadratic failed to split in its splitting field")
+        return ext, lift, roots
+    # The discriminant D is a non-square of the field, and so is n0: D / n0
+    # is a square there, and sqrt(D) = s0 * lift(sqrt(D / n0)).
+    n0_inv, s0 = _nonsquare_root(field, ext)
+    half = _half(field)
+    root = _sqrt(field, (b * b - 4 * c) * n0_inv)
+    if root is None:  # cannot happen: a quotient of two non-squares is a square
+        raise RuntimeError(f"x^2 + ({b})*x + ({c}) has a square discriminant in {field}")
+    u, v = lift(-b * half), s0 * lift(root * half)
+    return ext, lift, _checked_roots(ext, lift(b), lift(c), (u + v, u - v))
+
+
+@functools.cache
+def _nonsquare_root(field: Field, ext: Field) -> tuple[FieldElement, FieldElement]:
+    """For a finite field of odd order and its quadratic extension ext: the
+    inverse of n0, the first non-square of the field, and a square root s0
+    of n0 in ext, where every element of the field is a square."""
+    n0 = _first_nonsquare(field)
+    s0 = _sqrt(ext, embed_map(field, ext)(n0))
+    if s0 is None:  # unreachable
+        raise RuntimeError(f"{n0} has no square root in {ext}")
+    return n0.inverse(), s0

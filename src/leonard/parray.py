@@ -190,7 +190,10 @@ def validate(p: ParameterArray) -> CheckReport:
                 if p.phi[i - 1] != want:
                     fail("PA4", (i,), f"phi_{i} = {p.phi[i-1]}, expected {want}")
     if d >= 3:
-        ratios: list[Optional[FieldElement]] = []
+        # Each ratio is kept as (numerator, denominator) and two ratios are
+        # compared by their cross-products, so no inverse is taken unless a
+        # failure line prints a quotient.
+        ratios: list[Optional[tuple[FieldElement, FieldElement]]] = []
         for i in range(2, d):
             den = p.theta[i - 1] - p.theta[i]
             den_s = p.theta_star[i - 1] - p.theta_star[i]
@@ -198,15 +201,16 @@ def validate(p: ParameterArray) -> CheckReport:
                 fail("PA5", (i,), "zero denominator (theta repeats)")
                 ratios.append(None)
                 continue
-            r = (p.theta[i - 2] - p.theta[i + 1]) / den
-            r_s = (p.theta_star[i - 2] - p.theta_star[i + 1]) / den_s
-            if r != r_s:
-                fail("PA5", (i,), f"theta ratio {r} != theta* ratio {r_s}")
-            ratios.append(r)
+            num = p.theta[i - 2] - p.theta[i + 1]
+            num_s = p.theta_star[i - 2] - p.theta_star[i + 1]
+            if num * den_s != num_s * den:
+                fail("PA5", (i,), f"theta ratio {num / den} != theta* ratio {num_s / den_s}")
+            ratios.append((num, den))
         for i in range(len(ratios) - 1):
             a, b = ratios[i], ratios[i + 1]
-            if a is not None and b is not None and a != b:
-                fail("PA5", (i + 2, i + 3), f"ratio changes: {a} then {b}")
+            if a is not None and b is not None and a[0] * b[1] != b[0] * a[1]:
+                fail("PA5", (i + 2, i + 3),
+                     f"ratio changes: {a[0] / a[1]} then {b[0] / b[1]}")
     return rep
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -22,8 +24,9 @@ from leonard import (
 )
 from leonard.classify import _normal_form
 from leonard.families import Q_FAMILIES
-from leonard.fields import _find_irreducible, splitting_field
-from leonard.parray import base_candidates
+from leonard.fields import (TABLE_ORDER_CAP, ExtensionField, _find_irreducible,
+                            splitting_field)
+from leonard.parray import array_from_json, base_candidates
 from conftest import Q, qarr
 
 
@@ -249,3 +252,38 @@ def test_case1_form_fits_at_q_exactly_when_at_1_over_q(field):
         fits += at_q
         misses += not at_q
     assert fits >= 10 and misses >= 10
+
+
+# Payload products and inverses in fields above TABLE_ORDER_CAP during one
+# warm-cache classify of each fixture.  The witness field is GF(3^8),
+# GF(5^8) and GF(1000003^4); GF(1000003^2) is above the cap too.  With a
+# Tonelli-Shanks run in the witness field for each split, two powerings
+# per square root, a fresh inverse of 2 per quadratic and quotients in
+# PA5 and the case-I fit, the counts were 402/24, 459/24 and 1,189/27.
+WITNESS_FIELD_OPS = {"ext3_4.json": (279, 16), "ext5_4.json": (288, 16),
+                     "ext1000003_2.json": (520, 17)}
+
+
+@pytest.mark.parametrize("name", list(WITNESS_FIELD_OPS))
+def test_classify_operation_count_above_the_table_cap(name, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name)
+    with open(path) as fh:
+        p = array_from_json(json.load(fh))
+    want = classify(p)  # fills the per-field caches
+    counts = {"_mul": 0, "_inv": 0}
+
+    def counted(op):
+        method = getattr(ExtensionField, op)
+
+        def wrapper(self, *args):
+            if self.order() > TABLE_ORDER_CAP:
+                counts[op] += 1
+            return method(self, *args)
+        return wrapper
+
+    for op in counts:
+        monkeypatch.setattr(ExtensionField, op, counted(op))
+    got = classify(p)
+    assert got.params == want.params and got.field.order() > TABLE_ORDER_CAP
+    products, inverses = WITNESS_FIELD_OPS[name]
+    assert counts["_mul"] <= products and counts["_inv"] <= inverses, counts

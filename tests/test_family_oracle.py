@@ -32,6 +32,10 @@ and III by hand.  Both fits must return the same triple, or both None, and
 raise the same ValueError.  Case IV never had a theta fit of its own, so
 both fits take cases I, II and III only.
 
+`parent_q_fit` is the case-I fit as it was with two inverses, one for mu
+and one for h, unchanged apart from the name.  `q_fit` takes one, of
+(q - 1)(q - q^-1); both must return the same pair, or both None.
+
 `q_splits`, `ordinary_splits`, `alternating_splits` and `orphan_splits` are
 the closed-form split sequences of the four normal forms, unchanged, which
 `generate` built arrays from and `classify` compared with before PA3 and PA4
@@ -81,6 +85,7 @@ from leonard.families import (
     _characteristic_allows,
     _random_nonzero,
     _require,
+    q_fit,
 )
 from leonard.classify import ClassifierWitness, _identity, _make_witness
 from leonard.cli import main
@@ -977,6 +982,38 @@ def test_fit_matches_the_solve(field_name):
     assert fitted["I"] >= 40
     if field.characteristic() != 2:
         assert fitted["II"] >= 40 and fitted["III"] >= 40
+
+
+def parent_q_fit(P, theta) -> Optional[tuple]:
+    """Case I (mu, h) from D1 = theta_1 - theta_0 and D2 = theta_2 - theta_1:
+    D2 - q D1 = h (q^-1 - 1)(q^-1 - q) and D2 - q^-1 D1 = mu (q - 1)(q - q^-1).
+    At d = 1, mu = 0.  None when q is 0, 1 or -1."""
+    q, one = P(1), P(0)
+    if not q or q == one or q == -one:
+        return None
+    qi, d1 = P(-1), theta[1] - theta[0]
+    if len(theta) == 2:
+        return theta[0].field.zero(), d1 / (qi - one)
+    d2 = theta[2] - theta[1]
+    return ((d2 - qi * d1) / ((q - one) * (q - qi)),
+            (d2 - q * d1) / ((qi - one) * (qi - q)))
+
+
+@pytest.mark.parametrize("field_name", list(FIT_FIELDS) + ["GF(3^8)"])
+def test_q_fit_matches_the_two_inverse_fit(field_name):
+    field = FIT_FIELDS.get(field_name) or extension_field(3, 8, _find_irreducible(3, 8))
+    rng = random.Random(f"q_fit {field_name}")
+    special = (field.zero(), field.one(), -field.one())
+    fitted = 0
+    for _ in range(300):
+        q = rng.choice(special)
+        while q in special and rng.random() > 0.1:  # 0, 1 or -1 about one time in ten
+            q = field.random_element(rng)
+        theta = [field.random_element(rng) for _ in range(rng.randint(2, 5))]
+        want = parent_q_fit(_QPowers(q), theta)
+        assert q_fit(_QPowers(q), theta) == want, (field_name, q, theta)
+        fitted += want is not None
+    assert fitted >= 200
 
 
 def q_splits(P, d, mu, mus, h, hs, tau) -> tuple[list, list]:

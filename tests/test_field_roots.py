@@ -5,6 +5,14 @@ layer used before it moved to Tonelli-Shanks, the trace-one formula,
 equal-degree splitting, Miller-Rabin and Rabin's irreducibility test, and
 the two polynomial libraries it used before its one arithmetic on payloads:
 int lists mod p, and lists of FieldElements.
+
+`parent_sqrt`, `parent_roots_odd` and `parent_extension_branch` are the
+Tonelli-Shanks square root, the odd-characteristic quadratic solver and the
+odd-characteristic extension branch of `splitting_field` as they were
+before the constants of Tonelli-Shanks were taken once per field and the
+square root of a discriminant was taken in the ground field, unchanged
+apart from the names they call: each took two powerings per square root,
+an inverse of 2 per call, and a Tonelli-Shanks run in GF(p^2k) per split.
 """
 
 import itertools
@@ -16,16 +24,19 @@ import pytest
 
 from leonard import (
     FieldElement,
+    ZeroToNegativePower,
     embed_map,
     extension_field,
     prime_field,
     quadratic_roots,
+    rational_field,
     splitting_field,
 )
 from leonard import fields
 from leonard.fields import (
     TABLE_ORDER_CAP,
     _find_irreducible,
+    _first_nonsquare,
     _irreducible,
     _is_prime,
 )
@@ -120,6 +131,170 @@ def test_quadratic_roots_in_large_prime_fields():
         z = next(F.from_int(n) for n in range(2, p)
                  if F.from_int(n) ** ((p - 1) // 2) != F.one())
         assert quadratic_roots(F, F.zero(), -z) is None
+
+
+def parent_roots_odd(field, b, c):
+    half = field.from_int(2).inverse()
+    disc = b * b - 4 * c
+    if not disc:
+        return (-b * half,) * 2
+    root = parent_sqrt(field, disc)
+    if root is None:
+        return None
+    return ((-b + root) * half, (-b - root) * half)
+
+
+def parent_sqrt(field, a):
+    """A square root of the nonzero a in a finite field of odd order, by
+    Tonelli-Shanks; None when Euler's criterion finds a non-square."""
+    q = field.order()
+    t, s = q - 1, 0
+    while t % 2 == 0:
+        t, s = t // 2, s + 1
+    one = field.one()
+    x = a ** ((t + 1) // 2)
+    e = a**t  # x^2 = a*e, and e has order 2^i with i <= s
+    g = None
+    m = s
+    while e != one:
+        i, e2 = 0, e
+        while e2 != one:
+            e2 = e2 * e2
+            i += 1
+        if i == m:
+            # only on the first pass: a^((q-1)/2) = e^(2^(s-1)) != 1
+            return None
+        if g is None:
+            g = _first_nonsquare(field) ** t
+        for _ in range(m - i - 1):
+            g = g * g
+        x = x * g
+        g = g * g
+        e = e * g
+        m = i
+    return x
+
+
+def parent_quadratic_roots(field, b, c):
+    """The odd-characteristic finite branch of quadratic_roots."""
+    roots = parent_roots_odd(field, b, c)
+    if roots is None:
+        return None
+    for r in roots:
+        if r * r + b * r + c:
+            raise RuntimeError(f"{r} is not a root of x^2 + ({b})*x + ({c})")
+    return tuple(sorted(roots, key=field.index_of))
+
+
+def parent_extension_branch(field, b, c):
+    """splitting_field past its quadratic_roots call, for a rootless
+    quadratic over GF(p^k), p odd, with 2k within the supported degree."""
+    k2 = field.spec.k * 2
+    ext = extension_field(field.spec.p, k2, _find_irreducible(field.spec.p, k2))
+    lift = embed_map(field, ext)
+    roots = parent_quadratic_roots(ext, lift(b), lift(c))
+    if roots is None:  # cannot happen: a quadratic splits one step up
+        raise RuntimeError("quadratic failed to split in its splitting field")
+    return ext, lift, roots
+
+
+def split_like_the_parent(F, b, c):
+    """splitting_field(F, b, c) has the parent's extension, the parent's
+    embedding and the parent's roots, payload for payload and in order;
+    the extension and its roots are returned."""
+    ext, lift, roots = splitting_field(F, b, c)
+    want_ext, want_lift, want = parent_extension_branch(F, b, c)
+    assert ext.spec == want_ext.spec and ext.spec.k == 2 * F.spec.k, (F, b, c)
+    assert [r.value for r in roots] == [r.value for r in want], (F, b, c)
+    assert lift(F.generator()) == want_lift(F.generator())
+    return ext, lift, roots
+
+
+def rootless(F, pairs):
+    """The pairs (b, c) for which x^2 + b*x + c has no root in F."""
+    return [(b, c) for b, c in pairs if quadratic_roots(F, b, c) is None]
+
+
+def test_splitting_field_takes_the_root_in_the_ground_field():
+    """Every rootless x^2 + b*x + c over GF(9), GF(25) and GF(27) splits as
+    the parent split it, and its roots are those the scan of the extension
+    finds."""
+    for p, k in ((3, 2), (5, 2), (3, 3)):
+        F = field_of(p, k)
+        cases = rootless(F, itertools.product(list(F.elements()), repeat=2))
+        assert len(cases) == (F.order() ** 2 - F.order()) // 2
+        for b, c in cases:
+            ext, lift, roots = split_like_the_parent(F, b, c)
+            assert roots == oracle_quadratic_roots(ext, lift(b), lift(c)), (F, b, c)
+
+
+def test_splitting_field_above_the_table_cap_matches_the_parent():
+    """Every rootless quadratic of GF(49), whose extension GF(7^4) is above
+    the table cap, and seeded samples over GF(81), GF(125), GF(5^4) and
+    GF(1000003^2)."""
+    F = field_of(7, 2)
+    cases = rootless(F, itertools.product(list(F.elements()), repeat=2))
+    assert len(cases) == 49 * 48 // 2
+    for b, c in cases:
+        split_like_the_parent(F, b, c)
+    for p, k in ((3, 4), (5, 3), (5, 4), (1000003, 2)):
+        F = field_of(p, k)
+        rng = random.Random(f"ground-field-root/{p}/{k}")
+        cases = rootless(F, ((F.random_element(rng), F.random_element(rng))
+                             for _ in range(80)))
+        assert len(cases) >= 20, (F, len(cases))
+        for b, c in cases:
+            ext, lift, (r1, r2) = split_like_the_parent(F, b, c)
+            assert ext.order() > TABLE_ORDER_CAP
+            assert r1 + r2 == -lift(b) and r1 * r2 == lift(c) and r1 != r2
+
+
+LARGE_PRIMES = (65537, 998244353, 1000000000000000003)
+
+
+def test_sqrt_matches_the_parent():
+    """On random squares and random elements, non-squares about half of
+    them, of every odd field of finite_fields() and of three large prime
+    fields: the same root, or None for both."""
+    odd = [F for F in finite_fields() if F.characteristic() != 2]
+    odd += [prime_field(p) for p in LARGE_PRIMES]
+    for F in odd:
+        rng = random.Random(f"sqrt/{F}")
+        z = _first_nonsquare(F)
+        xs = [F.random_element(rng, nonzero=True) for _ in range(40)]
+        cases = [x * x for x in xs] + xs + [z * x * x for x in xs[:10]]
+        seen = set()
+        for a in cases:
+            got, want = fields._sqrt(F, a), parent_sqrt(F, a)
+            assert got == want, (F, a)
+            assert got is None or got * got == a, (F, a)
+            seen.add(got is None)
+        assert seen == {True, False}, F
+
+
+def test_pow_matches_repeated_multiplication():
+    """a**n for n = -20..300 is a, or its inverse, multiplied |n| times
+    into one; 0**0 is one, and 0**n raises for n < 0."""
+    rng = random.Random("pow")
+    for F in (rational_field(), prime_field(7), field_of(3, 2), field_of(3, 8)):
+        xs = [F.zero(), F.one(), -F.one()]
+        xs += [F.random_element(rng, nonzero=True) for _ in range(3)]
+        for a in xs:
+            up = [F.one()]
+            for _ in range(300):
+                up.append(up[-1] * a)
+            for n in range(301):
+                assert a**n == up[n], (F, a, n)
+            if not a:
+                for n in range(-20, 0):
+                    with pytest.raises(ZeroToNegativePower):
+                        a**n
+                continue
+            down, inv = F.one(), a.inverse()
+            for n in range(-1, -21, -1):
+                down = down * inv
+                assert a**n == down, (F, a, n)
+        assert F.zero() ** 0 == F.one()
 
 
 def test_embed_map_every_subfield():

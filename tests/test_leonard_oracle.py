@@ -22,6 +22,13 @@ inverse per ordered pair of dual eigenvalues.  It is compared on the audit
 cases and on random sequences with up to two zero varphi_i, and the
 identity that relates its block to the dual one is checked entry by entry.
 
+parent_pa5_failures is the PA5 block of `validate` as it was when it
+formed each ratio as a quotient and compared the quotients.  `validate`
+compares cross-products and divides only to write a failure line; it must
+report the same PA5 lines, in the same order and text, after the same
+PA1-PA4 lines, on the audit cases and on arrays at d = 3..7 over Q, GF(7),
+GF(9) and GF(3^8) with one theta or theta* entry bumped or repeated.
+
 sandwich_conjugation and eigenvector_leonard_conditions (the recurrence
 check with its two eigenvector lines back) compute seven lines that
 hold on build for every PA1-PA2 sequence (T A = H T, `Tinv` = T^-1, ...)
@@ -51,6 +58,7 @@ from leonard import (
     extension_field,
     generate,
     list_families,
+    make_array,
     ortho_data,
     prime_field,
     primitive_idempotents,
@@ -63,7 +71,9 @@ from leonard import (
     verify_difference,
     verify_leonard_conditions,
     verify_three_term,
+    validate,
 )
+from leonard.fields import _find_irreducible
 from leonard.ortho import OrthoData
 from leonard.parray import split_sequences
 from leonard.polys import PolyTable
@@ -192,6 +202,91 @@ def audit_cases(label):
         if not F.is_finite() or d < F.order():
             for k in range(25):
                 yield f"random d={d}", k, random_array(F, d, rng)
+
+
+def parent_pa5_failures(p):
+    """The PA5 failure lines of validate, each ratio a quotient."""
+    rep = CheckReport("validate")
+
+    def fail(condition: str, indices: tuple[int, ...], detail: str) -> None:
+        rep.add(f"{condition} fail at {list(indices)}: {detail}")
+
+    d = p.d
+    if d >= 3:
+        ratios = []
+        for i in range(2, d):
+            den = p.theta[i - 1] - p.theta[i]
+            den_s = p.theta_star[i - 1] - p.theta_star[i]
+            if not den or not den_s:
+                fail("PA5", (i,), "zero denominator (theta repeats)")
+                ratios.append(None)
+                continue
+            r = (p.theta[i - 2] - p.theta[i + 1]) / den
+            r_s = (p.theta_star[i - 2] - p.theta_star[i + 1]) / den_s
+            if r != r_s:
+                fail("PA5", (i,), f"theta ratio {r} != theta* ratio {r_s}")
+            ratios.append(r)
+        for i in range(len(ratios) - 1):
+            a, b = ratios[i], ratios[i + 1]
+            if a is not None and b is not None and a != b:
+                fail("PA5", (i + 2, i + 3), f"ratio changes: {a} then {b}")
+    return rep.failures
+
+
+PA5_FIELDS = {
+    "Q": rational_field(),
+    "GF(7)": prime_field(7),
+    "GF(9)": ALT_FIELDS["GF(9)"],
+    "GF(3^8)": extension_field(3, 8, _find_irreducible(3, 8)),
+}
+
+
+def pa5_cases(F, rng):
+    """At each d = 3..7: an array of every family the field hosts there and
+    five of random sequences, each followed by copies with one theta or
+    theta* entry bumped by one or set equal to another entry."""
+    def changed(values, k, new):
+        return tuple(new if i == k else x for i, x in enumerate(values))
+
+    for d in range(3, 8):
+        arrays = [generate(fp, F) for fp in (sample_params(family, d, F, rng)
+                                              for family in list_families())
+                  if fp is not None]
+        for _ in range(5):
+            arrays.append(make_array(F, *([F.random_element(rng) for _ in range(n)]
+                                          for n in (d + 1, d + 1, d, d))))
+        for p in arrays:
+            yield p
+            for name in ("theta", "theta_star"):
+                seq = getattr(p, name)
+                j, k = rng.sample(range(d + 1), 2)
+                yield replace(p, **{name: changed(seq, j, seq[j] + F.one())})
+                yield replace(p, **{name: changed(seq, j, seq[k])})
+
+
+def pa5_lines_match_the_quotients(p):
+    """The kinds of PA5 line validate wrote, after checking them."""
+    got = validate(p).failures
+    want = parent_pa5_failures(p)
+    assert got == [line for line in got if not line.startswith("PA5")] + want
+    return {line.split(": ")[1].split()[0] for line in want} or {"pass"}
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_pa5_cross_products_match_the_quotients_on_the_audit_cases(label):
+    for name, change, q in audit_cases(label):
+        pa5_lines_match_the_quotients(q)
+
+
+@pytest.mark.parametrize("label", list(PA5_FIELDS))
+def test_pa5_cross_products_match_the_quotients(label):
+    F = PA5_FIELDS[label]
+    rng = random.Random(f"pa5/{label}")
+    seen = set()
+    for p in pa5_cases(F, rng):
+        seen |= pa5_lines_match_the_quotients(p)
+    # every kind of PA5 line: none, zero denominator, theta ratio, ratio changes
+    assert seen == {"pass", "zero", "theta", "ratio"}, seen
 
 
 @pytest.mark.parametrize("label", list(FIELDS))
