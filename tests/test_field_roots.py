@@ -199,14 +199,12 @@ def parent_extension_branch(field, b, c):
 
 
 def split_like_the_parent(F, b, c):
-    """splitting_field(F, b, c) has the parent's extension, the parent's
-    embedding and the parent's roots, payload for payload and in order;
-    the extension and its roots are returned."""
+    """splitting_field(F, b, c) has the parent's extension and the parent's
+    roots, payload for payload and in order; its result is returned."""
     ext, lift, roots = splitting_field(F, b, c)
-    want_ext, want_lift, want = parent_extension_branch(F, b, c)
+    want_ext, _, want = parent_extension_branch(F, b, c)
     assert ext.spec == want_ext.spec and ext.spec.k == 2 * F.spec.k, (F, b, c)
     assert [r.value for r in roots] == [r.value for r in want], (F, b, c)
-    assert lift(F.generator()) == want_lift(F.generator())
     return ext, lift, roots
 
 
