@@ -66,12 +66,12 @@ from leonard import (
     rational_field,
     recurrence_coeffs,
     sample_params,
+    validate,
     verify_alt_formulas,
     verify_conjugation,
     verify_difference,
     verify_leonard_conditions,
     verify_three_term,
-    validate,
 )
 from leonard.fields import _find_irreducible
 from leonard.ortho import OrthoData
