@@ -39,14 +39,18 @@ caches one object per spec); only otherwise does it coerce an int or compare
 field specs, refusing mixed fields.  Elements are built by the slot
 descriptors directly, and each field stores its zero and one payloads, which
 the zero tests of bool() and inverse() compare with, and the hash of its
-spec.  Every payload is canonical, so equal elements have equal payloads and
-equal hashes.  Rationals add and multiply on their (n, d) pairs with the
-gcd-splitting sum and product of Knuth (TAOCP vol. 2, 4.5.1).  An
-extension field of order at most TABLE_ORDER_CAP (2^10) multiplies and
-inverts by log/antilog tables built when it is made: the generator is the
-first element of multiplicative order q - 1 in element order, found by
-walking each candidate's powers with the Kronecker product below, accepted
-only when the walk returns to one after exactly q - 1 distinct powers.
+spec.  A finite field of order at most TABLE_ORDER_CAP builds each element
+once and keeps it by payload, so an operation there returns a stored
+element and allocates nothing; elements are immutable, so sharing them
+changes no result.  Every payload is canonical, so equal elements have
+equal payloads and equal hashes.  Rationals add and multiply on their
+(n, d) pairs with the gcd-splitting sum and product of Knuth (TAOCP vol. 2,
+4.5.1).  An extension field of order at most TABLE_ORDER_CAP (2^10)
+multiplies and inverts by log/antilog tables built when it is made: the
+generator is the first element of multiplicative order q - 1 in element
+order, found by walking each candidate's powers with the Kronecker product
+below, accepted only when the walk returns to one after exactly q - 1
+distinct powers.
 Larger extensions multiply by Kronecker substitution: a precompiled struct
 packs each payload into one int at 1, 2, 4 or 8 bytes per coefficient, the
 fewest that hold k(p-1)^2, the largest convolution coefficient, so one int
@@ -429,10 +433,19 @@ _new_element = object.__new__
 
 
 def _element(field: "Field", value) -> FieldElement:
-    """FieldElement(field, value) without the cost of a constructor call."""
+    """FieldElement(field, value) without the cost of a constructor call.
+    A field of order at most TABLE_ORDER_CAP builds each element once and
+    then returns the stored one."""
+    interned = field._interned
+    if interned is not None:
+        e = interned.get(value)
+        if e is not None:
+            return e
     e = _new_element(FieldElement)
     _set_field(e, field)
     _set_value(e, value)
+    if interned is not None:
+        interned[value] = e
     return e
 
 
@@ -461,12 +474,16 @@ class Field:
     spec_hash: int  # hash(spec), taken once
     zero_value: object  # payloads of zero() and one()
     one_value: object
+    # payload -> its one element, in a field of order at most TABLE_ORDER_CAP
+    _interned: Optional[dict]
 
     def __init__(self, spec: FieldSpec, zero_value, one_value):
         self.spec = spec
         self.spec_hash = hash(spec)
         self.zero_value = zero_value
         self.one_value = one_value
+        order = self.order()
+        self._interned = {} if order is not None and order <= TABLE_ORDER_CAP else None
 
     # payload-level hooks -------------------------------------------------
     def _add(self, a, b):

@@ -25,7 +25,7 @@ from leonard import (
     rational_field,
     splitting_field,
 )
-from leonard.fields import _find_irreducible
+from leonard.fields import TABLE_ORDER_CAP, _find_irreducible
 
 Q = rational_field()
 F7 = prime_field(7)
@@ -221,6 +221,28 @@ def test_element_is_immutable():
         with pytest.raises(AttributeError):
             x.field = Q
         assert x == field.one() and x.field is field
+
+
+def test_elements_up_to_the_table_cap_are_built_once():
+    """A finite field of order at most TABLE_ORDER_CAP returns one stored
+    element per payload; Q and larger fields build a new element each time,
+    so their memory does not grow with use."""
+    rng = random.Random(11)
+    gf961 = extension_field(31, 2, _find_irreducible(31, 2))
+    for field in (F7, F4, F8, prime_field(1021), gf961):
+        assert field.order() <= TABLE_ORDER_CAP
+        elems = list(field.elements())
+        assert all(field.element(i) is x for i, x in enumerate(elems))
+        assert field.zero() is elems[0] and field.one() is field.from_int(1)
+        for _ in range(200):
+            x, y = rng.choice(elems), rng.choice(elems[1:])
+            for z in (x + y, x - y, x * y, x / y, -x, y.inverse(), x**5,
+                      field.parse(field.format(x))):
+                assert z is elems[field.index_of(z)]
+        assert len(field._interned) == field.order()
+    for field in (Q, prime_field(1031), F3_7):
+        assert field._interned is None
+        assert field.one() is not field.one() and field.one() == field.one()
 
 
 def test_mixed_fields_are_refused():
