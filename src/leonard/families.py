@@ -561,10 +561,12 @@ def _from_normal_form(family: str, field: Field, d: int, values: dict):
     eta, etas = form.eta(v.theta0, mu, h), form.eta(v.thetastar0, mus, hs)
     theta = form.eigenvalues(P, d, eta, mu, h)
     theta_star = form.eigenvalues(P, d, etas, mus, hs)
-    # The preconditions keep theta injective, so theta_0 != theta_d.
+    # The preconditions keep theta injective, so theta_0 != theta_d.  The
+    # ddown image of the array reverses theta and swaps varphi with phi, so
+    # split_sequences of reversed theta from varphi_1 gives (phi, varphi).
     slope, offset = form.varphi1(P, d, mu, mus, h, hs)
-    phi_1 = slope * tau + offset - (theta_star[1] - theta_star[0]) * (theta[0] - theta[d])
-    return theta, theta_star, *split_sequences(theta, theta_star, phi_1)
+    phi, varphi = split_sequences(theta[::-1], theta_star, slope * tau + offset)
+    return theta, theta_star, varphi, phi
 
 
 def family_base(fp: FamilyParams, field: Field) -> FieldElement:

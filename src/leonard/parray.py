@@ -13,6 +13,15 @@ varphi_1..varphi_d, phi_1..phi_d).  The defining conditions are
 
 where S_i is the partial sum of (theta_h - theta_{d-h}) / (theta_0 - theta_d)
 over 0 <= h <= i-1.  PA5 is vacuous for d < 3.
+
+PA3 and PA4 are written once: `_pa34_sums` gives S, which depends on theta
+alone, `_pa34_products` the two product terms of each (theta, theta*) pair,
+and `_split` the varphi and phi they fix from phi_1.  PA5 is written once as
+`_close`, the recurrence theta_{i+1} = theta_{i-2} - (beta + 1)(theta_{i-1}
+- theta_i) run from a head, with beta + 1 read off theta's head by `_bp1`.
+`split_sequences` (and through it the family generator), `complete_from_theta`
+and the enumerator use these; only `validate` keeps its own loops, because
+it reports each failing index.
 """
 
 from __future__ import annotations
@@ -129,30 +138,34 @@ def _pa34_sums(theta: Sequence[FieldElement]) -> Optional[list[FieldElement]]:
     return list(itertools.accumulate((theta[h] - theta[d - h]) * inv for h in range(d)))
 
 
-def _pa34_terms(theta: Sequence[FieldElement],
-                theta_star: Sequence[FieldElement]) -> Optional[tuple[list, list, list]]:
-    """(S, c, e) for i = 1..d, where PA3 reads varphi_i = phi_1 S_i + c_i and
-    PA4 reads phi_i = varphi_1 S_i + e_i, or None when theta_0 = theta_d."""
-    sums = _pa34_sums(theta)
-    if sums is None:
-        return None
-    d, ts0 = len(theta) - 1, theta_star[0]
-    c = [(theta_star[i] - ts0) * (theta[i - 1] - theta[d]) for i in range(1, d + 1)]
-    e = [(theta_star[i] - ts0) * (theta[d - i + 1] - theta[0]) for i in range(1, d + 1)]
-    return sums, c, e
+def _pa34_products(theta: Sequence[FieldElement],
+                   theta_star: Sequence[FieldElement]) -> tuple[list, list]:
+    """(c, e) for i = 1..d, where PA3 reads varphi_i = phi_1 S_i + c_i and
+    PA4 reads phi_i = varphi_1 S_i + e_i.  S depends on theta alone, so a
+    caller with many theta* for one theta takes `_pa34_sums` once."""
+    d = len(theta) - 1
+    diffs = list(enumerate((x - theta_star[0] for x in theta_star[1:]), 1))
+    c = [t * (theta[i - 1] - theta[d]) for i, t in diffs]
+    e = [t * (theta[d - i + 1] - theta[0]) for i, t in diffs]
+    return c, e
+
+
+def _split(sums: list, c: list, e: list, phi_1: FieldElement) -> tuple[tuple, tuple]:
+    """(varphi, phi) from PA3 with phi_1 prescribed, then PA4 with the
+    varphi_1 it gives.  PA4 at i = 1 gives phi_1 back: S_1 = 1, and
+    e_1 = -c_1."""
+    varphi = tuple(phi_1 * s + x for s, x in zip(sums, c))
+    return varphi, tuple(varphi[0] * s + y for s, y in zip(sums, e))
 
 
 def split_sequences(theta: Sequence[FieldElement], theta_star: Sequence[FieldElement],
-                    phi_1: FieldElement) -> Optional[tuple[list, list]]:
-    """(varphi, phi) from PA3 with phi_1 prescribed, then PA4 with the
-    varphi_1 it gives, or None when theta_0 = theta_d.  PA4 at i = 1 gives
-    phi_1 back: S_1 = 1, and e_1 = -c_1."""
-    terms = _pa34_terms(theta, theta_star)
-    if terms is None:
+                    phi_1: FieldElement) -> Optional[tuple[tuple, tuple]]:
+    """(varphi, phi) by PA3 and PA4 from phi_1 (see `_split`), or None when
+    theta_0 = theta_d."""
+    sums = _pa34_sums(theta)
+    if sums is None:
         return None
-    sums, c, e = terms
-    varphi = [phi_1 * s + x for s, x in zip(sums, c)]
-    return varphi, [varphi[0] * s + y for s, y in zip(sums, e)]
+    return _split(sums, *_pa34_products(theta, theta_star), phi_1)
 
 
 def validate(p: ParameterArray) -> CheckReport:
@@ -175,12 +188,12 @@ def validate(p: ParameterArray) -> CheckReport:
         if not p.phi[i - 1]:
             fail("PA2", (i,), f"phi_{i} = 0")
     if d >= 1:
-        terms = _pa34_terms(p.theta, p.theta_star)
-        if terms is None:
+        sums = _pa34_sums(p.theta)
+        if sums is None:
             fail("PA3", (0, d), "theta_0 = theta_d leaves the sum undefined")
             fail("PA4", (0, d), "theta_0 = theta_d leaves the sum undefined")
         else:
-            sums, c, e = terms
+            c, e = _pa34_products(p.theta, p.theta_star)
             for i, (s, x) in enumerate(zip(sums, c), 1):
                 want = p.phi[0] * s + x
                 if p.varphi[i - 1] != want:
@@ -273,9 +286,12 @@ def d4_apply(p: ParameterArray, word: Sequence[str]) -> ParameterArray:
 def beta_plus_one(p: ParameterArray) -> Optional[FieldElement]:
     """The common value (theta_{i-2}-theta_{i+1})/(theta_{i-1}-theta_i), or
     None for d < 3 where every scalar is a base."""
-    if p.d < 3:
-        return None
-    return (p.theta[0] - p.theta[3]) / (p.theta[1] - p.theta[2])
+    return _bp1(p.theta) if p.d >= 3 else None
+
+
+def _bp1(seq: Sequence[FieldElement]) -> FieldElement:
+    """beta + 1 read off the head of a sequence of at least 4 entries."""
+    return (seq[0] - seq[3]) / (seq[1] - seq[2])
 
 
 @dataclass(frozen=True)
@@ -332,7 +348,7 @@ def complete_from_theta(
 
     theta and theta* must already be injective with theta_0 != theta_d.
     varphi and phi are `split_sequences`; the candidate survives only if PA2
-    and PA5 hold.
+    holds and both sequences are PA5's closures of their heads.
     """
     d = len(theta) - 1
     if d < 1 or len(theta_star) != d + 1:
@@ -344,21 +360,11 @@ def complete_from_theta(
     if not all(varphi) or not all(phi):
         return None
     if d >= 3:
-        first = None
-        for i in range(2, d):
-            r = (theta[i - 2] - theta[i + 1]) / (theta[i - 1] - theta[i])
-            r_s = (theta_star[i - 2] - theta_star[i + 1]) / (
-                theta_star[i - 1] - theta_star[i]
-            )
-            if r != r_s:
-                return None
-            if first is None:
-                first = r
-            elif r != first:
-                return None
-    return ParameterArray(
-        field, d, tuple(theta), tuple(theta_star), tuple(varphi), tuple(phi)
-    )
+        bp1 = _bp1(theta)
+        if (_close(theta[:4], d, bp1) != tuple(theta)
+                or _close(theta_star[:3], d, bp1) != tuple(theta_star)):
+            return None
+    return ParameterArray(field, d, tuple(theta), tuple(theta_star), varphi, phi)
 
 
 def enumerate_arrays(
@@ -431,24 +437,18 @@ def _arrays(field: Field, d: int, budget: Optional[int],
     index = {x: k for k, x in enumerate(elems)}
     pairs = 0
     for head in itertools.permutations(elems, min(d, 3) + 1):
-        bp1 = (head[0] - head[3]) / (head[1] - head[2]) if d >= 3 else None
+        bp1 = _bp1(head) if d >= 3 else None
         theta = _close(head, d, bp1)
         if theta is None:
             continue
         if shard is not None and _rank(theta, index, q) % shard[1] != shard[0]:
             continue
-        # With a_i = theta_{i-1} - theta_d, b_i = theta_{d-i+1} - theta_0 and
-        # D_i = theta*_i - theta*_0, PA3 reads varphi_i = phi_1 S_i + D_i a_i
-        # and PA4 reads phi_i = (phi_1 + D_1 a_1) S_i + D_i b_i, because
-        # varphi_1 = phi_1 + D_1 a_1 (S_1 = 1).  Where S_i != 0 they vanish
-        # at phi_1 = D_i (-a_i / S_i) and phi_1 = D_i (-b_i / S_i) - D_1 a_1.
-        # Where S_i = 0 they are D_i a_i and D_i b_i, products of differences
-        # of distinct entries, so that i excludes no phi_1.
+        # With S_1 = 1, varphi_1 = phi_1 + c_1.  Where S_i != 0, varphi_i and
+        # phi_i vanish at phi_1 = -c_i / S_i and phi_1 = -e_i / S_i - c_1.
+        # Where S_i = 0 they are c_i and e_i, products of differences of
+        # distinct entries, so that i excludes no phi_1.
         sums = _pa34_sums(theta)
-        a = [theta[i - 1] - theta[d] for i in range(1, d + 1)]
-        b = [theta[d - i + 1] - theta[0] for i in range(1, d + 1)]
-        roots = [(i, -x / s, -y / s)
-                 for i, (s, x, y) in enumerate(zip(sums, a, b)) if s]
+        scales = [(i, -s.inverse()) for i, s in enumerate(sums) if s]
         for star_head in itertools.permutations(elems, min(d, 2) + 1):
             pairs += 1
             if budget is not None and pairs > budget:
@@ -458,20 +458,9 @@ def _arrays(field: Field, d: int, budget: Optional[int],
             theta_star = _close(star_head, d, bp1)
             if theta_star is None:
                 continue
-            diffs = [x - theta_star[0] for x in theta_star[1:]]
-            c1 = diffs[0] * a[0]
-            bad = set()
-            for i, u, w in roots:
-                bad.add(diffs[i] * u)
-                bad.add(diffs[i] * w - c1)
-            phis = [x for x in nonzero if x not in bad]
-            if not phis:
-                continue
-            c = [D * x for D, x in zip(diffs, a)]
-            e = [D * y for D, y in zip(diffs, b)]
-            for phi_1 in phis:
-                varphi_1 = phi_1 + c1
-                yield ParameterArray(
-                    field, d, theta, theta_star,
-                    tuple(phi_1 * s + x for s, x in zip(sums, c)),
-                    tuple(varphi_1 * s + y for s, y in zip(sums, e)))
+            c, e = _pa34_products(theta, theta_star)
+            bad = {c[i] * t for i, t in scales} | {e[i] * t - c[0] for i, t in scales}
+            for phi_1 in nonzero:
+                if phi_1 not in bad:
+                    yield ParameterArray(field, d, theta, theta_star,
+                                         *_split(sums, c, e, phi_1))

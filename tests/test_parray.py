@@ -23,7 +23,7 @@ from leonard import (
     validation_lines,
 )
 from leonard import parray
-from leonard.parray import _pa34_sums
+from leonard.parray import _pa34_sums, split_sequences
 from conftest import Q, qarr, random_injective
 
 
@@ -189,6 +189,71 @@ def test_complete_from_theta_none_when_inconsistent():
     theta = [f5.from_int(v) for v in (0, 1, 2, 3)]
     theta_star = [f5.from_int(v) for v in (0, 1, 2, 4)]
     assert complete_from_theta(f5, theta, theta_star, f5.one()) is None
+
+
+def _complete_by_division(field, theta, theta_star, phi_1):
+    """complete_from_theta as it was before PA5 went through the closure:
+    each ratio of PA5 is divided out and compared.  The oracle for it."""
+    d = len(theta) - 1
+    splits = split_sequences(theta, theta_star, phi_1)
+    if splits is None:
+        return None
+    varphi, phi = splits
+    if not all(varphi) or not all(phi):
+        return None
+    if d >= 3:
+        first = None
+        for i in range(2, d):
+            r = (theta[i - 2] - theta[i + 1]) / (theta[i - 1] - theta[i])
+            r_s = (theta_star[i - 2] - theta_star[i + 1]) / (
+                theta_star[i - 1] - theta_star[i]
+            )
+            if r != r_s:
+                return None
+            if first is None:
+                first = r
+            elif r != first:
+                return None
+    return make_array(field, theta, theta_star, varphi, phi)
+
+
+def _closed(head, d, bp1):
+    """head extended to d + 1 entries by x_{i+1} = x_{i-2} - bp1 (x_{i-1} - x_i)."""
+    seq = list(head)
+    while len(seq) <= d:
+        i = len(seq) - 1
+        seq.append(seq[i - 2] - bp1 * (seq[i - 1] - seq[i]))
+    return seq
+
+
+def _pa5_cases(F, d, rng, attempts):
+    """Injective (theta, theta*, phi_1) with theta and theta* closed by PA5
+    from random heads; every other attempt then adds 1 to one entry of
+    either, which breaks PA5.  Attempts that repeat an entry are dropped."""
+    for k in range(attempts):
+        theta = random_injective(F, 4, rng)
+        bp1 = (theta[0] - theta[3]) / (theta[1] - theta[2])
+        theta = _closed(theta, d, bp1)
+        theta_star = _closed(random_injective(F, 3, rng), d, bp1)
+        if k % 2:
+            seq = rng.choice((theta, theta_star))
+            i = rng.randrange(d + 1)
+            seq[i] += F.one()
+        if len(set(theta)) == len(set(theta_star)) == d + 1:
+            yield theta, theta_star, F.random_element(rng, nonzero=True)
+
+
+@pytest.mark.parametrize("label, d", [("Q", d) for d in range(3, 8)]
+                         + [("GF(7)", 4), ("GF(7)", 5)])
+def test_complete_from_theta_matches_division_oracle(label, d):
+    F = {"Q": Q, "GF(7)": prime_field(7)}[label]
+    rng = random.Random(f"pa5-closure/{label}/{d}")
+    outcomes = set()
+    for theta, theta_star, phi_1 in _pa5_cases(F, d, rng, 4000 if F.is_finite() else 60):
+        got = complete_from_theta(F, theta, theta_star, phi_1)
+        assert got == _complete_by_division(F, theta, theta_star, phi_1)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def _naive_arrays(field, d):
