@@ -381,8 +381,13 @@ def enumerate_arrays(
     from its head theta_0..theta_3 and theta* from theta*_0..theta*_2 with
     the same beta + 1, so theta runs over heads closed by the recurrence and
     theta* over its heads closed the same way; a closure that repeats an
-    entry is dropped.  PA3 and PA4 make every varphi_i and phi_i affine in
-    phi_1, so the phi_1 that break PA2 are solved for, not tried.
+    entry is dropped (`_close`).  PA3 and PA4 make every varphi_i and phi_i
+    affine in phi_1 (`_pa34_sums`, `_pa34_products`), so the phi_1 that break
+    PA2 are solved for, not tried, and each array is built by `_split`.
+
+    The field is never listed: heads and phi_1 are walked by element index
+    and built with `field.element` as they are reached, so the work is that
+    of the pairs examined and the arrays taken, on a field of any order.
 
     Each (theta, theta*) pair examined counts one against the budget, which
     must be at least 0: every theta* head paired with a theta that survives
@@ -416,32 +421,44 @@ def _close(head: tuple[FieldElement, ...], d: int,
     return tuple(seq)
 
 
-def _rank(seq: Sequence[FieldElement], index: dict, q: int) -> int:
+def _rank(seq: Sequence[FieldElement], field: Field) -> int:
     """The position of an injective seq among all len(seq)-permutations of
-    the q field elements in lexicographic order, read off its Lehmer code."""
-    rank, used = 0, []
+    the field's elements in lexicographic order, read off its Lehmer code."""
+    q, rank, used = field.order(), 0, []
     for k, x in enumerate(seq):
-        a = index[x]
+        a = field.index_of(x)
         rank = rank * (q - k) + a - sum(u < a for u in used)
         used.append(a)
     return rank
 
 
+def _injective(field: Field, m: int, head: tuple = (),
+               used: tuple = ()) -> Iterator[tuple[FieldElement, ...]]:
+    """The m-tuples of distinct field elements extending head, whose entries
+    have the indices used, in lexicographic order of index (the order of
+    itertools.permutations).  Each element is built by `field.element` when
+    the walk reaches it, so the work is that of the tuples taken."""
+    for i in range(field.order()):
+        if i not in used:
+            t = head + (field.element(i),)
+            if len(t) == m:
+                yield t
+            else:
+                yield from _injective(field, m, t, used + (i,))
+
+
 def _arrays(field: Field, d: int, budget: Optional[int],
             shard: Optional[tuple[int, int]]) -> Iterator[ParameterArray]:
-    elems = list(field.elements())
-    q = len(elems)
+    q = field.order()
     if q < d + 1:
         return
-    nonzero = [x for x in elems if x]
-    index = {x: k for k, x in enumerate(elems)}
     pairs = 0
-    for head in itertools.permutations(elems, min(d, 3) + 1):
+    for head in _injective(field, min(d, 3) + 1):
         bp1 = _bp1(head) if d >= 3 else None
         theta = _close(head, d, bp1)
         if theta is None:
             continue
-        if shard is not None and _rank(theta, index, q) % shard[1] != shard[0]:
+        if shard is not None and _rank(theta, field) % shard[1] != shard[0]:
             continue
         # With S_1 = 1, varphi_1 = phi_1 + c_1.  Where S_i != 0, varphi_i and
         # phi_i vanish at phi_1 = -c_i / S_i and phi_1 = -e_i / S_i - c_1.
@@ -449,7 +466,7 @@ def _arrays(field: Field, d: int, budget: Optional[int],
         # distinct entries, so that i excludes no phi_1.
         sums = _pa34_sums(theta)
         scales = [(i, -s.inverse()) for i, s in enumerate(sums) if s]
-        for star_head in itertools.permutations(elems, min(d, 2) + 1):
+        for star_head in _injective(field, min(d, 2) + 1):
             pairs += 1
             if budget is not None and pairs > budget:
                 raise BudgetExceeded(
@@ -460,7 +477,8 @@ def _arrays(field: Field, d: int, budget: Optional[int],
                 continue
             c, e = _pa34_products(theta, theta_star)
             bad = {c[i] * t for i, t in scales} | {e[i] * t - c[0] for i, t in scales}
-            for phi_1 in nonzero:
+            # element 0 is zero, so the phi_1 walk starts at index 1
+            for phi_1 in map(field.element, range(1, q)):
                 if phi_1 not in bad:
                     yield ParameterArray(field, d, theta, theta_star,
                                          *_split(sums, c, e, phi_1))

@@ -330,6 +330,23 @@ def test_enumeration_budget_counts_theta_theta_star_pairs():
         list(enumerate_arrays(f5, 2, budget=3599))
 
 
+def test_enumeration_lists_no_field(monkeypatch):
+    # the walk builds heads and phi_1 by index, so a field too large to list
+    # gives its first arrays and its budget error at once
+    def refuse(self):
+        raise AssertionError("the whole field was listed")
+
+    big = prime_field(2**61 - 1)
+    ext = extension_field(1000003, 2, (1, 0, 1))
+    for F in (big, ext):
+        monkeypatch.setattr(type(F), "elements", refuse)
+    for F, d in ((big, 1), (big, 4), (ext, 3)):
+        arrays = list(itertools.islice(enumerate_arrays(F, d), 3))
+        assert len(arrays) == 3 and all(validate(p).ok() for p in arrays)
+    with pytest.raises(BudgetExceeded):
+        next(enumerate_arrays(big, 1, budget=0))
+
+
 def test_enumeration_rejects_a_negative_budget_at_the_call():
     # GF(2) has no d = 3 arrays, so only a check at the call can see it
     for field, d in ((prime_field(5), 2), (prime_field(2), 3)):
