@@ -143,10 +143,10 @@ def _pa34_products(theta: Sequence[FieldElement],
     """(c, e) for i = 1..d, where PA3 reads varphi_i = phi_1 S_i + c_i and
     PA4 reads phi_i = varphi_1 S_i + e_i.  S depends on theta alone, so a
     caller with many theta* for one theta takes `_pa34_sums` once."""
-    d = len(theta) - 1
-    diffs = list(enumerate((x - theta_star[0] for x in theta_star[1:]), 1))
-    c = [t * (theta[i - 1] - theta[d]) for i, t in diffs]
-    e = [t * (theta[d - i + 1] - theta[0]) for i, t in diffs]
+    d, ts0 = len(theta) - 1, theta_star[0]
+    diffs = [theta_star[i] - ts0 for i in range(1, d + 1)]
+    c = [diffs[i - 1] * (theta[i - 1] - theta[d]) for i in range(1, d + 1)]
+    e = [diffs[i - 1] * (theta[d - i + 1] - theta[0]) for i in range(1, d + 1)]
     return c, e
 
 
