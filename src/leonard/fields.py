@@ -36,13 +36,16 @@ root.  No decimal notation anywhere.
 Cost of an operation.  Every FieldElement operator first takes a fast path
 when the other operand is an element of the very same field object (make_field
 caches one object per spec); only otherwise does it coerce an int or compare
-field specs, refusing mixed fields.  Elements are built by the slot
-descriptors directly, and each field stores its zero and one payloads, which
-the zero tests of bool() and inverse() compare with, and the hash of its
-spec.  A finite field of order at most TABLE_ORDER_CAP builds each element
-once and keeps it by payload, so an operation there returns a stored
-element and allocates nothing; elements are immutable, so sharing them
-changes no result.  Every payload is canonical, so equal elements have
+field specs, refusing mixed fields.  An operator's result is
+`field._elements[payload]`: each field stores its zero and one payloads,
+which the zero tests of bool() and inverse() compare with, and the hash of
+its spec.  A finite field of order at most TABLE_ORDER_CAP builds each
+element once and keeps it by payload in a dict, so an operation there is a
+dict hit that calls no Python code and allocates nothing; elements are
+immutable, so sharing them changes no result.  Q and larger fields build
+each element by the slot descriptors directly.  A quadratic extension adds,
+subtracts and negates on its two coefficients written out, not by a
+k-term comprehension.  Every payload is canonical, so equal elements have
 equal payloads and equal hashes.  Rationals add and multiply on their
 (n, d) pairs with the gcd-splitting sum and product of Knuth (TAOCP vol. 2,
 4.5.1).  An extension field of order at most TABLE_ORDER_CAP (2^10)
@@ -350,7 +353,7 @@ class FieldElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return _element(field, field._add(self.value, other.value))
+        return field._elements[field._add(self.value, other.value)]
 
     __radd__ = __add__
 
@@ -360,7 +363,7 @@ class FieldElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return _element(field, field._sub(self.value, other.value))
+        return field._elements[field._sub(self.value, other.value)]
 
     def __rsub__(self, other):
         field = self.field
@@ -368,7 +371,7 @@ class FieldElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return _element(field, field._sub(other.value, self.value))
+        return field._elements[field._sub(other.value, self.value)]
 
     def __mul__(self, other):
         field = self.field
@@ -376,7 +379,7 @@ class FieldElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return _element(field, field._mul(self.value, other.value))
+        return field._elements[field._mul(self.value, other.value)]
 
     __rmul__ = __mul__
 
@@ -396,7 +399,7 @@ class FieldElement:
 
     def __neg__(self):
         field = self.field
-        return _element(field, field._neg(self.value))
+        return field._elements[field._neg(self.value)]
 
     def __pow__(self, n: int):
         return self.field.pow(self, n)
@@ -405,7 +408,7 @@ class FieldElement:
         field = self.field
         if self.value == field.zero_value:
             raise ZeroDivisionError(f"division by zero in {field}")
-        return _element(field, field._inv(self.value))
+        return field._elements[field._inv(self.value)]
 
     def __bool__(self):
         return self.value != self.field.zero_value
@@ -432,21 +435,35 @@ _set_value = FieldElement.value.__set__
 _new_element = object.__new__
 
 
-def _element(field: "Field", value) -> FieldElement:
-    """FieldElement(field, value) without the cost of a constructor call.
-    A field of order at most TABLE_ORDER_CAP builds each element once and
-    then returns the stored one."""
-    interned = field._interned
-    if interned is not None:
-        e = interned.get(value)
-        if e is not None:
-            return e
-    e = _new_element(FieldElement)
-    _set_field(e, field)
-    _set_value(e, value)
-    if interned is not None:
-        interned[value] = e
-    return e
+class _Fresh:
+    """payload -> a new element of the field, built by the slot descriptors
+    without the cost of a constructor call: the `_elements` of Q and of the
+    finite fields above TABLE_ORDER_CAP, whose memory must not grow with
+    use."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: "Field"):
+        self.field = field
+
+    def __getitem__(self, value) -> FieldElement:
+        e = _new_element(FieldElement)
+        _set_field(e, self.field)
+        _set_value(e, value)
+        return e
+
+
+class _Interned(dict):
+    """payload -> the one element with that payload of a field of order at
+    most TABLE_ORDER_CAP, built the first time it is asked for, so a stored
+    one is a dict hit that runs no Python code."""
+
+    __slots__ = ("field",)
+    __init__ = _Fresh.__init__
+
+    def __missing__(self, value) -> FieldElement:
+        e = self[value] = _Fresh.__getitem__(self, value)
+        return e
 
 
 def _nonzero_terms(rows, zero) -> list[list[tuple[int, object]]]:
@@ -474,8 +491,8 @@ class Field:
     spec_hash: int  # hash(spec), taken once
     zero_value: object  # payloads of zero() and one()
     one_value: object
-    # payload -> its one element, in a field of order at most TABLE_ORDER_CAP
-    _interned: Optional[dict]
+    _elements: object  # payload -> element, by subscript
+    _interned: Optional[dict]  # _elements where it keeps what it builds
 
     def __init__(self, spec: FieldSpec, zero_value, one_value):
         self.spec = spec
@@ -483,7 +500,8 @@ class Field:
         self.zero_value = zero_value
         self.one_value = one_value
         order = self.order()
-        self._interned = {} if order is not None and order <= TABLE_ORDER_CAP else None
+        self._interned = _Interned(self) if order and order <= TABLE_ORDER_CAP else None
+        self._elements = _Fresh(self) if self._interned is None else self._interned
 
     # payload-level hooks -------------------------------------------------
     def _add(self, a, b):
@@ -522,10 +540,10 @@ class Field:
 
     # shared API -----------------------------------------------------------
     def zero(self) -> FieldElement:
-        return _element(self, self.zero_value)
+        return self._elements[self.zero_value]
 
     def one(self) -> FieldElement:
-        return _element(self, self.one_value)
+        return self._elements[self.one_value]
 
     def from_int(self, n: int) -> FieldElement:
         raise NotImplementedError
@@ -661,7 +679,7 @@ class RationalField(Field):
         return tuple(out)
 
     def from_int(self, n: int) -> FieldElement:
-        return _element(self, (n, 1))
+        return self._elements[(n, 1)]
 
     def characteristic(self) -> int:
         return 0
@@ -673,7 +691,7 @@ class RationalField(Field):
         n, _, d = text.partition("/")
         n, d = int(n), int(d or 1)
         g = gcd(n, d)
-        return _element(self, (n // g, d // g))
+        return self._elements[(n // g, d // g)]
 
     def format(self, a: FieldElement) -> str:
         n, d = a.value
@@ -684,7 +702,7 @@ class RationalField(Field):
             n, d = rng.randint(-8, 8), rng.randint(1, 6)
             if n or not nonzero:
                 g = gcd(n, d)
-                return _element(self, (n // g, d // g))
+                return self._elements[(n // g, d // g)]
 
     def __repr__(self):
         return "Q"
@@ -713,7 +731,7 @@ class PrimeField(Field):
         return pow(a, -1, self.p)
 
     def from_int(self, n: int) -> FieldElement:
-        return _element(self, n % self.p)
+        return self._elements[n % self.p]
 
     def characteristic(self) -> int:
         return self.p
@@ -723,12 +741,12 @@ class PrimeField(Field):
 
     def elements(self) -> Iterator[FieldElement]:
         for v in range(self.p):
-            yield _element(self, v)
+            yield self._elements[v]
 
     def element(self, index: int) -> FieldElement:
         if not 0 <= index < self.p:
             raise IndexError(index)
-        return _element(self, index)
+        return self._elements[index]
 
     def index_of(self, a: FieldElement) -> int:
         return a.value
@@ -737,14 +755,14 @@ class PrimeField(Field):
         text = text.strip()
         if not _INT_RE.match(text):
             raise ValueError(f"not a residue literal: {text!r}")
-        return _element(self, int(text) % self.p)
+        return self._elements[int(text) % self.p]
 
     def format(self, a: FieldElement) -> str:
         return str(a.value)
 
     def random_element(self, rng, nonzero: bool = False) -> FieldElement:
         lo = 1 if nonzero else 0
-        return _element(self, rng.randrange(lo, self.p))
+        return self._elements[rng.randrange(lo, self.p)]
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -776,13 +794,16 @@ class ExtensionField(Field):
         self.p = p
         self.k = k
         self.modulus = mod
+        self._int_tail = (0,) * (k - 1)  # the payload of n is (n % p,) + this
         self._fold = _fold_rows(mod, p)
         self._payload_struct, self._conv_struct = _packings(p, k)
         super().__init__(FieldSpec("extension", p=p, k=k, modulus=mod),
                          (0,) * k, (1,) + (0,) * (k - 1))
-        # The class's _mul and _inv are the Kronecker product and the
-        # Itoh-Tsujii inverse; the instance shadows them where they do not
-        # apply.
+        # The class's _add, _sub and _neg work on k coefficients, and its
+        # _mul and _inv are the Kronecker product and the Itoh-Tsujii
+        # inverse; the instance shadows them where a faster form applies.
+        if k == 2:
+            self._add, self._sub, self._neg = _pair_ops(p)
         if p**k <= TABLE_ORDER_CAP:
             self._mul, self._inv = _table_ops(self)
             return
@@ -866,11 +887,11 @@ class ExtensionField(Field):
         ])
 
     def from_int(self, n: int) -> FieldElement:
-        return _element(self, (n % self.p,) + (0,) * (self.k - 1))
+        return self._elements[(n % self.p,) + self._int_tail]
 
     def generator(self) -> FieldElement:
         """The residue w of the modulus root."""
-        return _element(self, (0, 1) + (0,) * (self.k - 2))
+        return self._elements[(0, 1) + (0,) * (self.k - 2)]
 
     def characteristic(self) -> int:
         return self.p
@@ -890,7 +911,7 @@ class ExtensionField(Field):
         for _ in range(self.k):
             coeffs.append(n % self.p)
             n //= self.p
-        return _element(self, tuple(coeffs))
+        return self._elements[tuple(coeffs)]
 
     def index_of(self, a: FieldElement) -> int:
         n = 0
@@ -915,7 +936,7 @@ class ExtensionField(Field):
             if power != i:
                 raise ValueError(f"term {term!r} out of place in {text!r}")
             coeffs.append(int(m.group(1)) % self.p)
-        return _element(self, tuple(coeffs))
+        return self._elements[tuple(coeffs)]
 
     def format(self, a: FieldElement) -> str:
         parts = []
@@ -950,6 +971,23 @@ def _packings(p: int, k: int):
         if bound < 256**width:
             return struct.Struct(f"<{k}{code}"), struct.Struct(f"<{2 * k - 1}{code}")
     return None, None
+
+
+def _pair_ops(p: int):
+    """Payload sum, difference and negative of a quadratic extension of
+    GF(p), written out on the two coefficients: the k-term comprehensions
+    cost several times as much."""
+
+    def add(a, b):
+        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
+
+    def sub(a, b):
+        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
+
+    def neg(a):
+        return (-a[0] % p, -a[1] % p)
+
+    return add, sub, neg
 
 
 def _itoh_tsujii_chain(field: ExtensionField):
@@ -1089,7 +1127,7 @@ def quadratic_roots(
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
         return None
-    root = _element(field, (rn, rd))
+    root = field._elements[rn, rd]
     half = _half(field)
     return ((-b + root) * half, (-b - root) * half)
 
@@ -1274,7 +1312,7 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
         and dst.spec.k % src.spec.k == 0
     ):
         mod = [dst.from_int(coef).value for coef in src.spec.modulus]
-        root = _element(dst, _split_off_root(mod, dst))
+        root = dst._elements[_split_off_root(mod, dst)]
         if _peval(dst, mod, root.value) != dst.zero_value:
             raise RuntimeError(f"{root} is not a root of the modulus of {src}")
         # the roots of the irreducible modulus are the conjugates of any one
@@ -1286,7 +1324,7 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
         linear = dst._linear_map([pw.value for pw in powers])
 
         def lift(x: FieldElement, dst=dst, linear=linear) -> FieldElement:
-            return _element(dst, linear(x.value))
+            return dst._elements[linear(x.value)]
 
         return lift
     raise ValueError(f"no embedding of {src} into {dst}")

@@ -41,7 +41,7 @@ from .errors import (
     RepeatedEigenvalue,
     SingularMatrix,
 )
-from .fields import Field, FieldElement, _element
+from .fields import Field, FieldElement
 from .parray import ParameterArray, base_candidates, beta_plus_one, first_case1_base
 from .report import CheckReport
 
@@ -66,7 +66,7 @@ class SquareMatrix:
     @cached_property
     def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
         F = self.field
-        return tuple(tuple([_element(F, v) for v in row]) for row in self.values)
+        return tuple(tuple([F._elements[v] for v in row]) for row in self.values)
 
     @staticmethod
     def from_rows(field: Field, rows: Sequence[Sequence[FieldElement]]) -> "SquareMatrix":
@@ -210,7 +210,7 @@ def pair_products(field: Field, theta: Sequence[FieldElement],
     zeros, not an error."""
     T, Tstar, Tdown = (difference_products(field, v)
                        for v in (theta, theta_star, theta[::-1]))
-    below, above, below_star = (tuple(_element(field, row[i]) for i, row in enumerate(m.values))
+    below, above, below_star = (tuple(field._elements[row[i]] for i, row in enumerate(m.values))
                                 for m in (T, Tdown, Tstar))
     return PairProducts(T=T, Tstar=Tstar, Tdown=Tdown, sides=(below, above[::-1]),
                         sides_star=(below_star, one_sided_products(theta_star)),
