@@ -26,13 +26,14 @@ it reports each failing index.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, LengthMismatch
-from .fields import (Field, FieldElement, FieldSpec, json_int, json_key,
-                     make_field, quadratic_roots)
+from .fields import (TABLE_ORDER_CAP, Field, FieldElement, FieldSpec, json_int,
+                     json_key, make_field, quadratic_roots)
 from .report import CheckReport
 
 
@@ -74,7 +75,7 @@ def make_array(
     if len(phi) != d:
         raise LengthMismatch(f"phi needs {d} entries, got {len(phi)}")
     for x in itertools.chain(theta, theta_star, varphi, phi):
-        if x.field.spec != field.spec:
+        if x.field is not field and x.field.spec != field.spec:
             raise ValueError("entry lies in a different field")
     return ParameterArray(field, d, tuple(theta), tuple(theta_star), tuple(varphi), tuple(phi))
 
@@ -388,6 +389,8 @@ def enumerate_arrays(
     The field is never listed: heads and phi_1 are walked by element index
     and built with `field.element` as they are reached, so the work is that
     of the pairs examined and the arrays taken, on a field of any order.
+    The last TABLE_ORDER_CAP elements built are kept for the walks that
+    follow, so a field up to that order builds each element once.
 
     Each (theta, theta*) pair examined counts one against the budget, which
     must be at least 0: every theta* head paired with a theta that survives
@@ -432,19 +435,20 @@ def _rank(seq: Sequence[FieldElement], field: Field) -> int:
     return rank
 
 
-def _injective(field: Field, m: int, head: tuple = (),
+def _injective(element, q: int, m: int, head: tuple = (),
                used: tuple = ()) -> Iterator[tuple[FieldElement, ...]]:
-    """The m-tuples of distinct field elements extending head, whose entries
-    have the indices used, in lexicographic order of index (the order of
-    itertools.permutations).  Each element is built by `field.element` when
-    the walk reaches it, so the work is that of the tuples taken."""
-    for i in range(field.order()):
+    """The m-tuples of distinct elements of a field of order q extending
+    head, whose entries have the indices used, in lexicographic order of
+    index (the order of itertools.permutations).  Each element is built by
+    element(index) when the walk reaches it, so the work is that of the
+    tuples taken."""
+    for i in range(q):
         if i not in used:
-            t = head + (field.element(i),)
+            t = head + (element(i),)
             if len(t) == m:
                 yield t
             else:
-                yield from _injective(field, m, t, used + (i,))
+                yield from _injective(element, q, m, t, used + (i,))
 
 
 def _arrays(field: Field, d: int, budget: Optional[int],
@@ -452,8 +456,9 @@ def _arrays(field: Field, d: int, budget: Optional[int],
     q = field.order()
     if q < d + 1:
         return
+    element = functools.lru_cache(maxsize=TABLE_ORDER_CAP)(field.element)
     pairs = 0
-    for head in _injective(field, min(d, 3) + 1):
+    for head in _injective(element, q, min(d, 3) + 1):
         bp1 = _bp1(head) if d >= 3 else None
         theta = _close(head, d, bp1)
         if theta is None:
@@ -466,7 +471,7 @@ def _arrays(field: Field, d: int, budget: Optional[int],
         # distinct entries, so that i excludes no phi_1.
         sums = _pa34_sums(theta)
         scales = [(i, -s.inverse()) for i, s in enumerate(sums) if s]
-        for star_head in _injective(field, min(d, 2) + 1):
+        for star_head in _injective(element, q, min(d, 2) + 1):
             pairs += 1
             if budget is not None and pairs > budget:
                 raise BudgetExceeded(
@@ -478,7 +483,7 @@ def _arrays(field: Field, d: int, budget: Optional[int],
             c, e = _pa34_products(theta, theta_star)
             bad = {c[i] * t for i, t in scales} | {e[i] * t - c[0] for i, t in scales}
             # element 0 is zero, so the phi_1 walk starts at index 1
-            for phi_1 in map(field.element, range(1, q)):
+            for phi_1 in map(element, range(1, q)):
                 if phi_1 not in bad:
                     yield ParameterArray(field, d, theta, theta_star,
                                          *_split(sums, c, e, phi_1))
