@@ -245,6 +245,22 @@ def test_elements_up_to_the_table_cap_are_built_once():
         assert field.one() is not field.one() and field.one() == field.one()
 
 
+def test_quadratic_extension_payload_ops_match_the_k_term_ones():
+    """A quadratic extension adds, subtracts and negates on its two
+    coefficients written out; the class's k-term comprehensions, which
+    every other degree uses, are the oracle."""
+    rng = random.Random(5)
+    for p in (2, 5, 31, 37, 2**61 - 1):  # GF(37^2) lies above TABLE_ORDER_CAP
+        F = extension_field(p, 2, _find_irreducible(p, 2))
+        assert "_add" in vars(F)
+        for _ in range(100):
+            a, b = F.random_element(rng).value, F.random_element(rng).value
+            assert F._add(a, b) == ExtensionField._add(F, a, b)
+            assert F._sub(a, b) == ExtensionField._sub(F, a, b)
+            assert F._neg(a) == ExtensionField._neg(F, a)
+    assert "_add" not in vars(F8)
+
+
 def test_mixed_fields_are_refused():
     pairs = [
         (F7, prime_field(11)),
