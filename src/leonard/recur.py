@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .fields import Field, FieldElement
+from .fields import FieldElement
 from .report import CheckReport
 from .splitmat import SquareMatrix
 
@@ -48,14 +48,6 @@ def recurrence_coeffs(a: Analysis) -> RecurrenceCoeffs:
         *_one_side(p.theta_star[0], *pair.sides, p.varphi, tuple(reversed(p.phi))))
 
 
-def _tridiagonal(field: Field, c, a, b) -> SquareMatrix:
-    # (c_i, a_i, b_i) down column i, in rows i - 1, i and i + 1
-    n = len(a)
-    zero = field.zero()
-    return SquareMatrix.build(field, n, lambda r, i: (
-        a[i] if r == i else c[i] if r == i - 1 else b[i] if r == i + 1 else zero))
-
-
 def _column_failures(report: CheckReport, got: SquareMatrix, want: SquareMatrix,
                      message: str) -> None:
     """Add message.format(i, j) for each entry (j, i) where got and want
@@ -73,7 +65,7 @@ def verify_three_term(a: Analysis) -> CheckReport:
     and J tridiagonal with (c_i, a_i, b_i) down column i."""
     p, P, co = a.p, a.polys.P, a.recurrence
     report = CheckReport("three-term")
-    J = _tridiagonal(p.field, co.c, co.a, co.b)
+    J = SquareMatrix.diagonal(p.field, co.a, below=co.b[:-1], above=co.c[1:])
     _column_failures(report, a.pair.H * P, P * J,
                      "recurrence fails for f_{} at theta_{}")
     return report
@@ -85,7 +77,8 @@ def verify_difference(a: Analysis) -> CheckReport:
     J* tridiagonal with (c*_j, a*_j, b*_j) along row j."""
     p, P, co = a.p, a.polys.P, a.recurrence
     report = CheckReport("difference")
-    Jstar = _tridiagonal(p.field, co.cstar, co.astar, co.bstar).transpose()
+    Jstar = SquareMatrix.diagonal(p.field, co.astar, below=co.cstar[1:],
+                                  above=co.bstar[:-1])
     _column_failures(report, P * a.pair.Hstar, Jstar * P,
                      "difference equation fails for f_{} at theta_{}")
     return report

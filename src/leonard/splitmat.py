@@ -23,7 +23,10 @@ T^-1 in closed form, kept as `Tinv`, and those of theta* into T*^-1, from
 which `verify_leonard_conditions` reads the dual array's block.
 
 A SquareMatrix holds the canonical payloads of its entries, row by row.
-The identities checked here are chains of products, each one call of the
+Every banded matrix is one constructor, `SquareMatrix.diagonal`, given its
+diagonal and at most one off-diagonal: A and B (ones below), A* and B*
+(varphi and phi above), the dual A*' of `verify_leonard_conditions`, and
+the recurrence matrices J and J* of `recur`.  The identities checked here are chains of products, each one call of the
 field's payload kernel `Field._matmul`, so no FieldElement is built along
 a chain and comparing two results compares payload tuples.
 """
@@ -87,12 +90,17 @@ class SquareMatrix:
         return SquareMatrix.diagonal(field, [field.one()] * n)
 
     @staticmethod
-    def diagonal(field: Field, entries: Sequence[FieldElement]) -> "SquareMatrix":
-        zero = field.zero_value
+    def diagonal(field: Field, entries: Sequence[FieldElement],
+                 below: Sequence[FieldElement] = (),
+                 above: Sequence[FieldElement] = ()) -> "SquareMatrix":
+        """The banded matrix with diagonal `entries`, below[i] at (i + 1, i)
+        and above[i] at (i, i + 1), written as payload rows."""
         n = len(entries)
-        return SquareMatrix(field, n, tuple(
-            (zero,) * i + (x.value,) + (zero,) * (n - 1 - i) for i, x in enumerate(entries)
-        ))
+        rows = [[field.zero_value] * n for _ in range(n)]
+        for (r, c), band in (((0, 0), entries), ((1, 0), below), ((0, 1), above)):
+            for i, x in enumerate(band):
+                rows[i + r][i + c] = x.value
+        return SquareMatrix(field, n, tuple(map(tuple, rows)))
 
     def _require_match(self, other: "SquareMatrix") -> None:
         if self.n != other.n or self.field != other.field:
@@ -289,33 +297,17 @@ class SplitMatrixSet:
     G: SquareMatrix
 
 
-def bidiag_upper(field: Field, diag: Sequence[FieldElement],
-                 sup: Sequence[FieldElement]) -> SquareMatrix:
-    """The upper bidiagonal matrix with diagonal diag and superdiagonal sup,
-    the form of A* (theta*, varphi) and B* (theta*, phi)."""
-    zero = field.zero()
-    return SquareMatrix.build(field, len(diag), lambda i, j:
-                              diag[i] if i == j else sup[i] if j == i + 1 else zero)
-
-
 def build(a: Analysis) -> SplitMatrixSet:
     p, pair, splits = a.p, a.pair, a.splits
-    F, d = p.field, p.d
-    n = d + 1
-    zero, one = F.zero(), F.one()
-    th, ths = p.theta, p.theta_star
-
-    def bidiag_lower(diag):
-        return SquareMatrix.build(F, n, lambda i, j:
-                                  diag[i] if i == j else one if i == j + 1 else zero)
-
-    A = bidiag_lower(th)
-    B = bidiag_lower(tuple(th[d - i] for i in range(n)))
-    Astar = bidiag_upper(F, ths, p.varphi)
-    Bstar = bidiag_upper(F, ths, p.phi)
+    F, n = p.field, p.d + 1
+    th, ths, ones = p.theta, p.theta_star, [F.one()] * p.d
+    A = SquareMatrix.diagonal(F, th, below=ones)
+    B = SquareMatrix.diagonal(F, th[::-1], below=ones)
+    Astar = SquareMatrix.diagonal(F, ths, above=p.varphi)
+    Bstar = SquareMatrix.diagonal(F, ths, above=p.phi)
 
     D, Ddown = (SquareMatrix.diagonal(F, x) for x in (splits.D, splits.Ddown))
-    Z = SquareMatrix.build(F, n, lambda i, j: one if i + j == d else zero)
+    Z = SquareMatrix(F, n, SquareMatrix.identity(F, n).values[::-1])
 
     # G = T^-1 Z Tdown, and Z Tdown is Tdown with its rows reversed
     Tinv = divided_differences(F, th, *pair.sides)
@@ -423,7 +415,7 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     _require_distinct(p.theta_star)
     F, n, vp = p.field, p.d + 1, p.varphi
     zero, one = F.zero_value, F.one_value
-    K = (pair.Tstar * bidiag_upper(F, p.theta, vp)
+    K = (pair.Tstar * SquareMatrix.diagonal(F, p.theta, above=vp)
          * divided_differences(F, p.theta_star, *pair.sides_star)).values
     star = []
     for i in range(n):

@@ -77,7 +77,7 @@ from leonard.fields import _find_irreducible
 from leonard.ortho import OrthoData
 from leonard.parray import split_sequences
 from leonard.polys import PolyTable
-from leonard.splitmat import _require_distinct, bidiag_upper, divided_differences
+from leonard.splitmat import _require_distinct, divided_differences
 from conftest import dense_mul, qarr, random_array, satisfies_pa1_pa2
 
 FIELDS = {
@@ -741,7 +741,7 @@ def test_dual_block_gives_the_recurrence_block_entry_by_entry(label):
         block = (Vinv * a.matrices.A * V).rows
         F, n, pair = p.field, p.d + 1, a.pair
         below = pair.sides_star[0]
-        K = (pair.Tstar * bidiag_upper(F, p.theta, p.varphi)
+        K = (pair.Tstar * SquareMatrix.diagonal(F, p.theta, above=p.varphi)
              * divided_differences(F, p.theta_star, *pair.sides_star)).rows
         for i in range(n):
             for j in range(n):
