@@ -6,7 +6,11 @@ characteristic-2 shape at d = 3) and solve varphi_1 for tau, name the family
 whose row matches the fitted coordinates, derive its scalars, and certify the
 answer by regenerating the array from them.  That regeneration is the only
 comparison of the split sequences: in a validated array PA3 and PA4 fix them
-from theta, theta* and varphi_1.  When the required scalars live in a
+from theta, theta* and varphi_1.  Every case is fitted by one function,
+`_fit_case`.  At d >= 3 the base q is a root of q^2 - beta q + 1, solved
+once by `splitting_field`: q = 1 gives case II (IV in characteristic 2),
+q = -1 case III, and any other root case I, in the ground field or in the
+quadratic extension the roots need.  When the required scalars live in a
 quadratic extension the witness is produced there; over the rationals the
 needed extension is reported instead of built, for an array that validates.
 """
@@ -20,7 +24,7 @@ from typing import Callable, Optional, Sequence
 from .errors import NeedsFieldExtension, NoCaseMatched, PreconditionViolated
 from .fields import Field, FieldElement, splitting_field
 from .families import FAMILIES, FamilyParams, NormalForm, _FORMS, _powers, generate
-from .parray import (ParameterArray, base_candidates, first_case1_base, make_array,
+from .parray import (ParameterArray, beta_plus_one, first_case1_base, make_array,
                      validate)
 
 
@@ -116,12 +120,11 @@ def _normal_form(p: ParameterArray, case: str, q: FieldElement) -> Optional[dict
             "h_star": hs, "tau": tau}
 
 
-def _from_table(case: str, p: ParameterArray, field: Field, q: FieldElement,
-                data: dict, lift: Callable,
-                source: ParameterArray) -> Optional[ClassifierWitness]:
+def _from_table(case: str, p: ParameterArray, q: FieldElement, data: dict,
+                lift: Callable, source: ParameterArray) -> Optional[ClassifierWitness]:
     """Name the family whose pattern of vanishing normal-form coordinates
-    matches `data`, recover its scalars, and certify them.  p lives in
-    `field`; lift maps the source field into it."""
+    matches `data`, recover its scalars, and certify them.  lift maps the
+    source field into p's field."""
     c = SimpleNamespace(**data)
     coords = (c.mu, c.mu_star, c.h, c.h_star, c.tau)
     family = next((name for name, fam in FAMILIES.items() if fam.case == case
@@ -132,44 +135,32 @@ def _from_table(case: str, p: ParameterArray, field: Field, q: FieldElement,
     fam = FAMILIES[family]
     named = {"theta0": p.theta[0], "thetastar0": p.theta_star[0],
              **fam.scalars(c, q, p.d)}
-    ext, lift2, roots = field, _identity, ()
+    ext, lift2, roots = p.field, _identity, ()
     pair = fam.roots(c, q, p.d) if fam.roots is not None else None
     if pair is not None:  # (r1 + r2, r1 r2)
-        ext, lift2, roots = splitting_field(field, -pair[0], pair[1])
+        ext, lift2, roots = splitting_field(p.field, -pair[0], pair[1])
     values = {k: lift2(v) for k, v in named.items()}
     values.update(zip(("r1", "r2"), roots))
     both = _compose(lift2, lift)
     return _make_witness(case, family, ext, both, p.d, values, source)
 
 
-def _case1(p: ParameterArray, field: Field, lift: Callable,
-           q: FieldElement, source: ParameterArray) -> Optional[ClassifierWitness]:
-    """p lives in `field`; lift maps the source field into it.  The case-I
-    form fits at q exactly when it fits at 1/q (mu and h swap, tau gains
-    q^(d+1)), so one root of q^2 - beta q + 1 decides."""
-    data = _normal_form(p, "I", q)
-    if data is None:
-        return None
-
-    mu, h = data["mu"], data["h"]
-    mus, hs = data["mu_star"], data["h_star"]
-    # Prefer the orientation with h* present; a pure-ascending theta beside a
-    # two-sided theta* also flips, matching the family displays.
-    if (not hs) or (mu and not h and mus and hs):
+def _fit_case(p: ParameterArray, case: str, q: FieldElement, lift: Callable = _identity,
+              source: Optional[ParameterArray] = None) -> Optional[ClassifierWitness]:
+    """Fit p to the normal form of `case` at base q and name its family; lift
+    maps the field of `source` (p by default) into p's.  The case-I form
+    fits at q exactly when it fits at 1/q (mu and h swap, tau gains
+    q^(d+1)), so one root of q^2 - beta q + 1 decides.  It prefers the
+    orientation with h* present; a pure-ascending theta beside a two-sided
+    theta* also flips, matching the family displays."""
+    data = _normal_form(p, case, q)
+    if data is not None and case == "I" and (not data["h_star"] or (
+            data["mu"] and not data["h"] and data["mu_star"])):
         q = q.inverse()
-        data = _normal_form(p, "I", q)
-        if data is None:
-            return None
-    return _from_table("I", p, field, q, data, lift, source)
-
-
-def _ground_case(p: ParameterArray, case: str,
-                 base: FieldElement) -> Optional[ClassifierWitness]:
-    """Case II or IV (base 1) or III (base -1), fitted in p's own field."""
-    data = _normal_form(p, case, base)
+        data = _normal_form(p, case, q)
     if data is None:
         return None
-    return _from_table(case, p, p.field, base, data, _identity, p)
+    return _from_table(case, p, q, data, lift, p if source is None else source)
 
 
 def classify(p: ParameterArray) -> ClassifierWitness:
@@ -199,19 +190,14 @@ def _classify(p: ParameterArray) -> ClassifierWitness:
     one = F.one()
 
     if p.d >= 3:
-        bc = base_candidates(p)
-        if bc.kind == "in_field":
-            q = bc.roots[0]
-            if q == one:
-                w = _ground_case(p, "IV" if F.characteristic() == 2 else "II", one)
-            elif q == -one:
-                w = _ground_case(p, "III", q)
-            else:
-                w = _case1(p, F, _identity, q, p)
+        ext, lift, roots = splitting_field(F, one - beta_plus_one(p), one)
+        q = roots[0]
+        if ext is not F:
+            w = _fit_case(embed_array(p, ext, lift), "I", q, lift, p)
+        elif q == one:
+            w = _fit_case(p, "IV" if F.characteristic() == 2 else "II", one)
         else:
-            c0, c1, _ = bc.quadratic
-            ext, lift, roots = splitting_field(F, c1, c0)
-            w = _case1(embed_array(p, ext, lift), ext, lift, roots[0], p)
+            w = _fit_case(p, "III" if q == -one else "I", q)
         if w is None:
             raise NoCaseMatched(
                 f"no eigenvalue closed form fits this array over {F}")
@@ -224,7 +210,7 @@ def _classify(p: ParameterArray) -> ClassifierWitness:
     if F.characteristic() != 2:
         for case, base in (("II", one), ("III", -one)):
             try:
-                w = _ground_case(p, case, base)
+                w = _fit_case(p, case, base)
             except NoCaseMatched:
                 w = None
             except NeedsFieldExtension as e:
@@ -235,7 +221,7 @@ def _classify(p: ParameterArray) -> ClassifierWitness:
     q = first_case1_base(F)
     if q is not None:
         try:
-            w = _case1(p, F, _identity, q, p)
+            w = _fit_case(p, "I", q)
         except (NoCaseMatched, NeedsFieldExtension):
             w = None
         if w is not None:

@@ -791,17 +791,17 @@ def test_case3_witness_matches_the_old_classifier(field_name, capsys,
                                                   monkeypatch, tmp_path):
     field = CLASSIFY_FIELDS[field_name]
     rng = random.Random(f"case III {field_name}")
-    ground_case = classify_module._ground_case
+    fit_case = classify_module._fit_case
 
     def new_case3(p):
-        return ground_case(p, "III", -field.one())
+        return fit_case(p, "III", -field.one())
 
-    def old_ground_case(p, case, base):
-        return _case3(p) if case == "III" else ground_case(p, case, base)
+    def old_fit_case(p, case, q, *rest):
+        return _case3(p) if case == "III" else fit_case(p, case, q, *rest)
 
     def classify_cli(path, step):
         with monkeypatch.context() as m:
-            m.setattr(classify_module, "_ground_case", step)
+            m.setattr(classify_module, "_fit_case", step)
             code = main(["classify", str(path)])
         out, err = capsys.readouterr()
         return code, out, err
@@ -819,8 +819,8 @@ def test_case3_witness_matches_the_old_classifier(field_name, capsys,
             # and everything classify prints
             path = tmp_path / f"bi-{d}-{k}.json"
             path.write_text(json.dumps(p.to_json()))
-            got = classify_cli(path, ground_case)
-            assert got == classify_cli(path, old_ground_case), (field_name, d)
+            got = classify_cli(path, fit_case)
+            assert got == classify_cli(path, old_fit_case), (field_name, d)
             if got[0] == 0 and json.loads(got[1])["case"] == "III":
                 printed_case3.add(d)
     want = set(range(3, 9)) if field.characteristic() != 3 else {3, 4, 5}
@@ -830,19 +830,19 @@ def test_case3_witness_matches_the_old_classifier(field_name, capsys,
 def test_case4_witness_matches_the_old_classifier(capsys, monkeypatch, tmp_path):
     """classify with the case-IV normal form against classify with _case4,
     on every GF(4) array at d = 3 and the first 2,000 over GF(8)."""
-    ground_case = classify_module._ground_case
+    fit_case = classify_module._fit_case
 
-    def old_ground_case(p, case, base):
-        return _case4(p) if case == "IV" else ground_case(p, case, base)
+    def old_fit_case(p, case, q, *rest):
+        return _case4(p) if case == "IV" else fit_case(p, case, q, *rest)
 
     def classify_with(step, p):
         with monkeypatch.context() as m:
-            m.setattr(classify_module, "_ground_case", step)
+            m.setattr(classify_module, "_fit_case", step)
             return witness_json(classify_module.classify, p)
 
     def classify_cli(path, step):
         with monkeypatch.context() as m:
-            m.setattr(classify_module, "_ground_case", step)
+            m.setattr(classify_module, "_fit_case", step)
             code = main(["classify", str(path)])
         out, err = capsys.readouterr()
         return code, out, err
@@ -853,14 +853,14 @@ def test_case4_witness_matches_the_old_classifier(capsys, monkeypatch, tmp_path)
         arrays = itertools.islice(enumerate_arrays(field, 3), limit)
         orphans[name] = 0
         for k, p in enumerate(arrays):
-            got = classify_with(ground_case, p)
-            assert got == classify_with(old_ground_case, p), (name, k)
+            got = classify_with(fit_case, p)
+            assert got == classify_with(old_fit_case, p), (name, k)
             orphans[name] += '"case": "IV"' in got
             if k % 97 == 0:
                 path = tmp_path / f"{name}-{k}.json"
                 path.write_text(json.dumps(p.to_json()))
-                assert classify_cli(path, ground_case) == classify_cli(
-                    path, old_ground_case), (name, k)
+                assert classify_cli(path, fit_case) == classify_cli(
+                    path, old_fit_case), (name, k)
     assert orphans == {"GF(4)": 576, "GF(8)": 1456}
 
 
