@@ -19,6 +19,9 @@ quadratic_roots takes square roots by Tonelli-Shanks in odd characteristic and
 solves y^2 + y = u by the trace-one formula in characteristic 2; embed_map
 finds a root of the source modulus by equal-degree splitting
 (Cantor-Zassenhaus) and maps w to the smallest of its Frobenius conjugates.
+Over Q, quadratic_roots takes the odd-characteristic path too, with a
+perfect-square test of the discriminant's numerator and denominator as its
+square root, and leaves the two roots in the order of the formula.
 
 Both run on one dense-polynomial arithmetic over a Field: lists of
 canonical payloads, low degree first, with remainder, product and power
@@ -1108,28 +1111,17 @@ def quadratic_roots(
     2-adic split of q - 1 and a generator of its 2-Sylow subgroup) and the
     inverse of 2 taken once per field; in characteristic 2 the
     substitution x = b*y leaves y^2 + y = c/b^2, solved by the trace-one
-    formula.  Over Q the discriminant is tested for being a perfect square
-    and the root with '+' sign comes first.
+    formula.  Q takes the odd-characteristic path too, its square root a
+    perfect-square test of the discriminant, and returns the root with '+'
+    sign first, unsorted and unchecked.
     """
-    if field.is_finite():
-        if field.characteristic() == 2:
-            roots = _roots_char2(field, b, c)
-        else:
-            roots = _roots_odd(field, b, c)
-        if roots is None:
-            return None
-        return _checked_roots(field, b, c, roots)
-    disc = b * b - 4 * c
-    num, den = disc.value
-    if num < 0:
-        return None
-    # num/den is in lowest terms, so it is a square iff num and den both are
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    root = field._elements[rn, rd]
-    half = _half(field)
-    return ((-b + root) * half, (-b - root) * half)
+    if field.characteristic() == 2:
+        roots = _roots_char2(field, b, c)
+    else:
+        roots = _roots_odd(field, b, c)
+    if roots is None or not field.is_finite():
+        return roots
+    return _checked_roots(field, b, c, roots)
 
 
 def _checked_roots(field: Field, b: FieldElement, c: FieldElement, roots):
@@ -1160,12 +1152,18 @@ def _roots_odd(field: Field, b: FieldElement, c: FieldElement):
 
 
 def _sqrt(field: Field, a: FieldElement) -> Optional[FieldElement]:
-    """A square root of the nonzero a in a finite field of odd order, by
-    Tonelli-Shanks; None when Euler's criterion finds a non-square.
+    """A square root of the nonzero a in Q or a finite field of odd order;
+    None when a is not a square.
 
-    With q - 1 = 2^s t, t odd, the constants t, s and z^t, for the first
-    non-square z, are taken once per field.  One powering gives
-    y = a^((t-1)/2), and then x = a^((t+1)/2) = y*a and e = a^t = y*x."""
+    Over Q, a = num/den is in lowest terms, so it is a square iff num and
+    den both are.  A finite field takes Tonelli-Shanks: with q - 1 = 2^s t,
+    t odd, the constants t, s and z^t, for the first non-square z, are
+    taken once per field.  One powering gives y = a^((t-1)/2), and then
+    x = a^((t+1)/2) = y*a and e = a^t = y*x."""
+    if not field.is_finite():
+        num, den = a.value
+        rn, rd = isqrt(max(num, 0)), isqrt(den)
+        return field._elements[rn, rd] if (rn * rn, rd * rd) == (num, den) else None
     t, s, zt = _tonelli_shanks_constants(field)
     one = field.one()
     y = a ** ((t - 1) // 2)
