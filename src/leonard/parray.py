@@ -397,6 +397,9 @@ def enumerate_arrays(
     its closure and the shard.  shard=(index, count), 0 <= index < count,
     keeps only theta tuples whose rank among all (d+1)-permutations of the
     field is congruent to index mod count, so shards partition the output.
+    Each theta the shard skips counts one against the budget too, as a pair
+    does, so a shard far from the start stops at the budget instead of
+    ranking every theta before its first.
     Bad arguments raise at the call, before any array is asked for.
     """
     if not field.is_finite():
@@ -457,13 +460,21 @@ def _arrays(field: Field, d: int, budget: Optional[int],
     if q < d + 1:
         return
     element = functools.lru_cache(maxsize=TABLE_ORDER_CAP)(field.element)
-    pairs = 0
+    pairs = itertools.count(1)
+
+    def spend() -> None:
+        if budget is not None and next(pairs) > budget:
+            raise BudgetExceeded(
+                f"enumeration budget {budget} exhausted at d={d} over {field}"
+            )
+
     for head in _injective(element, q, min(d, 3) + 1):
         bp1 = _bp1(head) if d >= 3 else None
         theta = _close(head, d, bp1)
         if theta is None:
             continue
         if shard is not None and _rank(theta, field) % shard[1] != shard[0]:
+            spend()  # a theta the shard skips costs one, as a pair does
             continue
         # With S_1 = 1, varphi_1 = phi_1 + c_1.  Where S_i != 0, varphi_i and
         # phi_i vanish at phi_1 = -c_i / S_i and phi_1 = -e_i / S_i - c_1.
@@ -472,11 +483,7 @@ def _arrays(field: Field, d: int, budget: Optional[int],
         sums = _pa34_sums(theta)
         scales = [(i, -s.inverse()) for i, s in enumerate(sums) if s]
         for star_head in _injective(element, q, min(d, 2) + 1):
-            pairs += 1
-            if budget is not None and pairs > budget:
-                raise BudgetExceeded(
-                    f"enumeration budget {budget} exhausted at d={d} over {field}"
-                )
+            spend()
             theta_star = _close(star_head, d, bp1)
             if theta_star is None:
                 continue

@@ -20,7 +20,8 @@ malformed number in the field spec), and `enumerate` over small fields with
 `--limit`, a shard, `--budget 10`, malformed shards, `--field rational` and
 the malformed field specs, and over fields far too large to list (GF(2^61 -
 1), GF(1000003^2), GF(18446744073709551557)) with `--limit`, a shard and
-`--budget 0`.  A line of
+`--budget 0`, alone and with a shard whose first theta lies 10^12 ranks
+in.  A line of
 `fixtures/cli_corpus.tsv` holds the argv (with the input's name in place
 of `-`), the exit code and the sha256 of stdout and of stderr.  The
 comparison prints each line that differs and exits 1; `test_cli_corpus.py`
@@ -87,6 +88,8 @@ ENUMERATE = tuple(("enumerate",) + argv for argv in (
     ("--field", "prime:7", "--d", "2", "--limit", "5", "--shard", "1:3"),
     ("--field", "prime:5", "--d", "3", "--budget", "10"),
     ("--field", "prime:2305843009213693951", "--d", "1", "--budget", "0"),
+    ("--field", "prime:2305843009213693951", "--d", "1", "--budget", "0",
+     "--shard", "1000000000000:2000000000000"),
     ("--field", "prime:2305843009213693951", "--d", "4", "--limit", "2"),
     ("--field", "ext:1000003:2:1,0,1", "--d", "3", "--limit", "2"),
     ("--field", "prime:18446744073709551557", "--d", "2", "--limit", "1",

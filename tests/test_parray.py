@@ -347,6 +347,24 @@ def test_enumeration_lists_no_field(monkeypatch):
         next(enumerate_arrays(big, 1, budget=0))
 
 
+def test_enumeration_budget_counts_the_theta_a_shard_skips(monkeypatch):
+    # shard 10^5 of 2 * 10^5 skips the first 10^5 theta tuples, each ranked
+    # once; at budget 5 the sixth skip stops the walk
+    calls = []
+    rank = parray._rank
+
+    def counted(seq, field):
+        calls.append(seq)
+        return rank(seq, field)
+
+    monkeypatch.setattr(parray, "_rank", counted)
+    arrays = enumerate_arrays(prime_field(2**61 - 1), 1, budget=5,
+                              shard=(10**5, 2 * 10**5))
+    with pytest.raises(BudgetExceeded, match="enumeration budget 5 exhausted"):
+        next(arrays)
+    assert len(calls) <= 6
+
+
 def test_enumeration_rejects_a_negative_budget_at_the_call():
     # GF(2) has no d = 3 arrays, so only a check at the call can see it
     for field, d in ((prime_field(5), 2), (prime_field(2), 3)):
