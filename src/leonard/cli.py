@@ -332,16 +332,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return BAD_INPUT if e.code not in (0, None) else OK
     try:
         return args.fn(args)
-    except (NonPrimeModulus, ReducibleModulus, LengthMismatch) as e:
+    except (NonPrimeModulus, ReducibleModulus, LengthMismatch, ValueError, KeyError,
+            TypeError, OSError) as e:
         print(f"bad input: {e}", file=sys.stderr)
         return BAD_INPUT
     except LeonardError as e:
         print(str(e), file=sys.stderr)
         return FAIL
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError,
-            OSError) as e:
-        print(f"bad input: {e}", file=sys.stderr)
-        return BAD_INPUT
 
 
 if __name__ == "__main__":
