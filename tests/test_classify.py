@@ -22,6 +22,7 @@ from leonard import (
     sample_params,
     validate,
 )
+from leonard import fields, parray
 from leonard.classify import _normal_form
 from leonard.families import Q_FAMILIES
 from leonard.fields import (TABLE_ORDER_CAP, ExtensionField, _find_irreducible,
@@ -252,6 +253,29 @@ def test_case1_form_fits_at_q_exactly_when_at_1_over_q(field):
         fits += at_q
         misses += not at_q
     assert fits >= 10 and misses >= 10
+
+
+# quadratic_roots calls per classify: the base quadratic q^2 - beta q + 1
+# once, by splitting_field, and the family's (r1, r2) once.  Where the base
+# needed an extension, base_candidates solved the base quadratic first and
+# splitting_field solved it again, 3 calls; qrac3's base lies in Q.
+@pytest.mark.parametrize("name", ["ext3_4.json", "ext5_4.json", "ext7_2.json",
+                                  "ext5_3.json", "ext1000003_2.json", "qrac3.json"])
+def test_classify_solves_the_base_quadratic_once(name, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name)
+    with open(path) as fh:
+        p = array_from_json(json.load(fh))
+    calls = []
+    roots = fields.quadratic_roots
+
+    def counted(*args):
+        calls.append(args)
+        return roots(*args)
+
+    for module in (fields, parray):
+        monkeypatch.setattr(module, "quadratic_roots", counted)
+    classify(p)
+    assert len(calls) == 2, calls
 
 
 # Payload products and inverses in fields above TABLE_ORDER_CAP during one

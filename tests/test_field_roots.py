@@ -18,6 +18,7 @@ an inverse of 2 per call, and a Tonelli-Shanks run in GF(p^2k) per split.
 import itertools
 import random
 import time
+from math import isqrt
 from typing import Sequence
 
 import pytest
@@ -89,6 +90,52 @@ def finite_fields():
             fields.append(field_of(p, k))
             k += 1
     return fields
+
+
+def parent_rational_roots(field, b, c):
+    """The Q branch of quadratic_roots before Q took the odd-characteristic
+    path: its own discriminant, perfect-square test and +- formula."""
+    disc = b * b - 4 * c
+    num, den = disc.value
+    if num < 0:
+        return None
+    # num/den is in lowest terms, so it is a square iff num and den both are
+    rn, rd = isqrt(num), isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        return None
+    root = field._elements[rn, rd]
+    half = field.from_int(2).inverse()
+    return ((-b + root) * half, (-b - root) * half)
+
+
+def test_quadratic_roots_over_q_match_the_old_branch():
+    """Seeded (b, c) over Q whose discriminant is a square, a non-square,
+    negative, zero or a square that is not an integer: the same roots, in
+    the same order ('+' root first, unsorted), or None."""
+    Q = rational_field()
+    rng = random.Random("rational roots")
+    kinds = {"square": 0, "non-square": 0, "negative": 0, "zero": 0, "fraction": 0}
+    for _ in range(200):
+        b = Q.parse(f"{rng.randint(-50, 50)}/{rng.randint(1, 12)}")
+        kind = rng.choice(list(kinds))
+        if kind == "non-square":
+            disc = Q.parse(f"{rng.choice([2, 3, 5, 6, 7, 8])}/{rng.randint(1, 9) ** 2}")
+        else:
+            r = Q.parse(f"{rng.randint(1, 40)}/{rng.randint(1, 9)}")
+            half_odd = Q.parse(f"{2 * rng.randint(0, 20) + 1}/2")  # 9/4 and the like
+            disc = {"square": Q.from_int(rng.randint(1, 30) ** 2), "negative": -r * r,
+                    "zero": Q.zero(), "fraction": half_odd * half_odd}[kind]
+        kinds[kind] += 1
+        c = (b * b - disc) / Q.from_int(4)
+        got, want = quadratic_roots(Q, b, c), parent_rational_roots(Q, b, c)
+        assert got == want, (b, c)
+        if want is not None:
+            assert [x.value for x in got] == [x.value for x in want]
+    assert all(kinds.values()), kinds
+    half = Q.parse("1/2")
+    assert quadratic_roots(Q, Q.zero(), Q.parse("-9/4")) == (Q.parse("3/2"), Q.parse("-3/2"))
+    assert quadratic_roots(Q, Q.from_int(-1), Q.zero()) == (Q.one(), Q.zero())
+    assert quadratic_roots(Q, Q.from_int(1), half * half) == (-half, -half)
 
 
 def test_quadratic_roots_every_pair_in_small_fields():

@@ -175,6 +175,44 @@ def test_kernel_multiplies_each_nonzero_pair_once(label):
             assert count_multiplications(lambda: x * y) == pairs, (x_name, y_name)
 
 
+# The builders of the banded matrices before SquareMatrix.diagonal took two
+# off-diagonals, kept as its oracles: A* and B* were bidiag_upper, A and B a
+# lower bidiagonal of the same form, J recur's tridiagonal and J* its
+# transpose.
+def bidiag_upper(field, diag, sup):
+    zero = field.zero()
+    return SquareMatrix.build(field, len(diag), lambda i, j:
+                              diag[i] if i == j else sup[i] if j == i + 1 else zero)
+
+
+def tridiagonal(field, c, a, b):
+    # (c_i, a_i, b_i) down column i, in rows i - 1, i and i + 1
+    zero = field.zero()
+    return SquareMatrix.build(field, len(a), lambda r, i: (
+        a[i] if r == i else c[i] if r == i - 1 else b[i] if r == i + 1 else zero))
+
+
+@pytest.mark.parametrize("label", ["Q", "GF(7)", "GF(4)"])
+def test_banded_constructor_matches_the_old_builders(label):
+    """diagonal(F, a, below, above) against bidiag_upper and tridiagonal at
+    n = 1..7, with entries that are zero one time in four; at n = 1 every
+    off-diagonal is empty."""
+    F = PRODUCT_FIELDS[label]
+    rng = random.Random(f"banded/{label}")
+    for n in range(1, 8):
+        a, b, c = ([kernel_entry(F, rng) for _ in range(n)] for _ in range(3))
+        sup = b[:-1]
+        assert SquareMatrix.diagonal(F, a) == bidiag_upper(F, a, [F.zero()] * (n - 1))
+        assert SquareMatrix.diagonal(F, a, above=sup) == bidiag_upper(F, a, sup)
+        assert (SquareMatrix.diagonal(F, a, below=sup)
+                == bidiag_upper(F, a, sup).transpose())
+        J = SquareMatrix.diagonal(F, a, below=b[:-1], above=c[1:])
+        assert J == tridiagonal(F, c, a, b)
+        Jstar = SquareMatrix.diagonal(F, a, below=c[1:], above=b[:-1])
+        assert Jstar == tridiagonal(F, c, a, b).transpose()
+        assert_canonical(F, J)
+
+
 def test_bidiagonal_product_costs_band_multiplications():
     n = 17
     lower = SquareMatrix.build(
