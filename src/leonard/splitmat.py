@@ -23,12 +23,13 @@ T^-1 in closed form, kept as `Tinv`, and those of theta* into T*^-1, from
 which `verify_leonard_conditions` reads the dual array's block.
 
 A SquareMatrix holds the canonical payloads of its entries, row by row.
-Every banded matrix is one constructor, `SquareMatrix.diagonal`, given its
-diagonal and at most one off-diagonal: A and B (ones below), A* and B*
-(varphi and phi above), the dual A*' of `verify_leonard_conditions`, and
-the recurrence matrices J and J* of `recur`.  The identities checked here are chains of products, each one call of the
-field's payload kernel `Field._matmul`, so no FieldElement is built along
-a chain and comparing two results compares payload tuples.
+Every banded matrix comes from one constructor, `SquareMatrix.diagonal`,
+given its diagonal and the off-diagonals below and above it: A and B (ones
+below), A* and B* (varphi and phi above), the dual A*' of
+`verify_leonard_conditions`, and the recurrence matrices J and J* of
+`recur`.  The identities checked here are chains of products, each one
+call of the field's payload kernel `Field._matmul`, so no FieldElement is
+built along a chain and comparing two results compares payload tuples.
 """
 
 from __future__ import annotations

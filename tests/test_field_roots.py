@@ -129,8 +129,6 @@ def test_quadratic_roots_over_q_match_the_old_branch():
         c = (b * b - disc) / Q.from_int(4)
         got, want = quadratic_roots(Q, b, c), parent_rational_roots(Q, b, c)
         assert got == want, (b, c)
-        if want is not None:
-            assert [x.value for x in got] == [x.value for x in want]
     assert all(kinds.values()), kinds
     half = Q.parse("1/2")
     assert quadratic_roots(Q, Q.zero(), Q.parse("-9/4")) == (Q.parse("3/2"), Q.parse("-3/2"))
