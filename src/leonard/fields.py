@@ -327,8 +327,8 @@ class FieldElement:
 
     Every operator first tries the same-field fast path (the other operand is
     a FieldElement of this very field object) and only otherwise goes through
-    _coerce, which accepts an int or an element of a field with an equal
-    spec and refuses any other field."""
+    _coerced, the one slow path: _coerce accepts an int or an element of a
+    field with an equal spec and refuses any other field."""
 
     __slots__ = ("field", "value")
 
@@ -340,22 +340,34 @@ class FieldElement:
         raise AttributeError("FieldElement is immutable")
 
     def _coerce(self, other):
+        """other as an element of this very field object: an int, or an
+        element of a field with an equal spec rebuilt here; None for any
+        other type, and a ValueError for another field."""
         if isinstance(other, FieldElement):
             if other.field.spec != self.field.spec:
                 raise ValueError(
                     f"mixed fields: {self.field} and {other.field}"
                 )
-            return other
+            return self.field._elements[other.value]
         if isinstance(other, int):
             return self.field.from_int(other)
         return None
 
+    def _coerced(self, op: str, other):
+        """The slow path of every binary operator: other coerced, then the
+        operator as this class defines it, from the snapshot taken when the
+        module loads, so that a wrapper set on the class later (a counting
+        tracer) sees one call per operation.  The coerced operand lies in
+        this field, so the call takes the fast path."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return _OPERATORS[op](self, other)
+
     def __add__(self, other):
         field = self.field
         if other.__class__ is not FieldElement or other.field is not field:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._coerced("__add__", other)
         return field._elements[field._add(self.value, other.value)]
 
     __radd__ = __add__
@@ -363,41 +375,31 @@ class FieldElement:
     def __sub__(self, other):
         field = self.field
         if other.__class__ is not FieldElement or other.field is not field:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._coerced("__sub__", other)
         return field._elements[field._sub(self.value, other.value)]
 
     def __rsub__(self, other):
         field = self.field
         if other.__class__ is not FieldElement or other.field is not field:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._coerced("__rsub__", other)
         return field._elements[field._sub(other.value, self.value)]
 
     def __mul__(self, other):
         field = self.field
         if other.__class__ is not FieldElement or other.field is not field:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._coerced("__mul__", other)
         return field._elements[field._mul(self.value, other.value)]
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if other.__class__ is not FieldElement or other.field is not self.field:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._coerced("__truediv__", other)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
         if other.__class__ is not FieldElement or other.field is not self.field:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._coerced("__rtruediv__", other)
         return other * self.inverse()
 
     def __neg__(self):
@@ -418,9 +420,7 @@ class FieldElement:
 
     def __eq__(self, other):
         if other.__class__ is not FieldElement or other.field is not self.field:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._coerced("__eq__", other)
         return self.value == other.value
 
     def __hash__(self):
@@ -433,6 +433,7 @@ class FieldElement:
         return f"<{self} in {self.field}>"
 
 
+_OPERATORS = dict(vars(FieldElement))
 _set_field = FieldElement.field.__set__
 _set_value = FieldElement.value.__set__
 _new_element = object.__new__
@@ -909,12 +910,7 @@ class ExtensionField(Field):
     def element(self, index: int) -> FieldElement:
         if not 0 <= index < self.order():
             raise IndexError(index)
-        coeffs = []
-        n = index
-        for _ in range(self.k):
-            coeffs.append(n % self.p)
-            n //= self.p
-        return self._elements[tuple(coeffs)]
+        return self._elements[_digits(index, self.p, self.k)]
 
     def index_of(self, a: FieldElement) -> int:
         n = 0
@@ -958,6 +954,16 @@ class ExtensionField(Field):
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
+
+
+def _digits(n: int, p: int, k: int) -> tuple[int, ...]:
+    """The k base-p digits of n, low first: the payload of the element of
+    GF(p^k) at index n."""
+    out = []
+    for _ in range(k):
+        n, r = divmod(n, p)
+        out.append(r)
+    return tuple(out)
 
 
 # Coefficient widths, in bytes, of the packed payloads of the Kronecker
@@ -1063,7 +1069,9 @@ _FIELD_CACHE: dict[FieldSpec, Field] = {}
 
 def make_field(spec: FieldSpec) -> Field:
     """Build (or fetch) the field a spec describes, checking primality and
-    irreducibility as needed."""
+    irreducibility as needed.  Every spec of one field, canonical or not
+    (a modulus with entries past p), gets the one object cached under the
+    canonical spec the field carries."""
     cached = _FIELD_CACHE.get(spec)
     if cached is not None:
         return cached
@@ -1075,8 +1083,7 @@ def make_field(spec: FieldSpec) -> Field:
         field = ExtensionField(spec.p, spec.k, spec.modulus)
     else:
         raise ValueError(f"unknown field kind {spec.kind!r}")
-    # key by the canonicalized spec the field itself carries
-    _FIELD_CACHE[field.spec] = field
+    field = _FIELD_CACHE[spec] = _FIELD_CACHE.setdefault(field.spec, field)
     return field
 
 
@@ -1275,15 +1282,15 @@ def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
                     raise RuntimeError(f"x^{k} + {c} is reducible over GF({p})")
                 return binomial
     for idx in range(p, p**k):
-        coeffs = []
-        n = idx
-        for _ in range(k):
-            coeffs.append(n % p)
-            n //= p
-        cand = tuple(coeffs) + (1,)
+        cand = _digits(idx, p, k) + (1,)
         if _irreducible(cand, p):
             return cand
     raise RuntimeError(f"no irreducible of degree {k} over GF({p})")  # unreachable
+
+
+def _identity(x: FieldElement) -> FieldElement:
+    """The embedding of a field into itself."""
+    return x
 
 
 @functools.cache
@@ -1297,7 +1304,7 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
     Frobenius conjugates is returned.
     """
     if src.spec == dst.spec:
-        return lambda x: x
+        return _identity
     if src.spec.kind == "prime" and dst.spec.kind == "extension" and src.spec.p == dst.spec.p:
         def lift(x: FieldElement, dst=dst) -> FieldElement:
             return dst.from_int(x.value)
@@ -1387,7 +1394,7 @@ def splitting_field(
     """
     roots = quadratic_roots(field, b, c)
     if roots is not None:
-        return field, (lambda x: x), roots
+        return field, _identity, roots
     if not field.is_finite():
         raise NeedsFieldExtension(
             f"x^2 + ({b})*x + ({c}) has no roots in {field}", b=b, c=c
