@@ -13,16 +13,19 @@ q = -1 case III, and any other root case I, in the ground field or in the
 quadratic extension the roots need.  When the required scalars live in a
 quadratic extension the witness is produced there; over the rationals the
 needed extension is reported instead of built, for an array that validates.
+An array whose base needs the extension is embedded there once: it is fitted
+and certified there, and the witness's map from the array's own field is
+composed once, from that embedding and the map into the witness field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from .errors import NeedsFieldExtension, NoCaseMatched, PreconditionViolated
-from .fields import Field, FieldElement, splitting_field
+from .fields import Field, FieldElement, _identity, splitting_field
 from .families import FAMILIES, FamilyParams, NormalForm, _FORMS, _powers, generate
 from .parray import (ParameterArray, beta_plus_one, first_case1_base, make_array,
                      validate)
@@ -44,10 +47,6 @@ def embed_array(p: ParameterArray, field: Field,
                       [fn(x) for x in p.theta_star],
                       [fn(x) for x in p.varphi],
                       [fn(x) for x in p.phi])
-
-
-def _identity(x: FieldElement) -> FieldElement:
-    return x
 
 
 def fit_closed_form_theta(theta: Sequence[FieldElement], q: FieldElement,
@@ -77,14 +76,6 @@ def _fit(form: NormalForm, P, theta: Sequence[FieldElement]) -> Optional[tuple]:
         if list(theta) == form.eigenvalues(P, len(theta) - 1, *fit):
             return fit
     return None
-
-
-def _compose(outer: Callable, inner: Callable) -> Callable:
-    if inner is _identity:
-        return outer
-    if outer is _identity:
-        return inner
-    return lambda x: outer(inner(x))
 
 
 def _make_witness(case: str, family: str, field: Field, embed: Callable,
@@ -120,11 +111,10 @@ def _normal_form(p: ParameterArray, case: str, q: FieldElement) -> Optional[dict
             "h_star": hs, "tau": tau}
 
 
-def _from_table(case: str, p: ParameterArray, q: FieldElement, data: dict,
-                lift: Callable, source: ParameterArray) -> Optional[ClassifierWitness]:
+def _from_table(case: str, p: ParameterArray, q: FieldElement,
+                data: dict) -> Optional[ClassifierWitness]:
     """Name the family whose pattern of vanishing normal-form coordinates
-    matches `data`, recover its scalars, and certify them.  lift maps the
-    source field into p's field."""
+    matches `data`, recover its scalars, and certify them against p."""
     c = SimpleNamespace(**data)
     coords = (c.mu, c.mu_star, c.h, c.h_star, c.tau)
     family = next((name for name, fam in FAMILIES.items() if fam.case == case
@@ -135,24 +125,21 @@ def _from_table(case: str, p: ParameterArray, q: FieldElement, data: dict,
     fam = FAMILIES[family]
     named = {"theta0": p.theta[0], "thetastar0": p.theta_star[0],
              **fam.scalars(c, q, p.d)}
-    ext, lift2, roots = p.field, _identity, ()
+    ext, lift, roots = p.field, _identity, ()
     pair = fam.roots(c, q, p.d) if fam.roots is not None else None
     if pair is not None:  # (r1 + r2, r1 r2)
-        ext, lift2, roots = splitting_field(p.field, -pair[0], pair[1])
-    values = {k: lift2(v) for k, v in named.items()}
+        ext, lift, roots = splitting_field(p.field, -pair[0], pair[1])
+    values = {k: lift(v) for k, v in named.items()}
     values.update(zip(("r1", "r2"), roots))
-    both = _compose(lift2, lift)
-    return _make_witness(case, family, ext, both, p.d, values, source)
+    return _make_witness(case, family, ext, lift, p.d, values, p)
 
 
-def _fit_case(p: ParameterArray, case: str, q: FieldElement, lift: Callable = _identity,
-              source: Optional[ParameterArray] = None) -> Optional[ClassifierWitness]:
-    """Fit p to the normal form of `case` at base q and name its family; lift
-    maps the field of `source` (p by default) into p's.  The case-I form
-    fits at q exactly when it fits at 1/q (mu and h swap, tau gains
-    q^(d+1)), so one root of q^2 - beta q + 1 decides.  It prefers the
-    orientation with h* present; a pure-ascending theta beside a two-sided
-    theta* also flips, matching the family displays."""
+def _fit_case(p: ParameterArray, case: str, q: FieldElement) -> Optional[ClassifierWitness]:
+    """Fit p to the normal form of `case` at base q and name its family.
+    The case-I form fits at q exactly when it fits at 1/q (mu and h swap,
+    tau gains q^(d+1)), so one root of q^2 - beta q + 1 decides.  It prefers
+    the orientation with h* present; a pure-ascending theta beside a
+    two-sided theta* also flips, matching the family displays."""
     data = _normal_form(p, case, q)
     if data is not None and case == "I" and (not data["h_star"] or (
             data["mu"] and not data["h"] and data["mu_star"])):
@@ -160,7 +147,7 @@ def _fit_case(p: ParameterArray, case: str, q: FieldElement, lift: Callable = _i
         data = _normal_form(p, case, q)
     if data is None:
         return None
-    return _from_table(case, p, q, data, lift, p if source is None else source)
+    return _from_table(case, p, q, data)
 
 
 def classify(p: ParameterArray) -> ClassifierWitness:
@@ -193,7 +180,13 @@ def _classify(p: ParameterArray) -> ClassifierWitness:
         ext, lift, roots = splitting_field(F, one - beta_plus_one(p), one)
         q = roots[0]
         if ext is not F:
-            w = _fit_case(embed_array(p, ext, lift), "I", q, lift, p)
+            # fitted and certified on p embedded once; the witness's embed
+            # then maps p's field, not ext, into the witness field
+            w = _fit_case(embed_array(p, ext, lift), "I", q)
+            if w is not None:
+                outer = w.embed
+                w = replace(w, embed=lift if outer is _identity
+                            else lambda x: outer(lift(x)))
         elif q == one:
             w = _fit_case(p, "IV" if F.characteristic() == 2 else "II", one)
         else:
