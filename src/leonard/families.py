@@ -581,11 +581,9 @@ def family_base(fp: FamilyParams, field: Field) -> FieldElement:
 def generate(fp: FamilyParams, field: Field) -> ParameterArray:
     """Instantiate a family; raises PreconditionViolated or
     CharacteristicMismatch when the scalars do not fit the field."""
-    if fp.family not in FAMILIES:
-        raise ValueError(f"unknown family {fp.family!r}")
+    names = family_param_names(fp.family)
     if fp.d < 1:
         raise ValueError("diameter must be at least 1")
-    names = family_param_names(fp.family)
     if set(fp.values) != set(names):
         raise ValueError(
             f"{fp.family} takes parameters {sorted(names)}, got {sorted(fp.values)}")
