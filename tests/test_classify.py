@@ -1,6 +1,7 @@
 """Closed-form fits, case dispatch, and certified scalar recovery."""
 
 import dataclasses
+import importlib
 import itertools
 import json
 import os
@@ -29,6 +30,9 @@ from leonard.fields import (TABLE_ORDER_CAP, ExtensionField, _find_irreducible,
                             splitting_field)
 from leonard.parray import array_from_json, base_candidates
 from conftest import Q, qarr
+
+# the module: the package's name `classify` is the function
+classify_module = importlib.import_module("leonard.classify")
 
 
 def test_fit_case1_geometric():
@@ -311,3 +315,53 @@ def test_classify_operation_count_above_the_table_cap(name, monkeypatch):
     assert got.params == want.params and got.field.order() > TABLE_ORDER_CAP
     products, inverses = WITNESS_FIELD_OPS[name]
     assert counts["_mul"] <= products and counts["_inv"] <= inverses, counts
+
+
+@pytest.mark.parametrize("name", ["ext3_4.json", "ext5_4.json", "ext7_2.json",
+                                  "ext5_3.json", "ext1000003_2.json"])
+def test_classify_embeds_the_array_once(name, monkeypatch):
+    """Each fixture's base q needs a quadratic extension, so classify lifts
+    the array there by the map that splitting_field returns.  It fits and
+    certifies the lifted array, so the base lift runs once per entry of the
+    array, 4d + 2 calls; certifying against the source array lifted a
+    second time took twice that.  The witness's embed still maps the
+    source field into the witness field."""
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name)
+    with open(path) as fh:
+        p = array_from_json(json.load(fh))
+    calls = []
+    split = classify_module.splitting_field
+
+    def counted_split(field, b, c):
+        ext, lift, roots = split(field, b, c)
+        if field is not p.field:
+            return ext, lift, roots
+        assert ext is not field
+
+        def counted(x):
+            calls.append(x)
+            return lift(x)
+        return ext, counted, roots
+
+    monkeypatch.setattr(classify_module, "splitting_field", counted_split)
+    w = classify(p)
+    assert len(calls) == 4 * p.d + 2
+    assert w.case == "I" and w.field is not p.field
+    assert embed_array(p, w.field, w.embed) == generate(w.params, w.field)
+
+
+def test_a_broken_pa5_fails_in_the_closed_form_branch():
+    """A GF(101) dual-q-Krawtchouk array at d = 4 with 1 added to theta_4
+    breaks PA5: the base quadratic still splits, and no closed form fits,
+    so the d >= 3 branch itself raises."""
+    F = prime_field(101)
+    values = {k: F.from_int(v) for k, v in
+              dict(q=3, h=1, hstar=1, s=2, theta0=0, thetastar0=0).items()}
+    p = generate(FamilyParams("dual-q-krawtchouk", 4, values), F)
+    broken = dataclasses.replace(p, theta=p.theta[:4] + (p.theta[4] + 1,))
+    assert not validate(broken).ok()
+    message = "no eigenvalue closed form fits this array over GF(101)"
+    for step in (classify, classify_module._classify):
+        with pytest.raises(NoCaseMatched) as e:
+            step(broken)
+        assert str(e.value) == message

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from leonard import (
     ExtensionField,
+    FieldElement,
     FieldSpec,
     NeedsFieldExtension,
     NonPrimeModulus,
     PrimeField,
     ReducibleModulus,
+    RationalField,
     ZeroToNegativePower,
     embed_map,
     extension_field,
@@ -25,7 +27,7 @@ from leonard import (
     rational_field,
     splitting_field,
 )
-from leonard.fields import TABLE_ORDER_CAP, _find_irreducible
+from leonard.fields import TABLE_ORDER_CAP, _find_irreducible, _identity
 
 Q = rational_field()
 F7 = prime_field(7)
@@ -291,6 +293,216 @@ def test_fields_with_equal_specs_interoperate():
             assert a - b == cached.zero() == b - a
         w = direct.element(cached.order() - 1)
         assert w / cached.element(cached.order() - 1) == cached.one()
+
+
+# The FieldElement operators as they stood when each one coerced its operand
+# inline: the oracle for the one slow path, FieldElement._coerced.  The old
+# _coerce passed an equal-spec operand through unchanged.
+
+
+def _old_coerce(self, other):
+    if isinstance(other, FieldElement):
+        if other.field.spec != self.field.spec:
+            raise ValueError(
+                f"mixed fields: {self.field} and {other.field}"
+            )
+        return other
+    if isinstance(other, int):
+        return self.field.from_int(other)
+    return None
+
+
+def _old_add(self, other):
+    field = self.field
+    if other.__class__ is not FieldElement or other.field is not field:
+        other = _old_coerce(self, other)
+        if other is None:
+            return NotImplemented
+    return field._elements[field._add(self.value, other.value)]
+
+
+def _old_sub(self, other):
+    field = self.field
+    if other.__class__ is not FieldElement or other.field is not field:
+        other = _old_coerce(self, other)
+        if other is None:
+            return NotImplemented
+    return field._elements[field._sub(self.value, other.value)]
+
+
+def _old_rsub(self, other):
+    field = self.field
+    if other.__class__ is not FieldElement or other.field is not field:
+        other = _old_coerce(self, other)
+        if other is None:
+            return NotImplemented
+    return field._elements[field._sub(other.value, self.value)]
+
+
+def _old_mul(self, other):
+    field = self.field
+    if other.__class__ is not FieldElement or other.field is not field:
+        other = _old_coerce(self, other)
+        if other is None:
+            return NotImplemented
+    return field._elements[field._mul(self.value, other.value)]
+
+
+def _old_truediv(self, other):
+    if other.__class__ is not FieldElement or other.field is not self.field:
+        other = _old_coerce(self, other)
+        if other is None:
+            return NotImplemented
+    return self * other.inverse()
+
+
+def _old_rtruediv(self, other):
+    if other.__class__ is not FieldElement or other.field is not self.field:
+        other = _old_coerce(self, other)
+        if other is None:
+            return NotImplemented
+    return other * self.inverse()
+
+
+def _old_eq(self, other):
+    if other.__class__ is not FieldElement or other.field is not self.field:
+        other = _old_coerce(self, other)
+        if other is None:
+            return NotImplemented
+    return self.value == other.value
+
+
+OLD_OPERATORS = {"__add__": _old_add, "__radd__": _old_add, "__sub__": _old_sub,
+                 "__rsub__": _old_rsub, "__mul__": _old_mul, "__rmul__": _old_mul,
+                 "__truediv__": _old_truediv, "__rtruediv__": _old_rtruediv,
+                 "__eq__": _old_eq}
+SYNTAX = (operator.add, operator.sub, operator.mul, operator.truediv,
+          operator.eq, operator.ne)
+P61 = 2**61 - 1
+# field -> a field of another spec, for the mixed operands
+ORACLE_FIELDS = {
+    "Q": (Q, F7),
+    "GF(7)": (F7, prime_field(11)),
+    "GF(4)": (F4, F8),
+    "GF(3^7)": (F3_7, Q),
+    "GF(p61^2)": (extension_field(P61, 2, _find_irreducible(P61, 2)), F7),
+}
+
+
+def _twin(field):
+    """A second object of the field, built by its class and not cached."""
+    spec = field.spec
+    if spec.kind == "rational":
+        return RationalField()
+    if spec.kind == "prime":
+        return PrimeField(spec.p)
+    return ExtensionField(spec.p, spec.k, spec.modulus)
+
+
+def _method(attr):
+    """A call of the operator the class holds at call time."""
+    return lambda x, y: getattr(FieldElement, attr)(x, y)
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives, comparable across the two implementations: an
+    element's payload and the identity of its field object, a bool,
+    NotImplemented, or the exception's type and message."""
+    try:
+        r = fn(*args)
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return type(e), str(e)
+    if isinstance(r, FieldElement):
+        return r.value, id(r.field)
+    return r
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+def test_operators_match_the_inline_coercion_oracle(name, monkeypatch):
+    """Every binary operator, reached through Python's operator syntax and
+    by a direct call, against the inline bodies above: the same value in the
+    same field object, the same NotImplemented and the same error."""
+    field, other = ORACLE_FIELDS[name]
+    twin = _twin(field)
+    assert twin is not field and twin == field
+    rng = random.Random(f"operator oracle {name}")
+    cases = []
+    for _ in range(25):
+        a, b = field.random_element(rng), field.random_element(rng)
+        n = rng.randint(-20, 20)
+        foreign = (twin._elements[b.value], other.random_element(rng))
+        cases += [(op, x, y) for op in SYNTAX
+                  for x, y in ((a, b), (a, n), (n, a), *((a, f) for f in foreign),
+                               *((f, a) for f in foreign), (a, 1.5), (1.5, a))]
+        cases += [(_method(attr), a, y) for attr in OLD_OPERATORS
+                  for y in (b, n, 0, "x", 1.5)]
+
+    def outcomes():
+        return [_outcome(op, x, y) for op, x, y in cases]
+
+    new = outcomes()
+    with monkeypatch.context() as m:
+        for attr, fn in OLD_OPERATORS.items():
+            m.setattr(FieldElement, attr, fn)
+        old = outcomes()
+    assert new == old
+    errors = {o[0] for o in new if isinstance(o, tuple) and isinstance(o[0], type)}
+    assert errors == {TypeError, ValueError, ZeroDivisionError}
+    assert any(o is NotImplemented for o in new)
+    assert any(o is True for o in new) and any(o is False for o in new)
+
+
+def test_an_operation_with_a_coerced_operand_is_one_operator_call(monkeypatch):
+    """Counted like perfbench's tracer counts them, by wrappers set on the
+    class: the slow path calls the operator as the class defined it, so an
+    int operand adds no second call of the wrapped operator."""
+    counts = {}
+
+    def counted(attr, fn):
+        def wrapper(*args):
+            counts[attr] = counts.get(attr, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for attr in (*OLD_OPERATORS, "inverse", "__neg__", "__bool__"):
+        monkeypatch.setattr(FieldElement, attr,
+                            counted(attr, FieldElement.__dict__[attr]))
+    division = {"inverse": 1, "__mul__": 1}
+    for field in invariant_fields():
+        a = field.element(3) if field.is_finite() else field.parse("3/2")
+        twin = _twin(field).from_int(5)
+        two = 3 if field.characteristic() == 2 else 2  # a nonzero int
+        for expr, want in ((lambda: a + 1, {"__add__": 1}),
+                           (lambda: 1 + a, {"__radd__": 1}),
+                           (lambda: 1 - a, {"__rsub__": 1}),
+                           (lambda: a / two, {"__truediv__": 1, **division}),
+                           (lambda: two / a, {"__rtruediv__": 1, **division}),
+                           (lambda: a == 3, {"__eq__": 1}),
+                           (lambda: a * twin, {"__mul__": 1})):
+            counts.clear()
+            expr()
+            assert counts == want, (field, want)
+
+
+def test_each_spec_of_a_field_gets_one_object():
+    """A modulus with entries past p names the same field as its reduction:
+    make_field returns the canonical object for it every time."""
+    loose = FieldSpec("extension", p=5, k=2, modulus=(7, 0, 1))
+    first = make_field(loose)
+    assert make_field(loose) is first
+    assert extension_field(5, 2, (2, 0, 1)) is first
+    assert first.spec.modulus == (2, 0, 1)
+    canonical = extension_field(7, 2, _find_irreducible(7, 2))
+    wide = tuple(c + 7 for c in canonical.spec.modulus[:-1]) + (1,)
+    assert extension_field(7, 2, wide) is canonical
+    assert make_field(FieldSpec("extension", p=7, k=2, modulus=wide)) is canonical
+
+
+def test_one_identity_map():
+    assert embed_map(F7, F7) is _identity is embed_map(Q, Q)
+    assert splitting_field(F7, F7.zero(), F7.from_int(-1))[1] is _identity
+    x = F4.element(3)
+    assert _identity(x) is x
 
 
 def test_zero_inverse_raises():
