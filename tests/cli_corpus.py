@@ -17,8 +17,9 @@ array: `gen` with each draw's parameters as `--param` arguments, `gen`
 runs that must fail (an unknown family or parameter, a missing, repeated
 or malformed one, a violated precondition, a wrong characteristic, a
 malformed number in the field spec), and `enumerate` over small fields with
-`--limit`, a shard, `--budget 10`, malformed shards, `--field rational` and
-the malformed field specs, and over fields far too large to list (GF(2^61 -
+`--limit`, a shard, `--budget 10`, malformed shards, `--field rational`,
+the malformed field specs and the extension specs that `parse_field` or
+`ExtensionField` refuses, and over fields far too large to list (GF(2^61 -
 1), GF(1000003^2), GF(18446744073709551557)) with `--limit`, a shard and
 `--budget 0`, alone and with a shard whose first theta lies 10^12 ranks
 in.  A line of
@@ -65,6 +66,11 @@ MALFORMED = {
 KRAW = ("gen", "krawtchouk", "--d", "2", "--field", "rational", "--param")
 # field specs with a malformed number, which must exit 2
 MALFORMED_FIELDS = ("prime:x", "prime:", "ext:2:x:1,1,1")
+# extension specs that must exit 2, each with its own message: two parts
+# after ext, and each ValueError of ExtensionField (degree below 2, degree
+# past the maximum, a modulus of the wrong length, a modulus not monic)
+BAD_EXTENSIONS = ("ext:2:2", "ext:2:1:1,1", "ext:2:9:1,0,0,0,0,0,0,0,0,1",
+                  "ext:2:2:1,1", "ext:2:2:1,1,2")
 # gen runs that must fail: exit 2 for malformed input, 1 for a violated
 # precondition or a characteristic the family cannot have
 GEN_FAILURES = (
@@ -98,7 +104,8 @@ ENUMERATE = tuple(("enumerate",) + argv for argv in (
     ("--field", "prime:5", "--d", "2", "--shard", "1:2:3"),
     ("--field", "prime:5", "--d", "2", "--shard", "3:2"),
     ("--field", "rational", "--d", "2"),
-) + tuple(("--field", spec, "--d", "2") for spec in MALFORMED_FIELDS))
+) + tuple(("--field", spec, "--d", "2") for spec in MALFORMED_FIELDS)
+  + tuple(("--field", spec, "--d", "1") for spec in BAD_EXTENSIONS))
 HEADER = "argv\texit\tstdout_sha256\tstderr_sha256"
 
 

@@ -114,6 +114,17 @@ def test_verify_orphan_skips_transition(capsys):
     assert all(line.endswith("pass") for line in lines[:-1])
 
 
+def test_verify_below_d3_skips_transition(capsys):
+    """gf3_2.json: a GF(3) array at d = 2.  Below d = 3 the transition
+    check takes the field's first case-I base, and GF(3) has none: every
+    nonzero element is 1 or -1."""
+    code, out, _ = run(capsys, "verify", os.path.join(HERE, "fixtures", "gf3_2.json"))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "transition-matrix: skipped (no in-field base)"
+    assert all(line.endswith("pass") for line in lines[:-1])
+
+
 def test_verify_never_stops_early(capsys, tmp_path):
     obj = json.load(open(KRAW2))
     obj["phi"][0] = "-1"
