@@ -37,9 +37,15 @@ always all k terms) for extensions, where w is the residue of the modulus
 root.  No decimal notation anywhere.
 
 Cost of an operation.  Every FieldElement operator first takes a fast path
-when the other operand is an element of the very same field object (make_field
-caches one object per spec); only otherwise does it coerce an int or compare
-field specs, refusing mixed fields.  An operator's result is
+when the other operand is an element of the very same field object.
+make_field keeps one object per field, under its canonical spec and under
+every other spec it was given for it (a modulus with entries past p).
+Anything else takes the one slow path, FieldElement._coerced: it coerces an
+int, rebuilds an element of a field with an equal spec in this one or
+refuses mixed fields, and then calls the operator as the class defined it
+when the module loaded.  So an int operand costs one call more than a
+same-field one, and a wrapper set on the class later still sees one call
+per operation.  An operator's result is
 `field._elements[payload]`: each field stores its zero and one payloads,
 which the zero tests of bool() and inverse() compare with, and the hash of
 its spec.  A finite field of order at most TABLE_ORDER_CAP builds each

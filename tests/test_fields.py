@@ -410,7 +410,7 @@ def _outcome(fn, *args):
     NotImplemented, or the exception's type and message."""
     try:
         r = fn(*args)
-    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+    except Exception as e:  # the exception is the outcome
         return type(e), str(e)
     if isinstance(r, FieldElement):
         return r.value, id(r.field)
