@@ -21,7 +21,7 @@ from .errors import (
     NonPrimeModulus,
     ReducibleModulus,
 )
-from .fields import Field, extension_field, prime_field, rational_field
+from .fields import Field, FieldElement, extension_field, prime_field, rational_field
 from .parray import (
     ParameterArray,
     array_from_json,
@@ -213,33 +213,30 @@ def cmd_poly_table(args) -> int:
     return OK
 
 
-def cmd_weights(args) -> int:
+# The analysis dumps: command -> (help, Analysis attribute, fields in print order).
+_DUMPS = {
+    "weights": ("emit orthogonality weights and nu", "ortho", ("k", "kstar", "nu")),
+    "recurrence": ("emit recurrence and dual coefficients", "recurrence",
+                   ("a", "b", "c", "astar", "bstar", "cstar")),
+    "matrices": ("emit the split-basis matrix set", "matrices",
+                 ("A", "B", "Astar", "Bstar", "T", "Tstar", "Tdown",
+                  "D", "Ddown", "Z", "H", "Hstar", "G")),
+}
+
+
+def cmd_dump(args) -> int:
+    """Print one Analysis object of a valid array as JSON: a tuple of elements
+    as a list of strings, an element as a string, a matrix by its to_json."""
     a = _valid_analysis(args.file)
-    data, fmt = a.ortho, a.p.field.format
-    sys.stdout.write(dump_json({
-        "k": [fmt(x) for x in data.k],
-        "kstar": [fmt(x) for x in data.kstar],
-        "nu": fmt(data.nu),
-    }))
-    return OK
+    _, attr, names = _DUMPS[args.command]
+    obj, fmt = getattr(a, attr), a.p.field.format
 
+    def dump(x):
+        if isinstance(x, tuple):
+            return [fmt(e) for e in x]
+        return fmt(x) if isinstance(x, FieldElement) else x.to_json()
 
-def cmd_recurrence(args) -> int:
-    a = _valid_analysis(args.file)
-    co, fmt = a.recurrence, a.p.field.format
-    sys.stdout.write(dump_json({
-        name: [fmt(x) for x in getattr(co, name)]
-        for name in ("a", "b", "c", "astar", "bstar", "cstar")
-    }))
-    return OK
-
-
-def cmd_matrices(args) -> int:
-    m = _valid_analysis(args.file).matrices
-    names = ("A", "B", "Astar", "Bstar", "T", "Tstar", "Tdown",
-             "D", "Ddown", "Z", "H", "Hstar", "G")
-    sys.stdout.write(dump_json({name: getattr(m, name).to_json()
-                                for name in names}))
+    sys.stdout.write(dump_json({name: dump(getattr(obj, name)) for name in names}))
     return OK
 
 
@@ -300,17 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--format", choices=("json", "text"), default="json")
     s.set_defaults(fn=cmd_poly_table)
 
-    s = sub.add_parser("weights", help="emit orthogonality weights and nu")
-    s.add_argument("file")
-    s.set_defaults(fn=cmd_weights)
-
-    s = sub.add_parser("recurrence", help="emit recurrence and dual coefficients")
-    s.add_argument("file")
-    s.set_defaults(fn=cmd_recurrence)
-
-    s = sub.add_parser("matrices", help="emit the split-basis matrix set")
-    s.add_argument("file")
-    s.set_defaults(fn=cmd_matrices)
+    for name, (help_text, _, _) in _DUMPS.items():
+        s = sub.add_parser(name, help=help_text)
+        s.add_argument("file")
+        s.set_defaults(fn=cmd_dump)
 
     s = sub.add_parser("enumerate", help="stream every array over a finite field")
     s.add_argument("--field", required=True)

@@ -590,7 +590,9 @@ class Field:
         return self.order() is not None
 
     def elements(self) -> Iterator[FieldElement]:
-        raise TypeError(f"{self} is not finite")
+        if not self.is_finite():
+            raise TypeError(f"{self} is not finite")
+        return map(self.element, range(self.order()))
 
     def element(self, index: int) -> FieldElement:
         raise TypeError(f"{self} is not finite")
@@ -605,7 +607,7 @@ class Field:
         raise NotImplementedError
 
     def random_element(self, rng, nonzero: bool = False) -> FieldElement:
-        raise NotImplementedError
+        return self.element(rng.randrange(1 if nonzero else 0, self.order()))
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.spec == other.spec
@@ -749,10 +751,6 @@ class PrimeField(Field):
     def order(self) -> int:
         return self.p
 
-    def elements(self) -> Iterator[FieldElement]:
-        for v in range(self.p):
-            yield self._elements[v]
-
     def element(self, index: int) -> FieldElement:
         if not 0 <= index < self.p:
             raise IndexError(index)
@@ -769,10 +767,6 @@ class PrimeField(Field):
 
     def format(self, a: FieldElement) -> str:
         return str(a.value)
-
-    def random_element(self, rng, nonzero: bool = False) -> FieldElement:
-        lo = 1 if nonzero else 0
-        return self._elements[rng.randrange(lo, self.p)]
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -909,10 +903,6 @@ class ExtensionField(Field):
     def order(self) -> int:
         return self.p**self.k
 
-    def elements(self) -> Iterator[FieldElement]:
-        for n in range(self.order()):
-            yield self.element(n)
-
     def element(self, index: int) -> FieldElement:
         if not 0 <= index < self.order():
             raise IndexError(index)
@@ -953,10 +943,6 @@ class ExtensionField(Field):
             else:
                 parts.append(f"{c}*w^{i}")
         return "+".join(parts)
-
-    def random_element(self, rng, nonzero: bool = False) -> FieldElement:
-        lo = 1 if nonzero else 0
-        return self.element(rng.randrange(lo, self.order()))
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"

@@ -83,16 +83,8 @@ def _gram_failures(report: CheckReport, kind: str, X: SquareMatrix, weights,
 def verify_nu_sums(a: Analysis) -> CheckReport:
     """nu equals the sum of either weight family."""
     data = a.ortho
-    zero = a.p.field.zero()
     report = CheckReport("weight-sums")
-    total = zero
-    for x in data.k:
-        total = total + x
-    if total != data.nu:
-        report.add("sum of k weights differs from nu")
-    total = zero
-    for x in data.kstar:
-        total = total + x
-    if total != data.nu:
-        report.add("sum of k* weights differs from nu")
+    for name, weights in (("k", data.k), ("k*", data.kstar)):
+        if sum(weights, a.p.field.zero()) != data.nu:
+            report.add(f"sum of {name} weights differs from nu")
     return report

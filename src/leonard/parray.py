@@ -231,43 +231,14 @@ def validate(p: ParameterArray) -> CheckReport:
 # ---------------------------------------------------------------------------
 # dihedral symmetry
 
-def _star(p: ParameterArray) -> ParameterArray:
-    d = p.d
-    return ParameterArray(
-        p.field,
-        d,
-        p.theta_star,
-        p.theta,
-        p.varphi,
-        tuple(p.phi[d - j] for j in range(1, d + 1)),
-    )
-
-
-def _down(p: ParameterArray) -> ParameterArray:
-    d = p.d
-    return ParameterArray(
-        p.field,
-        d,
-        p.theta,
-        tuple(p.theta_star[d - i] for i in range(d + 1)),
-        tuple(p.phi[d - j] for j in range(1, d + 1)),
-        tuple(p.varphi[d - j] for j in range(1, d + 1)),
-    )
-
-
-def _ddown(p: ParameterArray) -> ParameterArray:
-    d = p.d
-    return ParameterArray(
-        p.field,
-        d,
-        tuple(p.theta[d - i] for i in range(d + 1)),
-        p.theta_star,
-        p.phi,
-        p.varphi,
-    )
-
-
-_D4_MAP = {"star": _star, "down": _down, "ddown": _ddown}
+_D4_MAP = {
+    "star": lambda p: ParameterArray(p.field, p.d, p.theta_star, p.theta,
+                                     p.varphi, p.phi[::-1]),
+    "down": lambda p: ParameterArray(p.field, p.d, p.theta, p.theta_star[::-1],
+                                     p.phi[::-1], p.varphi[::-1]),
+    "ddown": lambda p: ParameterArray(p.field, p.d, p.theta[::-1], p.theta_star,
+                                      p.phi, p.varphi),
+}
 
 
 def d4_apply(p: ParameterArray, word: Sequence[str]) -> ParameterArray:

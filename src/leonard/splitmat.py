@@ -484,32 +484,29 @@ def s_matrix(p: ParameterArray, q: FieldElement) -> SquareMatrix:
 
 
 def verify_transition_matrix(a: Analysis) -> CheckReport:
-    """G against the scaled closed form s_matrix, when a usable base exists
-    in the field; skipped otherwise."""
+    """G against the scaled closed form s_matrix.  The base q is the first
+    root of q^2 - beta q + 1 in the field at d >= 3, and `first_case1_base`
+    below that.  The check is skipped, in this order, when the field has no
+    such base (`no in-field base`), when the base is 1 or -1 (`base ±1`, cases
+    II, III and IV), and when s_matrix refuses it (for one, `q is a root of
+    unity of order at most d`)."""
     p = a.p
     report = CheckReport("transition-matrix")
-    q = None
     if p.d >= 3:
-        bc = base_candidates(p)
-        if bc.kind == "quadratic_only":
-            report.skipped = "no in-field base"
-        else:
-            root = bc.roots[0]
-            if root == p.field.one() or root == -p.field.one():
-                report.skipped = "base ±1"
-            else:
-                q = root
+        roots = base_candidates(p).roots
+        q = roots[0] if roots else None
     else:
         q = first_case1_base(p.field)
-        if q is None:
-            report.skipped = "no in-field base"
     if q is None:
-        return report
-    try:
-        S = s_matrix(p, q)
-    except BaseNotApplicable as e:
-        report.skipped = str(e)
-        return report
-    if a.matrices.G != S.scale(S.rows[0][0].inverse()):
-        report.add("G differs from the scaled closed form")
+        report.skipped = "no in-field base"
+    elif q == p.field.one() or q == -p.field.one():
+        report.skipped = "base ±1"
+    else:
+        try:
+            S = s_matrix(p, q)
+        except BaseNotApplicable as e:
+            report.skipped = str(e)
+            return report
+        if a.matrices.G != S.scale(S.rows[0][0].inverse()):
+            report.add("G differs from the scaled closed form")
     return report
