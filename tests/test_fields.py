@@ -1,5 +1,6 @@
 """Field arithmetic: axioms, parsing, embeddings, quadratic roots."""
 
+import itertools
 import math
 import operator
 import random
@@ -652,3 +653,54 @@ def test_splitting_field_degree_cap():
              if quadratic_roots(deep, deep.one(), x) is None)
     with pytest.raises(NeedsFieldExtension):
         splitting_field(deep, deep.one(), c)
+
+
+# The finite-field walk and draw as each finite field wrote them before
+# `Field.elements` and `Field.random_element` served both: the oracle.
+def elements_oracle(F):
+    if isinstance(F, PrimeField):
+        for v in range(F.p):
+            yield F._elements[v]
+    else:
+        for n in range(F.order()):
+            yield F.element(n)
+
+
+def random_element_oracle(F, rng, nonzero=False):
+    lo = 1 if nonzero else 0
+    if isinstance(F, PrimeField):
+        return F._elements[rng.randrange(lo, F.p)]
+    return F.element(rng.randrange(lo, F.order()))
+
+
+WALK_FIELDS = {"GF(7)": F7, "GF(4)": F4, "GF(3^7)": F3_7,
+               "GF(2^61-1)": prime_field(2**61 - 1)}
+
+
+@pytest.mark.parametrize("label", ["GF(7)", "GF(4)", "GF(3^7)"])
+def test_elements_walk_matches_the_per_field_oracle(label):
+    """One walk in field order; GF(3^7) is compared on its first 50."""
+    F = WALK_FIELDS[label]
+    n = 50 if label == "GF(3^7)" else F.order()
+    got = list(itertools.islice(F.elements(), n))
+    want = list(itertools.islice(elements_oracle(F), n))
+    assert len(got) == n and got == want
+
+
+@pytest.mark.parametrize("label", list(WALK_FIELDS))
+def test_random_element_draws_match_the_per_field_oracle(label):
+    """The same elements from the same seed, and the rng left in the same
+    state, so seeded inputs built from these draws do not change."""
+    F = WALK_FIELDS[label]
+    for nonzero in (False, True):
+        rng, oracle_rng = random.Random(f"draw/{label}"), random.Random(f"draw/{label}")
+        got = [F.random_element(rng, nonzero=nonzero) for _ in range(200)]
+        want = [random_element_oracle(F, oracle_rng, nonzero) for _ in range(200)]
+        assert got == want
+        assert rng.getstate() == oracle_rng.getstate()
+        assert not nonzero or all(got)
+
+
+def test_rationals_have_no_element_walk():
+    with pytest.raises(TypeError, match=r"^Q is not finite$"):
+        rational_field().elements()

@@ -1,5 +1,7 @@
 """Weights, the normalization scalar, and both orthogonality sums."""
 
+from dataclasses import replace
+
 import pytest
 
 from leonard import (
@@ -47,6 +49,22 @@ def test_weight_sums_equal_nu(fix_d1, kraw3, qrac3, orphan3):
             total = total + x
         assert total == data.nu
         assert verify_nu_sums(Analysis(p)).ok()
+
+
+def test_weight_sum_failures_name_each_family_in_order(kraw3):
+    """A bumped k_0, k*_0 or both gives exactly the lines for the sums it
+    breaks, k before k*."""
+    data = ortho_data(Analysis(kraw3))
+    one = kraw3.field.one()
+    bump = lambda w: (w[0] + one,) + w[1:]
+    k_line, kstar_line = "sum of k weights differs from nu", "sum of k* weights differs from nu"
+    for changed, lines in ((replace(data, k=bump(data.k)), [k_line]),
+                           (replace(data, kstar=bump(data.kstar)), [kstar_line]),
+                           (replace(data, k=bump(data.k), kstar=bump(data.kstar)),
+                            [k_line, kstar_line])):
+        a = Analysis(kraw3)
+        a.ortho = changed
+        assert verify_nu_sums(a).failures == lines
 
 
 def test_orthogonality_rows_and_columns(fix_d1, kraw2, qrac3, orphan3):

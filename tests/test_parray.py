@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from leonard import (
     BudgetExceeded,
+    ParameterArray,
     array_from_json,
     base_candidates,
     beta_plus_one,
@@ -16,9 +17,12 @@ from leonard import (
     d4_apply,
     enumerate_arrays,
     extension_field,
+    generate,
+    list_families,
     make_array,
     prime_field,
     rational_field,
+    sample_params,
     validate,
     validation_lines,
 )
@@ -136,6 +140,64 @@ def test_d4_orbit_distinct_for_asymmetric_array():
 def test_d4_unknown_generator(fix_d1):
     with pytest.raises(ValueError):
         d4_apply(fix_d1, ["flip"])
+
+
+# The three generators as index arithmetic, as they were written before they
+# became reversals in `parray._D4_MAP`: the oracle for d4_apply.
+def star_oracle(p):
+    d = p.d
+    return ParameterArray(p.field, d, p.theta_star, p.theta, p.varphi,
+                          tuple(p.phi[d - j] for j in range(1, d + 1)))
+
+
+def down_oracle(p):
+    d = p.d
+    return ParameterArray(p.field, d, p.theta,
+                          tuple(p.theta_star[d - i] for i in range(d + 1)),
+                          tuple(p.phi[d - j] for j in range(1, d + 1)),
+                          tuple(p.varphi[d - j] for j in range(1, d + 1)))
+
+
+def ddown_oracle(p):
+    d = p.d
+    return ParameterArray(p.field, d, tuple(p.theta[d - i] for i in range(d + 1)),
+                          p.theta_star, p.phi, p.varphi)
+
+
+D4_ORACLE = {"star": star_oracle, "down": down_oracle, "ddown": ddown_oracle}
+D4_FIELDS = {"Q": Q, "GF(7)": prime_field(7), "GF(4)": extension_field(2, 2, (1, 1, 1))}
+
+
+def d4_cases(F):
+    """A hand-written d = 0 array, then one sampled array per family that
+    the field admits at each d = 1..4."""
+    yield make_array(F, [F.from_int(3)], [F.one()], [], [])
+    rng = random.Random(f"d4-oracle/{F}")
+    for d in range(1, 5):
+        for family in list_families():
+            fp = sample_params(family, d, F, rng)
+            if fp is not None:
+                yield generate(fp, F)
+
+
+@pytest.mark.parametrize("label", list(D4_FIELDS))
+def test_d4_apply_matches_the_index_oracle(label):
+    """Each reversal in `_D4_MAP` gives the image the index loops gave, with
+    every sequence a tuple, for every orbit word and every d from 0 to 4
+    that the field has arrays at."""
+    diameters = set()
+    for p in d4_cases(D4_FIELDS[label]):
+        diameters.add(p.d)
+        for word in ORBIT_WORDS:
+            want = p
+            for gen in word:
+                want = D4_ORACLE[gen](want)
+            got = d4_apply(p, word)
+            assert got == want, (p, word)
+            assert all(type(seq) is tuple
+                       for seq in (got.theta, got.theta_star, got.varphi, got.phi))
+    # GF(4) has no array at d = 4
+    assert diameters == ({0, 1, 2, 3} if label == "GF(4)" else {0, 1, 2, 3, 4})
 
 
 def test_beta_small_d(fix_d1, kraw2):

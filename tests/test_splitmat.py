@@ -23,6 +23,7 @@ from leonard import (
     sample_params,
     verify_conjugation,
     verify_leonard_conditions,
+    verify_transition_matrix,
 )
 from leonard.fields import _find_irreducible
 from leonard.report import CheckReport
@@ -514,6 +515,18 @@ def test_s_matrix_rejects_degenerate_base(kraw3):
     for text in ("0", "1", "-1"):
         with pytest.raises(BaseNotApplicable):
             s_matrix(kraw3, Q.parse(text))
+
+
+def test_transition_matrix_keeps_the_root_of_unity_skip():
+    """GF(7), d = 3, with beta + 1 = 0: the base is 2, and 2^3 = 1, so
+    s_matrix refuses it and the check reports that reason.  beta + 1 = 0
+    forces theta_3 = theta_0 at d = 3, so the array fails PA1 and the
+    scoreboard never gets here; the check itself must still skip."""
+    F = prime_field(7)
+    el = lambda *vs: [F.from_int(v) for v in vs]
+    p = make_array(F, el(0, 1, 3, 0), el(0, 1, 2, 3), el(1, 1, 1), el(1, 1, 1))
+    assert verify_transition_matrix(Analysis(p)).skipped == \
+        "q is a root of unity of order at most d"
 
 
 def test_s_matrix_rejects_wrong_ratio(qrac3):
