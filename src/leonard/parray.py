@@ -231,6 +231,8 @@ def validate(p: ParameterArray) -> CheckReport:
 # ---------------------------------------------------------------------------
 # dihedral symmetry
 
+# A reversed sequence is the one read from the top end: theta_{d-i}, and
+# phi_{d-i+1} for 1 <= i <= d.
 _D4_MAP = {
     "star": lambda p: ParameterArray(p.field, p.d, p.theta_star, p.theta,
                                      p.varphi, p.phi[::-1]),

@@ -486,10 +486,10 @@ def s_matrix(p: ParameterArray, q: FieldElement) -> SquareMatrix:
 def verify_transition_matrix(a: Analysis) -> CheckReport:
     """G against the scaled closed form s_matrix.  The base q is the first
     root of q^2 - beta q + 1 in the field at d >= 3, and `first_case1_base`
-    below that.  The check is skipped, in this order, when the field has no
-    such base (`no in-field base`), when the base is 1 or -1 (`base ±1`, cases
-    II, III and IV), and when s_matrix refuses it (for one, `q is a root of
-    unity of order at most d`)."""
+    below that.  The check is skipped for one of three reasons, checked in
+    this order: the field holds no such q (`no in-field base`); q is 1 or -1
+    (`base ±1`, cases II, III and IV); s_matrix refuses q, which for such a
+    q means that q is a root of unity of order at most d."""
     p = a.p
     report = CheckReport("transition-matrix")
     if p.d >= 3:
