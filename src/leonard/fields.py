@@ -57,21 +57,21 @@ subtracts and negates on its two coefficients written out, not by a
 k-term comprehension.  Every payload is canonical, so equal elements have
 equal payloads and equal hashes.  Rationals add and multiply on their
 (n, d) pairs with the gcd-splitting sum and product of Knuth (TAOCP vol. 2,
-4.5.1).  An extension field of order at most TABLE_ORDER_CAP (2^10)
-multiplies and inverts by log/antilog tables built when it is made: the
-generator is the first element of multiplicative order q - 1 in element
-order, found by walking each candidate's powers with the Kronecker product
-below, accepted only when the walk returns to one after exactly q - 1
-distinct powers.
-Larger extensions multiply by Kronecker substitution: a precompiled struct
-packs each payload into one int at 1, 2, 4 or 8 bytes per coefficient, the
-fewest that hold k(p-1)^2, the largest convolution coefficient, so one int
-product carries no digit into the next and is the convolution; one unpack
-gives its 2k - 1 coefficients, degrees k..2k-2 fold down through the rows
-of x^(k+j) mod the modulus, stored once per field as sparse triples, and
-each output coefficient takes one % p.  Where no width of 8 bytes holds
-k(p-1)^2, the convolution is summed term by term before the same fold.
-They invert by Itoh-Tsujii (Inform. and Comput. 78(3), 1988): with
+4.5.1).  Each extension field writes its payload product out once, when it
+is made, as straight-line Python for its modulus: the coefficients of both
+operands unpacked into names, each convolution coefficient a sum of
+products, degrees k..2k-2 folded down through the constants of the rows of
+x^(k+j) mod the modulus (a constant above p/2 written as a difference),
+and one % p per output coefficient.  The source is built from ints alone,
+each constant written by :d, so nothing but digits comes from the field's
+data, and p, k and the modulus must be ints.  An extension field of order
+at most TABLE_ORDER_CAP (2^10) multiplies and inverts by log/antilog
+tables built when it is made: the generator is the first element of
+multiplicative order q - 1 in element order, found by walking each
+candidate's powers with the written-out product, accepted only when the
+walk returns to one after exactly q - 1 distinct powers.
+Larger extensions multiply by the written-out product and invert by
+Itoh-Tsujii (Inform. and Comput. 78(3), 1988): with
 r = (p^k - 1)/(p - 1), a^(r-1) is the product of the conjugates a^(p^i),
 0 < i < k, taken by an addition chain on k - 1 (at most 4 products at
 k = 8), and a^-1 = a^(r-1) / a^r.  The norm a^r must come out in GF(p),
@@ -79,12 +79,11 @@ every higher coefficient zero, which is exactly a * a^-1 = 1, so the
 inverse is checked before it is returned.  The Frobenius maps sigma^m of
 the chain, like an embedding GF(p^k) -> GF(p^K), are GF(p)-linear: their
 rows are the payloads of the powers of w^(p^m) (of the root, for an
-embedding), packed like the product's operands, so an image costs one int
-product per row, one unpack and no field operation (a field too wide to
-pack keeps the rows by columns, at one dot product per column).  Prime
-fields multiply as (a*b) % p.  A power is taken left to right from its
-base, one squaring per bit after the leading one.  A square root is
-Tonelli-Shanks, with q - 1 = 2^s t split and z^t, for the first
+embedding), and each map is written out the same way, one dot product
+with the row constants and one % p per column, so an image takes no field
+operation.  Prime fields multiply as (a*b) % p.  A power is taken left to
+right from its base, one squaring per bit after the leading one.  A square
+root is Tonelli-Shanks, with q - 1 = 2^s t split and z^t, for the first
 non-square z, taken once per field, and one powering a^((t-1)/2) per
 root.  A rootless quadratic over GF(p^k), p odd, takes the square root of
 its discriminant D in GF(p^k) and not in GF(p^2k): sqrt(D / n0) there, for
@@ -94,7 +93,7 @@ A matrix product does not go through FieldElement at all: it is one call
 of the field's kernel, _matmul, on rows of payloads, which skips zero
 terms.  The base version works term by term through the payload _mul and
 _add, so a finite field takes its own product: (a*b) % p, the tables below
-the cap or the Kronecker product above it.  Over Q each left row and each
+the cap or the written-out product above it.  Over Q each left row and each
 right column is written as integers over the lcm of its denominators once
 per product, so an entry is one integer dot and one gcd: the reductions are
 delayed to one per entry, as in the delayed modular reduction of
@@ -106,10 +105,8 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-import struct
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
-from operator import mul as _imul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -179,8 +176,8 @@ def json_key(obj: dict, key: str, what: str):
 
 
 def json_int(value, name: str) -> int:
-    """An integer read from JSON; a float, a boolean or a string is refused,
-    not converted."""
+    """An integer read from JSON or given to ExtensionField; a float, a
+    boolean or a string is refused, not converted."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
@@ -777,6 +774,8 @@ _EXT_TERM_RE = re.compile(r"^(\d+)(?:\*w(?:\^(\d+))?)?$")
 
 class ExtensionField(Field):
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
+        for c in (p, k, *modulus):  # only ints reach the written-out source
+            json_int(c, "every extension field parameter")
         if not _is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         if k < 2:
@@ -799,20 +798,17 @@ class ExtensionField(Field):
         self.k = k
         self.modulus = mod
         self._int_tail = (0,) * (k - 1)  # the payload of n is (n % p,) + this
-        self._fold = _fold_rows(mod, p)
-        self._payload_struct, self._conv_struct = _packings(p, k)
+        self._mul = _product(p, k, _fold_rows(mod, p))
         super().__init__(FieldSpec("extension", p=p, k=k, modulus=mod),
                          (0,) * k, (1,) + (0,) * (k - 1))
         # The class's _add, _sub and _neg work on k coefficients, and its
-        # _mul and _inv are the Kronecker product and the Itoh-Tsujii
-        # inverse; the instance shadows them where a faster form applies.
+        # _inv is the Itoh-Tsujii inverse; the instance shadows them where a
+        # faster form applies.
         if k == 2:
             self._add, self._sub, self._neg = _pair_ops(p)
         if p**k <= TABLE_ORDER_CAP:
             self._mul, self._inv = _table_ops(self)
             return
-        if self._payload_struct is None:
-            self._mul = self._fold_mul
         self._frobenius, self._chain = _itoh_tsujii_chain(self)
 
     def _add(self, a, b):
@@ -826,35 +822,6 @@ class ExtensionField(Field):
     def _neg(self, a):
         p = self.p
         return tuple([(-x) % p for x in a])
-
-    def _mul(self, a, b):
-        # Kronecker substitution: each payload packed into one int, its
-        # coefficients as base-256^width digits wide enough that the
-        # convolution never carries, so one int product is the convolution
-        to_int = int.from_bytes
-        pack, conv = self._payload_struct.pack, self._conv_struct
-        product = to_int(pack(*a), "little") * to_int(pack(*b), "little")
-        return self._reduce(conv.unpack(product.to_bytes(conv.size, "little")))
-
-    def _fold_mul(self, a, b):
-        """The product for fields too wide to pack: the convolution summed
-        term by term."""
-        conv = [0] * (2 * self.k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        return self._reduce(conv)
-
-    def _reduce(self, conv):
-        """The payload of a convolution of 2k - 1 coefficients: degrees
-        k..2k-2 fold down through the rows of x^(k+j) mod the modulus, and
-        the sums stay plain ints until the one % p per coefficient."""
-        low = list(conv[:self.k])
-        for j, i, c in self._fold:
-            low[i] += conv[j] * c
-        p = self.p
-        return tuple([c % p for c in low])
 
     def _inv(self, a):
         # Itoh-Tsujii: with r = (p^k - 1)/(p - 1), a^(r-1) is the product
@@ -876,19 +843,12 @@ class ExtensionField(Field):
         return tuple([x * c % p for x in t])
 
     def _linear_map(self, rows) -> Callable[[tuple], tuple]:
-        """The GF(p)-linear map of payloads x -> sum_i x_i rows[i], for at
-        most k rows that are payloads of this field.  Where the field packs,
-        the rows are packed ints, so an image is len(rows) int products."""
-        p = self.p
-        if self._payload_struct is None:
-            columns = tuple(zip(*rows))
-            return lambda x: tuple([sum(map(_imul, x, col)) % p for col in columns])
-        payload = self._payload_struct
-        packed = [int.from_bytes(payload.pack(*row), "little") for row in rows]
-        unpack, size = payload.unpack, payload.size
-        return lambda x: tuple([
-            c % p for c in unpack(sum(map(_imul, x, packed)).to_bytes(size, "little"))
-        ])
+        """The GF(p)-linear map of payloads x -> sum_i x_i rows[i], for
+        len(x) = len(rows) rows that are payloads of this field, written out
+        as one dot product and one % p per column."""
+        xs = [f"x{i:d}" for i in range(len(rows))]
+        return _compiled("image", "x", [f"[{', '.join(xs)}] = x"],
+                         [_residue_sum(zip(xs, col), self.p) for col in zip(*rows)])
 
     def from_int(self, n: int) -> FieldElement:
         return self._elements[(n % self.p,) + self._int_tail]
@@ -958,20 +918,49 @@ def _digits(n: int, p: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Coefficient widths, in bytes, of the packed payloads of the Kronecker
-# product, with their struct codes
-_PACK_WIDTHS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+def _residue_sum(terms, p: int) -> str:
+    """The source of (sum of c*t) % p over the (t, c) pairs of a term t
+    (a name or a product of names) and a residue c in [0, p): a zero c is
+    left out, a c above p/2 is written as the term less p - c, and a factor
+    1 is dropped; "0" when every c is zero.  Each c and p is written by
+    :d, so only digits reach the source."""
+    src = ""
+    for t, c in terms:
+        if c:
+            sign, m = (" - ", p - c) if 2 * c > p else (" + ", c)
+            src += sign + (t if m == 1 else f"{m:d}*{t}")
+    if not src:
+        return "0"
+    return f"({src[3:] if src[1] == '+' else '-' + src[3:]}) % {p:d}"
 
 
-def _packings(p: int, k: int):
-    """The structs that pack a payload and unpack a convolution of GF(p^k),
-    at the narrowest width that holds k(p-1)^2, the largest convolution
-    coefficient; (None, None) when no width of at most 8 bytes does."""
-    bound = k * (p - 1) ** 2
-    for width, code in _PACK_WIDTHS:
-        if bound < 256**width:
-            return struct.Struct(f"<{k}{code}"), struct.Struct(f"<{2 * k - 1}{code}")
-    return None, None
+def _compiled(name: str, params: str, body: list[str], outputs: list[str]):
+    """The function name(params) written out as straight-line Python: the
+    lines of body, then the return of the tuple of the outputs."""
+    source = "\n    ".join([f"def {name}({params}):", *body,
+                            f"return ({', '.join(outputs)},)"])
+    namespace: dict = {}
+    exec(compile(source, f"<leonard.fields {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _product(p: int, k: int, fold) -> Callable[[tuple, tuple], tuple]:
+    """The payload product of GF(p^k), written out for its modulus: the
+    convolution coefficient h_j of degree j >= k is a sum of products of
+    the coefficients a_i and b_i, and each coefficient of degree i < k is
+    its own sum of products plus the h_j that the fold rows (the
+    (j, i, c) triples of x^j mod the modulus) send to degree i, times c,
+    reduced by one % p."""
+    a = [f"a{i:d}" for i in range(k)]
+    b = [f"b{i:d}" for i in range(k)]
+    conv = [[f"{a[i]}*{b[j - i]}" for i in range(max(0, j - k + 1), min(j, k - 1) + 1)]
+            for j in range(2 * k - 1)]
+    low = [[(t, 1) for t in conv[i]] for i in range(k)]
+    for j, i, c in fold:
+        low[i].append((f"h{j:d}", c))
+    body = [f"[{', '.join(a)}] = a", f"[{', '.join(b)}] = b"]
+    body += [f"h{j:d} = {' + '.join(conv[j])}" for j in range(k, 2 * k - 1)]
+    return _compiled("mul", "a, b", body, [_residue_sum(terms, p) for terms in low])
 
 
 def _pair_ops(p: int):
@@ -1022,18 +1011,18 @@ def _table_ops(field: ExtensionField):
     """Payload multiply and inverse of a finite extension field by table.
 
     The generator g is the first element of multiplicative order q - 1 in
-    element order: each candidate's powers are walked with the Kronecker
+    element order: each candidate's powers are walked with the written-out
     product, and the walk is used only if it comes back to one after exactly
     q - 1 distinct powers.  Then antilog[i] = g^i for 0 <= i < q - 1, and
     log is its inverse map."""
     n = field.order() - 1
-    zero, one = field.zero_value, field.one_value
+    zero, one, product = field.zero_value, field.one_value, field._mul
     for index in range(1, n + 1):
         g = field.element(index).value
         antilog, x = [one], g
         while x != one and len(antilog) < n:
             antilog.append(x)
-            x = ExtensionField._mul(field, x, g)
+            x = product(x, g)
         log = {y: i for i, y in enumerate(antilog)}
         if x == one and len(log) == n:
             break

@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import operator
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,8 +64,8 @@ def count_multiplications(fn):
         return int_products(left, right)
 
     def counted_base_matmul(field, left, right):
-        # an extension below the table cap keeps its table product on the
-        # instance, so the count goes there too
+        # an extension field keeps its product on the instance, so the
+        # count goes there too
         shadowed = vars(field).get("_mul")
         field._mul = counted(field._mul)
         try:
@@ -85,6 +88,62 @@ def count_multiplications(fn):
         for obj, name, orig in originals:
             setattr(obj, name, orig)
     return calls
+
+
+# The product and the linear maps of GF(p^k) above the table cap as the
+# field layer had them before each field wrote its own out: the oracles of
+# the written-out kernels.  A payload is packed into one int at 1, 2, 4 or 8
+# bytes per coefficient, the fewest that hold k(p-1)^2, the largest
+# convolution coefficient, so one int product is the convolution; where 8
+# bytes are too few the convolution is summed term by term.
+KRONECKER_WIDTHS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+
+
+@functools.cache
+def kronecker_packings(p, k):
+    """The structs that pack a payload and unpack a convolution of GF(p^k);
+    (None, None) when no width of at most 8 bytes holds k(p-1)^2."""
+    bound = k * (p - 1) ** 2
+    for width, code in KRONECKER_WIDTHS:
+        if bound < 256**width:
+            return struct.Struct(f"<{k}{code}"), struct.Struct(f"<{2 * k - 1}{code}")
+    return None, None
+
+
+@functools.cache
+def kronecker_fold(modulus, p):
+    return fields._fold_rows(modulus, p)
+
+
+def kronecker_product(F, a, b):
+    """The payload a*b in the field F: the convolution by one int product of
+    the packed payloads, or term by term, with degrees k..2k-2 folded down
+    through the rows of x^(k+j) mod the modulus and one % p each."""
+    payload, conv_struct = kronecker_packings(F.p, F.k)
+    if payload is None:
+        conv = [0] * (2 * F.k - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+    else:
+        product = (int.from_bytes(payload.pack(*a), "little")
+                   * int.from_bytes(payload.pack(*b), "little"))
+        conv = conv_struct.unpack(product.to_bytes(conv_struct.size, "little"))
+    low = list(conv[:F.k])
+    for j, i, c in kronecker_fold(F.modulus, F.p):
+        low[i] += conv[j] * c
+    return tuple(c % F.p for c in low)
+
+
+def packed_linear_map(F, rows):
+    """x -> sum_i x_i rows[i] on payloads of F: one int product per packed
+    row and one unpack, or one dot product per column where F does not pack."""
+    p, payload = F.p, kronecker_packings(F.p, F.k)[0]
+    if payload is None:
+        return lambda x: tuple(sum(map(operator.mul, x, col)) % p for col in zip(*rows))
+    packed = [int.from_bytes(payload.pack(*row), "little") for row in rows]
+    return lambda x: tuple(c % p for c in payload.unpack(
+        sum(map(operator.mul, x, packed)).to_bytes(payload.size, "little")))
 
 
 def random_injective(F, n, rng):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from leonard import FamilyParams, FieldSpec, embed_map, generate, make_field, sample_params
 from leonard.classify import embed_array
 from leonard.cli import _scoreboard, load_array, main
-from conftest import Q, count_multiplications
+from conftest import Q, count_multiplications, kronecker_product
 
 HERE = os.path.dirname(__file__)
 KRAW2 = os.path.join(HERE, "fixtures", "kraw2.json")
@@ -177,8 +177,9 @@ def test_classify_above_the_table_cap(capsys):
 
 def test_classify_over_a_large_quadratic_extension(capsys):
     # q lies only in GF(1000003^4): its modulus comes from the binomial rule
-    # (1000003 = 3 mod 4 leaves no irreducible x^4 + c), its payloads pack
-    # 8 bytes per coefficient, and it inverts by Itoh-Tsujii
+    # (1000003 = 3 mod 4 leaves no irreducible x^4 + c), it multiplies by
+    # its product written out for that modulus, which the Kronecker product
+    # checks, and it inverts by Itoh-Tsujii
     start = time.perf_counter()
     code, out, _ = run(capsys, "classify", EXT1000003_2)
     assert time.perf_counter() - start < 10.0
@@ -188,7 +189,9 @@ def test_classify_over_a_large_quadratic_extension(capsys):
     assert w["field_of_witness"] == {"kind": "extension", "p": 1000003, "k": 4,
                                      "modulus": [1, 1, 0, 0, 1]}
     W = make_field(FieldSpec.from_json(w["field_of_witness"]))
-    assert W._payload_struct.size == 8 * 4
+    rng = random.Random("gf1000003^4")
+    xs = [W.random_element(rng).value for _ in range(20)]
+    assert all(W._mul(a, b) == kronecker_product(W, a, b) for a, b in zip(xs, xs[1:]))
     p = load_array(EXT1000003_2)
     again = generate(FamilyParams.from_json(w["parameters"]), W)
     assert again == embed_array(p, W, embed_map(p.field, W))

@@ -15,6 +15,7 @@ apart from the names they call: each took two powerings per square root,
 an inverse of 2 per call, and a Tonelli-Shanks run in GF(p^2k) per split.
 """
 
+import inspect
 import itertools
 import random
 import time
@@ -41,6 +42,7 @@ from leonard.fields import (
     _irreducible,
     _is_prime,
 )
+from conftest import kronecker_packings, kronecker_product, packed_linear_map
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 LIMIT = 3**5
@@ -520,12 +522,13 @@ def test_tables_match_the_convolution_and_euclid():
 
 def test_field_above_the_table_cap_keeps_the_axioms():
     F = field_of(3, 7)
-    assert F.order() > TABLE_ORDER_CAP and "_mul" not in vars(F)
+    assert F.order() > TABLE_ORDER_CAP
     rng = random.Random(37)
     one = F.one()
     for _ in range(150):
         a, b = F.random_element(rng), F.random_element(rng)
         c = F.random_element(rng, nonzero=True)
+        assert (a * b).value == kronecker_product(F, a.value, b.value)
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
@@ -534,11 +537,11 @@ def test_field_above_the_table_cap_keeps_the_axioms():
     assert w ** (F.order() - 1) == one
 
 
-# Fields above the table cap, with the bytes per coefficient of their
-# Kronecker product: the fewest of 1, 2, 4 and 8 that hold k(p-1)^2, and
-# None where 8 do not and the convolution is summed term by term.  GF(13^3),
-# GF(46349^2) and GF((2^32-5)^2) are the ones where (p-1)^2 alone would pick
-# a width too narrow by one step.
+# Fields above the table cap, with the bytes per coefficient at which the
+# Kronecker oracle packs them: the fewest of 1, 2, 4 and 8 that hold
+# k(p-1)^2, and None where 8 do not and it sums the convolution term by
+# term.  GF(13^3), GF(46349^2) and GF((2^32-5)^2) are the ones where
+# (p-1)^2 alone would pick a width too narrow by one step.
 ABOVE_THE_CAP = [
     ((101, 2), 2), ((7, 4), 1), ((5, 6), 1), ((3, 7), 1), ((3, 8), 1),
     ((5, 8), 1), ((1000003, 2), 8), ((2**61 - 1, 2), None),
@@ -554,24 +557,85 @@ def operands(F, rng, n):
 
 
 def test_fold_multiply_matches_the_reduced_product():
-    """Above the cap the product is one int product of the payloads packed
-    width bytes per coefficient, or the convolution summed term by term
-    where no width of at most 8 bytes holds k(p-1)^2; either folds degrees
-    k..2k-2 through the rows of x^(k+j) mod the modulus and reduces mod p
-    once per coefficient."""
+    """Above the cap each field multiplies by its product written out for
+    its modulus.  The Kronecker product it replaced, at its pack width or
+    term by term, and the product reduced by long division are its
+    oracles, on the extreme operands and on random ones."""
     for (p, k), width in ABOVE_THE_CAP:
         F = field_of(p, k)
         assert F.order() > TABLE_ORDER_CAP
-        if width is None:
-            assert F._payload_struct is None and vars(F)["_mul"] == F._fold_mul
-        else:
-            assert F._payload_struct.size == width * k and "_mul" not in vars(F)
+        payload, _ = kronecker_packings(p, k)
+        assert (payload is None) if width is None else payload.size == width * k
         xs = operands(F, random.Random(f"fold-multiply/{p}/{k}"), 100)
         for a in xs[:3]:
             for b in xs:
-                assert F._mul(a, b) == F._mul(b, a) == reduced_product(F, a, b), (F, a, b)
+                assert (F._mul(a, b) == F._mul(b, a) == reduced_product(F, a, b)
+                        == kronecker_product(F, a, b)), (F, a, b)
         for a, b in zip(xs[3:], xs[4:]):
-            assert F._mul(a, b) == reduced_product(F, a, b), (F, a, b)
+            assert F._mul(a, b) == reduced_product(F, a, b) == kronecker_product(F, a, b), (F, a, b)
+
+
+def image_of(F, x, rows):
+    """sum_i x_i rows[i], in field operations."""
+    return sum((F.from_int(c) * F._elements[row] for c, row in zip(x, rows)),
+               F.zero()).value
+
+
+def test_frobenius_chain_maps_match_field_operations():
+    """The Frobenius map sigma and each sigma^m of the Itoh-Tsujii chain are
+    linear maps written out per column: sigma^m(x) is x^(p^m), and sigma,
+    the map of the rows w^(p i), is sum_i x_i rows[i] in field operations
+    and the packed oracle's image."""
+    for (p, k), _ in ABOVE_THE_CAP:
+        F = field_of(p, k)
+        xs = operands(F, random.Random(f"frobenius/{p}/{k}"), 20)
+        rows = [(F.generator() ** (p * i)).value for i in range(k)]
+        packed = packed_linear_map(F, rows)
+        for x in xs:
+            assert (F._frobenius(x) == (F._elements[x] ** p).value
+                    == image_of(F, x, rows) == packed(x)), (F, x)
+        m = 1
+        for sigma in F._chain:
+            if sigma is None:
+                m += 1
+                continue
+            for x in xs[:8]:
+                assert sigma(x) == (F._elements[x] ** (p**m)).value, (F, m, x)
+            m *= 2
+        assert m == k - 1  # the chain ends at sigma^(k-1)
+
+
+@pytest.mark.parametrize("p, k, K", [(7, 2, 4), (3, 4, 8), (5, 4, 8), (1000003, 2, 4)])
+def test_embed_maps_match_field_operations(p, k, K):
+    """An embedding GF(p^k) -> GF(p^K) is the linear map of the powers of
+    the root that w goes to, written out per column: sum_i x_i root^i in
+    field operations and the packed oracle's image."""
+    src, dst = field_of(p, k), field_of(p, K)
+    lift = embed_map(src, dst)
+    root = lift(src.generator())
+    rows = [(root**i).value for i in range(k)]
+    packed = packed_linear_map(dst, rows)
+    for x in operands(src, random.Random(f"embed/{p}/{k}/{K}"), 30):
+        assert lift(src._elements[x]).value == image_of(dst, x, rows) == packed(x), x
+
+
+def test_gf2_8_log_tables_match_the_kronecker_walk():
+    """Below the cap a field walks its generator's powers with its written-
+    out product; the walk with the Kronecker oracle builds the same log and
+    antilog tables for GF(2^8)."""
+    F = field_of(2, 8)
+    n, one = F.order() - 1, F.one_value
+    for index in range(1, n + 1):
+        g = F.element(index).value
+        antilog, x = [one], g
+        while x != one and len(antilog) < n:
+            antilog.append(x)
+            x = kronecker_product(F, x, g)
+        if x == one and len(antilog) == n:
+            break
+    tables = inspect.getclosurevars(F._mul).nonlocals
+    assert tables["antilog"] == antilog
+    assert tables["log"] == {y: i for i, y in enumerate(antilog)}
 
 
 def test_itoh_tsujii_inverse_matches_euclid():
@@ -629,8 +693,8 @@ def test_embed_map_from_gf5_4_into_gf5_8():
         assert lift(x + y) == lift(x) + lift(y) and lift(x * y) == lift(x) * lift(y)
 
 
-# GF(2) and GF(1000003), GF(2^4) with tables, GF(3^8) and GF(5^8) packed
-# above the cap, and GF((2^61-1)^2), too wide to pack
+# GF(2) and GF(1000003), GF(2^4) with tables, and GF(3^8), GF(5^8) and
+# GF((2^61-1)^2) above the cap, each with its written-out product
 POLY_FIELDS = [(2, 1), (1000003, 1), (2, 4), (3, 8), (5, 8), (2**61 - 1, 2)]
 
 

@@ -28,6 +28,7 @@ from leonard import (
     rational_field,
     splitting_field,
 )
+from leonard import fields
 from leonard.fields import TABLE_ORDER_CAP, _find_irreducible, _identity
 
 Q = rational_field()
@@ -575,6 +576,24 @@ def test_nonprime_modulus_rejected():
         prime_field(10)
     with pytest.raises(NonPrimeModulus):
         extension_field(4, 2, (1, 1, 1))
+
+
+@pytest.mark.parametrize("p, k, modulus", [
+    (7, 2, (1.0, 0, 1)), (7, 2, (1, 0, 1.0)), (7, 2, ("1", 0, 1)),
+    (7.0, 2, (1, 0, 1)), (1000003, 2, (1, 0, 1.5)), (7, 2, (True, 0, 1)),
+])
+def test_extension_field_refuses_a_modulus_that_is_not_ints(p, k, modulus, monkeypatch):
+    """Each field writes its product out as source from p and its modulus,
+    so a float, a string or a boolean is refused before anything is
+    compiled; JSON specs and --field already admit only ints."""
+    compiled, compile_source = [], fields._compiled
+    monkeypatch.setattr(fields, "_compiled",
+                        lambda *args: compiled.append(args) or compile_source(*args))
+    with pytest.raises(ValueError, match="must be an integer"):
+        ExtensionField(p, k, modulus)
+    assert not compiled
+    ExtensionField(7, 2, (1, 0, 1))  # the same field from ints compiles
+    assert compiled
 
 
 def test_reducible_modulus_rejected():

@@ -111,7 +111,7 @@ def shaped_matrices(F, n, rng, entry=None):
 
 
 # the kernel's fields besides PRODUCT_FIELDS: both prime-field extremes,
-# tables at 2^4 and the fold product above the cap at 3^8
+# tables at 2^4 and the written-out product above the cap at 3^8
 KERNEL_FIELDS = {
     "GF(2)": prime_field(2),
     "GF(1000003)": prime_field(1000003),
