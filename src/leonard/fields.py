@@ -52,24 +52,25 @@ its spec.  A finite field of order at most TABLE_ORDER_CAP builds each
 element once and keeps it by payload in a dict, so an operation there is a
 dict hit that calls no Python code and allocates nothing; elements are
 immutable, so sharing them changes no result.  Q and larger fields build
-each element by the slot descriptors directly.  A quadratic extension adds,
-subtracts and negates on its two coefficients written out, not by a
-k-term comprehension.  Every payload is canonical, so equal elements have
-equal payloads and equal hashes.  Rationals add and multiply on their
-(n, d) pairs with the gcd-splitting sum and product of Knuth (TAOCP vol. 2,
-4.5.1).  Each extension field writes its payload product out once, when it
-is made, as straight-line Python for its modulus: the coefficients of both
-operands unpacked into names, each convolution coefficient a sum of
+each element by the slot descriptors directly.  Every payload is
+canonical, so equal elements have equal payloads and equal hashes.
+Rationals add and multiply on their (n, d) pairs with the gcd-splitting
+sum and product of Knuth (TAOCP vol. 2, 4.5.1).  Each extension field, of
+every degree, writes its payload sum, difference, negative and product out
+once, when it is made, as straight-line Python: the coefficients of the
+operands unpacked into names and one % p per output coefficient.  A sum,
+difference or negative is then k terms of one operator each.  The product
+is written for the modulus: each convolution coefficient a sum of
 products, degrees k..2k-2 folded down through the constants of the rows of
-x^(k+j) mod the modulus (a constant above p/2 written as a difference),
-and one % p per output coefficient.  The source is built from ints alone,
-each constant written by :d, so nothing but digits comes from the field's
-data, and p, k and the modulus must be ints.  An extension field of order
-at most TABLE_ORDER_CAP (2^10) multiplies and inverts by log/antilog
-tables built when it is made: the generator is the first element of
-multiplicative order q - 1 in element order, found by walking each
-candidate's powers with the written-out product, accepted only when the
-walk returns to one after exactly q - 1 distinct powers.
+x^(k+j) mod the modulus (a constant above p/2 written as a difference).
+The source is built from ints alone, each constant written by :d, so
+nothing but digits comes from the field's data, and p, k and the modulus
+must be ints.  An extension field of order at most TABLE_ORDER_CAP (2^10)
+multiplies and inverts by log/antilog tables built when it is made: the
+generator is the first element of multiplicative order q - 1 in element
+order, found by walking each candidate's powers with the written-out
+product, accepted only when the walk returns to one after exactly q - 1
+distinct powers.
 Larger extensions multiply by the written-out product and invert by
 Itoh-Tsujii (Inform. and Comput. 78(3), 1988): with
 r = (p^k - 1)/(p - 1), a^(r-1) is the product of the conjugates a^(p^i),
@@ -798,30 +799,16 @@ class ExtensionField(Field):
         self.k = k
         self.modulus = mod
         self._int_tail = (0,) * (k - 1)  # the payload of n is (n % p,) + this
+        self._add, self._sub, self._neg = _sum_ops(p, k)
         self._mul = _product(p, k, _fold_rows(mod, p))
         super().__init__(FieldSpec("extension", p=p, k=k, modulus=mod),
                          (0,) * k, (1,) + (0,) * (k - 1))
-        # The class's _add, _sub and _neg work on k coefficients, and its
-        # _inv is the Itoh-Tsujii inverse; the instance shadows them where a
-        # faster form applies.
-        if k == 2:
-            self._add, self._sub, self._neg = _pair_ops(p)
+        # The class's _inv is the Itoh-Tsujii inverse; below the cap the
+        # instance shadows it, and the written-out product, by tables.
         if p**k <= TABLE_ORDER_CAP:
             self._mul, self._inv = _table_ops(self)
             return
         self._frobenius, self._chain = _itoh_tsujii_chain(self)
-
-    def _add(self, a, b):
-        p = self.p
-        return tuple([(x + y) % p for x, y in zip(a, b)])
-
-    def _sub(self, a, b):
-        p = self.p
-        return tuple([(x - y) % p for x, y in zip(a, b)])
-
-    def _neg(self, a):
-        p = self.p
-        return tuple([(-x) % p for x in a])
 
     def _inv(self, a):
         # Itoh-Tsujii: with r = (p^k - 1)/(p - 1), a^(r-1) is the product
@@ -944,6 +931,18 @@ def _compiled(name: str, params: str, body: list[str], outputs: list[str]):
     return namespace[name]
 
 
+def _sum_ops(p: int, k: int):
+    """The payload sum, difference and negative of GF(p^k), written out on
+    the k coefficients: each output coefficient is one sum, difference or
+    negative of names and one % p."""
+    a = [f"a{i:d}" for i in range(k)]
+    b = [f"b{i:d}" for i in range(k)]
+    unpack = [f"[{', '.join(a)}] = a", f"[{', '.join(b)}] = b"]
+    return (_compiled("add", "a, b", unpack, [f"({x} + {y}) % {p:d}" for x, y in zip(a, b)]),
+            _compiled("sub", "a, b", unpack, [f"({x} - {y}) % {p:d}" for x, y in zip(a, b)]),
+            _compiled("neg", "a", unpack[:1], [f"-{x} % {p:d}" for x in a]))
+
+
 def _product(p: int, k: int, fold) -> Callable[[tuple, tuple], tuple]:
     """The payload product of GF(p^k), written out for its modulus: the
     convolution coefficient h_j of degree j >= k is a sum of products of
@@ -961,23 +960,6 @@ def _product(p: int, k: int, fold) -> Callable[[tuple, tuple], tuple]:
     body = [f"[{', '.join(a)}] = a", f"[{', '.join(b)}] = b"]
     body += [f"h{j:d} = {' + '.join(conv[j])}" for j in range(k, 2 * k - 1)]
     return _compiled("mul", "a, b", body, [_residue_sum(terms, p) for terms in low])
-
-
-def _pair_ops(p: int):
-    """Payload sum, difference and negative of a quadratic extension of
-    GF(p), written out on the two coefficients: the k-term comprehensions
-    cost several times as much."""
-
-    def add(a, b):
-        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
-
-    def sub(a, b):
-        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
-
-    def neg(a):
-        return (-a[0] % p, -a[1] % p)
-
-    return add, sub, neg
 
 
 def _itoh_tsujii_chain(field: ExtensionField):

@@ -448,7 +448,9 @@ def _q_pochhammer(field: Field, q: FieldElement, n: int) -> list[FieldElement]:
 
 def s_matrix(p: ParameterArray, q: FieldElement) -> SquareMatrix:
     """Closed-form transition matrix in base q: entries are forward products of
-    (theta_0 - theta_{d-t}) times q-trinomial coefficients.
+    (theta_0 - theta_{d-t}) times q-trinomial coefficients.  The (0, 0)
+    entry is the empty product times (q; q)_d^2 / (q; q)_d^2, which is one,
+    so the matrix is G itself, with no scaling.
 
     Raises BaseNotApplicable for q = 1 or q = -1, for scalars that are not a
     base of the array (d >= 3), and when a required (q; q)_m vanishes.
@@ -484,7 +486,7 @@ def s_matrix(p: ParameterArray, q: FieldElement) -> SquareMatrix:
 
 
 def verify_transition_matrix(a: Analysis) -> CheckReport:
-    """G against the scaled closed form s_matrix.  The base q is the first
+    """G against the closed form s_matrix.  The base q is the first
     root of q^2 - beta q + 1 in the field at d >= 3, and `first_case1_base`
     below that.  The check is skipped for one of three reasons, checked in
     this order: the field holds no such q (`no in-field base`); q is 1 or -1
@@ -507,6 +509,6 @@ def verify_transition_matrix(a: Analysis) -> CheckReport:
         except BaseNotApplicable as e:
             report.skipped = str(e)
             return report
-        if a.matrices.G != S.scale(S.rows[0][0].inverse()):
-            report.add("G differs from the scaled closed form")
+        if a.matrices.G != S:
+            report.add("G differs from the closed form")
     return report

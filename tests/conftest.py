@@ -146,6 +146,20 @@ def packed_linear_map(F, rows):
         sum(map(operator.mul, x, packed)).to_bytes(payload.size, "little")))
 
 
+# The k-term payload sum, difference and negative of GF(p^k): the oracle for
+# the written-out ones each extension field compiles when it is made.
+def kterm_add(F, a, b):
+    return tuple([(x + y) % F.p for x, y in zip(a, b)])
+
+
+def kterm_sub(F, a, b):
+    return tuple([(x - y) % F.p for x, y in zip(a, b)])
+
+
+def kterm_neg(F, a):
+    return tuple([(-x) % F.p for x in a])
+
+
 def random_injective(F, n, rng):
     """n distinct random elements of F, in the order drawn."""
     values = []

@@ -29,7 +29,14 @@ from leonard import (
     splitting_field,
 )
 from leonard import fields
-from leonard.fields import TABLE_ORDER_CAP, _find_irreducible, _identity
+from leonard.fields import (
+    MAX_EXTENSION_DEGREE,
+    TABLE_ORDER_CAP,
+    _find_irreducible,
+    _identity,
+)
+
+from conftest import kterm_add, kterm_neg, kterm_sub
 
 Q = rational_field()
 F7 = prime_field(7)
@@ -249,20 +256,25 @@ def test_elements_up_to_the_table_cap_are_built_once():
         assert field.one() is not field.one() and field.one() == field.one()
 
 
-def test_quadratic_extension_payload_ops_match_the_k_term_ones():
-    """A quadratic extension adds, subtracts and negates on its two
-    coefficients written out; the class's k-term comprehensions, which
-    every other degree uses, are the oracle."""
+def test_extension_payload_sum_ops_match_the_k_term_ones():
+    """Every extension field, of every degree, adds, subtracts and negates
+    on its k coefficients written out; the k-term comprehensions of
+    conftest are the oracle.  Degrees 2..8 by table (GF(2^k), GF(3^k) for
+    k <= 6) and above TABLE_ORDER_CAP (GF(3^7), GF(3^8), GF(37^2),
+    GF((2^61 - 1)^2)), with the operands 0 and p - 1 in every coefficient."""
     rng = random.Random(5)
-    for p in (2, 5, 31, 37, 2**61 - 1):  # GF(37^2) lies above TABLE_ORDER_CAP
-        F = extension_field(p, 2, _find_irreducible(p, 2))
+    specs = [(p, k) for k in range(2, MAX_EXTENSION_DEGREE + 1) for p in (2, 3)]
+    for p, k in specs + [(37, 2), (2**61 - 1, 2)]:
+        F = extension_field(p, k, _find_irreducible(p, k))
         assert "_add" in vars(F)
-        for _ in range(100):
-            a, b = F.random_element(rng).value, F.random_element(rng).value
-            assert F._add(a, b) == ExtensionField._add(F, a, b)
-            assert F._sub(a, b) == ExtensionField._sub(F, a, b)
-            assert F._neg(a) == ExtensionField._neg(F, a)
-    assert "_add" not in vars(F8)
+        ends = [(0,) * k, (p - 1,) * k, (0, p - 1) * (k // 2) + (p - 1,) * (k % 2)]
+        values = ends + [F.random_element(rng).value for _ in range(40)]
+        for a in values:
+            assert F._neg(a) == kterm_neg(F, a), (F, a)
+            for b in ends + [rng.choice(values)]:
+                assert F._add(a, b) == kterm_add(F, a, b), (F, a, b)
+                assert F._sub(a, b) == kterm_sub(F, a, b), (F, a, b)
+    assert not {"_add", "_sub", "_neg"} & set(vars(ExtensionField))
 
 
 def test_mixed_fields_are_refused():

@@ -13,6 +13,7 @@ from leonard import (
     RepeatedEigenvalue,
     SingularMatrix,
     SquareMatrix,
+    base_candidates,
     build,
     extension_field,
     generate,
@@ -25,6 +26,7 @@ from leonard import (
     verify_leonard_conditions,
     verify_transition_matrix,
 )
+from leonard.families import Q_FAMILIES
 from leonard.fields import _find_irreducible
 from leonard.report import CheckReport
 from leonard.splitmat import difference_products, divided_differences, pair_products
@@ -527,6 +529,28 @@ def test_transition_matrix_keeps_the_root_of_unity_skip():
     p = make_array(F, el(0, 1, 3, 0), el(0, 1, 2, 3), el(1, 1, 1), el(1, 1, 1))
     assert verify_transition_matrix(Analysis(p)).skipped == \
         "q is a root of unity of order at most d"
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101),
+                                   extension_field(3, 2, _find_irreducible(3, 2))],
+                         ids=["Q", "GF(101)", "GF(9)"])
+def test_s_matrix_corner_is_one_on_case_one_arrays(field):
+    """s_matrix's (0, 0) entry is prefix[0] (q; q)_d^2 / (q; q)_d^2 = 1, so
+    verify_transition_matrix compares G with it unscaled.  At each
+    d = 3..6, every q-family the field hosts, at the base the check takes."""
+    for d in range(3, 7):
+        checked = 0
+        for family in Q_FAMILIES:
+            fp = sample_params(family, d, field, random.Random(f"corner|{family}|{d}"))
+            if fp is None:
+                continue
+            p = generate(fp, field)
+            S = s_matrix(p, base_candidates(p).roots[0])
+            assert S.rows[0][0] == field.one(), (family, d)
+            report = verify_transition_matrix(Analysis(p))
+            assert report.ok() and not report.skipped, (family, d, report)
+            checked += 1
+        assert checked >= 2, (field, d)
 
 
 def test_s_matrix_rejects_wrong_ratio(qrac3):
