@@ -7,15 +7,21 @@ whose row matches the fitted coordinates, derive its scalars, and certify the
 answer by regenerating the array from them.  That regeneration is the only
 comparison of the split sequences: in a validated array PA3 and PA4 fix them
 from theta, theta* and varphi_1.  Every case is fitted by one function,
-`_fit_case`.  At d >= 3 the base q is a root of q^2 - beta q + 1, solved
-once by `splitting_field`: q = 1 gives case II (IV in characteristic 2),
-q = -1 case III, and any other root case I, in the ground field or in the
-quadratic extension the roots need.  When the required scalars live in a
-quadratic extension the witness is produced there; over the rationals the
-needed extension is reported instead of built, for an array that validates.
-An array whose base needs the extension is embedded there once: it is fitted
-and certified there, and the witness's map from the array's own field is
-composed once, from that embedding and the map into the witness field.
+`_fit_case`, and `classify` tries the ordered list of (case, base, field)
+candidates that `_candidates` gives.  At d >= 3 that is one candidate: the
+base q is a root of q^2 - beta q + 1, solved once by `splitting_field`;
+q = 1 gives case II (IV in characteristic 2), q = -1 case III, and any
+other root case I, in the ground field or in the quadratic extension the
+roots need.  Below d = 3 it is II then III, or case I in characteristic 2.
+When the required scalars live in a quadratic extension the witness is
+produced there; over the rationals, or past the supported extension degree,
+the needed extension is reported instead of built, for an array that
+validates.  An array whose base needs the extension is embedded there once:
+it is fitted and certified there, and the witness's map from the array's
+own field is composed once, from that embedding and the map into the
+witness field.  A candidate whose scalars fail to regenerate the array is
+no witness, and NoCaseMatched is raised in one place, when every candidate
+has failed (besides the d = 0 guard).
 """
 
 from __future__ import annotations
@@ -79,18 +85,16 @@ def _fit(form: NormalForm, P, theta: Sequence[FieldElement]) -> Optional[tuple]:
 
 
 def _make_witness(case: str, family: str, field: Field, embed: Callable,
-                  d: int, values: dict, source: ParameterArray) -> ClassifierWitness:
+                  d: int, values: dict, source: ParameterArray) -> Optional[ClassifierWitness]:
     """Assemble the witness and certify it by regenerating the array, which
-    embed maps into `field`."""
+    embed maps into `field`; None when the scalars do not regenerate it."""
     params = FamilyParams(family=family, d=d, values=values)
     try:
         regenerated = generate(params, field)
     except PreconditionViolated:
-        regenerated = None
+        return None
     if regenerated != embed_array(source, field, embed):
-        raise NoCaseMatched(
-            f"{family} scalars recovered for case {case} fail to regenerate "
-            f"the array")
+        return None
     return ClassifierWitness(case=case, family=family, field=field,
                              embed=embed, params=params)
 
@@ -150,75 +154,61 @@ def _fit_case(p: ParameterArray, case: str, q: FieldElement) -> Optional[Classif
     return _from_table(case, p, q, data)
 
 
-def classify(p: ParameterArray) -> ClassifierWitness:
-    """Classify a validated array; returns a witness whose params regenerate
-    it over the witness field.
-
-    Raises NeedsFieldExtension when the witness requires a quadratic
-    extension that is not built automatically (rational base field, or an
-    extension degree beyond the supported bound), and NoCaseMatched when no
-    closed form fits (always at d = 0).  With no witness field to regenerate
-    in, the array is validated instead, so an array that fails validate gets
-    NoCaseMatched.
-    """
-    try:
-        return _classify(p)
-    except NeedsFieldExtension:
-        if validate(p).ok():
-            raise
-        raise NoCaseMatched(f"no eigenvalue closed form fits this array over "
-                            f"{p.field}") from None
-
-
-def _classify(p: ParameterArray) -> ClassifierWitness:
-    if p.d < 1:
-        raise NoCaseMatched("classification needs d >= 1")
+def _candidates(p: ParameterArray) -> list[tuple]:
+    """The (case, base, field, lift) tuples classify tries, in order.  At
+    d >= 3, the one that the root q of q^2 - beta q + 1 picks: case I in the
+    quadratic extension the roots need (lift embeds p's field there), II
+    (IV in characteristic 2) for q = 1, III for q = -1, and I for any other
+    q.  Below d = 3 every scalar is a base and the cases overlap: II then
+    III in odd characteristic and over Q, and in characteristic 2 case I at
+    `first_case1_base` (none over GF(2))."""
     F = p.field
     one = F.one()
-
     if p.d >= 3:
-        ext, lift, roots = splitting_field(F, one - beta_plus_one(p), one)
-        q = roots[0]
+        ext, lift, (q, _) = splitting_field(F, one - beta_plus_one(p), one)
         if ext is not F:
-            # fitted and certified on p embedded once; the witness's embed
-            # then maps p's field, not ext, into the witness field
-            w = _fit_case(embed_array(p, ext, lift), "I", q)
-            if w is not None:
-                outer = w.embed
-                w = replace(w, embed=lift if outer is _identity
-                            else lambda x: outer(lift(x)))
-        elif q == one:
-            w = _fit_case(p, "IV" if F.characteristic() == 2 else "II", one)
-        else:
-            w = _fit_case(p, "III" if q == -one else "I", q)
-        if w is None:
-            raise NoCaseMatched(
-                f"no eigenvalue closed form fits this array over {F}")
-        return w
-
-    # Below d = 3 the cases overlap, so try them in a fixed order and
-    # prefer whichever stays in the ground field; an extension request is
-    # only surfaced when nothing else fits.
-    deferred = None
+            return [("I", q, ext, lift)]
+        if q == one:
+            return [("IV" if F.characteristic() == 2 else "II", one, F, _identity)]
+        return [("III" if q == -one else "I", q, F, _identity)]
     if F.characteristic() != 2:
-        for case, base in (("II", one), ("III", -one)):
-            try:
-                w = _fit_case(p, case, base)
-            except NoCaseMatched:
-                w = None
-            except NeedsFieldExtension as e:
-                deferred = deferred or e
-                w = None
-            if w is not None:
-                return w
+        return [("II", one, F, _identity), ("III", -one, F, _identity)]
     q = first_case1_base(F)
-    if q is not None:
+    return [] if q is None else [("I", q, F, _identity)]
+
+
+def classify(p: ParameterArray) -> ClassifierWitness:
+    """Classify an array; returns the witness of the first candidate of
+    `_candidates` that fits and regenerates it over the witness field.
+
+    A request for a field extension, from the base quadratic or from a
+    family's second one, is deferred to the next candidate.  When none
+    fits, the request is raised as NeedsFieldExtension if the array
+    validates (over the rationals, or past the supported extension degree,
+    no witness field is built to regenerate in); otherwise, and at d = 0,
+    NoCaseMatched.
+    """
+    if p.d < 1:
+        raise NoCaseMatched("classification needs d >= 1")
+    deferred = None
+    try:
+        candidates = _candidates(p)
+    except NeedsFieldExtension as e:
+        candidates, deferred = [], e
+    for case, q, field, lift in candidates:
         try:
-            w = _fit_case(p, "I", q)
-        except (NoCaseMatched, NeedsFieldExtension):
-            w = None
+            w = _fit_case(p if lift is _identity else embed_array(p, field, lift),
+                          case, q)
+        except NeedsFieldExtension as e:
+            deferred, w = deferred or e, None
         if w is not None:
-            return w
-    if deferred is not None:
+            if lift is _identity:
+                return w
+            # fitted and certified on p embedded once; the witness's embed
+            # then maps p's field, not the candidate's, into the witness field
+            outer = w.embed
+            return replace(w, embed=lift if outer is _identity
+                           else lambda x: outer(lift(x)))
+    if deferred is not None and validate(p).ok():
         raise deferred
-    raise NoCaseMatched(f"no eigenvalue closed form fits this array over {F}")
+    raise NoCaseMatched(f"no eigenvalue closed form fits this array over {p.field}")

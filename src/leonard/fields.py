@@ -829,12 +829,13 @@ class ExtensionField(Field):
         c = pow(norm[0], -1, p)
         return tuple([x * c % p for x in t])
 
-    def _linear_map(self, rows) -> Callable[[tuple], tuple]:
+    def _linear_map(self, rows, role: str) -> Callable[[tuple], tuple]:
         """The GF(p)-linear map of payloads x -> sum_i x_i rows[i], for
         len(x) = len(rows) rows that are payloads of this field, written out
-        as one dot product and one % p per column."""
+        as one dot product and one % p per column; `role` names the map in
+        its profile label (`frobenius^2`, `from GF(2^4)`)."""
         xs = [f"x{i:d}" for i in range(len(rows))]
-        return _compiled("image", "x", [f"[{', '.join(xs)}] = x"],
+        return _compiled(f"{self} {role}", "image", "x", [f"[{', '.join(xs)}] = x"],
                          [_residue_sum(zip(xs, col), self.p) for col in zip(*rows)])
 
     def from_int(self, n: int) -> FieldElement:
@@ -921,13 +922,16 @@ def _residue_sum(terms, p: int) -> str:
     return f"({src[3:] if src[1] == '+' else '-' + src[3:]}) % {p:d}"
 
 
-def _compiled(name: str, params: str, body: list[str], outputs: list[str]):
+def _compiled(field: str, name: str, params: str, body: list[str], outputs: list[str]):
     """The function name(params) written out as straight-line Python: the
-    lines of body, then the return of the tuple of the outputs."""
+    lines of body, then the return of the tuple of the outputs.  Its code
+    is filed as `<leonard.fields FIELD NAME>` (`GF(3^4) mul`), so a profile
+    keeps each field's function apart; fields of one order with different
+    moduli share labels."""
     source = "\n    ".join([f"def {name}({params}):", *body,
                             f"return ({', '.join(outputs)},)"])
     namespace: dict = {}
-    exec(compile(source, f"<leonard.fields {name}>", "exec"), namespace)
+    exec(compile(source, f"<leonard.fields {field} {name}>", "exec"), namespace)
     return namespace[name]
 
 
@@ -938,9 +942,10 @@ def _sum_ops(p: int, k: int):
     a = [f"a{i:d}" for i in range(k)]
     b = [f"b{i:d}" for i in range(k)]
     unpack = [f"[{', '.join(a)}] = a", f"[{', '.join(b)}] = b"]
-    return (_compiled("add", "a, b", unpack, [f"({x} + {y}) % {p:d}" for x, y in zip(a, b)]),
-            _compiled("sub", "a, b", unpack, [f"({x} - {y}) % {p:d}" for x, y in zip(a, b)]),
-            _compiled("neg", "a", unpack[:1], [f"-{x} % {p:d}" for x in a]))
+    field = f"GF({p:d}^{k:d})"
+    return (_compiled(field, "add", "a, b", unpack, [f"({x} + {y}) % {p:d}" for x, y in zip(a, b)]),
+            _compiled(field, "sub", "a, b", unpack, [f"({x} - {y}) % {p:d}" for x, y in zip(a, b)]),
+            _compiled(field, "neg", "a", unpack[:1], [f"-{x} % {p:d}" for x in a]))
 
 
 def _product(p: int, k: int, fold) -> Callable[[tuple, tuple], tuple]:
@@ -959,7 +964,8 @@ def _product(p: int, k: int, fold) -> Callable[[tuple, tuple], tuple]:
         low[i].append((f"h{j:d}", c))
     body = [f"[{', '.join(a)}] = a", f"[{', '.join(b)}] = b"]
     body += [f"h{j:d} = {' + '.join(conv[j])}" for j in range(k, 2 * k - 1)]
-    return _compiled("mul", "a, b", body, [_residue_sum(terms, p) for terms in low])
+    return _compiled(f"GF({p:d}^{k:d})", "mul", "a, b", body,
+                     [_residue_sum(terms, p) for terms in low])
 
 
 def _itoh_tsujii_chain(field: ExtensionField):
@@ -970,22 +976,22 @@ def _itoh_tsujii_chain(field: ExtensionField):
     built from the powers of w^(p^m), and w^p costs one powering."""
     p, k, mul, one = field.p, field.k, field._mul, field.one_value
 
-    def powers(x):  # the payloads of x^i, 0 <= i < k: the rows of the map
+    def powers(x, m):  # the payloads of x^i, 0 <= i < k: the rows of sigma^m
         rows = [one]
         for _ in range(k - 1):
             rows.append(mul(rows[-1], x))
-        return field._linear_map(rows)
+        return field._linear_map(rows, f"frobenius^{m:d}")
 
-    image = field.pow(field.generator(), p).value  # sigma^m(w), from m = 1
-    frobenius = powers(image)
+    image, m = field.pow(field.generator(), p).value, 1  # sigma^m(w)
+    frobenius = powers(image, m)
     chain = []
     for bit in bin(k - 1)[3:]:
-        sigma = powers(image) if chain else frobenius  # the first m is 1
+        sigma = powers(image, m) if chain else frobenius  # the first m is 1
         chain.append(sigma)
-        image = sigma(image)
+        image, m = sigma(image), 2 * m
         if bit == "1":
             chain.append(None)
-            image = frobenius(image)
+            image, m = frobenius(image), m + 1
     return frobenius, tuple(chain)
 
 
@@ -1021,6 +1027,10 @@ def _table_ops(field: ExtensionField):
     def inv(a):
         return antilog[-log[a]]  # g^(n - i); antilog[-0] is one
 
+    # one code object serves every field's closures; a copy per field named
+    # for it keeps the fields apart in a profile
+    for fn in (mul, inv):
+        fn.__code__ = fn.__code__.replace(co_name=f"{field} {fn.__name__}")
     return mul, inv
 
 
@@ -1289,7 +1299,7 @@ def embed_map(src: Field, dst: Field) -> Callable[[FieldElement], FieldElement]:
         for _ in range(src.spec.k - 1):
             powers.append(powers[-1] * root)
         # the map is GF(p)-linear: x goes to sum_i x_i root^i
-        linear = dst._linear_map([pw.value for pw in powers])
+        linear = dst._linear_map([pw.value for pw in powers], f"from {src}")
 
         def lift(x: FieldElement, dst=dst, linear=linear) -> FieldElement:
             return dst._elements[linear(x.value)]

@@ -1,6 +1,7 @@
 """Closed-form fits, case dispatch, and certified scalar recovery."""
 
 import dataclasses
+import hashlib
 import importlib
 import itertools
 import json
@@ -24,6 +25,7 @@ from leonard import (
     validate,
 )
 from leonard import fields, parray
+from leonard.cli import dump_json
 from leonard.classify import _normal_form
 from leonard.families import Q_FAMILIES
 from leonard.fields import (TABLE_ORDER_CAP, ExtensionField, _find_irreducible,
@@ -352,16 +354,54 @@ def test_classify_embeds_the_array_once(name, monkeypatch):
 
 def test_a_broken_pa5_fails_in_the_closed_form_branch():
     """A GF(101) dual-q-Krawtchouk array at d = 4 with 1 added to theta_4
-    breaks PA5: the base quadratic still splits, and no closed form fits,
-    so the d >= 3 branch itself raises."""
+    breaks PA5: the base quadratic still splits, and no closed form fits
+    its one candidate."""
     F = prime_field(101)
     values = {k: F.from_int(v) for k, v in
               dict(q=3, h=1, hstar=1, s=2, theta0=0, thetastar0=0).items()}
     p = generate(FamilyParams("dual-q-krawtchouk", 4, values), F)
     broken = dataclasses.replace(p, theta=p.theta[:4] + (p.theta[4] + 1,))
     assert not validate(broken).ok()
-    message = "no eigenvalue closed form fits this array over GF(101)"
-    for step in (classify, classify_module._classify):
-        with pytest.raises(NoCaseMatched) as e:
-            step(broken)
-        assert str(e.value) == message
+    with pytest.raises(NoCaseMatched) as e:
+        classify(broken)
+    assert str(e.value) == "no eigenvalue closed form fits this array over GF(101)"
+
+
+def test_characteristic_2_below_d3_requests_the_extension_it_needs():
+    """Below d = 3 in characteristic 2 the one candidate is case I at
+    `first_case1_base`; its r1 and r2 can need GF(2^10), past the supported
+    degree.  Over the first 2,000 arrays of GF(2^5) at d = 2 (all valid),
+    1,061 are such requests and none is NoCaseMatched, and the 939
+    witnesses print as before the candidate list: their digest was taken
+    from the JSON `leonard classify` printed for them then."""
+    F = extension_field(2, 5, _find_irreducible(2, 5))
+    digest, witnesses, requests = hashlib.sha256(), 0, 0
+    for p in itertools.islice(enumerate_arrays(F, 2), 2000):
+        try:
+            w = classify(p)
+        except NeedsFieldExtension as e:
+            assert "needs degree 10 over GF(2), past the supported maximum" in str(e)
+            requests += 1
+            continue
+        witnesses += 1
+        digest.update(dump_json({"case": w.case, "family": w.family,
+                                 "parameters": w.params.to_json(),
+                                 "field_of_witness": w.field.spec.to_json()}).encode())
+    assert (witnesses, requests) == (939, 1061)
+    assert digest.hexdigest() == (
+        "dbaac34ba09874c24724b2dd1239c80914a14b88aabc3054e7a9c44819b0b608")
+
+
+def test_candidates_below_d3():
+    """II then III in odd characteristic and over Q, case I in
+    characteristic 2, and nothing over GF(2), whose only scalars are 0, 1."""
+    candidates, identity = classify_module._candidates, fields._identity
+    gf2, gf4, gf7 = prime_field(2), extension_field(2, 2, (1, 1, 1)), prime_field(7)
+    for p in (qarr([0, 1, 2], [0, 1, 2], [1, 1], [1, 1]), next(enumerate_arrays(gf7, 2))):
+        one = p.field.one()
+        assert candidates(p) == [("II", one, p.field, identity),
+                                 ("III", -one, p.field, identity)]
+    p = next(enumerate_arrays(gf4, 2))
+    assert candidates(p) == [("I", parray.first_case1_base(gf4), gf4, identity)]
+    zero, one = gf2.zero(), gf2.one()
+    assert candidates(parray.make_array(gf2, [zero, one], [zero, one], [one], [one])) == []

@@ -477,6 +477,34 @@ def test_verify_scoreboard_text_is_pinned(capsys, tmp_path, obj, code, expected)
     assert run(capsys, "verify", str(target)) == (code, expected, "")
 
 
+def test_a_failing_check_prints_its_first_four_failures(capsys, monkeypatch):
+    """A check with five failures prints the first four, joined by "; ", on
+    its own line and verify exits 1; the other eleven lines do not change."""
+    import leonard.splitmat
+    from leonard.report import CheckReport
+
+    _, before, _ = run(capsys, "verify", QRAC3)
+    monkeypatch.setattr(leonard.splitmat, "verify_conjugation", lambda a: CheckReport(
+        "conjugation", [f"failure {i}" for i in range(1, 6)]))
+    code, out, err = run(capsys, "verify", QRAC3)
+    want = before.splitlines()
+    want[1] = "conjugation: fail (failure 1; failure 2; failure 3; failure 4)"
+    assert (code, out.splitlines(), err) == (1, want, "")
+
+
+def test_transition_matrix_fails_where_g_differs_from_the_closed_form(capsys, monkeypatch):
+    import leonard.splitmat
+
+    s_matrix = leonard.splitmat.s_matrix
+    monkeypatch.setattr(leonard.splitmat, "s_matrix",
+                        lambda p, q: s_matrix(p, q).transpose())
+    code, out, _ = run(capsys, "verify", QRAC3)
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[-1] == "transition-matrix: fail (G differs from the closed form)"
+    assert all(line.endswith("pass") for line in lines[:-1])
+
+
 def test_validate_and_classify_report_pinned(capsys, tmp_path):
     target = tmp_path / "array.json"
     target.write_text(json.dumps(KRAW2_PHI1))

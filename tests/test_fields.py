@@ -1,8 +1,10 @@
 """Field arithmetic: axioms, parsing, embeddings, quadratic roots."""
 
+import cProfile
 import itertools
 import math
 import operator
+import pstats
 import random
 from fractions import Fraction
 
@@ -735,3 +737,33 @@ def test_random_element_draws_match_the_per_field_oracle(label):
 def test_rationals_have_no_element_walk():
     with pytest.raises(TypeError, match=r"^Q is not finite$"):
         rational_field().elements()
+
+
+def test_each_field_op_has_its_own_profile_label():
+    """cProfile keys a function by `cProfile.label` of its code (file, line,
+    name).  Each extension field compiles its own payload ops, filed under
+    the field and the role, and its table closures are copies named for it,
+    so a profile over products in two fields reports both."""
+    F, G = (extension_field(p, k, _find_irreducible(p, k)) for p, k in ((3, 4), (5, 3)))
+    for op in ("_add", "_sub", "_neg", "_mul", "_inv"):
+        assert cProfile.label(getattr(F, op).__code__) != cProfile.label(
+            getattr(G, op).__code__), op
+    assert F._add.__code__.co_filename == "<leonard.fields GF(3^4) add>"
+    assert F._mul.__code__.co_name == "GF(3^4) mul"
+    big = extension_field(3, 8, _find_irreducible(3, 8))  # past the table cap
+    assert big._mul.__code__.co_filename == "<leonard.fields GF(3^8) mul>"
+    assert [sigma and sigma.__code__.co_filename for sigma in big._chain] == [
+        "<leonard.fields GF(3^8) frobenius^1 image>", None,
+        "<leonard.fields GF(3^8) frobenius^3 image>", None]
+    linear = embed_map(F, big).__defaults__[-1]  # the compiled image of lift
+    assert linear.__code__.co_filename == "<leonard.fields GF(3^8) from GF(3^4) image>"
+
+    profile = cProfile.Profile()
+    pairs = [(field.element(i), field.element(i + 1)) for field in (F, G)
+             for i in range(1, 50)]
+    profile.enable()
+    for a, b in pairs:
+        a * b
+    profile.disable()
+    names = {name for _, _, name in pstats.Stats(profile).stats}
+    assert {"GF(3^4) mul", "GF(5^3) mul"} <= names

@@ -111,6 +111,31 @@ print(json.dumps({"all": sorted(leonard.__all__), "bad": bad,
     assert out["modules"] == ["fields", "splitmat", "analysis"]
 
 
+def test_dir_and_a_submodule_reached_through_the_package(monkeypatch):
+    """`dir(leonard)` lists every export and submodule, and a submodule not
+    yet bound on the package is imported by its module __getattr__ and bound
+    there: in this interpreter, and in a fresh one, where `leonard.ortho` is
+    the first use of the module."""
+    import types
+
+    import leonard
+
+    names = dir(leonard)
+    assert names == sorted(names) and set(EXPORTED) | {"ortho", "splitmat"} <= set(names)
+    monkeypatch.delattr(leonard, "ortho", raising=False)
+    module = leonard.ortho
+    assert isinstance(module, types.ModuleType) and module is sys.modules["leonard.ortho"]
+    assert vars(leonard)["ortho"] is module
+    code = """
+import json, sys
+import leonard
+module = leonard.ortho
+print(json.dumps([module.__name__, module is sys.modules["leonard.ortho"],
+                  vars(leonard)["ortho"] is module]))
+"""
+    assert run_fresh(code) == ["leonard.ortho", True, True]
+
+
 def test_unknown_name_raises_attribute_error():
     code = """
 import json
