@@ -7,18 +7,26 @@ that claims byte-identical outputs can show it.
 The inputs are seeded `sample_params` draws of every family over Q, GF(7)
 and GF(4) at d = 1..6, each followed by a copy with 1 added to varphi_1
 (which fails `validate`), then every array in `tests/fixtures`, then one
-hand-written array at d = 0 over each of the three fields, then a few
-malformed copies of `kraw2.json` that must exit 2 (invalid JSON, an unknown
-key, a field spec without `p`, a non-string entry, a reducible modulus).
-Each input goes through `verify`, `validate`, `classify`, `matrices`,
+hand-written array at d = 0 over each of the three fields, then JSON that
+is not an object and malformed copies of `kraw2.json` that must exit 2
+(invalid JSON; an unknown key; a field spec that is not an object, has an
+unknown kind, lacks `p`, has a modulus that is not a list, a non-prime or
+too large p, or a reducible modulus; a `d` that is a string, negative or
+past theta; a non-string entry, an entry that is not a literal of its
+field, one of 5,001 digits; a key that is not a list; a sequence of the
+wrong length), then copies of `qrac3.json` that fail PA1, PA2 on phi and
+PA5.  Each input goes through `verify`, `validate`, `classify`, `matrices`,
 `poly-table`, `weights` and `recurrence`, run in-process through
-`cli.main` with the array JSON on stdin.  Then come the runs that take no
-array: `gen` with each draw's parameters as `--param` arguments, `gen`
-runs that must fail (an unknown family or parameter, a missing, repeated
-or malformed one, a violated precondition, a wrong characteristic, a
-malformed number in the field spec), and `enumerate` over small fields with
-`--limit`, a shard, `--budget 10`, malformed shards, `--field rational`,
-the malformed field specs and the extension specs that `parse_field` or
+`cli.main` with the array JSON on stdin; a few go through `validate
+--emit` or `poly-table --format text` as well.  Then come the runs that
+take no array: `gen` with each draw's parameters as `--param` arguments,
+`gen` runs that must fail (an unknown family or parameter, a missing,
+repeated or malformed one, `--d 0`, a violated precondition, among them a
+step and a doubled factor, a wrong characteristic, a malformed number in
+the field spec), and `enumerate` over small fields with `--limit`, a
+shard, `--budget 10`, malformed shards, `--field rational`, an unknown
+field spec, `--limit -1`, `--d 0`, `--budget -1`, a non-prime or too large
+p, the malformed field specs and the extension specs that `parse_field` or
 `ExtensionField` refuses, and over fields far too large to list (GF(2^61 -
 1), GF(1000003^2), GF(18446744073709551557)) with `--limit`, a shard and
 `--budget 0`, alone and with a shard whose first theta lies 10^12 ranks
@@ -56,13 +64,49 @@ D0 = {"rational": ("1/2", "-3"), "prime:7": ("3", "5"), "ext:2:2:1,1,1": ("1+1*w
 COMMANDS = ("verify", "validate", "classify", "matrices", "poly-table", "weights",
             "recurrence")
 # name -> the keys that replace or join those of kraw2.json
+GF4 = {"kind": "extension", "p": 2, "k": 2, "modulus": [1, 1, 1]}
 MALFORMED = {
     "unknown-key": {"comment": "kraw2"},
     "field-without-p": {"field": {"kind": "prime"}},
     "non-string-entry": {"theta": [0, 1, 2]},
     "reducible-modulus": {"field": {"kind": "extension", "p": 2, "k": 2,
                                     "modulus": [1, 0, 1]}},
+    "field-not-an-object": {"field": "rational"},
+    "unknown-field-kind": {"field": {"kind": "complex"}},
+    "modulus-not-a-list": {"field": {"kind": "extension", "p": 2, "k": 2, "modulus": 7}},
+    "string-d": {"d": "2"},
+    "characteristic-2^64": {"field": {"kind": "prime", "p": 2**64}},
+    "non-prime-p": {"field": {"kind": "prime", "p": 9}},
+    "non-prime-extension-p": {"field": {"kind": "extension", "p": 4, "k": 2,
+                                        "modulus": [1, 1, 1]}},
+    "non-residue-entry": {"field": {"kind": "prime", "p": 7}, "theta": ["1/2", "1", "2"]},
+    "extension-entry-one-term": {"field": GF4, "theta": ["1", "0+1*w", "1+1*w"]},
+    "extension-entry-bad-term": {"field": GF4, "theta": ["1+x", "0+1*w", "1+1*w"]},
+    "extension-entry-term-out-of-place": {"field": GF4,
+                                          "theta": ["1*w+1", "0+1*w", "1+1*w"]},
+    "theta-not-a-list": {"theta": "0"},
+    "d-past-theta": {"d": 3},
+    "short-theta-star": {"theta_star": ["0", "1"]},
+    "short-varphi": {"varphi": ["-4"]},
+    "short-phi": {"phi": ["-2"]},
+    "negative-d": {"d": -1},
+    "5001-digit-entry": {"theta": ["9" * 5001, "1", "2"]},
 }
+# name -> the keys that replace those of qrac3.json: well-formed arrays that
+# fail PA1, PA2 on phi, and PA5
+INVALID = {
+    "theta-repeats": {"theta": ["0", "0", "21/4", "105/8"]},
+    "phi-zero": {"phi": ["-35/24", "0", "-35/24"]},
+    "theta-off-pa5": {"theta": ["0", "3/2", "21/4", "13"]},
+}
+# runs on one input each: (argv with "-" for stdin, input name)
+SINGLE_RUNS = (
+    (("validate", "--emit", "-"), "fixtures/qrac3.json"),
+    (("validate", "--emit", "-"), "invalid/theta-repeats"),
+    (("poly-table", "--format", "text", "-"), "fixtures/qrac3.json"),
+    (("poly-table", "--format", "text", "-"), "fixtures/ext3_4.json"),
+    (("poly-table", "--format", "text", "-"), "d=0/prime:7"),
+)
 KRAW = ("gen", "krawtchouk", "--d", "2", "--field", "rational", "--param")
 # field specs with a malformed number, which must exit 2
 MALFORMED_FIELDS = ("prime:x", "prime:", "ext:2:x:1,1,1")
@@ -85,6 +129,14 @@ GEN_FAILURES = (
      "hstar=1", "s=3", "sstar=5", "r1=2", "r2=5", "theta0=0", "thetastar0=0"),
     ("gen", "orphan", "--d", "3", "--field", "rational", "--param", "h=1", "hstar=1",
      "s=1", "sstar=1", "r=1", "theta0=0", "thetastar0=0"),
+    ("gen", "krawtchouk", "--d", "0", "--field", "rational", "--param", "r=2", "s=1",
+     "sstar=1", "theta0=0", "thetastar0=0"),
+    ("gen", "hahn", "--d", "2", "--field", "rational", "--param", "hstar=1", "s=1",
+     "sstar=1", "r=-1", "theta0=0", "thetastar0=0"),
+    ("gen", "hahn", "--d", "2", "--field", "rational", "--param", "hstar=1", "s=1",
+     "sstar=-3", "r=5", "theta0=0", "thetastar0=0"),
+    ("gen", "q-hahn", "--d", "2", "--field", "rational", "--param", "q=2", "h=1",
+     "hstar=1", "sstar=1", "r=1/2", "theta0=0", "thetastar0=0"),
 ) + tuple(KRAW[:5] + (spec, "--param", "r=2", "s=1", "sstar=1", "theta0=0",
                       "thetastar0=0") for spec in MALFORMED_FIELDS)
 ENUMERATE = tuple(("enumerate",) + argv for argv in (
@@ -104,6 +156,13 @@ ENUMERATE = tuple(("enumerate",) + argv for argv in (
     ("--field", "prime:5", "--d", "2", "--shard", "1:2:3"),
     ("--field", "prime:5", "--d", "2", "--shard", "3:2"),
     ("--field", "rational", "--d", "2"),
+    ("--field", "complex", "--d", "1"),
+    ("--field", "prime:5", "--d", "2", "--limit", "-1"),
+    ("--field", "prime:5", "--d", "0"),
+    ("--field", "prime:5", "--d", "2", "--budget", "-1"),
+    ("--field", "prime:18446744073709551616", "--d", "1"),
+    ("--field", "prime:9", "--d", "1"),
+    ("--field", "ext:4:2:1,1,1", "--d", "1"),
 ) + tuple(("--field", spec, "--d", "2") for spec in MALFORMED_FIELDS)
   + tuple(("--field", spec, "--d", "1") for spec in BAD_EXTENSIONS))
 HEADER = "argv\texit\tstdout_sha256\tstderr_sha256"
@@ -138,9 +197,14 @@ def inputs():
     with open(os.path.join(FIXTURES, "kraw2.json"), encoding="utf-8") as f:
         text = f.read()
     yield "malformed/invalid-json", text[:len(text) // 2]
+    yield "malformed/not-an-object", "[]\n"
     base = json.loads(text)
     for name, change in MALFORMED.items():
         yield f"malformed/{name}", dump_json({**base, **change})
+    with open(os.path.join(FIXTURES, "qrac3.json"), encoding="utf-8") as f:
+        base = json.load(f)
+    for name, change in INVALID.items():
+        yield f"invalid/{name}", dump_json({**base, **change})
 
 
 def _sha(text: str) -> str:
@@ -175,9 +239,13 @@ def corpus_lines() -> list[str]:
     def add(key, code, out, err):
         lines.append(f"{key}\t{code}\t{_sha(out)}\t{_sha(err)}")
 
+    texts = {}
     for name, text in inputs():
+        texts[name] = text
         for command in COMMANDS:
             add(f"{command} {name}", *run([command, "-"], text))
+    for argv, name in SINGLE_RUNS:
+        add(" ".join(name if a == "-" else a for a in argv), *run(argv, texts[name]))
     for argv in argv_runs():
         add(" ".join(argv), *run(argv))
     return lines
