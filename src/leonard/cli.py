@@ -1,8 +1,11 @@
 """Command line surface: JSON in, JSON or scoreboard text out.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails or a
-requested construction is impossible for the given scalars, 2 when the input
-itself is malformed (bad JSON, bad field spec, unknown names).
+requested construction is impossible for the given scalars (any other
+LeonardError), 2 when the input itself is malformed (a BadInput: bad JSON,
+bad field spec, unknown names) or a file cannot be read.  The exception's
+type alone decides: any other exception is a bug, and `main` lets it
+through as a traceback.
 """
 
 from __future__ import annotations
@@ -14,17 +17,12 @@ import json
 import sys
 from typing import Optional
 
-from .errors import (
-    IdentityViolated,
-    LengthMismatch,
-    LeonardError,
-    NonPrimeModulus,
-    ReducibleModulus,
-)
-from .fields import Field, FieldElement, extension_field, prime_field, rational_field
+from .errors import BadInput, IdentityViolated, LeonardError
+from .fields import (Field, FieldElement, extension_field, parse_int, parse_literal,
+                     prime_field, rational_field)
 from .parray import (
     ParameterArray,
-    array_from_json,
+    array_from_text,
     enumerate_arrays,
     validate,
     validation_lines,
@@ -39,11 +37,8 @@ OK, FAIL, BAD_INPUT = 0, 1, 2
 
 def parse_field(text: str) -> Field:
     def number(s: str) -> int:
-        try:
-            return int(s)
-        except ValueError:
-            raise ValueError("--field takes rational | prime:p | ext:p:k:modulusCSV, "
-                             f"got {text!r}") from None
+        return parse_int(s, "--field takes rational | prime:p | ext:p:k:modulusCSV, "
+                            f"got {text!r}")
 
     if text == "rational":
         return rational_field()
@@ -52,23 +47,25 @@ def parse_field(text: str) -> Field:
     if text.startswith("ext:"):
         parts = text.split(":")
         if len(parts) != 4:
-            raise ValueError("extension field spec is ext:p:k:modulusCSV")
+            raise BadInput("extension field spec is ext:p:k:modulusCSV")
         p, k = number(parts[1]), number(parts[2])
         modulus = tuple(number(c) for c in parts[3].split(","))
         return extension_field(p, k, modulus)
-    raise ValueError(f"unknown field spec {text!r}; "
-                     "use rational | prime:p | ext:p:k:modulusCSV")
+    raise BadInput(f"unknown field spec {text!r}; "
+                   "use rational | prime:p | ext:p:k:modulusCSV")
 
 
-def _read_text(path: str) -> str:
+def _read(path: str) -> "str | bytes":
+    """The bytes of a file, or of stdin for `-`; the text of stdin when it
+    has no byte buffer (an in-memory stdin)."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as f:
+        return getattr(sys.stdin, "buffer", sys.stdin).read()
+    with open(path, "rb") as f:
         return f.read()
 
 
 def load_array(path: str) -> ParameterArray:
-    return array_from_json(json.loads(_read_text(path)))
+    return array_from_text(_read(path))
 
 
 def dump_json(obj) -> str:
@@ -161,16 +158,16 @@ def cmd_gen(args) -> int:
     values = {}
     for item in args.param or []:
         if "=" not in item:
-            raise ValueError(f"--param takes name=value, got {item!r}")
+            raise BadInput(f"--param takes name=value, got {item!r}")
         name, text = item.split("=", 1)
         if name not in names:
-            raise ValueError(f"{args.family} has no parameter {name!r}")
+            raise BadInput(f"{args.family} has no parameter {name!r}")
         if name in values:
-            raise ValueError(f"--param {name} is given more than once")
-        values[name] = field.parse(text)
+            raise BadInput(f"--param {name} is given more than once")
+        values[name] = parse_literal(field, text)
     missing = set(names) - set(values)
     if missing:
-        raise ValueError(f"missing parameters: {', '.join(sorted(missing))}")
+        raise BadInput(f"missing parameters: {', '.join(sorted(missing))}")
     p = generate(FamilyParams(family=args.family, d=args.d, values=values), field)
     sys.stdout.write(dump_json(p.to_json()))
     return OK
@@ -245,12 +242,10 @@ def cmd_enumerate(args) -> int:
     shard = None
     if args.shard is not None:
         index, _, count = args.shard.partition(":")
-        try:
-            shard = (int(index), int(count))
-        except ValueError:
-            raise ValueError(f"--shard takes INDEX:COUNT, got {args.shard!r}") from None
+        message = f"--shard takes INDEX:COUNT, got {args.shard!r}"
+        shard = (parse_int(index, message), parse_int(count, message))
     if args.limit is not None and args.limit < 0:
-        raise ValueError(f"--limit must be at least 0, got {args.limit}")
+        raise BadInput(f"--limit must be at least 0, got {args.limit}")
     arrays = enumerate_arrays(field, args.d, budget=args.budget, shard=shard)
     for p in itertools.islice(arrays, args.limit):
         print(json.dumps(p.to_json(), separators=(",", ":")))
@@ -322,8 +317,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return BAD_INPUT if e.code not in (0, None) else OK
     try:
         return args.fn(args)
-    except (NonPrimeModulus, ReducibleModulus, LengthMismatch, ValueError, KeyError,
-            TypeError, OSError) as e:
+    except (BadInput, OSError) as e:
         print(f"bad input: {e}", file=sys.stderr)
         return BAD_INPUT
     except LeonardError as e:

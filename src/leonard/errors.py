@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
-Everything raised on purpose derives from LeonardError so callers can catch
-one base class at the CLI boundary.
+Everything raised on purpose derives from LeonardError.  The command line
+sorts them by type alone: a BadInput (the input is not a well-formed array,
+field, literal or argument) or an unreadable file exits 2, any other
+LeonardError (a well-formed input fails a condition, a check or a
+construction) exits 1.  Any other exception is a bug, and the command line
+lets it through as a traceback.
 """
 
 from __future__ import annotations
@@ -11,11 +15,19 @@ class LeonardError(Exception):
     pass
 
 
-class NonPrimeModulus(LeonardError):
+class BadInput(LeonardError, ValueError):
+    """The input is not a well-formed array, field, literal or argument.
+
+    Raised only where input is read: parsing and the argument checks of the
+    functions that take it.  Also a ValueError, the builtin type of a value
+    refused, so that a caller may catch either."""
+
+
+class NonPrimeModulus(BadInput):
     """The p of GF(p) or GF(p^k) is not prime."""
 
 
-class ReducibleModulus(LeonardError):
+class ReducibleModulus(BadInput):
     """The extension modulus has a factor of degree >= 1 over GF(p)."""
 
 
@@ -23,7 +35,7 @@ class ZeroToNegativePower(LeonardError):
     """0**n requested with n < 0."""
 
 
-class LengthMismatch(LeonardError):
+class LengthMismatch(BadInput):
     """Component lengths do not match the stated diameter."""
 
 

@@ -24,6 +24,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
+    BadInput,
     CharacteristicMismatch,
     DenominatorPoleBeforeTermination,
     IdentityViolated,
@@ -45,7 +46,7 @@ def list_families() -> list[str]:
 
 def family_param_names(family: str) -> tuple[str, ...]:
     if family not in FAMILY_PARAMS:
-        raise ValueError(f"unknown family {family!r}")
+        raise BadInput(f"unknown family {family!r}")
     return FAMILY_PARAMS[family] + COMMON_PARAMS
 
 
@@ -583,7 +584,7 @@ def generate(fp: FamilyParams, field: Field) -> ParameterArray:
     CharacteristicMismatch when the scalars do not fit the field."""
     names = family_param_names(fp.family)
     if fp.d < 1:
-        raise ValueError("diameter must be at least 1")
+        raise BadInput("diameter must be at least 1")
     if set(fp.values) != set(names):
         raise ValueError(
             f"{fp.family} takes parameters {sorted(names)}, got {sorted(fp.values)}")

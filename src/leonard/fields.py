@@ -111,6 +111,7 @@ from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
+    BadInput,
     NeedsFieldExtension,
     NonPrimeModulus,
     ReducibleModulus,
@@ -152,27 +153,27 @@ class FieldSpec:
     @staticmethod
     def from_json(obj: dict) -> "FieldSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("field spec must be an object with a 'kind'")
+            raise BadInput("field spec must be an object with a 'kind'")
         kind = obj["kind"]
         if kind == "rational":
             return FieldSpec("rational")
         if kind not in ("prime", "extension"):
-            raise ValueError(f"unknown field kind {kind!r}")
+            raise BadInput(f"unknown field kind {kind!r}")
         p = json_int(json_key(obj, "p", "field spec"), "p")
         if kind == "prime":
             return FieldSpec("prime", p=p)
         k = json_int(json_key(obj, "k", "field spec"), "k")
         modulus = json_key(obj, "modulus", "field spec")
         if not isinstance(modulus, list):
-            raise ValueError("modulus must be a list of integers")
+            raise BadInput("modulus must be a list of integers")
         return FieldSpec("extension", p=p, k=k,
                          modulus=tuple(json_int(c, "modulus entry") for c in modulus))
 
 
 def json_key(obj: dict, key: str, what: str):
-    """obj[key], or a ValueError naming the missing key."""
+    """obj[key], or a BadInput naming the missing key."""
     if key not in obj:
-        raise ValueError(f"{what} is missing {key!r}")
+        raise BadInput(f"{what} is missing {key!r}")
     return obj[key]
 
 
@@ -180,8 +181,35 @@ def json_int(value, name: str) -> int:
     """An integer read from JSON or given to ExtensionField; a float, a
     boolean or a string is refused, not converted."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise BadInput(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def parse_int(text: str, message: str) -> int:
+    """int(text), or a BadInput with the message when text is no integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise BadInput(message) from None
+
+
+# The most digits a number in a literal read from input may have: the
+# interpreter's default limit on converting between int and decimal text,
+# which it sets because the conversion takes time quadratic in the digits.
+# parse_literal refuses a longer one by its digit count, in every field.
+MAX_LITERAL_DIGITS = 4300
+_DIGIT_RUN_RE = re.compile(r"\d+")
+
+
+def parse_literal(field: "Field", text: str) -> "FieldElement":
+    """field.parse(text) for a literal read from input, or a BadInput when a
+    number in it has more than MAX_LITERAL_DIGITS digits."""
+    if len(text) > MAX_LITERAL_DIGITS:
+        digits = max(map(len, _DIGIT_RUN_RE.findall(text)), default=0)
+        if digits > MAX_LITERAL_DIGITS:
+            raise BadInput(f"a number in a literal may have at most "
+                           f"{MAX_LITERAL_DIGITS} digits, got {digits}")
+    return field.parse(text)
 
 
 # Miller-Rabin to these bases (the first twelve primes) decides every n below
@@ -193,9 +221,7 @@ CHARACTERISTIC_LIMIT = 2**64
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < 2^64."""
     if n >= CHARACTERISTIC_LIMIT:
-        raise ValueError(
-            f"{n} is too large: the characteristic must be below 2^64"
-        )
+        raise BadInput(f"{n} is too large: the characteristic must be below 2^64")
     if n < 2:
         return False
     for a in _MILLER_RABIN_BASES:
@@ -614,6 +640,24 @@ class Field:
         return self.spec_hash
 
 
+# Every interpreter limit on int-to-decimal conversion is at least 640
+# digits, so str() takes any int below this bound.
+_STR_BOUND = 10**600
+
+
+def _decimal(n: int) -> str:
+    """str(n), also past the interpreter's int-to-decimal digit limit: an
+    int beyond _STR_BOUND is split on a power of ten near half its digits,
+    and the halves are printed."""
+    if -_STR_BOUND < n < _STR_BOUND:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # below half the digits, as log10(2) > 0.3
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -697,7 +741,7 @@ class RationalField(Field):
     def parse(self, text: str) -> FieldElement:
         text = text.strip()
         if not _RATIONAL_RE.match(text):
-            raise ValueError(f"not a rational literal: {text!r}")
+            raise BadInput(f"not a rational literal: {text!r}")
         n, _, d = text.partition("/")
         n, d = int(n), int(d or 1)
         g = gcd(n, d)
@@ -705,7 +749,7 @@ class RationalField(Field):
 
     def format(self, a: FieldElement) -> str:
         n, d = a.value
-        return str(n) if d == 1 else f"{n}/{d}"
+        return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
     def random_element(self, rng, nonzero: bool = False) -> FieldElement:
         while True:
@@ -760,7 +804,7 @@ class PrimeField(Field):
     def parse(self, text: str) -> FieldElement:
         text = text.strip()
         if not _INT_RE.match(text):
-            raise ValueError(f"not a residue literal: {text!r}")
+            raise BadInput(f"not a residue literal: {text!r}")
         return self._elements[int(text) % self.p]
 
     def format(self, a: FieldElement) -> str:
@@ -780,17 +824,15 @@ class ExtensionField(Field):
         if not _is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         if k < 2:
-            raise ValueError("extension degree must be at least 2")
+            raise BadInput("extension degree must be at least 2")
         if k > MAX_EXTENSION_DEGREE:
-            raise ValueError(
-                f"extension degree {k} exceeds the supported maximum "
-                f"{MAX_EXTENSION_DEGREE}"
-            )
+            raise BadInput(f"extension degree {k} exceeds the supported maximum "
+                           f"{MAX_EXTENSION_DEGREE}")
         if len(modulus) != k + 1:
-            raise ValueError("modulus must have k+1 coefficients, low degree first")
+            raise BadInput("modulus must have k+1 coefficients, low degree first")
         mod = tuple(c % p for c in modulus)
         if mod[-1] != 1:
-            raise ValueError("modulus must be monic")
+            raise BadInput("modulus must be monic")
         if not _irreducible(mod, p):
             raise ReducibleModulus(
                 f"modulus {list(mod)} is reducible over GF({p})"
@@ -865,19 +907,17 @@ class ExtensionField(Field):
     def parse(self, text: str) -> FieldElement:
         terms = text.strip().replace(" ", "").split("+")
         if len(terms) != self.k:
-            raise ValueError(
-                f"expected {self.k} terms 'c0+c1*w+...', got {text!r}"
-            )
+            raise BadInput(f"expected {self.k} terms 'c0+c1*w+...', got {text!r}")
         coeffs = []
         for i, term in enumerate(terms):
             m = _EXT_TERM_RE.match(term)
             if not m:
-                raise ValueError(f"bad term {term!r} in {text!r}")
+                raise BadInput(f"bad term {term!r} in {text!r}")
             power = 0 if m.group(2) is None and "*w" not in term else (
                 1 if m.group(2) is None else int(m.group(2))
             )
             if power != i:
-                raise ValueError(f"term {term!r} out of place in {text!r}")
+                raise BadInput(f"term {term!r} out of place in {text!r}")
             coeffs.append(int(m.group(1)) % self.p)
         return self._elements[tuple(coeffs)]
 
@@ -1055,7 +1095,7 @@ def make_field(spec: FieldSpec) -> Field:
     elif spec.kind == "extension":
         field = ExtensionField(spec.p, spec.k, spec.modulus)
     else:
-        raise ValueError(f"unknown field kind {spec.kind!r}")
+        raise BadInput(f"unknown field kind {spec.kind!r}")
     field = _FIELD_CACHE[spec] = _FIELD_CACHE.setdefault(field.spec, field)
     return field
 

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetExceeded, LengthMismatch
+from .errors import BadInput, BudgetExceeded, LengthMismatch
 from .fields import (TABLE_ORDER_CAP, Field, FieldElement, FieldSpec, json_int,
-                     json_key, make_field, quadratic_roots)
+                     json_key, make_field, parse_literal, quadratic_roots)
 from .report import CheckReport
 
 
@@ -76,38 +77,52 @@ def make_array(
         raise LengthMismatch(f"phi needs {d} entries, got {len(phi)}")
     for x in itertools.chain(theta, theta_star, varphi, phi):
         if x.field is not field and x.field.spec != field.spec:
-            raise ValueError("entry lies in a different field")
+            raise BadInput("entry lies in a different field")
     return ParameterArray(field, d, tuple(theta), tuple(theta_star), tuple(varphi), tuple(phi))
 
 
 ARRAY_KEYS = ("field", "d", "theta", "theta_star", "varphi", "phi")
 
 
+def array_from_text(text: "str | bytes") -> ParameterArray:
+    """The array of a JSON document, bytes being read as UTF-8.  Raises
+    BadInput on bytes that are not UTF-8 and on text that is not JSON or
+    nests deeper than the JSON parser goes."""
+    try:
+        obj = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as e:
+        raise BadInput(str(e)) from None
+    return array_from_json(obj)
+
+
 def array_from_json(obj: dict) -> ParameterArray:
-    """Inverse of ParameterArray.to_json.  Raises ValueError on a key outside
-    ARRAY_KEYS, on a missing key and on entries that are not strings."""
+    """Inverse of ParameterArray.to_json.  Raises BadInput on a key outside
+    ARRAY_KEYS, on a missing key, on entries that are not strings and on a
+    negative d."""
     if not isinstance(obj, dict):
-        raise ValueError("an array must be a JSON object")
+        raise BadInput("an array must be a JSON object")
     unknown = [key for key in obj if key not in ARRAY_KEYS]
     if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}; an array has the keys "
-                         + ", ".join(ARRAY_KEYS))
+        raise BadInput(f"unknown key {unknown[0]!r}; an array has the keys "
+                       + ", ".join(ARRAY_KEYS))
     field = make_field(FieldSpec.from_json(json_key(obj, "field", "array")))
     d = json_int(json_key(obj, "d", "array"), "d")
 
     def entries(key: str) -> tuple[FieldElement, ...]:
         raw = json_key(obj, key, "array")
         if not isinstance(raw, list):
-            raise ValueError(f"{key} must be a list of strings")
+            raise BadInput(f"{key} must be a list of strings")
         for s in raw:
             if not isinstance(s, str):
-                raise ValueError(f"{key} entries must be strings, got {s!r}")
-        return tuple(field.parse(s) for s in raw)
+                raise BadInput(f"{key} entries must be strings, got {s!r}")
+        return tuple(parse_literal(field, s) for s in raw)
 
     theta = entries("theta")
     theta_star = entries("theta_star")
     varphi = entries("varphi")
     phi = entries("phi")
+    if d < 0:
+        raise BadInput(f"d must be at least 0, got {d}")
     if len(theta) != d + 1:
         raise LengthMismatch(f"theta needs {d + 1} entries, got {len(theta)}")
     return make_array(field, theta, theta_star, varphi, phi)
@@ -376,13 +391,13 @@ def enumerate_arrays(
     Bad arguments raise at the call, before any array is asked for.
     """
     if not field.is_finite():
-        raise TypeError("enumeration requires a finite field")
+        raise BadInput("enumeration requires a finite field")
     if d < 1:
-        raise ValueError("enumeration requires d >= 1")
+        raise BadInput("enumeration requires d >= 1")
     if shard is not None and not 0 <= shard[0] < shard[1]:
-        raise ValueError(f"shard {shard[0]}:{shard[1]} needs 0 <= index < count")
+        raise BadInput(f"shard {shard[0]}:{shard[1]} needs 0 <= index < count")
     if budget is not None and budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
+        raise BadInput(f"budget must be at least 0, got {budget}")
     return _arrays(field, d, budget, shard)
 
 

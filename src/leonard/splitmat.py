@@ -488,10 +488,12 @@ def s_matrix(p: ParameterArray, q: FieldElement) -> SquareMatrix:
 def verify_transition_matrix(a: Analysis) -> CheckReport:
     """G against the closed form s_matrix.  The base q is the first
     root of q^2 - beta q + 1 in the field at d >= 3, and `first_case1_base`
-    below that.  The check is skipped for one of three reasons, checked in
+    below that.  The check is skipped for one of two reasons, checked in
     this order: the field holds no such q (`no in-field base`); q is 1 or -1
-    (`base ±1`, cases II, III and IV); s_matrix refuses q, which for such a
-    q means that q is a root of unity of order at most d."""
+    (`base ±1`, cases II, III and IV).  On an array that satisfies PA1 and
+    PA5, s_matrix takes every other q: with q != +-1, theta_i = a + b q^i +
+    c q^-i, so a q of order m <= d would give theta_m = theta_0.  On an
+    array that fails them, s_matrix's BaseNotApplicable propagates."""
     p = a.p
     report = CheckReport("transition-matrix")
     if p.d >= 3:
@@ -503,12 +505,6 @@ def verify_transition_matrix(a: Analysis) -> CheckReport:
         report.skipped = "no in-field base"
     elif q == p.field.one() or q == -p.field.one():
         report.skipped = "base ±1"
-    else:
-        try:
-            S = s_matrix(p, q)
-        except BaseNotApplicable as e:
-            report.skipped = str(e)
-            return report
-        if a.matrices.G != S:
-            report.add("G differs from the closed form")
+    elif s_matrix(p, q) != a.matrices.G:
+        report.add("G differs from the closed form")
     return report

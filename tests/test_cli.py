@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import time
 
 import pytest
@@ -809,3 +810,77 @@ def test_cached_parser_gives_each_call_its_first_answer(capsys):
     assert first[2][1] != first[3][1]
     for _ in range(2):
         assert [run(capsys, *argv)[:2] for argv in calls] == first
+
+
+def test_an_internal_error_is_a_traceback_not_bad_input(monkeypatch):
+    """Exit 2 is decided by the exception's type alone: a ValueError that a
+    check raises is a bug, and main lets it through."""
+    import leonard.splitmat
+
+    def internal(a):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(leonard.splitmat, "verify_conjugation", internal)
+    with pytest.raises(ValueError, match="^internal$"):
+        main(["verify", QRAC3])
+
+
+def test_output_past_the_interpreter_digit_limit(capsys, monkeypatch):
+    """A krawtchouk array at d = 2 with a 2,200-digit r has weights of 4,400
+    digits, past the 4,300 that str() converts; weights prints them."""
+    code, array, err = run(capsys, "gen", "krawtchouk", "--d", "2", "--field", "rational",
+                           "--param", "r=" + "3" * 2200, "s=1", "sstar=1", "theta0=0",
+                           "thetastar0=0")
+    assert (code, err) == (0, "")
+    monkeypatch.setattr("sys.stdin", io.StringIO(array))
+    code, out, err = run(capsys, "weights", "-")
+    assert (code, err) == (0, "")
+    assert max(len(n) for n in re.findall(r"\d+", out)) > 4300
+
+
+def test_negative_d_is_named(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.load(open(KRAW2)), "d": -1}))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out, err) == (2, "", "bad input: d must be at least 0, got -1\n")
+
+
+@pytest.mark.parametrize("field, literal", [
+    ({"kind": "rational"}, "{}"), ({"kind": "rational"}, "-1/{}"),
+    ({"kind": "prime", "p": 7}, "{}"),
+    ({"kind": "extension", "p": 2, "k": 2, "modulus": [1, 1, 1]}, "1+{}*w")])
+def test_a_literal_past_the_digit_limit_is_named(capsys, monkeypatch, field, literal):
+    """A number of more than MAX_LITERAL_DIGITS digits in a literal is
+    refused by its digit count in every field; one of 4,300 is taken."""
+    def validate(digits):
+        theta_star = "0+0*w" if field["kind"] == "extension" else "0"
+        array = {"field": field, "d": 0, "theta": [literal.format("9" * digits)],
+                 "theta_star": [theta_star], "varphi": [], "phi": []}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(array)))
+        return run(capsys, "validate", "-")
+
+    assert validate(4301) == (
+        2, "", "bad input: a number in a literal may have at most 4300 digits, got 4301\n")
+    assert validate(4300)[::2] == (0, "")
+
+
+@pytest.mark.parametrize("stdin", [False, True])
+def test_a_file_that_is_not_utf8_is_exit_2(capsys, monkeypatch, tmp_path, stdin):
+    data = b'{"field": {"kind": "rational"}, "d": \xff}'
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        path = "-"
+    else:
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("bad input: 'utf-8' codec can't decode byte 0xff in position 37: "
+                   "invalid start byte\n")
+
+
+def test_json_nested_past_the_parser_is_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
+    code, out, err = run(capsys, "verify", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("bad input: maximum recursion depth exceeded")

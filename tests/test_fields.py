@@ -6,6 +6,7 @@ import math
 import operator
 import pstats
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,26 @@ def test_rational_parse_edge_literals_match_fraction(text):
     interpreter's int-to-str digit limit: the same payload as Fraction, or
     the same ValueError message."""
     assert parse_outcome(Q.parse, text) == parse_outcome(Fraction, text)
+
+
+def test_rational_format_past_the_digit_limit():
+    """format prints numerators and denominators of up to 10,000 digits,
+    which str() refuses under the interpreter's default limit, as str()
+    prints them under a raised one."""
+    rng = random.Random(10_000)
+    ints = [rng.randrange(10**9999, 10**10000), 10**9999, 10**10000 - 1,
+            3 * 10**5000 + 1, 10**4300, 10**600 - 1, 10**600]
+    values = [Q.from_int(n) for n in ints] + [Q.from_int(-n) for n in ints]
+    values += [Q.from_int(a) / Q.from_int(b) for a, b in zip(ints, ints[1:] + [7])]
+    got = [Q.format(x) for x in values]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(as_fraction(x)) for x in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+    assert max(len(text) for text in got) > 10_000
 
 
 def test_rational_random_element_draws_as_fraction_did():

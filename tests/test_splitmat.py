@@ -519,16 +519,17 @@ def test_s_matrix_rejects_degenerate_base(kraw3):
             s_matrix(kraw3, Q.parse(text))
 
 
-def test_transition_matrix_keeps_the_root_of_unity_skip():
+def test_transition_matrix_lets_the_root_of_unity_refusal_through():
     """GF(7), d = 3, with beta + 1 = 0: the base is 2, and 2^3 = 1, so
-    s_matrix refuses it and the check reports that reason.  beta + 1 = 0
-    forces theta_3 = theta_0 at d = 3, so the array fails PA1 and the
-    scoreboard never gets here; the check itself must still skip."""
+    s_matrix refuses it.  beta + 1 = 0 forces theta_3 = theta_0 at d = 3,
+    so the array fails PA1 and the scoreboard never gets here; no array
+    that passes PA1 and PA5 has such a base, so the check has no skip for
+    it and the refusal propagates."""
     F = prime_field(7)
     el = lambda *vs: [F.from_int(v) for v in vs]
     p = make_array(F, el(0, 1, 3, 0), el(0, 1, 2, 3), el(1, 1, 1), el(1, 1, 1))
-    assert verify_transition_matrix(Analysis(p)).skipped == \
-        "q is a root of unity of order at most d"
+    with pytest.raises(BaseNotApplicable, match="^q is a root of unity of order at most d$"):
+        verify_transition_matrix(Analysis(p))
 
 
 @pytest.mark.parametrize("field", [Q, prime_field(101),
