@@ -18,9 +18,10 @@ import sys
 from typing import Optional
 
 from .errors import BadInput, IdentityViolated, LeonardError
-from .fields import (Field, FieldElement, extension_field, parse_int, parse_literal,
-                     prime_field, rational_field)
+from .fields import (Field, FieldElement, extension_field, parse_int, prime_field,
+                     rational_field)
 from .parray import (
+    DEFAULT_BUDGET,
     ParameterArray,
     array_from_text,
     enumerate_arrays,
@@ -164,10 +165,7 @@ def cmd_gen(args) -> int:
             raise BadInput(f"{args.family} has no parameter {name!r}")
         if name in values:
             raise BadInput(f"--param {name} is given more than once")
-        values[name] = parse_literal(field, text)
-    missing = set(names) - set(values)
-    if missing:
-        raise BadInput(f"missing parameters: {', '.join(sorted(missing))}")
+        values[name] = field.parse(text)
     p = generate(FamilyParams(family=args.family, d=args.d, values=values), field)
     sys.stdout.write(dump_json(p.to_json()))
     return OK
@@ -279,8 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("verify", help="run the full verification scoreboard")
     s.add_argument("file")
-    s.add_argument("--all", action="store_true",
-                   help="accepted for symmetry; the full scoreboard always runs")
     s.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("classify", help="recover family scalars with a witness")
@@ -301,9 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--field", required=True)
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--limit", type=int, default=None)
-    s.add_argument("--budget", type=int, default=10_000_000,
-                   help="(theta, theta*) pairs it may examine, and theta tuples "
-                        "a shard skips, before it stops with exit 1; at least 0")
+    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="(theta, theta*) pairs examined and theta tuples a shard "
+                        "skips before exit 1, at least 0; not arrays: over GF(q) "
+                        "a pair can yield q - 1, so only --limit bounds the output")
     s.add_argument("--shard", default=None, metavar="INDEX:COUNT")
     s.set_defaults(fn=cmd_enumerate)
     return parser

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionViolated,
     SeriesDoesNotTerminate,
 )
-from .fields import Field, FieldElement, FieldSpec, json_int, make_field
+from .fields import Field, FieldElement, FieldSpec, json_int, json_key, make_field
 from .parray import (ParameterArray, beta_plus_one, make_array, split_sequences,
                      validate, validation_lines)
 from .report import CheckReport
@@ -44,17 +44,38 @@ def list_families() -> list[str]:
     return list(FAMILIES)
 
 
-def family_param_names(family: str) -> tuple[str, ...]:
-    if family not in FAMILY_PARAMS:
+def _row(family: str) -> "Family":
+    """A family's row of FAMILIES, or a BadInput for an unknown name."""
+    fam = FAMILIES.get(family)
+    if fam is None:
         raise BadInput(f"unknown family {family!r}")
-    return FAMILY_PARAMS[family] + COMMON_PARAMS
+    return fam
+
+
+def family_param_names(family: str) -> tuple[str, ...]:
+    return _row(family).params + COMMON_PARAMS
 
 
 @dataclass(frozen=True)
 class FamilyParams:
+    """A family, a diameter and one scalar per parameter name.  Built only
+    for a known family, with exactly its names and d >= 1; anything else is
+    a BadInput."""
+
     family: str
     d: int
     values: dict[str, FieldElement]
+
+    def __post_init__(self):
+        names = family_param_names(self.family)
+        for name in self.values:
+            if name not in names:
+                raise BadInput(f"{self.family} has no parameter {name!r}")
+        missing = set(names) - set(self.values)
+        if missing:
+            raise BadInput(f"missing parameters: {', '.join(sorted(missing))}")
+        if self.d < 1:
+            raise BadInput("diameter must be at least 1")
 
     @property
     def field(self) -> Field:
@@ -71,20 +92,16 @@ class FamilyParams:
 
     @staticmethod
     def from_json(obj: dict) -> "FamilyParams":
-        field = make_field(FieldSpec.from_json(obj["field"]))
-        family = obj["family"]
-        names = family_param_names(family)
-        given = obj["values"]
-        if set(given) != set(names):
-            raise ValueError(
-                f"{family} takes parameters {sorted(names)}, got {sorted(given)}")
-        values = {k: field.parse(v) for k, v in given.items()}
-        return FamilyParams(family=family, d=json_int(obj["d"], "d"), values=values)
+        field = make_field(FieldSpec.from_json(json_key(obj, "field", "parameters")))
+        given = json_key(obj, "values", "parameters").items()
+        return FamilyParams(family=json_key(obj, "family", "parameters"),
+                            d=json_int(json_key(obj, "d", "parameters"), "d"),
+                            values={k: field.parse(v) for k, v in given})
 
 
 def characteristic_admissible(family: str, d: int, field: Field) -> bool:
     """Whether the field characteristic allows the family at diameter d."""
-    fam = FAMILIES[family]
+    fam = _row(family)
     if not _characteristic_allows(family, d, field.characteristic()):
         return False
     if fam.diameter not in (None, d):
@@ -582,12 +599,6 @@ def family_base(fp: FamilyParams, field: Field) -> FieldElement:
 def generate(fp: FamilyParams, field: Field) -> ParameterArray:
     """Instantiate a family; raises PreconditionViolated or
     CharacteristicMismatch when the scalars do not fit the field."""
-    names = family_param_names(fp.family)
-    if fp.d < 1:
-        raise BadInput("diameter must be at least 1")
-    if set(fp.values) != set(names):
-        raise ValueError(
-            f"{fp.family} takes parameters {sorted(names)}, got {sorted(fp.values)}")
     for name, value in fp.values.items():
         if value.field != field:
             raise ValueError(f"parameter {name} lives in {value.field}, not {field}")
@@ -666,8 +677,8 @@ def hypergeom_sum(spec: HypergeomSpec, terms: int) -> FieldElement:
 
 def closed_form_spec(fp: FamilyParams, i: int, j: int) -> HypergeomSpec:
     """The terminating series equal to f_i(theta_j) for display families."""
-    fam = FAMILIES.get(fp.family)
-    if fam is None or fam.series is None:
+    fam = FAMILIES[fp.family]
+    if fam.series is None:
         raise ValueError(f"{fp.family} has no terminating series display")
     v = SimpleNamespace(**fp.values)
     P = _powers(fam.case, fp.field, getattr(v, "q", None))
@@ -709,8 +720,6 @@ def sample_params(family: str, d: int, field: Field,
     host the family at this diameter (or the sampler runs out of tries).
     The row's scalars are drawn nonzero in row order, q also not +-1, and
     r2 is solved from the others where the row has a `dependent`."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     if not characteristic_admissible(family, d, field):
         return None
     fam = FAMILIES[family]

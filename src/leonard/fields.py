@@ -196,20 +196,9 @@ def parse_int(text: str, message: str) -> int:
 # The most digits a number in a literal read from input may have: the
 # interpreter's default limit on converting between int and decimal text,
 # which it sets because the conversion takes time quadratic in the digits.
-# parse_literal refuses a longer one by its digit count, in every field.
+# Field.parse refuses a longer one by its digit count, in every field.
 MAX_LITERAL_DIGITS = 4300
 _DIGIT_RUN_RE = re.compile(r"\d+")
-
-
-def parse_literal(field: "Field", text: str) -> "FieldElement":
-    """field.parse(text) for a literal read from input, or a BadInput when a
-    number in it has more than MAX_LITERAL_DIGITS digits."""
-    if len(text) > MAX_LITERAL_DIGITS:
-        digits = max(map(len, _DIGIT_RUN_RE.findall(text)), default=0)
-        if digits > MAX_LITERAL_DIGITS:
-            raise BadInput(f"a number in a literal may have at most "
-                           f"{MAX_LITERAL_DIGITS} digits, got {digits}")
-    return field.parse(text)
 
 
 # Miller-Rabin to these bases (the first twelve primes) decides every n below
@@ -625,6 +614,16 @@ class Field:
         raise TypeError(f"{self} is not finite")
 
     def parse(self, text: str) -> FieldElement:
+        """The element a literal names, or a BadInput when the literal is
+        malformed or a number in it has more than MAX_LITERAL_DIGITS digits."""
+        if len(text) > MAX_LITERAL_DIGITS:
+            digits = max(map(len, _DIGIT_RUN_RE.findall(text)), default=0)
+            if digits > MAX_LITERAL_DIGITS:
+                raise BadInput(f"a number in a literal may have at most "
+                               f"{MAX_LITERAL_DIGITS} digits, got {digits}")
+        return self._parse(text)
+
+    def _parse(self, text: str) -> FieldElement:
         raise NotImplementedError
 
     def format(self, a: FieldElement) -> str:
@@ -738,7 +737,7 @@ class RationalField(Field):
     def characteristic(self) -> int:
         return 0
 
-    def parse(self, text: str) -> FieldElement:
+    def _parse(self, text: str) -> FieldElement:
         text = text.strip()
         if not _RATIONAL_RE.match(text):
             raise BadInput(f"not a rational literal: {text!r}")
@@ -801,7 +800,7 @@ class PrimeField(Field):
     def index_of(self, a: FieldElement) -> int:
         return a.value
 
-    def parse(self, text: str) -> FieldElement:
+    def _parse(self, text: str) -> FieldElement:
         text = text.strip()
         if not _INT_RE.match(text):
             raise BadInput(f"not a residue literal: {text!r}")
@@ -904,7 +903,7 @@ class ExtensionField(Field):
             n = n * self.p + c
         return n
 
-    def parse(self, text: str) -> FieldElement:
+    def _parse(self, text: str) -> FieldElement:
         terms = text.strip().replace(" ", "").split("+")
         if len(terms) != self.k:
             raise BadInput(f"expected {self.k} terms 'c0+c1*w+...', got {text!r}")

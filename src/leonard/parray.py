@@ -34,7 +34,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import BadInput, BudgetExceeded, LengthMismatch
 from .fields import (TABLE_ORDER_CAP, Field, FieldElement, FieldSpec, json_int,
-                     json_key, make_field, parse_literal, quadratic_roots)
+                     json_key, make_field, quadratic_roots)
 from .report import CheckReport
 
 
@@ -115,7 +115,7 @@ def array_from_json(obj: dict) -> ParameterArray:
         for s in raw:
             if not isinstance(s, str):
                 raise BadInput(f"{key} entries must be strings, got {s!r}")
-        return tuple(parse_literal(field, s) for s in raw)
+        return tuple(field.parse(s) for s in raw)
 
     theta = entries("theta")
     theta_star = entries("theta_star")
@@ -264,7 +264,7 @@ def d4_apply(p: ParameterArray, word: Sequence[str]) -> ParameterArray:
         try:
             p = _D4_MAP[gen](p)
         except KeyError:
-            raise ValueError(f"unknown generator {gen!r}") from None
+            raise BadInput(f"unknown generator {gen!r}") from None
     return p
 
 
@@ -356,10 +356,14 @@ def complete_from_theta(
     return ParameterArray(field, d, tuple(theta), tuple(theta_star), varphi, phi)
 
 
+# The budget of enumerate_arrays and of `leonard enumerate` when none is given.
+DEFAULT_BUDGET = 10_000_000
+
+
 def enumerate_arrays(
     field: Field,
     d: int,
-    budget: Optional[int] = 10_000_000,
+    budget: Optional[int] = DEFAULT_BUDGET,
     shard: Optional[tuple[int, int]] = None,
 ) -> Iterator[ParameterArray]:
     """Every valid parameter array of diameter d over a finite field, each
@@ -405,13 +409,15 @@ def _close(head: tuple[FieldElement, ...], d: int,
            bp1: Optional[FieldElement]) -> Optional[tuple[FieldElement, ...]]:
     """head extended to d + 1 entries by PA5's recurrence
     x_{i+1} = x_{i-2} - (beta + 1)(x_{i-1} - x_i), or None when an entry
-    repeats.  A head of d + 1 entries is returned as it is."""
+    repeats.  A repeat is found in the set of payloads seen so far, so a
+    closure costs O(d).  A head of d + 1 entries is returned as it is."""
     seq = list(head)
+    seen = {x.value for x in seq}
     for i in range(len(head) - 1, d):
-        x = seq[i - 2] - bp1 * (seq[i - 1] - seq[i])
-        if x in seq:
+        seq.append(seq[i - 2] - bp1 * (seq[i - 1] - seq[i]))
+        seen.add(seq[-1].value)
+        if len(seen) < len(seq):
             return None
-        seq.append(x)
     return tuple(seq)
 
 

@@ -100,7 +100,7 @@ def test_gen_bad_field_spec(capsys):
 
 
 def test_verify_scoreboard_lines(capsys):
-    code, out, _ = run(capsys, "verify", "--all", QRAC3)
+    code, out, _ = run(capsys, "verify", QRAC3)
     assert code == 0
     lines = out.splitlines()
     assert [line.split(":")[0] for line in lines] == SCOREBOARD
@@ -108,7 +108,7 @@ def test_verify_scoreboard_lines(capsys):
 
 
 def test_verify_orphan_skips_transition(capsys):
-    code, out, _ = run(capsys, "verify", "--all", ORPHAN3)
+    code, out, _ = run(capsys, "verify", ORPHAN3)
     assert code == 0
     lines = out.splitlines()
     assert lines[-1] == "transition-matrix: skipped (base ±1)"

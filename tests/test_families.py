@@ -18,6 +18,7 @@ from leonard import (
     SeriesDoesNotTerminate,
     characteristic_admissible,
     closed_form_spec,
+    d4_apply,
     extension_field,
     family_base,
     family_param_names,
@@ -29,6 +30,7 @@ from leonard import (
     validate,
     verify_closed_form,
 )
+from leonard.errors import BadInput
 from leonard.families import _QPowers
 from leonard.fields import _find_irreducible
 from conftest import Q
@@ -41,6 +43,11 @@ ALL = ["q-racah", "q-hahn", "dual-q-hahn", "quantum-q-krawtchouk",
 
 def vals(field, **kw):
     return {name: field.parse(text) for name, text in kw.items()}
+
+
+def ones(family):
+    """Every parameter of the family set to 1 over Q."""
+    return dict.fromkeys(family_param_names(family), Q.one())
 
 
 def test_registry_complete():
@@ -150,9 +157,9 @@ def test_family_base_values(qrac3):
         Q, q="2", h="1", hstar="1", s="1", sstar="1", r1="3", r2="16/3",
         theta0="0", thetastar0="0"))
     assert family_base(fp, Q) == Q.from_int(2)
-    bi = FamilyParams("bannai-ito", 3, {})
+    bi = FamilyParams("bannai-ito", 3, ones("bannai-ito"))
     assert family_base(bi, Q) == Q.from_int(-1)
-    kr = FamilyParams("krawtchouk", 3, {})
+    kr = FamilyParams("krawtchouk", 3, ones("krawtchouk"))
     assert family_base(kr, Q) == Q.one()
 
 
@@ -219,7 +226,7 @@ def test_closed_form_spot_value(kraw2):
 
 
 def test_closed_form_rejects_non_display_family():
-    fp = FamilyParams("bannai-ito", 3, {})
+    fp = FamilyParams("bannai-ito", 3, ones("bannai-ito"))
     with pytest.raises(ValueError):
         closed_form_spec(fp, 0, 0)
 
@@ -261,6 +268,24 @@ def test_generate_rejects_wrong_value_set(kraw2):
     with pytest.raises(ValueError):
         generate(FamilyParams("krawtchouk", 0, vals(
             Q, s="1", sstar="1", r="2", theta0="0", thetastar0="0")), Q)
+
+
+def test_library_entry_points_raise_bad_input(kraw2):
+    """Malformed input reaching the library without the CLI is a BadInput,
+    which is still a ValueError, and not a builtin error."""
+    kraw = dict(s="1", sstar="1", r="2", theta0="0", thetastar0="0")
+    no_field = {"family": "krawtchouk", "d": 2, "values": kraw}
+    for call, message in (
+        (lambda: Q.parse("9" * 4301), "at most 4300 digits, got 4301"),
+        (lambda: FamilyParams.from_json(no_field), "missing 'field'"),
+        (lambda: FamilyParams("krawtchouk", 0, vals(Q, **kraw)),
+         "diameter must be at least 1"),
+        (lambda: sample_params("nope", 3, Q, random.Random(1)), "unknown family"),
+        (lambda: d4_apply(kraw2, ["up"]), "unknown generator 'up'"),
+    ):
+        with pytest.raises(BadInput, match=message) as caught:
+            call()
+        assert isinstance(caught.value, ValueError)
 
 
 def test_qpowers_inverts_q_once(monkeypatch):

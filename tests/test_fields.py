@@ -32,8 +32,10 @@ from leonard import (
     splitting_field,
 )
 from leonard import fields
+from leonard.errors import BadInput
 from leonard.fields import (
     MAX_EXTENSION_DEGREE,
+    MAX_LITERAL_DIGITS,
     TABLE_ORDER_CAP,
     _find_irreducible,
     _identity,
@@ -173,10 +175,16 @@ def test_rational_parse_matches_fraction(x, sign, pad, dpad, k):
     "9" * 4301, "-" + "9" * 4301, "1/" + "7" * 4301, "9" * 4301 + "/" + "7" * 4400,
 ], ids=lambda t: t if len(t) < 12 else f"{len(t)}-chars")
 def test_rational_parse_edge_literals_match_fraction(text):
-    """Zero with a sign, leading zeros, and numbers at and past the
-    interpreter's int-to-str digit limit: the same payload as Fraction, or
-    the same ValueError message."""
-    assert parse_outcome(Q.parse, text) == parse_outcome(Fraction, text)
+    """Zero with a sign, leading zeros, and numbers at the interpreter's
+    int-to-str digit limit: the same payload as Fraction.  A number past
+    the limit is a BadInput that names its digit count."""
+    digits = max(len(part.lstrip("+-")) for part in text.split("/"))
+    if digits <= MAX_LITERAL_DIGITS:
+        assert parse_outcome(Q.parse, text) == parse_outcome(Fraction, text)
+    else:
+        with pytest.raises(BadInput, match=f"at most {MAX_LITERAL_DIGITS} "
+                                           f"digits, got {digits}$"):
+            Q.parse(text)
 
 
 def test_rational_format_past_the_digit_limit():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from leonard import (
     BudgetExceeded,
+    FieldElement,
     ParameterArray,
     array_from_json,
     base_candidates,
@@ -425,6 +426,20 @@ def test_enumeration_budget_counts_the_theta_a_shard_skips(monkeypatch):
     with pytest.raises(BudgetExceeded, match="enumeration budget 5 exhausted"):
         next(arrays)
     assert len(calls) <= 6
+
+
+def test_closing_a_head_is_linear_in_d(monkeypatch):
+    # head (0, 1, 2, 3) with beta + 1 = 3 closes to 0..d; a repeat test
+    # against every earlier entry would compare about d^2 / 2 times
+    F, d = prime_field(2**61 - 1), 1000
+    calls = []
+    eq = FieldElement.__eq__
+    monkeypatch.setattr(FieldElement, "__eq__",
+                        lambda self, other: calls.append(1) or eq(self, other))
+    theta = parray._close(tuple(map(F.from_int, range(4))), d, F.from_int(3))
+    monkeypatch.undo()
+    assert theta == tuple(map(F.from_int, range(d + 1)))
+    assert len(calls) <= 2 * d
 
 
 def test_enumeration_rejects_a_negative_budget_at_the_call():
