@@ -92,11 +92,17 @@ class FamilyParams:
 
     @staticmethod
     def from_json(obj: dict) -> "FamilyParams":
+        if not isinstance(obj, dict):
+            raise BadInput("parameters must be a JSON object")
         field = make_field(FieldSpec.from_json(json_key(obj, "field", "parameters")))
-        given = json_key(obj, "values", "parameters").items()
-        return FamilyParams(family=json_key(obj, "family", "parameters"),
-                            d=json_int(json_key(obj, "d", "parameters"), "d"),
-                            values={k: field.parse(v) for k, v in given})
+        given = json_key(obj, "values", "parameters")
+        family = json_key(obj, "family", "parameters")
+        if not isinstance(family, str):
+            raise BadInput(f"family must be a string, got {family!r}")
+        if not isinstance(given, dict) or not all(isinstance(v, str) for v in given.values()):
+            raise BadInput("values must be an object of strings")
+        return FamilyParams(family=family, d=json_int(json_key(obj, "d", "parameters"), "d"),
+                            values={k: field.parse(v) for k, v in given.items()})
 
 
 def characteristic_admissible(family: str, d: int, field: Field) -> bool:

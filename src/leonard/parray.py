@@ -21,11 +21,14 @@ and `_split` the varphi and phi they fix from phi_1.  PA5 is written once as
 - theta_i) run from a head, with beta + 1 read off theta's head by `_bp1`.
 `split_sequences` (and through it the family generator), `complete_from_theta`
 and the enumerator use these; only `validate` keeps its own loops, because
-it reports each failing index.
+it reports each failing index.  PA1 is written once as `_repeats`, the
+pairs of equal entries found by grouping on payload: `validate` reports
+each pair and `splitmat` raises on the first.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -184,6 +187,16 @@ def split_sequences(theta: Sequence[FieldElement], theta_star: Sequence[FieldEle
     return _split(sums, *_pa34_products(theta, theta_star), phi_1)
 
 
+def _repeats(seq: Sequence[FieldElement]) -> list[tuple[int, int]]:
+    """The pairs i < j with seq[i] = seq[j], in lexicographic order.  The
+    indices are grouped by canonical payload, so the cost is O(len(seq))
+    plus the number of pairs."""
+    groups: dict = {}
+    for i, x in enumerate(seq):
+        groups.setdefault(x.value, []).append(i)
+    return sorted(p for g in groups.values() for p in itertools.combinations(g, 2))
+
+
 def validate(p: ParameterArray) -> CheckReport:
     """Check PA1 through PA5, reporting every violation with witnesses.  Each
     failure reads `PAn fail at [indices]: detail`, condition by condition."""
@@ -194,10 +207,8 @@ def validate(p: ParameterArray) -> CheckReport:
 
     d = p.d
     for name, seq in (("theta", p.theta), ("theta*", p.theta_star)):
-        for i in range(d + 1):
-            for j in range(i + 1, d + 1):
-                if seq[i] == seq[j]:
-                    fail("PA1", (i, j), f"{name}_{i} = {name}_{j} = {seq[i]}")
+        for i, j in _repeats(seq):
+            fail("PA1", (i, j), f"{name}_{i} = {name}_{j} = {seq[i]}")
     for i in range(1, d + 1):
         if not p.varphi[i - 1]:
             fail("PA2", (i,), f"varphi_{i} = 0")
@@ -410,7 +421,9 @@ def _close(head: tuple[FieldElement, ...], d: int,
     """head extended to d + 1 entries by PA5's recurrence
     x_{i+1} = x_{i-2} - (beta + 1)(x_{i-1} - x_i), or None when an entry
     repeats.  A repeat is found in the set of payloads seen so far, so a
-    closure costs O(d).  A head of d + 1 entries is returned as it is."""
+    closure costs O(d).  A head of d + 1 entries is returned as it is.
+    `_repeats` would list every pair after the whole closure is built; the
+    enumerator's hot loop needs the first repeat, as soon as it appears."""
     seq = list(head)
     seen = {x.value for x in seq}
     for i in range(len(head) - 1, d):
@@ -421,14 +434,16 @@ def _close(head: tuple[FieldElement, ...], d: int,
     return tuple(seq)
 
 
-def _rank(seq: Sequence[FieldElement], field: Field) -> int:
+def _rank(seq: Sequence[FieldElement], field: Field, count: int) -> int:
     """The position of an injective seq among all len(seq)-permutations of
-    the field's elements in lexicographic order, read off its Lehmer code."""
+    the field's elements in lexicographic order, mod count.  It is read off
+    the Lehmer code by Horner's rule, reduced mod count at each step, and
+    the smaller earlier indices are counted by bisection in a sorted list."""
     q, rank, used = field.order(), 0, []
     for k, x in enumerate(seq):
         a = field.index_of(x)
-        rank = rank * (q - k) + a - sum(u < a for u in used)
-        used.append(a)
+        rank = (rank * (q - k) + a - bisect.bisect_left(used, a)) % count
+        bisect.insort(used, a)
     return rank
 
 
@@ -467,7 +482,7 @@ def _arrays(field: Field, d: int, budget: Optional[int],
         theta = _close(head, d, bp1)
         if theta is None:
             continue
-        if shard is not None and _rank(theta, field) % shard[1] != shard[0]:
+        if shard is not None and _rank(theta, field, shard[1]) != shard[0]:
             spend()  # a theta the shard skips costs one, as a pair does
             continue
         # With S_1 = 1, varphi_1 = phi_1 + c_1.  Where S_i != 0, varphi_i and

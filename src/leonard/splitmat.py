@@ -46,7 +46,7 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import Field, FieldElement
-from .parray import ParameterArray, base_candidates, beta_plus_one, first_case1_base
+from .parray import ParameterArray, _repeats, base_candidates, beta_plus_one, first_case1_base
 from .report import CheckReport
 
 if TYPE_CHECKING:
@@ -353,12 +353,8 @@ def verify_conjugation(a: Analysis) -> CheckReport:
 
 
 def _require_distinct(eigenvalues: Sequence[FieldElement]) -> None:
-    n = len(eigenvalues)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if eigenvalues[i] == eigenvalues[j]:
-                raise RepeatedEigenvalue(
-                    f"eigenvalue at positions {i} and {j} repeats")
+    for i, j in _repeats(eigenvalues)[:1]:
+        raise RepeatedEigenvalue(f"eigenvalue at positions {i} and {j} repeats")
 
 
 def primitive_idempotents(m: SquareMatrix,

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leonard import FamilyParams, FieldSpec, embed_map, generate, make_field, sample_params
+from leonard import (FamilyParams, FieldElement, FieldSpec, embed_map, generate, make_field,
+                     sample_params)
 from leonard.classify import embed_array
 from leonard.cli import _scoreboard, load_array, main
 from conftest import Q, count_multiplications, kronecker_product
@@ -90,6 +91,33 @@ def test_gen_precondition_failure_is_exit_1(capsys):
                        "r=0", "theta0=0", "thetastar0=0")
     assert code == 1
     assert "r != 0" in err
+
+
+# Every operator of FieldElement: arithmetic, comparison, truth and inverse.
+FIELD_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                   "__truediv__", "__rtruediv__", "__neg__", "__pow__", "__eq__",
+                   "__bool__", "inverse")
+
+
+def test_gen_costs_linearly_many_field_operations(capsys, monkeypatch):
+    # racah over GF(2^61 - 1): doubling d at most doubles the operator calls,
+    # up to a margin; a pairwise PA1 check in the validation gen runs would
+    # about quadruple them
+    def operator_calls(d):
+        calls = []
+        for name in FIELD_OPERATORS:
+            op = FieldElement.__dict__[name]
+            monkeypatch.setattr(FieldElement, name,
+                                lambda *args, op=op: calls.append(1) or op(*args))
+        code, out, _ = run(capsys, "gen", "racah", "--d", str(d),
+                           "--field", "prime:2305843009213693951", "--param", "h=1",
+                           "hstar=1", "s=3", "sstar=5", "r1=2", f"r2={d + 7}",
+                           "theta0=0", "thetastar0=0")
+        monkeypatch.undo()
+        assert code == 0 and json.loads(out)["d"] == d
+        return len(calls)
+
+    assert operator_calls(1000) <= 2.2 * operator_calls(500)
 
 
 def test_gen_bad_field_spec(capsys):

@@ -288,6 +288,26 @@ def test_library_entry_points_raise_bad_input(kraw2):
         assert isinstance(caught.value, ValueError)
 
 
+def test_family_params_from_json_refuses_wrong_types():
+    """A `values` that is not an object of strings, a `family` that is not a
+    string and a document that is not an object are each a named BadInput,
+    not an AttributeError or TypeError."""
+    kraw = dict(s="1", sstar="1", r="2", theta0="0", thetastar0="0")
+    good = {"family": "krawtchouk", "d": 2, "field": Q.spec.to_json(), "values": kraw}
+    assert FamilyParams.from_json(good).to_json() == good
+    for obj in (5, "field", ["field"]):
+        with pytest.raises(BadInput, match="parameters must be a JSON object"):
+            FamilyParams.from_json(obj)
+    for key, value, message in (
+        ("values", list(kraw), "values must be an object of strings"),
+        ("values", "s=1", "values must be an object of strings"),
+        ("values", dict(kraw, s=1), "values must be an object of strings"),
+        ("family", ["krawtchouk"], r"family must be a string, got \['krawtchouk'\]"),
+    ):
+        with pytest.raises(BadInput, match=message):
+            FamilyParams.from_json(dict(good, **{key: value}))
+
+
 def test_qpowers_inverts_q_once(monkeypatch):
     d = 6
     for F in (Q, prime_field(101), extension_field(3, 8, _find_irreducible(3, 8))):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from leonard import (
     BudgetExceeded,
+    FamilyParams,
     FieldElement,
     ParameterArray,
+    RepeatedEigenvalue,
     array_from_json,
     base_candidates,
     beta_plus_one,
@@ -29,6 +31,7 @@ from leonard import (
 )
 from leonard import parray
 from leonard.parray import _pa34_sums, split_sequences
+from leonard.splitmat import _require_distinct
 from conftest import Q, qarr, random_injective
 
 
@@ -416,9 +419,9 @@ def test_enumeration_budget_counts_the_theta_a_shard_skips(monkeypatch):
     calls = []
     rank = parray._rank
 
-    def counted(seq, field):
+    def counted(seq, *args):
         calls.append(seq)
-        return rank(seq, field)
+        return rank(seq, *args)
 
     monkeypatch.setattr(parray, "_rank", counted)
     arrays = enumerate_arrays(prime_field(2**61 - 1), 1, budget=5,
@@ -440,6 +443,81 @@ def test_closing_a_head_is_linear_in_d(monkeypatch):
     monkeypatch.undo()
     assert theta == tuple(map(F.from_int, range(d + 1)))
     assert len(calls) <= 2 * d
+
+
+def _pairwise_repeats(seq):
+    """The pairs i < j with seq[i] = seq[j], by the pairwise loop that
+    validate and splitmat's distinctness check once ran."""
+    return [(i, j) for i in range(len(seq)) for j in range(i + 1, len(seq))
+            if seq[i] == seq[j]]
+
+
+def _sequences_with_repeats():
+    """Every sequence of length up to 4 over GF(3) and GF(4), and seeded
+    random sequences over Q and GF(7) drawn from few values, so that most
+    repeat."""
+    for F in (prime_field(3), extension_field(2, 2, (1, 1, 1))):
+        elements = list(F.elements())
+        for n in range(5):
+            yield from itertools.product(elements, repeat=n)
+    rng = random.Random(38)
+    for F in (Q, prime_field(7)):
+        for _ in range(200):
+            pool = [F.from_int(rng.randrange(-9, 10)) for _ in range(rng.randrange(1, 8))]
+            yield tuple(rng.choice(pool) for _ in range(rng.randrange(1, 25)))
+
+
+def test_repeats_match_the_pairwise_loop():
+    for seq in _sequences_with_repeats():
+        assert parray._repeats(seq) == _pairwise_repeats(seq), seq
+
+
+def test_repeated_eigenvalue_names_the_first_pair():
+    for seq in _sequences_with_repeats():
+        pairs = _pairwise_repeats(seq)
+        if not pairs:
+            _require_distinct(seq)
+            continue
+        i, j = pairs[0]
+        with pytest.raises(RepeatedEigenvalue) as caught:
+            _require_distinct(seq)
+        assert str(caught.value) == f"eigenvalue at positions {i} and {j} repeats"
+
+
+def _full_rank(seq, field):
+    """The Lehmer rank of an injective seq, not reduced: the shard rank as
+    the enumerator once took it, before taking it mod the shard count."""
+    q, rank, used = field.order(), 0, []
+    for k, x in enumerate(seq):
+        a = field.index_of(x)
+        rank = rank * (q - k) + a - sum(u < a for u in used)
+        used.append(a)
+    return rank
+
+
+def test_shard_rank_is_the_full_rank_mod_the_count():
+    rng = random.Random(38)
+    for F, longest in ((prime_field(7), 7), (prime_field(2**61 - 1), 60)):
+        for _ in range(100):
+            seq = random_injective(F, rng.randrange(1, longest + 1), rng)
+            for count in (1, 2, 3, 7):
+                assert parray._rank(seq, F, count) == _full_rank(seq, F) % count
+
+
+def test_validate_compares_linearly_many_times(monkeypatch):
+    # PA1 groups each sequence by payload; PA3, PA4 and PA5 compare about d
+    # times each, where a pairwise PA1 would compare about d^2 times
+    F, d = prime_field(2**61 - 1), 1000
+    values = dict(h=1, hstar=1, s=3, sstar=5, r1=2, r2=d + 7, theta0=0, thetastar0=0)
+    p = generate(FamilyParams("racah", d, {k: F.from_int(x) for k, x in values.items()}), F)
+    calls = []
+    eq = FieldElement.__eq__
+    monkeypatch.setattr(FieldElement, "__eq__",
+                        lambda self, other: calls.append(1) or eq(self, other))
+    report = validate(p)
+    monkeypatch.undo()
+    assert report.ok()
+    assert len(calls) <= 4 * d
 
 
 def test_enumeration_rejects_a_negative_budget_at_the_call():
