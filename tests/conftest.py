@@ -42,11 +42,14 @@ def dense_mul(x, y):
 
 def count_multiplications(fn):
     """Call fn() and return how many field multiplications it made: the
-    calls of FieldElement.__mul__, the payload products that the base
-    kernel Field._matmul makes, and the pairs of int terms that the Q
-    kernel multiplies in fields._int_products.  Every kernel lists its
-    terms through fields._nonzero_terms, so a kernel that stopped skipping
-    zero terms would be counted for them."""
+    calls of the payload product `_mul`, whether an element operator, a
+    matrix method or a scalar chain on payloads makes them, and the pairs
+    of int terms that the Q kernel multiplies in fields._int_products.
+    Q and GF(p) define `_mul` on their classes; an extension field keeps
+    it on the instance, so every cached extension field is counted there.
+    The kernels hand `_int_products` and `_mul` only their nonzero terms,
+    so a kernel that stopped skipping zero terms would be counted for
+    them."""
     calls = 0
 
     def counted(mul):
@@ -56,29 +59,17 @@ def count_multiplications(fn):
             return mul(*args)
         return counted_mul
 
-    int_products, base_matmul = fields._int_products, Field._matmul
+    int_products = fields._int_products
 
     def counted_int_products(left, right):
         nonlocal calls
         calls += sum(len(right[k]) for row in left for k, _ in row)
         return int_products(left, right)
 
-    def counted_base_matmul(field, left, right):
-        # an extension field keeps its product on the instance, so the
-        # count goes there too
-        shadowed = vars(field).get("_mul")
-        field._mul = counted(field._mul)
-        try:
-            return base_matmul(field, left, right)
-        finally:
-            if shadowed is None:
-                del field._mul
-            else:
-                field._mul = shadowed
-
-    patches = [(FieldElement, "__mul__", counted(FieldElement.__mul__)),
-               (fields, "_int_products", counted_int_products),
-               (Field, "_matmul", counted_base_matmul)]
+    owners = [cls for cls in Field.__subclasses__() if "_mul" in vars(cls)]
+    owners += [F for F in fields._FIELD_CACHE.values() if "_mul" in vars(F)]
+    patches = [(owner, "_mul", counted(owner._mul)) for owner in owners]
+    patches.append((fields, "_int_products", counted_int_products))
     originals = [(obj, name, getattr(obj, name)) for obj, name, _ in patches]
     for obj, name, wrapped in patches:
         setattr(obj, name, wrapped)
