@@ -430,9 +430,7 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         field = self.field
-        if self.value == field.zero_value:
-            raise ZeroDivisionError(f"division by zero in {field}")
-        return field._elements[field._inv(self.value)]
+        return field._elements[field._checked_inv(self.value)]
 
     def __bool__(self):
         return self.value != self.field.zero_value
@@ -541,6 +539,14 @@ class Field:
 
     def _inv(self, a):
         raise NotImplementedError
+
+    def _checked_inv(self, a):
+        """The payload of 1/a, and ZeroDivisionError for the zero payload,
+        which `_inv` does not check: the one inverse that code outside a
+        field's arithmetic takes, of an element or of a payload."""
+        if a == self.zero_value:
+            raise ZeroDivisionError(f"division by zero in {self}")
+        return self._inv(a)
 
     def _matmul(self, left, right):
         """The payload rows of the matrix product of two square matrices
@@ -711,15 +717,15 @@ class RationalField(Field):
         # Each row of the left factor and each column of the right one is
         # written as integers over the lcm of its denominators, so every
         # entry is one integer dot over a known denominator and one gcd.
-        col_den = [lcm(*col) for col in zip(*[[d for _, d in row] for row in right])]
-        zero = self.zero_value
-        right = [[(j, n * (col_den[j] // d)) for j, (n, d) in row]
-                 for row in _nonzero_terms(right, zero)]
-        row_den = [lcm(*[d for _, d in row]) for row in left]
-        left = [[(k, n * (r // d)) for k, (n, d) in row]
-                for row, r in zip(_nonzero_terms(left, zero), row_den)]
+        # One comprehension per factor scales its entries and drops the
+        # zero terms, whose numerator is 0.
+        col_den = [lcm(*[d for _, d in col]) for col in zip(*right)]
+        right = [[(j, n * (col_den[j] // d)) for j, (n, d) in enumerate(row) if n]
+                 for row in right]
+        left = [(r, [(k, n * (r // d)) for k, (n, d) in enumerate(row) if n])
+                for row in left for r in (lcm(*[d for _, d in row]),)]
         out = []
-        for acc, r in zip(_int_products(left, right), row_den):
+        for acc, (r, _) in zip(_int_products([terms for _, terms in left], right), left):
             out_row = []
             for t, c in zip(acc, col_den):
                 if t:

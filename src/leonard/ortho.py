@@ -8,6 +8,7 @@ D_i = varphi_1 .. varphi_i and Ddown_i = phi_1 .. phi_i from `splits`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING
 
 from .fields import FieldElement
@@ -32,15 +33,23 @@ def ortho_data(a: Analysis) -> OrthoData:
     k*_i likewise from theta, with phi read from the top end, so that
     phi_d .. phi_{d-i+1} = Ddown_d / Ddown_{d-i}; and nu = above_0 above*_0
     / Ddown_d.  A zero phi_i or a repeated eigenvalue raises
-    ZeroDivisionError."""
-    (below, above), (below_s, above_s) = a.pair.sides, a.pair.sides_star
-    D, Ddown = a.splits.D, a.splits.Ddown
+    ZeroDivisionError.  The products run on payloads."""
+    F = a.p.field
+    mul, inv, wrap = F._mul, F._checked_inv, F._elements
+
+    def prod(*xs):
+        return reduce(mul, xs)
+
+    (below, above), (below_s, above_s), (D, Ddown) = (
+        ([x.value for x in seq] for seq in group)
+        for group in (a.pair.sides, a.pair.sides_star, (a.splits.D, a.splits.Ddown)))
     d = len(D) - 1
-    k = tuple(D[i] * above_s[0] * (Ddown[i] * below_s[i] * above_s[i]).inverse()
+    k = tuple(wrap[prod(D[i], above_s[0], inv(prod(Ddown[i], below_s[i], above_s[i])))]
               for i in range(d + 1))
-    kstar = tuple(D[i] * Ddown[d - i] * above[0] * (Ddown[d] * below[i] * above[i]).inverse()
+    kstar = tuple(wrap[prod(D[i], Ddown[d - i], above[0],
+                            inv(prod(Ddown[d], below[i], above[i])))]
                   for i in range(d + 1))
-    nu = above[0] * above_s[0] * Ddown[d].inverse()
+    nu = wrap[prod(above[0], above_s[0], inv(Ddown[d]))]
     return OrthoData(k=k, kstar=kstar, nu=nu)
 
 
@@ -70,10 +79,11 @@ def _gram_failures(report: CheckReport, kind: str, X: SquareMatrix, weights,
     inner product of rows i and j of X is not delta_ij nu / diag_i.
 
     The inner products are the entries of the Gram matrix X W X^t, with
-    W = diag(weights), taken by two matrix products on payloads."""
+    W = diag(weights): a column scaling and one matrix product on
+    payloads."""
     F = X.field
-    gram = X * SquareMatrix.diagonal(F, weights) * X.transpose()
-    want = [(nu * x.inverse()).value for x in diag]
+    gram = X.scale_columns(weights) * X.transpose()
+    want = [F._mul(nu.value, F._checked_inv(x.value)) for x in diag]
     for i, row in enumerate(gram.values):
         for j, x in enumerate(row):
             if x != (want[i] if i == j else F.zero_value):

@@ -49,15 +49,14 @@ class PolyTable:
 def corresponding_polys(a: Analysis) -> PolyTable:
     """P = T D^-1 T*^t and Pdown = Z Tdown Ddown^-1 T*^t, where Z only
     reverses the rows.  The inverses are taken entry by entry, so a zero
-    varphi_i or phi_i raises ZeroDivisionError."""
+    varphi_i or phi_i raises ZeroDivisionError.  The diagonal factors are
+    column scalings, so each table is one kernel call."""
     p, pair = a.p, a.pair
-    F = p.field
-    Dinv, Ddown_inv = (SquareMatrix.diagonal(F, [x.inverse() for x in c])
-                       for c in (a.splits.D, a.splits.Ddown))
+    Dinv, Ddown_inv = ([x.inverse() for x in c] for c in (a.splits.D, a.splits.Ddown))
     Tstar_t = pair.Tstar.transpose()
-    down = pair.Tdown * Ddown_inv * Tstar_t
-    return PolyTable(P=pair.T * Dinv * Tstar_t,
-                     Pdown=SquareMatrix(F, p.d + 1, down.values[::-1]))
+    down = pair.Tdown.scale_columns(Ddown_inv) * Tstar_t
+    return PolyTable(P=pair.T.scale_columns(Dinv) * Tstar_t,
+                     Pdown=SquareMatrix(p.field, p.d + 1, down.values[::-1]))
 
 
 def proportionality_alphas(a: Analysis) -> list[FieldElement]:
@@ -70,11 +69,12 @@ def verify_proportionality(a: Analysis) -> CheckReport:
     """Each f_i is alpha_i times its reversed companion; reports the first i
     where it is not.  Both sides have degree at most d, so on an array with
     distinct theta_0 .. theta_d they are equal exactly when they agree at
-    every theta_j: P[j][i] = alpha_i Pdown[j][i]."""
-    P, Pdown = a.polys.P.rows, a.polys.Pdown.rows
+    every theta_j: P[j][i] = alpha_i Pdown[j][i], that is P = Pdown
+    diag(alpha), compared column by column."""
+    P, scaled = a.polys.P.values, a.polys.Pdown.scale_columns(a.alphas).values
     report = CheckReport("proportionality")
-    for i, alpha in enumerate(a.alphas):
-        if any(row[i] != alpha * down[i] for row, down in zip(P, Pdown)):
+    for i, (got, want) in enumerate(zip(zip(*P), zip(*scaled))):
+        if got != want:
             report.add(f"f_{i} is not alpha_{i} times its reversed companion")
             break
     return report
@@ -82,7 +82,8 @@ def verify_proportionality(a: Analysis) -> CheckReport:
 
 def endpoint_evaluations(a: Analysis) -> list[FieldElement]:
     """The values f_i(theta_d), the last row of P."""
-    return list(a.polys.P.rows[a.p.d])
+    F = a.p.field
+    return [F._elements[x] for x in a.polys.P.values[a.p.d]]
 
 
 def endpoint_values(a: Analysis) -> CheckReport:

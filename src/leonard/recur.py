@@ -31,13 +31,16 @@ def _one_side(theta0: FieldElement,
     # below and above are the one-sided products of the eigenvalues dual to
     # this side: b_i = varphi_{i+1} below_i / below_{i+1} and
     # c_i = phi_i above_i / above_{i-1}; a balances the row sum against theta_0.
-    zero = theta0.field.zero()
+    F = theta0.field
+    mul, sub, inv, zero = F._mul, F._sub, F._checked_inv, F.zero_value
+    below, above, varphi, phi = ([x.value for x in seq]
+                                 for seq in (below, above, varphi, phi))
     d = len(below) - 1
-    b = [varphi[i] * below[i] * below[i + 1].inverse() for i in range(d)] + [zero]
-    c = [zero] + [phi[i - 1] * above[i] * above[i - 1].inverse()
+    b = [mul(mul(varphi[i], below[i]), inv(below[i + 1])) for i in range(d)] + [zero]
+    c = [zero] + [mul(mul(phi[i - 1], above[i]), inv(above[i - 1]))
                   for i in range(1, d + 1)]
-    a = [theta0 - c[i] - b[i] for i in range(d + 1)]
-    return tuple(a), tuple(b), tuple(c)
+    a = [sub(sub(theta0.value, x), y) for x, y in zip(c, b)]
+    return tuple(tuple([F._elements[x] for x in seq]) for seq in (a, b, c))
 
 
 def recurrence_coeffs(a: Analysis) -> RecurrenceCoeffs:
@@ -66,7 +69,7 @@ def verify_three_term(a: Analysis) -> CheckReport:
     p, P, co = a.p, a.polys.P, a.recurrence
     report = CheckReport("three-term")
     J = SquareMatrix.diagonal(p.field, co.a, below=co.b[:-1], above=co.c[1:])
-    _column_failures(report, a.pair.H * P, P * J,
+    _column_failures(report, P.scale_rows(p.theta), P * J,
                      "recurrence fails for f_{} at theta_{}")
     return report
 
@@ -79,7 +82,7 @@ def verify_difference(a: Analysis) -> CheckReport:
     report = CheckReport("difference")
     Jstar = SquareMatrix.diagonal(p.field, co.astar, below=co.cstar[1:],
                                   above=co.bstar[:-1])
-    _column_failures(report, P * a.pair.Hstar, Jstar * P,
+    _column_failures(report, P.scale_columns(p.theta_star), Jstar * P,
                      "difference equation fails for f_{} at theta_{}")
     return report
 
@@ -87,20 +90,23 @@ def verify_difference(a: Analysis) -> CheckReport:
 def _alt_checks(th: Sequence[FieldElement], ths: Sequence[FieldElement],
                 vp: Sequence[FieldElement], co: tuple, report: CheckReport,
                 tag: str) -> None:
-    # theta, theta* and varphi of one side
-    a, b, c = co
+    # theta, theta* and varphi of one side, on payloads
+    F = th[0].field
+    mul, add, sub, inv = F._mul, F._add, F._sub, F._checked_inv
+    th, ths, vp, a, b, c = ([x.value for x in seq] for seq in (th, ths, vp, *co))
     d = len(th) - 1
     for i in range(1, d + 1):
-        ai = th[i] + vp[i - 1] * (ths[i] - ths[i - 1]).inverse()
+        ai = add(th[i], mul(vp[i - 1], inv(sub(ths[i], ths[i - 1]))))
         if i < d:
-            ai = ai + vp[i] * (ths[i] - ths[i + 1]).inverse()
+            ai = add(ai, mul(vp[i], inv(sub(ths[i], ths[i + 1]))))
         if a[i] != ai:
             report.add(f"{tag}a_{'d' if i == d else i} closed form fails")
+    step = sub(th[1], th[0])
     for i in range(1, d + 1):
-        lhs = c[i] * (ths[i - 1] - ths[i])
+        lhs = mul(c[i], sub(ths[i - 1], ths[i]))
         if i < d:
-            lhs = lhs - b[i] * (ths[i] - ths[i + 1])
-        if lhs != (th[1] - th[0]) * (ths[i] - ths[0]) + vp[0]:
+            lhs = sub(lhs, mul(b[i], sub(ths[i], ths[i + 1])))
+        if lhs != add(mul(step, sub(ths[i], ths[0])), vp[0]):
             report.add(f"{tag}weighted b/c difference identity fails at {i}")
 
 

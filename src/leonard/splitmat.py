@@ -8,9 +8,9 @@ has a usable base in the field.
 
 Every product of differences of eigenvalues is built here, once per
 array: `pair_products` holds what depends on (theta, theta*) alone, the
-triangular factors T, T* and Tdown (`difference_products`), H = diag(theta),
-H* = diag(theta*) and the products below and above each eigenvalue, from
-which the recurrence coefficients, the weights and nu are read.  The
+triangular factors T, T* and Tdown (`difference_products`) and the products
+below and above each eigenvalue, from which the recurrence coefficients,
+the weights and nu are read.  The
 products below are the diagonals of T and T*, those above each theta the
 reversed diagonal of Tdown, and those above each theta* are
 `one_sided_products`.  `split_products` holds what depends on (varphi, phi)
@@ -28,15 +28,19 @@ given its diagonal and the off-diagonals below and above it: A and B (ones
 below), A* and B* (varphi and phi above), the dual A*' of
 `verify_leonard_conditions`, and the recurrence matrices J and J* of
 `recur`.  The identities checked here are chains of products, each one
-call of the field's payload kernel `Field._matmul`, so no FieldElement is
-built along a chain and comparing two results compares payload tuples.
+call of the field's payload kernel `Field._matmul`, or of `scale_rows` and
+`scale_columns` where one factor is diagonal, so no FieldElement is built
+along a chain and comparing two results compares payload tuples.  The
+scalar chains (the products of differences, their inverses and the closed
+form of G) run on payloads too, through the field's `_mul`, `_sub` and
+`_checked_inv`, and wrap in elements only what a dataclass keeps.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
@@ -137,6 +141,20 @@ class SquareMatrix:
             tuple([mul(x, c) for x in row]) for row in self.values
         ))
 
+    def scale_rows(self, c: Sequence[FieldElement]) -> "SquareMatrix":
+        """diag(c) * self, row i times c[i]: one `_mul` per pair of a
+        nonzero entry and a nonzero c[i], the pairs the kernel would
+        multiply, and no kernel call."""
+        F = self.field
+        mul, zero = F._mul, F.zero_value
+        return SquareMatrix(F, self.n, tuple(
+            tuple([mul(x, y) if x != zero and y != zero else zero for x in row])
+            for row, y in zip(self.values, [e.value for e in c])))
+
+    def scale_columns(self, c: Sequence[FieldElement]) -> "SquareMatrix":
+        """self * diag(c), column j times c[j], as scale_rows takes it."""
+        return self.transpose().scale_rows(c).transpose()
+
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix(self.field, self.n, tuple(zip(*self.values)))
 
@@ -172,25 +190,23 @@ def difference_products(field: Field, values: Sequence[FieldElement]) -> SquareM
     values[i] - values[h] over h < j, taken as a running product along row i.
     Above the diagonal the product holds the factor values[i] - values[i], so
     it is zero."""
-    one = field.one()
-    n = len(values)
-    rows = []
-    for i, x in enumerate(values):
-        acc, row = one, [one.value]
-        for h in range(i):
-            acc = acc * (x - values[h])
-            row.append(acc.value)
-        rows.append(tuple(row) + (field.zero_value,) * (n - 1 - i))
-    return SquareMatrix(field, n, tuple(rows))
+    mul, sub, one, zero = field._mul, field._sub, field.one_value, field.zero_value
+    vals = [x.value for x in values]
+    n = len(vals)
+    return SquareMatrix(field, n, tuple(
+        (one, *accumulate([sub(x, y) for y in vals[:i]], mul)) + (zero,) * (n - 1 - i)
+        for i, x in enumerate(vals)))
 
 
 def one_sided_products(values: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     """above[i], the product of values[i] - values[h] over h > i.  The
     product over h < i, below[i], is the diagonal entry (i, i) of
     difference_products(values)."""
-    one = values[0].field.one()
-    return tuple(reduce(operator.mul, [x - y for y in values[i + 1:]], one)
-                 for i, x in enumerate(values))
+    F = values[0].field
+    mul, sub = F._mul, F._sub
+    vals = [x.value for x in values]
+    return tuple(F._elements[reduce(mul, [sub(x, y) for y in vals[i + 1:]], F.one_value)]
+                 for i, x in enumerate(vals))
 
 
 @dataclass(frozen=True)
@@ -200,15 +216,13 @@ class PairProducts:
     products of theta_i - theta_h over h < i and over h > i (`sides_star`
     likewise for theta*).  below[i] above[i] is the denominator of the i-th
     Lagrange basis polynomial, and 1 / (below[i] above[i]) the barycentric
-    weight of theta_i.  H = diag(theta) and H* = diag(theta*) ride along."""
+    weight of theta_i."""
 
     T: SquareMatrix
     Tstar: SquareMatrix
     Tdown: SquareMatrix
     sides: tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]
     sides_star: tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]
-    H: SquareMatrix
-    Hstar: SquareMatrix
 
 
 def pair_products(field: Field, theta: Sequence[FieldElement],
@@ -222,9 +236,7 @@ def pair_products(field: Field, theta: Sequence[FieldElement],
     below, above, below_star = (tuple(field._elements[row[i]] for i, row in enumerate(m.values))
                                 for m in (T, Tdown, Tstar))
     return PairProducts(T=T, Tstar=Tstar, Tdown=Tdown, sides=(below, above[::-1]),
-                        sides_star=(below_star, one_sided_products(theta_star)),
-                        H=SquareMatrix.diagonal(field, theta),
-                        Hstar=SquareMatrix.diagonal(field, theta_star))
+                        sides_star=(below_star, one_sided_products(theta_star)))
 
 
 def divided_differences(field: Field, values: Sequence[FieldElement],
@@ -239,16 +251,14 @@ def divided_differences(field: Field, values: Sequence[FieldElement],
     weight of values[j] at its foot (k = n - 1), and climbs by one factor
     values[j] - values[k + 1] a step.  Raises ZeroDivisionError when a
     value repeats."""
-    n = len(values)
+    mul, sub, inv = field._mul, field._sub, field._checked_inv
+    vals = [x.value for x in values]
     columns = []
-    for j, x in enumerate(values):
-        acc = (below[j] * above[j]).inverse()
-        column = [acc.value]
-        for k in range(n - 2, j - 1, -1):
-            acc = acc * (x - values[k + 1])
-            column.append(acc.value)
-        columns.append((field.zero_value,) * j + tuple(reversed(column)))
-    return SquareMatrix(field, n, tuple(zip(*columns)))
+    for j, x in enumerate(vals):
+        foot = inv(mul(below[j].value, above[j].value))
+        column = accumulate([sub(x, y) for y in vals[:j:-1]], mul, initial=foot)
+        columns.append((field.zero_value,) * j + tuple(reversed(list(column))))
+    return SquareMatrix(field, len(vals), tuple(zip(*columns)))
 
 
 def prefix_products(field: Field,
@@ -317,7 +327,8 @@ def build(a: Analysis) -> SplitMatrixSet:
         raise IdentityViolated("transition matrix is not unit-normalized at (0, 0)")
     return SplitMatrixSet(A=A, B=B, Astar=Astar, Bstar=Bstar, T=pair.T, Tinv=Tinv,
                           Tstar=pair.Tstar, Tdown=pair.Tdown, D=D, Ddown=Ddown, Z=Z,
-                          H=pair.H, Hstar=pair.Hstar, G=G)
+                          H=SquareMatrix.diagonal(F, th),
+                          Hstar=SquareMatrix.diagonal(F, ths), G=G)
 
 
 def verify_conjugation(a: Analysis) -> CheckReport:
@@ -432,21 +443,16 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     return report
 
 
-def _q_pochhammer(field: Field, q: FieldElement, n: int) -> list[FieldElement]:
-    # out[m] = (q; q)_m
-    out = [field.one()]
-    power = field.one()
-    for m in range(1, n + 1):
-        power = power * q
-        out.append(out[-1] * (field.one() - power))
-    return out
-
-
 def s_matrix(p: ParameterArray, q: FieldElement) -> SquareMatrix:
     """Closed-form transition matrix in base q: entries are forward products of
     (theta_0 - theta_{d-t}) times q-trinomial coefficients.  The (0, 0)
     entry is the empty product times (q; q)_d^2 / (q; q)_d^2, which is one,
     so the matrix is G itself, with no scaling.
+
+    With s = j - i, entry (i, j) is prefix_s (q; q)_j (q; q)_{d-i}
+    (q; q)_{d-s} / ((q; q)_i (q; q)_s (q; q)_{d-j} (q; q)_d): a factor of
+    s times one of i times one of j, so the d + 1 inverses of (q; q)_m are
+    taken once and each entry costs two products.
 
     Raises BaseNotApplicable for q = 1 or q = -1, for scalars that are not a
     base of the array (d >= 3), and when a required (q; q)_m vanishes.
@@ -462,23 +468,24 @@ def s_matrix(p: ParameterArray, q: FieldElement) -> SquareMatrix:
         if q + q.inverse() + one != ratio:
             raise BaseNotApplicable("q + 1/q + 1 does not match the eigenvalue ratio")
 
-    poch = _q_pochhammer(F, q, d)
-    if any(x == F.zero() for x in poch[1:]):
+    mul, sub, inv = F._mul, F._sub, F._checked_inv
+    # poch[m] = (q; q)_m
+    powers = accumulate([q.value] * d, mul)
+    poch = list(accumulate([sub(F.one_value, x) for x in powers], mul,
+                           initial=F.one_value))
+    if F.zero_value in poch[1:]:
         raise BaseNotApplicable("q is a root of unity of order at most d")
+    ipoch = [inv(x) for x in poch]
 
-    def trinomial(r: int, s: int, t: int) -> FieldElement:
-        num = poch[r + s] * poch[r + t] * poch[s + t]
-        den = poch[r] * poch[s] * poch[t] * poch[r + s + t]
-        return num * den.inverse()
-
-    prefix = [one]
-    for t in range(d):
-        prefix.append(prefix[-1] * (p.theta[0] - p.theta[d - t]))
-
-    zero = F.zero()
-    return SquareMatrix.build(F, d + 1, lambda i, j:
-                              prefix[j - i] * trinomial(i, j - i, d - j)
-                              if i <= j else zero)
+    th = [x.value for x in p.theta]
+    prefix = accumulate([sub(th[0], x) for x in th[:0:-1]], mul, initial=F.one_value)
+    by_s = [mul(mul(x, poch[d - s]), ipoch[s]) for s, x in enumerate(prefix)]
+    by_i = [mul(mul(poch[d - i], ipoch[i]), ipoch[d]) for i in range(d + 1)]
+    by_j = [mul(poch[j], ipoch[d - j]) for j in range(d + 1)]
+    return SquareMatrix(F, d + 1, tuple(
+        (F.zero_value,) * i + tuple([mul(mul(by_s[j - i], by_i[i]), by_j[j])
+                                     for j in range(i, d + 1)])
+        for i in range(d + 1)))
 
 
 def verify_transition_matrix(a: Analysis) -> CheckReport:

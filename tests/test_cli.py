@@ -589,13 +589,32 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
 def test_scoreboard_multiplications_at_d16():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
-    # 19,573 of them; 19,590 when verify_proportionality and
-    # endpoint_values each formed the alphas, 19,981 when
-    # verify_leonard_conditions read E* A E* from V and V^-1 recurrences
-    # too, 20,072 when build, polys and ortho each formed their own prefix
-    # products of varphi and phi, and 21,840 when they and recur each
-    # formed their own products of differences
-    assert count_multiplications(lambda: _scoreboard(p)) <= 19_573
+    # 18,711 of them, counting payload products; 19,440 when s_matrix took
+    # seven products and an inverse per entry and the products of
+    # differences started from a product by one.  Counting element
+    # products and kernel terms only, as the counter did before the scalar
+    # chains ran on payloads: 19,439, and 19,573 before that, 19,590 when
+    # verify_proportionality and endpoint_values each formed the alphas,
+    # 19,981 when verify_leonard_conditions read E* A E* from V and V^-1
+    # recurrences too, 20,072 when build, polys and ortho each formed their
+    # own prefix products of varphi and phi, and 21,840 when they and recur
+    # each formed their own products of differences
+    assert count_multiplications(lambda: _scoreboard(p)) <= 18_711
+
+
+def test_scoreboard_kernel_calls_at_d16(monkeypatch):
+    """The diagonal factors are scalings, not kernel products."""
+    fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
+    p = generate(fp, Q)
+    calls = []
+    kernel = type(Q)._matmul
+    monkeypatch.setattr(type(Q), "_matmul",
+                        lambda F, x, y: calls.append(x) or kernel(F, x, y))
+    assert _scoreboard(p)[1]
+    # 12; 17 when T D^-1 and Tdown Ddown^-1 in corresponding_polys, X W in
+    # the Gram matrix, H P in verify_three_term and P H* in
+    # verify_difference were kernel products with a diagonal matrix
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -563,6 +563,23 @@ def test_zero_inverse_raises():
             1 / field.zero()
 
 
+@pytest.mark.parametrize("F", [Q, prime_field(7), extension_field(3, 4, _find_irreducible(3, 4)),
+                               prime_field(2**61 - 1)], ids=str)
+def test_checked_payload_inverse(F):
+    """Field._checked_inv refuses the zero payload with the message of
+    FieldElement.inverse, which reads it, where _inv alone gives (1, 0)
+    over Q and raises ValueError over GF(p); on nonzero payloads it is
+    _inv."""
+    for call in (lambda: F._checked_inv(F.zero_value), lambda: F.zero().inverse()):
+        with pytest.raises(ZeroDivisionError) as e:
+            call()
+        assert str(e.value) == f"division by zero in {F}"
+    rng = random.Random(f"checked-inverse/{F}")
+    for _ in range(20):
+        x = F.random_element(rng, nonzero=True)
+        assert F._checked_inv(x.value) == F._inv(x.value) == x.inverse().value
+
+
 def test_characteristic_and_order():
     assert Q.characteristic() == 0 and not Q.is_finite()
     assert F7.characteristic() == 7 and F7.order() == 7

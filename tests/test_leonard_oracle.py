@@ -46,10 +46,13 @@ import pytest
 
 from leonard import (
     Analysis,
+    BaseNotApplicable,
     CheckReport,
     RecurrenceCoeffs,
     RepeatedEigenvalue,
     SquareMatrix,
+    base_candidates,
+    beta_plus_one,
     build,
     corresponding_polys,
     d4_apply,
@@ -65,17 +68,20 @@ from leonard import (
     proportionality_alphas,
     rational_field,
     recurrence_coeffs,
+    s_matrix,
     sample_params,
     validate,
     verify_alt_formulas,
     verify_conjugation,
     verify_difference,
     verify_leonard_conditions,
+    verify_orthogonality,
+    verify_proportionality,
     verify_three_term,
 )
 from leonard.fields import _find_irreducible
 from leonard.ortho import OrthoData
-from leonard.parray import split_sequences
+from leonard.parray import first_case1_base, split_sequences
 from leonard.polys import PolyTable
 from leonard.splitmat import _require_distinct, divided_differences
 from conftest import dense_mul, qarr, random_array, satisfies_pa1_pa2
@@ -882,3 +888,275 @@ def test_dropped_alt_lines_are_identities_of_recurrence_coeffs(label):
                 if group <= lines:
                     failed.add(tag + "interior")
     assert failed == {"interior", "dual interior"}, failed
+
+
+# The scalar chains and diagonal products as they were before they ran on
+# payloads: each product of differences, inverse and q-trinomial an element
+# operation, and each diagonal factor a kernel product with diag(c).
+def difference_products_elements(field, values):
+    one = field.one()
+    n = len(values)
+    rows = []
+    for i, x in enumerate(values):
+        acc, row = one, [one.value]
+        for h in range(i):
+            acc = acc * (x - values[h])
+            row.append(acc.value)
+        rows.append(tuple(row) + (field.zero_value,) * (n - 1 - i))
+    return SquareMatrix(field, n, tuple(rows))
+
+
+def one_sided_products_elements(values):
+    one = values[0].field.one()
+    return tuple(reduce(lambda x, y: x * y, [x - y for y in values[i + 1:]], one)
+                 for i, x in enumerate(values))
+
+
+def divided_differences_elements(field, values, below, above):
+    n = len(values)
+    columns = []
+    for j, x in enumerate(values):
+        acc = (below[j] * above[j]).inverse()
+        column = [acc.value]
+        for k in range(n - 2, j - 1, -1):
+            acc = acc * (x - values[k + 1])
+            column.append(acc.value)
+        columns.append((field.zero_value,) * j + tuple(reversed(column)))
+    return SquareMatrix(field, n, tuple(zip(*columns)))
+
+
+def s_matrix_elements(p, q):
+    F, d = p.field, p.d
+    one = F.one()
+    if q == one or q == -one:
+        raise BaseNotApplicable("no closed form at base 1 or -1")
+    if q == F.zero():
+        raise BaseNotApplicable("zero is never a base")
+    if d >= 3 and q + q.inverse() + one != beta_plus_one(p):
+        raise BaseNotApplicable("q + 1/q + 1 does not match the eigenvalue ratio")
+    poch, power = [one], one
+    for _ in range(d):
+        power = power * q
+        poch.append(poch[-1] * (one - power))
+    if any(x == F.zero() for x in poch[1:]):
+        raise BaseNotApplicable("q is a root of unity of order at most d")
+
+    def trinomial(r, s, t):
+        num = poch[r + s] * poch[r + t] * poch[s + t]
+        den = poch[r] * poch[s] * poch[t] * poch[r + s + t]
+        return num * den.inverse()
+
+    prefix = [one]
+    for t in range(d):
+        prefix.append(prefix[-1] * (p.theta[0] - p.theta[d - t]))
+    return SquareMatrix.build(F, d + 1, lambda i, j: prefix[j - i] * trinomial(i, j - i, d - j)
+                              if i <= j else F.zero())
+
+
+def ortho_data_elements(a):
+    (below, above), (below_s, above_s) = a.pair.sides, a.pair.sides_star
+    D, Ddown = a.splits.D, a.splits.Ddown
+    d = len(D) - 1
+    k = tuple(D[i] * above_s[0] * (Ddown[i] * below_s[i] * above_s[i]).inverse()
+              for i in range(d + 1))
+    kstar = tuple(D[i] * Ddown[d - i] * above[0] * (Ddown[d] * below[i] * above[i]).inverse()
+                  for i in range(d + 1))
+    nu = above[0] * above_s[0] * Ddown[d].inverse()
+    return OrthoData(k=k, kstar=kstar, nu=nu)
+
+
+def recurrence_elements(a):
+    def one_side(theta0, below, above, varphi, phi):
+        zero = theta0.field.zero()
+        d = len(below) - 1
+        b = [varphi[i] * below[i] * below[i + 1].inverse() for i in range(d)] + [zero]
+        c = [zero] + [phi[i - 1] * above[i] * above[i - 1].inverse()
+                      for i in range(1, d + 1)]
+        return tuple(theta0 - c[i] - b[i] for i in range(d + 1)), tuple(b), tuple(c)
+
+    p, pair = a.p, a.pair
+    return RecurrenceCoeffs(
+        *one_side(p.theta[0], *pair.sides_star, p.varphi, p.phi),
+        *one_side(p.theta_star[0], *pair.sides, p.varphi, tuple(reversed(p.phi))))
+
+
+def alt_formulas_elements(a):
+    def alt_checks(th, ths, vp, co, tag):
+        a, b, c = co
+        d = len(th) - 1
+        for i in range(1, d + 1):
+            ai = th[i] + vp[i - 1] * (ths[i] - ths[i - 1]).inverse()
+            if i < d:
+                ai = ai + vp[i] * (ths[i] - ths[i + 1]).inverse()
+            if a[i] != ai:
+                report.add(f"{tag}a_{'d' if i == d else i} closed form fails")
+        for i in range(1, d + 1):
+            lhs = c[i] * (ths[i - 1] - ths[i])
+            if i < d:
+                lhs = lhs - b[i] * (ths[i] - ths[i + 1])
+            if lhs != (th[1] - th[0]) * (ths[i] - ths[0]) + vp[0]:
+                report.add(f"{tag}weighted b/c difference identity fails at {i}")
+
+    p, co = a.p, a.recurrence
+    report = CheckReport("alt-recurrence")
+    alt_checks(p.theta, p.theta_star, p.varphi, (co.a, co.b, co.c), "")
+    alt_checks(p.theta_star, p.theta, p.varphi, (co.astar, co.bstar, co.cstar), "dual ")
+    return report
+
+
+def proportionality_elements(a):
+    P, Pdown = a.polys.P.rows, a.polys.Pdown.rows
+    report = CheckReport("proportionality")
+    for i, alpha in enumerate(a.alphas):
+        if any(row[i] != alpha * down[i] for row, down in zip(P, Pdown)):
+            report.add(f"f_{i} is not alpha_{i} times its reversed companion")
+            break
+    return report
+
+
+def columns_differ(report, got, want, message):
+    for i, (x, y) in enumerate(zip(zip(*got.values), zip(*want.values))):
+        for j in range(len(x)):
+            if x[j] != y[j]:
+                report.add(message.format(i, j))
+
+
+def three_term_kernel(a):
+    p, P, co = a.p, a.polys.P, a.recurrence
+    report = CheckReport("three-term")
+    J = SquareMatrix.diagonal(p.field, co.a, below=co.b[:-1], above=co.c[1:])
+    columns_differ(report, SquareMatrix.diagonal(p.field, p.theta) * P, P * J,
+                   "recurrence fails for f_{} at theta_{}")
+    return report
+
+
+def difference_kernel(a):
+    p, P, co = a.p, a.polys.P, a.recurrence
+    report = CheckReport("difference")
+    Jstar = SquareMatrix.diagonal(p.field, co.astar, below=co.cstar[1:], above=co.bstar[:-1])
+    columns_differ(report, P * SquareMatrix.diagonal(p.field, p.theta_star), Jstar * P,
+                   "difference equation fails for f_{} at theta_{}")
+    return report
+
+
+def orthogonality_kernel(a):
+    P, data = a.polys.P, a.ortho
+    F = P.field
+    report = CheckReport("orthogonality")
+
+    def gram_failures(kind, X, weights, diag):
+        gram = X * SquareMatrix.diagonal(F, weights) * X.transpose()
+        want = [(data.nu * x.inverse()).value for x in diag]
+        for i, row in enumerate(gram.values):
+            for j, x in enumerate(row):
+                if x != (want[i] if i == j else F.zero_value):
+                    report.add(f"{kind} orthogonality fails at ({i}, {j})")
+
+    gram_failures("row", P.transpose(), data.kstar, data.k)
+    if report.failures or not data.nu:
+        gram_failures("column", P, data.k, data.kstar)
+    return report
+
+
+def pair_elements(a):
+    p = a.p
+    F = p.field
+    return tuple(difference_products_elements(F, v) for v in (p.theta, p.theta_star, p.theta[::-1])) \
+        + (one_sided_products_elements(p.theta_star),
+           divided_differences_elements(F, p.theta, *a.pair.sides),
+           divided_differences_elements(F, p.theta_star, *a.pair.sides_star))
+
+
+def pair_payloads(a):
+    p, pair = a.p, a.pair
+    F = p.field
+    return (pair.T, pair.Tstar, pair.Tdown, pair.sides_star[1],
+            divided_differences(F, p.theta, *pair.sides),
+            divided_differences(F, p.theta_star, *pair.sides_star))
+
+
+PAYLOAD_VALUES = ((pair_payloads, pair_elements),
+                  (ortho_data, ortho_data_elements),
+                  (recurrence_coeffs, recurrence_elements),
+                  (corresponding_polys, polys_oracle))
+PAYLOAD_CHECKS = ((verify_alt_formulas, alt_formulas_elements),
+                  (verify_proportionality, proportionality_elements),
+                  (verify_three_term, three_term_kernel),
+                  (verify_difference, difference_kernel),
+                  (verify_orthogonality, orthogonality_kernel))
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_payload_chains_match_their_element_versions(label):
+    """The products of differences and their closed-form inverses, the
+    weights, the recurrence coefficients and the polynomial table give the
+    values of their element versions, and the checks that read them report
+    the same failures in the same order, or both raise the same exception
+    type: on the sampled arrays and their perturbations."""
+    compared = set()
+    for name, change, q in oracle_cases(label):
+        if q.d < 1:
+            continue
+        for fn, oracle in PAYLOAD_VALUES:
+            want = value_outcome(lambda arr: oracle(Analysis(arr)), q)
+            assert value_outcome(lambda arr: fn(Analysis(arr)), q) == want, (
+                label, name, change, fn.__name__)
+            compared.add("raises" if isinstance(want, type) else "values")
+        for check, oracle in PAYLOAD_CHECKS:
+            want = outcome(lambda arr: oracle(Analysis(arr)), q)
+            assert outcome(lambda arr: check(Analysis(arr)), q) == want, (
+                label, name, change, check.__name__)
+            compared.add("raises" if isinstance(want, type)
+                         else "fails" if want else "passes")
+    assert compared == {"values", "passes", "fails", "raises"}, compared
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_s_matrix_matches_its_element_version(label):
+    """s_matrix against its element version on the sampled arrays and their
+    perturbations, at the array's first base, at 0 and 1, and at 2, 3 and
+    1/2 (or the field's elements 2 and 3 and its first case I base): the
+    same matrix or the same exception type."""
+    F = FIELDS[label]
+    extra = [F.parse(t) for t in ("0", "1", "2", "3", "1/2")] if not F.is_finite() \
+        else [F.element(i) for i in (0, 1, 2, 3) if i < F.order()] + [first_case1_base(F)]
+    compared = set()
+    for name, change, q in oracle_cases(label):
+        roots = (base_candidates(q).roots or ()) if q.d >= 3 else ()
+        for base in [*roots[:1], *extra]:
+            want = value_outcome(lambda arr: s_matrix_elements(arr, base), q)
+            assert value_outcome(lambda arr: s_matrix(arr, base), q) == want, (
+                label, name, change, base)
+            compared.add("raises" if isinstance(want, type) else "values")
+    assert compared == {"values", "raises"}, compared
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_payload_chains_raise_on_a_zero_divisor(label):
+    """A repeated theta or theta* makes recurrence_coeffs, ortho_data,
+    divided_differences and verify_alt_formulas divide by zero, and a zero
+    phi makes ortho_data do so: each raises ZeroDivisionError with the
+    field's message, through the checked payload inverse, where Q's
+    unchecked one would return (1, 0)."""
+    F = FIELDS[label]
+    message = f"division by zero in {F}"
+    for name, p, rng in sampled_arrays(label, F):
+        if p.d < 3:
+            continue
+        cases = {
+            "theta_0 = theta_1": (replace(p, theta=(p.theta[1],) + p.theta[1:]), "theta"),
+            "theta*_0 = theta*_1": (
+                replace(p, theta_star=(p.theta_star[1],) + p.theta_star[1:]), "theta_star"),
+            "phi_1 = 0": (replace(p, phi=(F.zero(),) + p.phi[1:]), None),
+        }
+        for change, (q, repeated) in cases.items():
+            a = Analysis(q)
+            calls = [ortho_data]
+            if repeated:
+                sides = a.pair.sides if repeated == "theta" else a.pair.sides_star
+                calls += [recurrence_coeffs, verify_alt_formulas,
+                          lambda a: divided_differences(F, getattr(q, repeated), *sides)]
+            for fn in calls:
+                with pytest.raises(ZeroDivisionError) as e:
+                    fn(Analysis(q))
+                assert str(e.value) == message, (label, name, change)

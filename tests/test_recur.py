@@ -129,7 +129,9 @@ def test_recurrence_coeffs_read_one_sided_products():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     a = Analysis(generate(fp, Q))
     a.pair
-    # 128 of them once the pair's one-sided products are formed; 672 when
-    # recurrence_coeffs took its own one-sided products, and 1,088 when each
-    # coefficient took its own products of differences
-    assert count_multiplications(lambda: recurrence_coeffs(a)) <= 128
+    # 128 of them once the pair's one-sided products are formed, taken on
+    # payloads and counted as payload products, as many as the element
+    # products they replaced; 672 when recurrence_coeffs took its own
+    # one-sided products, and 1,088 when each coefficient took its own
+    # products of differences
+    assert count_multiplications(lambda: recurrence_coeffs(a)) == 128

@@ -178,6 +178,38 @@ def test_kernel_multiplies_each_nonzero_pair_once(label):
             assert count_multiplications(lambda: x * y) == pairs, (x_name, y_name)
 
 
+# the fields of the scaling oracles: Q, the smallest and a 61-bit prime
+# field, and GF(3^4) by tables
+SCALING_FIELDS = {
+    "Q": Q,
+    "GF(7)": prime_field(7),
+    "GF(2^61 - 1)": prime_field(2**61 - 1),
+    "GF(3^4)": extension_field(3, 4, _find_irreducible(3, 4)),
+}
+
+
+@pytest.mark.parametrize("label", list(SCALING_FIELDS))
+def test_scalings_match_diagonal_products(label):
+    """scale_rows(c) = diag(c) M and scale_columns(c) = M diag(c), against
+    the kernel and the schoolbook product, on every shape, with entries and
+    scalars that are zero one time in four.  A scaling makes the products
+    the kernel makes, one per pair of a nonzero entry and a nonzero
+    scalar, and no kernel call."""
+    F = SCALING_FIELDS[label]
+    rng = random.Random(f"scalings/{label}")
+    entry = lambda: kernel_entry(F, rng)
+    for name, m in shaped_matrices(F, 6, rng, entry=entry).items():
+        c = [entry() for _ in range(m.n)]
+        diag = SquareMatrix.diagonal(F, c)
+        for scaled, product, oracle in (
+                (lambda: m.scale_rows(c), lambda: diag * m, dense_mul(diag, m)),
+                (lambda: m.scale_columns(c), lambda: m * diag, dense_mul(m, diag))):
+            got = scaled()
+            assert got == product() == oracle, name
+            assert_canonical(F, got)
+            assert count_multiplications(scaled) == count_multiplications(product), name
+
+
 # The builders of the banded matrices before SquareMatrix.diagonal took two
 # off-diagonals, kept as its oracles: A* and B* were bidiag_upper, A and B a
 # lower bidiagonal of the same form, J recur's tridiagonal and J* its
