@@ -7,7 +7,7 @@ table (the evaluation matrices P and Pdown), the orthogonality data and the
 recurrence coefficients.  An Analysis computes each of them on first use
 and hands the same result to every later check, so a full scoreboard builds
 each object once.  `build`, `corresponding_polys`, `ortho_data` and
-`recurrence_coeffs` take the Analysis and read T, T*, Tdown, H, H* and the
+`recurrence_coeffs` take the Analysis and read T, T*, Tdown and the
 one-sided products from `pair`, which depends on (theta, theta*) alone, and
 the diagonals of D and Ddown from `splits`, which depends on (varphi, phi)
 alone; `alphas` (`proportionality_alphas`) reads `splits` too, once for

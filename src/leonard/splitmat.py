@@ -10,10 +10,9 @@ Every product of differences of eigenvalues is built here, once per
 array: `pair_products` holds what depends on (theta, theta*) alone, the
 triangular factors T, T* and Tdown (`difference_products`) and the products
 below and above each eigenvalue, from which the recurrence coefficients,
-the weights and nu are read.  The
-products below are the diagonals of T and T*, those above each theta the
-reversed diagonal of Tdown, and those above each theta* are
-`one_sided_products`.  `split_products` holds what depends on (varphi, phi)
+the weights and nu are read.  The products below are the diagonals of T
+and T*, those above each theta the reversed diagonal of Tdown, and those
+above each theta* are `one_sided_products`.  `split_products` holds what depends on (varphi, phi)
 alone, the diagonals D_i = varphi_1 .. varphi_i and Ddown_i = phi_1 ..
 phi_i (`prefix_products`), from which D, Ddown and their inverses, the
 alphas, the weights' ratios and nu's denominator are read.  `build`,

@@ -36,6 +36,14 @@ and that the scoreboard no longer computes.  The audit tests check those
 lines on build, over seeded random PA1-PA2 sequences as well as the
 sampled arrays, and that the two checks still report what the oracles
 report.
+
+The scalar chains that run on payloads (the products of differences,
+`divided_differences`, `s_matrix`, `ortho_data`, the recurrence
+coefficients and the alt-recurrence closed forms) are kept in their
+element versions, and the checks whose diagonal factors became row and
+column scalings in their kernel versions, with diag(c) a matrix.  They
+must give equal values, failure lists and exception types on the sampled
+arrays and their perturbations.
 """
 
 import random
