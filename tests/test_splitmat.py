@@ -194,7 +194,7 @@ def test_scalings_match_diagonal_products(label):
     the kernel and the schoolbook product, on every shape, with entries and
     scalars that are zero one time in four.  A scaling makes the products
     the kernel makes, one per pair of a nonzero entry and a nonzero
-    scalar, and no kernel call."""
+    scalar."""
     F = SCALING_FIELDS[label]
     rng = random.Random(f"scalings/{label}")
     entry = lambda: kernel_entry(F, rng)
