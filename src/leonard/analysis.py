@@ -13,9 +13,18 @@ the diagonals of D and Ddown from `splits`, which depends on (varphi, phi)
 alone; `alphas` (`proportionality_alphas`) reads `splits` too, once for
 both checks that compare with it.  Neither layer inverts
 anything, so a repeated eigenvalue or a zero varphi_i or phi_i gives zeros
-there, and each reader raises where it divides.  The results live on the
-Analysis, not on the array: a changed array (say from dataclasses.replace)
-needs a new Analysis.
+there, and each reader raises where it divides.
+
+The three-term and difference comparisons (`three_term`, `difference`)
+hold the recurrence matrices J and J* with the lines where the table P
+fails H P = P J and P H* = J* P.  Their two checks print the lines.  Where
+both lists are empty, `verify_leonard_conditions` reads its two blocks off
+J and J*, and `verify_orthogonality` fixes the row Gram from J and its
+first row: the cubic products those two checks made before run only when
+a comparison fails.
+
+The results live on the Analysis, not on the array: a changed array (say
+from dataclasses.replace) needs a new Analysis.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from .fields import FieldElement
 from .ortho import OrthoData, ortho_data
 from .parray import ParameterArray
 from .polys import PolyTable, corresponding_polys, proportionality_alphas
-from .recur import RecurrenceCoeffs, recurrence_coeffs
+from .recur import (Comparison, RecurrenceCoeffs, difference_comparison, recurrence_coeffs,
+                    three_term_comparison)
 from .splitmat import (PairProducts, SplitMatrixSet, SplitProducts, build, pair_products,
                        split_products)
 
@@ -64,3 +74,11 @@ class Analysis:
     @cached_property
     def recurrence(self) -> RecurrenceCoeffs:
         return recurrence_coeffs(self)
+
+    @cached_property
+    def three_term(self) -> Comparison:
+        return three_term_comparison(self)
+
+    @cached_property
+    def difference(self) -> Comparison:
+        return difference_comparison(self)

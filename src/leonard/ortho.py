@@ -3,6 +3,8 @@
 The weights and nu are read from the two layers of `Analysis`: the
 one-sided products of (theta, theta*) from `pair`, and the prefix products
 D_i = varphi_1 .. varphi_i and Ddown_i = phi_1 .. phi_i from `splits`.
+The row sums are settled from the three-term comparison, `three_term`,
+where it passed, and by the Gram matrix elsewhere.
 """
 
 from __future__ import annotations
@@ -61,16 +63,54 @@ def verify_orthogonality(a: Analysis) -> CheckReport:
     they hold and nu is nonzero, P^-1 = nu^-1 K P^t K*, so P K P^t K* = nu I,
     which is the column identity P K P^t = nu K*^-1.  The column pass is
     therefore computed only when the rows fail or nu is zero; it could add
-    no line otherwise."""
+    no line otherwise.
+
+    The rows are read off the recurrence where the three-term comparison
+    of `Analysis` passed and b_i != 0 for i < d.  There H P = P J, and
+    since H and K* are diagonal, the row Gram M = P^t K* P satisfies
+    J^t M = P^t H K* P = M J.  Entry (i, l) of that identity reads
+
+        b_i X[i+1][l] = c_l X[i][l-1] + (a_l - a_i) X[i][l]
+                        + b_l X[i][l+1] - c_i X[i-1][l],
+
+    so a solution X is fixed by its first row (Favard's argument).  With
+    w_i = nu / k_i, diag(w) is a solution exactly when w_i c_{i+1} =
+    w_{i+1} b_i for i < d.  So M = diag(w) iff that holds and the first row
+    of M, sum_r k*_r f_l(theta_r) (f_0 = 1), is (w_0, 0, .., 0): n^2
+    products in place of the n^3 of the Gram matrix.  Where the route does
+    not apply, and to write the lines where it finds the rows failing, the
+    Gram matrix is formed, as `_gram_failures`."""
     table, data = a.polys, a.ortho
     P = table.P  # P[j][i] = f_i(theta_j)
     report = CheckReport("orthogonality")
     # row (i, j): sum_r f_i(theta_r) f_j(theta_r) kstar_r = delta_ij nu / k_i
-    _gram_failures(report, "row", P.transpose(), data.kstar, data.k, data.nu)
+    if not _rows_hold(a):
+        _gram_failures(report, "row", P.transpose(), data.kstar, data.k, data.nu)
     if report.failures or not data.nu:
         # column (i, j): sum_r f_r(theta_i) f_r(theta_j) k_r = delta_ij nu / kstar_i
         _gram_failures(report, "column", P, data.k, data.kstar, data.nu)
     return report
+
+
+def _rows_hold(a: Analysis) -> bool:
+    """True when the recurrence route of `verify_orthogonality` applies and
+    finds P^t K* P = diag(nu / k_i); False when it does not apply or finds
+    the rows failing.  A zero k_i raises ZeroDivisionError, as the Gram's
+    test of its diagonal does."""
+    F = a.p.field
+    mul, add, inv = F._mul, F._add, F._checked_inv
+    co, data = a.recurrence, a.ortho
+    b, c = ([x.value for x in seq] for seq in (co.b, co.c))
+    d = len(b) - 1
+    if a.three_term.failures or F.zero_value in b[:d]:
+        return False
+    w = [mul(data.nu.value, inv(x.value)) for x in data.k]
+    if any(mul(w[i], c[i + 1]) != mul(w[i + 1], b[i]) for i in range(d)):
+        return False
+    kstar = [x.value for x in data.kstar]
+    first = [reduce(add, [mul(x, y) for x, y in zip(kstar, column)])
+             for column in zip(*a.polys.P.values)]
+    return first == [w[0]] + [F.zero_value] * d
 
 
 def _gram_failures(report: CheckReport, kind: str, X: SquareMatrix, weights,

@@ -1,4 +1,15 @@
-"""Three-term recurrence and difference-equation data of a parameter array."""
+"""Three-term recurrence and difference-equation data of a parameter array.
+
+The recurrence coefficients give two tridiagonal matrices: J, with
+(c_i, a_i, b_i) down column i, and J*, with (c*_j, a*_j, b*_j) along row
+j.  The three-term recurrence is the identity H P = P J on the evaluation
+table P, and the difference equation is P H* = J* P.  Each comparison
+(`three_term_comparison`, `difference_comparison`) is made once per array
+and kept on `Analysis` with its matrix and its failure lines: the two
+checks of this module print the lines, and where both lists are empty
+`verify_leonard_conditions` reads its blocks off J and J*, and
+`verify_orthogonality` its row Gram off J.
+"""
 
 from __future__ import annotations
 
@@ -51,40 +62,58 @@ def recurrence_coeffs(a: Analysis) -> RecurrenceCoeffs:
         *_one_side(p.theta_star[0], *pair.sides, p.varphi, tuple(reversed(p.phi))))
 
 
-def _column_failures(report: CheckReport, got: SquareMatrix, want: SquareMatrix,
-                     message: str) -> None:
-    """Add message.format(i, j) for each entry (j, i) where got and want
-    differ, column i by column."""
+@dataclass(frozen=True)
+class Comparison:
+    """A tridiagonal recurrence matrix J of `recur` and the lines where the
+    evaluation table P fails the matrix identity that it is compared in."""
+
+    J: SquareMatrix
+    failures: tuple[str, ...]
+
+
+def _column_failures(got: SquareMatrix, want: SquareMatrix,
+                     message: str) -> tuple[str, ...]:
+    """message.format(i, j) for each entry (j, i) where got and want differ,
+    column i by column."""
     pairs = zip(zip(*got.values), zip(*want.values))
-    for i, (x, y) in enumerate(pairs):
-        for j in range(len(x)):
-            if x[j] != y[j]:
-                report.add(message.format(i, j))
+    return tuple(message.format(i, j) for i, (x, y) in enumerate(pairs)
+                 for j in range(len(x)) if x[j] != y[j])
+
+
+def three_term_comparison(a: Analysis) -> Comparison:
+    """H P = P J, with H = diag(theta), P[j][i] = f_i(theta_j) and J
+    tridiagonal with (c_i, a_i, b_i) down column i."""
+    p, P, co = a.p, a.polys.P, a.recurrence
+    J = SquareMatrix.diagonal(p.field, co.a, below=co.b[:-1], above=co.c[1:])
+    return Comparison(J, _column_failures(P.scale_rows(p.theta), P * J,
+                                          "recurrence fails for f_{} at theta_{}"))
+
+
+def difference_comparison(a: Analysis) -> Comparison:
+    """P H* = J* P, with H* = diag(theta*) and J* tridiagonal with
+    (c*_j, a*_j, b*_j) along row j."""
+    p, P, co = a.p, a.polys.P, a.recurrence
+    Jstar = SquareMatrix.diagonal(p.field, co.astar, below=co.cstar[1:],
+                                  above=co.bstar[:-1])
+    return Comparison(Jstar, _column_failures(
+        P.scale_columns(p.theta_star), Jstar * P,
+        "difference equation fails for f_{} at theta_{}"))
 
 
 def verify_three_term(a: Analysis) -> CheckReport:
     """theta_j f_i = c_i f_{i-1} + a_i f_i + b_i f_{i+1} evaluated on the
-    eigenvalues, boundary terms omitted: H P = P J with P[j][i] = f_i(theta_j)
-    and J tridiagonal with (c_i, a_i, b_i) down column i."""
-    p, P, co = a.p, a.polys.P, a.recurrence
-    report = CheckReport("three-term")
-    J = SquareMatrix.diagonal(p.field, co.a, below=co.b[:-1], above=co.c[1:])
-    _column_failures(report, P.scale_rows(p.theta), P * J,
-                     "recurrence fails for f_{} at theta_{}")
-    return report
+    eigenvalues, boundary terms omitted: H P = P J, read from
+    `Analysis.three_term`, which `verify_leonard_conditions` and
+    `verify_orthogonality` read too."""
+    return CheckReport("three-term", list(a.three_term.failures))
 
 
 def verify_difference(a: Analysis) -> CheckReport:
     """theta*_i f_i(theta_j) = c*_j f_i(theta_{j-1}) + a*_j f_i(theta_j)
-    + b*_j f_i(theta_{j+1}), boundary terms omitted: P H* = J* P with
-    J* tridiagonal with (c*_j, a*_j, b*_j) along row j."""
-    p, P, co = a.p, a.polys.P, a.recurrence
-    report = CheckReport("difference")
-    Jstar = SquareMatrix.diagonal(p.field, co.astar, below=co.cstar[1:],
-                                  above=co.bstar[:-1])
-    _column_failures(report, P.scale_columns(p.theta_star), Jstar * P,
-                     "difference equation fails for f_{} at theta_{}")
-    return report
+    + b*_j f_i(theta_{j+1}), boundary terms omitted: P H* = J* P, read
+    from `Analysis.difference`, which `verify_leonard_conditions` reads
+    too."""
+    return CheckReport("difference", list(a.difference.failures))
 
 
 def _alt_checks(th: Sequence[FieldElement], ths: Sequence[FieldElement],

@@ -18,14 +18,21 @@ phi_i (`prefix_products`), from which D, Ddown and their inverses, the
 alphas, the weights' ratios and nu's denominator are read.  `build`,
 `polys`, `ortho` and `recur` read the one `Analysis.pair` and the one
 `Analysis.splits`; `divided_differences` turns the products of theta into
-T^-1 in closed form, kept as `Tinv`, and those of theta* into T*^-1, from
-which `verify_leonard_conditions` reads the dual array's block.
+T^-1 in closed form, kept as `Tinv`, and those of theta* into T*^-1.
+
+`verify_leonard_conditions` reads the E A* E block of the array and of its
+dual.  On the passing path they are the recurrence matrices J* and J^t
+that the three-term and difference comparisons of `recur` formed (LS99:
+T A* T^-1 = P H* P^-1 and T* A*' T*^-1 = P^t H P^-t, with P = T D^-1
+T*^t), so no product is formed; `dense_leonard_blocks`, T A* T^-1 and
+T* A*' T*^-1 by products, is the route when a comparison fails or a
+varphi_i or phi_i is zero.
 
 A SquareMatrix holds the canonical payloads of its entries, row by row.
 Every banded matrix comes from one constructor, `SquareMatrix.diagonal`,
 given its diagonal and the off-diagonals below and above it: A and B (ones
 below), A* and B* (varphi and phi above), the dual A*' of
-`verify_leonard_conditions`, and the recurrence matrices J and J* of
+`dense_leonard_blocks`, and the recurrence matrices J and J* of
 `recur`.  The identities checked here are chains of products, each one
 call of the field's payload kernel `Field._matmul`, or of `scale_rows` and
 `scale_columns` where one factor is diagonal, so no FieldElement is built
@@ -386,6 +393,18 @@ def primitive_idempotents(m: SquareMatrix,
     return out
 
 
+def dense_leonard_blocks(a: Analysis) -> tuple[SquareMatrix, SquareMatrix]:
+    """K = T* A*' T*^-1, the dual array's E A* E block, and T A* T^-1,
+    this array's: two triangular-by-Hessenberg products of about n^3/6
+    each, with T^-1 from build and T*^-1 the closed form
+    `divided_differences` of theta*, which takes n inverses."""
+    m, p, pair = a.matrices, a.p, a.pair
+    F = p.field
+    K = (pair.Tstar * SquareMatrix.diagonal(F, p.theta, above=p.varphi)
+         * divided_differences(F, p.theta_star, *pair.sides_star))
+    return K, m.T * m.Astar * m.Tinv
+
+
 def verify_leonard_conditions(a: Analysis) -> CheckReport:
     """Tridiagonal shape of A on the eigenspaces of A*, and of A* on those of A.
 
@@ -395,14 +414,13 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     primitive idempotent is rank one, E_i = U e_i e_i^t U^-1, so the block
     E_i A* E_j vanishes exactly when the scalar (U^-1 A* U)_ij does, and
     that scalar is (T A* T^-1)_ij times the nonzero T_jj / T_ii.  So the
-    E A* E block is read from T A* T^-1, with the T^-1 that build keeps.
+    E A* E block is read from T A* T^-1.
 
     The E* A E* block is the same block of the dual array, which swaps
     theta with theta* and keeps varphi: K = T* A*' T*^-1, with A*' upper
-    bidiagonal with diagonal theta and superdiagonal varphi, and T*^-1
-    the closed form `divided_differences` of theta*.  A* has the unit
-    upper-triangular eigenvector matrix V = D^-1 T*^t diag(D_j / below*_j),
-    so for i <= j
+    bidiagonal with diagonal theta and superdiagonal varphi.  A* has the
+    unit upper-triangular eigenvector matrix V = D^-1 T*^t diag(D_j /
+    below*_j), so for i <= j
 
         (V^-1 A V)_ij = varphi_{i+1} .. varphi_j (below*_i / below*_j) K[j][i],
 
@@ -410,20 +428,34 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     below the diagonal V^-1 A V is 1 at (i + 1, i) and 0 further down, so
     those entries cannot fail.  Row i of the block is therefore K[j][i]
     for j = i + 1, i + 2, .. up to the first zero varphi_j, and zero from
-    there on, up to nonzero factors.  The two blocks are triangular times
-    Hessenberg products of about n^3/6 each, and T*^-1 takes n inverses.
+    there on, up to nonzero factors.
+
+    The two blocks are read off the recurrence when every varphi_i and
+    phi_i is nonzero and the three-term and difference comparisons of
+    `Analysis` hold.  There P = T D^-1 T*^t is invertible, and build's
+    identities D A* D^-1 T*^t = T*^t H* and D A*' D^-1 T^t = T^t H give
+    T A* T^-1 = P H* P^-1 and K = P^t H P^-t; the difference equation
+    P H* = J* P makes the first J*, and the three-term recurrence H P =
+    P J makes K = J^t, exactly.  Otherwise the blocks are the products of
+    `dense_leonard_blocks`.  Either way build and the theta* test come
+    first, so the exceptions do not depend on the route.
 
     Only the two blocks are computed: the eigenvector labels `A U = U H`
     and `A* V = V H*` hold by construction for distinct theta and theta*
     (`tests/test_leonard_oracle.py` checks them on build, and compares
     this check with the V and V^-1 recurrences it replaced).
     """
-    m, p, pair = a.matrices, a.p, a.pair
+    a.matrices
+    p = a.p
     _require_distinct(p.theta_star)
-    F, n, vp = p.field, p.d + 1, p.varphi
-    zero, one = F.zero_value, F.one_value
-    K = (pair.Tstar * SquareMatrix.diagonal(F, p.theta, above=vp)
-         * divided_differences(F, p.theta_star, *pair.sides_star)).values
+    n, vp = p.d + 1, p.varphi
+    zero, one = p.field.zero_value, p.field.one_value
+    if (all(vp) and all(p.phi) and not a.three_term.failures
+            and not a.difference.failures):
+        K, block = a.three_term.J.transpose(), a.difference.J
+    else:
+        K, block = dense_leonard_blocks(a)
+    K = K.values
     star = []
     for i in range(n):
         stop = next((j for j in range(i + 1, n) if not vp[j - 1]), n)
@@ -431,9 +463,8 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
                      for j in range(n)])
 
     report = CheckReport("leonard-conditions")
-    for label, block in (("E* A E*", star),
-                         ("E A* E", (m.T * m.Astar * m.Tinv).values)):
-        for i, row in enumerate(block):
+    for label, rows in (("E* A E*", star), ("E A* E", block.values)):
+        for i, row in enumerate(rows):
             for j, x in enumerate(row):
                 if abs(i - j) > 1 and x != zero:
                     report.add(f"{label} block ({i}, {j}) should vanish")

@@ -18,14 +18,21 @@ theorem's part, which is the slow one.  Prints the number of sequences
 swept and of valid arrays, then of triples and of Leonard pairs.
 
 The module name does not start with test_, so pytest does not collect it;
-`test_theorem.py` runs the small sizes, and CI steps run GF(4) at d = 2 and
-the Leonard pairs alone at d = 3.
+`test_theorem.py` runs the small sizes, and CI steps run GF(4) at d = 2, and
+the Leonard pairs alone of GF(4) at d = 3 and of GF(5) at d = 2.
+`verify_leonard_conditions` reads its blocks off the recurrence where the
+array passes the three-term and difference comparisons, and forms them by
+products elsewhere.  Each triple is checked with phi = varphi, which
+almost always fails the comparisons, and each triple of an enumerated array
+again with that array's phi, which passes them: the verdicts must agree,
+so the Leonard pairs do not depend on the route.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+from dataclasses import replace
 
 from leonard import Analysis, Field, enumerate_arrays, make_array, verify_leonard_conditions
 from leonard.cli import parse_field
@@ -44,16 +51,25 @@ def sweep_leonard(F: Field, d: int, enumerated: list) -> tuple[int, int]:
     diameter d over F are the triples of the enumerated arrays.  Returns the
     number of triples and of Leonard pairs."""
     eigenvalues, columns = sequences_of(F, d)
+    completions = {(p.theta, p.theta_star, p.varphi): p.phi for p in enumerated}
     triples = 0
     pairs = set()
     for theta, theta_star in itertools.product(eigenvalues, repeat=2):
         for varphi in columns:
-            # the check reads theta, theta* and varphi, not phi
+            # The verdict depends on theta, theta* and varphi alone.  With
+            # phi = varphi almost every triple fails the recurrence
+            # comparisons and the dense blocks decide; a triple of an
+            # enumerated array is checked again with that array's phi, where
+            # the blocks are read off the recurrence.  Both must agree.
             p = make_array(F, theta, theta_star, varphi, varphi)
-            if verify_leonard_conditions(Analysis(p)).ok():
-                pairs.add((p.theta, p.theta_star, p.varphi))
+            key = (p.theta, p.theta_star, p.varphi)
+            arrays = [p] + ([replace(p, phi=completions[key])] if key in completions else [])
+            verdicts = {verify_leonard_conditions(Analysis(q)).ok() for q in arrays}
+            assert len(verdicts) == 1, p.to_json()
+            if verdicts.pop():
+                pairs.add(key)
             triples += 1
-    want = {(p.theta, p.theta_star, p.varphi) for p in enumerated}
+    want = set(completions)
     assert pairs == want, (len(pairs), len(want))
     return triples, len(pairs)
 

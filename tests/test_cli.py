@@ -558,7 +558,9 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
                  leonard.splitmat.prefix_products,
                  leonard.splitmat.split_products,
                  leonard.polys.proportionality_alphas,
-                 leonard.splitmat.divided_differences]
+                 leonard.splitmat.divided_differences,
+                 leonard.recur.three_term_comparison,
+                 leonard.recur.difference_comparison]
     for fn in originals:
         def counted(*args, fn=fn):
             calls[fn.__name__] += 1
@@ -576,20 +578,27 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
     # prefix products of varphi and of phi once each, in the one
     # split_products: 5 when build, polys and ortho each formed their own.
     # The alphas once, in Analysis.alphas: 2 when verify_proportionality and
-    # endpoint_values each formed them.  T^-1 in build and T*^-1 in
-    # verify_leonard_conditions, which read E* A E* from V and V^-1
-    # recurrences before
+    # endpoint_values each formed them.  T^-1 in build: 2 when
+    # verify_leonard_conditions formed T*^-1 on the passing path too, and
+    # it read E* A E* from V and V^-1 recurrences before that.  The
+    # three-term and difference comparisons once each, read by their own
+    # checks, by verify_leonard_conditions and (three-term) by
+    # verify_orthogonality
     assert calls == {"build": 1, "corresponding_polys": 1, "ortho_data": 1,
                      "recurrence_coeffs": 1, "difference_products": 3,
                      "one_sided_products": 1, "prefix_products": 2,
                      "split_products": 1, "proportionality_alphas": 1,
-                     "divided_differences": 2}
+                     "divided_differences": 1, "three_term_comparison": 1,
+                     "difference_comparison": 1}
 
 
 def test_scoreboard_multiplications_at_d16():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
-    # 18,711 of them, counting payload products; 19,440 when s_matrix took
+    # 10,825 of them, counting payload products: 18,711 when
+    # verify_leonard_conditions formed its two blocks by products and
+    # verify_orthogonality the dense row Gram on the passing path, and
+    # 19,440 when s_matrix took
     # seven products and an inverse per entry and the products of
     # differences started from a product by one.  Counting element
     # products and kernel terms only, as the counter did before the scalar
@@ -599,11 +608,13 @@ def test_scoreboard_multiplications_at_d16():
     # recurrences too, 20,072 when build, polys and ortho each formed their
     # own prefix products of varphi and phi, and 21,840 when they and recur
     # each formed their own products of differences
-    assert count_multiplications(lambda: _scoreboard(p)) <= 18_711
+    assert count_multiplications(lambda: _scoreboard(p)) <= 10_825
 
 
 def test_scoreboard_kernel_calls_at_d16(monkeypatch):
-    """The diagonal factors are scalings, not kernel products."""
+    """The diagonal factors are scalings, not kernel products, and on the
+    passing path the Leonard blocks and the row Gram come from the
+    recurrence comparisons."""
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
     calls = []
@@ -611,10 +622,13 @@ def test_scoreboard_kernel_calls_at_d16(monkeypatch):
     monkeypatch.setattr(type(Q), "_matmul",
                         lambda F, x, y: calls.append(x) or kernel(F, x, y))
     assert _scoreboard(p)[1]
-    # 12; 17 when T D^-1 and Tdown Ddown^-1 in corresponding_polys, X W in
-    # the Gram matrix, H P in verify_three_term and P H* in
-    # verify_difference were kernel products with a diagonal matrix
-    assert len(calls) == 12
+    # 7: G, the two sides of the conjugation, P and Pdown, P J and J* P.
+    # 12 when verify_leonard_conditions formed its blocks by four products
+    # and verify_orthogonality the row Gram by one, and 17 when T D^-1 and
+    # Tdown Ddown^-1 in corresponding_polys, X W in the Gram matrix, H P in
+    # verify_three_term and P H* in verify_difference were kernel products
+    # with a diagonal matrix
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -486,14 +486,30 @@ def test_leonard_conditions_on_fixtures(fix_d1, kraw3, qrac3, orphan3):
 def test_leonard_conditions_build_no_inverse_matrix():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     a = Analysis(generate(fp, Q))
-    a.matrices
+    a.matrices, a.three_term, a.difference
     reports = []
     calls = count_multiplications(lambda: reports.append(verify_leonard_conditions(a)))
     assert reports[0].ok(), reports[0].failures
-    # 3,005 of them; 3,396 when E* A E* came from V and V^-1 recurrences,
-    # 4,280 when it checked A U = U H and A* V = V H* too, 4,552 when U and
-    # U^-1 were recurrences too, and 6,048 when U^-1 and V^-t were forward
-    # substitutions
+    # none: the blocks are J^t and J* of the comparisons.  3,005 when the
+    # passing path formed the two blocks by products, 3,396 when E* A E*
+    # came from V and V^-1 recurrences, 4,280 when it checked A U = U H and
+    # A* V = V H* too, 4,552 when U and U^-1 were recurrences too, and 6,048
+    # when U^-1 and V^-t were forward substitutions
+    assert calls == 0
+
+
+def test_leonard_conditions_dense_route_costs_its_blocks():
+    """With phi_1 moved, the three-term comparison fails while the triple
+    (theta, theta*, varphi) is still a Leonard pair: the blocks are formed
+    by products, at the cost they had on the passing path."""
+    fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
+    p = generate(fp, Q)
+    a = Analysis(replace(p, phi=(p.phi[0] + Q.one(),) + p.phi[1:]))
+    a.matrices, a.three_term, a.difference
+    assert a.three_term.failures
+    reports = []
+    calls = count_multiplications(lambda: reports.append(verify_leonard_conditions(a)))
+    assert reports[0].ok(), reports[0].failures
     assert calls <= 3_005
 
 
