@@ -15,6 +15,15 @@ both checks that compare with it.  Neither layer inverts
 anything, so a repeated eigenvalue or a zero varphi_i or phi_i gives zeros
 there, and each reader raises where it divides.
 
+Every layer holds payloads, as a SquareMatrix does: the one-sided
+products and the prefix products, the alphas, the weights and nu, and the
+recurrence coefficients.  The checks compare payload tuples and build no
+FieldElement from them; `OrthoData` and `RecurrenceCoeffs` wrap theirs in
+elements by name, on first read, for the `weights` and `recurrence` dumps
+and the tests.  `matrices` holds what the checks read, A*, B*, T, T*,
+Tdown, T^-1 and G, and forms A, B, D, Ddown, Z, H and H* only when the
+`matrices` dump or a test reads them.
+
 The three-term and difference comparisons (`three_term`, `difference`)
 hold the recurrence matrices J and J* with the lines where the table P
 fails H P = P J and P H* = J* P.  Their two checks print the lines.  Where
@@ -31,7 +40,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .fields import FieldElement
 from .ortho import OrthoData, ortho_data
 from .parray import ParameterArray
 from .polys import PolyTable, corresponding_polys, proportionality_alphas
@@ -64,7 +72,7 @@ class Analysis:
         return corresponding_polys(self)
 
     @cached_property
-    def alphas(self) -> list[FieldElement]:
+    def alphas(self) -> list:
         return proportionality_alphas(self)
 
     @cached_property

@@ -691,7 +691,17 @@ class RationalField(Field):
         return (t // g2, s * (db // g2))
 
     def _sub(self, a, b):
-        return self._add(a, (-b[0], b[1]))
+        na, da = a
+        nb, db = b
+        g = gcd(da, db)
+        if g == 1:
+            return (na * db - nb * da, da * db)
+        s = da // g
+        t = na * (db // g) - nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return (t, s * db)
+        return (t // g2, s * (db // g2))
 
     def _mul(self, a, b):
         na, da = a

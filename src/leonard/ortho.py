@@ -4,7 +4,10 @@ The weights and nu are read from the two layers of `Analysis`: the
 one-sided products of (theta, theta*) from `pair`, and the prefix products
 D_i = varphi_1 .. varphi_i and Ddown_i = phi_1 .. phi_i from `splits`.
 The row sums are settled from the three-term comparison, `three_term`,
-where it passed, and by the Gram matrix elsewhere.
+where it passed, and by the Gram matrix elsewhere.  The weights and nu
+are held as payloads, like the layers they are read from; the names k,
+kstar and nu of `OrthoData` wrap them in elements for the `weights` dump
+and the tests.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING
 
-from .fields import FieldElement
+from .fields import Field
 from .report import CheckReport
-from .splitmat import SquareMatrix
+from .splitmat import SquareMatrix, _element_view
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -23,9 +26,12 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class OrthoData:
-    k: tuple[FieldElement, ...]
-    kstar: tuple[FieldElement, ...]
-    nu: FieldElement
+    """`values` = (k, kstar, nu): the payloads of the weights k_i and k*_i
+    and of nu."""
+
+    field: Field
+    values: tuple
+    k, kstar, nu = _element_view(0), _element_view(1), _element_view(2, scalar=True)
 
 
 def ortho_data(a: Analysis) -> OrthoData:
@@ -37,22 +43,19 @@ def ortho_data(a: Analysis) -> OrthoData:
     / Ddown_d.  A zero phi_i or a repeated eigenvalue raises
     ZeroDivisionError.  The products run on payloads."""
     F = a.p.field
-    mul, inv, wrap = F._mul, F._checked_inv, F._elements
+    mul, inv = F._mul, F._checked_inv
 
     def prod(*xs):
         return reduce(mul, xs)
 
-    (below, above), (below_s, above_s), (D, Ddown) = (
-        ([x.value for x in seq] for seq in group)
-        for group in (a.pair.sides, a.pair.sides_star, (a.splits.D, a.splits.Ddown)))
+    (below, above), (below_s, above_s) = a.pair.sides, a.pair.sides_star
+    D, Ddown = a.splits.D, a.splits.Ddown
     d = len(D) - 1
-    k = tuple(wrap[prod(D[i], above_s[0], inv(prod(Ddown[i], below_s[i], above_s[i])))]
-              for i in range(d + 1))
-    kstar = tuple(wrap[prod(D[i], Ddown[d - i], above[0],
-                            inv(prod(Ddown[d], below[i], above[i])))]
-                  for i in range(d + 1))
-    nu = wrap[prod(above[0], above_s[0], inv(Ddown[d]))]
-    return OrthoData(k=k, kstar=kstar, nu=nu)
+    k = tuple([prod(D[i], above_s[0], inv(prod(Ddown[i], below_s[i], above_s[i])))
+               for i in range(d + 1)])
+    kstar = tuple([prod(D[i], Ddown[d - i], above[0], inv(prod(Ddown[d], below[i], above[i])))
+                   for i in range(d + 1)])
+    return OrthoData(F, (k, kstar, prod(above[0], above_s[0], inv(Ddown[d]))))
 
 
 def verify_orthogonality(a: Analysis) -> CheckReport:
@@ -80,15 +83,15 @@ def verify_orthogonality(a: Analysis) -> CheckReport:
     products in place of the n^3 of the Gram matrix.  Where the route does
     not apply, and to write the lines where it finds the rows failing, the
     Gram matrix is formed, as `_gram_failures`."""
-    table, data = a.polys, a.ortho
-    P = table.P  # P[j][i] = f_i(theta_j)
+    P = a.polys.P  # P[j][i] = f_i(theta_j)
+    k, kstar, nu = a.ortho.values
     report = CheckReport("orthogonality")
     # row (i, j): sum_r f_i(theta_r) f_j(theta_r) kstar_r = delta_ij nu / k_i
     if not _rows_hold(a):
-        _gram_failures(report, "row", P.transpose(), data.kstar, data.k, data.nu)
-    if report.failures or not data.nu:
+        _gram_failures(report, "row", P.transpose(), kstar, k, nu)
+    if report.failures or nu == P.field.zero_value:
         # column (i, j): sum_r f_r(theta_i) f_r(theta_j) k_r = delta_ij nu / kstar_i
-        _gram_failures(report, "column", P, data.k, data.kstar, data.nu)
+        _gram_failures(report, "column", P, k, kstar, nu)
     return report
 
 
@@ -99,15 +102,14 @@ def _rows_hold(a: Analysis) -> bool:
     test of its diagonal does."""
     F = a.p.field
     mul, add, inv = F._mul, F._add, F._checked_inv
-    co, data = a.recurrence, a.ortho
-    b, c = ([x.value for x in seq] for seq in (co.b, co.c))
+    _, b, c = a.recurrence.values[:3]
+    k, kstar, nu = a.ortho.values
     d = len(b) - 1
     if a.three_term.failures or F.zero_value in b[:d]:
         return False
-    w = [mul(data.nu.value, inv(x.value)) for x in data.k]
+    w = [mul(nu, inv(x)) for x in k]
     if any(mul(w[i], c[i + 1]) != mul(w[i + 1], b[i]) for i in range(d)):
         return False
-    kstar = [x.value for x in data.kstar]
     first = [reduce(add, [mul(x, y) for x, y in zip(kstar, column)])
              for column in zip(*a.polys.P.values)]
     return first == [w[0]] + [F.zero_value] * d
@@ -116,14 +118,14 @@ def _rows_hold(a: Analysis) -> bool:
 def _gram_failures(report: CheckReport, kind: str, X: SquareMatrix, weights,
                    diag, nu) -> None:
     """Add a line for each (i, j), in row-major order, where the weighted
-    inner product of rows i and j of X is not delta_ij nu / diag_i.
+    inner product of rows i and j of X is not delta_ij nu / diag_i, with
+    weights, diag and nu given as payloads.
 
     The inner products are the entries of the Gram matrix X W X^t, with
-    W = diag(weights): a column scaling and one matrix product on
-    payloads."""
+    W = diag(weights): a column scaling and one matrix product."""
     F = X.field
     gram = X.scale_columns(weights) * X.transpose()
-    want = [F._mul(nu.value, F._checked_inv(x.value)) for x in diag]
+    want = [F._mul(nu, F._checked_inv(x)) for x in diag]
     for i, row in enumerate(gram.values):
         for j, x in enumerate(row):
             if x != (want[i] if i == j else F.zero_value):
@@ -132,9 +134,10 @@ def _gram_failures(report: CheckReport, kind: str, X: SquareMatrix, weights,
 
 def verify_nu_sums(a: Analysis) -> CheckReport:
     """nu equals the sum of either weight family."""
-    data = a.ortho
+    F = a.p.field
+    k, kstar, nu = a.ortho.values
     report = CheckReport("weight-sums")
-    for name, weights in (("k", data.k), ("k*", data.kstar)):
-        if sum(weights, a.p.field.zero()) != data.nu:
+    for name, weights in (("k", k), ("k*", kstar)):
+        if reduce(F._add, weights, F.zero_value) != nu:
             report.add(f"sum of {name} weights differs from nu")
     return report

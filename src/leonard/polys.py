@@ -22,6 +22,9 @@ of phi and of varphi.  `endpoint_values` compares f_i(theta_d) with
 alpha_i; its weighted form, k_i f_i(theta_d) = above*_0 / (below*_i
 above*_i) with the one-sided products of theta*, is how `ortho_data`
 defines k_i, so it is only read, not compared.
+
+Like the layers they are read from, the tables and the alphas hold
+payloads, and every comparison here compares payload tuples.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .fields import FieldElement
 from .report import CheckReport
 from .splitmat import SquareMatrix
 
@@ -51,18 +53,21 @@ def corresponding_polys(a: Analysis) -> PolyTable:
     reverses the rows.  The inverses are taken entry by entry, so a zero
     varphi_i or phi_i raises ZeroDivisionError.  The diagonal factors are
     column scalings, so each table is one kernel call."""
-    p, pair = a.p, a.pair
-    Dinv, Ddown_inv = ([x.inverse() for x in c] for c in (a.splits.D, a.splits.Ddown))
+    p, pair, inv = a.p, a.pair, a.p.field._checked_inv
+    Dinv, Ddown_inv = ([inv(x) for x in c] for c in (a.splits.D, a.splits.Ddown))
     Tstar_t = pair.Tstar.transpose()
     down = pair.Tdown.scale_columns(Ddown_inv) * Tstar_t
     return PolyTable(P=pair.T.scale_columns(Dinv) * Tstar_t,
                      Pdown=SquareMatrix(p.field, p.d + 1, down.values[::-1]))
 
 
-def proportionality_alphas(a: Analysis) -> list[FieldElement]:
-    """alpha_0 .. alpha_d, alpha_i = (phi_1 .. phi_i) / (varphi_1 .. varphi_i)
-    = Ddown_i / D_i; a zero varphi_i raises ZeroDivisionError."""
-    return [y * x.inverse() for x, y in zip(a.splits.D, a.splits.Ddown)]
+def proportionality_alphas(a: Analysis) -> list:
+    """The payloads of alpha_0 .. alpha_d, alpha_i = (phi_1 .. phi_i) /
+    (varphi_1 .. varphi_i) = Ddown_i / D_i; a zero varphi_i raises
+    ZeroDivisionError."""
+    F = a.p.field
+    mul, inv = F._mul, F._checked_inv
+    return [mul(y, inv(x)) for x, y in zip(a.splits.D, a.splits.Ddown)]
 
 
 def verify_proportionality(a: Analysis) -> CheckReport:
@@ -80,10 +85,9 @@ def verify_proportionality(a: Analysis) -> CheckReport:
     return report
 
 
-def endpoint_evaluations(a: Analysis) -> list[FieldElement]:
-    """The values f_i(theta_d), the last row of P."""
-    F = a.p.field
-    return [F._elements[x] for x in a.polys.P.values[a.p.d]]
+def endpoint_evaluations(a: Analysis) -> tuple:
+    """The payloads of f_i(theta_d), the last row of P."""
+    return a.polys.P.values[a.p.d]
 
 
 def endpoint_values(a: Analysis) -> CheckReport:

@@ -9,6 +9,11 @@ and kept on `Analysis` with its matrix and its failure lines: the two
 checks of this module print the lines, and where both lists are empty
 `verify_leonard_conditions` reads its blocks off J and J*, and
 `verify_orthogonality` its row Gram off J.
+
+The coefficients are held as payloads, like the one-sided products they
+are read from; the names a .. cstar of `RecurrenceCoeffs` wrap them in
+elements for the `recurrence` dump and the tests.  A comparison of two
+equal payload tables finds no line without a scan.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .fields import FieldElement
+from .fields import Field, FieldElement
 from .report import CheckReport
-from .splitmat import SquareMatrix
+from .splitmat import SquareMatrix, _element_view, _payloads
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -26,40 +31,33 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class RecurrenceCoeffs:
-    a: tuple[FieldElement, ...]
-    b: tuple[FieldElement, ...]
-    c: tuple[FieldElement, ...]
-    astar: tuple[FieldElement, ...]
-    bstar: tuple[FieldElement, ...]
-    cstar: tuple[FieldElement, ...]
+    """`values` = (a, b, c, astar, bstar, cstar), each a tuple of payloads."""
+
+    field: Field
+    values: tuple
+    a, b, c, astar, bstar, cstar = map(_element_view, range(6))
 
 
-def _one_side(theta0: FieldElement,
-              below: Sequence[FieldElement],
-              above: Sequence[FieldElement],
-              varphi: Sequence[FieldElement],
-              phi: Sequence[FieldElement]) -> tuple:
+def _one_side(F: Field, theta0, below: Sequence, above: Sequence, varphi: Sequence,
+              phi: Sequence) -> tuple:
     # below and above are the one-sided products of the eigenvalues dual to
     # this side: b_i = varphi_{i+1} below_i / below_{i+1} and
     # c_i = phi_i above_i / above_{i-1}; a balances the row sum against theta_0.
-    F = theta0.field
+    # Every argument is a payload.
     mul, sub, inv, zero = F._mul, F._sub, F._checked_inv, F.zero_value
-    below, above, varphi, phi = ([x.value for x in seq]
-                                 for seq in (below, above, varphi, phi))
     d = len(below) - 1
-    b = [mul(mul(varphi[i], below[i]), inv(below[i + 1])) for i in range(d)] + [zero]
-    c = [zero] + [mul(mul(phi[i - 1], above[i]), inv(above[i - 1]))
-                  for i in range(1, d + 1)]
-    a = [sub(sub(theta0.value, x), y) for x, y in zip(c, b)]
-    return tuple(tuple([F._elements[x] for x in seq]) for seq in (a, b, c))
+    b = tuple([mul(mul(varphi[i], below[i]), inv(below[i + 1])) for i in range(d)]) + (zero,)
+    c = (zero,) + tuple([mul(mul(phi[i - 1], above[i]), inv(above[i - 1]))
+                         for i in range(1, d + 1)])
+    return tuple([sub(sub(theta0, x), y) for x, y in zip(c, b)]), b, c
 
 
 def recurrence_coeffs(a: Analysis) -> RecurrenceCoeffs:
     """The coefficients from the one-sided products of `Analysis.pair`."""
-    p, pair = a.p, a.pair
-    return RecurrenceCoeffs(
-        *_one_side(p.theta[0], *pair.sides_star, p.varphi, p.phi),
-        *_one_side(p.theta_star[0], *pair.sides, p.varphi, tuple(reversed(p.phi))))
+    p, pair, F = a.p, a.pair, a.p.field
+    vp, ph = _payloads(p.varphi), _payloads(p.phi)
+    return RecurrenceCoeffs(F, _one_side(F, p.theta[0].value, *pair.sides_star, vp, ph)
+                            + _one_side(F, p.theta_star[0].value, *pair.sides, vp, ph[::-1]))
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,9 @@ class Comparison:
 def _column_failures(got: SquareMatrix, want: SquareMatrix,
                      message: str) -> tuple[str, ...]:
     """message.format(i, j) for each entry (j, i) where got and want differ,
-    column i by column."""
+    column i by column; none, and no scan, where their payloads are equal."""
+    if got.values == want.values:
+        return ()
     pairs = zip(zip(*got.values), zip(*want.values))
     return tuple(message.format(i, j) for i, (x, y) in enumerate(pairs)
                  for j in range(len(x)) if x[j] != y[j])
@@ -83,20 +83,21 @@ def _column_failures(got: SquareMatrix, want: SquareMatrix,
 def three_term_comparison(a: Analysis) -> Comparison:
     """H P = P J, with H = diag(theta), P[j][i] = f_i(theta_j) and J
     tridiagonal with (c_i, a_i, b_i) down column i."""
-    p, P, co = a.p, a.polys.P, a.recurrence
-    J = SquareMatrix.diagonal(p.field, co.a, below=co.b[:-1], above=co.c[1:])
-    return Comparison(J, _column_failures(P.scale_rows(p.theta), P * J,
+    p, P = a.p, a.polys.P
+    ca, cb, cc = a.recurrence.values[:3]
+    J = SquareMatrix.diagonal(p.field, ca, below=cb[:-1], above=cc[1:])
+    return Comparison(J, _column_failures(P.scale_rows(_payloads(p.theta)), P * J,
                                           "recurrence fails for f_{} at theta_{}"))
 
 
 def difference_comparison(a: Analysis) -> Comparison:
     """P H* = J* P, with H* = diag(theta*) and J* tridiagonal with
     (c*_j, a*_j, b*_j) along row j."""
-    p, P, co = a.p, a.polys.P, a.recurrence
-    Jstar = SquareMatrix.diagonal(p.field, co.astar, below=co.cstar[1:],
-                                  above=co.bstar[:-1])
+    p, P = a.p, a.polys.P
+    astar, bstar, cstar = a.recurrence.values[3:]
+    Jstar = SquareMatrix.diagonal(p.field, astar, below=cstar[1:], above=bstar[:-1])
     return Comparison(Jstar, _column_failures(
-        P.scale_columns(p.theta_star), Jstar * P,
+        P.scale_columns(_payloads(p.theta_star)), Jstar * P,
         "difference equation fails for f_{} at theta_{}"))
 
 
@@ -119,10 +120,11 @@ def verify_difference(a: Analysis) -> CheckReport:
 def _alt_checks(th: Sequence[FieldElement], ths: Sequence[FieldElement],
                 vp: Sequence[FieldElement], co: tuple, report: CheckReport,
                 tag: str) -> None:
-    # theta, theta* and varphi of one side, on payloads
+    # theta, theta* and varphi of one side, and its payloads (a, b, c)
     F = th[0].field
     mul, add, sub, inv = F._mul, F._add, F._sub, F._checked_inv
-    th, ths, vp, a, b, c = ([x.value for x in seq] for seq in (th, ths, vp, *co))
+    th, ths, vp = _payloads(th), _payloads(ths), _payloads(vp)
+    a, b, c = co
     d = len(th) - 1
     for i in range(1, d + 1):
         ai = add(th[i], mul(vp[i - 1], inv(sub(ths[i], ths[i - 1]))))
@@ -158,8 +160,7 @@ def verify_alt_formulas(a: Analysis) -> CheckReport:
         return CheckReport("alt-recurrence",
                            skipped="no interior coefficients at d = 0")
     report = CheckReport("alt-recurrence")
-    co = a.recurrence
-    _alt_checks(p.theta, p.theta_star, p.varphi, (co.a, co.b, co.c), report, "")
-    _alt_checks(p.theta_star, p.theta, p.varphi, (co.astar, co.bstar, co.cstar),
-                report, "dual ")
+    co = a.recurrence.values
+    _alt_checks(p.theta, p.theta_star, p.varphi, co[:3], report, "")
+    _alt_checks(p.theta_star, p.theta, p.varphi, co[3:], report, "dual ")
     return report

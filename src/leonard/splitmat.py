@@ -28,18 +28,25 @@ T*^t), so no product is formed; `dense_leonard_blocks`, T A* T^-1 and
 T* A*' T*^-1 by products, is the route when a comparison fails or a
 varphi_i or phi_i is zero.
 
-A SquareMatrix holds the canonical payloads of its entries, row by row.
-Every banded matrix comes from one constructor, `SquareMatrix.diagonal`,
-given its diagonal and the off-diagonals below and above it: A and B (ones
-below), A* and B* (varphi and phi above), the dual A*' of
-`dense_leonard_blocks`, and the recurrence matrices J and J* of
-`recur`.  The identities checked here are chains of products, each one
+A SquareMatrix holds the canonical payloads of its entries, row by row,
+and every layer of `Analysis` holds payloads the same way: the products of
+differences and the prefix products here, and the tables, alphas, weights
+and recurrence coefficients that `polys`, `ortho` and `recur` read from
+them.  A FieldElement is built only where a reader asks for one: the
+`rows` of a matrix, and the named views (`_element_view`) of the weights
+and the recurrence coefficients, for the dumps and the tests.  Every
+banded matrix comes from one constructor, `SquareMatrix.diagonal`, given
+the payloads of its diagonal and of the off-diagonals below and above it:
+A and B (ones below), A* and B* (varphi and phi above), the dual A*' of
+`dense_leonard_blocks`, and the recurrence matrices J and J* of `recur`.
+`build` forms the matrices a check reads, A*, B*, T^-1 and G; A, B, D,
+Ddown, Z, H and H* are formed on first read, for the `matrices` dump and
+the tests.  The identities checked here are chains of products, each one
 call of the field's payload kernel `Field._matmul`, or of `scale_rows` and
-`scale_columns` where one factor is diagonal, so no FieldElement is built
-along a chain and comparing two results compares payload tuples.  The
-scalar chains (the products of differences, their inverses and the closed
-form of G) run on payloads too, through the field's `_mul`, `_sub` and
-`_checked_inv`, and wrap in elements only what a dataclass keeps.
+`scale_columns` where one factor is diagonal, so comparing two results
+compares payload tuples.  The scalar chains (the products of differences,
+their inverses and the closed form of G) run through the field's `_mul`,
+`_sub` and `_checked_inv`.
 """
 
 from __future__ import annotations
@@ -98,19 +105,18 @@ class SquareMatrix:
 
     @staticmethod
     def identity(field: Field, n: int) -> "SquareMatrix":
-        return SquareMatrix.diagonal(field, [field.one()] * n)
+        return SquareMatrix.diagonal(field, [field.one_value] * n)
 
     @staticmethod
-    def diagonal(field: Field, entries: Sequence[FieldElement],
-                 below: Sequence[FieldElement] = (),
-                 above: Sequence[FieldElement] = ()) -> "SquareMatrix":
+    def diagonal(field: Field, entries: Sequence, below: Sequence = (),
+                 above: Sequence = ()) -> "SquareMatrix":
         """The banded matrix with diagonal `entries`, below[i] at (i + 1, i)
-        and above[i] at (i, i + 1), written as payload rows."""
+        and above[i] at (i, i + 1), all three given as payloads."""
         n = len(entries)
         rows = [[field.zero_value] * n for _ in range(n)]
         for (r, c), band in (((0, 0), entries), ((1, 0), below), ((0, 1), above)):
             for i, x in enumerate(band):
-                rows[i + r][i + c] = x.value
+                rows[i + r][i + c] = x
         return SquareMatrix(field, n, tuple(map(tuple, rows)))
 
     def _require_match(self, other: "SquareMatrix") -> None:
@@ -147,17 +153,17 @@ class SquareMatrix:
             tuple([mul(x, c) for x in row]) for row in self.values
         ))
 
-    def scale_rows(self, c: Sequence[FieldElement]) -> "SquareMatrix":
-        """diag(c) * self, row i times c[i]: one `_mul` per pair of a
-        nonzero entry and a nonzero c[i], the pairs the kernel would
+    def scale_rows(self, c: Sequence) -> "SquareMatrix":
+        """diag(c) * self, row i times the payload c[i]: one `_mul` per pair
+        of a nonzero entry and a nonzero c[i], the pairs the kernel would
         multiply, and no kernel call."""
         F = self.field
         mul, zero = F._mul, F.zero_value
         return SquareMatrix(F, self.n, tuple(
             tuple([mul(x, y) if x != zero and y != zero else zero for x in row])
-            for row, y in zip(self.values, [e.value for e in c])))
+            for row, y in zip(self.values, c)))
 
-    def scale_columns(self, c: Sequence[FieldElement]) -> "SquareMatrix":
+    def scale_columns(self, c: Sequence) -> "SquareMatrix":
         """self * diag(c), column j times c[j], as scale_rows takes it."""
         return self.transpose().scale_rows(c).transpose()
 
@@ -191,27 +197,31 @@ class SquareMatrix:
                 "rows": [[self.field.format(x) for x in row] for row in self.rows]}
 
 
+def _payloads(elements: Sequence[FieldElement]) -> list:
+    return [x.value for x in elements]
+
+
 def difference_products(field: Field, values: Sequence[FieldElement]) -> SquareMatrix:
     """The lower-triangular matrix whose entry (i, j) is the product of
     values[i] - values[h] over h < j, taken as a running product along row i.
     Above the diagonal the product holds the factor values[i] - values[i], so
     it is zero."""
     mul, sub, one, zero = field._mul, field._sub, field.one_value, field.zero_value
-    vals = [x.value for x in values]
+    vals = _payloads(values)
     n = len(vals)
     return SquareMatrix(field, n, tuple(
         (one, *accumulate([sub(x, y) for y in vals[:i]], mul)) + (zero,) * (n - 1 - i)
         for i, x in enumerate(vals)))
 
 
-def one_sided_products(values: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """above[i], the product of values[i] - values[h] over h > i.  The
-    product over h < i, below[i], is the diagonal entry (i, i) of
-    difference_products(values)."""
+def one_sided_products(values: Sequence[FieldElement]) -> tuple:
+    """The payloads above[i], the product of values[i] - values[h] over
+    h > i.  The product over h < i, below[i], is the diagonal entry (i, i)
+    of difference_products(values)."""
     F = values[0].field
     mul, sub = F._mul, F._sub
-    vals = [x.value for x in values]
-    return tuple(F._elements[reduce(mul, [sub(x, y) for y in vals[i + 1:]], F.one_value)]
+    vals = _payloads(values)
+    return tuple(reduce(mul, [sub(x, y) for y in vals[i + 1:]], F.one_value)
                  for i, x in enumerate(vals))
 
 
@@ -219,16 +229,16 @@ def one_sided_products(values: Sequence[FieldElement]) -> tuple[FieldElement, ..
 class PairProducts:
     """The products of differences of one (theta, theta*) pair: T, T* and
     Tdown, and `sides` = (below, above), with below[i] and above[i] the
-    products of theta_i - theta_h over h < i and over h > i (`sides_star`
-    likewise for theta*).  below[i] above[i] is the denominator of the i-th
-    Lagrange basis polynomial, and 1 / (below[i] above[i]) the barycentric
-    weight of theta_i."""
+    payloads of the products of theta_i - theta_h over h < i and over
+    h > i (`sides_star` likewise for theta*).  below[i] above[i] is the
+    denominator of the i-th Lagrange basis polynomial, and 1 / (below[i]
+    above[i]) the barycentric weight of theta_i."""
 
     T: SquareMatrix
     Tstar: SquareMatrix
     Tdown: SquareMatrix
-    sides: tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]
-    sides_star: tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]
+    sides: tuple[tuple, tuple]
+    sides_star: tuple[tuple, tuple]
 
 
 def pair_products(field: Field, theta: Sequence[FieldElement],
@@ -239,17 +249,17 @@ def pair_products(field: Field, theta: Sequence[FieldElement],
     zeros, not an error."""
     T, Tstar, Tdown = (difference_products(field, v)
                        for v in (theta, theta_star, theta[::-1]))
-    below, above, below_star = (tuple(field._elements[row[i]] for i, row in enumerate(m.values))
+    below, above, below_star = (tuple([row[i] for i, row in enumerate(m.values)])
                                 for m in (T, Tdown, Tstar))
     return PairProducts(T=T, Tstar=Tstar, Tdown=Tdown, sides=(below, above[::-1]),
                         sides_star=(below_star, one_sided_products(theta_star)))
 
 
 def divided_differences(field: Field, values: Sequence[FieldElement],
-                        below: Sequence[FieldElement],
-                        above: Sequence[FieldElement]) -> SquareMatrix:
+                        below: Sequence, above: Sequence) -> SquareMatrix:
     """The inverse of difference_products(field, values), in closed form,
-    from the products below and above each value (`PairProducts`).
+    from the payloads of the products below and above each value
+    (`PairProducts`).
 
     Entry (k, j), for j <= k, is 1 / the product of values[j] - values[h]
     over h <= k, h != j: row k holds the weights of the divided difference
@@ -258,33 +268,29 @@ def divided_differences(field: Field, values: Sequence[FieldElement],
     values[j] - values[k + 1] a step.  Raises ZeroDivisionError when a
     value repeats."""
     mul, sub, inv = field._mul, field._sub, field._checked_inv
-    vals = [x.value for x in values]
+    vals = _payloads(values)
     columns = []
     for j, x in enumerate(vals):
-        foot = inv(mul(below[j].value, above[j].value))
+        foot = inv(mul(below[j], above[j]))
         column = accumulate([sub(x, y) for y in vals[:j:-1]], mul, initial=foot)
         columns.append((field.zero_value,) * j + tuple(reversed(list(column))))
     return SquareMatrix(field, len(vals), tuple(zip(*columns)))
 
 
-def prefix_products(field: Field,
-                    values: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """1, values[0], values[0] values[1], ..., the product of all values."""
-    acc, out = field.one(), [field.one()]
-    for v in values:
-        acc = acc * v
-        out.append(acc)
-    return tuple(out)
+def prefix_products(field: Field, values: Sequence[FieldElement]) -> tuple:
+    """The payloads of 1, values[0], values[0] values[1], ..., the product
+    of all values."""
+    return tuple(accumulate(_payloads(values), field._mul, initial=field.one_value))
 
 
 @dataclass(frozen=True)
 class SplitProducts:
-    """The diagonals of D and Ddown: D[i] = varphi_1 .. varphi_i and
-    Ddown[i] = phi_1 .. phi_i, with D[0] = Ddown[0] = 1.  The scalar that
-    relates f_i to its reversed companion is Ddown[i] / D[i]."""
+    """The payloads of the diagonals of D and Ddown: D[i] = varphi_1 ..
+    varphi_i and Ddown[i] = phi_1 .. phi_i, with D[0] = Ddown[0] = 1.  The
+    scalar that relates f_i to its reversed companion is Ddown[i] / D[i]."""
 
-    D: tuple[FieldElement, ...]
-    Ddown: tuple[FieldElement, ...]
+    D: tuple
+    Ddown: tuple
 
 
 def split_products(field: Field, varphi: Sequence[FieldElement],
@@ -294,47 +300,64 @@ def split_products(field: Field, varphi: Sequence[FieldElement],
     return SplitProducts(D=prefix_products(field, varphi), Ddown=prefix_products(field, phi))
 
 
+def _element_view(index: int, scalar: bool = False) -> cached_property:
+    """Entry `index` of the payloads `values` of a dataclass with a `field`,
+    wrapped in FieldElements the first time it is read, as SquareMatrix.rows
+    wraps the payload rows: a tuple of elements, or one element where the
+    entry is one payload (`scalar`)."""
+    def view(self):
+        wrap, x = self.field._elements, self.values[index]
+        return wrap[x] if scalar else tuple([wrap[v] for v in x])
+    return cached_property(view)
+
+
 @dataclass(frozen=True)
 class SplitMatrixSet:
-    """The matrices realizing a parameter array in the split basis."""
+    """The matrices realizing a parameter array `p` in the split basis.  The
+    fields are the ones a check reads, with T, T* and Tdown from
+    `Analysis.pair`; A, B, D, Ddown, Z, H and H* are formed from `p` and
+    `splits` the first time they are read."""
 
-    A: SquareMatrix
-    B: SquareMatrix
+    p: ParameterArray
+    splits: SplitProducts
     Astar: SquareMatrix
     Bstar: SquareMatrix
     T: SquareMatrix
     Tinv: SquareMatrix
     Tstar: SquareMatrix
     Tdown: SquareMatrix
-    D: SquareMatrix
-    Ddown: SquareMatrix
-    Z: SquareMatrix
-    H: SquareMatrix
-    Hstar: SquareMatrix
     G: SquareMatrix
+
+    def _banded(self, diagonal: Sequence[FieldElement], below: bool = False) -> SquareMatrix:
+        F = self.p.field
+        ones = [F.one_value] * self.p.d if below else ()
+        return SquareMatrix.diagonal(F, _payloads(diagonal), below=ones)
+
+    A = cached_property(lambda self: self._banded(self.p.theta, below=True))
+    B = cached_property(lambda self: self._banded(self.p.theta[::-1], below=True))
+    D = cached_property(lambda self: SquareMatrix.diagonal(self.p.field, self.splits.D))
+    Ddown = cached_property(lambda self: SquareMatrix.diagonal(self.p.field, self.splits.Ddown))
+    Z = cached_property(lambda self: SquareMatrix(self.p.field, self.p.d + 1, (
+        SquareMatrix.identity(self.p.field, self.p.d + 1).values[::-1])))
+    H = cached_property(lambda self: self._banded(self.p.theta))
+    Hstar = cached_property(lambda self: self._banded(self.p.theta_star))
 
 
 def build(a: Analysis) -> SplitMatrixSet:
-    p, pair, splits = a.p, a.pair, a.splits
+    """A*, B*, T^-1 and G, each formed once; raises IdentityViolated where
+    G is not one at (0, 0)."""
+    p, pair = a.p, a.pair
     F, n = p.field, p.d + 1
-    th, ths, ones = p.theta, p.theta_star, [F.one()] * p.d
-    A = SquareMatrix.diagonal(F, th, below=ones)
-    B = SquareMatrix.diagonal(F, th[::-1], below=ones)
-    Astar = SquareMatrix.diagonal(F, ths, above=p.varphi)
-    Bstar = SquareMatrix.diagonal(F, ths, above=p.phi)
-
-    D, Ddown = (SquareMatrix.diagonal(F, x) for x in (splits.D, splits.Ddown))
-    Z = SquareMatrix(F, n, SquareMatrix.identity(F, n).values[::-1])
-
+    ths = _payloads(p.theta_star)
+    Astar, Bstar = (SquareMatrix.diagonal(F, ths, above=_payloads(x))
+                    for x in (p.varphi, p.phi))
     # G = T^-1 Z Tdown, and Z Tdown is Tdown with its rows reversed
-    Tinv = divided_differences(F, th, *pair.sides)
+    Tinv = divided_differences(F, p.theta, *pair.sides)
     G = Tinv * SquareMatrix(F, n, pair.Tdown.values[::-1])
     if G.values[0][0] != F.one_value:
         raise IdentityViolated("transition matrix is not unit-normalized at (0, 0)")
-    return SplitMatrixSet(A=A, B=B, Astar=Astar, Bstar=Bstar, T=pair.T, Tinv=Tinv,
-                          Tstar=pair.Tstar, Tdown=pair.Tdown, D=D, Ddown=Ddown, Z=Z,
-                          H=SquareMatrix.diagonal(F, th),
-                          Hstar=SquareMatrix.diagonal(F, ths), G=G)
+    return SplitMatrixSet(p=p, splits=a.splits, Astar=Astar, Bstar=Bstar, T=pair.T,
+                          Tinv=Tinv, Tstar=pair.Tstar, Tdown=pair.Tdown, G=G)
 
 
 def verify_conjugation(a: Analysis) -> CheckReport:
@@ -359,10 +382,9 @@ def verify_conjugation(a: Analysis) -> CheckReport:
     D^-1 is not taken; a zero varphi raises SingularMatrix at the first
     zero D_i, with the message Gauss-Jordan on D gives.
     """
-    m = a.matrices
-    for i, x in enumerate(a.splits.D):
-        if not x:
-            raise SingularMatrix(f"no pivot in column {i}")
+    m, D, zero = a.matrices, a.splits.D, a.p.field.zero_value
+    if zero in D:
+        raise SingularMatrix(f"no pivot in column {D.index(zero)}")
     report = CheckReport("conjugation")
     if m.Astar * m.G != m.G * m.Bstar:
         report.add("Ginv * A* * G = B* violated")
@@ -400,7 +422,7 @@ def dense_leonard_blocks(a: Analysis) -> tuple[SquareMatrix, SquareMatrix]:
     `divided_differences` of theta*, which takes n inverses."""
     m, p, pair = a.matrices, a.p, a.pair
     F = p.field
-    K = (pair.Tstar * SquareMatrix.diagonal(F, p.theta, above=p.varphi)
+    K = (pair.Tstar * SquareMatrix.diagonal(F, _payloads(p.theta), above=_payloads(p.varphi))
          * divided_differences(F, p.theta_star, *pair.sides_star))
     return K, m.T * m.Astar * m.Tinv
 
@@ -436,9 +458,13 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     identities D A* D^-1 T*^t = T*^t H* and D A*' D^-1 T^t = T^t H give
     T A* T^-1 = P H* P^-1 and K = P^t H P^-t; the difference equation
     P H* = J* P makes the first J*, and the three-term recurrence H P =
-    P J makes K = J^t, exactly.  Otherwise the blocks are the products of
-    `dense_leonard_blocks`.  Either way build and the theta* test come
-    first, so the exceptions do not depend on the route.
+    P J makes K = J^t, exactly.  J and J* are tridiagonal, so only their
+    2d entries next to the diagonal are read: row i of the E* A E* block
+    is one at (i, i - 1) and J[i][i + 1] at (i, i + 1).  Otherwise the
+    blocks are the products of `dense_leonard_blocks`, read entry by
+    entry.  Either way the entries are read in row-major order by one
+    loop, build and the theta* test come first, and the lines and the
+    exceptions do not depend on the route.
 
     Only the two blocks are computed: the eigenvector labels `A U = U H`
     and `A* V = V H*` hold by construction for distinct theta and theta*
@@ -452,24 +478,26 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     zero, one = p.field.zero_value, p.field.one_value
     if (all(vp) and all(p.phi) and not a.three_term.failures
             and not a.difference.failures):
-        K, block = a.three_term.J.transpose(), a.difference.J
+        J, Jstar = a.three_term.J.values, a.difference.J.values
+        band = [(i, j) for i in range(n) for j in (i - 1, i + 1) if 0 <= j < n]
+        star = [(i, j, one if j < i else J[i][j]) for i, j in band]
+        block = [(i, j, Jstar[i][j]) for i, j in band]
     else:
-        K, block = dense_leonard_blocks(a)
-    K = K.values
-    star = []
-    for i in range(n):
-        stop = next((j for j in range(i + 1, n) if not vp[j - 1]), n)
-        star.append([one if j == i - 1 else K[j][i] if i <= j < stop else zero
-                     for j in range(n)])
+        K, block = (x.values for x in dense_leonard_blocks(a))
+        star = []
+        for i in range(n):
+            stop = next((j for j in range(i + 1, n) if not vp[j - 1]), n)
+            star += [(i, j, one if j == i - 1 else K[j][i] if i <= j < stop else zero)
+                     for j in range(n)]
+        block = [(i, j, x) for i, row in enumerate(block) for j, x in enumerate(row)]
 
     report = CheckReport("leonard-conditions")
-    for label, rows in (("E* A E*", star), ("E A* E", block.values)):
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if abs(i - j) > 1 and x != zero:
-                    report.add(f"{label} block ({i}, {j}) should vanish")
-                if abs(i - j) == 1 and x == zero:
-                    report.add(f"{label} block ({i}, {j}) should be nonzero")
+    for label, entries in (("E* A E*", star), ("E A* E", block)):
+        for i, j, x in entries:
+            if abs(i - j) > 1 and x != zero:
+                report.add(f"{label} block ({i}, {j}) should vanish")
+            if abs(i - j) == 1 and x == zero:
+                report.add(f"{label} block ({i}, {j}) should be nonzero")
     return report
 
 
@@ -507,7 +535,7 @@ def s_matrix(p: ParameterArray, q: FieldElement) -> SquareMatrix:
         raise BaseNotApplicable("q is a root of unity of order at most d")
     ipoch = [inv(x) for x in poch]
 
-    th = [x.value for x in p.theta]
+    th = _payloads(p.theta)
     prefix = accumulate([sub(th[0], x) for x in th[:0:-1]], mul, initial=F.one_value)
     by_s = [mul(mul(x, poch[d - s]), ipoch[s]) for s, x in enumerate(prefix)]
     by_i = [mul(mul(poch[d - i], ipoch[i]), ipoch[d]) for i in range(d + 1)]

@@ -30,6 +30,12 @@ def qarr(theta, theta_star, varphi, phi):
     return make_array(Q, conv(theta), conv(theta_star), conv(varphi), conv(phi))
 
 
+def elements(F, payloads):
+    """The elements of F with the given payloads, in order: how a test
+    reads a payload layer of `Analysis` as elements."""
+    return tuple(F._elements[v] for v in payloads)
+
+
 def dense_mul(x, y):
     """The schoolbook product, every entry the full sum of n terms started
     from zero: the oracle for SquareMatrix.__mul__, which skips zero terms."""

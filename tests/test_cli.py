@@ -631,6 +631,36 @@ def test_scoreboard_kernel_calls_at_d16(monkeypatch):
     assert len(calls) == 7
 
 
+def test_scoreboard_elements_in_d(monkeypatch):
+    """The layers of Analysis hold payloads.  From Analysis(p) through the
+    11 checks (the scoreboard less validate), a q-Racah scoreboard over Q
+    builds 32 FieldElements at d = 6 and at d = 16, all of them in the
+    transition-matrix check's base search and its guards on q: 186 and 396
+    when the products of differences, the prefix products, the alphas, the
+    weights and the recurrence coefficients were held as elements.  Every
+    element of Q is built by `_Fresh.__getitem__`."""
+    from leonard import fields, validate
+
+    built = 0
+
+    def counted(self, value, fresh=fields._Fresh.__getitem__):
+        nonlocal built
+        built += 1
+        return fresh(self, value)
+
+    for d in (6, 16):
+        fp = sample_params("q-racah", d, Q, random.Random("conjugation-cost"))
+        p = generate(fp, Q)
+        assert _scoreboard(p)[1]  # the first call imports the checks' modules
+        with monkeypatch.context() as patch:
+            patch.setattr(fields._Fresh, "__getitem__", counted)
+            built = 0
+            validate(p)
+            in_validate, built = built, 0
+            _scoreboard(p)
+        assert built - in_validate <= 32, (d, built, in_validate)
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("theta", [0, 1, 2], "theta entries must be strings, got 0"),
     ("varphi", "-4,-4", "varphi must be a list of strings"),

@@ -92,7 +92,7 @@ from leonard.ortho import OrthoData
 from leonard.parray import first_case1_base, split_sequences
 from leonard.polys import PolyTable
 from leonard.splitmat import _require_distinct, divided_differences
-from conftest import dense_mul, qarr, random_array, satisfies_pa1_pa2
+from conftest import dense_mul, elements, qarr, random_array, satisfies_pa1_pa2
 
 FIELDS = {
     "Q": rational_field(),
@@ -190,6 +190,25 @@ def perturbations(p, rng):
         p, varphi=bumped(p.varphi, k, p.varphi[k] + F.one()))
     yield f"theta*_{j} + 1", replace(
         p, theta_star=bumped(p.theta_star, j, p.theta_star[j] + F.one()))
+
+
+def payloads(values):
+    return [x.value for x in values]
+
+
+def recurrence_of(F, *seqs):
+    """The RecurrenceCoeffs of six sequences of elements."""
+    return RecurrenceCoeffs(F, tuple(tuple(payloads(seq)) for seq in seqs))
+
+
+def ortho_of(F, k, kstar, nu):
+    """The OrthoData of the weights and nu given as elements."""
+    return OrthoData(F, (tuple(payloads(k)), tuple(payloads(kstar)), nu.value))
+
+
+def sides_of(F, sides):
+    """A pair of one-sided products (`PairProducts.sides`) as elements."""
+    return tuple(elements(F, seq) for seq in sides)
 
 
 def sampled_arrays(label, F):
@@ -379,7 +398,7 @@ def recurrence_oracle(p):
     a, b, c = one_side_oracle(p.theta[0], p.theta_star, p.varphi, p.phi)
     astar, bstar, cstar = one_side_oracle(p.theta_star[0], p.theta,
                                           p.varphi, tuple(reversed(p.phi)))
-    return RecurrenceCoeffs(a=a, b=b, c=c, astar=astar, bstar=bstar, cstar=cstar)
+    return recurrence_of(p.field, a, b, c, astar, bstar, cstar)
 
 
 def ortho_data_oracle(p):
@@ -412,7 +431,7 @@ def ortho_data_oracle(p):
         nu = nu * (th[0] - th[j]) * (ths[0] - ths[j])
     for x in ph:
         nu = nu * x.inverse()
-    return OrthoData(k=k, kstar=kstar, nu=nu)
+    return ortho_of(F, k, kstar, nu)
 
 
 def endpoint_oracle(a):
@@ -420,8 +439,8 @@ def endpoint_oracle(a):
     p = a.p
     d = p.d
     report = CheckReport("endpoint-values")
-    vals = endpoint_evaluations(a)
-    for i, alpha in enumerate(proportionality_alphas(a)):
+    vals = elements(p.field, endpoint_evaluations(a))
+    for i, alpha in enumerate(elements(p.field, proportionality_alphas(a))):
         if vals[i] != alpha:
             report.add(f"f_{i}(theta_d) differs from the phi/varphi cumulative ratio")
             return report
@@ -524,7 +543,7 @@ def polys_oracle(a):
         products = [F.one()]
         for v in values:
             products.append(products[-1] * v)
-        return SquareMatrix.diagonal(F, [x.inverse() for x in products])
+        return SquareMatrix.diagonal(F, [x.inverse().value for x in products])
 
     Dinv, Ddown_inv = inverse_diagonal(p.varphi), inverse_diagonal(p.phi)
     Tstar_t = pair.Tstar.transpose()
@@ -539,7 +558,7 @@ def ratio_weights_oracle(a):
     weight family, and nu over its own product of phi."""
     p, pair = a.p, a.pair
     F, vp, ph = p.field, p.varphi, p.phi
-    (below, above), (below_s, above_s) = pair.sides, pair.sides_star
+    (below, above), (below_s, above_s) = sides_of(F, pair.sides), sides_of(F, pair.sides_star)
 
     def weights(below, above, num_seq, den_seq):
         ratio, out = F.one(), []
@@ -552,7 +571,7 @@ def ratio_weights_oracle(a):
     k = weights(below_s, above_s, vp, ph)
     kstar = weights(below, above, vp, tuple(reversed(ph)))
     nu = above[0] * above_s[0] * reduce(lambda x, y: x * y, ph, F.one()).inverse()
-    return OrthoData(k=k, kstar=kstar, nu=nu)
+    return ortho_of(F, k, kstar, nu)
 
 
 def alphas_oracle(a):
@@ -562,7 +581,7 @@ def alphas_oracle(a):
     alpha = [p.field.one()]
     for i in range(1, p.d + 1):
         alpha.append(alpha[-1] * p.phi[i - 1] * p.varphi[i - 1].inverse())
-    return alpha
+    return payloads(alpha)
 
 
 @pytest.mark.parametrize("label", list(FIELDS))
@@ -754,8 +773,8 @@ def test_dual_block_gives_the_recurrence_block_entry_by_entry(label):
         V, Vinv = recurrence_eigenvectors(a)
         block = (Vinv * a.matrices.A * V).rows
         F, n, pair = p.field, p.d + 1, a.pair
-        below = pair.sides_star[0]
-        K = (pair.Tstar * SquareMatrix.diagonal(F, p.theta, above=p.varphi)
+        below = elements(F, pair.sides_star[0])
+        K = (pair.Tstar * SquareMatrix.diagonal(F, payloads(p.theta), above=payloads(p.varphi))
              * divided_differences(F, p.theta_star, *pair.sides_star)).rows
         for i in range(n):
             for j in range(n):
@@ -962,15 +981,16 @@ def s_matrix_elements(p, q):
 
 
 def ortho_data_elements(a):
-    (below, above), (below_s, above_s) = a.pair.sides, a.pair.sides_star
-    D, Ddown = a.splits.D, a.splits.Ddown
+    F = a.p.field
+    (below, above), (below_s, above_s) = sides_of(F, a.pair.sides), sides_of(F, a.pair.sides_star)
+    D, Ddown = elements(F, a.splits.D), elements(F, a.splits.Ddown)
     d = len(D) - 1
     k = tuple(D[i] * above_s[0] * (Ddown[i] * below_s[i] * above_s[i]).inverse()
               for i in range(d + 1))
     kstar = tuple(D[i] * Ddown[d - i] * above[0] * (Ddown[d] * below[i] * above[i]).inverse()
                   for i in range(d + 1))
     nu = above[0] * above_s[0] * Ddown[d].inverse()
-    return OrthoData(k=k, kstar=kstar, nu=nu)
+    return ortho_of(F, k, kstar, nu)
 
 
 def recurrence_elements(a):
@@ -983,9 +1003,10 @@ def recurrence_elements(a):
         return tuple(theta0 - c[i] - b[i] for i in range(d + 1)), tuple(b), tuple(c)
 
     p, pair = a.p, a.pair
-    return RecurrenceCoeffs(
-        *one_side(p.theta[0], *pair.sides_star, p.varphi, p.phi),
-        *one_side(p.theta_star[0], *pair.sides, p.varphi, tuple(reversed(p.phi))))
+    F = p.field
+    return recurrence_of(
+        F, *one_side(p.theta[0], *sides_of(F, pair.sides_star), p.varphi, p.phi),
+        *one_side(p.theta_star[0], *sides_of(F, pair.sides), p.varphi, tuple(reversed(p.phi))))
 
 
 def alt_formulas_elements(a):
@@ -1015,7 +1036,7 @@ def alt_formulas_elements(a):
 def proportionality_elements(a):
     P, Pdown = a.polys.P.rows, a.polys.Pdown.rows
     report = CheckReport("proportionality")
-    for i, alpha in enumerate(a.alphas):
+    for i, alpha in enumerate(elements(a.p.field, a.alphas)):
         if any(row[i] != alpha * down[i] for row, down in zip(P, Pdown)):
             report.add(f"f_{i} is not alpha_{i} times its reversed companion")
             break
@@ -1030,19 +1051,19 @@ def columns_differ(report, got, want, message):
 
 
 def three_term_kernel(a):
-    p, P, co = a.p, a.polys.P, a.recurrence
+    p, P, (ca, cb, cc) = a.p, a.polys.P, a.recurrence.values[:3]
     report = CheckReport("three-term")
-    J = SquareMatrix.diagonal(p.field, co.a, below=co.b[:-1], above=co.c[1:])
-    columns_differ(report, SquareMatrix.diagonal(p.field, p.theta) * P, P * J,
+    J = SquareMatrix.diagonal(p.field, ca, below=cb[:-1], above=cc[1:])
+    columns_differ(report, SquareMatrix.diagonal(p.field, payloads(p.theta)) * P, P * J,
                    "recurrence fails for f_{} at theta_{}")
     return report
 
 
 def difference_kernel(a):
-    p, P, co = a.p, a.polys.P, a.recurrence
+    p, P, (astar, bstar, cstar) = a.p, a.polys.P, a.recurrence.values[3:]
     report = CheckReport("difference")
-    Jstar = SquareMatrix.diagonal(p.field, co.astar, below=co.cstar[1:], above=co.bstar[:-1])
-    columns_differ(report, P * SquareMatrix.diagonal(p.field, p.theta_star), Jstar * P,
+    Jstar = SquareMatrix.diagonal(p.field, astar, below=cstar[1:], above=bstar[:-1])
+    columns_differ(report, P * SquareMatrix.diagonal(p.field, payloads(p.theta_star)), Jstar * P,
                    "difference equation fails for f_{} at theta_{}")
     return report
 
@@ -1053,7 +1074,7 @@ def orthogonality_kernel(a):
     report = CheckReport("orthogonality")
 
     def gram_failures(kind, X, weights, diag):
-        gram = X * SquareMatrix.diagonal(F, weights) * X.transpose()
+        gram = X * SquareMatrix.diagonal(F, payloads(weights)) * X.transpose()
         want = [(data.nu * x.inverse()).value for x in diag]
         for i, row in enumerate(gram.values):
             for j, x in enumerate(row):
@@ -1070,9 +1091,9 @@ def pair_elements(a):
     p = a.p
     F = p.field
     return tuple(difference_products_elements(F, v) for v in (p.theta, p.theta_star, p.theta[::-1])) \
-        + (one_sided_products_elements(p.theta_star),
-           divided_differences_elements(F, p.theta, *a.pair.sides),
-           divided_differences_elements(F, p.theta_star, *a.pair.sides_star))
+        + (tuple(payloads(one_sided_products_elements(p.theta_star))),
+           divided_differences_elements(F, p.theta, *sides_of(F, a.pair.sides)),
+           divided_differences_elements(F, p.theta_star, *sides_of(F, a.pair.sides_star)))
 
 
 def pair_payloads(a):

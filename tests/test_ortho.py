@@ -55,12 +55,13 @@ def test_weight_sum_failures_name_each_family_in_order(kraw3):
     """A bumped k_0, k*_0 or both gives exactly the lines for the sums it
     breaks, k before k*."""
     data = ortho_data(Analysis(kraw3))
-    one = kraw3.field.one()
-    bump = lambda w: (w[0] + one,) + w[1:]
+    k, kstar, nu = data.values
+    F = kraw3.field
+    bump = lambda w: (F._add(w[0], F.one_value),) + w[1:]
     k_line, kstar_line = "sum of k weights differs from nu", "sum of k* weights differs from nu"
-    for changed, lines in ((replace(data, k=bump(data.k)), [k_line]),
-                           (replace(data, kstar=bump(data.kstar)), [kstar_line]),
-                           (replace(data, k=bump(data.k), kstar=bump(data.kstar)),
+    for changed, lines in ((replace(data, values=(bump(k), kstar, nu)), [k_line]),
+                           (replace(data, values=(k, bump(kstar), nu)), [kstar_line]),
+                           (replace(data, values=(bump(k), bump(kstar), nu)),
                             [k_line, kstar_line])):
         a = Analysis(kraw3)
         a.ortho = changed
@@ -184,14 +185,17 @@ def gram_outcomes(p):
         P, data = a.polys.P, a.ortho
     except ZeroDivisionError:
         return None
-    passes = (("row", P.transpose(), data.kstar, data.k),
-              ("column", P, data.k, data.kstar))
+    # _gram_failures takes the weights as payloads, the oracle as elements
+    passes = (("row", P.transpose(), 1, 0), ("column", P, 0, 1))
     out = []
-    for kind, X, weights, diag in passes:
-        for check, vecs in ((_gram_failures, X), (gram_failures_oracle, X.rows)):
+    for kind, X, w, g in passes:
+        for check, vecs, (k, kstar, nu) in (
+                (_gram_failures, X, data.values),
+                (gram_failures_oracle, X.rows, (data.k, data.kstar, data.nu))):
+            weights, diag = (k, kstar)[w], (k, kstar)[g]
             report = CheckReport("orthogonality")
             try:
-                check(report, kind, vecs, weights, diag, data.nu)
+                check(report, kind, vecs, weights, diag, nu)
                 out.append(report.failures)
             except ZeroDivisionError as e:
                 out.append(type(e))

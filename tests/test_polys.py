@@ -19,7 +19,7 @@ from leonard import (
     proportionality_alphas,
     verify_proportionality,
 )
-from conftest import Poly, Q, horner_table, pa1_pa2_perturbations
+from conftest import Poly, Q, elements, horner_table, pa1_pa2_perturbations
 
 
 def test_poly_arithmetic():
@@ -83,7 +83,7 @@ def test_evaluation_matrix_is_first_transition_product(qrac3, orphan3):
 
 
 def test_proportionality_alpha_values(fix_d1, kraw2):
-    alphas = lambda p: [Q.format(a) for a in proportionality_alphas(Analysis(p))]
+    alphas = lambda p: [Q.format(a) for a in elements(Q, proportionality_alphas(Analysis(p)))]
     assert alphas(fix_d1) == ["1", "2"]
     assert alphas(kraw2) == ["1", "1/2", "1/4"]
     for p in (fix_d1, kraw2):
@@ -91,7 +91,7 @@ def test_proportionality_alpha_values(fix_d1, kraw2):
 
 
 def test_proportionality_alpha_is_phi_ratio(qrac3):
-    alphas = proportionality_alphas(Analysis(qrac3))
+    alphas = elements(Q, proportionality_alphas(Analysis(qrac3)))
     num = den = Q.one()
     assert alphas[0] == Q.one()
     for i in range(1, qrac3.d + 1):
@@ -110,8 +110,8 @@ def test_proportionality_rejects_mangled_arrays(kraw3):
 def test_endpoint_values_match_alpha(fix_d1, qrac3):
     for p in (fix_d1, qrac3):
         assert endpoint_values(Analysis(p)).ok()
-        vals = endpoint_evaluations(Analysis(p))
-        alphas = proportionality_alphas(Analysis(p))
+        vals = elements(p.field, endpoint_evaluations(Analysis(p)))
+        alphas = elements(p.field, proportionality_alphas(Analysis(p)))
         t = horner_table(p)
         for i, v in enumerate(vals):
             assert v == alphas[i]
@@ -119,7 +119,7 @@ def test_endpoint_values_match_alpha(fix_d1, qrac3):
 
 
 def test_endpoint_weighted_by_k(qrac3):
-    vals = endpoint_evaluations(Analysis(qrac3))
+    vals = elements(Q, endpoint_evaluations(Analysis(qrac3)))
     k = ortho_data(Analysis(qrac3)).k
     d = qrac3.d
     ts = qrac3.theta_star
@@ -147,7 +147,7 @@ def oracle_proportionality(a):
     f_i and alpha_i times its reversed companion."""
     h = horner_table(a.p)
     report = CheckReport("proportionality")
-    for i, alpha in enumerate(proportionality_alphas(a)):
+    for i, alpha in enumerate(elements(a.p.field, proportionality_alphas(a))):
         if h.f[i] != h.fdown[i].scale(alpha):
             report.add(f"f_{i} is not alpha_{i} times its reversed companion")
             break

@@ -18,9 +18,10 @@ here:
   checks report the lines of the dense route, or raise its exception type;
 - weights or tables changed under an Analysis, where the row route applies
   but the rows fail, give the dense Gram's lines;
-- on the passing path over GF(1000003) at d = 8, 16 and 32, the Leonard
-  check makes no kernel call, and the orthogonality check's products grow
-  by at most 4.5 per doubling of d, where the dense Gram's grow by about 8.
+- on the passing path over GF(1000003) and over Q at d = 8, 16 and 32,
+  the Leonard check makes no kernel call, and the orthogonality check's
+  products grow by at most 4.5 per doubling of d, where the dense Gram's
+  grow by about 8.
 """
 
 import itertools
@@ -103,11 +104,11 @@ def dense_leonard_conditions(a):
 
 def dense_orthogonality(a):
     """verify_orthogonality with the row pass always the dense Gram."""
-    P, data = a.polys.P, a.ortho
+    P, (k, kstar, nu) = a.polys.P, a.ortho.values
     report = CheckReport("orthogonality")
-    _gram_failures(report, "row", P.transpose(), data.kstar, data.k, data.nu)
-    if report.failures or not data.nu:
-        _gram_failures(report, "column", P, data.k, data.kstar, data.nu)
+    _gram_failures(report, "row", P.transpose(), kstar, k, nu)
+    if report.failures or nu == P.field.zero_value:
+        _gram_failures(report, "column", P, k, kstar, nu)
     return report
 
 
@@ -214,14 +215,14 @@ def changed_weights(a, rng):
     """Copies of a's weights with k*_j, k_i (i > 0) or nu times a scalar c
     other than 0 and 1, so that no weight becomes zero."""
     data, F = a.ortho, a.p.field
+    k, kstar, nu = data.values
     c = next(x for x in iter(lambda: F.random_element(rng, nonzero=True), None)
-             if x != F.one())
+             if x != F.one()).value
     j, i = rng.randrange(a.p.d + 1), 1 + rng.randrange(a.p.d)
-    yield f"k*_{j} c", replace(data, kstar=tuple(
-        x * c if r == j else x for r, x in enumerate(data.kstar)))
-    yield f"k_{i} c", replace(data, k=tuple(
-        x * c if r == i else x for r, x in enumerate(data.k)))
-    yield "nu c", replace(data, nu=data.nu * c)
+    times_c = lambda w, h: tuple(F._mul(x, c) if r == h else x for r, x in enumerate(w))
+    yield f"k*_{j} c", replace(data, values=(k, times_c(kstar, j), nu))
+    yield f"k_{i} c", replace(data, values=(times_c(k, i), kstar, nu))
+    yield "nu c", replace(data, values=(k, kstar, F._mul(nu, c)))
 
 
 def kept_first_row_table(a, rng):
@@ -268,22 +269,24 @@ def test_rows_fail_with_the_dense_lines_where_the_route_applies(label):
 
 
 def test_passing_path_costs_in_d(monkeypatch):
-    """Over GF(1000003), with the shared objects built: the Leonard check
-    makes no kernel call, and the orthogonality check's products grow by at
-    most 4.5 per doubling of d (n^2 + O(n) products for the row route)."""
-    F = prime_field(1000003)
-    kernel, calls, products = type(F)._matmul, [], []
-    monkeypatch.setattr(type(F), "_matmul",
-                        lambda G, x, y: calls.append(x) or kernel(G, x, y))
-    for d in (8, 16, 32):
-        fp = sample_params("q-racah", d, F, random.Random(f"cost-in-d/{d}"))
-        a = Analysis(generate(fp, F))
-        a.matrices, a.polys, a.ortho, a.three_term, a.difference
-        calls.clear()
-        assert verify_leonard_conditions(a).ok()
-        assert calls == [], d
-        reports = []
-        products.append(count_multiplications(
-            lambda: reports.append(verify_orthogonality(a))))
-        assert reports[0].ok(), d
-    assert all(y <= 4.5 * x for x, y in zip(products, products[1:])), products
+    """Over GF(1000003) and over Q, with the shared objects built: the
+    Leonard check makes no kernel call, and the orthogonality check's
+    products grow by at most 4.5 per doubling of d (n^2 + O(n) products for
+    the row route).  Over Q a product is a `_mul` or a pair of int terms
+    of the kernel, as `count_multiplications` counts them."""
+    for F in (prime_field(1000003), rational_field()):
+        kernel, calls, products = type(F)._matmul, [], []
+        monkeypatch.setattr(type(F), "_matmul",
+                            lambda G, x, y, kernel=kernel: calls.append(x) or kernel(G, x, y))
+        for d in (8, 16, 32):
+            fp = sample_params("q-racah", d, F, random.Random(f"cost-in-d/{d}"))
+            a = Analysis(generate(fp, F))
+            a.matrices, a.polys, a.ortho, a.three_term, a.difference
+            calls.clear()
+            assert verify_leonard_conditions(a).ok()
+            assert calls == [], (F, d)
+            reports = []
+            products.append(count_multiplications(
+                lambda: reports.append(verify_orthogonality(a))))
+            assert reports[0].ok(), (F, d)
+        assert all(y <= 4.5 * x for x, y in zip(products, products[1:])), (F, products)

@@ -199,7 +199,7 @@ def test_scalings_match_diagonal_products(label):
     rng = random.Random(f"scalings/{label}")
     entry = lambda: kernel_entry(F, rng)
     for name, m in shaped_matrices(F, 6, rng, entry=entry).items():
-        c = [entry() for _ in range(m.n)]
+        c = [entry().value for _ in range(m.n)]
         diag = SquareMatrix.diagonal(F, c)
         for scaled, product, oracle in (
                 (lambda: m.scale_rows(c), lambda: diag * m, dense_mul(diag, m)),
@@ -237,13 +237,15 @@ def test_banded_constructor_matches_the_old_builders(label):
     for n in range(1, 8):
         a, b, c = ([kernel_entry(F, rng) for _ in range(n)] for _ in range(3))
         sup = b[:-1]
-        assert SquareMatrix.diagonal(F, a) == bidiag_upper(F, a, [F.zero()] * (n - 1))
-        assert SquareMatrix.diagonal(F, a, above=sup) == bidiag_upper(F, a, sup)
-        assert (SquareMatrix.diagonal(F, a, below=sup)
+        # diagonal takes payloads, the old builders elements
+        va, vb, vc, vsup = ([x.value for x in xs] for xs in (a, b, c, sup))
+        assert SquareMatrix.diagonal(F, va) == bidiag_upper(F, a, [F.zero()] * (n - 1))
+        assert SquareMatrix.diagonal(F, va, above=vsup) == bidiag_upper(F, a, sup)
+        assert (SquareMatrix.diagonal(F, va, below=vsup)
                 == bidiag_upper(F, a, sup).transpose())
-        J = SquareMatrix.diagonal(F, a, below=b[:-1], above=c[1:])
+        J = SquareMatrix.diagonal(F, va, below=vb[:-1], above=vc[1:])
         assert J == tridiagonal(F, c, a, b)
-        Jstar = SquareMatrix.diagonal(F, a, below=c[1:], above=b[:-1])
+        Jstar = SquareMatrix.diagonal(F, va, below=vc[1:], above=vb[:-1])
         assert Jstar == tridiagonal(F, c, a, b).transpose()
         assert_canonical(F, J)
 
@@ -402,7 +404,7 @@ def _diagonal_inverse(m):
     for i, row in enumerate(m.rows):
         if not row[i]:
             raise SingularMatrix(f"no pivot in column {i}")
-        inv.append(row[i].inverse())
+        inv.append(row[i].inverse().value)
     return SquareMatrix.diagonal(m.field, inv)
 
 
