@@ -99,6 +99,15 @@ right column is written as integers over the lcm of its denominators once
 per product, so an entry is one integer dot and one gcd: the reductions are
 delayed to one per entry, as in the delayed modular reduction of
 FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
+
+An identity L X = X R with L and R tridiagonal is decided without forming
+either side, by _intertwining_failures, which returns the entries where
+the sides differ: at most three products a side per entry, through _mul
+and _add, then a payload comparison.  Over Q it needs no reduction at all.
+Each column of X is written as integers over the lcm of its denominators
+once, each row of L and each column of R over theirs, and an entry is
+decided by comparing two integer dots, each times a factor that does not
+grow with X: no gcd, and no common denominator formed per entry.
 """
 
 from __future__ import annotations
@@ -492,6 +501,22 @@ def _nonzero_terms(rows, zero) -> list[list[tuple[int, object]]]:
     return [[(j, x) for j, x in enumerate(row) if x != zero] for row in rows]
 
 
+def _band_terms(zero, diagonal, below=(), above=()) -> list[list[tuple[int, object]]]:
+    """For each row of the tridiagonal matrix with these diagonals, below[i]
+    at (i + 1, i) and above[i] at (i, i + 1) as `SquareMatrix.diagonal`
+    takes them, the (k, x) pairs of its entries x other than zero, in
+    column order.  Its columns are _band_terms(zero, diagonal, above,
+    below)."""
+    rows = [[(i, x)] if x != zero else [] for i, x in enumerate(diagonal)]
+    for i, x in enumerate(below):
+        if x != zero:
+            rows[i + 1].insert(0, (i, x))
+    for i, x in enumerate(above):
+        if x != zero:
+            rows[i].append((i + 1, x))
+    return rows
+
+
 def _int_products(left, right) -> Iterator[list[int]]:
     """The rows of the product of two int matrices, each given by the
     nonzero terms of its rows, with no reduction: each nonzero left[i][k]
@@ -550,15 +575,21 @@ class Field:
 
     def _matmul(self, left, right):
         """The payload rows of the matrix product of two square matrices
-        given by payload rows.  Each nonzero left[i][k] is multiplied into
-        the nonzero entries of right[k], and each output entry starts from
-        its first product, so zero terms cost one test and nothing else.
-        This version works term by term through _mul and _add; the
-        rationals delay their reductions."""
+        given by payload rows.  This version works term by term through
+        _mul and _add (`_term_products`); the rationals delay their
+        reductions."""
+        zero = self.zero_value
+        return self._term_products(_nonzero_terms(left, zero), _nonzero_terms(right, zero))
+
+    def _term_products(self, left, right):
+        """The payload rows of the product of two square matrices, each
+        given by the nonzero terms of its rows.  Each nonzero left[i][k] is
+        multiplied into the nonzero entries of right[k], and each output
+        entry starts from its first product, so zero terms cost one test
+        and nothing else."""
         zero, mul, add = self.zero_value, self._mul, self._add
-        right = _nonzero_terms(right, zero)
         out = []
-        for row in _nonzero_terms(left, zero):
+        for row in left:
             acc = [None] * len(right)
             for k, a in row:
                 for j, b in right[k]:
@@ -566,6 +597,20 @@ class Field:
                     acc[j] = mul(a, b) if t is None else add(t, mul(a, b))
             out.append(tuple([zero if x is None else x for x in acc]))
         return tuple(out)
+
+    def _intertwining_failures(self, L, X, R) -> list[tuple[int, int]]:
+        """The entries (i, j), row by row, where (L X)[i][j] != (X R)[i][j].
+        L and R are tridiagonal, each given by the payloads of its
+        (diagonal, below, above) as `SquareMatrix.diagonal` takes them, and
+        X by payload rows.  Each side is a band times X or X times a band:
+        at most three `_mul` an entry on each side, and no kernel call.
+        Equal rows are passed over by one tuple comparison each."""
+        zero = self.zero_value
+        X = _nonzero_terms(X, zero)
+        left = self._term_products(_band_terms(zero, *L), X)
+        right = self._term_products(X, _band_terms(zero, *R))
+        return [(i, j) for i, (got, want) in enumerate(zip(left, right)) if got != want
+                for j, (x, y) in enumerate(zip(got, want)) if x != y]
 
     # shared API -----------------------------------------------------------
     def zero(self) -> FieldElement:
@@ -746,6 +791,35 @@ class RationalField(Field):
                     out_row.append((0, 1))
             out.append(tuple(out_row))
         return tuple(out)
+
+    def _intertwining_failures(self, L, X, R) -> list[tuple[int, int]]:
+        # Each column j of X is written as integers over the lcm c_j of its
+        # denominators, once, and each row i of L over the lcm l_i of its
+        # own, so (L X)[i][j] is an int dot s over l_i c_j.  Column j of R,
+        # over the lcm m_j of its denominators, is further scaled to the lcm
+        # c_j e_j of the c_k of the rows k it meets and of c_j, so (X R)[i][j]
+        # is an int dot t of the same integers over c_j e_j m_j.  An entry
+        # is then decided by s e_j m_j != t l_i: dots of at most three
+        # terms, two products by factors that do not grow with X, and no
+        # gcd.  Where R is diagonal, e_j = 1.
+        c = [lcm(*[d for _, d in col]) for col in zip(*X)]
+        X = [[(j, n * (c[j] // d)) for j, (n, d) in enumerate(row) if n] for row in X]
+        rows, l_den = [], []
+        for row in _band_terms((0, 1), *L):
+            l = lcm(*[d for _, (_, d) in row])
+            rows.append([(k, n * (l // d)) for k, (n, d) in row])
+            l_den.append(l)
+        diagonal, below, above = R
+        w, f = [[] for _ in c], []
+        for j, col in enumerate(_band_terms((0, 1), diagonal, above, below)):
+            m = lcm(*[d for _, (_, d) in col])
+            e = lcm(c[j], *[c[k] for k, _ in col])
+            f.append(e // c[j] * m)
+            for k, (n, d) in col:
+                w[k].append((j, n * (m // d) * (e // c[k])))
+        return [(i, j) for i, (s, t, l) in enumerate(zip(_int_products(rows, X),
+                                                         _int_products(X, w), l_den))
+                for j, (x, y, e) in enumerate(zip(s, t, f)) if x * e != y * l]
 
     def from_int(self, n: int) -> FieldElement:
         return self._elements[(n, 1)]

@@ -3,22 +3,27 @@
 The recurrence coefficients give two tridiagonal matrices: J, with
 (c_i, a_i, b_i) down column i, and J*, with (c*_j, a*_j, b*_j) along row
 j.  The three-term recurrence is the identity H P = P J on the evaluation
-table P, and the difference equation is P H* = J* P.  Each comparison
+table P, and the difference equation is J* P = P H*.  Each comparison
 (`three_term_comparison`, `difference_comparison`) is made once per array
 and kept on `Analysis` with its matrix and its failure lines: the two
 checks of this module print the lines, and where both lists are empty
 `verify_leonard_conditions` reads its blocks off J and J*, and
 `verify_orthogonality` its row Gram off J.
 
+Both identities have the shape L X = X R with L and R tridiagonal, and
+each is one call of `Field._intertwining_failures` on the diagonals of L
+and R and the payload rows of P: neither side is formed as a matrix, and
+the lines name the entries where the two sides differ, column by column.
+
 The coefficients are held as payloads, like the one-sided products they
 are read from; the names a .. cstar of `RecurrenceCoeffs` wrap them in
-elements for the `recurrence` dump and the tests.  A comparison of two
-equal payload tables finds no line without a scan.
+elements for the `recurrence` dump and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .fields import Field, FieldElement
@@ -69,36 +74,33 @@ class Comparison:
     failures: tuple[str, ...]
 
 
-def _column_failures(got: SquareMatrix, want: SquareMatrix,
-                     message: str) -> tuple[str, ...]:
-    """message.format(i, j) for each entry (j, i) where got and want differ,
-    column i by column; none, and no scan, where their payloads are equal."""
-    if got.values == want.values:
-        return ()
-    pairs = zip(zip(*got.values), zip(*want.values))
-    return tuple(message.format(i, j) for i, (x, y) in enumerate(pairs)
-                 for j in range(len(x)) if x[j] != y[j])
-
-
 def three_term_comparison(a: Analysis) -> Comparison:
     """H P = P J, with H = diag(theta), P[j][i] = f_i(theta_j) and J
-    tridiagonal with (c_i, a_i, b_i) down column i."""
+    tridiagonal with (c_i, a_i, b_i) down column i.  It is decided as its
+    transpose J^t P^t = P^t H, with the diagonal factor on the right, where
+    `Field._intertwining_failures` needs no common denominator across
+    columns; an entry (i, j) that fails there is f_i at theta_j."""
     p, P = a.p, a.polys.P
+    F = p.field
     ca, cb, cc = a.recurrence.values[:3]
-    J = SquareMatrix.diagonal(p.field, ca, below=cb[:-1], above=cc[1:])
-    return Comparison(J, _column_failures(P.scale_rows(_payloads(p.theta)), P * J,
-                                          "recurrence fails for f_{} at theta_{}"))
+    failures = F._intertwining_failures((ca, cc[1:], cb[:-1]), tuple(zip(*P.values)),
+                                        (_payloads(p.theta), (), ()))
+    return Comparison(SquareMatrix.diagonal(F, ca, below=cb[:-1], above=cc[1:]), tuple(
+        f"recurrence fails for f_{i} at theta_{j}" for i, j in failures))
 
 
 def difference_comparison(a: Analysis) -> Comparison:
-    """P H* = J* P, with H* = diag(theta*) and J* tridiagonal with
-    (c*_j, a*_j, b*_j) along row j."""
+    """J* P = P H*, with H* = diag(theta*) and J* tridiagonal with
+    (c*_j, a*_j, b*_j) along row j; the lines name the failing entries
+    column by column."""
     p, P = a.p, a.polys.P
+    F = p.field
     astar, bstar, cstar = a.recurrence.values[3:]
-    Jstar = SquareMatrix.diagonal(p.field, astar, below=cstar[1:], above=bstar[:-1])
-    return Comparison(Jstar, _column_failures(
-        P.scale_columns(_payloads(p.theta_star)), Jstar * P,
-        "difference equation fails for f_{} at theta_{}"))
+    bands = (astar, cstar[1:], bstar[:-1])
+    failures = F._intertwining_failures(bands, P.values, (_payloads(p.theta_star), (), ()))
+    return Comparison(SquareMatrix.diagonal(F, *bands), tuple(
+        f"difference equation fails for f_{j} at theta_{i}"
+        for i, j in sorted(failures, key=itemgetter(1))))
 
 
 def verify_three_term(a: Analysis) -> CheckReport:

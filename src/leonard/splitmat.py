@@ -39,14 +39,16 @@ banded matrix comes from one constructor, `SquareMatrix.diagonal`, given
 the payloads of its diagonal and of the off-diagonals below and above it:
 A and B (ones below), A* and B* (varphi and phi above), the dual A*' of
 `dense_leonard_blocks`, and the recurrence matrices J and J* of `recur`.
-`build` forms the matrices a check reads, A*, B*, T^-1 and G; A, B, D,
-Ddown, Z, H and H* are formed on first read, for the `matrices` dump and
-the tests.  The identities checked here are chains of products, each one
-call of the field's payload kernel `Field._matmul`, or of `scale_rows` and
+`build` forms the matrices a check reads, T^-1 and G; A, B, A*, B*, D,
+Ddown, Z, H and H* are formed on first read, for the `matrices` dump, the
+dense Leonard blocks and the tests.  The products here are each one call
+of the field's payload kernel `Field._matmul`, or of `scale_rows` and
 `scale_columns` where one factor is diagonal, so comparing two results
-compares payload tuples.  The scalar chains (the products of differences,
-their inverses and the closed form of G) run through the field's `_mul`,
-`_sub` and `_checked_inv`.
+compares payload tuples.  The conjugation identity A* G = G B* forms
+neither side: A* and B* are bidiagonal, and it is one call of
+`Field._intertwining_failures` on their diagonals and the rows of G.  The
+scalar chains (the products of differences, their inverses and the closed
+form of G) run through the field's `_mul`, `_sub` and `_checked_inv`.
 """
 
 from __future__ import annotations
@@ -315,26 +317,27 @@ def _element_view(index: int, scalar: bool = False) -> cached_property:
 class SplitMatrixSet:
     """The matrices realizing a parameter array `p` in the split basis.  The
     fields are the ones a check reads, with T, T* and Tdown from
-    `Analysis.pair`; A, B, D, Ddown, Z, H and H* are formed from `p` and
-    `splits` the first time they are read."""
+    `Analysis.pair`; A, B, A*, B*, D, Ddown, Z, H and H* are formed from
+    `p` and `splits` the first time they are read."""
 
     p: ParameterArray
     splits: SplitProducts
-    Astar: SquareMatrix
-    Bstar: SquareMatrix
     T: SquareMatrix
     Tinv: SquareMatrix
     Tstar: SquareMatrix
     Tdown: SquareMatrix
     G: SquareMatrix
 
-    def _banded(self, diagonal: Sequence[FieldElement], below: bool = False) -> SquareMatrix:
+    def _banded(self, diagonal: Sequence[FieldElement], below: bool = False,
+                above: Sequence[FieldElement] = ()) -> SquareMatrix:
         F = self.p.field
         ones = [F.one_value] * self.p.d if below else ()
-        return SquareMatrix.diagonal(F, _payloads(diagonal), below=ones)
+        return SquareMatrix.diagonal(F, _payloads(diagonal), below=ones, above=_payloads(above))
 
     A = cached_property(lambda self: self._banded(self.p.theta, below=True))
     B = cached_property(lambda self: self._banded(self.p.theta[::-1], below=True))
+    Astar = cached_property(lambda self: self._banded(self.p.theta_star, above=self.p.varphi))
+    Bstar = cached_property(lambda self: self._banded(self.p.theta_star, above=self.p.phi))
     D = cached_property(lambda self: SquareMatrix.diagonal(self.p.field, self.splits.D))
     Ddown = cached_property(lambda self: SquareMatrix.diagonal(self.p.field, self.splits.Ddown))
     Z = cached_property(lambda self: SquareMatrix(self.p.field, self.p.d + 1, (
@@ -344,20 +347,17 @@ class SplitMatrixSet:
 
 
 def build(a: Analysis) -> SplitMatrixSet:
-    """A*, B*, T^-1 and G, each formed once; raises IdentityViolated where
-    G is not one at (0, 0)."""
+    """T^-1 and G, each formed once; raises IdentityViolated where G is not
+    one at (0, 0)."""
     p, pair = a.p, a.pair
     F, n = p.field, p.d + 1
-    ths = _payloads(p.theta_star)
-    Astar, Bstar = (SquareMatrix.diagonal(F, ths, above=_payloads(x))
-                    for x in (p.varphi, p.phi))
     # G = T^-1 Z Tdown, and Z Tdown is Tdown with its rows reversed
     Tinv = divided_differences(F, p.theta, *pair.sides)
     G = Tinv * SquareMatrix(F, n, pair.Tdown.values[::-1])
     if G.values[0][0] != F.one_value:
         raise IdentityViolated("transition matrix is not unit-normalized at (0, 0)")
-    return SplitMatrixSet(p=p, splits=a.splits, Astar=Astar, Bstar=Bstar, T=pair.T,
-                          Tinv=Tinv, Tstar=pair.Tstar, Tdown=pair.Tdown, G=G)
+    return SplitMatrixSet(p=p, splits=a.splits, T=pair.T, Tinv=Tinv, Tstar=pair.Tstar,
+                          Tdown=pair.Tdown, G=G)
 
 
 def verify_conjugation(a: Analysis) -> CheckReport:
@@ -366,8 +366,10 @@ def verify_conjugation(a: Analysis) -> CheckReport:
     Only `Ginv * A* * G = B*` is computed, as A* G = G B*: G = T^-1 Z Tdown
     is invertible by construction (T and Tdown are lower triangular with
     the nonzero diagonal that build requires, Z is a permutation), so the
-    two forms hold together.  A* and B* are bidiagonal, so each side costs
-    O(n^2) field operations.
+    two forms hold together.  A* and B* are bidiagonal, so the identity is
+    one call of `Field._intertwining_failures` on their diagonals and the
+    rows of G, at most two products an entry on each side, O(n^2) field
+    operations, with neither side formed.
 
     The other labels of the check hold for every distinct theta, theta* and
     nonzero varphi, so they are identities of build, not properties of the
@@ -382,11 +384,14 @@ def verify_conjugation(a: Analysis) -> CheckReport:
     D^-1 is not taken; a zero varphi raises SingularMatrix at the first
     zero D_i, with the message Gauss-Jordan on D gives.
     """
-    m, D, zero = a.matrices, a.splits.D, a.p.field.zero_value
+    G, p, D = a.matrices.G, a.p, a.splits.D
+    zero = p.field.zero_value
     if zero in D:
         raise SingularMatrix(f"no pivot in column {D.index(zero)}")
     report = CheckReport("conjugation")
-    if m.Astar * m.G != m.G * m.Bstar:
+    ths = _payloads(p.theta_star)
+    if p.field._intertwining_failures((ths, (), _payloads(p.varphi)), G.values,
+                                      (ths, (), _payloads(p.phi))):
         report.add("Ginv * A* * G = B* violated")
     return report
 

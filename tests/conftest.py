@@ -30,6 +30,14 @@ def qarr(theta, theta_star, varphi, phi):
     return make_array(Q, conv(theta), conv(theta_star), conv(varphi), conv(phi))
 
 
+def ci_q_racah(d):
+    """The q-Racah array of the CI steps: q = 2, h = h* = 1, s = 3, s* = 5,
+    r1 = 2 and r2 = s s* q^(d+1) / r1."""
+    names = dict(q=2, h=1, hstar=1, s=3, sstar=5, r1=2, r2=15 * 2**d, theta0=0, thetastar0=0)
+    values = {name: Q.from_int(x) for name, x in names.items()}
+    return generate(FamilyParams(family="q-racah", d=d, values=values), Q)
+
+
 def elements(F, payloads):
     """The elements of F with the given payloads, in order: how a test
     reads a payload layer of `Analysis` as elements."""
@@ -50,7 +58,9 @@ def count_multiplications(fn):
     """Call fn() and return how many field multiplications it made: the
     calls of the payload product `_mul`, whether an element operator, a
     matrix method or a scalar chain on payloads makes them, and the pairs
-    of int terms that the Q kernel multiplies in fields._int_products.
+    of int terms that the Q kernel and the Q intertwining test
+    (`RationalField._intertwining_failures`) multiply in
+    fields._int_products.
     Q and GF(p) define `_mul` on their classes; an extension field keeps
     it on the instance, so every cached extension field is counted there.
     The kernels hand `_int_products` and `_mul` only their nonzero terms,

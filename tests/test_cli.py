@@ -595,14 +595,16 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
 def test_scoreboard_multiplications_at_d16():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
-    # 10,825 of them, counting payload products: 18,711 when
-    # verify_leonard_conditions formed its two blocks by products and
-    # verify_orthogonality the dense row Gram on the passing path, and
-    # 19,440 when s_matrix took
-    # seven products and an inverse per entry and the products of
-    # differences started from a product by one.  Counting element
-    # products and kernel terms only, as the counter did before the scalar
-    # chains ran on payloads: 19,439, and 19,573 before that, 19,590 when
+    # 10,825 of them, counting payload products and the int terms of the
+    # kernel and of the intertwining test: as many as when the sides of the
+    # conjugation, three-term and difference identities were kernel
+    # products and scalings, and 18,711 when verify_leonard_conditions
+    # formed its two blocks by products and verify_orthogonality the dense
+    # row Gram on the passing path, and 19,440 when s_matrix took seven
+    # products and an inverse per entry and the products of differences
+    # started from a product by one.  Counting element products and kernel
+    # terms only, as the counter did before the scalar chains ran on
+    # payloads: 19,439, and 19,573 before that, 19,590 when
     # verify_proportionality and endpoint_values each formed the alphas,
     # 19,981 when verify_leonard_conditions read E* A E* from V and V^-1
     # recurrences too, 20,072 when build, polys and ortho each formed their
@@ -612,9 +614,10 @@ def test_scoreboard_multiplications_at_d16():
 
 
 def test_scoreboard_kernel_calls_at_d16(monkeypatch):
-    """The diagonal factors are scalings, not kernel products, and on the
+    """The diagonal factors are scalings, not kernel products, on the
     passing path the Leonard blocks and the row Gram come from the
-    recurrence comparisons."""
+    recurrence comparisons, and the conjugation, three-term and difference
+    identities form neither side."""
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
     calls = []
@@ -622,13 +625,15 @@ def test_scoreboard_kernel_calls_at_d16(monkeypatch):
     monkeypatch.setattr(type(Q), "_matmul",
                         lambda F, x, y: calls.append(x) or kernel(F, x, y))
     assert _scoreboard(p)[1]
-    # 7: G, the two sides of the conjugation, P and Pdown, P J and J* P.
-    # 12 when verify_leonard_conditions formed its blocks by four products
-    # and verify_orthogonality the row Gram by one, and 17 when T D^-1 and
+    # 3: G, P and Pdown.  7 when the two sides of the conjugation, P J and
+    # J* P were kernel products, before Field._intertwining_failures decided
+    # the three identities without forming either side; 12 when
+    # verify_leonard_conditions formed its blocks by four products and
+    # verify_orthogonality the row Gram by one, and 17 when T D^-1 and
     # Tdown Ddown^-1 in corresponding_polys, X W in the Gram matrix, H P in
     # verify_three_term and P H* in verify_difference were kernel products
     # with a diagonal matrix
-    assert len(calls) == 7
+    assert len(calls) == 3
 
 
 def test_scoreboard_elements_in_d(monkeypatch):

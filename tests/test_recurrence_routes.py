@@ -21,11 +21,23 @@ here:
 - on the passing path over GF(1000003) and over Q at d = 8, 16 and 32,
   the Leonard check makes no kernel call, and the orthogonality check's
   products grow by at most 4.5 per doubling of d, where the dense Gram's
-  grow by about 8.
+  grow by about 8; the three-term and difference comparisons and the
+  conjugation check make no kernel call either, and their products grow
+  by at most 4.5 per doubling;
+- those three checks, each one `Field._intertwining_failures` call, give
+  the lines of the dense products they replaced (`dense_three_term`,
+  `dense_difference`, `dense_conjugation`) in their order, or raise their
+  exception type, on the perturbed arrays.
+
+    python tests/test_recurrence_routes.py D
+
+runs the last comparison on the CI q-Racah array over Q at diameter D and
+on nine perturbations of it; CI runs it at D = 24.
 """
 
 import itertools
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -33,6 +45,7 @@ import pytest
 from leonard import (
     Analysis,
     CheckReport,
+    SingularMatrix,
     enumerate_arrays,
     extension_field,
     generate,
@@ -41,14 +54,16 @@ from leonard import (
     prime_field,
     rational_field,
     sample_params,
+    verify_conjugation,
     verify_leonard_conditions,
     verify_orthogonality,
 )
 from leonard.fields import _find_irreducible
 from leonard.ortho import _gram_failures, _rows_hold
 from leonard.polys import PolyTable
+from leonard.recur import difference_comparison, three_term_comparison
 from leonard.splitmat import SquareMatrix, _require_distinct, dense_leonard_blocks
-from conftest import count_multiplications
+from conftest import ci_q_racah, count_multiplications
 
 FIELDS = {
     "Q": rational_field(),
@@ -110,6 +125,59 @@ def dense_orthogonality(a):
     if report.failures or nu == P.field.zero_value:
         _gram_failures(report, "column", P, k, kstar, nu)
     return report
+
+
+def _column_lines(got, want, message):
+    """message.format(i, j) for each entry (j, i) where got and want
+    differ, column by column."""
+    pairs = zip(zip(*got.values), zip(*want.values))
+    return [message.format(i, j) for i, (x, y) in enumerate(pairs)
+            for j in range(len(x)) if x[j] != y[j]]
+
+
+def dense_three_term(a):
+    """The three-term lines from the products H P and P J, as
+    three_term_comparison wrote them before it called
+    `Field._intertwining_failures`."""
+    p, P = a.p, a.polys.P
+    ca, cb, cc = a.recurrence.values[:3]
+    H = SquareMatrix.diagonal(p.field, [x.value for x in p.theta])
+    J = SquareMatrix.diagonal(p.field, ca, below=cb[:-1], above=cc[1:])
+    return _column_lines(H * P, P * J, "recurrence fails for f_{} at theta_{}")
+
+
+def dense_difference(a):
+    """The difference lines from the products P H* and J* P."""
+    p, P = a.p, a.polys.P
+    astar, bstar, cstar = a.recurrence.values[3:]
+    Hstar = SquareMatrix.diagonal(p.field, [x.value for x in p.theta_star])
+    Jstar = SquareMatrix.diagonal(p.field, astar, below=cstar[1:], above=bstar[:-1])
+    return _column_lines(P * Hstar, Jstar * P, "difference equation fails for f_{} at theta_{}")
+
+
+def dense_conjugation(a):
+    """The conjugation lines from the products A* G and G B*."""
+    m, D = a.matrices, a.splits.D
+    if a.p.field.zero_value in D:
+        raise SingularMatrix(f"no pivot in column {D.index(a.p.field.zero_value)}")
+    return [] if m.Astar * m.G == m.G * m.Bstar else ["Ginv * A* * G = B* violated"]
+
+
+# each check by Field._intertwining_failures, and by the dense products
+INTERTWINING_CHECKS = {
+    "three-term": (lambda a: a.three_term.failures, dense_three_term),
+    "difference": (lambda a: a.difference.failures, dense_difference),
+    "conjugation": (lambda a: verify_conjugation(a).failures, dense_conjugation),
+}
+
+
+def lines_or_raised(route, a):
+    """The lines of route(a) as a list, or the type of the exception
+    raised."""
+    try:
+        return list(route(a))
+    except Exception as e:  # the comparison is over exception types
+        return type(e)
 
 
 def outcome(check, p):
@@ -211,6 +279,22 @@ def test_checks_match_the_dense_route_on_perturbed_arrays():
                     for kind in ("passes", "fails", "raises")}, seen
 
 
+def test_intertwining_checks_match_the_dense_products_on_perturbed_arrays():
+    """The three-term, difference and conjugation checks give the lines of
+    the dense products in their order, or raise their exception type, on
+    the perturbed arrays; every outcome occurs for each check."""
+    seen = set()
+    for label, name, q in perturbed_cases():
+        a = Analysis(q)
+        for check, (route, oracle) in INTERTWINING_CHECKS.items():
+            want = lines_or_raised(oracle, a)
+            assert lines_or_raised(route, a) == want, (label, name, check)
+            seen.add((check, "raises" if isinstance(want, type) else "fails" if want
+                      else "passes"))
+    assert seen == {(check, kind) for check in INTERTWINING_CHECKS
+                    for kind in ("passes", "fails", "raises")}, seen
+
+
 def changed_weights(a, rng):
     """Copies of a's weights with k*_j, k_i (i > 0) or nu times a scalar c
     other than 0 and 1, so that no weight becomes zero."""
@@ -272,10 +356,17 @@ def test_passing_path_costs_in_d(monkeypatch):
     """Over GF(1000003) and over Q, with the shared objects built: the
     Leonard check makes no kernel call, and the orthogonality check's
     products grow by at most 4.5 per doubling of d (n^2 + O(n) products for
-    the row route).  Over Q a product is a `_mul` or a pair of int terms
-    of the kernel, as `count_multiplications` counts them."""
+    the row route).  Nor do the three-term and difference comparisons and
+    the conjugation check make a kernel call, and their products grow by at
+    most 4.5 per doubling too (at most 6 n^2, two band dots an entry).
+    Over Q a product is a `_mul` or a pair of int terms of the kernel or
+    of the intertwining test, as `count_multiplications` counts them."""
+    sites = {"orthogonality": lambda a: verify_orthogonality(a).ok(),
+             "three-term": lambda a: not three_term_comparison(a).failures,
+             "difference": lambda a: not difference_comparison(a).failures,
+             "conjugation": lambda a: verify_conjugation(a).ok()}
     for F in (prime_field(1000003), rational_field()):
-        kernel, calls, products = type(F)._matmul, [], []
+        kernel, calls, products = type(F)._matmul, [], {name: [] for name in sites}
         monkeypatch.setattr(type(F), "_matmul",
                             lambda G, x, y, kernel=kernel: calls.append(x) or kernel(G, x, y))
         for d in (8, 16, 32):
@@ -285,8 +376,45 @@ def test_passing_path_costs_in_d(monkeypatch):
             calls.clear()
             assert verify_leonard_conditions(a).ok()
             assert calls == [], (F, d)
-            reports = []
-            products.append(count_multiplications(
-                lambda: reports.append(verify_orthogonality(a))))
-            assert reports[0].ok(), (F, d)
-        assert all(y <= 4.5 * x for x, y in zip(products, products[1:])), (F, products)
+            for name, site in sites.items():
+                passed = []
+                products[name].append(count_multiplications(lambda: passed.append(site(a))))
+                assert passed == [True], (F, d, name)
+                if name != "orthogonality":
+                    assert calls == [], (F, d, name)
+        for name, counts in products.items():
+            assert counts[0] > 0 and all(y <= 4.5 * x for x, y in zip(counts, counts[1:])), (
+                F, name, counts)
+
+
+def ci_perturbations(d):
+    """The CI q-Racah array over Q at diameter d, then copies with phi_k + 1
+    and varphi_k + 1 at k = 1, d // 2 + 1 and d, and with theta*_j + 1 at
+    j = 0, d // 2 and d."""
+    p = ci_q_racah(d)
+    one = p.field.one()
+
+    def bumped(values, k):
+        return tuple(x + one if i == k else x for i, x in enumerate(values))
+
+    yield "as generated", p
+    for k in sorted({0, d // 2, d - 1}):
+        yield f"phi_{k + 1} + 1", replace(p, phi=bumped(p.phi, k))
+        yield f"varphi_{k + 1} + 1", replace(p, varphi=bumped(p.varphi, k))
+    for j in sorted({0, d // 2, d}):
+        yield f"theta*_{j} + 1", replace(p, theta_star=bumped(p.theta_star, j))
+
+
+if __name__ == "__main__":
+    d = int(sys.argv[1])
+    arrays = lines = 0
+    for name, q in ci_perturbations(d):
+        a = Analysis(q)
+        for check, (route, oracle) in INTERTWINING_CHECKS.items():
+            got = lines_or_raised(route, a)
+            assert got == lines_or_raised(oracle, a), (name, check)
+            lines += len(got) if isinstance(got, list) else 0
+        arrays += 1
+    print(f"CI q-racah d={d} and {arrays - 1} perturbations: the three-term, "
+          f"difference and conjugation lines are those of the dense products "
+          f"({lines} lines)")

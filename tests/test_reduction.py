@@ -9,8 +9,10 @@ entry by entry, to that of the GF(p) array.  Checked here: the matrices of
 the `matrices` dump, the table P of `poly-table` and the payloads of
 `weights` and `recurrence`; and both scoreboards pass.  The Q kernel
 (`RationalField._matmul`, fraction-free by row and column) and the
-generic kernel of GF(p) share no code, so this checks one field kind's
-version of the payload layers against the other's.
+generic kernel of GF(p) share no code, and nor do the two intertwining
+tests of the three-term, difference and conjugation checks
+(`_intertwining_failures`), so this checks one field kind's version of
+the payload layers against the other's.
 
 The inputs are the Q inputs of `test_leonard_oracle.audit_cases` (a
 sampled array of every family at d <= 4, its perturbations and random
@@ -31,21 +33,13 @@ import sys
 
 import pytest
 
-from leonard import Analysis, FamilyParams, generate, make_array, prime_field, validate
+from leonard import Analysis, make_array, prime_field, validate
 from leonard.cli import _DUMPS, _scoreboard
-from conftest import Q
+from conftest import ci_q_racah
 from test_leonard_oracle import audit_cases
 from test_recurrence_routes import sampled_arrays
 
 PRIMES = (1000003, 10007)
-
-
-def ci_q_racah(d):
-    """The q-Racah array of the CI steps: q = 2, h = h* = 1, s = 3, s* = 5,
-    r1 = 2 and r2 = s s* q^(d+1) / r1."""
-    names = dict(q=2, h=1, hstar=1, s=3, sstar=5, r1=2, r2=15 * 2**d, theta0=0, thetastar0=0)
-    values = {name: Q.from_int(x) for name, x in names.items()}
-    return generate(FamilyParams(family="q-racah", d=d, values=values), Q)
 
 
 def reduce_value(p, value):

@@ -122,14 +122,14 @@ KERNEL_FIELDS = {
 }
 
 
-def kernel_entry(F, rng):
-    """A random entry, zero one time in four; over Q with numerator and
-    denominator up to 2^200."""
-    if rng.random() < 0.25:
+def kernel_entry(F, rng, nonzero=False, bits=200):
+    """A random entry, zero one time in four unless `nonzero`; over Q with
+    numerator and denominator up to 2^bits."""
+    if not nonzero and rng.random() < 0.25:
         return F.zero()
     if F.is_finite():
-        return F.random_element(rng)
-    return Q.parse(f"{rng.randint(-2**200, 2**200)}/{rng.randint(1, 2**200)}")
+        return F.random_element(rng, nonzero=nonzero)
+    return Q.parse(f"{rng.randint(-2**bits, 2**bits)}/{rng.randint(1, 2**bits)}")
 
 
 def assert_canonical(F, m):
@@ -259,6 +259,108 @@ def test_bidiagonal_product_costs_band_multiplications():
     assert count_multiplications(lambda: lower * dense) <= 2 * n * n
 
 
+# The fields of the intertwining oracle: Q with entries of up to 1,000 bits,
+# GF(7), GF(4) by tables, GF(3^7) above the table cap and GF(2^61 - 1).
+INTERTWINING_FIELDS = {
+    "Q": Q,
+    "GF(7)": PRODUCT_FIELDS["GF(7)"],
+    "GF(4)": PRODUCT_FIELDS["GF(4)"],
+    "GF(3^7)": PRODUCT_FIELDS["GF(3^7)"],
+    "GF(2^61 - 1)": prime_field(2**61 - 1),
+}
+
+# which off-diagonals of T are present: (below, above)
+BAND_SHAPES = {
+    "diagonal": (False, False),
+    "lower bidiagonal": (True, False),
+    "upper bidiagonal": (False, True),
+    "tridiagonal": (True, True),
+}
+
+
+def intertwined(F, n, shape, rng):
+    """Bands L and R and a matrix X with L X = X R: T with the off-diagonals
+    of `shape`, entries zero one time in four, D diagonal and nonzero, and
+    X = D p(T) for a random p of degree n - 1, so that L = D T D^-1 and
+    R = T; X has zero entries where T has zero bands or zero entries.  Over
+    Q the entries of D have up to 1,000 bits, and so have those of X and
+    L."""
+    has_below, has_above = BAND_SHAPES[shape]
+    entry = lambda: kernel_entry(F, rng, bits=64)
+    band = lambda present: [entry() for _ in range(n - 1)] if present else []
+    diag, below, above = [entry() for _ in range(n)], band(has_below), band(has_above)
+    D = [kernel_entry(F, rng, nonzero=True, bits=1000) for _ in range(n)]
+    pay = lambda xs: [x.value for x in xs]
+    T = SquareMatrix.diagonal(F, pay(diag), pay(below), pay(above))
+    power, X = SquareMatrix.identity(F, n), SquareMatrix.diagonal(F, [F.zero_value] * n)
+    for _ in range(n):
+        X, power = X + power.scale(entry()), dense_mul(power, T)
+    X = SquareMatrix.diagonal(F, pay(D)) * X
+    L = (pay(diag), pay([D[i + 1] * x / D[i] for i, x in enumerate(below)]),
+         pay([D[i] * x / D[i + 1] for i, x in enumerate(above)]))
+    return L, X, (pay(diag), pay(below), pay(above))
+
+
+def planted(F, L, X, R, rng):
+    """The triple, then copies with one mismatch planted: X[r][s] + 1, the
+    diagonal of L + 1 at r, and a present off-diagonal of R + 1 at k."""
+    n, one = X.n, F.one_value
+    bump = lambda xs, k: [F._add(x, one) if i == k else x for i, x in enumerate(xs)]
+    r, s = rng.randrange(n), rng.randrange(n)
+    yield "as built", L, X, R
+    rows = [list(row) for row in X.values]
+    rows[r][s] = F._add(rows[r][s], one)
+    yield f"X[{r}][{s}] + 1", L, SquareMatrix(F, n, tuple(map(tuple, rows))), R
+    yield f"L[{r}][{r}] + 1", (bump(L[0], r), *L[1:]), X, R
+    for name, index in (("below", 1), ("above", 2)):
+        if R[index]:
+            k = rng.randrange(n - 1)
+            bands = list(R)
+            bands[index] = bump(R[index], k)
+            yield f"R {name} {k} + 1", L, X, tuple(bands)
+
+
+@pytest.mark.parametrize("label", list(INTERTWINING_FIELDS))
+def test_intertwining_failures_match_dense_products(label):
+    """Field._intertwining_failures against the entries where the
+    schoolbook products L X and X R differ, in row order, on diagonal,
+    bidiagonal and tridiagonal L and R with zero band entries and X with
+    zero entries, at n = 1..6, as built (no entry differs) and with one
+    mismatch planted; with the roles of the two sides swapped too.  It
+    makes one product per pair of a nonzero band entry and a nonzero entry
+    of X, and the counter sees each of them."""
+    F = INTERTWINING_FIELDS[label]
+    rng = random.Random(f"intertwining/{label}")
+    zero = F.zero_value
+    planted_lines = 0
+    for shape in BAND_SHAPES:
+        for n in range(1, 7):
+            L, X, R = intertwined(F, n, shape, rng)
+            # X^t L^t = R^t X^t, the same identity with L and R swapped
+            swapped = ((R[0], R[2], R[1]), X.transpose(), (L[0], L[2], L[1]))
+            for case in (planted(F, L, X, R, rng), planted(F, *swapped, rng)):
+                for name, l, x, r in case:
+                    Lm, Rm = (SquareMatrix.diagonal(F, *bands) for bands in (l, r))
+                    LX, XR = dense_mul(Lm, x).values, dense_mul(x, Rm).values
+                    want = [(i, j) for i in range(n) for j in range(n)
+                            if LX[i][j] != XR[i][j]]
+                    got = []
+                    calls = count_multiplications(
+                        lambda: got.extend(F._intertwining_failures(l, x.values, r)))
+                    assert got == want, (shape, n, name)
+                    if name == "as built":
+                        assert want == [], (shape, n)
+                    planted_lines += bool(want)
+                    nonzero = lambda m: [sum(v != zero for v in row) for row in m.values]
+                    x_rows, r_rows = nonzero(x), nonzero(Rm)
+                    pairs = (sum(x_rows[k] for row in Lm.values
+                                 for k, v in enumerate(row) if v != zero)
+                             + sum(r_rows[k] for row in x.values
+                                   for k, v in enumerate(row) if v != zero))
+                    assert calls == pairs, (shape, n, name)
+    assert planted_lines > 0
+
+
 def test_conjugation_check_costs_band_multiplications():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     a = Analysis(generate(fp, Q))
@@ -266,8 +368,9 @@ def test_conjugation_check_costs_band_multiplications():
     reports = []
     calls = count_multiplications(lambda: reports.append(verify_conjugation(a)))
     assert reports[0].ok(), reports[0].failures
-    # 578 of them; 4,518 when it computed six lines, and the sandwich form
-    # with dense products made 85,051
+    # 578 of them, int terms of the intertwining test over Q, as many as
+    # when A* G and G B* were kernel products; 4,518 when it computed six
+    # lines, and the sandwich form with dense products made 85,051
     assert calls <= 578
 
 
