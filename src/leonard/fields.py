@@ -106,8 +106,8 @@ the sides differ: at most three products a side per entry, through _mul
 and _add, then a payload comparison.  Over Q it needs no reduction at all.
 Each column of X is written as integers over the lcm of its denominators
 once, each row of L and each column of R over theirs, and an entry is
-decided by comparing two integer dots, each times a factor that does not
-grow with X: no gcd, and no common denominator formed per entry.
+decided by comparing two integer dots, each times a per-row or
+per-column factor: no gcd and no common denominator per entry.
 """
 
 from __future__ import annotations
@@ -800,7 +800,7 @@ class RationalField(Field):
         # c_j e_j of the c_k of the rows k it meets and of c_j, so (X R)[i][j]
         # is an int dot t of the same integers over c_j e_j m_j.  An entry
         # is then decided by s e_j m_j != t l_i: dots of at most three
-        # terms, two products by factors that do not grow with X, and no
+        # terms, two products by per-row and per-column factors, and no
         # gcd.  Where R is diagonal, e_j = 1.
         c = [lcm(*[d for _, d in col]) for col in zip(*X)]
         X = [[(j, n * (c[j] // d)) for j, (n, d) in enumerate(row) if n] for row in X]
