@@ -20,16 +20,17 @@ products and the prefix products, the alphas, the weights and nu, and the
 recurrence coefficients.  The checks compare payload tuples and build no
 FieldElement from them; `OrthoData` and `RecurrenceCoeffs` wrap theirs in
 elements by name, on first read, for the `weights` and `recurrence` dumps
-and the tests.  `matrices` holds what the checks read, T, T*, Tdown, T^-1
-and G, and forms A, B, A*, B*, D, Ddown, Z, H and H* only when the
-`matrices` dump, the dense Leonard blocks or a test reads them.
+and the tests.  `matrices` holds what the checks read, T, T*, Tdown and
+G (formed from A G = G B, with no inverse), and forms T^-1, A, B, A*, B*,
+D, Ddown, Z, H and H* only when the `matrices` dump, the dense Leonard
+blocks or a test reads them.
 
 The three-term and difference comparisons (`three_term`, `difference`)
-hold the recurrence matrices J and J* with the lines where the table P
-fails H P = P J and P H* = J* P, each found by one intertwining test
-(`Field._intertwining_failures`) that forms neither side.  Their two
-checks print the lines.  Where both lists are empty,
-`verify_leonard_conditions` reads its two blocks off J and J*, and
+hold the bands of the recurrence matrices J and J* with the lines where
+the table P fails H P = P J and P H* = J* P, each found by one
+intertwining test (`Field._intertwining_failures`) that forms neither
+side.  Their two checks print the lines.  Where both lists are empty,
+`verify_leonard_conditions` reads its two blocks off those bands, and
 `verify_orthogonality` fixes the row Gram from J and its first row: the
 cubic products those two checks made before run only when a comparison
 fails.

@@ -5,10 +5,11 @@ The recurrence coefficients give two tridiagonal matrices: J, with
 j.  The three-term recurrence is the identity H P = P J on the evaluation
 table P, and the difference equation is J* P = P H*.  Each comparison
 (`three_term_comparison`, `difference_comparison`) is made once per array
-and kept on `Analysis` with its matrix and its failure lines: the two
-checks of this module print the lines, and where both lists are empty
-`verify_leonard_conditions` reads its blocks off J and J*, and
-`verify_orthogonality` its row Gram off J.
+and kept on `Analysis` with the three bands of its matrix and its failure
+lines: the two checks of this module print the lines, and where both
+lists are empty `verify_leonard_conditions` reads its blocks off the bands
+of J and J*, and `verify_orthogonality` its row Gram off J.  The dense J
+is formed only when a reader asks for it (`Comparison.J`).
 
 Both identities have the shape L X = X R with L and R tridiagonal, and
 each is one call of `Field._intertwining_failures` on the diagonals of L
@@ -23,6 +24,7 @@ elements for the `recurrence` dump and the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
@@ -67,11 +69,18 @@ def recurrence_coeffs(a: Analysis) -> RecurrenceCoeffs:
 
 @dataclass(frozen=True)
 class Comparison:
-    """A tridiagonal recurrence matrix J of `recur` and the lines where the
-    evaluation table P fails the matrix identity that it is compared in."""
+    """A tridiagonal recurrence matrix J of `recur`, as the payloads of its
+    `bands` (diagonal, below, above) in the order `SquareMatrix.diagonal`
+    takes them, and the lines where the evaluation table P fails the matrix
+    identity that it is compared in.  J itself is formed on first read."""
 
-    J: SquareMatrix
+    field: Field
+    bands: tuple[tuple, tuple, tuple]
     failures: tuple[str, ...]
+
+    @cached_property
+    def J(self) -> SquareMatrix:
+        return SquareMatrix.diagonal(self.field, *self.bands)
 
 
 def three_term_comparison(a: Analysis) -> Comparison:
@@ -85,7 +94,7 @@ def three_term_comparison(a: Analysis) -> Comparison:
     ca, cb, cc = a.recurrence.values[:3]
     failures = F._intertwining_failures((ca, cc[1:], cb[:-1]), tuple(zip(*P.values)),
                                         (_payloads(p.theta), (), ()))
-    return Comparison(SquareMatrix.diagonal(F, ca, below=cb[:-1], above=cc[1:]), tuple(
+    return Comparison(F, (ca, cb[:-1], cc[1:]), tuple(
         f"recurrence fails for f_{i} at theta_{j}" for i, j in failures))
 
 
@@ -98,7 +107,7 @@ def difference_comparison(a: Analysis) -> Comparison:
     astar, bstar, cstar = a.recurrence.values[3:]
     bands = (astar, cstar[1:], bstar[:-1])
     failures = F._intertwining_failures(bands, P.values, (_payloads(p.theta_star), (), ()))
-    return Comparison(SquareMatrix.diagonal(F, *bands), tuple(
+    return Comparison(F, bands, tuple(
         f"difference equation fails for f_{j} at theta_{i}"
         for i, j in sorted(failures, key=itemgetter(1))))
 

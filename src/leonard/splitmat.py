@@ -17,12 +17,15 @@ alone, the diagonals D_i = varphi_1 .. varphi_i and Ddown_i = phi_1 ..
 phi_i (`prefix_products`), from which D, Ddown and their inverses, the
 alphas, the weights' ratios and nu's denominator are read.  `build`,
 `polys`, `ortho` and `recur` read the one `Analysis.pair` and the one
-`Analysis.splits`; `divided_differences` turns the products of theta into
-T^-1 in closed form, kept as `Tinv`, and those of theta* into T*^-1.
+`Analysis.splits`.  `build` forms the transition matrix G column by
+column from A G = G B, with no inverse.  `divided_differences` turns the
+products of theta into T^-1 in closed form, `Tinv`, and those of theta*
+into T*^-1, for the dense Leonard blocks alone.
 
 `verify_leonard_conditions` reads the E A* E block of the array and of its
-dual.  On the passing path they are the recurrence matrices J* and J^t
-that the three-term and difference comparisons of `recur` formed (LS99:
+dual.  On the passing path they are the recurrence matrices J* and J^t,
+read off the bands the three-term and difference comparisons of `recur`
+keep (LS99:
 T A* T^-1 = P H* P^-1 and T* A*' T*^-1 = P^t H P^-t, with P = T D^-1
 T*^t), so no product is formed; `dense_leonard_blocks`, T A* T^-1 and
 T* A*' T*^-1 by products, is the route when a comparison fails or a
@@ -39,16 +42,18 @@ banded matrix comes from one constructor, `SquareMatrix.diagonal`, given
 the payloads of its diagonal and of the off-diagonals below and above it:
 A and B (ones below), A* and B* (varphi and phi above), the dual A*' of
 `dense_leonard_blocks`, and the recurrence matrices J and J* of `recur`.
-`build` forms the matrices a check reads, T^-1 and G; A, B, A*, B*, D,
-Ddown, Z, H and H* are formed on first read, for the `matrices` dump, the
-dense Leonard blocks and the tests.  The products here are each one call
-of the field's payload kernel `Field._matmul`, or of `scale_rows` and
-`scale_columns` where one factor is diagonal, so comparing two results
-compares payload tuples.  The conjugation identity A* G = G B* forms
-neither side: A* and B* are bidiagonal, and it is one call of
-`Field._intertwining_failures` on their diagonals and the rows of G.  The
-scalar chains (the products of differences, their inverses and the closed
-form of G) run through the field's `_mul`, `_sub` and `_checked_inv`.
+`build` forms the one matrix a check reads that `Analysis.pair` does not
+hold, G; T^-1, A, B, A*, B*, D, Ddown, Z, H and H* are formed on first
+read, for the `matrices` dump, the dense Leonard blocks and the tests.
+The products here are each one call of the field's payload kernel
+`Field._matmul`, or of `scale_rows` and `scale_columns` where one factor
+is diagonal, so comparing two results compares payload tuples.  The
+conjugation identity A* G = G B* forms neither side: A* and B* are
+bidiagonal, and it is one call of `Field._intertwining_failures` on their
+diagonals and the rows of G.  The scalar chains (the products of
+differences, the recurrence of G and the closed forms of T^-1 and of the
+q-binomial G) run through the field's `_mul`, `_add`, `_sub` and
+`_checked_inv`.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     BaseNotApplicable,
-    IdentityViolated,
     RepeatedEigenvalue,
     SingularMatrix,
 )
@@ -316,17 +320,19 @@ def _element_view(index: int, scalar: bool = False) -> cached_property:
 @dataclass(frozen=True)
 class SplitMatrixSet:
     """The matrices realizing a parameter array `p` in the split basis.  The
-    fields are the ones a check reads, with T, T* and Tdown from
-    `Analysis.pair`; A, B, A*, B*, D, Ddown, Z, H and H* are formed from
-    `p` and `splits` the first time they are read."""
+    fields are the ones a check reads: G, and T, T* and Tdown from
+    `Analysis.pair`.  G is unit upper triangular, so invertible by
+    construction.  T^-1 (`Tinv`), A, B, A*, B*, D, Ddown, Z, H and H* are
+    formed from `p`, `splits` and `pair` the first time they are read."""
 
     p: ParameterArray
     splits: SplitProducts
-    T: SquareMatrix
-    Tinv: SquareMatrix
-    Tstar: SquareMatrix
-    Tdown: SquareMatrix
+    pair: PairProducts
     G: SquareMatrix
+
+    T = property(lambda self: self.pair.T)
+    Tstar = property(lambda self: self.pair.Tstar)
+    Tdown = property(lambda self: self.pair.Tdown)
 
     def _banded(self, diagonal: Sequence[FieldElement], below: bool = False,
                 above: Sequence[FieldElement] = ()) -> SquareMatrix:
@@ -334,6 +340,8 @@ class SplitMatrixSet:
         ones = [F.one_value] * self.p.d if below else ()
         return SquareMatrix.diagonal(F, _payloads(diagonal), below=ones, above=_payloads(above))
 
+    Tinv = cached_property(lambda self: divided_differences(self.p.field, self.p.theta,
+                                                            *self.pair.sides))
     A = cached_property(lambda self: self._banded(self.p.theta, below=True))
     B = cached_property(lambda self: self._banded(self.p.theta[::-1], below=True))
     Astar = cached_property(lambda self: self._banded(self.p.theta_star, above=self.p.varphi))
@@ -347,26 +355,37 @@ class SplitMatrixSet:
 
 
 def build(a: Analysis) -> SplitMatrixSet:
-    """T^-1 and G, each formed once; raises IdentityViolated where G is not
-    one at (0, 0)."""
+    """G, the transition matrix with G e_0 = e_0 and A G = G B, formed
+    once.  A and B are lower bidiagonal with ones below and diagonals theta
+    and theta reversed, so column j + 1 of A G = G B reads
+
+        G[i][j+1] = G[i-1][j] + (theta_i - theta_{d-j}) G[i][j],
+
+    one column from the previous one: d(d + 1)/2 products, no inverse and
+    no kernel call.  G is unit upper triangular, and it is T^-1 Z Tdown,
+    the same payloads.  A repeated theta raises the ZeroDivisionError that
+    T^-1 raises, so every check keeps its exception."""
     p, pair = a.p, a.pair
-    F, n = p.field, p.d + 1
-    # G = T^-1 Z Tdown, and Z Tdown is Tdown with its rows reversed
-    Tinv = divided_differences(F, p.theta, *pair.sides)
-    G = Tinv * SquareMatrix(F, n, pair.Tdown.values[::-1])
-    if G.values[0][0] != F.one_value:
-        raise IdentityViolated("transition matrix is not unit-normalized at (0, 0)")
-    return SplitMatrixSet(p=p, splits=a.splits, T=pair.T, Tinv=Tinv, Tstar=pair.Tstar,
-                          Tdown=pair.Tdown, G=G)
+    F, d = p.field, p.d
+    mul, sub, add, zero, one = F._mul, F._sub, F._add, F.zero_value, F.one_value
+    if zero in pair.sides[0]:  # a product below theta_i vanishes: theta repeats
+        raise ZeroDivisionError(f"division by zero in {F}")
+    th = _payloads(p.theta)
+    columns = [(one,)]
+    for j in range(d):
+        x, prev = th[d - j], columns[-1]
+        columns.append(tuple([add(up, mul(sub(t, x), g))
+                              for up, t, g in zip((zero,) + prev, th, prev)]) + (one,))
+    rows = tuple(zip(*[c + (zero,) * (d - j) for j, c in enumerate(columns)]))
+    return SplitMatrixSet(p=p, splits=a.splits, pair=pair, G=SquareMatrix(F, d + 1, rows))
 
 
 def verify_conjugation(a: Analysis) -> CheckReport:
     """Part (ii) of the theorem: G carries (A, A*) to (B, B*).
 
-    Only `Ginv * A* * G = B*` is computed, as A* G = G B*: G = T^-1 Z Tdown
-    is invertible by construction (T and Tdown are lower triangular with
-    the nonzero diagonal that build requires, Z is a permutation), so the
-    two forms hold together.  A* and B* are bidiagonal, so the identity is
+    Only `Ginv * A* * G = B*` is computed, as A* G = G B*: build's G is
+    unit upper triangular, so invertible by construction, and the two
+    forms hold together.  A* and B* are bidiagonal, so the identity is
     one call of `Field._intertwining_failures` on their diagonals and the
     rows of G, at most two products an entry on each side, O(n^2) field
     operations, with neither side formed.
@@ -379,8 +398,8 @@ def verify_conjugation(a: Analysis) -> CheckReport:
     - Z Tdown B = H Z Tdown, the same identity for the reversed theta;
     - D A* D^-1 T*^t = T*^t H*, the same identity for T*, since D A* D^-1
       is the transpose of A with theta* in place of theta;
-    - G Ginv = I, since `Tinv` is T^-1 in closed form;
-    - Ginv A G = B, which follows from the lines above.
+    - G Ginv = I, since G is unit upper triangular;
+    - Ginv A G = B, which is how build forms G.
     D^-1 is not taken; a zero varphi raises SingularMatrix at the first
     zero D_i, with the message Gauss-Jordan on D gives.
     """
@@ -423,8 +442,9 @@ def primitive_idempotents(m: SquareMatrix,
 def dense_leonard_blocks(a: Analysis) -> tuple[SquareMatrix, SquareMatrix]:
     """K = T* A*' T*^-1, the dual array's E A* E block, and T A* T^-1,
     this array's: two triangular-by-Hessenberg products of about n^3/6
-    each, with T^-1 from build and T*^-1 the closed form
-    `divided_differences` of theta*, which takes n inverses."""
+    each, with T^-1 and T*^-1 the closed forms `divided_differences` of
+    theta and of theta*, each of which takes n inverses (T^-1 is
+    `SplitMatrixSet.Tinv`, formed here on first read)."""
     m, p, pair = a.matrices, a.p, a.pair
     F = p.field
     K = (pair.Tstar * SquareMatrix.diagonal(F, _payloads(p.theta), above=_payloads(p.varphi))
@@ -464,7 +484,8 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     T A* T^-1 = P H* P^-1 and K = P^t H P^-t; the difference equation
     P H* = J* P makes the first J*, and the three-term recurrence H P =
     P J makes K = J^t, exactly.  J and J* are tridiagonal, so only their
-    2d entries next to the diagonal are read: row i of the E* A E* block
+    2d entries next to the diagonal are read, off the bands the
+    comparisons keep, and neither is formed: row i of the E* A E* block
     is one at (i, i - 1) and J[i][i + 1] at (i, i + 1).  Otherwise the
     blocks are the products of `dense_leonard_blocks`, read entry by
     entry.  Either way the entries are read in row-major order by one
@@ -483,10 +504,12 @@ def verify_leonard_conditions(a: Analysis) -> CheckReport:
     zero, one = p.field.zero_value, p.field.one_value
     if (all(vp) and all(p.phi) and not a.three_term.failures
             and not a.difference.failures):
-        J, Jstar = a.three_term.J.values, a.difference.J.values
+        # entry (i, i - 1) of a band matrix is below[i - 1], (i, i + 1) above[i]
+        above = a.three_term.bands[2]
+        _, below_star, above_star = a.difference.bands
         band = [(i, j) for i in range(n) for j in (i - 1, i + 1) if 0 <= j < n]
-        star = [(i, j, one if j < i else J[i][j]) for i, j in band]
-        block = [(i, j, Jstar[i][j]) for i, j in band]
+        star = [(i, j, one if j < i else above[i]) for i, j in band]
+        block = [(i, j, below_star[j] if j < i else above_star[i]) for i, j in band]
     else:
         K, block = (x.values for x in dense_leonard_blocks(a))
         star = []

@@ -20,6 +20,7 @@ from leonard import (
     rational_field,
 )
 from leonard import fields
+from leonard.splitmat import divided_differences
 
 Q = rational_field()
 
@@ -36,6 +37,16 @@ def ci_q_racah(d):
     names = dict(q=2, h=1, hstar=1, s=3, sstar=5, r1=2, r2=15 * 2**d, theta0=0, thetastar0=0)
     values = {name: Q.from_int(x) for name, x in names.items()}
     return generate(FamilyParams(family="q-racah", d=d, values=values), Q)
+
+
+def dense_transition_matrix(a):
+    """G as build formed it before it read G off A G = G B: T^-1 Z Tdown,
+    with T^-1 the closed form `divided_differences` (n inverses, and the
+    field's ZeroDivisionError where theta repeats) and the product by the
+    kernel.  The oracle for build's G."""
+    p, pair = a.p, a.pair
+    Tinv = divided_differences(p.field, p.theta, *pair.sides)
+    return Tinv * SquareMatrix(p.field, p.d + 1, pair.Tdown.values[::-1])
 
 
 def elements(F, payloads):

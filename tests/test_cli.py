@@ -578,7 +578,8 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
     # prefix products of varphi and of phi once each, in the one
     # split_products: 5 when build, polys and ortho each formed their own.
     # The alphas once, in Analysis.alphas: 2 when verify_proportionality and
-    # endpoint_values each formed them.  T^-1 in build: 2 when
+    # endpoint_values each formed them.  No T^-1, since build reads G off
+    # A G = G B: 1 when build formed G as T^-1 Z Tdown, 2 when
     # verify_leonard_conditions formed T*^-1 on the passing path too, and
     # it read E* A E* from V and V^-1 recurrences before that.  The
     # three-term and difference comparisons once each, read by their own
@@ -588,17 +589,18 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
                      "recurrence_coeffs": 1, "difference_products": 3,
                      "one_sided_products": 1, "prefix_products": 2,
                      "split_products": 1, "proportionality_alphas": 1,
-                     "divided_differences": 1, "three_term_comparison": 1,
+                     "divided_differences": 0, "three_term_comparison": 1,
                      "difference_comparison": 1}
 
 
 def test_scoreboard_multiplications_at_d16():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
-    # 10,825 of them, counting payload products and the int terms of the
-    # kernel and of the intertwining test: as many as when the sides of the
-    # conjugation, three-term and difference identities were kernel
-    # products and scalings, and 18,711 when verify_leonard_conditions
+    # 9,023 of them, counting payload products and the int terms of the
+    # kernel and of the intertwining test: 10,825 when build formed G as
+    # T^-1 Z Tdown, by n inverses and a kernel product, as many as when
+    # the sides of the conjugation, three-term and difference identities
+    # were kernel products and scalings, and 18,711 when verify_leonard_conditions
     # formed its two blocks by products and verify_orthogonality the dense
     # row Gram on the passing path, and 19,440 when s_matrix took seven
     # products and an inverse per entry and the products of differences
@@ -610,14 +612,14 @@ def test_scoreboard_multiplications_at_d16():
     # recurrences too, 20,072 when build, polys and ortho each formed their
     # own prefix products of varphi and phi, and 21,840 when they and recur
     # each formed their own products of differences
-    assert count_multiplications(lambda: _scoreboard(p)) <= 10_825
+    assert count_multiplications(lambda: _scoreboard(p)) <= 9_023
 
 
 def test_scoreboard_kernel_calls_at_d16(monkeypatch):
     """The diagonal factors are scalings, not kernel products, on the
     passing path the Leonard blocks and the row Gram come from the
-    recurrence comparisons, and the conjugation, three-term and difference
-    identities form neither side."""
+    recurrence comparisons, the conjugation, three-term and difference
+    identities form neither side, and G comes from its recurrence."""
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
     calls = []
@@ -625,15 +627,17 @@ def test_scoreboard_kernel_calls_at_d16(monkeypatch):
     monkeypatch.setattr(type(Q), "_matmul",
                         lambda F, x, y: calls.append(x) or kernel(F, x, y))
     assert _scoreboard(p)[1]
-    # 3: G, P and Pdown.  7 when the two sides of the conjugation, P J and
-    # J* P were kernel products, before Field._intertwining_failures decided
-    # the three identities without forming either side; 12 when
+    # 2: P and Pdown.  3 when build formed G as T^-1 Z Tdown, before it
+    # read G column by column off A G = G B; 7 when the two sides of the
+    # conjugation, P J and J* P were kernel products, before
+    # Field._intertwining_failures decided the three identities without
+    # forming either side; 12 when
     # verify_leonard_conditions formed its blocks by four products and
     # verify_orthogonality the row Gram by one, and 17 when T D^-1 and
     # Tdown Ddown^-1 in corresponding_polys, X W in the Gram matrix, H P in
     # verify_three_term and P H* in verify_difference were kernel products
     # with a diagonal matrix
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_scoreboard_elements_in_d(monkeypatch):

@@ -21,9 +21,9 @@ here:
 - on the passing path over GF(1000003) and over Q at d = 8, 16 and 32,
   the Leonard check makes no kernel call, and the orthogonality check's
   products grow by at most 4.5 per doubling of d, where the dense Gram's
-  grow by about 8; the three-term and difference comparisons and the
-  conjugation check make no kernel call either, and their products grow
-  by at most 4.5 per doubling;
+  grow by about 8; the three-term and difference comparisons, the
+  conjugation check and build make no kernel call either, and their
+  products grow by at most 4.5 per doubling;
 - those three checks, each one `Field._intertwining_failures` call, give
   the lines of the dense products they replaced (`dense_three_term`,
   `dense_difference`, `dense_conjugation`) in their order, or raise their
@@ -32,7 +32,9 @@ here:
     python tests/test_recurrence_routes.py D
 
 runs the last comparison on the CI q-Racah array over Q at diameter D and
-on nine perturbations of it; CI runs it at D = 24.
+on twelve perturbations of it, and compares build's G, or the exception
+it raises, with the dense route T^-1 Z Tdown on each; CI runs it at
+D = 24.
 """
 
 import itertools
@@ -46,6 +48,7 @@ from leonard import (
     Analysis,
     CheckReport,
     SingularMatrix,
+    build,
     enumerate_arrays,
     extension_field,
     generate,
@@ -63,7 +66,7 @@ from leonard.ortho import _gram_failures, _rows_hold
 from leonard.polys import PolyTable
 from leonard.recur import difference_comparison, three_term_comparison
 from leonard.splitmat import SquareMatrix, _require_distinct, dense_leonard_blocks
-from conftest import ci_q_racah, count_multiplications
+from conftest import ci_q_racah, count_multiplications, dense_transition_matrix
 
 FIELDS = {
     "Q": rational_field(),
@@ -358,13 +361,15 @@ def test_passing_path_costs_in_d(monkeypatch):
     products grow by at most 4.5 per doubling of d (n^2 + O(n) products for
     the row route).  Nor do the three-term and difference comparisons and
     the conjugation check make a kernel call, and their products grow by at
-    most 4.5 per doubling too (at most 6 n^2, two band dots an entry).
+    most 4.5 per doubling too (at most 6 n^2, two band dots an entry), and
+    so does build (d(d + 1)/2 products for G).
     Over Q a product is a `_mul` or a pair of int terms of the kernel or
     of the intertwining test, as `count_multiplications` counts them."""
     sites = {"orthogonality": lambda a: verify_orthogonality(a).ok(),
              "three-term": lambda a: not three_term_comparison(a).failures,
              "difference": lambda a: not difference_comparison(a).failures,
-             "conjugation": lambda a: verify_conjugation(a).ok()}
+             "conjugation": lambda a: verify_conjugation(a).ok(),
+             "build": lambda a: build(a).G.n == a.p.d + 1}
     for F in (prime_field(1000003), rational_field()):
         kernel, calls, products = type(F)._matmul, [], {name: [] for name in sites}
         monkeypatch.setattr(type(F), "_matmul",
@@ -389,8 +394,8 @@ def test_passing_path_costs_in_d(monkeypatch):
 
 def ci_perturbations(d):
     """The CI q-Racah array over Q at diameter d, then copies with phi_k + 1
-    and varphi_k + 1 at k = 1, d // 2 + 1 and d, and with theta*_j + 1 at
-    j = 0, d // 2 and d."""
+    and varphi_k + 1 at k = 1, d // 2 + 1 and d, and with theta*_j + 1 and
+    theta_j + 1 at j = 0, d // 2 and d."""
     p = ci_q_racah(d)
     one = p.field.one()
 
@@ -403,6 +408,17 @@ def ci_perturbations(d):
         yield f"varphi_{k + 1} + 1", replace(p, varphi=bumped(p.varphi, k))
     for j in sorted({0, d // 2, d}):
         yield f"theta*_{j} + 1", replace(p, theta_star=bumped(p.theta_star, j))
+    for j in sorted({0, d // 2, d}):
+        yield f"theta_{j} + 1", replace(p, theta=bumped(p.theta, j))
+
+
+def g_or_raised(route, a):
+    """The payload rows of route(a), or the type and message of the
+    exception raised."""
+    try:
+        return route(a).values
+    except Exception as e:  # the comparison is over exceptions
+        return type(e), str(e)
 
 
 if __name__ == "__main__":
@@ -410,11 +426,13 @@ if __name__ == "__main__":
     arrays = lines = 0
     for name, q in ci_perturbations(d):
         a = Analysis(q)
+        got = g_or_raised(lambda a: build(a).G, a)
+        assert got == g_or_raised(dense_transition_matrix, a), (name, "G")
         for check, (route, oracle) in INTERTWINING_CHECKS.items():
             got = lines_or_raised(route, a)
             assert got == lines_or_raised(oracle, a), (name, check)
             lines += len(got) if isinstance(got, list) else 0
         arrays += 1
-    print(f"CI q-racah d={d} and {arrays - 1} perturbations: the three-term, "
-          f"difference and conjugation lines are those of the dense products "
-          f"({lines} lines)")
+    print(f"CI q-racah d={d} and {arrays - 1} perturbations: build's G is that "
+          f"of T^-1 Z Tdown, and the three-term, difference and conjugation "
+          f"lines are those of the dense products ({lines} lines)")

@@ -1,5 +1,6 @@
 """Exact matrices: bidiagonal pair, transition matrices, idempotents."""
 
+import itertools
 import random
 from dataclasses import replace
 from math import gcd
@@ -9,28 +10,38 @@ import pytest
 from leonard import (
     Analysis,
     BaseNotApplicable,
-    IdentityViolated,
     RepeatedEigenvalue,
     SingularMatrix,
+    SplitMatrixSet,
     SquareMatrix,
     base_candidates,
     build,
+    duality_check,
+    endpoint_values,
     extension_field,
     generate,
+    list_families,
     make_array,
     prime_field,
     primitive_idempotents,
     s_matrix,
     sample_params,
+    verify_alt_formulas,
     verify_conjugation,
+    verify_difference,
     verify_leonard_conditions,
+    verify_nu_sums,
+    verify_orthogonality,
+    verify_proportionality,
+    verify_three_term,
     verify_transition_matrix,
 )
 from leonard.families import Q_FAMILIES
 from leonard.fields import _find_irreducible
 from leonard.report import CheckReport
 from leonard.splitmat import difference_products, divided_differences, pair_products
-from conftest import Q, count_multiplications, dense_mul, qarr, random_array
+from conftest import (Q, count_multiplications, dense_mul, dense_transition_matrix, qarr,
+                      random_array)
 
 
 # The forward substitution that inverted T, U and V^t before T^-1 had a
@@ -430,12 +441,120 @@ def test_build_takes_running_products():
     # T, T* and Tdown as running products, n(n-1)/2 each, and as many for
     # the products above each theta*_i
     assert count_multiplications(lambda: a.pair) <= 4 * 17 * 16 // 2
-    # 1,970 of them once the pair's T, T*, Tdown and one-sided products are
-    # formed; 2,514 with the pair formed inside the count, 2,650 when build
-    # formed T, T* and Tdown itself, 2,803 when G took two products, 3,330
-    # when T^-1 was a forward substitution, and 9,858 with a fresh product
-    # per entry of T, T* and Tdown
-    assert count_multiplications(lambda: build(a)) <= 1_970
+    # 168 of them once the pair's T, T*, Tdown and one-sided products are
+    # formed: G's recurrence takes d(d + 1)/2 = 136 and the prefix products
+    # of varphi and phi 32.  1,970 when G was T^-1 Z Tdown, with T^-1 in
+    # closed form; 2,514 with the pair formed inside the count, 2,650 when
+    # build formed T, T* and Tdown itself, 2,803 when G took two products,
+    # 3,330 when T^-1 was a forward substitution, and 9,858 with a fresh
+    # product per entry of T, T* and Tdown
+    assert count_multiplications(lambda: build(a)) <= 168
+
+
+G_FIELDS = {**PRODUCT_FIELDS, "GF(2^61 - 1)": prime_field(2**61 - 1)}
+
+
+def g_cases(label):
+    """The sampled arrays of every family at d = 1..6, and seeded theta
+    sequences without repeats (with theta*, varphi and phi to match) that
+    are not arrays, at d = 0..8 as far as the field has distinct values."""
+    F = G_FIELDS[label]
+    rng = random.Random(f"g-recurrence/{label}")
+    for family in list_families():
+        for d in range(1, 7):
+            fp = sample_params(family, d, F, rng)
+            if fp is not None:
+                yield f"{family} d={d}", generate(fp, F)
+    for d in range(9):
+        if not F.is_finite() or d < F.order():
+            for _ in range(3):
+                yield f"random d={d}", random_array(F, d, rng)
+
+
+@pytest.mark.parametrize("label", list(G_FIELDS))
+def test_build_g_is_the_dense_route(label):
+    """build's G, read off A G = G B column by column, has the payloads of
+    T^-1 Z Tdown, the route it replaced; it is unit upper triangular and
+    A G = G B holds by schoolbook products."""
+    F = G_FIELDS[label]
+    zero, one = F.zero_value, F.one_value
+    arrays = 0
+    for name, p in g_cases(label):
+        a = Analysis(p)
+        m = build(a)
+        assert m.G == dense_transition_matrix(a), (label, name)
+        assert all(x == (one if i == j else zero)
+                   for i, row in enumerate(m.G.values) for j, x in enumerate(row) if i >= j)
+        assert dense_mul(m.A, m.G) == dense_mul(m.G, m.B), (label, name)
+        assert_canonical(F, m.G)
+        arrays += "random" not in name
+    assert arrays > 0, label
+
+
+def repeated_theta(p):
+    """Copies of p with theta_1 = theta_0 and with theta_d = theta_0."""
+    th = p.theta
+    yield "theta_1 = theta_0", replace(p, theta=(th[0], th[0]) + th[2:])
+    yield "theta_d = theta_0", replace(p, theta=th[:-1] + (th[0],))
+
+
+@pytest.mark.parametrize("label", list(G_FIELDS))
+def test_build_raises_the_fields_zero_division_on_a_repeated_theta(label):
+    F = G_FIELDS[label]
+    rng = random.Random(f"g-repeated/{label}")
+    for d in (1, 2, 3):
+        for change, q in repeated_theta(random_array(F, d, rng)):
+            with pytest.raises(ZeroDivisionError) as raised:
+                build(Analysis(q))
+            assert str(raised.value) == f"division by zero in {F}", (label, d, change)
+
+
+SCOREBOARD_CHECKS = (verify_conjugation, verify_leonard_conditions, verify_proportionality,
+                     endpoint_values, duality_check, verify_orthogonality, verify_nu_sums,
+                     verify_three_term, verify_difference, verify_alt_formulas,
+                     verify_transition_matrix)
+
+
+def dense_build(a):
+    """build with G from the dense route, T^-1 Z Tdown."""
+    return SplitMatrixSet(p=a.p, splits=a.splits, pair=a.pair, G=dense_transition_matrix(a))
+
+
+def outcome(check, p):
+    """The failure lines of check on a fresh Analysis, or the type and
+    message of the exception it raises."""
+    try:
+        return check(Analysis(p)).failures
+    except Exception as e:  # the comparison is over exceptions
+        return type(e), str(e)
+
+
+def test_checks_keep_their_lines_and_exceptions_with_the_recurrence_g(monkeypatch):
+    """Each scoreboard check gives the same lines, or raises the same
+    exception type with the same message, with build's G as with the dense
+    route's, on sampled arrays, on copies with theta_j + 1 or a repeated
+    theta, and on 20 seeded GF(4) sequences of d = 1."""
+    import leonard.analysis
+
+    cases = []
+    for label in ("Q", "GF(7)", "GF(4)"):
+        rng = random.Random(f"g-checks/{label}")
+        for name, p in itertools.islice(g_cases(label), 0, None, 4):
+            j = rng.randrange(p.d + 1)
+            bumped = tuple(x + p.field.one() if i == j else x for i, x in enumerate(p.theta))
+            cases += [p, replace(p, theta=bumped)]
+            cases += [q for _, q in repeated_theta(p)] if p.d > 0 else []
+    F = G_FIELDS["GF(4)"]
+    cases += [random_array(F, 1, random.Random(f"g-checks/gf4/{i}")) for i in range(20)]
+    outcomes = {}
+    for route in (build, dense_build):
+        monkeypatch.setattr(leonard.analysis, "build", route)
+        outcomes[route] = [outcome(check, p) for p in cases for check in SCOREBOARD_CHECKS]
+    assert outcomes[build] == outcomes[dense_build]
+    kinds = {"raises" if isinstance(x, tuple) else "fails" if x else "passes"
+             for x in outcomes[build]}
+    assert kinds == {"raises", "fails", "passes"}
+    assert (ZeroDivisionError, f"division by zero in {Q}") in outcomes[build]
 
 
 def distinct_entries(F, n, rng):
@@ -606,7 +725,8 @@ def test_leonard_conditions_build_no_inverse_matrix():
 def test_leonard_conditions_dense_route_costs_its_blocks():
     """With phi_1 moved, the three-term comparison fails while the triple
     (theta, theta*, varphi) is still a Leonard pair: the blocks are formed
-    by products, at the cost they had on the passing path."""
+    by products, at the cost they had on the passing path, and T^-1 is
+    formed here, on first read."""
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
     a = Analysis(replace(p, phi=(p.phi[0] + Q.one(),) + p.phi[1:]))
@@ -615,7 +735,10 @@ def test_leonard_conditions_dense_route_costs_its_blocks():
     reports = []
     calls = count_multiplications(lambda: reports.append(verify_leonard_conditions(a)))
     assert reports[0].ok(), reports[0].failures
-    assert calls <= 3_005
+    # 3,158: the 3,005 of the two blocks, as on the passing path before
+    # they were read off the comparisons, and the 153 of T^-1, which build
+    # formed before it read G off A G = G B
+    assert calls <= 3_158
 
 
 def test_leonard_conditions_fail_off_tridiagonal(kraw3):
