@@ -368,8 +368,8 @@ def build(a: Analysis) -> SplitMatrixSet:
     p, pair = a.p, a.pair
     F, d = p.field, p.d
     mul, sub, add, zero, one = F._mul, F._sub, F._add, F.zero_value, F.one_value
-    if zero in pair.sides[0]:  # a product below theta_i vanishes: theta repeats
-        raise ZeroDivisionError(f"division by zero in {F}")
+    if zero in pair.sides[0]:  # theta repeats: raise as T^-1 would
+        F._checked_inv(zero)
     th = _payloads(p.theta)
     columns = [(one,)]
     for j in range(d):
