@@ -8,7 +8,8 @@ recurrence coefficients.  An Analysis computes each of them on first use
 and hands the same result to every later check, so a full scoreboard builds
 each object once.  `build`, `corresponding_polys`, `ortho_data` and
 `recurrence_coeffs` take the Analysis and read T, T*, Tdown and the
-one-sided products from `pair`, which depends on (theta, theta*) alone, and
+one-sided products from `pair`, which depends on (theta, theta*) alone
+and holds the difference tables they are read from, and
 the diagonals of D and Ddown from `splits`, which depends on (varphi, phi)
 alone; `alphas` (`proportionality_alphas`) reads `splits` too, once for
 both checks that compare with it.  Neither layer inverts

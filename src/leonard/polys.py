@@ -75,11 +75,17 @@ def verify_proportionality(a: Analysis) -> CheckReport:
     where it is not.  Both sides have degree at most d, so on an array with
     distinct theta_0 .. theta_d they are equal exactly when they agree at
     every theta_j: P[j][i] = alpha_i Pdown[j][i], that is P = Pdown
-    diag(alpha), compared column by column."""
-    P, scaled = a.polys.P.values, a.polys.Pdown.scale_columns(a.alphas).values
+    diag(alpha).  Column i of P is compared with alpha_i times column i of
+    Pdown, one column at a time, so Pdown diag(alpha) is not formed and
+    the columns after the first failing one are not scaled."""
+    polys = a.polys
+    F = polys.P.field
+    mul, zero = F._mul, F.zero_value
     report = CheckReport("proportionality")
-    for i, (got, want) in enumerate(zip(zip(*P), zip(*scaled))):
-        if got != want:
+    columns = zip(zip(*polys.P.values), zip(*polys.Pdown.values), a.alphas)
+    for i, (got, down, alpha) in enumerate(columns):
+        if got != tuple([mul(x, alpha) if x != zero and alpha != zero else zero
+                         for x in down]):
             report.add(f"f_{i} is not alpha_{i} times its reversed companion")
             break
     return report

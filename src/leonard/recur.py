@@ -28,7 +28,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
-from .fields import Field, FieldElement
+from .fields import Field
 from .report import CheckReport
 from .splitmat import SquareMatrix, _element_view, _payloads
 
@@ -128,27 +128,25 @@ def verify_difference(a: Analysis) -> CheckReport:
     return CheckReport("difference", list(a.difference.failures))
 
 
-def _alt_checks(th: Sequence[FieldElement], ths: Sequence[FieldElement],
-                vp: Sequence[FieldElement], co: tuple, report: CheckReport,
-                tag: str) -> None:
-    # theta, theta* and varphi of one side, and its payloads (a, b, c)
-    F = th[0].field
+def _alt_checks(F: Field, th: Sequence, diff: Sequence, diff_star: Sequence,
+                vp: Sequence, co: tuple, report: CheckReport, tag: str) -> None:
+    # the payloads of theta and varphi of one side, the difference tables
+    # of its theta and theta* (`PairProducts`), and its (a, b, c)
     mul, add, sub, inv = F._mul, F._add, F._sub, F._checked_inv
-    th, ths, vp = _payloads(th), _payloads(ths), _payloads(vp)
     a, b, c = co
     d = len(th) - 1
     for i in range(1, d + 1):
-        ai = add(th[i], mul(vp[i - 1], inv(sub(ths[i], ths[i - 1]))))
+        ai = add(th[i], mul(vp[i - 1], inv(diff_star[i][i - 1])))
         if i < d:
-            ai = add(ai, mul(vp[i], inv(sub(ths[i], ths[i + 1]))))
+            ai = add(ai, mul(vp[i], inv(diff_star[i][i + 1])))
         if a[i] != ai:
             report.add(f"{tag}a_{'d' if i == d else i} closed form fails")
-    step = sub(th[1], th[0])
+    step = diff[1][0]
     for i in range(1, d + 1):
-        lhs = mul(c[i], sub(ths[i - 1], ths[i]))
+        lhs = mul(c[i], diff_star[i - 1][i])
         if i < d:
-            lhs = sub(lhs, mul(b[i], sub(ths[i], ths[i + 1])))
-        if lhs != add(mul(step, sub(ths[i], ths[0])), vp[0]):
+            lhs = sub(lhs, mul(b[i], diff_star[i][i + 1]))
+        if lhs != add(mul(step, diff_star[i][0]), vp[0]):
             report.add(f"{tag}weighted b/c difference identity fails at {i}")
 
 
@@ -165,13 +163,17 @@ def verify_alt_formulas(a: Analysis) -> CheckReport:
     0 < i < d the closed forms of b_i and c_i are the weighted identity at
     i scaled by nonzero differences of theta*, since a_i = theta_0 - b_i -
     c_i.  a_d is not one: at d >= 3 it can fail where PA1-PA4 hold and PA5
-    does not.  Skipped at d = 0, where there are no interior coefficients."""
+    does not.  Skipped at d = 0, where there are no interior coefficients.
+    The differences of theta and theta* are read from the difference
+    tables of `Analysis.pair`, and only their inverses are taken here."""
     p = a.p
     if p.d < 1:
         return CheckReport("alt-recurrence",
                            skipped="no interior coefficients at d = 0")
     report = CheckReport("alt-recurrence")
-    co = a.recurrence.values
-    _alt_checks(p.theta, p.theta_star, p.varphi, co[:3], report, "")
-    _alt_checks(p.theta_star, p.theta, p.varphi, co[3:], report, "dual ")
+    co, pair = a.recurrence.values, a.pair
+    th, ths, vp = _payloads(p.theta), _payloads(p.theta_star), _payloads(p.varphi)
+    diff, diff_star = pair.differences, pair.differences_star
+    _alt_checks(p.field, th, diff, diff_star, vp, co[:3], report, "")
+    _alt_checks(p.field, ths, diff_star, diff, vp, co[3:], report, "dual ")
     return report

@@ -8,11 +8,15 @@ has a usable base in the field.
 
 Every product of differences of eigenvalues is built here, once per
 array: `pair_products` holds what depends on (theta, theta*) alone, the
-triangular factors T, T* and Tdown (`difference_products`) and the products
-below and above each eigenvalue, from which the recurrence coefficients,
-the weights and nu are read.  The products below are the diagonals of T
-and T*, those above each theta the reversed diagonal of Tdown, and those
-above each theta* are `one_sided_products`.  `split_products` holds what depends on (varphi, phi)
+difference tables of theta and of theta* (`difference_table`, each
+difference taken once, its mirror image by `_neg`), the triangular
+factors T, T* and Tdown read off them and the products below and above
+each eigenvalue, from which the recurrence coefficients, the weights and
+nu are read.  The products below are the diagonals of T and T*, those
+above each theta the reversed diagonal of Tdown, and those above each
+theta* one product of a table row each.  `build`, `recur`'s
+alt-recurrence check and `verify_transition_matrix` read their
+differences from the same tables.  `split_products` holds what depends on (varphi, phi)
 alone, the diagonals D_i = varphi_1 .. varphi_i and Ddown_i = phi_1 ..
 phi_i (`prefix_products`), from which D, Ddown and their inverses, the
 alphas, the weights' ratios and nu's denominator are read.  `build`,
@@ -47,13 +51,14 @@ hold, G; T^-1, A, B, A*, B*, D, Ddown, Z, H and H* are formed on first
 read, for the `matrices` dump, the dense Leonard blocks and the tests.
 The products here are each one call of the field's payload kernel
 `Field._matmul`, or of `scale_rows` and `scale_columns` where one factor
-is diagonal, so comparing two results compares payload tuples.  The
+is diagonal, each of which works row by row with no transpose, so
+comparing two results compares payload tuples.  The
 conjugation identity A* G = G B* forms neither side: A* and B* are
 bidiagonal, and it is one call of `Field._intertwining_failures` on their
-diagonals and the rows of G.  The scalar chains (the products of
-differences, the recurrence of G and the closed forms of T^-1 and of the
-q-binomial G) run through the field's `_mul`, `_add`, `_sub` and
-`_checked_inv`.
+diagonals and the rows of G.  The scalar chains (the difference tables
+and their products, the recurrence of G and the closed forms of T^-1 and
+of the q-binomial G, with its guards on the base and beta + 1) run
+through the field's `_mul`, `_add`, `_sub`, `_neg` and `_checked_inv`.
 """
 
 from __future__ import annotations
@@ -61,15 +66,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import (
     BaseNotApplicable,
     RepeatedEigenvalue,
     SingularMatrix,
 )
-from .fields import Field, FieldElement
-from .parray import ParameterArray, _repeats, base_candidates, beta_plus_one, first_case1_base
+from .fields import Field, FieldElement, quadratic_roots
+from .parray import ParameterArray, _repeats, first_case1_base
 from .report import CheckReport
 
 if TYPE_CHECKING:
@@ -170,8 +175,13 @@ class SquareMatrix:
             for row, y in zip(self.values, c)))
 
     def scale_columns(self, c: Sequence) -> "SquareMatrix":
-        """self * diag(c), column j times c[j], as scale_rows takes it."""
-        return self.transpose().scale_rows(c).transpose()
+        """self * diag(c), column j times the payload c[j], row by row, with
+        the products scale_rows makes."""
+        F = self.field
+        mul, zero = F._mul, F.zero_value
+        return SquareMatrix(F, self.n, tuple(
+            tuple([mul(x, y) if x != zero and y != zero else zero for x, y in zip(row, c)])
+            for row in self.values))
 
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix(self.field, self.n, tuple(zip(*self.values)))
@@ -207,28 +217,31 @@ def _payloads(elements: Sequence[FieldElement]) -> list:
     return [x.value for x in elements]
 
 
-def difference_products(field: Field, values: Sequence[FieldElement]) -> SquareMatrix:
-    """The lower-triangular matrix whose entry (i, j) is the product of
-    values[i] - values[h] over h < j, taken as a running product along row i.
-    Above the diagonal the product holds the factor values[i] - values[i], so
-    it is zero."""
-    mul, sub, one, zero = field._mul, field._sub, field.one_value, field.zero_value
+def difference_table(field: Field, values: Sequence[FieldElement]) -> tuple:
+    """Row i holds the payloads of values[i] - values[h] for every h: one
+    `_sub` for each h < i, the entries above the diagonal the `_neg` of
+    their mirror images, and zero on the diagonal.  Every product of
+    differences of `values` reads its factors here."""
+    sub, neg, zero = field._sub, field._neg, field.zero_value
     vals = _payloads(values)
-    n = len(vals)
-    return SquareMatrix(field, n, tuple(
-        (one, *accumulate([sub(x, y) for y in vals[:i]], mul)) + (zero,) * (n - 1 - i)
-        for i, x in enumerate(vals)))
+    table = [[zero] * len(vals) for _ in vals]
+    for i, x in enumerate(vals):
+        row = table[i]
+        for h in range(i):
+            row[h] = y = sub(x, vals[h])
+            table[h][i] = neg(y)
+    return tuple(map(tuple, table))
 
 
-def one_sided_products(values: Sequence[FieldElement]) -> tuple:
-    """The payloads above[i], the product of values[i] - values[h] over
-    h > i.  The product over h < i, below[i], is the diagonal entry (i, i)
-    of difference_products(values)."""
-    F = values[0].field
-    mul, sub = F._mul, F._sub
-    vals = _payloads(values)
-    return tuple(reduce(mul, [sub(x, y) for y in vals[i + 1:]], F.one_value)
-                 for i, x in enumerate(vals))
+def _running_products(field: Field, n: int, factors: Iterable[Sequence]) -> SquareMatrix:
+    """The n x n lower-triangular matrix whose row i is 1 and the running
+    products of the i-th sequence of `factors`, then zeros.  With row i of
+    a difference table cut at the diagonal as factors, entry (i, j) is the
+    product of values[i] - values[h] over h < j; above the diagonal that
+    product holds the factor values[i] - values[i], so it is zero."""
+    mul, one, zero = field._mul, field.one_value, field.zero_value
+    return SquareMatrix(field, n, tuple((one, *accumulate(f, mul)) + (zero,) * (n - 1 - i)
+                                        for i, f in enumerate(factors)))
 
 
 @dataclass(frozen=True)
@@ -238,34 +251,49 @@ class PairProducts:
     payloads of the products of theta_i - theta_h over h < i and over
     h > i (`sides_star` likewise for theta*).  below[i] above[i] is the
     denominator of the i-th Lagrange basis polynomial, and 1 / (below[i]
-    above[i]) the barycentric weight of theta_i."""
+    above[i]) the barycentric weight of theta_i.  `differences` and
+    `differences_star` are the difference tables of theta and theta*
+    (`difference_table`) that they are read from, which `build`,
+    `verify_alt_formulas` and `verify_transition_matrix` read too."""
 
     T: SquareMatrix
     Tstar: SquareMatrix
     Tdown: SquareMatrix
     sides: tuple[tuple, tuple]
     sides_star: tuple[tuple, tuple]
+    differences: tuple
+    differences_star: tuple
 
 
 def pair_products(field: Field, theta: Sequence[FieldElement],
                   theta_star: Sequence[FieldElement]) -> PairProducts:
-    """T, T* and Tdown, each one run of products.  The products below are
-    the diagonals of T and T*, and those above each theta_i the diagonal of
-    Tdown read backwards.  Nothing is inverted, so a repeated value gives
-    zeros, not an error."""
-    T, Tstar, Tdown = (difference_products(field, v)
-                       for v in (theta, theta_star, theta[::-1]))
+    """T, T* and Tdown, each one run of products over the difference
+    tables of theta and theta*, each formed once.  Tdown's row i runs over
+    theta_{d-i} - theta_h for h = d, d - 1, .., d - i + 1, entries above
+    the diagonal of the table.  The products below are the diagonals of T
+    and T*, those above each theta_i the diagonal of Tdown read backwards,
+    and those above each theta*_i one product of the table's row past the
+    diagonal.  Nothing is inverted, so a repeated value gives zeros, not
+    an error."""
+    diff, diff_star = difference_table(field, theta), difference_table(field, theta_star)
+    n = len(diff)
+    T, Tstar = (_running_products(field, n, (row[:i] for i, row in enumerate(m)))
+                for m in (diff, diff_star))
+    Tdown = _running_products(field, n, (diff[c][:c:-1] for c in range(n - 1, -1, -1)))
     below, above, below_star = (tuple([row[i] for i, row in enumerate(m.values)])
                                 for m in (T, Tdown, Tstar))
+    mul, one = field._mul, field.one_value
+    above_star = tuple(reduce(mul, row[i + 1:], one) for i, row in enumerate(diff_star))
     return PairProducts(T=T, Tstar=Tstar, Tdown=Tdown, sides=(below, above[::-1]),
-                        sides_star=(below_star, one_sided_products(theta_star)))
+                        sides_star=(below_star, above_star),
+                        differences=diff, differences_star=diff_star)
 
 
 def divided_differences(field: Field, values: Sequence[FieldElement],
                         below: Sequence, above: Sequence) -> SquareMatrix:
-    """The inverse of difference_products(field, values), in closed form,
-    from the payloads of the products below and above each value
-    (`PairProducts`).
+    """The inverse of the products of differences of `values` (T of
+    `pair_products`), in closed form, from the payloads of the products
+    below and above each value (`PairProducts`).
 
     Entry (k, j), for j <= k, is 1 / the product of values[j] - values[h]
     over h <= k, h != j: row k holds the weights of the divided difference
@@ -362,20 +390,21 @@ def build(a: Analysis) -> SplitMatrixSet:
         G[i][j+1] = G[i-1][j] + (theta_i - theta_{d-j}) G[i][j],
 
     one column from the previous one: d(d + 1)/2 products, no inverse and
-    no kernel call.  G is unit upper triangular, and it is T^-1 Z Tdown,
+    no kernel call, each difference read from the table of theta in
+    `Analysis.pair`.  G is unit upper triangular, and it is T^-1 Z Tdown,
     the same payloads.  A repeated theta raises the ZeroDivisionError that
     T^-1 raises, so every check keeps its exception."""
     p, pair = a.p, a.pair
     F, d = p.field, p.d
-    mul, sub, add, zero, one = F._mul, F._sub, F._add, F.zero_value, F.one_value
+    mul, add, zero, one = F._mul, F._add, F.zero_value, F.one_value
     if zero in pair.sides[0]:  # theta repeats: raise as T^-1 would
         F._checked_inv(zero)
-    th = _payloads(p.theta)
+    diff = pair.differences
     columns = [(one,)]
     for j in range(d):
-        x, prev = th[d - j], columns[-1]
-        columns.append(tuple([add(up, mul(sub(t, x), g))
-                              for up, t, g in zip((zero,) + prev, th, prev)]) + (one,))
+        prev = columns[-1]
+        columns.append(tuple([add(up, mul(row[d - j], g))
+                              for up, row, g in zip((zero,) + prev, diff, prev)]) + (one,))
     rows = tuple(zip(*[c + (zero,) * (d - j) for j, c in enumerate(columns)]))
     return SplitMatrixSet(p=p, splits=a.splits, pair=pair, G=SquareMatrix(F, d + 1, rows))
 
@@ -542,29 +571,37 @@ def s_matrix(p: ParameterArray, q: FieldElement) -> SquareMatrix:
 
     Raises BaseNotApplicable for q = 1 or q = -1, for scalars that are not a
     base of the array (d >= 3), and when a required (q; q)_m vanishes.
+    The work is `_closed_form`'s, on the payload of q.
     """
+    return _closed_form(p, q.value)
+
+
+def _closed_form(p: ParameterArray, q, bp1=None) -> SquareMatrix:
+    """s_matrix on the payload q of the base, guards included.  At d >= 3,
+    bp1 is the payload of beta + 1 = (theta_0 - theta_3) / (theta_1 -
+    theta_2) where the caller has it, and it is read off theta here
+    otherwise; a repeated theta_1 = theta_2 raises ZeroDivisionError."""
     F, d = p.field, p.d
-    one = F.one()
-    if q == one or q == -one:
+    mul, add, sub, inv, one = F._mul, F._add, F._sub, F._checked_inv, F.one_value
+    if q == one or q == F._neg(one):
         raise BaseNotApplicable("no closed form at base 1 or -1")
-    if q == F.zero():
+    if q == F.zero_value:
         raise BaseNotApplicable("zero is never a base")
+    th = _payloads(p.theta)
     if d >= 3:
-        ratio = beta_plus_one(p)
-        if q + q.inverse() + one != ratio:
+        if bp1 is None:
+            bp1 = mul(sub(th[0], th[3]), inv(sub(th[1], th[2])))
+        if add(add(q, inv(q)), one) != bp1:
             raise BaseNotApplicable("q + 1/q + 1 does not match the eigenvalue ratio")
 
-    mul, sub, inv = F._mul, F._sub, F._checked_inv
     # poch[m] = (q; q)_m
-    powers = accumulate([q.value] * d, mul)
-    poch = list(accumulate([sub(F.one_value, x) for x in powers], mul,
-                           initial=F.one_value))
+    powers = accumulate([q] * d, mul)
+    poch = list(accumulate([sub(one, x) for x in powers], mul, initial=one))
     if F.zero_value in poch[1:]:
         raise BaseNotApplicable("q is a root of unity of order at most d")
     ipoch = [inv(x) for x in poch]
 
-    th = _payloads(p.theta)
-    prefix = accumulate([sub(th[0], x) for x in th[:0:-1]], mul, initial=F.one_value)
+    prefix = accumulate([sub(th[0], x) for x in th[:0:-1]], mul, initial=one)
     by_s = [mul(mul(x, poch[d - s]), ipoch[s]) for s, x in enumerate(prefix)]
     by_i = [mul(mul(poch[d - i], ipoch[i]), ipoch[d]) for i in range(d + 1)]
     by_j = [mul(poch[j], ipoch[d - j]) for j in range(d + 1)]
@@ -582,18 +619,28 @@ def verify_transition_matrix(a: Analysis) -> CheckReport:
     (`base ±1`, cases II, III and IV).  On an array that satisfies PA1 and
     PA5, s_matrix takes every other q: with q != +-1, theta_i = a + b q^i +
     c q^-i, so a q of order m <= d would give theta_m = theta_0.  On an
-    array that fails them, s_matrix's BaseNotApplicable propagates."""
+    array that fails them, s_matrix's BaseNotApplicable propagates.
+
+    beta + 1 is read on payloads, off the difference table of theta in
+    `Analysis.pair`, and passed to the closed form (`_closed_form`), so it
+    is formed once; the roots come from `quadratic_roots`, and the guards
+    on q compare payloads."""
     p = a.p
+    F = p.field
+    one = F.one_value
     report = CheckReport("transition-matrix")
+    bp1 = None
     if p.d >= 3:
-        roots = base_candidates(p).roots
+        diff = a.pair.differences
+        bp1 = F._mul(diff[0][3], F._checked_inv(diff[1][2]))
+        roots = quadratic_roots(F, F._elements[F._sub(one, bp1)], F.one())
         q = roots[0] if roots else None
     else:
-        q = first_case1_base(p.field)
+        q = first_case1_base(F)
     if q is None:
         report.skipped = "no in-field base"
-    elif q == p.field.one() or q == -p.field.one():
+    elif q.value == one or q.value == F._neg(one):
         report.skipped = "base ±1"
-    elif s_matrix(p, q) != a.matrices.G:
+    elif _closed_form(p, q.value, bp1) != a.matrices.G:
         report.add("G differs from the closed form")
     return report

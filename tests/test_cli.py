@@ -524,9 +524,10 @@ def test_a_failing_check_prints_its_first_four_failures(capsys, monkeypatch):
 def test_transition_matrix_fails_where_g_differs_from_the_closed_form(capsys, monkeypatch):
     import leonard.splitmat
 
-    s_matrix = leonard.splitmat.s_matrix
-    monkeypatch.setattr(leonard.splitmat, "s_matrix",
-                        lambda p, q: s_matrix(p, q).transpose())
+    # the check reads the closed form through s_matrix's payload core
+    closed_form = leonard.splitmat._closed_form
+    monkeypatch.setattr(leonard.splitmat, "_closed_form",
+                        lambda p, q, bp1: closed_form(p, q, bp1).transpose())
     code, out, _ = run(capsys, "verify", QRAC3)
     lines = out.splitlines()
     assert code == 1
@@ -553,8 +554,7 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
     calls = {}
     originals = [leonard.splitmat.build, leonard.polys.corresponding_polys,
                  leonard.ortho.ortho_data, leonard.recur.recurrence_coeffs,
-                 leonard.splitmat.difference_products,
-                 leonard.splitmat.one_sided_products,
+                 leonard.splitmat.difference_table,
                  leonard.splitmat.prefix_products,
                  leonard.splitmat.split_products,
                  leonard.polys.proportionality_alphas,
@@ -573,8 +573,14 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
                 monkeypatch.setattr(module, fn.__name__, counted)
     code, out, _ = run(capsys, "verify", QRAC3)
     assert code == 0 and out.endswith("transition-matrix: pass\n")
-    # T, T* and Tdown once each, and the products above each theta*_i: 7
-    # and 5 when build, polys, ortho and recur each formed their own.  The
+    # The difference tables of theta and theta* once each, in the one
+    # pair_products, which reads T, T*, Tdown and the products above each
+    # theta*_i off them, as build, verify_alt_formulas and
+    # verify_transition_matrix read their differences: before that, T, T*
+    # and Tdown were one difference_products call each, and the products
+    # above each theta*_i one one_sided_products call, each with its own
+    # subtractions; 7 and 5 when build, polys, ortho and recur each formed
+    # their own.  The
     # prefix products of varphi and of phi once each, in the one
     # split_products: 5 when build, polys and ortho each formed their own.
     # The alphas once, in Analysis.alphas: 2 when verify_proportionality and
@@ -586,8 +592,8 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
     # checks, by verify_leonard_conditions and (three-term) by
     # verify_orthogonality
     assert calls == {"build": 1, "corresponding_polys": 1, "ortho_data": 1,
-                     "recurrence_coeffs": 1, "difference_products": 3,
-                     "one_sided_products": 1, "prefix_products": 2,
+                     "recurrence_coeffs": 1, "difference_table": 2,
+                     "prefix_products": 2,
                      "split_products": 1, "proportionality_alphas": 1,
                      "divided_differences": 0, "three_term_comparison": 1,
                      "difference_comparison": 1}
@@ -596,8 +602,9 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
 def test_scoreboard_multiplications_at_d16():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
-    # 9,023 of them, counting payload products and the int terms of the
-    # kernel and of the intertwining test: 10,825 when build formed G as
+    # 9,022 of them, counting payload products and the int terms of the
+    # kernel and of the intertwining test: 9,023 when the transition-matrix
+    # check formed beta + 1 twice, 10,825 when build formed G as
     # T^-1 Z Tdown, by n inverses and a kernel product, as many as when
     # the sides of the conjugation, three-term and difference identities
     # were kernel products and scalings, and 18,711 when verify_leonard_conditions
@@ -612,7 +619,7 @@ def test_scoreboard_multiplications_at_d16():
     # recurrences too, 20,072 when build, polys and ortho each formed their
     # own prefix products of varphi and phi, and 21,840 when they and recur
     # each formed their own products of differences
-    assert count_multiplications(lambda: _scoreboard(p)) <= 9_023
+    assert count_multiplications(lambda: _scoreboard(p)) <= 9_022
 
 
 def test_scoreboard_kernel_calls_at_d16(monkeypatch):
@@ -643,11 +650,13 @@ def test_scoreboard_kernel_calls_at_d16(monkeypatch):
 def test_scoreboard_elements_in_d(monkeypatch):
     """The layers of Analysis hold payloads.  From Analysis(p) through the
     11 checks (the scoreboard less validate), a q-Racah scoreboard over Q
-    builds 32 FieldElements at d = 6 and at d = 16, all of them in the
-    transition-matrix check's base search and its guards on q: 186 and 396
-    when the products of differences, the prefix products, the alphas, the
-    weights and the recurrence coefficients were held as elements.  Every
-    element of Q is built by `_Fresh.__getitem__`."""
+    builds 13 FieldElements at d = 6 and at d = 16, all of them the
+    coefficients that the transition-matrix check hands `quadratic_roots`
+    and what the root finder builds: 32 when that check took beta + 1 and
+    its guards on q on elements, and 186 and 396 when the products of
+    differences, the prefix products, the alphas, the weights and the
+    recurrence coefficients were held as elements.  Every element of Q is
+    built by `_Fresh.__getitem__`."""
     from leonard import fields, validate
 
     built = 0
@@ -667,7 +676,7 @@ def test_scoreboard_elements_in_d(monkeypatch):
             validate(p)
             in_validate, built = built, 0
             _scoreboard(p)
-        assert built - in_validate <= 32, (d, built, in_validate)
+        assert built - in_validate <= 13, (d, built, in_validate)
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -91,7 +91,7 @@ from leonard.fields import _find_irreducible
 from leonard.ortho import OrthoData
 from leonard.parray import first_case1_base, split_sequences
 from leonard.polys import PolyTable
-from leonard.splitmat import _require_distinct, divided_differences
+from leonard.splitmat import _require_distinct, divided_differences, pair_products
 from conftest import dense_mul, elements, qarr, random_array, satisfies_pa1_pa2
 
 FIELDS = {
@@ -1138,6 +1138,65 @@ def test_payload_chains_match_their_element_versions(label):
             compared.add("raises" if isinstance(want, type)
                          else "fails" if want else "passes")
     assert compared == {"values", "passes", "fails", "raises"}, compared
+
+
+# The fields of the difference-table comparison: Q, two table fields, an
+# extension above the table cap and a 61-bit prime field.
+PAIR_FIELDS = {
+    "Q": FIELDS["Q"],
+    "GF(7)": FIELDS["GF(7)"],
+    "GF(4)": FIELDS["GF(4)"],
+    "GF(3^7)": extension_field(3, 7, _find_irreducible(3, 7)),
+    "GF(2^61 - 1)": prime_field(2**61 - 1),
+}
+
+
+def random_sequence(F, n, rng, repeat):
+    """n random elements, over Q with numerators and denominators up to
+    2^64; with one entry a copy of an earlier one where `repeat`."""
+    def draw():
+        if F.is_finite():
+            return F.random_element(rng)
+        return F.parse(f"{rng.randint(-2**64, 2**64)}/{rng.randint(1, 2**64)}")
+    values = [draw() for _ in range(n)]
+    if repeat:
+        i = rng.randrange(1, n)
+        values[i] = values[rng.randrange(i)]
+    return values
+
+
+@pytest.mark.parametrize("label", list(PAIR_FIELDS))
+def test_pair_products_match_the_element_products(label):
+    """pair_products, which reads T, T*, Tdown and the products above each
+    theta*_i off the difference tables of theta and theta*, against the
+    element versions that took every difference afresh
+    (`difference_products_elements`, `one_sided_products_elements`), on
+    random sequences at n = 1..7, distinct or with a repeated entry; the
+    tables hold theta_i - theta_h for every (i, h).  A repeated value
+    gives zeros, not an error."""
+    F = PAIR_FIELDS[label]
+    rng = random.Random(f"pair-products/{label}")
+    zeros = 0
+    for n in range(1, 8):
+        for repeat in ([False, True] if n > 1 else [False]):
+            for _ in range(3):
+                theta = random_sequence(F, n, rng, repeat)
+                theta_star = random_sequence(F, n, rng, repeat and rng.random() < 0.5)
+                pair = pair_products(F, theta, theta_star)
+                T, Tstar, Tdown = (difference_products_elements(F, v)
+                                   for v in (theta, theta_star, theta[::-1]))
+                assert (pair.T, pair.Tstar, pair.Tdown) == (T, Tstar, Tdown), (n, repeat)
+                diagonal = lambda m: tuple([row[i] for i, row in enumerate(m.values)])
+                assert pair.sides == (diagonal(T), tuple(payloads(
+                    one_sided_products_elements(theta)))), (n, repeat)
+                assert pair.sides_star == (diagonal(Tstar), tuple(payloads(
+                    one_sided_products_elements(theta_star)))), (n, repeat)
+                for table, values in ((pair.differences, theta),
+                                      (pair.differences_star, theta_star)):
+                    assert table == tuple(tuple([(x - y).value for y in values])
+                                          for x in values), (n, repeat)
+                zeros += repeat and F.zero_value in pair.sides[0] + pair.sides[1]
+    assert zeros > 0
 
 
 @pytest.mark.parametrize("label", list(FIELDS))

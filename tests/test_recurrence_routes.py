@@ -27,14 +27,18 @@ here:
 - those three checks, each one `Field._intertwining_failures` call, give
   the lines of the dense products they replaced (`dense_three_term`,
   `dense_difference`, `dense_conjugation`) in their order, or raise their
-  exception type, on the perturbed arrays.
+  exception type, on the perturbed arrays;
+- the proportionality check, which scales one column of Pdown at a time,
+  gives the line of the route that formed Pdown diag(alpha) whole
+  (`scaled_proportionality`), or raises its exception type, on the
+  perturbed arrays.
 
     python tests/test_recurrence_routes.py D
 
-runs the last comparison on the CI q-Racah array over Q at diameter D and
-on twelve perturbations of it, and compares build's G, or the exception
-it raises, with the dense route T^-1 Z Tdown on each; CI runs it at
-D = 24.
+runs the last two comparisons on the CI q-Racah array over Q at diameter
+D and on twelve perturbations of it, and compares build's G, or the
+exception it raises, with the dense route T^-1 Z Tdown on each; CI runs
+it at D = 24.
 """
 
 import itertools
@@ -60,6 +64,7 @@ from leonard import (
     verify_conjugation,
     verify_leonard_conditions,
     verify_orthogonality,
+    verify_proportionality,
 )
 from leonard.fields import _find_irreducible
 from leonard.ortho import _gram_failures, _rows_hold
@@ -172,6 +177,21 @@ INTERTWINING_CHECKS = {
     "difference": (lambda a: a.difference.failures, dense_difference),
     "conjugation": (lambda a: verify_conjugation(a).failures, dense_conjugation),
 }
+
+
+def scaled_proportionality(a):
+    """The proportionality lines from Pdown diag(alpha), formed whole by
+    `scale_columns` and compared with P column by column, as
+    verify_proportionality did before it scaled one column at a time."""
+    P, scaled = a.polys.P.values, a.polys.Pdown.scale_columns(a.alphas).values
+    for i, (got, want) in enumerate(zip(zip(*P), zip(*scaled))):
+        if got != want:
+            return [f"f_{i} is not alpha_{i} times its reversed companion"]
+    return []
+
+
+# the proportionality check, and the route that formed Pdown diag(alpha)
+PROPORTIONALITY = (lambda a: verify_proportionality(a).failures, scaled_proportionality)
 
 
 def lines_or_raised(route, a):
@@ -296,6 +316,20 @@ def test_intertwining_checks_match_the_dense_products_on_perturbed_arrays():
                       else "passes"))
     assert seen == {(check, kind) for check in INTERTWINING_CHECKS
                     for kind in ("passes", "fails", "raises")}, seen
+
+
+def test_proportionality_matches_the_scaled_route_on_perturbed_arrays():
+    """The proportionality check, which scales one column of Pdown at a
+    time, gives the lines of the route that formed Pdown diag(alpha), or
+    raises its exception type, on the perturbed arrays; every outcome
+    occurs."""
+    route, oracle = PROPORTIONALITY
+    seen = set()
+    for label, name, q in perturbed_cases():
+        want = lines_or_raised(oracle, Analysis(q))
+        assert lines_or_raised(route, Analysis(q)) == want, (label, name)
+        seen.add("raises" if isinstance(want, type) else "fails" if want else "passes")
+    assert seen == {"passes", "fails", "raises"}, seen
 
 
 def changed_weights(a, rng):
@@ -428,11 +462,13 @@ if __name__ == "__main__":
         a = Analysis(q)
         got = g_or_raised(lambda a: build(a).G, a)
         assert got == g_or_raised(dense_transition_matrix, a), (name, "G")
-        for check, (route, oracle) in INTERTWINING_CHECKS.items():
+        routes = {**INTERTWINING_CHECKS, "proportionality": PROPORTIONALITY}
+        for check, (route, oracle) in routes.items():
             got = lines_or_raised(route, a)
             assert got == lines_or_raised(oracle, a), (name, check)
             lines += len(got) if isinstance(got, list) else 0
         arrays += 1
     print(f"CI q-racah d={d} and {arrays - 1} perturbations: build's G is that "
-          f"of T^-1 Z Tdown, and the three-term, difference and conjugation "
-          f"lines are those of the dense products ({lines} lines)")
+          f"of T^-1 Z Tdown, the three-term, difference and conjugation "
+          f"lines are those of the dense products, and the proportionality "
+          f"lines those of Pdown diag(alpha) ({lines} lines)")

@@ -39,7 +39,7 @@ from leonard import (
 from leonard.families import Q_FAMILIES
 from leonard.fields import _find_irreducible
 from leonard.report import CheckReport
-from leonard.splitmat import difference_products, divided_differences, pair_products
+from leonard.splitmat import divided_differences, pair_products
 from conftest import (Q, count_multiplications, dense_mul, dense_transition_matrix, qarr,
                       random_array)
 
@@ -312,9 +312,62 @@ def intertwined(F, n, shape, rng):
     return L, X, (pay(diag), pay(below), pay(above))
 
 
+def eigenvector_intertwined(F, n, shape, rng):
+    """Bands L and R and a matrix X with L X = X R and R diagonal, for L
+    diagonal or bidiagonal (`shape`): L's diagonal l has n distinct
+    entries, zero among them one time in four, its off-diagonal entries
+    are zero one time in four, and R = diag(l).  Column j of X is an
+    eigenvector of L for l_j, zero above row j for a band below the
+    diagonal and below it for a band above, its entry j zero one time in
+    four; so X has zero entries and zero columns.  None when the field has
+    fewer than n elements."""
+    has_below, has_above = BAND_SHAPES[shape]
+    assert not (has_below and has_above)
+    if F.is_finite() and F.order() < n:
+        return None
+    diag = []
+    while len(diag) < n:
+        x = kernel_entry(F, rng, bits=64)
+        if x not in diag:
+            diag.append(x)
+    band = [kernel_entry(F, rng, bits=64) for _ in range(n - 1)]
+    columns = []
+    for j, lj in enumerate(diag):
+        x = [F.zero()] * n
+        x[j] = kernel_entry(F, rng, bits=64)
+        # row i of (L - l_j) x = 0 fixes x_i from its neighbour towards j
+        steps = range(j + 1, n) if has_below else range(j - 1, -1, -1) if has_above else ()
+        for i in steps:
+            k = i - 1 if has_below else i + 1
+            x[i] = -band[min(i, k)] * x[k] / (diag[i] - lj)
+        columns.append(x)
+    X = SquareMatrix.from_rows(F, [list(row) for row in zip(*columns)])
+    pay = [x.value for x in diag]
+    bands = [x.value for x in band]
+    L = (pay, bands if has_below else [], bands if has_above else [])
+    return L, X, (pay, [], [])
+
+
+def array_intertwined(F, rng):
+    """The three-term and difference identities of sampled arrays, one per
+    admissible family at d = 1..5: J^t P^t = P^t H and J* P = P H*, a
+    tridiagonal L with a diagonal R on the right."""
+    for index, family in enumerate(list_families()):
+        fp = sample_params(family, 1 + index % 5, F, rng)
+        if fp is None:
+            continue
+        a = Analysis(generate(fp, F))
+        (diag, below, above), P = a.three_term.bands, a.polys.P
+        yield (f"{family} three-term", (diag, above, below), P.transpose(),
+               ([x.value for x in a.p.theta], [], []))
+        yield (f"{family} difference", a.difference.bands, P,
+               ([x.value for x in a.p.theta_star], [], []))
+
+
 def planted(F, L, X, R, rng):
     """The triple, then copies with one mismatch planted: X[r][s] + 1, the
-    diagonal of L + 1 at r, and a present off-diagonal of R + 1 at k."""
+    diagonal of L + 1 at r, the diagonal of R + 1 at s, and a present
+    off-diagonal of R + 1 at k."""
     n, one = X.n, F.one_value
     bump = lambda xs, k: [F._add(x, one) if i == k else x for i, x in enumerate(xs)]
     r, s = rng.randrange(n), rng.randrange(n)
@@ -323,6 +376,7 @@ def planted(F, L, X, R, rng):
     rows[r][s] = F._add(rows[r][s], one)
     yield f"X[{r}][{s}] + 1", L, SquareMatrix(F, n, tuple(map(tuple, rows))), R
     yield f"L[{r}][{r}] + 1", (bump(L[0], r), *L[1:]), X, R
+    yield f"R[{s}][{s}] + 1", L, X, (bump(R[0], s), *R[1:])
     for name, index in (("below", 1), ("above", 2)):
         if R[index]:
             k = rng.randrange(n - 1)
@@ -337,39 +391,48 @@ def test_intertwining_failures_match_dense_products(label):
     schoolbook products L X and X R differ, in row order, on diagonal,
     bidiagonal and tridiagonal L and R with zero band entries and X with
     zero entries, at n = 1..6, as built (no entry differs) and with one
-    mismatch planted; with the roles of the two sides swapped too.  It
-    makes one product per pair of a nonzero band entry and a nonzero entry
-    of X, and the counter sees each of them."""
+    mismatch planted; with the roles of the two sides swapped too.  A
+    diagonal R, which the rationals decide by their diagonal side, also
+    meets a diagonal or bidiagonal L built from eigenvectors and the
+    tridiagonal L of the three-term and difference identities of sampled
+    arrays.  It makes one product per pair of a nonzero band entry and a
+    nonzero entry of X, and the counter sees each of them."""
     F = INTERTWINING_FIELDS[label]
     rng = random.Random(f"intertwining/{label}")
     zero = F.zero_value
-    planted_lines = 0
+    cases = []
     for shape in BAND_SHAPES:
         for n in range(1, 7):
             L, X, R = intertwined(F, n, shape, rng)
             # X^t L^t = R^t X^t, the same identity with L and R swapped
             swapped = ((R[0], R[2], R[1]), X.transpose(), (L[0], L[2], L[1]))
-            for case in (planted(F, L, X, R, rng), planted(F, *swapped, rng)):
-                for name, l, x, r in case:
-                    Lm, Rm = (SquareMatrix.diagonal(F, *bands) for bands in (l, r))
-                    LX, XR = dense_mul(Lm, x).values, dense_mul(x, Rm).values
-                    want = [(i, j) for i in range(n) for j in range(n)
-                            if LX[i][j] != XR[i][j]]
-                    got = []
-                    calls = count_multiplications(
-                        lambda: got.extend(F._intertwining_failures(l, x.values, r)))
-                    assert got == want, (shape, n, name)
-                    if name == "as built":
-                        assert want == [], (shape, n)
-                    planted_lines += bool(want)
-                    nonzero = lambda m: [sum(v != zero for v in row) for row in m.values]
-                    x_rows, r_rows = nonzero(x), nonzero(Rm)
-                    pairs = (sum(x_rows[k] for row in Lm.values
-                                 for k, v in enumerate(row) if v != zero)
-                             + sum(r_rows[k] for row in x.values
-                                   for k, v in enumerate(row) if v != zero))
-                    assert calls == pairs, (shape, n, name)
-    assert planted_lines > 0
+            cases += [(shape, n, L, X, R), (shape, n, *swapped)]
+            if shape != "tridiagonal":
+                built = eigenvector_intertwined(F, n, shape, rng)
+                cases += [(f"{shape} by diagonal", n, *built)] if built else []
+    cases += [(name, X.n, L, X, R) for name, L, X, R in array_intertwined(F, rng)]
+    planted_lines = diagonal_right = 0
+    for shape, n, L, X, R in cases:
+        for name, l, x, r in planted(F, L, X, R, rng):
+            Lm, Rm = (SquareMatrix.diagonal(F, *bands) for bands in (l, r))
+            LX, XR = dense_mul(Lm, x).values, dense_mul(x, Rm).values
+            want = [(i, j) for i in range(n) for j in range(n) if LX[i][j] != XR[i][j]]
+            got = []
+            calls = count_multiplications(
+                lambda: got.extend(F._intertwining_failures(l, x.values, r)))
+            assert got == want, (shape, n, name)
+            if name == "as built":
+                assert want == [], (shape, n)
+            planted_lines += bool(want)
+            diagonal_right += bool(want) and not r[1] and not r[2] and any(l[1:])
+            nonzero = lambda m: [sum(v != zero for v in row) for row in m.values]
+            x_rows, r_rows = nonzero(x), nonzero(Rm)
+            pairs = (sum(x_rows[k] for row in Lm.values
+                         for k, v in enumerate(row) if v != zero)
+                     + sum(r_rows[k] for row in x.values
+                           for k, v in enumerate(row) if v != zero))
+            assert calls == pairs, (shape, n, name)
+    assert planted_lines > 0 and diagonal_right > 0
 
 
 def test_conjugation_check_costs_band_multiplications():
@@ -579,19 +642,19 @@ def test_divided_differences_invert_difference_products(label):
         if F.is_finite() and n > F.order():
             continue
         values = distinct_entries(F, n, rng)
-        sides = pair_products(F, values, values).sides
-        T, Tinv = difference_products(F, values), divided_differences(F, values, *sides)
+        pair = pair_products(F, values, values)
+        T, Tinv = pair.T, divided_differences(F, values, *pair.sides)
         ident = SquareMatrix.identity(F, n)
         assert T * Tinv == ident and Tinv * T == ident, n
         assert Tinv == _lower_inverse(T), n
         assert_canonical(F, Tinv)
         if n > 1:
             repeated = values[:-1] + [values[rng.randrange(n - 1)]]
-            sides = pair_products(F, repeated, repeated).sides
+            pair = pair_products(F, repeated, repeated)
             with pytest.raises(ZeroDivisionError):
-                divided_differences(F, repeated, *sides)
+                divided_differences(F, repeated, *pair.sides)
             with pytest.raises(ZeroDivisionError):
-                _lower_inverse(difference_products(F, repeated))
+                _lower_inverse(pair.T)
 
 
 def test_conjugation_moves_one_matrix_pair_to_other(qrac3):
