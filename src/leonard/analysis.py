@@ -28,13 +28,19 @@ blocks or a test reads them.
 
 The three-term and difference comparisons (`three_term`, `difference`)
 hold the bands of the recurrence matrices J and J* with the lines where
-the table P fails H P = P J and P H* = J* P, each found by one
-intertwining test (`Field._intertwining_failures`) that forms neither
-side.  Their two checks print the lines.  Where both lists are empty,
-`verify_leonard_conditions` reads its two blocks off those bands, and
-`verify_orthogonality` fixes the row Gram from J and its first row: the
-cubic products those two checks made before run only when a comparison
-fails.
+the table P fails H P = P J and P H* = J* P.  Where PA1 and PA2 hold
+(`pa1_pa2`: theta and theta* distinct, every varphi_i and phi_i
+nonzero), P = T D^-1 T*^t factors through the triangular T and T* of
+`pair`, and each identity, and the proportionality of f_i with its
+reversed companion, is decided on T or T* alone, by one intertwining
+test (`Field._intertwining_failures`) with a bidiagonal right side; the
+endpoint values are row d of T times D^-1 T*^t.  Where both comparisons
+pass, `verify_leonard_conditions` reads its two blocks off their bands,
+and `verify_orthogonality` fixes the row Gram from J and its first row
+from J*.  So a passing verify forms neither P nor Pdown, and makes no
+matrix product: `polys` is formed where one of those tests fails, where
+PA1 or PA2 fails, and for the `poly-table` dump, and the failing checks
+then write their lines from P as they always did.
 
 The results live on the Analysis, not on the array: a changed array (say
 from dataclasses.replace) needs a new Analysis.
@@ -70,6 +76,14 @@ class Analysis:
     @cached_property
     def matrices(self) -> SplitMatrixSet:
         return build(self)
+
+    @cached_property
+    def pa1_pa2(self) -> bool:
+        """theta and theta* are distinct and every varphi_i and phi_i is
+        nonzero: T, T*, D and Ddown are invertible."""
+        zero = self.p.field.zero_value
+        return not any(zero in x for x in (self.pair.sides[0], self.pair.sides_star[0],
+                                           self.splits.D, self.splits.Ddown))
 
     @cached_property
     def polys(self) -> PolyTable:

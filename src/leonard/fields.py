@@ -107,10 +107,7 @@ and _add, then a payload comparison.  Over Q it needs no reduction at all.
 Each column of X is written as integers over the lcm of its denominators
 once, each row of L and each column of R over theirs, and an entry is
 decided by comparing two integer dots, each times a per-row or
-per-column factor: no gcd and no common denominator per entry.  Where R
-is diagonal, the right side is read off X's integers: each entry is
-compared as s den(r_j) against x num(r_j) l_i, one product by num(r_j)
-per nonzero x (_int_scaled), with no band terms or lcms for R.
+per-column factor: no gcd and no common denominator per entry.
 """
 
 from __future__ import annotations
@@ -533,21 +530,6 @@ def _int_products(left, right) -> Iterator[list[int]]:
         yield acc
 
 
-def _int_scaled(rows, factors) -> Iterator[list[int]]:
-    """The rows of an int matrix times diag(factors), with no reduction:
-    the matrix given by the nonzero terms of its rows, as _int_products
-    takes them, and each term multiplied by its column's factor where that
-    factor is nonzero."""
-    n = len(factors)
-    for row in rows:
-        acc = [0] * n
-        for j, x in row:
-            y = factors[j]
-            if y:
-                acc[j] = x * y
-        yield acc
-
-
 class Field:
     """Common behaviour; concrete fields fill in the payload operations."""
 
@@ -819,10 +801,7 @@ class RationalField(Field):
         # is an int dot t of the same integers over c_j e_j m_j.  An entry
         # is then decided by s e_j m_j != t l_i: dots of at most three
         # terms, two products by per-row and per-column factors, and no
-        # gcd.  Where R is diagonal, with r_j = u_j / v_j, (X R)[i][j] is
-        # x u_j / (c_j v_j) for the integer x of X[i][j], and an entry is
-        # decided by s v_j != x u_j l_i: one product u_j x per nonzero x
-        # (`_int_scaled`), and no band terms or lcms for R.
+        # gcd.
         c = [lcm(*[d for _, d in col]) for col in zip(*X)]
         X = [[(j, n * (c[j] // d)) for j, (n, d) in enumerate(row) if n] for row in X]
         rows, l_den = [], []
@@ -831,11 +810,6 @@ class RationalField(Field):
             rows.append([(k, n * (l // d)) for k, (n, d) in row])
             l_den.append(l)
         diagonal, below, above = R
-        if not below and not above:
-            u, v = zip(*diagonal)
-            return [(i, j) for i, (s, t, l) in enumerate(zip(_int_products(rows, X),
-                                                             _int_scaled(X, u), l_den))
-                    for j, (x, y, e) in enumerate(zip(s, t, v)) if x * e != y * l]
         w, f = [[] for _ in c], []
         for j, col in enumerate(_band_terms((0, 1), diagonal, above, below)):
             m = lcm(*[d for _, (_, d) in col])

@@ -3,8 +3,12 @@
 The weights and nu are read from the two layers of `Analysis`: the
 one-sided products of (theta, theta*) from `pair`, and the prefix products
 D_i = varphi_1 .. varphi_i and Ddown_i = phi_1 .. phi_i from `splits`.
-The row sums are settled from the three-term comparison, `three_term`,
-where it passed, and by the Gram matrix elsewhere.  The weights and nu
+The row sums are settled from the three-term and difference
+comparisons, `three_term` and `difference`, where they passed: the row
+Gram is then fixed by its first row, which k* being a left eigenvector of
+J* fixes in turn, so a passing check forms no P.  Elsewhere, and to write
+the lines where the rows fail, the Gram matrix is formed from P
+(`Analysis.polys`).  The weights and nu
 are held as payloads, like the layers they are read from; the names k,
 kstar and nu of `OrthoData` wrap them in elements for the `weights` dump
 and the tests.
@@ -17,6 +21,7 @@ from functools import reduce
 from typing import TYPE_CHECKING
 
 from .fields import Field
+from .polys import require_table
 from .report import CheckReport
 from .splitmat import SquareMatrix, _element_view
 
@@ -68,30 +73,41 @@ def verify_orthogonality(a: Analysis) -> CheckReport:
     therefore computed only when the rows fail or nu is zero; it could add
     no line otherwise.
 
-    The rows are read off the recurrence where the three-term comparison
-    of `Analysis` passed and b_i != 0 for i < d.  There H P = P J, and
-    since H and K* are diagonal, the row Gram M = P^t K* P satisfies
-    J^t M = P^t H K* P = M J.  Entry (i, l) of that identity reads
+    The rows are read off the recurrences where the three-term and
+    difference comparisons of `Analysis` passed and b_i != 0 for i < d.
+    There H P = P J, and since H and K* are diagonal, the row Gram
+    M = P^t K* P satisfies J^t M = P^t H K* P = M J.  Entry (i, l) of that
+    identity reads
 
         b_i X[i+1][l] = c_l X[i][l-1] + (a_l - a_i) X[i][l]
                         + b_l X[i][l+1] - c_i X[i-1][l],
 
     so a solution X is fixed by its first row (Favard's argument).  With
     w_i = nu / k_i, diag(w) is a solution exactly when w_i c_{i+1} =
-    w_{i+1} b_i for i < d.  So M = diag(w) iff that holds and the first row
-    of M, sum_r k*_r f_l(theta_r) (f_0 = 1), is (w_0, 0, .., 0): n^2
-    products in place of the n^3 of the Gram matrix.  Where the route does
-    not apply, and to write the lines where it finds the rows failing, the
-    Gram matrix is formed, as `_gram_failures`."""
-    P = a.polys.P  # P[j][i] = f_i(theta_j)
+    w_{i+1} b_i for i < d.  The first row of M is k*^t P (f_0 = 1), and
+    J* P = P H* gives k*^t J* P = k*^t P H*.  Where k* is a left
+    eigenvector of J* for theta*_0, which with a*_j = theta*_0 - b*_j -
+    c*_j is k*_j b*_j = k*_{j+1} c*_{j+1} for j < d, entry l of k*^t P
+    times theta*_l - theta*_0 is zero, so by PA1 entry l is zero for
+    l > 0, and entry 0 is the sum of the k*_r: the first row is (sum of
+    k*, 0, .., 0).
+    Conversely, where M = diag(w) it is (w_0, 0, .., 0), and P is
+    invertible, so k* is such an eigenvector.  So M = diag(w) iff the two
+    band conditions hold and the k*_r sum to w_0: O(d) products in place
+    of the n^3 of the Gram matrix, and P is not formed.  Where the route
+    does not apply, and to write the lines where it finds the rows
+    failing, the Gram matrix is formed from P, as `_gram_failures`.  The
+    check raises where forming P raises (`polys.require_table`),
+    whichever route it takes."""
+    require_table(a)
     k, kstar, nu = a.ortho.values
     report = CheckReport("orthogonality")
     # row (i, j): sum_r f_i(theta_r) f_j(theta_r) kstar_r = delta_ij nu / k_i
     if not _rows_hold(a):
-        _gram_failures(report, "row", P.transpose(), kstar, k, nu)
-    if report.failures or nu == P.field.zero_value:
+        _gram_failures(report, "row", a.polys.P.transpose(), kstar, k, nu)
+    if report.failures or nu == a.p.field.zero_value:
         # column (i, j): sum_r f_r(theta_i) f_r(theta_j) k_r = delta_ij nu / kstar_i
-        _gram_failures(report, "column", P, k, kstar, nu)
+        _gram_failures(report, "column", a.polys.P, k, kstar, nu)
     return report
 
 
@@ -102,17 +118,16 @@ def _rows_hold(a: Analysis) -> bool:
     test of its diagonal does."""
     F = a.p.field
     mul, add, inv = F._mul, F._add, F._checked_inv
-    _, b, c = a.recurrence.values[:3]
+    _, b, c, _, bstar, cstar = a.recurrence.values
     k, kstar, nu = a.ortho.values
     d = len(b) - 1
-    if a.three_term.failures or F.zero_value in b[:d]:
+    if a.three_term.failures or F.zero_value in b[:d] or a.difference.failures:
         return False
     w = [mul(nu, inv(x)) for x in k]
-    if any(mul(w[i], c[i + 1]) != mul(w[i + 1], b[i]) for i in range(d)):
-        return False
-    first = [reduce(add, [mul(x, y) for x, y in zip(kstar, column)])
-             for column in zip(*a.polys.P.values)]
-    return first == [w[0]] + [F.zero_value] * d
+    return (all(mul(w[i], c[i + 1]) == mul(w[i + 1], b[i]) for i in range(d))
+            and all(mul(kstar[j], bstar[j]) == mul(kstar[j + 1], cstar[j + 1])
+                    for j in range(d))
+            and reduce(add, kstar) == w[0])
 
 
 def _gram_failures(report: CheckReport, kind: str, X: SquareMatrix, weights,

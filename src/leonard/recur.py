@@ -8,12 +8,23 @@ table P, and the difference equation is J* P = P H*.  Each comparison
 and kept on `Analysis` with the three bands of its matrix and its failure
 lines: the two checks of this module print the lines, and where both
 lists are empty `verify_leonard_conditions` reads its blocks off the bands
-of J and J*, and `verify_orthogonality` its row Gram off J.  The dense J
-is formed only when a reader asks for it (`Comparison.J`).
+of J and J*, and `verify_orthogonality` its row Gram off J.
 
-Both identities have the shape L X = X R with L and R tridiagonal, and
-each is one call of `Field._intertwining_failures` on the diagonals of L
-and R and the payload rows of P: neither side is formed as a matrix, and
+Each comparison is first decided on the triangular factors of P =
+T D^-1 T*^t.  T and T* are the values of the Newton bases tau_n(lambda) =
+(lambda - theta_0) .. (lambda - theta_{n-1}) and tau*_n, so H T = T N and
+H* T* = T* N*, with N lower bidiagonal, theta_n on the diagonal and ones
+below it (LS99; Terwilliger's condition (iii) read as coefficients).
+Where PA1 and PA2 hold (`Analysis.pa1_pa2`), T, T* and D are invertible,
+and multiplying through by D turns the two identities into
+
+    J^t T* = T* A*',  A*' with theta on the diagonal and varphi above it,
+    J* T = T A*,      A* with theta* on the diagonal and varphi above it,
+
+each one `Field._intertwining_failures` call with a bidiagonal right
+side, on T* or T from `Analysis.pair`, forming no P.  Where such a test
+fails, or PA1 or PA2 does not hold, the identity is decided on P itself,
+one intertwining call on its payload rows with a diagonal right side, and
 the lines name the entries where the two sides differ, column by column.
 
 The coefficients are held as payloads, like the one-sided products they
@@ -24,13 +35,12 @@ elements for the `recurrence` dump and the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .fields import Field
 from .report import CheckReport
-from .splitmat import SquareMatrix, _element_view, _payloads
+from .splitmat import _element_view, _payloads
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -72,41 +82,54 @@ class Comparison:
     """A tridiagonal recurrence matrix J of `recur`, as the payloads of its
     `bands` (diagonal, below, above) in the order `SquareMatrix.diagonal`
     takes them, and the lines where the evaluation table P fails the matrix
-    identity that it is compared in.  J itself is formed on first read."""
+    identity that it is compared in."""
 
     field: Field
     bands: tuple[tuple, tuple, tuple]
     failures: tuple[str, ...]
 
-    @cached_property
-    def J(self) -> SquareMatrix:
-        return SquareMatrix.diagonal(self.field, *self.bands)
-
 
 def three_term_comparison(a: Analysis) -> Comparison:
     """H P = P J, with H = diag(theta), P[j][i] = f_i(theta_j) and J
-    tridiagonal with (c_i, a_i, b_i) down column i.  It is decided as its
-    transpose J^t P^t = P^t H, with the diagonal factor on the right, where
-    `Field._intertwining_failures` needs no common denominator across
-    columns; an entry (i, j) that fails there is f_i at theta_j."""
-    p, P = a.p, a.polys.P
-    F = p.field
+    tridiagonal with (c_i, a_i, b_i) down column i.  Where PA1 and PA2
+    hold it holds exactly when J^t T* = T* A*' (module docstring), which
+    is tried first.  Otherwise it is decided as its transpose J^t P^t =
+    P^t H, with the diagonal factor on the right; an entry (i, j) that
+    fails there is f_i at theta_j.  That route reads P before the
+    coefficients, so it raises where forming P raises."""
+    p, F = a.p, a.p.field
+    theta = _payloads(p.theta)
+    if a.pa1_pa2:
+        ca, cb, cc = a.recurrence.values[:3]
+        if not F._intertwining_failures((ca, cc[1:], cb[:-1]), a.pair.Tstar.values,
+                                        (theta, (), _payloads(p.varphi))):
+            return Comparison(F, (ca, cb[:-1], cc[1:]), ())
+    P = a.polys.P
     ca, cb, cc = a.recurrence.values[:3]
     failures = F._intertwining_failures((ca, cc[1:], cb[:-1]), tuple(zip(*P.values)),
-                                        (_payloads(p.theta), (), ()))
+                                        (theta, (), ()))
     return Comparison(F, (ca, cb[:-1], cc[1:]), tuple(
         f"recurrence fails for f_{i} at theta_{j}" for i, j in failures))
 
 
 def difference_comparison(a: Analysis) -> Comparison:
     """J* P = P H*, with H* = diag(theta*) and J* tridiagonal with
-    (c*_j, a*_j, b*_j) along row j; the lines name the failing entries
-    column by column."""
-    p, P = a.p, a.polys.P
-    F = p.field
+    (c*_j, a*_j, b*_j) along row j.  Where PA1 and PA2 hold it holds
+    exactly when J* T = T A* (module docstring), which is tried first;
+    otherwise it is decided on P, read first, and the lines name the
+    failing entries column by column."""
+    p, F = a.p, a.p.field
+    theta_star = _payloads(p.theta_star)
+    if a.pa1_pa2:
+        astar, bstar, cstar = a.recurrence.values[3:]
+        bands = (astar, cstar[1:], bstar[:-1])
+        if not F._intertwining_failures(bands, a.pair.T.values,
+                                        (theta_star, (), _payloads(p.varphi))):
+            return Comparison(F, bands, ())
+    P = a.polys.P
     astar, bstar, cstar = a.recurrence.values[3:]
     bands = (astar, cstar[1:], bstar[:-1])
-    failures = F._intertwining_failures(bands, P.values, (_payloads(p.theta_star), (), ()))
+    failures = F._intertwining_failures(bands, P.values, (theta_star, (), ()))
     return Comparison(F, bands, tuple(
         f"difference equation fails for f_{j} at theta_{i}"
         for i, j in sorted(failures, key=itemgetter(1))))

@@ -44,8 +44,8 @@ them.  A FieldElement is built only where a reader asks for one: the
 and the recurrence coefficients, for the dumps and the tests.  Every
 banded matrix comes from one constructor, `SquareMatrix.diagonal`, given
 the payloads of its diagonal and of the off-diagonals below and above it:
-A and B (ones below), A* and B* (varphi and phi above), the dual A*' of
-`dense_leonard_blocks`, and the recurrence matrices J and J* of `recur`.
+A and B (ones below), A* and B* (varphi and phi above), and the dual
+A*' of `dense_leonard_blocks`.
 `build` forms the one matrix a check reads that `Analysis.pair` does not
 hold, G; T^-1, A, B, A*, B*, D, Ddown, Z, H and H* are formed on first
 read, for the `matrices` dump, the dense Leonard blocks and the tests.
@@ -66,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     BaseNotApplicable,
@@ -107,12 +107,6 @@ class SquareMatrix:
             if len(row) != n:
                 raise ValueError("matrix rows must all have length n")
         return SquareMatrix(field, n, tuple(tuple([x.value for x in row]) for row in rows))
-
-    @staticmethod
-    def build(field: Field, n: int, entry: Callable[[int, int], FieldElement]) -> "SquareMatrix":
-        return SquareMatrix(field, n, tuple(
-            tuple([entry(i, j).value for j in range(n)]) for i in range(n)
-        ))
 
     @staticmethod
     def identity(field: Field, n: int) -> "SquareMatrix":

@@ -49,6 +49,19 @@ def dense_transition_matrix(a):
     return Tinv * SquareMatrix(p.field, p.d + 1, pair.Tdown.values[::-1])
 
 
+def build_matrix(field, n, entry):
+    """The n x n matrix over field with entry(i, j), a FieldElement, at
+    (i, j)."""
+    return SquareMatrix(field, n, tuple(
+        tuple([entry(i, j).value for j in range(n)]) for i in range(n)))
+
+
+def comparison_matrix(comparison):
+    """The tridiagonal recurrence matrix J (or J*) of a `recur.Comparison`,
+    formed from its bands."""
+    return SquareMatrix.diagonal(comparison.field, *comparison.bands)
+
+
 def elements(F, payloads):
     """The elements of F with the given payloads, in order: how a test
     reads a payload layer of `Analysis` as elements."""
@@ -71,13 +84,11 @@ def count_multiplications(fn):
     matrix method or a scalar chain on payloads makes them, the pairs
     of int terms that the Q kernel and the Q intertwining test
     (`RationalField._intertwining_failures`) multiply in
-    fields._int_products, and the terms that the Q intertwining test's
-    diagonal side multiplies by a nonzero factor in fields._int_scaled.
-    Q and GF(p) define `_mul` on their classes; an extension field keeps
-    it on the instance, so every cached extension field is counted there.
-    The kernels hand `_int_products`, `_int_scaled` and `_mul` only their
-    nonzero terms, so a kernel that stopped skipping zero terms would be
-    counted for them."""
+    fields._int_products.  Q and GF(p) define `_mul` on their classes; an
+    extension field keeps it on the instance, so every cached extension
+    field is counted there.  The kernels hand `_int_products` and `_mul`
+    only their nonzero terms, so a kernel that stopped skipping zero terms
+    would be counted for them."""
     calls = 0
 
     def counted(mul):
@@ -97,15 +108,7 @@ def count_multiplications(fn):
     owners = [cls for cls in Field.__subclasses__() if "_mul" in vars(cls)]
     owners += [F for F in fields._FIELD_CACHE.values() if "_mul" in vars(F)]
     patches = [(owner, "_mul", counted(owner._mul)) for owner in owners]
-    int_scaled = fields._int_scaled
-
-    def counted_int_scaled(rows, factors):
-        nonlocal calls
-        calls += sum(1 for row in rows for j, _ in row if factors[j])
-        return int_scaled(rows, factors)
-
     patches.append((fields, "_int_products", counted_int_products))
-    patches.append((fields, "_int_scaled", counted_int_scaled))
     originals = [(obj, name, getattr(obj, name)) for obj, name, _ in patches]
     for obj, name, wrapped in patches:
         setattr(obj, name, wrapped)

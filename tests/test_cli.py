@@ -590,8 +590,11 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
     # it read E* A E* from V and V^-1 recurrences before that.  The
     # three-term and difference comparisons once each, read by their own
     # checks, by verify_leonard_conditions and (three-term) by
-    # verify_orthogonality
-    assert calls == {"build": 1, "corresponding_polys": 1, "ortho_data": 1,
+    # verify_orthogonality and verify_proportionality.  No P or Pdown on the
+    # passing path, since every check that reads them reads their values
+    # off T and T*: 1 when the comparisons, proportionality,
+    # endpoint-values, duality and orthogonality read the table
+    assert calls == {"build": 1, "corresponding_polys": 0, "ortho_data": 1,
                      "recurrence_coeffs": 1, "difference_table": 2,
                      "prefix_products": 2,
                      "split_products": 1, "proportionality_alphas": 1,
@@ -602,8 +605,11 @@ def test_verify_derives_each_object_once(capsys, monkeypatch):
 def test_scoreboard_multiplications_at_d16():
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
-    # 9,022 of them, counting payload products and the int terms of the
-    # kernel and of the intertwining test: 9,023 when the transition-matrix
+    # 4,828 of them, counting payload products and the int terms of the
+    # kernel and of the intertwining test: 9,022 when the comparisons,
+    # proportionality, endpoint-values and orthogonality read P and Pdown,
+    # formed by two kernel products, and orthogonality read the first row
+    # of its Gram off P, 9,023 when the transition-matrix
     # check formed beta + 1 twice, 10,825 when build formed G as
     # T^-1 Z Tdown, by n inverses and a kernel product, as many as when
     # the sides of the conjugation, three-term and difference identities
@@ -619,14 +625,16 @@ def test_scoreboard_multiplications_at_d16():
     # recurrences too, 20,072 when build, polys and ortho each formed their
     # own prefix products of varphi and phi, and 21,840 when they and recur
     # each formed their own products of differences
-    assert count_multiplications(lambda: _scoreboard(p)) <= 9_022
+    assert count_multiplications(lambda: _scoreboard(p)) <= 4_828
 
 
 def test_scoreboard_kernel_calls_at_d16(monkeypatch):
     """The diagonal factors are scalings, not kernel products, on the
     passing path the Leonard blocks and the row Gram come from the
-    recurrence comparisons, the conjugation, three-term and difference
-    identities form neither side, and G comes from its recurrence."""
+    recurrence comparisons, the conjugation, three-term, difference and
+    proportionality identities form neither side, the endpoint values and
+    the Gram's first row are read off T and T*, and G comes from its
+    recurrence: no matrix product at all."""
     fp = sample_params("q-racah", 16, Q, random.Random("conjugation-cost"))
     p = generate(fp, Q)
     calls = []
@@ -634,7 +642,9 @@ def test_scoreboard_kernel_calls_at_d16(monkeypatch):
     monkeypatch.setattr(type(Q), "_matmul",
                         lambda F, x, y: calls.append(x) or kernel(F, x, y))
     assert _scoreboard(p)[1]
-    # 2: P and Pdown.  3 when build formed G as T^-1 Z Tdown, before it
+    # None: P and Pdown are formed only where a check fails.  2, P and
+    # Pdown, when the checks that read them formed them on the passing
+    # path; 3 when build formed G as T^-1 Z Tdown, before it
     # read G column by column off A G = G B; 7 when the two sides of the
     # conjugation, P J and J* P were kernel products, before
     # Field._intertwining_failures decided the three identities without
@@ -644,7 +654,7 @@ def test_scoreboard_kernel_calls_at_d16(monkeypatch):
     # Tdown Ddown^-1 in corresponding_polys, X W in the Gram matrix, H P in
     # verify_three_term and P H* in verify_difference were kernel products
     # with a diagonal matrix
-    assert len(calls) == 2
+    assert len(calls) == 0
 
 
 def test_scoreboard_elements_in_d(monkeypatch):

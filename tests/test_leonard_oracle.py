@@ -92,7 +92,7 @@ from leonard.ortho import OrthoData
 from leonard.parray import first_case1_base, split_sequences
 from leonard.polys import PolyTable
 from leonard.splitmat import _require_distinct, divided_differences, pair_products
-from conftest import dense_mul, elements, qarr, random_array, satisfies_pa1_pa2
+from conftest import build_matrix, dense_mul, elements, qarr, random_array, satisfies_pa1_pa2
 
 FIELDS = {
     "Q": rational_field(),
@@ -110,7 +110,7 @@ def lagrange_leonard_conditions(p):
     F, d = p.field, p.d
     n = d + 1
     report = CheckReport("leonard-conditions")
-    zero_mat = SquareMatrix.build(F, n, lambda i, j: F.zero())
+    zero_mat = build_matrix(F, n, lambda i, j: F.zero())
     ident = SquareMatrix.identity(F, n)
 
     E = primitive_idempotents(m.A, p.theta)
@@ -976,7 +976,7 @@ def s_matrix_elements(p, q):
     prefix = [one]
     for t in range(d):
         prefix.append(prefix[-1] * (p.theta[0] - p.theta[d - t]))
-    return SquareMatrix.build(F, d + 1, lambda i, j: prefix[j - i] * trinomial(i, j - i, d - j)
+    return build_matrix(F, d + 1, lambda i, j: prefix[j - i] * trinomial(i, j - i, d - j)
                               if i <= j else F.zero())
 
 

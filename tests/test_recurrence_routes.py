@@ -1,14 +1,18 @@
-"""The recurrence routes of verify_leonard_conditions and
-verify_orthogonality against the dense products they replace.
+"""The recurrence and triangular-factor routes of the scoreboard against
+the dense products and the table P they replace.
 
 Where every varphi_i and phi_i is nonzero and the three-term and difference
 comparisons of `Analysis` hold, verify_leonard_conditions takes its blocks
 to be K = T* A*' T*^-1 = J^t and T A* T^-1 = J* (LS99's dual recurrence),
-and where the three-term comparison holds and b_i != 0 for i < d,
-verify_orthogonality settles the row Gram P^t K* P = diag(nu / k_i) from J
-and its first row (Favard's argument).  The dense products stay as the
-fallback, `dense_leonard_blocks` and `_gram_failures`, and are the oracles
-here:
+and where both hold and b_i != 0 for i < d, verify_orthogonality settles
+the row Gram P^t K* P = diag(nu / k_i) from J and its first row (Favard's
+argument), which J* fixes in turn.  Where PA1 and PA2 hold, the
+comparisons, proportionality and the endpoint values are read off the
+triangular factors T and T* of P = T D^-1 T*^t, and P is not formed.  The
+dense products and the routes on P stay as the fallback
+(`dense_leonard_blocks`, `_gram_failures`, and the comparisons and the
+proportionality check on P and Pdown), and they, or copies of the checks
+as they read P, are the oracles here:
 
 - the two identities hold, and the row route agrees with the dense Gram,
   on sampled arrays over Q, GF(101), GF(3^4) and GF(2^4) at d <= 12, and
@@ -17,21 +21,21 @@ here:
   theta* repeats, and on every PA1-PA2 sequence of GF(4) at d = 1, both
   checks report the lines of the dense route, or raise its exception type;
 - weights or tables changed under an Analysis, where the row route applies
-  but the rows fail, give the dense Gram's lines;
-- on the passing path over GF(1000003) and over Q at d = 8, 16 and 32,
-  the Leonard check makes no kernel call, and the orthogonality check's
-  products grow by at most 4.5 per doubling of d, where the dense Gram's
-  grow by about 8; the three-term and difference comparisons, the
-  conjugation check and build make no kernel call either, and their
-  products grow by at most 4.5 per doubling;
-- those three checks, each one `Field._intertwining_failures` call, give
-  the lines of the dense products they replaced (`dense_three_term`,
-  `dense_difference`, `dense_conjugation`) in their order, or raise their
-  exception type, on the perturbed arrays;
-- the proportionality check, which scales one column of Pdown at a time,
-  gives the line of the route that formed Pdown diag(alpha) whole
-  (`scaled_proportionality`), or raises its exception type, on the
-  perturbed arrays.
+  but the rows fail, give the dense Gram's lines, and alphas changed under
+  it, where the proportionality test on T* applies but fails, give the
+  line of the route on P and Pdown;
+- on the passing path over GF(1000003) and over Q at d = 8, 16 and 32, no
+  check makes a kernel call or forms P, and the products of the
+  comparisons, the conjugation check, proportionality, endpoint-values,
+  orthogonality's row route and build grow by at most 4.5 per
+  doubling of d, where P's grow by about 8;
+- the three-term, difference and conjugation checks give the lines of the
+  dense products (`dense_three_term`, `dense_difference`,
+  `dense_conjugation`) in their order, or raise their exception type, on
+  the perturbed arrays;
+- the proportionality, endpoint-values, duality and orthogonality checks
+  give the lines of the routes that formed P (`TABLE_READERS`), or raise
+  their exception type, on the perturbed arrays.
 
     python tests/test_recurrence_routes.py D
 
@@ -53,6 +57,8 @@ from leonard import (
     CheckReport,
     SingularMatrix,
     build,
+    duality_check,
+    endpoint_values,
     enumerate_arrays,
     extension_field,
     generate,
@@ -68,10 +74,11 @@ from leonard import (
 )
 from leonard.fields import _find_irreducible
 from leonard.ortho import _gram_failures, _rows_hold
-from leonard.polys import PolyTable
-from leonard.recur import difference_comparison, three_term_comparison
+from leonard.polys import PolyTable, _companions_recur
+from leonard.recur import Comparison, difference_comparison, three_term_comparison
 from leonard.splitmat import SquareMatrix, _require_distinct, dense_leonard_blocks
-from conftest import ci_q_racah, count_multiplications, dense_transition_matrix
+from conftest import (ci_q_racah, comparison_matrix, count_multiplications,
+                      dense_transition_matrix)
 
 FIELDS = {
     "Q": rational_field(),
@@ -171,9 +178,13 @@ def dense_conjugation(a):
     return [] if m.Astar * m.G == m.G * m.Bstar else ["Ginv * A* * G = B* violated"]
 
 
+def three_term(a):
+    return a.three_term.failures
+
+
 # each check by Field._intertwining_failures, and by the dense products
 INTERTWINING_CHECKS = {
-    "three-term": (lambda a: a.three_term.failures, dense_three_term),
+    "three-term": (three_term, dense_three_term),
     "difference": (lambda a: a.difference.failures, dense_difference),
     "conjugation": (lambda a: verify_conjugation(a).failures, dense_conjugation),
 }
@@ -190,8 +201,43 @@ def scaled_proportionality(a):
     return []
 
 
-# the proportionality check, and the route that formed Pdown diag(alpha)
-PROPORTIONALITY = (lambda a: verify_proportionality(a).failures, scaled_proportionality)
+def table_endpoint_values(a):
+    """The endpoint lines from row d of P, formed whole, as endpoint_values
+    read them before it took that row off T and T*."""
+    report = CheckReport("endpoint-values")
+    vals = a.polys.P.values[a.p.d]
+    for i, alpha in enumerate(a.alphas):
+        if vals[i] != alpha:
+            report.add(f"f_{i}(theta_d) differs from the phi/varphi cumulative ratio")
+            return report.failures
+    a.ortho
+    return report.failures
+
+
+def table_duality(a):
+    """duality_check as it was when it formed P to raise where P cannot be
+    formed."""
+    a.polys
+    return []
+
+
+def table_three_term(a):
+    """The three-term comparison decided on a.polys alone, with the lines
+    of the dense products: the comparison of a table changed under an
+    Analysis, which the passing route no longer reads."""
+    ca, cb, cc = a.recurrence.values[:3]
+    return Comparison(a.p.field, (ca, cb[:-1], cc[1:]), tuple(dense_three_term(a)))
+
+
+# the checks that read P, and the routes that formed P (or Pdown) to decide
+# them: on a passing array the checks form neither
+TABLE_READERS = {
+    "proportionality": (lambda a: verify_proportionality(a).failures, scaled_proportionality),
+    "endpoint-values": (lambda a: endpoint_values(a).failures, table_endpoint_values),
+    "duality": (lambda a: duality_check(a).failures, table_duality),
+    "orthogonality": (lambda a: verify_orthogonality(a).failures,
+                      lambda a: dense_orthogonality(a).failures),
+}
 
 
 def lines_or_raised(route, a):
@@ -216,8 +262,8 @@ def assert_routes_agree_on_array(name, p):
     a = Analysis(p)
     assert not a.three_term.failures and not a.difference.failures, name
     K, block = dense_leonard_blocks(a)
-    assert K == a.three_term.J.transpose(), name
-    assert block == a.difference.J, name
+    assert K == comparison_matrix(a.three_term).transpose(), name
+    assert block == comparison_matrix(a.difference), name
     assert _rows_hold(a), name
     assert dense_orthogonality(a).failures == [], name
     assert verify_leonard_conditions(a).failures == [], name
@@ -305,7 +351,9 @@ def test_checks_match_the_dense_route_on_perturbed_arrays():
 def test_intertwining_checks_match_the_dense_products_on_perturbed_arrays():
     """The three-term, difference and conjugation checks give the lines of
     the dense products in their order, or raise their exception type, on
-    the perturbed arrays; every outcome occurs for each check."""
+    the perturbed arrays; every outcome occurs for each check.  Where PA1
+    and PA2 hold, the three-term and difference comparisons are first
+    decided on T* and T, and arrays that fail there are among them."""
     seen = set()
     for label, name, q in perturbed_cases():
         a = Analysis(q)
@@ -314,22 +362,64 @@ def test_intertwining_checks_match_the_dense_products_on_perturbed_arrays():
             assert lines_or_raised(route, a) == want, (label, name, check)
             seen.add((check, "raises" if isinstance(want, type) else "fails" if want
                       else "passes"))
+            if check != "conjugation" and want and not isinstance(want, type) \
+                    and a.pa1_pa2:
+                seen.add((check, "fails under PA1 and PA2"))
     assert seen == {(check, kind) for check in INTERTWINING_CHECKS
-                    for kind in ("passes", "fails", "raises")}, seen
+                    for kind in ("passes", "fails", "raises")} | {
+        ("three-term", "fails under PA1 and PA2"),
+        ("difference", "fails under PA1 and PA2")}, seen
 
 
-def test_proportionality_matches_the_scaled_route_on_perturbed_arrays():
-    """The proportionality check, which scales one column of Pdown at a
-    time, gives the lines of the route that formed Pdown diag(alpha), or
-    raises its exception type, on the perturbed arrays; every outcome
-    occurs."""
-    route, oracle = PROPORTIONALITY
+def test_table_readers_match_the_table_route_on_perturbed_arrays():
+    """The proportionality, endpoint-values, duality and orthogonality
+    checks, which read P's values off T and T* where PA1 and PA2 hold,
+    give the lines of the routes that formed P, in their order, or raise
+    their exception type, each on a fresh Analysis of each perturbed
+    array; every outcome each check has occurs (duality cannot fail).
+    Where they and the three-term comparison pass, P is not formed."""
     seen = set()
+    unformed = 0
     for label, name, q in perturbed_cases():
-        want = lines_or_raised(oracle, Analysis(q))
-        assert lines_or_raised(route, Analysis(q)) == want, (label, name)
-        seen.add("raises" if isinstance(want, type) else "fails" if want else "passes")
-    assert seen == {"passes", "fails", "raises"}, seen
+        for check, (route, oracle) in TABLE_READERS.items():
+            want = lines_or_raised(oracle, Analysis(q))
+            assert lines_or_raised(route, Analysis(q)) == want, (label, name, check)
+            seen.add((check, "raises" if isinstance(want, type) else "fails" if want
+                      else "passes"))
+        a = Analysis(q)
+        routes = [route for route, _ in TABLE_READERS.values()]
+        if all(lines_or_raised(route, a) == [] for route in routes + [three_term]):
+            assert "polys" not in vars(a), (label, name)
+            unformed += 1
+    assert seen == {(check, kind) for check in TABLE_READERS
+                    for kind in ("passes", "fails", "raises")} - {("duality", "fails")}, seen
+    assert unformed > 0
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_proportionality_fails_with_the_table_line_where_the_companions_do_not_recur(label):
+    """With alpha_i changed under a passing three-term comparison, the
+    companions alpha_i fdown_i no longer satisfy the recurrence of the
+    f_i, the test on T* fails, and the check prints the line of the route
+    on P and Pdown.  No perturbed array reaches that branch: where the
+    three-term comparison holds, so does proportionality."""
+    rng = random.Random(f"recurrence-routes/alphas/{label}")
+    count = 0
+    for name, p in sampled_arrays(label):
+        if p.d > 8:
+            continue
+        a, b = Analysis(p), Analysis(p)
+        F, i = p.field, rng.randrange(p.d + 1)
+        c = next(x for x in iter(lambda: F.random_element(rng, nonzero=True), None)
+                 if x != F.one()).value
+        a.alphas = b.alphas = [F._mul(x, c) if h == i else x
+                               for h, x in enumerate(a.alphas)]
+        assert not a.three_term.failures and not _companions_recur(a), (label, name)
+        want = scaled_proportionality(b)
+        assert want == [f"f_{i} is not alpha_{i} times its reversed companion"]
+        assert verify_proportionality(a).failures == want, (label, name)
+        count += 1
+    assert count > 0
 
 
 def changed_weights(a, rng):
@@ -382,6 +472,7 @@ def test_rows_fail_with_the_dense_lines_where_the_route_applies(label):
             failed += 1
         a, b = Analysis(p), Analysis(p)
         a.polys = b.polys = kept_first_row_table(a, rng)
+        a.three_term = table_three_term(a)
         assert a.three_term.failures, (label, name)
         want = dense_orthogonality(b).failures
         assert verify_orthogonality(a).failures == want, (label, name)
@@ -390,18 +481,26 @@ def test_rows_fail_with_the_dense_lines_where_the_route_applies(label):
 
 
 def test_passing_path_costs_in_d(monkeypatch):
-    """Over GF(1000003) and over Q, with the shared objects built: the
-    Leonard check makes no kernel call, and the orthogonality check's
-    products grow by at most 4.5 per doubling of d (n^2 + O(n) products for
-    the row route).  Nor do the three-term and difference comparisons and
-    the conjugation check make a kernel call, and their products grow by at
-    most 4.5 per doubling too (at most 6 n^2, two band dots an entry), and
-    so does build (d(d + 1)/2 products for G).
+    """Over GF(1000003) and over Q, with the shared objects built, no check
+    on the passing path makes a kernel call or forms P, and the products
+    of each of these sites grow by at most 4.5 per doubling of d:
+    - the three-term and difference comparisons and the conjugation check,
+      each one intertwining test with a bidiagonal right side on T*, T or
+      G (at most 5 n(n + 1) / 2 products, band dots on a triangular factor);
+    - proportionality, one more such test on T*, with 4d products to scale
+      the bands of J;
+    - endpoint-values, row d of T times D^-1 T*^t (n^2 / 2 products);
+    - the row route of orthogonality, which reads the Gram's first row off
+      the difference equation (O(d) products), and the whole check;
+    - build (d(d + 1)/2 products for G).
     Over Q a product is a `_mul` or a pair of int terms of the kernel or
     of the intertwining test, as `count_multiplications` counts them."""
     sites = {"orthogonality": lambda a: verify_orthogonality(a).ok(),
+             "row route": _rows_hold,
              "three-term": lambda a: not three_term_comparison(a).failures,
              "difference": lambda a: not difference_comparison(a).failures,
+             "proportionality": lambda a: verify_proportionality(a).ok(),
+             "endpoint-values": lambda a: endpoint_values(a).ok(),
              "conjugation": lambda a: verify_conjugation(a).ok(),
              "build": lambda a: build(a).G.n == a.p.d + 1}
     for F in (prime_field(1000003), rational_field()):
@@ -411,16 +510,14 @@ def test_passing_path_costs_in_d(monkeypatch):
         for d in (8, 16, 32):
             fp = sample_params("q-racah", d, F, random.Random(f"cost-in-d/{d}"))
             a = Analysis(generate(fp, F))
-            a.matrices, a.polys, a.ortho, a.three_term, a.difference
+            a.matrices, a.ortho, a.alphas, a.three_term, a.difference
             calls.clear()
             assert verify_leonard_conditions(a).ok()
-            assert calls == [], (F, d)
             for name, site in sites.items():
                 passed = []
                 products[name].append(count_multiplications(lambda: passed.append(site(a))))
                 assert passed == [True], (F, d, name)
-                if name != "orthogonality":
-                    assert calls == [], (F, d, name)
+            assert calls == [] and "polys" not in vars(a), (F, d)
         for name, counts in products.items():
             assert counts[0] > 0 and all(y <= 4.5 * x for x, y in zip(counts, counts[1:])), (
                 F, name, counts)
@@ -462,13 +559,13 @@ if __name__ == "__main__":
         a = Analysis(q)
         got = g_or_raised(lambda a: build(a).G, a)
         assert got == g_or_raised(dense_transition_matrix, a), (name, "G")
-        routes = {**INTERTWINING_CHECKS, "proportionality": PROPORTIONALITY}
-        for check, (route, oracle) in routes.items():
-            got = lines_or_raised(route, a)
+        for check, (route, oracle) in {**INTERTWINING_CHECKS, **TABLE_READERS}.items():
+            got = lines_or_raised(route, Analysis(q))
             assert got == lines_or_raised(oracle, a), (name, check)
             lines += len(got) if isinstance(got, list) else 0
         arrays += 1
     print(f"CI q-racah d={d} and {arrays - 1} perturbations: build's G is that "
           f"of T^-1 Z Tdown, the three-term, difference and conjugation "
-          f"lines are those of the dense products, and the proportionality "
-          f"lines those of Pdown diag(alpha) ({lines} lines)")
+          f"lines are those of the dense products, and the proportionality, "
+          f"endpoint-values, duality and orthogonality lines those of the "
+          f"routes that form P ({lines} lines)")

@@ -40,8 +40,8 @@ from leonard.families import Q_FAMILIES
 from leonard.fields import _find_irreducible
 from leonard.report import CheckReport
 from leonard.splitmat import divided_differences, pair_products
-from conftest import (Q, count_multiplications, dense_mul, dense_transition_matrix, qarr,
-                      random_array)
+from conftest import (Q, build_matrix, count_multiplications, dense_mul,
+                      dense_transition_matrix, qarr, random_array)
 
 
 # The forward substitution that inverted T, U and V^t before T^-1 had a
@@ -104,7 +104,7 @@ def shaped_matrices(F, n, rng, entry=None):
         entry = lambda: F.random_element(rng, nonzero=True)
 
     def pattern(keep):
-        return SquareMatrix.build(F, n, lambda i, j: entry() if keep(i, j) else F.zero())
+        return build_matrix(F, n, lambda i, j: entry() if keep(i, j) else F.zero())
 
     perm = list(range(n))
     rng.shuffle(perm)
@@ -112,7 +112,7 @@ def shaped_matrices(F, n, rng, entry=None):
         "zero": pattern(lambda i, j: False),
         "identity": SquareMatrix.identity(F, n),
         "diagonal": pattern(lambda i, j: i == j),
-        "permutation": SquareMatrix.build(
+        "permutation": build_matrix(
             F, n, lambda i, j: F.one() if perm[i] == j else F.zero()),
         "lower bidiagonal": pattern(lambda i, j: 0 <= i - j <= 1),
         "upper bidiagonal": pattern(lambda i, j: 0 <= j - i <= 1),
@@ -227,14 +227,14 @@ def test_scalings_match_diagonal_products(label):
 # transpose.
 def bidiag_upper(field, diag, sup):
     zero = field.zero()
-    return SquareMatrix.build(field, len(diag), lambda i, j:
+    return build_matrix(field, len(diag), lambda i, j:
                               diag[i] if i == j else sup[i] if j == i + 1 else zero)
 
 
 def tridiagonal(field, c, a, b):
     # (c_i, a_i, b_i) down column i, in rows i - 1, i and i + 1
     zero = field.zero()
-    return SquareMatrix.build(field, len(a), lambda r, i: (
+    return build_matrix(field, len(a), lambda r, i: (
         a[i] if r == i else c[i] if r == i - 1 else b[i] if r == i + 1 else zero))
 
 
@@ -263,9 +263,9 @@ def test_banded_constructor_matches_the_old_builders(label):
 
 def test_bidiagonal_product_costs_band_multiplications():
     n = 17
-    lower = SquareMatrix.build(
+    lower = build_matrix(
         Q, n, lambda i, j: Q.from_int(i + j + 1) if 0 <= i - j <= 1 else Q.zero())
-    dense = SquareMatrix.build(Q, n, lambda i, j: Q.from_int(i * n + j + 1))
+    dense = build_matrix(Q, n, lambda i, j: Q.from_int(i * n + j + 1))
     # the dense product would make n^3 = 4913
     assert count_multiplications(lambda: lower * dense) <= 2 * n * n
 
@@ -481,7 +481,7 @@ def product_formula(values):
             acc = acc * (values[i] - values[h])
         return acc
 
-    return SquareMatrix.build(F, len(values), prod)
+    return build_matrix(F, len(values), prod)
 
 
 def test_transition_matrices_match_product_formula(fix_d1, kraw2, kraw3, qrac3,
@@ -824,7 +824,7 @@ def test_primitive_idempotents_resolve_identity(kraw3):
     assert total == SquareMatrix.identity(Q, n)
     for i, e in enumerate(es):
         for j, f in enumerate(es):
-            assert e * f == (e if i == j else SquareMatrix.build(
+            assert e * f == (e if i == j else build_matrix(
                 Q, n, lambda r, c: Q.zero()))
 
 
